@@ -77,10 +77,6 @@ def build_workloads(config: AgingConfig) -> AgingArtifacts:
     )
     with_churn = integrate_short_lived(per_day, trace, seed=config.seed + 3)
     reconstructed = merge_days(with_churn)
-    # Materialize the columnar views here, outside any timed replay path
-    # (and before the workloads get pickled to parallel workers).
-    ground_truth.columns()
-    reconstructed.columns()
     return AgingArtifacts(
         config=config,
         ground_truth=ground_truth,

@@ -22,22 +22,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro import obs
-from repro.aging.workload import APPEND, CREATE, Workload
+from repro.aging.workload import Workload
 from repro.analysis.layout import optimal_pairs
 from repro.analysis.timeline import DailySample, Timeline
 from repro.obs import events as obs_events
 from repro.errors import FaultInjectionError, OutOfSpaceError, SimulationError
 from repro.ffs.filesystem import FileSystem
-from repro.obs.trace import Span, Tracer
-
-#: Replay engines: the columnar batch loop is the default; the per-record
-#: reference path exists for differential testing and debugging.
-ENGINES = ("columnar", "perop")
-
-#: Version tag of the replay engine's observable output format.  Part of
-#: the replay cache key: bump it whenever an engine change could alter
-#: replay results, so stale cache entries miss instead of being served.
-ENGINE_VERSION = "columnar/v1"
+from repro.ffs.params import FSParams
 
 #: Workload operations replayed by this process, across all replays.
 _ops_replayed = 0
@@ -152,18 +143,13 @@ class AgingReplayer:
         return self._dir_for_cg[src_cg % self.fs.params.ncg]
 
     def replay(
-        self,
-        workload: Workload,
-        sample_days: bool = True,
-        engine: str = "columnar",
+        self, workload: Workload, sample_days: bool = True
     ) -> ReplayResult:
         """Apply every operation; returns the result with daily samples.
 
-        ``engine`` selects the loop implementation: ``"columnar"`` (the
-        default) iterates the workload's structure-of-arrays columns in
-        precomputed day slices; ``"perop"`` is the per-record reference
-        path.  Both produce identical results — the differential suite
-        in ``tests/test_aging_columnar.py`` pins that.
+        The loop iterates the workload's columns in precomputed day
+        slices.  Golden digests in ``tests/test_aging_columnar.py`` pin
+        every observable it produces.
 
         With telemetry enabled each simulated day becomes one span
         (simulated clock in days, attrs carrying that day's op/ENOSPC
@@ -171,17 +157,6 @@ class AgingReplayer:
         """
         global _ops_replayed
         _ops_replayed += len(workload)
-        if engine == "columnar":
-            return self._replay_columnar(workload, sample_days)
-        if engine == "perop":
-            return self._replay_perop(workload, sample_days)
-        raise ValueError(f"unknown replay engine {engine!r}; pick from {ENGINES}")
-
-    def _replay_columnar(
-        self, workload: Workload, sample_days: bool
-    ) -> ReplayResult:
-        """The batched day-slice loop over the workload's columns."""
-        cols = workload.columns()
         result = ReplayResult(fs=self.fs, timeline=Timeline(label=self.label))
         self._initial_files = len(self.fs.files())
         tr = obs.tracer_or_none()
@@ -196,14 +171,14 @@ class AgingReplayer:
         # Hot-loop locals: every attribute below is read once per op.
         fs = self.fs
         faults = self._faults
-        ops = cols.op
-        times = cols.time
-        file_ids = cols.file_id
-        sizes = cols.size
-        src_inos = cols.src_ino
+        ops = workload.op
+        times = workload.time
+        file_ids = workload.file_id
+        sizes = workload.size
+        src_inos = workload.src_ino
         live = result.live_files
         try:
-            for day, (lo, hi) in enumerate(cols.day_slices):
+            for day, (lo, hi) in enumerate(workload.day_slices):
                 if lo == hi:
                     continue  # empty day: sampled by a later catch-up
                 if faults is not None and day != fault_day:
@@ -275,155 +250,24 @@ class AgingReplayer:
                         # not buffered and cannot be crash candidates.
                         faults.after_op(fs, op_kind, ino)
         except FaultInjectionError as exc:
-            return self._crash_result(
-                result, exc, tr, day_span, current_day,
-                day_start_ops, day_start_skips,
-            )
-        return self._finish_replay(
-            result, sample_days, tr, day_span, current_day,
-            day_start_ops, day_start_skips,
-        )
-
-    def _replay_perop(self, workload: Workload, sample_days: bool) -> ReplayResult:
-        """The per-record reference loop (identical results, no batching)."""
-        result = ReplayResult(fs=self.fs, timeline=Timeline(label=self.label))
-        self._initial_files = len(self.fs.files())
-        tr = obs.tracer_or_none()
-        day_span = (
-            tr.begin("replay.day", sim=0, label=self.label, day=0)
-            if tr is not None
-            else None
-        )
-        day_start_ops = day_start_skips = 0
-        current_day = 0
-        fault_day = 0
-        try:
-            for record in workload:
-                day = int(record.time)
-                if self._faults is not None and day != fault_day:
-                    fault_day = day
-                    self._faults.begin_day(day)
-                while sample_days and day > current_day:
-                    self._sample(result, current_day)
-                    if tr is not None:
-                        tr.end(
-                            day_span,
-                            sim=current_day + 1,
-                            ops=result.ops_applied - day_start_ops,
-                            enospc=result.skipped_no_space - day_start_skips,
-                            layout_score=round(self.current_layout_score(), 4),
-                        )
-                        day_start_ops = result.ops_applied
-                        day_start_skips = result.skipped_no_space
-                        day_span = tr.begin(
-                            "replay.day",
-                            sim=current_day + 1,
-                            label=self.label,
-                            day=current_day + 1,
-                        )
-                    current_day += 1
-                if record.op == CREATE:
-                    directory = self.target_directory(record.src_ino)
-                    if self._faults is not None:
-                        self._faults.before_op(self.fs, "create", None)
-                    try:
-                        ino = self.fs.create_file(
-                            directory, record.size, when=record.time
-                        )
-                    except OutOfSpaceError:
-                        result.skipped_no_space += 1
-                        continue
-                    self._track_pairs(ino)
-                    result.live_files[record.file_id] = ino
-                    result.creates += 1
-                    result.bytes_written += record.size
-                    op_kind = "create"
-                elif record.op == APPEND:
-                    ino = result.live_files.get(record.file_id)
-                    if ino is None:
-                        continue  # its create was skipped for space
-                    if self._faults is not None:
-                        self._faults.before_op(self.fs, "append", ino)
-                    try:
-                        self._append_tracked(ino, record.size, record.time)
-                    except OutOfSpaceError:
-                        result.skipped_no_space += 1
-                        continue
-                    result.bytes_written += record.size
-                    op_kind = "append"
-                else:
-                    ino = result.live_files.pop(record.file_id, None)
-                    if ino is None:
-                        continue  # its create was skipped for space
-                    if self._faults is not None:
-                        self._faults.before_op(self.fs, "delete", ino)
-                    self.fs.delete_file(ino, when=record.time)
-                    self._untrack_pairs(ino)
-                    result.deletes += 1
-                    op_kind = "delete"
-                result.ops_applied += 1
-                if self._faults is not None:
-                    # ENOSPC-skipped ops never reach here: they are not
-                    # buffered and cannot be crash candidates.
-                    self._faults.after_op(self.fs, op_kind, ino)
-        except FaultInjectionError as exc:
-            return self._crash_result(
-                result, exc, tr, day_span, current_day,
-                day_start_ops, day_start_skips,
-            )
-        return self._finish_replay(
-            result, sample_days, tr, day_span, current_day,
-            day_start_ops, day_start_skips,
-        )
-
-    def _crash_result(
-        self,
-        result: ReplayResult,
-        exc: FaultInjectionError,
-        tr: "Optional[Tracer]",
-        day_span: "Optional[Span]",
-        current_day: int,
-        day_start_ops: int,
-        day_start_skips: int,
-    ) -> ReplayResult:
-        # The plan's crash point fired: return the partial result.
-        # The timeline deliberately gets no sample for the crash day
-        # (the machine went down before the end-of-day snapshot).
-        result.crashed = True
-        result.crash = getattr(exc, "summary", None)
-        if tr is not None and day_span is not None:
-            tr.end(
-                day_span,
-                sim=current_day + 1,
-                ops=result.ops_applied - day_start_ops,
-                enospc=result.skipped_no_space - day_start_skips,
-                layout_score=round(self.current_layout_score(), 4),
-                crashed=True,
-            )
-        return result
-
-    def _finish_replay(
-        self,
-        result: ReplayResult,
-        sample_days: bool,
-        tr: "Optional[Tracer]",
-        day_span: "Optional[Span]",
-        current_day: int,
-        day_start_ops: int,
-        day_start_skips: int,
-    ) -> ReplayResult:
-        if sample_days:
+            # The plan's crash point fired: return the partial result.
+            # The timeline deliberately gets no sample for the crash day
+            # (the machine went down before the end-of-day snapshot).
+            result.crashed = True
+            result.crash = getattr(exc, "summary", None)
+        if sample_days and not result.crashed:
             self._sample(result, current_day)
         if tr is not None and day_span is not None:
-            tr.end(
-                day_span,
-                sim=current_day + 1,
-                ops=result.ops_applied - day_start_ops,
-                enospc=result.skipped_no_space - day_start_skips,
-                layout_score=round(self.current_layout_score(), 4),
-            )
+            attrs: Dict[str, object] = {
+                "ops": result.ops_applied - day_start_ops,
+                "enospc": result.skipped_no_space - day_start_skips,
+                "layout_score": round(self.current_layout_score(), 4),
+            }
+            if result.crashed:
+                attrs["crashed"] = True
+            tr.end(day_span, sim=current_day + 1, **attrs)
         m = obs.metrics_or_none()
-        if m is not None:
+        if m is not None and not result.crashed:
             m.counter("replay.ops").inc(result.ops_applied)
             m.counter("replay.creates").inc(result.creates)
             m.counter("replay.deletes").inc(result.deletes)
@@ -591,11 +435,10 @@ def age_file_system(
     policy: str = "ffs",
     label: Optional[str] = None,
     faults: "Optional[FaultInjector]" = None,
-    engine: str = "columnar",
 ) -> ReplayResult:
     """Convenience: build a fresh file system and age it with ``workload``."""
     fs = FileSystem(params=params, policy=policy)
     replayer = AgingReplayer(
         fs, label=label if label is not None else policy, faults=faults
     )
-    return replayer.replay(workload, engine=engine)
+    return replayer.replay(workload)

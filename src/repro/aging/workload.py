@@ -8,15 +8,16 @@ group to which it was allocated on the original file system".
 
 Workloads serialize to a simple line-oriented text format so they can be
 generated once and replayed from the CLI, mirroring the paper's
-downloadable workload file.
+downloadable workload file; a dumped file replays exactly like the
+workload it came from.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, TextIO, Tuple
 
 from repro.errors import WorkloadError
 
@@ -24,7 +25,8 @@ CREATE = "create"
 APPEND = "append"
 DELETE = "delete"
 
-#: Byte codes of the columnar op column, in ``_OP_RANK`` order.
+#: Byte codes of the op column; also the op rank that orders ops tying
+#: on (time, file id): create before append before delete.
 OP_CODES = {CREATE: 0, APPEND: 1, DELETE: 2}
 
 #: Op names indexed by byte code (the inverse of ``OP_CODES``).
@@ -74,9 +76,13 @@ class WorkloadRecord:
             raise WorkloadError(f"negative time {self.time}")
 
     def to_line(self) -> str:
-        """Serialize to one text line."""
+        """Serialize to one text line.
+
+        The time is written with ``repr`` so it parses back to the same
+        float: rounding would reorder nearby ops on reload.
+        """
         return (
-            f"{self.time:.6f} {self.op} {self.file_id} {self.size} "
+            f"{self.time!r} {self.op} {self.file_id} {self.size} "
             f"{self.src_ino} {self.directory}"
         )
 
@@ -96,82 +102,19 @@ class WorkloadRecord:
         )
 
 
-@dataclass(frozen=True)
-class WorkloadColumns:
-    """Structure-of-arrays view of a workload.
-
-    Parallel columns hold one op per index — a byte code (``OP_CODES``),
-    the fractional-day time, the file id, the byte count, and the source
-    inode — so the replay hot loop indexes flat arrays instead of
-    touching a ``WorkloadRecord`` object per op.  ``day_slices`` is the
-    precomputed day index: entry ``d`` is the half-open record range
-    whose ``int(time)`` equals ``d``, so the day loop iterates contiguous
-    slices instead of testing the day of every record.
-    """
-
-    op: bytes
-    time: "array[float]"
-    file_id: "array[int]"
-    size: "array[int]"
-    src_ino: "array[int]"
-    #: Dictionary-encoded source directory: ``dir_table[dir_id[i]]`` is
-    #: record ``i``'s directory.  Keeps the columns lossless (so records
-    #: can be rebuilt exactly) without a per-record string.
-    dir_id: "array[int]"
-    dir_table: Tuple[str, ...]
-    day_slices: Tuple[Tuple[int, int], ...]
-
-    @classmethod
-    def from_records(cls, records: Sequence[WorkloadRecord]) -> "WorkloadColumns":
-        """Build the columns from time-ordered records."""
-        n = len(records)
-        slices: List[Tuple[int, int]] = []
-        start = 0
-        current = 0
-        times = array("d", (r.time for r in records))
-        for i in range(n):
-            day = int(times[i])
-            while current < day:
-                slices.append((start, i))
-                start = i
-                current += 1
-        if n:
-            slices.append((start, n))
-        dir_index: Dict[str, int] = {}
-        dir_ids = array("l")
-        for r in records:
-            dir_ids.append(dir_index.setdefault(r.directory, len(dir_index)))
-        return cls(
-            op=bytes(OP_CODES[r.op] for r in records),
-            time=times,
-            file_id=array("q", (r.file_id for r in records)),
-            size=array("q", (r.size for r in records)),
-            src_ino=array("q", (r.src_ino for r in records)),
-            dir_id=dir_ids,
-            dir_table=tuple(dir_index),
-            day_slices=tuple(slices),
-        )
-
-    def to_records(self) -> List[WorkloadRecord]:
-        """Rebuild the exact record list the columns were built from."""
-        ops = _OP_NAMES
-        dirs = self.dir_table
-        return [
-            WorkloadRecord(
-                time=t, op=ops[o], file_id=f, size=s, src_ino=i,
-                directory=dirs[d],
-            )
-            for o, t, f, s, i, d in zip(
-                self.op, self.time, self.file_id, self.size,
-                self.src_ino, self.dir_id,
-            )
-        ]
-
-
 class Workload:
-    """An ordered aging workload with integrity checks."""
+    """An ordered aging workload, held as parallel columns.
 
-    _OP_RANK = {CREATE: 0, APPEND: 1, DELETE: 2}
+    The columns hold one op per index — a byte code (``OP_CODES``), the
+    fractional-day time, the file id, the byte count, and the source
+    inode — so the replay hot loop indexes flat arrays instead of
+    touching a ``WorkloadRecord`` object per op.  The source directory
+    is dictionary-encoded: ``dir_table[dir_id[i]]`` is op ``i``'s
+    directory.  ``day_slices`` is the precomputed day index: entry ``d``
+    is the half-open op range whose ``int(time)`` equals ``d``, so the
+    day loop iterates contiguous slices instead of testing the day of
+    every op.  Iterating a workload rebuilds its records.
+    """
 
     def __init__(self, records: Iterable[WorkloadRecord] = ()):
         # Sort on the cheap C-level key first; the op rank only matters
@@ -179,7 +122,7 @@ class Workload:
         # essentially never produce.  A single verification pass promotes
         # to the full key iff a tie is actually ordered wrong (sorting
         # the already-sorted list is near-linear).
-        rank = Workload._OP_RANK
+        rank = OP_CODES
         out = sorted(records, key=_TIME_FILE_KEY)
         prev = None
         for rec in out:
@@ -192,65 +135,48 @@ class Workload:
                 out.sort(key=lambda r: (r.time, r.file_id, rank[r.op]))
                 break
             prev = rec
-        self._records: Optional[List[WorkloadRecord]] = out
-        self._columns: Optional[WorkloadColumns] = None
-
-    @property
-    def records(self) -> List[WorkloadRecord]:
-        """The time-ordered record list (rebuilt from columns if lazy).
-
-        A workload that crossed a process boundary arrives as columns
-        only; the record objects are materialized on first access, which
-        the columnar replay path never needs.
-        """
-        if self._records is None:
-            columns = self._columns
-            if columns is None:
-                raise WorkloadError(
-                    "workload carries neither records nor columns"
-                )
-            self._records = columns.to_records()
-        return self._records
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Ship the compact columnar arrays, not 10^5 record objects —
-        # parallel workers receive workloads pickled, and the columnar
-        # replay path never touches the records.
-        return {"columns": self.columns()}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._columns = state["columns"]  # type: ignore[assignment]
-        self._records = None
-
-    def columns(self) -> WorkloadColumns:
-        """The columnar view of this workload (built once, memoized).
-
-        Generators and trace loaders call this right after building a
-        workload so replays — including ones in worker processes that
-        receive the workload pickled — never pay the conversion in the
-        timed path.
-        """
-        if self._columns is None:
-            self._columns = WorkloadColumns.from_records(self.records)
-        return self._columns
+        dir_index: Dict[str, int] = {}
+        self.op = bytes(rank[r.op] for r in out)
+        self.time = array("d", (r.time for r in out))
+        self.file_id = array("q", (r.file_id for r in out))
+        self.size = array("q", (r.size for r in out))
+        self.src_ino = array("q", (r.src_ino for r in out))
+        self.dir_id = array(
+            "l", (dir_index.setdefault(r.directory, len(dir_index)) for r in out)
+        )
+        self.dir_table: Tuple[str, ...] = tuple(dir_index)
+        slices: List[Tuple[int, int]] = []
+        start = 0
+        for i, t in enumerate(self.time):
+            while len(slices) < int(t):
+                slices.append((start, i))
+                start = i
+        if out:
+            slices.append((start, len(out)))
+        self.day_slices: Tuple[Tuple[int, int], ...] = tuple(slices)
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self.columns().op)
+        return len(self.op)
 
     def __iter__(self) -> Iterator[WorkloadRecord]:
-        return iter(self.records)
+        dirs = self.dir_table
+        for o, t, f, s, i, d in zip(
+            self.op, self.time, self.file_id, self.size, self.src_ino,
+            self.dir_id,
+        ):
+            yield WorkloadRecord(
+                time=t, op=_OP_NAMES[o], file_id=f, size=s, src_ino=i,
+                directory=dirs[d],
+            )
 
     def days(self) -> int:
         """Number of whole days the workload spans."""
-        if not self.records:
-            return 0
-        return int(self.records[-1].time) + 1
+        return len(self.day_slices)
 
     def bytes_written(self) -> int:
         """Total bytes written by creates and appends (paper: 48.6 GB)."""
-        return sum(r.size for r in self.records if r.op in (CREATE, APPEND))
+        delete = OP_CODES[DELETE]
+        return sum(s for o, s in zip(self.op, self.size) if o != delete)
 
     def validate(self) -> None:
         """Check orderings and create/append/delete pairing.
@@ -258,29 +184,30 @@ class Workload:
         Appends and deletes must refer to a previously created (and not
         yet deleted) file id; no file id is created twice while live.
         """
-        live: set = set()
+        create, append = OP_CODES[CREATE], OP_CODES[APPEND]
+        live: Set[int] = set()
         last_time = 0.0
-        for record in self.records:
-            if record.time < last_time:
+        for code, time, file_id in zip(self.op, self.time, self.file_id):
+            if time < last_time:
                 raise WorkloadError("records are not time-ordered")
-            last_time = record.time
-            if record.op == CREATE:
-                if record.file_id in live:
+            last_time = time
+            if code == create:
+                if file_id in live:
                     raise WorkloadError(
-                        f"file {record.file_id} created while already live"
+                        f"file {file_id} created while already live"
                     )
-                live.add(record.file_id)
-            elif record.op == APPEND:
-                if record.file_id not in live:
+                live.add(file_id)
+            elif code == append:
+                if file_id not in live:
                     raise WorkloadError(
-                        f"file {record.file_id} appended while not live"
+                        f"file {file_id} appended while not live"
                     )
             else:
-                if record.file_id not in live:
+                if file_id not in live:
                     raise WorkloadError(
-                        f"file {record.file_id} deleted while not live"
+                        f"file {file_id} deleted while not live"
                     )
-                live.remove(record.file_id)
+                live.remove(file_id)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -288,17 +215,18 @@ class Workload:
 
     def dump(self, fp: TextIO) -> None:
         """Write the workload in text form."""
-        for record in self.records:
+        for record in self:
             fp.write(record.to_line() + "\n")
 
     @classmethod
     def load(cls, fp: TextIO) -> "Workload":
-        """Read a workload written by :meth:`dump`."""
-        records = [
+        """Read a workload written by :meth:`dump`.
+
+        Files written with fixed six-decimal times (the format before
+        times were written exactly) load too.
+        """
+        return cls(
             WorkloadRecord.from_line(line)
             for line in fp
             if line.strip() and not line.startswith("#")
-        ]
-        workload = cls(records)
-        workload.columns()  # materialize outside the replay hot path
-        return workload
+        )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.aging.generator import AgingConfig
-from repro.aging.replay import ENGINE_VERSION
 from repro.ffs import image
 
 
@@ -77,7 +76,6 @@ def replay_key(
     return make_key(
         f"aged-{preset_name}-{workload}-{policy}",
         kind="replay",
-        engine=ENGINE_VERSION,
         image_format=image.FORMAT_VERSION,
         aging=dataclasses.asdict(config),
         workload=workload,

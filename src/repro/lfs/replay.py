@@ -15,11 +15,11 @@ stale the first time a segment is cleaned.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.aging.replay import ReplayResult
-from repro.aging.workload import APPEND, CREATE, Workload
-from repro.analysis.layout import optimal_pairs, score_file_set
+from repro.aging.workload import Workload
+from repro.analysis.layout import score_file_set
 from repro.analysis.timeline import DailySample, Timeline
 from repro.errors import OutOfSpaceError
 from repro.lfs.filesystem import LogStructuredFS
@@ -41,64 +41,72 @@ class LfsReplayer:
         fs: LogStructuredFS,
         label: str = "LFS",
         idle_clean_gap_days: Optional[float] = None,
-    ):
+    ) -> None:
         self.fs = fs
         self.label = label
         self.idle_clean_gap_days = idle_clean_gap_days
 
-    def replay(self, workload: Workload, sample_days: bool = True):
-        """Apply every operation; returns a ReplayResult-like record."""
+    def replay(
+        self, workload: Workload, sample_days: bool = True
+    ) -> ReplayResult:
+        """Apply every operation; returns a ReplayResult-like record.
+
+        Iterates the workload's columns, as the FFS replayer does.
+        """
         result = ReplayResult(
             fs=self.fs,  # type: ignore[arg-type]
             timeline=Timeline(label=self.label),
         )
+        fs = self.fs
+        gap = self.idle_clean_gap_days
+        dirs = workload.dir_table
+        live = result.live_files
         current_day = 0
         last_time = 0.0
-        for record in workload:
-            day = int(record.time)
-            if (
-                self.idle_clean_gap_days is not None
-                and record.time - last_time >= self.idle_clean_gap_days
-            ):
-                self.fs.idle_clean()
-            last_time = record.time
-            while sample_days and day > current_day:
+        ino: Optional[int]
+        for code, when, file_id, size, dir_id in zip(
+            workload.op, workload.time, workload.file_id, workload.size,
+            workload.dir_id,
+        ):
+            if gap is not None and when - last_time >= gap:
+                fs.idle_clean()
+            last_time = when
+            while sample_days and int(when) > current_day:
                 self._sample(result, current_day)
                 current_day += 1
-            if record.op == CREATE:
+            if code == 0:  # create
                 try:
-                    ino = self.fs.create_file(
-                        record.directory, record.size, when=record.time
-                    )
+                    ino = fs.create_file(dirs[dir_id], size, when=when)
                 except OutOfSpaceError:
                     result.skipped_no_space += 1
                     continue
-                result.live_files[record.file_id] = ino
+                live[file_id] = ino
                 result.creates += 1
-                result.bytes_written += record.size
-            elif record.op == APPEND:
-                ino = result.live_files.get(record.file_id)
+                result.bytes_written += size
+            elif code == 1:  # append
+                ino = live.get(file_id)
                 if ino is None:
                     continue
                 try:
-                    self.fs.append(ino, record.size, when=record.time)
+                    fs.append(ino, size, when=when)
                 except OutOfSpaceError:
                     result.skipped_no_space += 1
                     continue
-                result.bytes_written += record.size
-            else:
-                ino = result.live_files.pop(record.file_id, None)
+                result.bytes_written += size
+            else:  # delete
+                ino = live.pop(file_id, None)
                 if ino is None:
                     continue
-                self.fs.delete_file(ino, when=record.time)
+                fs.delete_file(ino, when=when)
                 result.deletes += 1
             result.ops_applied += 1
         if sample_days:
             self._sample(result, current_day)
         return result
 
-    def _sample(self, result, day: int) -> None:
-        score = score_file_set(self.fs.files())
+    def _sample(self, result: ReplayResult, day: int) -> None:
+        # LFS inodes offer the data_block_list() the scorer reads.
+        score = score_file_set(self.fs.files())  # type: ignore[arg-type]
         result.timeline.add(
             DailySample(
                 day=day,
@@ -115,7 +123,7 @@ def age_lfs(
     params: Optional[LFSParams] = None,
     label: str = "LFS",
     idle_clean_gap_days: Optional[float] = None,
-):
+) -> ReplayResult:
     """Convenience: build a fresh LFS and age it with ``workload``."""
     fs = LogStructuredFS(params)
     replayer = LfsReplayer(

@@ -1,14 +1,19 @@
-"""Differential tests: columnar replay engine vs. the per-op reference.
+"""Golden digests of the replay loop, plus its scan and health budgets.
 
-The columnar engine is a pure performance rewrite, so every observable
-must match the per-op path exactly: the final disk image, the timeline,
-the emitted ``day_sample`` events, the result counters, and the crash
-behaviour under fault injection.  These tests pin that equivalence
-across workload configurations and policies, and hold the incremental
-pair accounting to its linear scan budget.
+Every observable of a replay — the final disk image, the timeline, the
+result counters, the live-file map, the crash summary under fault
+injection, and the emitted ``day_sample`` events — is hashed and
+compared against a SHA-256 digest committed below.  The digests were
+recorded when the repository still carried a second, per-record replay
+loop, and both loops produced exactly these values; the one remaining
+loop must keep producing them.  A change that moves a digest changes
+replay results, which is never a pure refactor.
 """
 
+import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -23,95 +28,128 @@ from repro.ffs.filesystem import FileSystem
 from repro.ffs.image import filesystem_to_document
 from repro.ffs.params import scaled_params
 from repro.obs import events as obs_events
-from repro.units import KB, MB
+from repro.units import MB
 
 
 #: A crash point known to fire inside the 25-day conftest workload.
 FIRING_PLAN = FaultPlan(seed=91, crash=CrashSpec(day=3, after_block_writes=50))
 
+#: The second aging configuration: different scale, seed and day count,
+#: so the digests are not an artifact of one workload.
+ALTERNATE_PARAMS = scaled_params(16 * MB)
+ALTERNATE_CONFIG = AgingConfig(params=ALTERNATE_PARAMS, days=8, seed=4242)
 
-def image_json(fs):
-    """Canonical serialized disk image, for byte-level comparison."""
-    return json.dumps(filesystem_to_document(fs), sort_keys=True)
+GOLDEN = {
+    "reconstructed-ffs":
+        "ffb5f364c2e1d0dcba01843c2b45fa68c660d1c66976219cb47666e7c8a54656",
+    "reconstructed-realloc":
+        "6f5b70013acd72de7bc8312f1f2a54d298c784ae51c2ba1436d1b6fa7984e724",
+    "alternate-ffs":
+        "51d12dbcd8b6aa037c0d09df3ab23bba56678ca364e092c4f304bf8ca8d61eb0",
+    "alternate-realloc":
+        "f31d317a6408c8b0a2d19e997e7e74a28cd99aa74469023c99421f9c8262734d",
+    "faulted-ffs":
+        "bf863ecf87dbb6e4145afce10280ae04668ac90e3ebafd1469e966ada0c25529",
+    "day-sample-events-ffs":
+        "d7c6946c2046abff16a3230fa33ed5ba0bed0dc8fd7d3fa51b903b8d915c56b3",
+}
+
+#: Attributes that make up a workload's columns.
+COLUMNS = (
+    "op", "time", "file_id", "size", "src_ino", "dir_id", "dir_table",
+    "day_slices",
+)
 
 
-def replay_both(workload, params, policy, faulted=False):
-    """Run the same workload through both engines; returns the pair."""
-    out = []
-    for engine in ("columnar", "perop"):
-        faults = FaultInjector(FIRING_PLAN) if faulted else None
-        out.append(
-            age_file_system(
-                workload, params=params, policy=policy,
-                faults=faults, engine=engine,
-            )
-        )
-    return out
+def sha256_json(document):
+    canonical = json.dumps(document, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def assert_equivalent(col, per):
-    assert image_json(col.fs) == image_json(per.fs)
-    assert col.timeline.label == per.timeline.label
-    assert col.timeline.samples == per.timeline.samples
-    assert col.ops_applied == per.ops_applied
-    assert col.creates == per.creates
-    assert col.deletes == per.deletes
-    assert col.skipped_no_space == per.skipped_no_space
-    assert col.bytes_written == per.bytes_written
-    assert col.live_files == per.live_files
+def replay_digest(result):
+    """Digest of every observable of one replay."""
+    return sha256_json({
+        "image": filesystem_to_document(result.fs),
+        "label": result.timeline.label,
+        "samples": [dataclasses.asdict(s) for s in result.timeline.samples],
+        "counters": {
+            "ops_applied": result.ops_applied,
+            "creates": result.creates,
+            "deletes": result.deletes,
+            "skipped_no_space": result.skipped_no_space,
+            "bytes_written": result.bytes_written,
+        },
+        "live_files": sorted(result.live_files.items()),
+        "crashed": result.crashed,
+        "crash": None if result.crash is None else result.crash.to_dict(),
+    })
+
+
+def replay(workload, params, policy, faulted=False):
+    faults = FaultInjector(FIRING_PLAN) if faulted else None
+    return age_file_system(
+        workload, params=params, policy=policy, faults=faults
+    )
+
+
+@pytest.fixture(scope="module")
+def alternate_artifacts():
+    return build_workloads(ALTERNATE_CONFIG)
 
 
 class TestEngineEquivalence:
+    """The replay loop reproduces the digests both historical loops gave."""
+
     @pytest.mark.parametrize("policy", ["ffs", "realloc"])
     def test_reconstructed_workload(
         self, tiny_params, aging_artifacts, policy
     ):
-        col, per = replay_both(
-            aging_artifacts.reconstructed, tiny_params, policy
-        )
-        assert_equivalent(col, per)
+        result = replay(aging_artifacts.reconstructed, tiny_params, policy)
+        assert replay_digest(result) == GOLDEN[f"reconstructed-{policy}"]
 
     @pytest.mark.parametrize("policy", ["ffs", "realloc"])
-    def test_alternate_configuration(self, policy):
-        # A second aging configuration (different scale, seed, and day
-        # count) so the equivalence is not an artifact of one workload.
-        params = scaled_params(16 * MB)
-        artifacts = build_workloads(
-            AgingConfig(params=params, days=8, seed=4242)
+    def test_alternate_configuration(self, alternate_artifacts, policy):
+        result = replay(
+            alternate_artifacts.reconstructed, ALTERNATE_PARAMS, policy
         )
-        col, per = replay_both(artifacts.reconstructed, params, policy)
-        assert_equivalent(col, per)
+        assert replay_digest(result) == GOLDEN[f"alternate-{policy}"]
 
     def test_faulted_run_crashes_identically(
         self, tiny_params, aging_artifacts
     ):
-        col, per = replay_both(
+        result = replay(
             aging_artifacts.reconstructed, tiny_params, "ffs", faulted=True
         )
-        assert col.crashed and per.crashed
-        assert col.crash.to_dict() == per.crash.to_dict()
-        assert_equivalent(col, per)
+        assert result.crashed and result.crash is not None
+        assert replay_digest(result) == GOLDEN["faulted-ffs"]
 
     def test_day_sample_events_identical(self, tiny_params, aging_artifacts):
-        rows = []
-        for engine in ("columnar", "perop"):
-            log = obs.EventLog()
-            with obs.session(events=log):
-                age_file_system(
-                    aging_artifacts.reconstructed, params=tiny_params,
-                    policy="ffs", engine=engine,
-                )
-            rows.append(log.rows())
-        col_rows, per_rows = rows
-        assert col_rows == per_rows
+        log = obs.EventLog()
+        with obs.session(events=log):
+            age_file_system(
+                aging_artifacts.reconstructed, params=tiny_params,
+                policy="ffs",
+            )
+        rows = log.rows()
         assert any(
-            r["type"] == obs_events.DAY_SAMPLE for r in col_rows
+            r["type"] == obs_events.DAY_SAMPLE for r in rows
         ), "replay with an event log emitted no day samples"
+        assert sha256_json(rows) == GOLDEN["day-sample-events-ffs"]
 
-    def test_unknown_engine_rejected(self, tiny_params):
-        wl = Workload([])
-        with pytest.raises(ValueError, match="unknown replay engine"):
-            age_file_system(wl, params=tiny_params, engine="vectorized")
+
+class TestPickledWorkload:
+    """Parallel workers receive workloads pickled; nothing may change."""
+
+    def test_columns_and_replay_survive_pickling(
+        self, tiny_params, aging_artifacts
+    ):
+        original = aging_artifacts.reconstructed
+        shipped = pickle.loads(pickle.dumps(original))
+        assert len(shipped) == len(original)
+        for name in COLUMNS:
+            assert getattr(shipped, name) == getattr(original, name), name
+        result = replay(shipped, tiny_params, "ffs")
+        assert replay_digest(result) == GOLDEN["reconstructed-ffs"]
 
 
 class TestPairScanBudget:

@@ -49,7 +49,7 @@ class TestBuildWorkloads:
         config = AgingConfig(params=tiny_params, days=6, seed=77)
         a = build_workloads(config)
         b = build_workloads(config)
-        assert a.reconstructed.records == b.reconstructed.records
+        assert list(a.reconstructed) == list(b.reconstructed)
 
     def test_reconstruction_includes_short_lived_churn(self, aging_artifacts):
         recon_ids = {r.file_id for r in aging_artifacts.reconstructed}

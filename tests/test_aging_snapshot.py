@@ -32,12 +32,12 @@ class TestGenerate:
     def test_deterministic(self, params):
         a = SourceActivityModel(params, days=6, seed=3).generate()[0]
         b = SourceActivityModel(params, days=6, seed=3).generate()[0]
-        assert a.records == b.records
+        assert list(a) == list(b)
 
     def test_seed_changes_output(self, params):
         a = SourceActivityModel(params, days=6, seed=3).generate()[0]
         b = SourceActivityModel(params, days=6, seed=4).generate()[0]
-        assert a.records != b.records
+        assert list(a) != list(b)
 
     def test_zero_days_rejected(self, params):
         with pytest.raises(SimulationError):

@@ -123,7 +123,7 @@ class TestSerialization:
         original.dump(buffer)
         buffer.seek(0)
         loaded = Workload.load(buffer)
-        assert loaded.records == original.records
+        assert list(loaded) == list(original)
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n0.100000 create 1 10 5 d\n"

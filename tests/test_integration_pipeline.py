@@ -6,6 +6,7 @@ that make the paper's controlled comparison valid.
 """
 
 import io
+import json
 
 import pytest
 
@@ -18,7 +19,11 @@ from repro.bench.sequential import SequentialIOBenchmark
 from repro.bench.timing import BenchmarkRunner
 from repro.ffs.check import check_filesystem
 from repro.ffs.filesystem import FileSystem
-from repro.ffs.image import dump_filesystem, load_filesystem
+from repro.ffs.image import (
+    dump_filesystem,
+    filesystem_to_document,
+    load_filesystem,
+)
 from repro.units import KB, MB
 
 
@@ -31,17 +36,7 @@ class TestFullPipeline:
             aging_artifacts.reconstructed.dump(fp)
         with open(path) as fp:
             loaded = Workload.load(fp)
-        # The text format rounds times to microsecond-of-day precision,
-        # which can swap the order of unrelated same-instant records;
-        # compare the two workloads as multisets of rounded records.
-        def canon(workload):
-            return sorted(
-                (round(r.time, 6), r.op, r.file_id, r.size, r.src_ino,
-                 r.directory)
-                for r in workload.records
-            )
-
-        assert canon(loaded) == canon(aging_artifacts.reconstructed)
+        assert list(loaded) == list(aging_artifacts.reconstructed)
         loaded.validate()
 
         result = age_file_system(loaded, params=tiny_params, policy="realloc")
@@ -57,6 +52,28 @@ class TestFullPipeline:
         )
         outcome = bench.run(56 * KB)
         assert outcome.read_throughput.mean > 0
+
+    @pytest.mark.parametrize("flavour", ["reconstructed", "ground_truth"])
+    def test_workload_file_replays_exactly(
+        self, tiny_params, aging_artifacts, flavour
+    ):
+        """A dumped workload reloads op for op and ages to the same image."""
+        original = getattr(aging_artifacts, flavour)
+        buf = io.StringIO()
+        original.dump(buf)
+        buf.seek(0)
+        loaded = Workload.load(buf)
+        assert list(loaded) == list(original)
+        images = [
+            json.dumps(
+                filesystem_to_document(
+                    age_file_system(wl, params=tiny_params, policy="ffs").fs
+                ),
+                sort_keys=True,
+            )
+            for wl in (original, loaded)
+        ]
+        assert images[0] == images[1]
 
     def test_hot_files_identical_after_image_roundtrip(
         self, aged_ffs_copy, aging_artifacts
@@ -78,8 +95,8 @@ class TestControlledComparison:
         config = AgingConfig(params=tiny_params, days=8, seed=99)
         a = build_workloads(config)
         b = build_workloads(config)
-        assert a.ground_truth.records == b.ground_truth.records
-        assert a.reconstructed.records == b.reconstructed.records
+        assert list(a.ground_truth) == list(b.ground_truth)
+        assert list(a.reconstructed) == list(b.reconstructed)
         ra = age_file_system(a.reconstructed, params=tiny_params, policy="ffs")
         rb = age_file_system(b.reconstructed, params=tiny_params, policy="ffs")
         blocks_a = sorted(
@@ -109,7 +126,7 @@ class TestControlledComparison:
     def test_different_seeds_differ(self, tiny_params):
         a = build_workloads(AgingConfig(params=tiny_params, days=6, seed=1))
         b = build_workloads(AgingConfig(params=tiny_params, days=6, seed=2))
-        assert a.reconstructed.records != b.reconstructed.records
+        assert list(a.reconstructed) != list(b.reconstructed)
 
 
 class TestScalePresetSanity:
