@@ -30,19 +30,6 @@ from repro.errors import FaultInjectionError, OutOfSpaceError, SimulationError
 from repro.ffs.filesystem import FileSystem
 from repro.ffs.params import FSParams
 
-#: Workload operations replayed by this process, across all replays.
-_ops_replayed = 0
-
-
-def ops_replayed() -> int:
-    """Monotonic count of workload ops replayed in this process.
-
-    The bench suite samples this around each experiment to derive an
-    ops/second throughput figure for the aging-bound experiments; cache
-    hits replay nothing and therefore don't move it.
-    """
-    return _ops_replayed
-
 if TYPE_CHECKING:  # imported lazily to keep repro.faults optional at runtime
     from repro.faults.injector import CrashSummary, FaultInjector
 
@@ -155,8 +142,6 @@ class AgingReplayer:
         (simulated clock in days, attrs carrying that day's op/ENOSPC
         tallies) and the run's totals land in process-wide counters.
         """
-        global _ops_replayed
-        _ops_replayed += len(workload)
         result = ReplayResult(fs=self.fs, timeline=Timeline(label=self.label))
         self._initial_files = len(self.fs.files())
         tr = obs.tracer_or_none()

@@ -14,9 +14,6 @@ Subcommands:
   paper-style tables.
 * ``cache``      — inspect (``ls``) or drop (``clear``) the persistent
   artifact cache that makes warm reruns fast.
-* ``bench``      — time the suite cold/warm/parallel and record the
-  result as ``BENCH_<date>.json``; ``--compare`` diffs two reports
-  instead and exits non-zero on a regression past ``--threshold``.
 * ``report``     — join a run's telemetry artifacts (manifest + event
   log + trace) into one self-contained offline HTML page.
 * ``fsck``       — verify a saved image's invariants, or ``--repair`` a
@@ -42,11 +39,13 @@ unless one of those flags is given.  Subcommands that age file systems
 also take ``--no-cache`` / ``--cache-dir DIR`` to control the
 persistent artifact cache (see :mod:`repro.cache`), and ``experiment
 all`` takes ``--jobs N`` to fan the suite across worker processes.
-``experiment``, ``bench``, ``chaos``, and ``inspect`` take ``--backend
-disk|ssd`` to price I/O on the rotating disk (default) or the
-FTL-backed flash substrate (see :mod:`repro.ssd`); the selection joins
-the run manifest, the cache key lineage, and bench reports, and
-``bench --compare`` refuses to diff reports from different backends.
+``experiment``, ``chaos``, and ``inspect`` take ``--backend disk|ssd``
+to price I/O on the rotating disk (default) or the FTL-backed flash
+substrate (see :mod:`repro.ssd`); the selection joins the run manifest
+and the cache key lineage.
+
+Wall-clock timing of the reproduction itself is not a subcommand: the
+repository benchmark lives in ``perfbench/`` (see its README).
 """
 
 from __future__ import annotations
@@ -368,32 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cache.set_defaults(handler=_cmd_cache)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="time `experiment all` cold/warm/parallel; write BENCH_<date>.json",
-    )
-    _add_preset(p_bench)
-    p_bench.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
-        help="workers for the parallel pass (default: 4; <=1 skips it)",
-    )
-    p_bench.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="report path (default: BENCH_<date>.json)",
-    )
-    p_bench.add_argument(
-        "--compare", metavar="BASELINE", nargs="?", const="", default=None,
-        help="skip benching; diff the newest BENCH_*.json against "
-        "BASELINE (or, with no value, against the second-newest). "
-        "Exits 1 when a pass regressed past --threshold",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="regression threshold for --compare as a fraction "
-        "(default: 0.25 = 25%% slower fails)",
-    )
-    p_bench.set_defaults(handler=_cmd_bench)
-
     p_report = sub.add_parser(
         "report",
         help="render a run's telemetry artifacts as one offline HTML page",
@@ -421,10 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--disk-trace", metavar="FILE", default=None,
         help="per-request disk I/O trace (JSONL) from the same run's "
         "--disk-trace",
-    )
-    p_report.add_argument(
-        "--bench-dir", metavar="DIR", default=None,
-        help="directory of BENCH_*.json reports for the history strip",
     )
     p_report.add_argument(
         "--runs-dir", metavar="DIR", default=None,
@@ -606,12 +575,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(handler=_cmd_lint, _no_telemetry=True)
 
     for sub_parser in (p_age, p_fsck, p_wl, p_exp, p_free, p_stats,
-                       p_abl, p_prof, p_cache, p_bench, p_chaos, p_insp):
+                       p_abl, p_prof, p_cache, p_chaos, p_insp):
         _add_obs(sub_parser)
     for sub_parser in (p_age, p_wl, p_exp, p_free, p_abl, p_prof,
-                       p_cache, p_bench, p_chaos, p_insp):
+                       p_cache, p_chaos, p_insp):
         _add_cache_flags(sub_parser)
-    for sub_parser in (p_exp, p_bench, p_chaos, p_insp):
+    for sub_parser in (p_exp, p_chaos, p_insp):
         _add_backend(sub_parser)
     return parser
 
@@ -1000,93 +969,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.suite import render_report, run_bench
-    from repro.obs.export import write_json
-
-    if getattr(args, "compare", None) is not None:
-        return _bench_compare(args)
-    report = run_bench(
-        preset=args.preset,
-        jobs=args.jobs,
-        cache_dir=getattr(args, "cache_dir", None),
-    )
-    output = args.output or f"BENCH_{report['date']}.json"
-    with open(output, "w") as fp:
-        write_json(fp, report)
-    print(render_report(report))
-    print(f"wrote report to {output}")
-    return 0
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    """The ``bench --compare`` regression gate.
-
-    Exit codes: 0 — no regression; 1 — at least one pass regressed past
-    the threshold; 2 — usage error (missing/unreadable reports).
-    """
-    from pathlib import Path
-
-    from repro.bench.compare import (
-        DEFAULT_THRESHOLD,
-        compare_reports,
-        find_reports,
-        load_report,
-        render_comparison,
-    )
-
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    if threshold < 0:
-        print("bench --compare: threshold must be non-negative", file=sys.stderr)
-        return 2
-    reports = find_reports(".")
-    try:
-        if args.compare:
-            baseline_path = Path(args.compare)
-            baseline = load_report(baseline_path)
-            candidates = [
-                p for p in reports if p.resolve() != baseline_path.resolve()
-            ]
-            if not candidates:
-                print(
-                    "bench --compare: no BENCH_*.json to compare against "
-                    f"{baseline_path} (run `repro-ffs bench` first)",
-                    file=sys.stderr,
-                )
-                return 2
-            current_path = candidates[-1]
-        else:
-            if len(reports) < 2:
-                print(
-                    "bench --compare: need at least two BENCH_*.json reports "
-                    f"(found {len(reports)})",
-                    file=sys.stderr,
-                )
-                return 2
-            baseline_path, current_path = reports[-2], reports[-1]
-            baseline = load_report(baseline_path)
-        current = load_report(current_path)
-    except (OSError, ValueError) as exc:
-        print(f"bench --compare: {exc}", file=sys.stderr)
-        return 2
-    backend_a = baseline.get("backend", storage.DEFAULT_BACKEND)
-    backend_b = current.get("backend", storage.DEFAULT_BACKEND)
-    if backend_a != backend_b:
-        print(
-            f"bench --compare: backend mismatch ({backend_a} vs "
-            f"{backend_b}); cross-backend timings are not comparable",
-            file=sys.stderr,
-        )
-        return 2
-    comparison = compare_reports(baseline, current, threshold=threshold)
-    print(f"baseline: {baseline_path}")
-    print(f"current:  {current_path}")
-    print(render_comparison(comparison))
-    return 1 if comparison["regressions"] else 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report_html import report_from_files
 
@@ -1097,7 +979,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             trace_path=args.trace,
             compare_manifest_path=args.compare,
             compare_events_path=args.compare_events,
-            bench_dir=args.bench_dir,
             disk_trace_path=args.disk_trace,
             runs_dir=args.runs_dir,
         )
@@ -1294,8 +1175,7 @@ def _load_diff_side(
 def _cmd_diff(args: argparse.Namespace) -> int:
     """``repro-ffs diff``: exit 0 on a rendered diff, 2 on unusable
     input.  The diff reports, it does not gate — regression *labels*
-    are informational here; the gating comparison stays with
-    ``bench --compare``."""
+    are informational here and never change the exit code."""
     import json as json_mod
 
     from repro.errors import RunStoreError
@@ -1343,7 +1223,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """`repro-ffs lint`: exit 0 clean, 1 findings, 2 usage error —
-    the same contract as `bench --compare`."""
+    the CLI-wide 0/1/2 contract of :func:`main`."""
     import json as json_mod
     from pathlib import Path
 

@@ -11,7 +11,8 @@ bit-identical in behaviour to the one that was saved.
 The format is versioned; readers reject images from a different major
 version rather than guessing.
 
-CLI: ``repro-ffs age --save-image FILE`` / ``repro-ffs bench --image``.
+CLI: ``repro-ffs age --save-image FILE`` writes one; ``repro-ffs fsck``
+and ``repro-ffs inspect`` read it.
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ The pieces:
   construction, and the suppression pipeline tying it all together.
 
 CLI: ``repro-ffs lint [PATHS] [--json] [--graph-json FILE]``; exit
-codes follow ``bench --compare`` (0 clean, 1 findings, 2 usage error).
+codes follow the CLI's own contract: 0 clean, 1 findings, 2 usage
+error.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Differential run analysis: ``repro-ffs diff`` and registry drift.
 
 The paper's core method is pairwise comparison — empty vs. aged,
-original vs. realloc — and until now every comparison surface in the
-repo (``bench --compare`` wall times, chaos clean-halt twins, inspect's
-policy-vs-policy table) reinvented "what changed and does it matter"
-with its own thresholds.  This module centralises that judgement:
+original vs. realloc — and every comparison surface in the repo (run
+wall times, chaos clean-halt twins, inspect's policy-vs-policy table)
+needs the same answer to "what changed and does it matter".  This
+module centralises that judgement:
 
 * a **significance classifier** (:class:`Classifier`) — one shared
   vocabulary for "did this metric move": an absolute floor absorbs
@@ -28,9 +28,9 @@ with its own thresholds.  This module centralises that judgement:
   over the window pushed through the same classifier
   (``repro.drift/v1``).
 
-``repro.bench.compare`` routes its regression gate through the same
-classifier, so wall-time, throughput, and telemetry comparisons agree
-on what counts as significant.  Everything here is pure
+Wall-time, throughput, and telemetry deltas all go through the same
+classifier, so they agree on what counts as significant.  Everything
+here is pure
 post-processing over already-captured documents — no clocks, no
 simulator state — so a diff of a run against itself is deterministic
 and reports zero significant deltas.
@@ -61,8 +61,8 @@ DEFAULT_REL_THRESHOLD = 0.05
 #: Default absolute floor: no jitter allowance unless a metric family
 #: declares one (wall clocks use :data:`WALL_CLOCK_ABS_FLOOR_S`).
 DEFAULT_ABS_FLOOR = 0.0
-#: Wall-clock jitter floor shared with the ``bench --compare`` gate: a
-#: pass must slow by more than this many seconds before it can regress.
+#: Wall-clock jitter floor for a run's ``wall_seconds``: a run must slow
+#: by more than this many seconds before it can regress.
 WALL_CLOCK_ABS_FLOOR_S = 0.2
 #: Layout scores live in [0, 1]; movements under half a point of
 #: percent are presentation noise.
@@ -166,8 +166,8 @@ class Classifier:
     A significant move in a metric's known-bad direction is a
     :data:`REGRESSION`; any other significant move is :data:`NOTABLE`;
     everything else is :data:`NOISE`.  A zero baseline disables the
-    relative gate (the absolute floor still applies), matching the
-    bench gate's long-standing behaviour on near-empty passes.
+    relative gate (the absolute floor still applies), so a metric that
+    starts at zero is judged on its absolute movement alone.
     """
 
     rel_threshold: float = DEFAULT_REL_THRESHOLD

@@ -7,7 +7,7 @@ months: inline-SVG sparklines of the Figure 1/2 layout-score curves
 (from ``day_sample`` events), bucket histograms straight from the
 manifest's ``Histogram`` snapshots, the span tree with wall and
 simulated time, per-experiment wall times, ``--profile`` attribution
-tables, and a strip of ``BENCH_*.json`` history.  A second
+tables, and run-registry trend lines.  A second
 manifest/event-log pair (``--compare``) overlays its curves for
 original-vs-realloc style comparisons.
 
@@ -24,7 +24,6 @@ with a note), thin marks, values carried in text tokens with native
 from __future__ import annotations
 
 import html
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import events as obs_events
@@ -822,35 +821,6 @@ def _profile_section(manifest: Dict[str, object]) -> str:
     return "".join(out)
 
 
-def _bench_section(bench_reports: Sequence[Dict[str, object]]) -> str:
-    if not bench_reports:
-        return ""
-    totals = [
-        float(p.get("total_s", 0.0))  # type: ignore[arg-type]
-        for report in bench_reports
-        for p in report.get("passes", [])  # type: ignore[union-attr]
-    ]
-    peak = max(totals) if totals else 1.0
-    rows: List[str] = []
-    for report in bench_reports:
-        for p in report.get("passes", []):  # type: ignore[union-attr]
-            width = max(2, round(180 * float(p.get("total_s", 0.0)) / peak))
-            rows.append(
-                f"<tr><td>{_esc(report.get('date', '?'))}</td>"
-                f"<td>{_esc(report.get('preset', '?'))}</td>"
-                f"<td><code>{_esc(p.get('name'))}</code></td>"
-                f'<td class="num">{float(p.get("total_s", 0.0)):.2f}s</td>'
-                f'<td><span class="bar" style="width:{width}px"></span>'
-                f"</td></tr>"
-            )
-    return (
-        "<section><h2>Bench history</h2><table>"
-        '<tr><th>date</th><th>preset</th><th>pass</th>'
-        '<th class="num">total</th><th></th></tr>'
-        f"{''.join(rows)}</table></section>"
-    )
-
-
 def _compare_section(
     manifest: Dict[str, object], compare: Dict[str, object]
 ) -> str:
@@ -1367,7 +1337,6 @@ def build_report(
     spans: Optional[Sequence[Dict[str, object]]] = None,
     compare_manifest: Optional[Dict[str, object]] = None,
     compare_events: Optional[Sequence[Dict[str, object]]] = None,
-    bench_reports: Optional[Sequence[Dict[str, object]]] = None,
     events_dropped: int = 0,
     disk_trace: Optional[Sequence[Dict[str, object]]] = None,
     runs: Optional[Sequence[Dict[str, object]]] = None,
@@ -1392,7 +1361,6 @@ def build_report(
     sections.append(_profile_section(manifest))
     sections.append(_event_summary_section(events, dropped=events_dropped))
     sections.append(_history_section(list(runs or [])))
-    sections.append(_bench_section(bench_reports or []))
     body = "".join(s for s in sections if s)
     return (
         "<!DOCTYPE html>\n"
@@ -1410,12 +1378,10 @@ def report_from_files(
     trace_path: Optional[str] = None,
     compare_manifest_path: Optional[str] = None,
     compare_events_path: Optional[str] = None,
-    bench_dir: Optional[str] = None,
     disk_trace_path: Optional[str] = None,
     runs_dir: Optional[str] = None,
 ) -> str:
     """Load the artifacts the CLI names and build the report HTML."""
-    from repro.bench.compare import find_reports, load_report
     from repro.obs.disktrace import read_jsonl_trace
     from repro.obs.events import read_jsonl_events
     from repro.obs.manifest import RunManifest
@@ -1443,13 +1409,6 @@ def report_from_files(
     if disk_trace_path:
         with open(disk_trace_path) as fp:
             disk_trace = read_jsonl_trace(fp)
-    bench_reports: List[Dict[str, object]] = []
-    if bench_dir is not None:
-        for path in find_reports(bench_dir):
-            try:
-                bench_reports.append(load_report(path))
-            except (OSError, ValueError, json.JSONDecodeError):
-                continue
     runs: List[Dict[str, object]] = []
     if runs_dir is not None:
         runs = RunStore(runs_dir).runs()
@@ -1459,7 +1418,6 @@ def report_from_files(
         spans=spans,
         compare_manifest=compare_manifest,
         compare_events=compare_events,
-        bench_reports=bench_reports,
         disk_trace=disk_trace,
         runs=runs,
     )

@@ -54,8 +54,6 @@ INSPECT = "repro.inspect/v1"
 
 #: Persistent aged-filesystem artifact-cache entries.
 CACHE = "repro.cache/v1"
-#: ``repro-ffs bench`` suite report (``BENCH_*.json``).
-BENCH = "repro.bench/v1"
 #: ``repro-ffs chaos`` crash-grid report.
 CHAOS = "repro.chaos/v1"
 
@@ -90,7 +88,6 @@ REGISTRY: Dict[str, str] = {
     "DRIFT": DRIFT,
     "INSPECT": INSPECT,
     "CACHE": CACHE,
-    "BENCH": BENCH,
     "CHAOS": CHAOS,
     "SSD_CONFIG": SSD_CONFIG,
     "SSD_STATS": SSD_STATS,

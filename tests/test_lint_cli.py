@@ -1,6 +1,6 @@
 """CLI integration tests for `repro-ffs lint`.
 
-Exit-code contract (same as `bench --compare`): 0 clean, 1 findings,
+Exit-code contract (the CLI's own 0/1/2): 0 clean, 1 findings,
 2 usage error.  Plus the meta-test that matters most: the shipped tree
 itself lints clean, so the CI gate starts green and stays strict.
 """

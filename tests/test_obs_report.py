@@ -124,19 +124,6 @@ class TestBuildReport:
         # Folded: one summary line, not fifty items.
         assert html.count("replay.day") == 1
 
-    def test_bench_history_strip(self, manifest):
-        reports = [{
-            "schema": "repro.bench/v1", "date": "2026-08-06",
-            "preset": "small",
-            "passes": [
-                {"name": "cold-serial", "total_s": 12.7},
-                {"name": "warm-serial", "total_s": 4.9},
-            ],
-        }]
-        html = build_report(manifest, bench_reports=reports)
-        assert "Bench history" in html
-        assert "cold-serial" in html and "12.70s" in html
-
     def test_empty_manifest_still_renders(self):
         html = build_report({"schema": "repro.obs.manifest/v2",
                              "command": "age"})

@@ -1,5 +1,5 @@
 """SSD substrate tests: FTL invariants, the flash timing model, the
-``--backend`` factory, and backend surfacing in bench/registry/diff.
+``--backend`` factory, and backend surfacing in registry/diff.
 
 The FTL invariants here are the ones the flash experiment's numbers
 rest on: the logical→physical map stays a bijection through garbage
@@ -8,13 +8,9 @@ and every flash program is accounted to either the host or GC — so
 write amplification is an identity, not an estimate.
 """
 
-import json
-import os
-
 import pytest
 
 from repro import obs, schemas, storage
-from repro.cli import main
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
 from repro.errors import InvalidRequestError, OutOfSpaceError
@@ -295,53 +291,6 @@ class TestStorageFactory:
         with storage.using_backend("ssd"):
             storage.configure(None)
             assert storage.current_backend() == "ssd"
-
-
-def _bench_report(backend=None):
-    report = {
-        "schema": schemas.BENCH, "date": "2026-01-01", "preset": "small",
-        "jobs": 1,
-        "passes": [
-            {"name": "cold-serial", "total_s": 10.0, "experiments": {}},
-        ],
-    }
-    if backend is not None:
-        report["backend"] = backend
-    return report
-
-
-class TestBenchCompareBackends:
-    def _write(self, path, report, mtime):
-        path.write_text(json.dumps(report))
-        os.utime(path, (mtime, mtime))
-
-    def test_cross_backend_compare_is_refused(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path / "BENCH_a.json", _bench_report("disk"), 1000)
-        self._write(tmp_path / "BENCH_b.json", _bench_report("ssd"), 2000)
-        assert main(["bench", "--compare"]) == 2
-        assert "backend mismatch" in capsys.readouterr().err
-
-    def test_same_backend_compare_proceeds(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path / "BENCH_a.json", _bench_report("ssd"), 1000)
-        self._write(tmp_path / "BENCH_b.json", _bench_report("ssd"), 2000)
-        assert main(["bench", "--compare"]) == 0
-        capsys.readouterr()
-
-    def test_missing_backend_key_means_disk(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # Reports recorded before the backend field existed are disk runs.
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path / "BENCH_a.json", _bench_report(None), 1000)
-        self._write(tmp_path / "BENCH_b.json", _bench_report("disk"), 2000)
-        assert main(["bench", "--compare"]) == 0
-        capsys.readouterr()
 
 
 def _ssd_metrics():
