@@ -110,6 +110,10 @@ class DiskGeometry:
         accounting makes.  Keeping the two consistent is what makes a
         back-to-back sequential write *just miss* its next sector and
         wait out nearly a full rotation.
+
+        ``DiskModel``'s pricing loop computes this inline; the
+        differential test in ``tests/test_perf_fastpaths.py`` keeps the
+        two in step.
         """
         track = sector // self.sectors_per_track
         cylinder = self.cylinder_of_sector(sector)
@@ -128,7 +132,9 @@ class DiskGeometry:
         acceleration (``~ sqrt(distance)``), long seeks by coast
         (``~ distance``), with the curve anchored so a 1/3-stroke seek
         costs ``seek_avg_ms`` and a 1-cylinder seek costs
-        ``seek_track_to_track_ms``.
+        ``seek_track_to_track_ms``.  ``DiskModel``'s pricing loop
+        computes this inline, kept in step by the same differential test
+        as :meth:`rotational_position`.
         """
         distance = abs(to_cyl - from_cyl)
         if distance == 0:

@@ -23,11 +23,11 @@ so back-to-back sequential reads stream at media rate.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.disk.geometry import DiskGeometry
-from repro.disk.request import Extent, split_for_transfer
+from repro.disk.request import Extent
 from repro.disk.trackbuffer import TrackBuffer
 from repro.obs.metrics import MetricsRegistry
 from repro.units import MB
@@ -60,9 +60,12 @@ class DiskModel:
         Optional fault-injection check called with ``(start_byte,
         nbytes)`` before each read is serviced (see
         :func:`repro.faults.disk.read_fault_hook`).  It raises a typed
-        error on a faulted read; the model's clock and head state are
-        untouched when it does.  ``None`` (the default) keeps the model
-        byte-identical to a build without fault injection.
+        error on a faulted read; the faulted request leaves the model's
+        clock, head and buffer untouched, and the requests before it in
+        the same call stay served.  It must not read the model's state,
+        which catches up only when the call returns.  ``None`` (the
+        default) keeps the model byte-identical to a build without fault
+        injection.
     """
 
     def __init__(
@@ -79,6 +82,18 @@ class DiskModel:
         self._initial_angle = initial_angle % 1.0
         self.read_fault_hook = read_fault_hook
         self._trace = obs.disktrace_or_none()
+        geo = self.geometry
+        # Geometry constants of the pricing loop, unpacked once per call.
+        third = max(1, geo.cylinders // 3)
+        self._consts = (
+            geo.sector_size, geo.sectors_per_track, geo.sectors_per_cylinder,
+            geo.rotation_ms, 0.9 * geo.rotation_ms, geo.media_rate_bytes_per_ms,
+            geo.request_overhead_ms, geo.head_switch_ms,
+            geo.seek_track_to_track_ms, geo.max_transfer_bytes, third,
+            geo.seek_avg_ms - geo.seek_track_to_track_ms, geo.seek_avg_ms,
+            geo.full_stroke_seek_ms - geo.seek_avg_ms,
+            max(1, geo.cylinders - third),
+        )
         self.reset()
 
     # ------------------------------------------------------------------
@@ -117,7 +132,7 @@ class DiskModel:
         self.buffer.invalidate()
 
     # ------------------------------------------------------------------
-    # Low-level single-request timing
+    # Request pricing
     # ------------------------------------------------------------------
 
     def access(self, kind: IOKind, start_byte: int, nbytes: int) -> float:
@@ -129,125 +144,203 @@ class DiskModel:
         """
         if nbytes <= 0:
             raise ValueError("access of zero bytes")
-        if nbytes > self.geometry.max_transfer_bytes:
-            raise ValueError(
-                f"request of {nbytes} bytes exceeds hardware maximum "
-                f"{self.geometry.max_transfer_bytes}"
-            )
-        if kind is IOKind.READ and self.read_fault_hook is not None:
-            # Fault check runs before any clock/head mutation so a caught
-            # injected error leaves the model consistent.
-            self.read_fault_hook(start_byte, nbytes)
-        start_time = self.now_ms
-        if self._trace is not None:
-            # Snapshot the counters the service path will bump so the
-            # per-request deltas can be reconstructed afterwards.
-            pre_cyl = self.current_cylinder
-            pre_seek_ms = self.stats.seek_ms
-            pre_rot_ms = self.stats.rotation_ms
-            pre_lost = self.stats.lost_rotations
-            pre_hits = self.stats.buffer_hits
-        # Host/controller overhead before the drive sees the command.  The
-        # platter keeps spinning (and the firmware keeps prefetching)
-        # during this window — this is what makes sequential writes miss
-        # their sector.
-        self.buffer.prefetch(self.geometry.request_overhead_ms)
-        self.now_ms += self.geometry.request_overhead_ms
+        start = self.now_ms
+        self._serve(kind is IOKind.READ, ((start_byte, nbytes),))
+        return self.now_ms - start
 
-        if kind is IOKind.READ:
-            self._service_read(start_byte, nbytes)
+    def _serve(self, is_read: bool, requests: Iterable[Tuple[int, int]]) -> None:
+        """Price ``(start_byte, nbytes)`` requests back to back.
+
+        Each request first pays the host/controller overhead.  The platter
+        keeps spinning (and the firmware keeps prefetching) during that
+        window — this is what makes sequential writes miss their sector.
+        Then:
+
+        * a read that starts inside the buffered window is served from
+          drive RAM over the bus; the rest of it arrives at media rate,
+          because the prefetch head is already at the frontier;
+        * a read that continues the stream just past the window waits for
+          the media to arrive there (it is already en route);
+        * any other read, and every write, seeks to the target cylinder
+          and waits for the target sector; a write also invalidates the
+          read-ahead stream.
+
+        The clock, the head, the read-ahead window and the counters live
+        in locals and are written back once, in ``finally``: a request
+        that raises (an oversized transfer, an injected read fault)
+        leaves the model as the requests before it left it.  Float totals
+        still grow one request at a time, in service order.
+        """
+        (ss, spt, spc, rotation, lost_after, media_rate, overhead, head_switch,
+         t2t, max_bytes, third, seek_sqrt, seek_avg, seek_linear,
+         linear_span) = self._consts
+        angle0 = self._initial_angle
+        bus_rate = self.bus_rate
+        hook = self.read_fault_hook if is_read else None
+        buf = self.buffer
+        capacity = buf.capacity
+        prefetched = int(overhead * buf.media_rate)
+        valid, b_start, b_end, frontier = (
+            buf._valid, buf._start, buf._end, buf._frontier
+        )
+        stats = self.stats
+        if is_read:
+            c_n, c_bytes = stats._c_reads, stats._c_bytes_read
         else:
-            self._service_write(start_byte, nbytes)
+            c_n, c_bytes = stats._c_writes, stats._c_bytes_written
+        n_io, io_bytes, busy = c_n.value, c_bytes.value, stats._c_busy_ms.value
+        seeks, seek_total = stats._c_seeks.value, stats._c_seek_ms.value
+        rot_total, lost = stats._c_rotation_ms.value, stats._c_lost.value
+        hits = stats._c_buf_hits.value
+        g = stats._g
+        trace = self._trace
+        telemetry = g is not None or trace is not None
+        now = self.now_ms
+        cyl = self.current_cylinder
+        try:
+            for start_byte, nbytes in requests:
+                if nbytes > max_bytes:
+                    raise ValueError(
+                        f"request of {nbytes} bytes exceeds hardware maximum "
+                        f"{max_bytes}"
+                    )
+                if hook is not None:
+                    # Before any state changes, so a caught injected error
+                    # leaves the model consistent.
+                    hook(start_byte, nbytes)
+                start_time = now
+                pre_cyl, pre_seek, pre_rot, pre_lost, pre_hits = (
+                    cyl, seek_total, rot_total, lost, hits
+                )
+                if valid and overhead > 0:
+                    frontier += prefetched
+                    b_end = frontier
+                    if b_end - b_start > capacity:
+                        b_start = b_end - capacity
+                now += overhead
 
-        elapsed = self.now_ms - start_time
-        self.stats.record(kind, nbytes, elapsed)
-        if self._trace is not None:
-            geo = self.geometry
-            target_cyl = geo.cylinder_of_sector(geo.sector_of_byte(start_byte))
-            seek_ms = self.stats.seek_ms - pre_seek_ms
-            rot_ms = self.stats.rotation_ms - pre_rot_ms
-            self._trace.record(
-                kind=kind.value,
-                byte=start_byte,
-                nbytes=nbytes,
-                cyl=target_cyl,
-                seek_cyls=abs(target_cyl - pre_cyl),
-                seek_ms=seek_ms,
-                rot_ms=rot_ms,
-                transfer_ms=elapsed - seek_ms - rot_ms,
-                service_ms=elapsed,
-                lost_rot=self.stats.lost_rotations > pre_lost,
-                buf_hit=self.stats.buffer_hits > pre_hits,
+                position = True
+                at, xfer = start_byte, nbytes
+                if not is_read:
+                    valid = False
+                    b_start = b_end = frontier = 0
+                elif valid and b_start <= start_byte <= b_end and b_start < b_end:
+                    position = False
+                    if start_byte < b_end:
+                        hit = min(nbytes, b_end - start_byte)
+                        now += hit / bus_rate
+                        hits += 1
+                        at += hit
+                        xfer -= hit
+
+                if position:
+                    sector = start_byte // ss
+                    target = sector // spc
+                    distance = abs(target - cyl)
+                    # Seek curve: sqrt from one cylinder to a third of the
+                    # stroke, linear beyond (DiskGeometry.seek_time_ms).
+                    if distance == 0:
+                        seek = 0.0
+                    elif distance == 1:
+                        seek = t2t
+                    elif distance <= third:
+                        seek = t2t + seek_sqrt * ((distance - 1) / (third - 1)) ** 0.5
+                    else:
+                        seek = seek_avg + seek_linear * (
+                            (distance - third) / linear_span
+                        )
+                    now += seek
+                    if seek:
+                        seeks += 1
+                        seek_total += seek
+                    cyl = target
+                    # Skewed sector angle (DiskGeometry.rotational_position)
+                    # against the platter angle now (angle_at).
+                    angle = (
+                        (sector % spt) / spt
+                        + ((sector // spt - target) * head_switch + target * t2t)
+                        / rotation
+                    ) % 1.0
+                    wait = ((angle - (angle0 + now / rotation) % 1.0) % 1.0) * rotation
+                    now += wait
+                    rot_total += wait
+                    if wait > lost_after:
+                        lost += 1
+
+                if xfer:
+                    # Media rate plus a head switch per track crossed and a
+                    # track-to-track seek per cylinder crossed.
+                    first = at // ss
+                    last = (at + xfer - 1) // ss
+                    transfer = xfer / media_rate
+                    tracks = last // spt - first // spt
+                    if tracks:
+                        cyls = last // spc - first // spc
+                        transfer += (tracks - cyls) * head_switch
+                        transfer += cyls * t2t
+                    cyl = last // spc
+                    now += transfer
+
+                if is_read:
+                    # The firmware keeps prefetching from the end of this
+                    # read; data older than the buffer capacity is evicted.
+                    if not valid or start_byte != frontier:
+                        b_start = start_byte
+                    b_end = frontier = start_byte + nbytes
+                    valid = True
+                    if b_end - b_start > capacity:
+                        b_start = b_end - capacity
+
+                elapsed = now - start_time
+                n_io += 1
+                io_bytes += nbytes
+                busy += elapsed
+                if telemetry:
+                    if g is not None:
+                        gc = stats._g_counters
+                        gc["reads" if is_read else "writes"].inc()
+                        gc["bytes_read" if is_read else "bytes_written"].inc(nbytes)
+                        gc["busy_ms"].inc(elapsed)
+                        stats._g_service_hist.observe(elapsed)
+                        if hits > pre_hits:
+                            gc["buffer_hits"].inc()
+                        if position:
+                            if seek:
+                                gc["seeks"].inc()
+                                gc["seek_ms"].inc(seek)
+                                stats._g_seek_hist.observe(seek)
+                                stats._g_seek_dist_hist.observe(distance)
+                            gc["rotation_ms"].inc(wait)
+                            if lost > pre_lost:
+                                gc["lost_rotations"].inc()
+                            stats._g_rot_hist.observe(wait)
+                    if trace is not None:
+                        target_cyl = start_byte // ss // spc
+                        seek_ms = seek_total - pre_seek
+                        rot_ms = rot_total - pre_rot
+                        trace.record(
+                            kind="read" if is_read else "write",
+                            byte=start_byte,
+                            nbytes=nbytes,
+                            cyl=target_cyl,
+                            seek_cyls=abs(target_cyl - pre_cyl),
+                            seek_ms=seek_ms,
+                            rot_ms=rot_ms,
+                            transfer_ms=elapsed - seek_ms - rot_ms,
+                            service_ms=elapsed,
+                            lost_rot=lost > pre_lost,
+                            buf_hit=hits > pre_hits,
+                        )
+        finally:
+            self.now_ms = now
+            self.current_cylinder = cyl
+            buf._valid, buf._start, buf._end, buf._frontier = (
+                valid, b_start, b_end, frontier
             )
-        return elapsed
-
-    def _service_read(self, start_byte: int, nbytes: int) -> None:
-        hit = self.buffer.hit_bytes(start_byte, nbytes)
-        if hit:
-            # Serve the buffered prefix from drive RAM over the bus.
-            self.now_ms += hit / self.bus_rate
-            self.stats.note_buffer_hit()
-            remaining = nbytes - hit
-            if remaining:
-                # The firmware's prefetch head is already positioned at the
-                # frontier for a sequential stream: the rest arrives at
-                # media rate, no repositioning.
-                self.now_ms += self._media_transfer_ms(start_byte + hit, remaining)
-            self.buffer.note_read(start_byte, nbytes)
-            self.buffer.prefetch(0.0)
-            return
-        if self.buffer.is_sequential(start_byte):
-            # Continues the stream but the prefetch has not reached it yet:
-            # wait for the media to arrive there (it is already en route).
-            self.now_ms += self._media_transfer_ms(start_byte, nbytes)
-            self.buffer.note_read(start_byte, nbytes)
-            return
-        # Random read: full mechanical positioning, buffer restarts here.
-        self._position(start_byte)
-        self.now_ms += self._media_transfer_ms(start_byte, nbytes)
-        self.buffer.note_read(start_byte, nbytes)
-
-    def _service_write(self, start_byte: int, nbytes: int) -> None:
-        # Writes invalidate the read-ahead stream and always position.
-        self.buffer.invalidate()
-        self._position(start_byte)
-        self.now_ms += self._media_transfer_ms(start_byte, nbytes)
-
-    def _position(self, start_byte: int) -> None:
-        """Seek to the target cylinder, then wait for the target sector."""
-        geo = self.geometry
-        sector = geo.sector_of_byte(start_byte)
-        target_cyl = geo.cylinder_of_sector(sector)
-        seek = geo.seek_time_ms(self.current_cylinder, target_cyl)
-        self.now_ms += seek
-        if seek:
-            self.stats.note_seek(
-                seek, distance=abs(target_cyl - self.current_cylinder)
-            )
-        self.current_cylinder = target_cyl
-        target_angle = geo.rotational_position(sector)
-        here = self.angle_at(self.now_ms)
-        wait = ((target_angle - here) % 1.0) * geo.rotation_ms
-        self.now_ms += wait
-        self.stats.note_rotation(wait, lost=wait > 0.9 * geo.rotation_ms)
-
-    def _media_transfer_ms(self, start_byte: int, nbytes: int) -> float:
-        """Media-rate transfer time including head/cylinder switches."""
-        geo = self.geometry
-        first_sector = geo.sector_of_byte(start_byte)
-        last_sector = geo.sector_of_byte(start_byte + nbytes - 1)
-        transfer = nbytes / geo.media_rate_bytes_per_ms
-        tracks_crossed = geo.track_of_sector(last_sector) - geo.track_of_sector(
-            first_sector
-        )
-        cyls_crossed = geo.cylinder_of_sector(last_sector) - geo.cylinder_of_sector(
-            first_sector
-        )
-        head_switches = tracks_crossed - cyls_crossed
-        transfer += head_switches * geo.head_switch_ms
-        transfer += cyls_crossed * geo.seek_track_to_track_ms
-        self.current_cylinder = geo.cylinder_of_sector(last_sector)
-        return transfer
+            c_n.value, c_bytes.value, stats._c_busy_ms.value = n_io, io_bytes, busy
+            stats._c_seeks.value, stats._c_seek_ms.value = seeks, seek_total
+            stats._c_rotation_ms.value, stats._c_lost.value = rot_total, lost
+            stats._c_buf_hits.value = hits
 
     # ------------------------------------------------------------------
     # Extent-level API used by the benchmarks
@@ -266,13 +359,26 @@ class DiskModel:
         """Issue all ``extents`` in order; return total elapsed ms.
 
         Each extent is split to respect the hardware maximum transfer
-        size, exactly as the FFS clustering layer would.
+        size, exactly as the FFS clustering layer would (the arithmetic of
+        :func:`~repro.disk.request.split_for_transfer`).  The whole list
+        is split and checked before the first request is served.
         """
+        max_blocks = max(1, self.geometry.max_transfer_bytes // block_size)
+        fs_offset = self.fs_offset
+        requests: List[Tuple[int, int]] = []
+        for ext in extents:
+            block, blocks_left, bytes_left = ext.start, ext.nblocks, ext.nbytes
+            while blocks_left > 0:
+                take = min(max_blocks, blocks_left)
+                take_bytes = min(take * block_size, bytes_left)
+                if take_bytes <= 0:
+                    raise ValueError(f"{ext} splits into a request of 0 bytes")
+                requests.append((fs_offset + block * block_size, take_bytes))
+                block += take
+                blocks_left -= take
+                bytes_left -= take_bytes
         start = self.now_ms
-        for req in split_for_transfer(
-            extents, block_size, self.geometry.max_transfer_bytes
-        ):
-            self.access(kind, self.block_to_byte(req.start, block_size), req.nbytes)
+        self._serve(kind is IOKind.READ, requests)
         return self.now_ms - start
 
     def synchronous_metadata_write(self, fs_block: int, block_size: int) -> float:
@@ -281,8 +387,10 @@ class DiskModel:
         FFS writes metadata synchronously on create/delete; Section 5.1
         finds these dominate small-file create time.
         """
+        start = self.now_ms
         byte = self.block_to_byte(fs_block, block_size)
-        return self.access(IOKind.WRITE, byte, self.geometry.sector_size)
+        self._serve(False, ((byte, self.geometry.sector_size),))
+        return self.now_ms - start
 
 
 class DiskStats:
@@ -292,8 +400,8 @@ class DiskStats:
     is now a thin façade over registry-backed counters: each instance
     owns a private :class:`~repro.obs.metrics.MetricsRegistry`, so
     per-model semantics (``reset()``, per-run counts) are unchanged.
-    When process-wide telemetry is enabled (:mod:`repro.obs`), every
-    event is additionally mirrored into the global registry, where the
+    When process-wide telemetry is enabled (:mod:`repro.obs`), the
+    pricing loop mirrors every event into the global registry, where the
     per-event histograms — seek time, rotational wait, request service
     time — accumulate across all disk models of the run.
     """
@@ -308,9 +416,8 @@ class DiskStats:
         m = registry if registry is not None else MetricsRegistry()
         self._m = m
         self._counters = {name: m.counter(f"disk.{name}") for name in self.FIELDS}
-        # Hot-path handles: the per-request accounting below runs once
-        # per disk access, so the counter objects are bound once here
-        # instead of a dict lookup per bump.
+        # Handles for DiskModel._serve, which reads these totals into
+        # locals once per call and writes them back when it returns.
         c = self._counters
         self._c_reads = c["reads"]
         self._c_writes = c["writes"]
@@ -345,55 +452,6 @@ class DiskStats:
     rotation_ms = property(lambda self: self._counters["rotation_ms"].value)
     lost_rotations = property(lambda self: self._counters["lost_rotations"].value)
     buffer_hits = property(lambda self: self._counters["buffer_hits"].value)
-
-    def record(self, kind: IOKind, nbytes: int, elapsed_ms: float) -> None:
-        """Account one completed request."""
-        if kind is IOKind.READ:
-            self._c_reads.value += 1
-            self._c_bytes_read.value += nbytes
-        else:
-            self._c_writes.value += 1
-            self._c_bytes_written.value += nbytes
-        self._c_busy_ms.value += elapsed_ms
-        if self._g is not None:
-            gc = self._g_counters
-            if kind is IOKind.READ:
-                gc["reads"].inc()
-                gc["bytes_read"].inc(nbytes)
-            else:
-                gc["writes"].inc()
-                gc["bytes_written"].inc(nbytes)
-            gc["busy_ms"].inc(elapsed_ms)
-            self._g_service_hist.observe(elapsed_ms)
-
-    def note_seek(self, seek_ms: float, distance: int = 0) -> None:
-        """Account one non-zero seek of ``seek_ms`` milliseconds over
-        ``distance`` cylinders (0 when the caller did not measure it)."""
-        self._c_seeks.value += 1
-        self._c_seek_ms.value += seek_ms
-        if self._g is not None:
-            self._g_counters["seeks"].inc()
-            self._g_counters["seek_ms"].inc(seek_ms)
-            self._g_seek_hist.observe(seek_ms)
-            if distance:
-                self._g_seek_dist_hist.observe(distance)
-
-    def note_rotation(self, wait_ms: float, lost: bool) -> None:
-        """Account one rotational wait (``lost`` = nearly a full turn)."""
-        self._c_rotation_ms.value += wait_ms
-        if lost:
-            self._c_lost.value += 1
-        if self._g is not None:
-            self._g_counters["rotation_ms"].inc(wait_ms)
-            if lost:
-                self._g_counters["lost_rotations"].inc()
-            self._g_rot_hist.observe(wait_ms)
-
-    def note_buffer_hit(self) -> None:
-        """Account one track-buffer read hit."""
-        self._c_buf_hits.value += 1
-        if self._g is not None:
-            self._g_counters["buffer_hits"].inc()
 
     def to_dict(self) -> "dict[str, float]":
         """All counters as a flat, stably ordered plain dict."""

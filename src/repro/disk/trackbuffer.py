@@ -16,6 +16,10 @@ grows at media rate while the host is between requests, capped at the
 buffer capacity.  Only reads that continue the buffered stream benefit;
 any discontiguous read or any write invalidates it — a deliberately
 conservative firmware model.
+
+``DiskModel``'s pricing loop applies the per-request rules below inline
+on the buffer's fields; ``tests/test_perf_fastpaths.py`` holds it to the
+results of these methods.
 """
 
 from __future__ import annotations

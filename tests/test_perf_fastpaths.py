@@ -1,10 +1,11 @@
-"""Differential tests for the allocation hot paths.
+"""Differential tests for the allocation and device-pricing hot paths.
 
 ``FragBitmap`` and ``BlockRunMap`` were rewritten with ``bytearray``
-slice primitives and single-splice interval updates; these tests drive
-the fast structures and deliberately naive references through the same
-randomized operation sequences and require identical observable state —
-including identical error behaviour — after every step.
+slice primitives and single-splice interval updates; ``DiskModel``
+prices requests in one loop over locals.  These tests drive the fast
+code and deliberately naive references through the same randomized
+operation sequences and require identical observable state — including
+identical error behaviour — after every step.
 """
 
 from __future__ import annotations
@@ -13,8 +14,16 @@ import random  # replint: disable=R001  (seeded test-local stream; repro.rng is 
 
 import pytest
 
+from repro import obs
+from repro.disk.geometry import DiskGeometry
+from repro.disk.model import DiskModel, DiskStats, IOKind
+from repro.disk.request import Extent, split_for_transfer
+from repro.disk.trackbuffer import TrackBuffer
+from repro.errors import LatentSectorReadError
 from repro.ffs.bitmap import FragBitmap
 from repro.ffs.clustermap import BlockRunMap
+from repro.obs.disktrace import DiskTrace
+from repro.units import KB, MB
 
 
 # ----------------------------------------------------------------------
@@ -295,3 +304,383 @@ class TestAllocRangeContract:
         for b in range(10, 14):
             m.free(b)  # rejoin: [0,20)
         assert m.max_run() == 20
+
+
+
+# ----------------------------------------------------------------------
+# Device pricing: DiskModel against the per-request reference
+# ----------------------------------------------------------------------
+
+
+class RefStats(DiskStats):
+    """``DiskStats`` with the per-event accounting methods it used to have."""
+
+    def record(self, kind: IOKind, nbytes: int, elapsed_ms: float) -> None:
+        if kind is IOKind.READ:
+            self._c_reads.value += 1
+            self._c_bytes_read.value += nbytes
+        else:
+            self._c_writes.value += 1
+            self._c_bytes_written.value += nbytes
+        self._c_busy_ms.value += elapsed_ms
+        if self._g is not None:
+            gc = self._g_counters
+            if kind is IOKind.READ:
+                gc["reads"].inc()
+                gc["bytes_read"].inc(nbytes)
+            else:
+                gc["writes"].inc()
+                gc["bytes_written"].inc(nbytes)
+            gc["busy_ms"].inc(elapsed_ms)
+            self._g_service_hist.observe(elapsed_ms)
+
+    def note_seek(self, seek_ms: float, distance: int = 0) -> None:
+        self._c_seeks.value += 1
+        self._c_seek_ms.value += seek_ms
+        if self._g is not None:
+            self._g_counters["seeks"].inc()
+            self._g_counters["seek_ms"].inc(seek_ms)
+            self._g_seek_hist.observe(seek_ms)
+            if distance:
+                self._g_seek_dist_hist.observe(distance)
+
+    def note_rotation(self, wait_ms: float, lost: bool) -> None:
+        self._c_rotation_ms.value += wait_ms
+        if lost:
+            self._c_lost.value += 1
+        if self._g is not None:
+            self._g_counters["rotation_ms"].inc(wait_ms)
+            if lost:
+                self._g_counters["lost_rotations"].inc()
+            self._g_rot_hist.observe(wait_ms)
+
+    def note_buffer_hit(self) -> None:
+        self._c_buf_hits.value += 1
+        if self._g is not None:
+            self._g_counters["buffer_hits"].inc()
+
+
+class RefDiskModel:
+    """The per-request call chain ``DiskModel`` used before its loop:
+    ``access`` -> ``_service_read``/``_service_write`` ->
+    ``_position``/``_media_transfer_ms``, ``TrackBuffer`` method calls,
+    and ``split_for_transfer`` for extent lists."""
+
+    def __init__(self, geometry=None, fs_offset_bytes=0,
+                 bus_rate_bytes_per_ms=10 * MB / 1000.0, initial_angle=0.0,
+                 read_fault_hook=None):
+        self.geometry = geometry if geometry is not None else DiskGeometry()
+        self.fs_offset = fs_offset_bytes
+        self.bus_rate = bus_rate_bytes_per_ms
+        self._initial_angle = initial_angle % 1.0
+        self.read_fault_hook = read_fault_hook
+        self._trace = obs.disktrace_or_none()
+        self.reset()
+
+    def reset(self, initial_angle=None):
+        if initial_angle is not None:
+            self._initial_angle = initial_angle % 1.0
+        self.now_ms = 0.0
+        self.current_cylinder = 0
+        self.buffer = TrackBuffer(
+            self.geometry.track_buffer_bytes,
+            self.geometry.media_rate_bytes_per_ms,
+        )
+        self.stats = RefStats()
+
+    def angle_at(self, t_ms):
+        return (self._initial_angle + t_ms / self.geometry.rotation_ms) % 1.0
+
+    def idle(self, ms):
+        if ms < 0:
+            raise ValueError("cannot idle for negative time")
+        self.buffer.prefetch(ms)
+        self.now_ms += ms
+
+    def drop_caches(self):
+        self.buffer.invalidate()
+
+    def access(self, kind, start_byte, nbytes):
+        if nbytes <= 0:
+            raise ValueError("access of zero bytes")
+        if nbytes > self.geometry.max_transfer_bytes:
+            raise ValueError("request exceeds hardware maximum")
+        if kind is IOKind.READ and self.read_fault_hook is not None:
+            self.read_fault_hook(start_byte, nbytes)
+        start_time = self.now_ms
+        if self._trace is not None:
+            pre_cyl = self.current_cylinder
+            pre_seek_ms = self.stats.seek_ms
+            pre_rot_ms = self.stats.rotation_ms
+            pre_lost = self.stats.lost_rotations
+            pre_hits = self.stats.buffer_hits
+        self.buffer.prefetch(self.geometry.request_overhead_ms)
+        self.now_ms += self.geometry.request_overhead_ms
+
+        if kind is IOKind.READ:
+            self._service_read(start_byte, nbytes)
+        else:
+            self._service_write(start_byte, nbytes)
+
+        elapsed = self.now_ms - start_time
+        self.stats.record(kind, nbytes, elapsed)
+        if self._trace is not None:
+            geo = self.geometry
+            target_cyl = geo.cylinder_of_sector(geo.sector_of_byte(start_byte))
+            seek_ms = self.stats.seek_ms - pre_seek_ms
+            rot_ms = self.stats.rotation_ms - pre_rot_ms
+            self._trace.record(
+                kind=kind.value,
+                byte=start_byte,
+                nbytes=nbytes,
+                cyl=target_cyl,
+                seek_cyls=abs(target_cyl - pre_cyl),
+                seek_ms=seek_ms,
+                rot_ms=rot_ms,
+                transfer_ms=elapsed - seek_ms - rot_ms,
+                service_ms=elapsed,
+                lost_rot=self.stats.lost_rotations > pre_lost,
+                buf_hit=self.stats.buffer_hits > pre_hits,
+            )
+        return elapsed
+
+    def _service_read(self, start_byte, nbytes):
+        hit = self.buffer.hit_bytes(start_byte, nbytes)
+        if hit:
+            self.now_ms += hit / self.bus_rate
+            self.stats.note_buffer_hit()
+            remaining = nbytes - hit
+            if remaining:
+                self.now_ms += self._media_transfer_ms(start_byte + hit, remaining)
+            self.buffer.note_read(start_byte, nbytes)
+            self.buffer.prefetch(0.0)
+            return
+        if self.buffer.is_sequential(start_byte):
+            self.now_ms += self._media_transfer_ms(start_byte, nbytes)
+            self.buffer.note_read(start_byte, nbytes)
+            return
+        self._position(start_byte)
+        self.now_ms += self._media_transfer_ms(start_byte, nbytes)
+        self.buffer.note_read(start_byte, nbytes)
+
+    def _service_write(self, start_byte, nbytes):
+        self.buffer.invalidate()
+        self._position(start_byte)
+        self.now_ms += self._media_transfer_ms(start_byte, nbytes)
+
+    def _position(self, start_byte):
+        geo = self.geometry
+        sector = geo.sector_of_byte(start_byte)
+        target_cyl = geo.cylinder_of_sector(sector)
+        seek = geo.seek_time_ms(self.current_cylinder, target_cyl)
+        self.now_ms += seek
+        if seek:
+            self.stats.note_seek(
+                seek, distance=abs(target_cyl - self.current_cylinder)
+            )
+        self.current_cylinder = target_cyl
+        target_angle = geo.rotational_position(sector)
+        here = self.angle_at(self.now_ms)
+        wait = ((target_angle - here) % 1.0) * geo.rotation_ms
+        self.now_ms += wait
+        self.stats.note_rotation(wait, lost=wait > 0.9 * geo.rotation_ms)
+
+    def _media_transfer_ms(self, start_byte, nbytes):
+        geo = self.geometry
+        first_sector = geo.sector_of_byte(start_byte)
+        last_sector = geo.sector_of_byte(start_byte + nbytes - 1)
+        transfer = nbytes / geo.media_rate_bytes_per_ms
+        tracks_crossed = geo.track_of_sector(last_sector) - geo.track_of_sector(
+            first_sector
+        )
+        cyls_crossed = geo.cylinder_of_sector(last_sector) - geo.cylinder_of_sector(
+            first_sector
+        )
+        head_switches = tracks_crossed - cyls_crossed
+        transfer += head_switches * geo.head_switch_ms
+        transfer += cyls_crossed * geo.seek_track_to_track_ms
+        self.current_cylinder = geo.cylinder_of_sector(last_sector)
+        return transfer
+
+    def block_to_byte(self, fs_block, block_size):
+        return self.fs_offset + fs_block * block_size
+
+    def transfer_extents(self, kind, extents, block_size):
+        start = self.now_ms
+        for req in split_for_transfer(
+            extents, block_size, self.geometry.max_transfer_bytes
+        ):
+            self.access(kind, self.block_to_byte(req.start, block_size), req.nbytes)
+        return self.now_ms - start
+
+    def synchronous_metadata_write(self, fs_block, block_size):
+        byte = self.block_to_byte(fs_block, block_size)
+        return self.access(IOKind.WRITE, byte, self.geometry.sector_size)
+
+
+#: Few cylinders, three heads and a 12 KB buffer: trims, head switches
+#: and cylinder crossings happen within a handful of requests.
+SMALL_GEOMETRY = DiskGeometry(
+    cylinders=12, heads=3, sectors_per_track=16, track_buffer_bytes=12 * KB,
+)
+
+
+def _model_state(model):
+    buf = model.buffer
+    return (
+        model.now_ms,
+        model.current_cylinder,
+        model.stats.to_dict(),
+        (buf._valid, buf._start, buf._end, buf._frontier),
+    )
+
+
+def _bad_sector_hook(bad_sectors, sector_size):
+    def check(start_byte, nbytes):
+        first = start_byte // sector_size
+        last = (start_byte + nbytes - 1) // sector_size
+        if any(first <= s <= last for s in bad_sectors):
+            raise LatentSectorReadError("bad sector", byte=start_byte)
+    return check
+
+
+def _random_ops(rng, geo, steps):
+    """A seeded sequence of ``(method, args)`` calls on a disk model."""
+    bs = 4 * KB if geo.cylinders < 100 else 8 * KB
+    span = geo.capacity_bytes
+    last_end = 0
+    ops = []
+    for _ in range(steps):
+        roll = rng.random()
+        kind = IOKind.READ if rng.random() < 0.6 else IOKind.WRITE
+        if roll < 0.45:
+            where = rng.random()
+            if where < 0.4:
+                start = last_end  # continue the stream
+            elif where < 0.6:
+                start = max(0, last_end - rng.randrange(1, 16 * KB))
+            else:
+                start = rng.randrange(span)
+            size = rng.choice([
+                1, rng.randint(1, 512), rng.randint(1, 64 * KB), 64 * KB,
+                geo.sector_size, bs,
+            ])
+            if rng.random() < 0.03:
+                size = rng.choice([0, 64 * KB + 1])
+            ops.append(("access", (kind, start, size)))
+            last_end = start + size
+        elif roll < 0.75:
+            exts = []
+            block = last_end // bs if rng.random() < 0.5 else rng.randrange(span // bs)
+            for _ in range(rng.randint(1, 4)):
+                nblocks = rng.randint(1, 40)
+                nbytes = nblocks * bs - rng.choice([0, 0, rng.randrange(bs)])
+                exts.append(Extent(block, nblocks, nbytes))
+                block += nblocks + rng.choice([0, 0, rng.randint(1, 50)])
+            if rng.random() < 0.05:
+                exts.append(Extent(block, 20, 100))  # second split is 0 bytes
+            size = bs if rng.random() < 0.95 else 128 * KB  # > hardware max
+            ops.append(("transfer_extents", (kind, exts, size)))
+            last_end = block * bs
+        elif roll < 0.85:
+            ops.append(("synchronous_metadata_write",
+                        (rng.randrange(span // bs), bs)))
+        elif roll < 0.93:
+            ops.append(("idle", (rng.choice([0.0, rng.uniform(0, 20), -1.0]),)))
+        elif roll < 0.97:
+            ops.append(("drop_caches", ()))
+        else:
+            ops.append(("reset", (rng.choice([None, rng.random()]),)))
+    return ops
+
+
+def _drive(model_cls, geo, angle, ops, hook):
+    """Per-step (result or exception type, model state) of ``ops``."""
+    model = model_cls(geo, fs_offset_bytes=3 * KB, initial_angle=angle,
+                      read_fault_hook=hook)
+    out = []
+    for method, args in ops:
+        try:
+            result = getattr(model, method)(*args)
+        except (ValueError, LatentSectorReadError) as exc:
+            result = type(exc)
+        out.append((method, result, _model_state(model)))
+    return out
+
+
+def _assert_steps_equal(fast, ref):
+    assert len(fast) == len(ref)
+    for step, (got, want) in enumerate(zip(fast, ref)):
+        assert got == want, f"step {step}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("seed", [3, 1996, 20261017])
+@pytest.mark.parametrize("geo", [DiskGeometry(), SMALL_GEOMETRY],
+                         ids=["table1", "small"])
+def test_disk_model_differential(seed, geo):
+    rng = random.Random(seed)
+    ops = _random_ops(rng, geo, 400)
+    bad = {rng.randrange(geo.capacity_bytes // geo.sector_size)
+           for _ in range(2)}
+    hook = _bad_sector_hook(bad, geo.sector_size)
+    for angle in (0.0, 0.37, 0.999):
+        _assert_steps_equal(
+            _drive(DiskModel, geo, angle, ops, hook),
+            _drive(RefDiskModel, geo, angle, ops, hook),
+        )
+
+
+@pytest.mark.parametrize("geo", [DiskGeometry(), SMALL_GEOMETRY],
+                         ids=["table1", "small"])
+def test_disk_model_differential_with_telemetry(geo):
+    rng = random.Random(7)
+    ops = _random_ops(rng, geo, 300)
+    hook = _bad_sector_hook({rng.randrange(2048) for _ in range(3)},
+                            geo.sector_size)
+    captured = []
+    for model_cls in (DiskModel, RefDiskModel):
+        trace = DiskTrace()
+        with obs.session(disktrace=trace) as (registry, _tracer):
+            steps = _drive(model_cls, geo, 0.25, ops, hook)
+        captured.append((steps, registry.snapshot(), trace.rows()))
+    (fast_steps, fast_snap, fast_rows), (ref_steps, ref_snap, ref_rows) = captured
+    _assert_steps_equal(fast_steps, ref_steps)
+    assert any(name.startswith("disk.") for name in ref_snap)
+    assert fast_snap == ref_snap
+    assert len(ref_rows) > 100
+    assert fast_rows == ref_rows
+
+
+def test_read_fault_midway_keeps_state_of_served_requests():
+    bs = 8 * KB
+    geo = DiskGeometry()
+    extents = [Extent(100, 20, 20 * bs), Extent(900, 3, 3 * bs - 100)]
+    requests = [
+        (3 * KB + r.start * bs, r.nbytes)
+        for r in split_for_transfer(extents, bs, geo.max_transfer_bytes)
+    ]
+    for k in range(len(requests)):
+        bad_sector = requests[k][0] // geo.sector_size
+        fast = DiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3,
+                         read_fault_hook=_bad_sector_hook({bad_sector}, 512))
+        fast.access(IOKind.READ, 0, 4 * KB)  # a live read-ahead window
+        with pytest.raises(LatentSectorReadError):
+            fast.transfer_extents(IOKind.READ, extents, bs)
+        ref = RefDiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3)
+        ref.access(IOKind.READ, 0, 4 * KB)
+        for start_byte, nbytes in requests[:k]:
+            ref.access(IOKind.READ, start_byte, nbytes)
+        assert _model_state(fast) == _model_state(ref), k
+
+
+def test_invalid_later_split_raises_before_any_request():
+    bs = 8 * KB
+    # 20 blocks holding 100 bytes: the second 64 KB split carries 0 bytes.
+    extents = [Extent(0, 4, 4 * bs), Extent(100, 20, 100)]
+    for model_cls in (DiskModel, RefDiskModel):
+        model = model_cls(initial_angle=0.6)
+        model.access(IOKind.READ, 0, 4 * KB)
+        before = _model_state(model)
+        with pytest.raises(ValueError):
+            model.transfer_extents(IOKind.WRITE, extents, bs)
+        assert _model_state(model) == before
