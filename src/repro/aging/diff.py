@@ -18,10 +18,16 @@ be folded into the right days before the final merge.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aging.snapshot import Snapshot
-from repro.aging.workload import CREATE, DELETE, Workload, WorkloadRecord
+from repro.aging.workload import (
+    CREATE_CODE,
+    DELETE_CODE,
+    Workload,
+    WorkloadRow,
+)
 from repro.rng import SeededStreams
 
 
@@ -40,20 +46,20 @@ class _IdAllocator:
 
 def diff_snapshots(
     snapshots: Sequence[Snapshot], seed: int = 0
-) -> List[List[WorkloadRecord]]:
+) -> List[List[WorkloadRow]]:
     """Reconstruct per-day operations from a snapshot series.
 
     Day ``d``'s operations are those inferred between snapshot ``d-1``
     (empty for day 0, matching the paper's choice of a 9%-full starting
-    point) and snapshot ``d``.  Returns one list of records per day.
+    point) and snapshot ``d``.  Returns one list of rows per day.
     """
     streams = SeededStreams(seed)
     ids = _IdAllocator()
     live_fid: Dict[int, int] = {}  # source ino -> reconstructed file id
-    days: List[List[WorkloadRecord]] = []
+    days: List[List[WorkloadRow]] = []
     previous: Optional[Snapshot] = None
     for snapshot in snapshots:
-        day_ops: List[WorkloadRecord] = []
+        day_ops: List[WorkloadRow] = []
         old = previous.files if previous is not None else {}
         new = snapshot.files
         day = snapshot.day
@@ -76,9 +82,8 @@ def diff_snapshots(
             fid = ids.take()
             live_fid[ino] = fid
             day_ops.append(
-                WorkloadRecord(
-                    time=when, op=CREATE, file_id=fid, size=record.size,
-                    src_ino=ino, directory=record.directory,
+                WorkloadRow(
+                    when, fid, CREATE_CODE, record.size, ino, record.directory
                 )
             )
 
@@ -95,10 +100,7 @@ def diff_snapshots(
             fid = live_fid.pop(ino)
             when = rng.uniform(*span)
             day_ops.append(
-                WorkloadRecord(
-                    time=when, op=DELETE, file_id=fid, size=0,
-                    src_ino=ino, directory=record.directory,
-                )
+                WorkloadRow(when, fid, DELETE_CODE, 0, ino, record.directory)
             )
 
         # Modifies: delete immediately before the rewrite.
@@ -107,18 +109,16 @@ def diff_snapshots(
             when = _clamp_into_day(record.ctime, day)
             old_fid = live_fid.pop(ino)
             day_ops.append(
-                WorkloadRecord(
-                    time=max(day + 1e-6, when - 1e-4), op=DELETE,
-                    file_id=old_fid, size=0, src_ino=ino,
-                    directory=old[ino].directory,
+                WorkloadRow(
+                    max(day + 1e-6, when - 1e-4), old_fid, DELETE_CODE, 0,
+                    ino, old[ino].directory,
                 )
             )
             fid = ids.take()
             live_fid[ino] = fid
             day_ops.append(
-                WorkloadRecord(
-                    time=when, op=CREATE, file_id=fid, size=record.size,
-                    src_ino=ino, directory=record.directory,
+                WorkloadRow(
+                    when, fid, CREATE_CODE, record.size, ino, record.directory
                 )
             )
 
@@ -127,18 +127,15 @@ def diff_snapshots(
     return days
 
 
-def merge_days(days: Sequence[Sequence[WorkloadRecord]]) -> Workload:
+def merge_days(days: Sequence[Sequence[WorkloadRow]]) -> Workload:
     """Merge per-day operation lists into a validated workload."""
-    records: List[WorkloadRecord] = []
-    for day_ops in days:
-        records.extend(day_ops)
-    workload = Workload(records)
+    workload = Workload.from_rows(chain.from_iterable(days))
     workload.validate()
     return workload
 
 
 def directory_activity(
-    day_ops: Sequence[WorkloadRecord],
+    day_ops: Sequence[WorkloadRow],
 ) -> List[Tuple[str, int, float]]:
     """Directories ranked by change count for one day.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.aging.diff import directory_activity
-from repro.aging.workload import CREATE, DELETE, WorkloadRecord
+from repro.aging.workload import CREATE_CODE, DELETE_CODE, WorkloadRow
 from repro import rng as rng_module
 from repro.rng import SeededStreams
 from repro.units import KB
@@ -110,11 +110,11 @@ class SyntheticNFSTrace:
 
 
 def integrate_short_lived(
-    per_day_ops: Sequence[List[WorkloadRecord]],
+    per_day_ops: Sequence[List[WorkloadRow]],
     trace: SyntheticNFSTrace,
     seed: int = 0,
     first_file_id: int = 1 << 40,
-) -> List[List[WorkloadRecord]]:
+) -> List[List[WorkloadRow]]:
     """Fold short-lived trace files into each reconstructed day.
 
     For each day: sample one trace day, group its files by trace
@@ -127,7 +127,7 @@ def integrate_short_lived(
     streams = SeededStreams(seed)
     rng = streams.get("trace-sampling")
     next_fid = first_file_id
-    out: List[List[WorkloadRecord]] = []
+    out: List[List[WorkloadRow]] = []
     for day_index, day_ops in enumerate(per_day_ops):
         merged = list(day_ops)
         ranked = directory_activity(day_ops)
@@ -159,16 +159,15 @@ def integrate_short_lived(
                     fid = next_fid
                     next_fid += 1
                     merged.append(
-                        WorkloadRecord(
-                            time=t_create, op=CREATE, file_id=fid,
-                            size=tf.size, src_ino=target_ino,
-                            directory=target_dir,
+                        WorkloadRow(
+                            t_create, fid, CREATE_CODE, tf.size, target_ino,
+                            target_dir,
                         )
                     )
                     merged.append(
-                        WorkloadRecord(
-                            time=t_delete, op=DELETE, file_id=fid, size=0,
-                            src_ino=target_ino, directory=target_dir,
+                        WorkloadRow(
+                            t_delete, fid, DELETE_CODE, 0, target_ino,
+                            target_dir,
                         )
                     )
         out.append(merged)
@@ -176,7 +175,7 @@ def integrate_short_lived(
 
 
 def _representative_ino(
-    day_ops: Sequence[WorkloadRecord], directory: str
+    day_ops: Sequence[WorkloadRow], directory: str
 ) -> int:
     """A source inode belonging to ``directory``, for cg steering."""
     for record in day_ops:

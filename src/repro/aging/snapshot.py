@@ -32,7 +32,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro.aging.workload import APPEND, CREATE, DELETE, Workload, WorkloadRecord
+from repro.aging.workload import (
+    APPEND_CODE,
+    CREATE_CODE,
+    DELETE_CODE,
+    Workload,
+    WorkloadRow,
+)
 from repro.errors import SimulationError
 from repro.ffs.params import FSParams
 from repro import rng as rng_module
@@ -188,12 +194,12 @@ class SourceActivityModel:
 
     def generate(self) -> Tuple[Workload, List[Snapshot]]:
         """Run the model; returns (ground-truth workload, nightly snapshots)."""
-        records: List[WorkloadRecord] = []
+        rows: List[WorkloadRow] = []
         snapshots: List[Snapshot] = []
         for day in range(self.days):
-            records.extend(self._one_day(day))
+            rows.extend(self._one_day(day))
             snapshots.append(self._snapshot(day))
-        workload = Workload(records)
+        workload = Workload.from_rows(rows)
         workload.validate()
         return workload, snapshots
 
@@ -201,9 +207,9 @@ class SourceActivityModel:
     # Daily dynamics
     # ------------------------------------------------------------------
 
-    def _one_day(self, day: int) -> List[WorkloadRecord]:
+    def _one_day(self, day: int) -> List[WorkloadRow]:
         rng = self.streams.get("daily")
-        ops: List[WorkloadRecord] = []
+        ops: List[WorkloadRow] = []
         target_frags = int(self._target_utilization(day) * self._data_frags())
         n_eligible = sum(
             1 for fid in self._live_ids if self._live[fid].ctime < day
@@ -321,9 +327,9 @@ class SourceActivityModel:
             return eligible[start : start + max(1, length)]
         return []
 
-    def _cleanup_directory(self, rng: rng_module.Random, day: int) -> List[WorkloadRecord]:
+    def _cleanup_directory(self, rng: rng_module.Random, day: int) -> List[WorkloadRow]:
         """Purge most of one directory — a user removing a build tree."""
-        ops: List[WorkloadRecord] = []
+        ops: List[WorkloadRow] = []
         directory = self._pick_directory(rng)
         eligible = [
             fid
@@ -348,7 +354,7 @@ class SourceActivityModel:
         directory: str,
         size: int,
         force_ino: Optional[int] = None,
-    ) -> List[WorkloadRecord]:
+    ) -> List[WorkloadRow]:
         """Create a long-lived file, chunking large writes over time.
 
         Bookkeeping (live table, utilization) records the full size at
@@ -364,10 +370,10 @@ class SourceActivityModel:
         chunk = levels.write_chunk_bytes
         day = int(when)
         first = min(chunk, size)
-        records = [
-            WorkloadRecord(
-                time=full.time, op=CREATE, file_id=full.file_id, size=first,
-                src_ino=full.src_ino, directory=full.directory,
+        rows = [
+            WorkloadRow(
+                full.time, full.file_id, CREATE_CODE, first, full.src_ino,
+                directory,
             )
         ]
         remaining = size - first
@@ -377,13 +383,13 @@ class SourceActivityModel:
             piece = min(chunk, remaining)
             remaining -= piece
             t = min(when + duration * (i + 1) / n_chunks, day + 0.99995)
-            records.append(
-                WorkloadRecord(
-                    time=t, op=APPEND, file_id=full.file_id, size=piece,
-                    src_ino=full.src_ino, directory=full.directory,
+            rows.append(
+                WorkloadRow(
+                    t, full.file_id, APPEND_CODE, piece, full.src_ino,
+                    directory,
                 )
             )
-        return records
+        return rows
 
     def _create(
         self,
@@ -392,7 +398,7 @@ class SourceActivityModel:
         size: int,
         force_ino: Optional[int] = None,
         short_lived: bool = False,
-    ) -> WorkloadRecord:
+    ) -> WorkloadRow:
         cg = self._dir_cg[directory]
         if force_ino is not None:
             # Modify path: the inode was held back by the paired delete
@@ -407,16 +413,14 @@ class SourceActivityModel:
         self._live_pos[fid] = len(self._live_ids)
         self._live_ids.append(fid)
         self._dir_live[directory][fid] = None
-        self._frags_used += self._frags_for(size)
-        self._frags_used_cg[cg] += self._frags_for(size)
-        return WorkloadRecord(
-            time=when, op=CREATE, file_id=fid, size=size, src_ino=ino,
-            directory=directory,
-        )
+        frags = self._frags_for(size)
+        self._frags_used += frags
+        self._frags_used_cg[cg] += frags
+        return WorkloadRow(when, fid, CREATE_CODE, size, ino, directory)
 
     def _delete(
         self, fid: int, when: float, keep_ino: Optional[int] = None
-    ) -> WorkloadRecord:
+    ) -> WorkloadRow:
         record = self._live.pop(fid)
         pos = self._live_pos.pop(fid)
         last = self._live_ids.pop()
@@ -424,16 +428,14 @@ class SourceActivityModel:
             self._live_ids[pos] = last
             self._live_pos[last] = pos
         del self._dir_live[record.directory][fid]
-        self._frags_used -= self._frags_for(record.size)
-        self._frags_used_cg[self._dir_cg[record.directory]] -= self._frags_for(
-            record.size
-        )
+        frags = self._frags_for(record.size)
+        self._frags_used -= frags
+        self._frags_used_cg[self._dir_cg[record.directory]] -= frags
         if keep_ino is None:
             cg = record.ino // self.params.inodes_per_cg
             heappush(self._free_inodes[cg], record.ino)
-        return WorkloadRecord(
-            time=when, op=DELETE, file_id=fid, size=0, src_ino=record.ino,
-            directory=record.directory,
+        return WorkloadRow(
+            when, fid, DELETE_CODE, 0, record.ino, record.directory
         )
 
     # ------------------------------------------------------------------

@@ -15,9 +15,10 @@ workload it came from.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Set, TextIO, Tuple
+from operator import itemgetter
+from typing import Iterable, Iterator, List, NamedTuple, Set, TextIO, Tuple
 
 from repro.errors import WorkloadError
 
@@ -27,13 +28,18 @@ DELETE = "delete"
 
 #: Byte codes of the op column; also the op rank that orders ops tying
 #: on (time, file id): create before append before delete.
-OP_CODES = {CREATE: 0, APPEND: 1, DELETE: 2}
+CREATE_CODE, APPEND_CODE, DELETE_CODE = 0, 1, 2
+OP_CODES = {CREATE: CREATE_CODE, APPEND: APPEND_CODE, DELETE: DELETE_CODE}
 
 #: Op names indexed by byte code (the inverse of ``OP_CODES``).
 _OP_NAMES = (CREATE, APPEND, DELETE)
 
-#: Primary sort key of a workload; ties fall back to op rank.
-_TIME_FILE_KEY = attrgetter("time", "file_id")
+#: A workload row as a plain tuple (see ``WorkloadRow``).
+_Row = Tuple[float, int, int, int, int, str]
+
+#: Sort key of a workload row: (time, file id, op code).  The sort is
+#: stable, so rows tying on all three keep their input order.
+_ROW_ORDER = itemgetter(0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,29 @@ class WorkloadRecord:
         )
 
 
+class WorkloadRow(NamedTuple):
+    """One file operation as the aging pipeline emits it.
+
+    The fields of a :class:`WorkloadRecord` as a plain tuple, with the
+    op as its byte code (``OP_CODES``) and the fields ordered so that
+    ``(time, file_id, code)`` leads.  Rows skip the record's per-object
+    checks; :meth:`Workload.from_rows` runs the same checks over the
+    columns it builds.
+    """
+
+    time: float
+    file_id: int
+    code: int
+    size: int
+    src_ino: int
+    directory: str
+
+    @property
+    def op(self) -> str:
+        """The op name, as in :attr:`WorkloadRecord.op`."""
+        return _OP_NAMES[self.code]
+
+
 class Workload:
     """An ordered aging workload, held as parallel columns.
 
@@ -114,45 +143,51 @@ class Workload:
     is the half-open op range whose ``int(time)`` equals ``d``, so the
     day loop iterates contiguous slices instead of testing the day of
     every op.  Iterating a workload rebuilds its records.
+
+    ``Workload(records)`` takes validated records; the aging pipeline
+    builds its workloads with :meth:`from_rows` instead, which makes no
+    object per op.  Both sort by (time, file id, op rank) and check
+    every op as ``WorkloadRecord`` does.
     """
 
     def __init__(self, records: Iterable[WorkloadRecord] = ()):
-        # Sort on the cheap C-level key first; the op rank only matters
-        # for records tying on (time, file_id), which real workloads
-        # essentially never produce.  A single verification pass promotes
-        # to the full key iff a tie is actually ordered wrong (sorting
-        # the already-sorted list is near-linear).
-        rank = OP_CODES
-        out = sorted(records, key=_TIME_FILE_KEY)
-        prev = None
-        for rec in out:
-            if (
-                prev is not None
-                and prev.time == rec.time
-                and prev.file_id == rec.file_id
-                and rank[prev.op] > rank[rec.op]
-            ):
-                out.sort(key=lambda r: (r.time, r.file_id, rank[r.op]))
-                break
-            prev = rec
-        dir_index: Dict[str, int] = {}
-        self.op = bytes(rank[r.op] for r in out)
-        self.time = array("d", (r.time for r in out))
-        self.file_id = array("q", (r.file_id for r in out))
-        self.size = array("q", (r.size for r in out))
-        self.src_ino = array("q", (r.src_ino for r in out))
-        self.dir_id = array(
-            "l", (dir_index.setdefault(r.directory, len(dir_index)) for r in out)
+        self._fill(
+            (r.time, r.file_id, OP_CODES[r.op], r.size, r.src_ino, r.directory)
+            for r in records
         )
-        self.dir_table: Tuple[str, ...] = tuple(dir_index)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[WorkloadRow]) -> "Workload":
+        """Build a workload from pipeline rows, in any order."""
+        workload = cls.__new__(cls)
+        workload._fill(rows)
+        return workload
+
+    def _fill(self, rows: Iterable[_Row]) -> None:
+        """Sort ``rows``, check them as ``WorkloadRecord`` would, and
+        set the columns."""
+        out = sorted(rows, key=_ROW_ORDER)
+        n = len(out)
+        time, file_id, op, size, src_ino, directory = (
+            tuple(zip(*out)) or ((),) * 6
+        )
+        _check_columns(op, time, size)
+        self.op = bytes(op)
+        self.time = array("d", time)
+        self.file_id = array("q", file_id)
+        self.size = array("q", size)
+        self.src_ino = array("q", src_ino)
+        self.dir_table: Tuple[str, ...] = tuple(dict.fromkeys(directory))
+        dir_index = {name: i for i, name in enumerate(self.dir_table)}
+        self.dir_id = array("l", map(dir_index.__getitem__, directory))
         slices: List[Tuple[int, int]] = []
         start = 0
-        for i, t in enumerate(self.time):
-            while len(slices) < int(t):
-                slices.append((start, i))
-                start = i
-        if out:
-            slices.append((start, len(out)))
+        for day in range(1, int(time[-1]) + 1 if n else 0):
+            end = bisect_left(self.time, day)
+            slices.append((start, end))
+            start = end
+        if n:
+            slices.append((start, n))
         self.day_slices: Tuple[Tuple[int, int], ...] = tuple(slices)
 
     def __len__(self) -> int:
@@ -230,3 +265,22 @@ class Workload:
             for line in fp
             if line.strip() and not line.startswith("#")
         )
+
+
+def _check_columns(
+    op: Tuple[int, ...], time: Tuple[float, ...], size: Tuple[int, ...]
+) -> None:
+    """The checks of ``WorkloadRecord.__post_init__``, over columns."""
+    unknown = set(op).difference(OP_CODES.values())
+    if unknown:
+        raise WorkloadError(f"unknown op code {min(unknown, key=repr)!r}")
+    for code, nbytes in zip(op, size):
+        if nbytes <= 0 and code != DELETE_CODE:
+            if nbytes < 0:
+                raise WorkloadError(
+                    f"{_OP_NAMES[code]} with negative size {nbytes}"
+                )
+            if code == APPEND_CODE:
+                raise WorkloadError("append of zero bytes")
+    if time and min(time) < 0:
+        raise WorkloadError(f"negative time {min(time)}")

@@ -3,7 +3,8 @@
 The LFS keeps three redundant structures — inode block maps, the
 owner (reverse) map, and the segment usage table — and the cleaner
 rewrites all three at once.  ``check_lfs`` verifies they agree, plus the
-log-head and capacity invariants, raising
+log-head and capacity invariants and the incremental counters the file
+system keeps (layout-score pair counts, clean-segment count), raising
 :class:`~repro.errors.ConsistencyError` on the first mismatch.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.analysis.layout import optimal_pairs
 from repro.errors import ConsistencyError
 from repro.lfs.filesystem import LogStructuredFS
 
@@ -48,6 +50,18 @@ def check_lfs(fs: LogStructuredFS) -> None:
             f"owner map out of sync: {len(missing)} missing, {len(extra)} stale"
         )
 
+    # The layout-score pair counts must match a recount.
+    optimal = countable = 0
+    for inode in fs.inodes.values():
+        o, c = optimal_pairs(inode.blocks)
+        optimal += o
+        countable += c
+    if (fs.optimal_pairs, fs.countable_pairs) != (optimal, countable):
+        raise ConsistencyError(
+            f"pair counts {fs.optimal_pairs}/{fs.countable_pairs} != "
+            f"recount {optimal}/{countable}"
+        )
+
     # Segment usage table must match a recount.
     per_segment: Dict[int, int] = {}
     for address in fs.owner:
@@ -65,6 +79,12 @@ def check_lfs(fs: LogStructuredFS) -> None:
                 f"segment {segment.index} marked clean but has "
                 f"{recount} live blocks"
             )
+
+    clean = sum(1 for segment in fs.segments if segment.clean)
+    if fs.clean_segments() != clean:
+        raise ConsistencyError(
+            f"clean segment count {fs.clean_segments()} != recount {clean}"
+        )
 
     # The log head must be a dirty segment with a sane offset.
     head = fs.segments[fs._head_segment]

@@ -14,7 +14,8 @@ these cleaners; here cleaning is on-demand at the low-water mark.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import heapq
+from typing import List, Sequence, Tuple
 
 
 def choose_victims(
@@ -43,16 +44,17 @@ def choose_victims(
         return []
     newest = max(seg.sequence for seg in candidates)
 
-    def greedy_key(seg) -> float:
-        return float(seg.live)
+    # Keys end in the segment index, so ties break toward lower indexes.
+    def greedy_key(seg) -> Tuple[float, int]:
+        return float(seg.live), seg.index
 
-    def cost_benefit_key(seg) -> float:
-        u = min(1.0, seg.live / capacity)
+    def cost_benefit_key(seg) -> Tuple[float, int]:
+        u = seg.live / capacity
         if u >= 1.0:
-            return float("inf")  # nothing to gain
+            return float("inf"), seg.index  # nothing to gain
         age = newest - seg.sequence + 1
         # Negated so that a smaller key = better victim, as with greedy.
-        return -((1.0 - u) * age / (1.0 + u))
+        return -((1.0 - u) * age / (1.0 + u)), seg.index
 
     key = greedy_key if policy == "greedy" else cost_benefit_key
-    return sorted(candidates, key=lambda seg: (key(seg), seg.index))[:count]
+    return heapq.nsmallest(count, candidates, key=key)

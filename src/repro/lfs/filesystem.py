@@ -82,6 +82,13 @@ class LogStructuredFS:
         self._cleaning = False
         self.segments[0].clean = False
         self.segments[0].sequence = self._bump()
+        self._clean_count = self.params.nsegments - 1
+        #: Aggregate layout-score numerator and denominator over every
+        #: live file (see :func:`repro.analysis.layout.optimal_pairs`),
+        #: kept current by ``_place`` and ``_unlink`` on every change
+        #: to an inode's block list.
+        self.optimal_pairs = 0
+        self.countable_pairs = 0
         # Statistics the LFS literature cares about.
         self.user_blocks_written = 0
         self.cleaner_blocks_copied = 0
@@ -125,14 +132,15 @@ class LogStructuredFS:
         self._check_space(needed)
         # Rewriting the (partial) last block moves it to the log head,
         # as any LFS overwrite does.
-        if inode.blocks and inode.size % bs != 0:
-            last_lbn = len(inode.blocks) - 1
-            self._kill(inode.blocks[last_lbn])
-            inode.blocks[last_lbn] = self._log_write(ino, last_lbn)
+        blocks = inode.blocks
+        if blocks and inode.size % bs != 0:
+            last_lbn = len(blocks) - 1
+            self._kill(blocks[last_lbn])
+            self._place(blocks, last_lbn, self._log_write(ino, last_lbn))
             self.user_blocks_written += 1
         for _ in range(needed):
-            lbn = len(inode.blocks)
-            inode.blocks.append(self._log_write(ino, lbn))
+            lbn = len(blocks)
+            self._place(blocks, lbn, self._log_write(ino, lbn))
             self.user_blocks_written += 1
         inode.size = new_size
         inode.mtime = max(inode.mtime, when)
@@ -144,24 +152,23 @@ class LogStructuredFS:
         the file (perfectly sequentially) instead of writing in place.
         """
         inode = self._live(ino)
-        for lbn, address in enumerate(inode.blocks):
+        blocks = inode.blocks
+        for lbn, address in enumerate(blocks):
             self._kill(address)
-            inode.blocks[lbn] = self._log_write(ino, lbn)
+            self._place(blocks, lbn, self._log_write(ino, lbn))
             self.user_blocks_written += 1
         inode.mtime = max(inode.mtime, when)
 
     def delete_file(self, ino: int, when: float = 0.0) -> None:
         """Delete file ``ino``; its blocks die in place."""
         inode = self._live(ino)
-        for address in inode.blocks:
-            self._kill(address)
+        self._unlink(inode.blocks)
         del self.inodes[ino]
 
     def truncate(self, ino: int, when: float = 0.0) -> None:
         """Truncate file ``ino`` to zero length."""
         inode = self._live(ino)
-        for address in inode.blocks:
-            self._kill(address)
+        self._unlink(inode.blocks)
         inode.blocks = []
         inode.size = 0
         inode.mtime = max(inode.mtime, when)
@@ -184,7 +191,7 @@ class LogStructuredFS:
 
     def clean_segments(self) -> int:
         """Segments currently clean (excluding the write head)."""
-        return sum(1 for seg in self.segments if seg.clean)
+        return self._clean_count
 
     def utilization(self) -> float:
         """Live blocks over usable capacity."""
@@ -246,6 +253,7 @@ class LogStructuredFS:
             index = (self._head_segment + 1 + candidate) % self.params.nsegments
             if self.segments[index].clean:
                 self.segments[index].clean = False
+                self._clean_count -= 1
                 self.segments[index].sequence = self._bump()
                 self._head_segment = index
                 self._head_offset = 0
@@ -286,7 +294,7 @@ class LogStructuredFS:
                 for address, (ino, lbn) in live:
                     self._kill(address)
                     new_address = self._log_write(ino, lbn)
-                    self.inodes[ino].blocks[lbn] = new_address
+                    self._place(self.inodes[ino].blocks, lbn, new_address)
                     self.cleaner_blocks_copied += 1
                     if self._idle_cleaning:
                         self.background_copies += 1
@@ -294,8 +302,41 @@ class LogStructuredFS:
                         self.foreground_copies += 1
                 victim.clean = True
                 victim.live = 0
+                self._clean_count += 1
         finally:
             self._cleaning = False
+
+    def _place(self, blocks: List[int], lbn: int, address: int) -> None:
+        """Point logical block ``lbn`` at ``address``, keeping the pair
+        counts; ``lbn == len(blocks)`` appends a block."""
+        delta = 0
+        if lbn < len(blocks):
+            old = blocks[lbn]
+            if lbn and old == blocks[lbn - 1] + 1:
+                delta -= 1
+            if lbn + 1 < len(blocks) and blocks[lbn + 1] == old + 1:
+                delta -= 1
+            blocks[lbn] = address
+        else:
+            blocks.append(address)
+            if lbn:
+                self.countable_pairs += 1
+        if lbn and address == blocks[lbn - 1] + 1:
+            delta += 1
+        if lbn + 1 < len(blocks) and blocks[lbn + 1] == address + 1:
+            delta += 1
+        self.optimal_pairs += delta
+
+    def _unlink(self, blocks: List[int]) -> None:
+        """Kill every block of a file and drop its pairs from the counts."""
+        prev = -2
+        for address in blocks:
+            self._kill(address)
+            if address == prev + 1:
+                self.optimal_pairs -= 1
+            prev = address
+        if blocks:
+            self.countable_pairs -= len(blocks) - 1
 
     def _kill(self, address: int) -> None:
         owner = self.owner.pop(address, None)

@@ -7,10 +7,13 @@ hints — demonstrating the generalisation Section 6 calls for: the
 workload format carries enough information to age any file system, and
 the per-file-system replayer decides what placement metadata to use.
 
-Unlike the FFS replayer, layout samples here re-score the whole file
-population each day: the cleaner moves files *underneath* any
-incremental accounting, so a per-operation cache would silently go
-stale the first time a segment is cleaned.
+Daily layout samples read two integers the file system keeps current
+(:attr:`LogStructuredFS.optimal_pairs` and ``countable_pairs``): every
+change to a block list — user writes and the cleaner's copies alike —
+goes through one helper that adjusts them, so a sample costs O(1)
+instead of a re-score of every live file, and divides the same two
+integers a re-score would sum.  :func:`repro.lfs.check.check_lfs`
+recounts them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Optional
 
 from repro.aging.replay import ReplayResult
 from repro.aging.workload import Workload
-from repro.analysis.layout import score_file_set
 from repro.analysis.timeline import DailySample, Timeline
 from repro.errors import OutOfSpaceError
 from repro.lfs.filesystem import LogStructuredFS
@@ -105,14 +107,16 @@ class LfsReplayer:
         return result
 
     def _sample(self, result: ReplayResult, day: int) -> None:
-        # LFS inodes offer the data_block_list() the scorer reads.
-        score = score_file_set(self.fs.files())  # type: ignore[arg-type]
+        fs = self.fs
+        countable = fs.countable_pairs
         result.timeline.add(
             DailySample(
                 day=day,
-                layout_score=1.0 if score is None else score,
-                utilization=self.fs.utilization(),
-                live_files=len(self.fs.files()),
+                layout_score=(
+                    fs.optimal_pairs / countable if countable else 1.0
+                ),
+                utilization=fs.utilization(),
+                live_files=len(fs.inodes),
                 ops_applied=result.ops_applied,
             )
         )

@@ -4,7 +4,18 @@ import io
 
 import pytest
 
-from repro.aging.workload import APPEND, CREATE, DELETE, Workload, WorkloadRecord
+from repro.aging.diff import merge_days
+from repro.aging.workload import (
+    APPEND,
+    APPEND_CODE,
+    CREATE,
+    CREATE_CODE,
+    DELETE,
+    DELETE_CODE,
+    Workload,
+    WorkloadRecord,
+    WorkloadRow,
+)
 from repro.errors import WorkloadError
 
 
@@ -133,3 +144,112 @@ class TestSerialization:
     def test_malformed_line_rejected(self):
         with pytest.raises(WorkloadError):
             WorkloadRecord.from_line("0.1 create 1")
+
+
+#: Each bad op three ways: record fields, a pipeline row, a file line.
+BAD_OPS = {
+    "unknown-op": (
+        dict(time=0.0, op="rename", size=10),
+        WorkloadRow(0.0, 1, 7, 10, 0, "d"),
+        "0.0 rename 1 10 0 d",
+    ),
+    "negative-create": (
+        dict(time=0.0, op=CREATE, size=-1),
+        WorkloadRow(0.0, 1, CREATE_CODE, -1, 0, "d"),
+        "0.0 create 1 -1 0 d",
+    ),
+    "negative-append": (
+        dict(time=0.0, op=APPEND, size=-5),
+        WorkloadRow(0.0, 1, APPEND_CODE, -5, 0, "d"),
+        "0.0 append 1 -5 0 d",
+    ),
+    "zero-byte-append": (
+        dict(time=0.0, op=APPEND, size=0),
+        WorkloadRow(0.0, 1, APPEND_CODE, 0, 0, "d"),
+        "0.0 append 1 0 0 d",
+    ),
+    "negative-time": (
+        dict(time=-0.1, op=CREATE, size=10),
+        WorkloadRow(-0.1, 1, CREATE_CODE, 10, 0, "d"),
+        "-0.1 create 1 10 0 d",
+    ),
+}
+
+GOOD_ROW = WorkloadRow(0.5, 2, CREATE_CODE, 10, 0, "d")
+
+
+class TestRowValidation:
+    """The record checks hold on every path into a workload."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_OPS))
+    def test_record(self, case):
+        fields, _row, _line = BAD_OPS[case]
+        with pytest.raises(WorkloadError):
+            WorkloadRecord(file_id=1, src_ino=0, directory="d", **fields)
+
+    @pytest.mark.parametrize("case", sorted(BAD_OPS))
+    def test_load(self, case):
+        _fields, _row, line = BAD_OPS[case]
+        with pytest.raises(WorkloadError):
+            Workload.load(io.StringIO(f"0.5 create 2 10 0 d\n{line}\n"))
+
+    @pytest.mark.parametrize("case", sorted(BAD_OPS))
+    def test_from_rows(self, case):
+        _fields, row, _line = BAD_OPS[case]
+        with pytest.raises(WorkloadError):
+            Workload.from_rows([GOOD_ROW, row])
+
+    @pytest.mark.parametrize("case", sorted(BAD_OPS))
+    def test_pipeline_merge(self, case):
+        _fields, row, _line = BAD_OPS[case]
+        with pytest.raises(WorkloadError):
+            merge_days([[GOOD_ROW], [row]])
+
+    def test_negative_size_delete_accepted_everywhere(self):
+        # The record check covers creates and appends only.
+        rec(0.0, DELETE, 1, size=-3)
+        Workload.load(io.StringIO("0.0 delete 1 -3 0 d\n"))
+        Workload.from_rows([WorkloadRow(0.0, 1, DELETE_CODE, -3, 0, "d")])
+
+    def test_row_op_name(self):
+        assert [WorkloadRow(0.0, 1, c, 1, 0, "d").op for c in (0, 1, 2)] == [
+            CREATE, APPEND, DELETE,
+        ]
+
+
+class TestRowOrdering:
+    def test_tie_orders_create_append_delete(self):
+        rows = [
+            WorkloadRow(1.0, 1, DELETE_CODE, 0, 0, "d"),
+            WorkloadRow(1.0, 1, APPEND_CODE, 5, 0, "d"),
+            WorkloadRow(1.0, 1, CREATE_CODE, 5, 0, "d"),
+        ]
+        for wl in (Workload.from_rows(rows), merge_days([rows[:1], rows[1:]])):
+            assert [r.op for r in wl] == [CREATE, APPEND, DELETE]
+
+    def test_full_tie_keeps_input_order(self):
+        # Two appends clamped to the same instant keep their write order.
+        rows = [
+            WorkloadRow(0.5, 1, CREATE_CODE, 8, 0, "d"),
+            WorkloadRow(0.9, 1, APPEND_CODE, 128, 0, "d"),
+            WorkloadRow(0.9, 1, APPEND_CODE, 40, 0, "d"),
+        ]
+        assert list(Workload.from_rows(rows).size) == [8, 128, 40]
+
+    def test_records_and_rows_build_equal_columns(self):
+        rows = [
+            WorkloadRow(2.25, 3, CREATE_CODE, 7, 9, "b"),
+            WorkloadRow(0.5, 1, CREATE_CODE, 10, 4, "a"),
+            WorkloadRow(2.5, 1, DELETE_CODE, 0, 4, "a"),
+            WorkloadRow(0.75, 1, APPEND_CODE, 3, 4, "a"),
+        ]
+        from_rows = Workload.from_rows(rows)
+        from_records = Workload(
+            rec(r.time, r.op, r.file_id, r.size, r.src_ino, r.directory)
+            for r in rows
+        )
+        for name in ("op", "time", "file_id", "size", "src_ino", "dir_id",
+                     "dir_table", "day_slices"):
+            assert getattr(from_rows, name) == getattr(from_records, name)
+        assert from_rows.day_slices == ((0, 2), (2, 2), (2, 4))
+

@@ -1,27 +1,42 @@
-"""Differential tests for the allocation and device-pricing hot paths.
+"""Differential tests for the allocation, device-pricing and LFS hot paths.
 
 ``FragBitmap`` and ``BlockRunMap`` were rewritten with ``bytearray``
 slice primitives and single-splice interval updates; ``DiskModel``
-prices requests in one loop over locals.  These tests drive the fast
-code and deliberately naive references through the same randomized
-operation sequences and require identical observable state — including
-identical error behaviour — after every step.
+prices requests in one loop over locals; ``LogStructuredFS`` keeps its
+layout-score pair counts and clean-segment count incrementally.  These
+tests drive the fast code and deliberately naive references through the
+same randomized operation sequences and require identical observable
+state — including identical error behaviour — after every step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random  # replint: disable=R001  (seeded test-local stream; repro.rng is the library-side rule)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro import obs
+from repro.aging.replay import ReplayResult
+from repro.aging.workload import Workload
+from repro.analysis.layout import score_file_set
+from repro.analysis.timeline import DailySample, Timeline
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, DiskStats, IOKind
 from repro.disk.request import Extent, split_for_transfer
 from repro.disk.trackbuffer import TrackBuffer
-from repro.errors import LatentSectorReadError
+from repro.errors import (
+    FileNotFoundSimError,
+    InvalidRequestError,
+    LatentSectorReadError,
+    OutOfSpaceError,
+)
 from repro.ffs.bitmap import FragBitmap
 from repro.ffs.clustermap import BlockRunMap
+from repro.lfs.filesystem import LfsInode, LogStructuredFS, SegmentInfo
+from repro.lfs.params import LFSParams
+from repro.lfs.replay import LfsReplayer
 from repro.obs.disktrace import DiskTrace
 from repro.units import KB, MB
 
@@ -684,3 +699,504 @@ def test_invalid_later_split_raises_before_any_request():
         with pytest.raises(ValueError):
             model.transfer_extents(IOKind.WRITE, extents, bs)
         assert _model_state(model) == before
+
+
+# ----------------------------------------------------------------------
+# Log-structured file system: frozen copies of the recount-everything
+# code (cleaner victim sort, clean-segment scan, daily re-score)
+# ----------------------------------------------------------------------
+
+
+def ref_choose_victims(
+    segments: Sequence["SegmentInfo"],
+    capacity: int,
+    policy: str = "cost-benefit",
+    exclude: int = -1,
+    count: int = 1,
+) -> List["SegmentInfo"]:
+    """Pick up to ``count`` victim segments for cleaning.
+
+    ``capacity`` is the segment size in blocks (for the utilization
+    term).  Only dirty segments other than ``exclude`` (the log head)
+    are candidates; fully empty dirty segments rank first under either
+    policy (they are free wins).  Returns fewer than ``count`` — maybe
+    none — when there are no candidates.
+    """
+    if policy not in ("greedy", "cost-benefit"):
+        raise ValueError(f"unknown cleaner policy {policy!r}")
+    if capacity < 1:
+        raise ValueError("segment capacity must be >= 1 block")
+    candidates = [
+        seg for seg in segments if not seg.clean and seg.index != exclude
+    ]
+    if not candidates:
+        return []
+    newest = max(seg.sequence for seg in candidates)
+
+    def greedy_key(seg) -> float:
+        return float(seg.live)
+
+    def cost_benefit_key(seg) -> float:
+        u = min(1.0, seg.live / capacity)
+        if u >= 1.0:
+            return float("inf")  # nothing to gain
+        age = newest - seg.sequence + 1
+        # Negated so that a smaller key = better victim, as with greedy.
+        return -((1.0 - u) * age / (1.0 + u))
+
+    key = greedy_key if policy == "greedy" else cost_benefit_key
+    return sorted(candidates, key=lambda seg: (key(seg), seg.index))[:count]
+
+
+class RefLogStructuredFS:
+    """A simulated LFS exposing the same lifecycle API as FileSystem.
+
+    Directories carry no placement meaning in an LFS (everything goes to
+    the log head), so directory arguments are accepted and recorded but
+    do not influence allocation — which is itself the experimental
+    point.
+    """
+
+    def __init__(self, params: Optional[LFSParams] = None):
+        self.params = params if params is not None else LFSParams()
+        self.segments = [SegmentInfo(index=i) for i in range(self.params.nsegments)]
+        self.inodes: Dict[int, LfsInode] = {}
+        #: Live-block reverse map: log address -> (ino, logical block).
+        self.owner: Dict[int, Tuple[int, int]] = {}
+        self._next_ino = 0
+        self._sequence = 0
+        self._head_segment = 0
+        self._head_offset = 0
+        self._cleaning = False
+        self.segments[0].clean = False
+        self.segments[0].sequence = self._bump()
+        # Statistics the LFS literature cares about.
+        self.user_blocks_written = 0
+        self.cleaner_blocks_copied = 0
+        self.cleanings = 0
+        #: Cleaner copies performed inside the write path (a user write
+        #: had to wait) vs. during announced idle time.
+        self.foreground_copies = 0
+        self.background_copies = 0
+        self._idle_cleaning = False
+
+    # ------------------------------------------------------------------
+    # Lifecycle API (mirrors FileSystem where it matters)
+    # ------------------------------------------------------------------
+
+    def create_file(
+        self, directory: object = None, size: int = 0, when: float = 0.0
+    ) -> int:
+        """Create a file of ``size`` bytes; returns its inode number."""
+        if size < 0:
+            raise InvalidRequestError(f"negative file size {size}")
+        ino = self._next_ino
+        self._next_ino += 1
+        inode = LfsInode(ino=ino, ctime=when, mtime=when)
+        self.inodes[ino] = inode
+        if size:
+            try:
+                self.append(ino, size, when=when)
+            except OutOfSpaceError:
+                del self.inodes[ino]
+                raise
+        return ino
+
+    def append(self, ino: int, nbytes: int, when: float = 0.0) -> None:
+        """Grow file ``ino`` by ``nbytes`` (appends blocks to the log)."""
+        inode = self._live(ino)
+        if nbytes <= 0:
+            raise InvalidRequestError(f"append of {nbytes} bytes")
+        new_size = inode.size + nbytes
+        bs = self.params.block_size
+        needed = -(-new_size // bs) - len(inode.blocks)
+        self._check_space(needed)
+        # Rewriting the (partial) last block moves it to the log head,
+        # as any LFS overwrite does.
+        if inode.blocks and inode.size % bs != 0:
+            last_lbn = len(inode.blocks) - 1
+            self._kill(inode.blocks[last_lbn])
+            inode.blocks[last_lbn] = self._log_write(ino, last_lbn)
+            self.user_blocks_written += 1
+        for _ in range(needed):
+            lbn = len(inode.blocks)
+            inode.blocks.append(self._log_write(ino, lbn))
+            self.user_blocks_written += 1
+        inode.size = new_size
+        inode.mtime = max(inode.mtime, when)
+
+    def overwrite(self, ino: int, when: float = 0.0) -> None:
+        """Rewrite a file's contents: every block moves to the log head.
+
+        This is where LFS differs most from FFS — an overwrite relocates
+        the file (perfectly sequentially) instead of writing in place.
+        """
+        inode = self._live(ino)
+        for lbn, address in enumerate(inode.blocks):
+            self._kill(address)
+            inode.blocks[lbn] = self._log_write(ino, lbn)
+            self.user_blocks_written += 1
+        inode.mtime = max(inode.mtime, when)
+
+    def delete_file(self, ino: int, when: float = 0.0) -> None:
+        """Delete file ``ino``; its blocks die in place."""
+        inode = self._live(ino)
+        for address in inode.blocks:
+            self._kill(address)
+        del self.inodes[ino]
+
+    def truncate(self, ino: int, when: float = 0.0) -> None:
+        """Truncate file ``ino`` to zero length."""
+        inode = self._live(ino)
+        for address in inode.blocks:
+            self._kill(address)
+        inode.blocks = []
+        inode.size = 0
+        inode.mtime = max(inode.mtime, when)
+
+    def files(self) -> List[LfsInode]:
+        """All live files."""
+        return list(self.inodes.values())
+
+    def files_modified_since(self, cutoff: float) -> List[LfsInode]:
+        """Files with ``mtime >= cutoff``."""
+        return [i for i in self.files() if i.mtime >= cutoff]
+
+    # ------------------------------------------------------------------
+    # State queries
+    # ------------------------------------------------------------------
+
+    def live_blocks(self) -> int:
+        """Total live data blocks."""
+        return len(self.owner)
+
+    def clean_segments(self) -> int:
+        """Segments currently clean (excluding the write head)."""
+        return sum(1 for seg in self.segments if seg.clean)
+
+    def utilization(self) -> float:
+        """Live blocks over usable capacity."""
+        return self.live_blocks() / self.params.usable_blocks
+
+    def idle_clean(self, target: Optional[int] = None) -> int:
+        """Clean during idle time, up to ``target`` clean segments.
+
+        This is the scheduling question the paper's future work raises
+        ("the timing of cleaner execution"): cleaning done here is
+        charged as *background* work, so later user writes do not stall
+        at the low-water mark.  Returns the number of blocks copied.
+        """
+        before = self.cleaner_blocks_copied
+        goal = target if target is not None else self.params.clean_high_water
+        self._idle_cleaning = True
+        try:
+            if self.clean_segments() < goal:
+                self._clean_to(goal)
+        finally:
+            self._idle_cleaning = False
+        return self.cleaner_blocks_copied - before
+
+    def write_amplification(self) -> float:
+        """(user + cleaner writes) / user writes — the cleaning tax."""
+        if self.user_blocks_written == 0:
+            return 1.0
+        return (
+            self.user_blocks_written + self.cleaner_blocks_copied
+        ) / self.user_blocks_written
+
+    # ------------------------------------------------------------------
+    # The log
+    # ------------------------------------------------------------------
+
+    def _log_write(self, ino: int, lbn: int) -> int:
+        """Append one block to the log; returns its address."""
+        if self._head_offset >= self.params.blocks_per_segment:
+            self._advance_head()
+        address = (
+            self._head_segment * self.params.blocks_per_segment
+            + self._head_offset
+        )
+        self._head_offset += 1
+        segment = self.segments[self._head_segment]
+        segment.live += 1
+        segment.sequence = self._bump()
+        self.owner[address] = (ino, lbn)
+        return address
+
+    def _advance_head(self) -> None:
+        """Seal the current segment and move to a clean one."""
+        if (
+            not self._cleaning
+            and self.clean_segments() <= self.params.clean_low_water
+        ):
+            self._clean()
+        for candidate in range(self.params.nsegments):
+            index = (self._head_segment + 1 + candidate) % self.params.nsegments
+            if self.segments[index].clean:
+                self.segments[index].clean = False
+                self.segments[index].sequence = self._bump()
+                self._head_segment = index
+                self._head_offset = 0
+                return
+        raise OutOfSpaceError("log is full: no clean segment available")
+
+    def _clean(self) -> None:
+        """Run the cleaner until the high water mark is restored."""
+        self._clean_to(self.params.clean_high_water)
+
+    def _clean_to(self, target: int) -> None:
+        """Clean until ``target`` clean segments are available."""
+        self.cleanings += 1
+        self._cleaning = True
+        try:
+            blocks_per_seg = self.params.blocks_per_segment
+            while self.clean_segments() < target:
+                victims = ref_choose_victims(
+                    self.segments,
+                    capacity=blocks_per_seg,
+                    policy=self.params.cleaner_policy,
+                    exclude=self._head_segment,
+                    count=1,
+                )
+                if not victims:
+                    return  # nothing cleanable (everything live or clean)
+                victim = victims[0]
+                base = victim.index * blocks_per_seg
+                live = [
+                    (address, self.owner[address])
+                    for address in range(base, base + blocks_per_seg)
+                    if address in self.owner
+                ]
+                # A fully live victim cannot net any space; cleaning it
+                # would spin forever.
+                if len(live) >= blocks_per_seg:
+                    return
+                for address, (ino, lbn) in live:
+                    self._kill(address)
+                    new_address = self._log_write(ino, lbn)
+                    self.inodes[ino].blocks[lbn] = new_address
+                    self.cleaner_blocks_copied += 1
+                    if self._idle_cleaning:
+                        self.background_copies += 1
+                    else:
+                        self.foreground_copies += 1
+                victim.clean = True
+                victim.live = 0
+        finally:
+            self._cleaning = False
+
+    def _kill(self, address: int) -> None:
+        owner = self.owner.pop(address, None)
+        if owner is None:
+            raise FileNotFoundSimError(f"block {address} has no live owner")
+        segment = self.segments[self.params.segment_of_block(address)]
+        segment.live -= 1
+
+    def _check_space(self, needed_blocks: int) -> None:
+        if needed_blocks <= 0:
+            return
+        if self.live_blocks() + needed_blocks > self.params.usable_blocks:
+            raise OutOfSpaceError(
+                f"allocating {needed_blocks} blocks would exceed the "
+                f"usable capacity"
+            )
+
+    def _bump(self) -> int:
+        self._sequence += 1
+        return self._sequence
+
+    def _live(self, ino: int) -> LfsInode:
+        try:
+            return self.inodes[ino]
+        except KeyError:
+            raise FileNotFoundSimError(f"inode {ino} is not live") from None
+
+
+class RefLfsReplayer:
+    """Replays an aging workload against a log-structured file system.
+
+    ``idle_clean_gap_days`` is the future-work knob: when the workload
+    goes quiet for at least that long (fractional days), the replayer
+    lets the cleaner run in the gap, so the copying is charged as
+    background work instead of stalling a later write at the low-water
+    mark.  ``None`` (the default) leaves cleaning purely on-demand.
+    """
+
+    def __init__(
+        self,
+        fs: RefLogStructuredFS,
+        label: str = "LFS",
+        idle_clean_gap_days: Optional[float] = None,
+    ) -> None:
+        self.fs = fs
+        self.label = label
+        self.idle_clean_gap_days = idle_clean_gap_days
+
+    def replay(
+        self, workload: Workload, sample_days: bool = True
+    ) -> ReplayResult:
+        """Apply every operation; returns a ReplayResult-like record.
+
+        Iterates the workload's columns, as the FFS replayer does.
+        """
+        result = ReplayResult(
+            fs=self.fs,  # type: ignore[arg-type]
+            timeline=Timeline(label=self.label),
+        )
+        fs = self.fs
+        gap = self.idle_clean_gap_days
+        dirs = workload.dir_table
+        live = result.live_files
+        current_day = 0
+        last_time = 0.0
+        ino: Optional[int]
+        for code, when, file_id, size, dir_id in zip(
+            workload.op, workload.time, workload.file_id, workload.size,
+            workload.dir_id,
+        ):
+            if gap is not None and when - last_time >= gap:
+                fs.idle_clean()
+            last_time = when
+            while sample_days and int(when) > current_day:
+                self._sample(result, current_day)
+                current_day += 1
+            if code == 0:  # create
+                try:
+                    ino = fs.create_file(dirs[dir_id], size, when=when)
+                except OutOfSpaceError:
+                    result.skipped_no_space += 1
+                    continue
+                live[file_id] = ino
+                result.creates += 1
+                result.bytes_written += size
+            elif code == 1:  # append
+                ino = live.get(file_id)
+                if ino is None:
+                    continue
+                try:
+                    fs.append(ino, size, when=when)
+                except OutOfSpaceError:
+                    result.skipped_no_space += 1
+                    continue
+                result.bytes_written += size
+            else:  # delete
+                ino = live.pop(file_id, None)
+                if ino is None:
+                    continue
+                fs.delete_file(ino, when=when)
+                result.deletes += 1
+            result.ops_applied += 1
+        if sample_days:
+            self._sample(result, current_day)
+        return result
+
+    def _sample(self, result: ReplayResult, day: int) -> None:
+        # LFS inodes offer the data_block_list() the scorer reads.
+        score = score_file_set(self.fs.files())  # type: ignore[arg-type]
+        result.timeline.add(
+            DailySample(
+                day=day,
+                layout_score=1.0 if score is None else score,
+                utilization=self.fs.utilization(),
+                live_files=len(self.fs.files()),
+                ops_applied=result.ops_applied,
+            )
+        )
+
+
+#: Eight-megabyte LFS with 128 KB segments: the cleaner runs within a
+#: few dozen writes and keeps running.
+CLEANER_HEAVY = LFSParams(
+    size_bytes=8 * MB, segment_bytes=128 * KB,
+    clean_low_water=3, clean_high_water=6,
+)
+
+
+def _lfs_state(fs):
+    """Every observable of an LFS, for exact comparison."""
+    return (
+        sorted(
+            (ino, n.size, n.ctime, n.mtime, list(n.blocks))
+            for ino, n in fs.inodes.items()
+        ),
+        sorted(fs.owner.items()),
+        [(g.index, g.live, g.sequence, g.clean) for g in fs.segments],
+        (fs._head_segment, fs._head_offset, fs._sequence, fs._next_ino),
+        (fs.user_blocks_written, fs.cleaner_blocks_copied, fs.cleanings,
+         fs.foreground_copies, fs.background_copies),
+        fs.clean_segments(),
+    )
+
+
+def _random_lfs_ops(rng, steps):
+    """A seeded ``(method, args)`` sequence over the LFS lifecycle API."""
+    sizes = [0, 1, 4 * KB, 8 * KB, 12 * KB, 56 * KB, 200 * KB]
+    ops = []
+    for step in range(steps):
+        roll = rng.random()
+        ino = rng.randrange(step // 3 + 1)  # sometimes not live
+        when = step / 10
+        if roll < 0.35:
+            ops.append(("create_file", (None, rng.choice(sizes), when)))
+        elif roll < 0.6:
+            ops.append(("append", (ino, rng.choice(sizes), when)))
+        elif roll < 0.7:
+            ops.append(("overwrite", (ino, when)))
+        elif roll < 0.78:
+            ops.append(("truncate", (ino, when)))
+        elif roll < 0.95:
+            ops.append(("delete_file", (ino, when)))
+        else:
+            ops.append(("idle_clean", (rng.choice([None, 4, 10]),)))
+    return ops
+
+
+def _lfs_step(fs, method, args):
+    """(result or exception type, state) after one call on ``fs``."""
+    try:
+        result = getattr(fs, method)(*args)
+    except (FileNotFoundSimError, InvalidRequestError,
+            OutOfSpaceError) as exc:
+        result = type(exc)
+    return result, _lfs_state(fs)
+
+
+@pytest.mark.parametrize("seed", [5, 1996, 20261017])
+@pytest.mark.parametrize("policy", ["greedy", "cost-benefit"])
+def test_lfs_differential(seed, policy):
+    params = dataclasses.replace(CLEANER_HEAVY, cleaner_policy=policy)
+    fast, ref = LogStructuredFS(params), RefLogStructuredFS(params)
+    ops = _random_lfs_ops(random.Random(seed), 600)
+    for step, (method, args) in enumerate(ops):
+        assert _lfs_step(fast, method, args) == _lfs_step(ref, method, args), (
+            f"step {step}: {method}{args!r}"
+        )
+        countable = fast.countable_pairs
+        score = fast.optimal_pairs / countable if countable else None
+        assert score == score_file_set(ref.files()), step  # type: ignore[arg-type]
+    assert ref.cleanings > 0 and ref.cleaner_blocks_copied > 0
+
+
+@pytest.mark.parametrize("policy", ["greedy", "cost-benefit"])
+@pytest.mark.parametrize("gap", [None, 0.02])
+def test_lfs_replay_differential(aging_artifacts, tiny_params, policy, gap):
+    workload = aging_artifacts.reconstructed
+    params = LFSParams(
+        size_bytes=tiny_params.actual_size_bytes, segment_bytes=128 * KB,
+        cleaner_policy=policy,
+    )
+    fast = LfsReplayer(LogStructuredFS(params), idle_clean_gap_days=gap)
+    ref = RefLfsReplayer(
+        RefLogStructuredFS(params), idle_clean_gap_days=gap
+    )
+    got, want = fast.replay(workload), ref.replay(workload)
+    assert got.timeline.samples == want.timeline.samples
+    assert len(want.timeline.samples) == workload.days()
+    assert _lfs_state(fast.fs) == _lfs_state(ref.fs)
+    assert (got.creates, got.deletes, got.ops_applied, got.skipped_no_space,
+            got.bytes_written, got.live_files) == (
+        want.creates, want.deletes, want.ops_applied, want.skipped_no_space,
+        want.bytes_written, want.live_files)
+    assert ref.fs.cleaner_blocks_copied > 0
+    if gap is not None:
+        assert ref.fs.background_copies > 0

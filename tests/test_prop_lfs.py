@@ -37,6 +37,21 @@ class LfsMachine(RuleBasedStateMachine):
             return
         self.shadow[ino] = size
 
+    @rule(size=SIZES, n=st.integers(4, 60))
+    def burst(self, size, n):
+        """Write ``n`` files and delete every other one, leaving
+        half-live segments for the cleaner to copy from."""
+        inos = []
+        for _ in range(n):
+            try:
+                inos.append(self.fs.create_file(None, size))
+            except OutOfSpaceError:
+                break
+        for ino in inos[::2]:
+            self.fs.delete_file(ino)
+        for ino in inos[1::2]:
+            self.shadow[ino] = size
+
     @precondition(lambda self: self.shadow)
     @rule(data=st.data(), extra=SIZES)
     def append(self, data, extra):
