@@ -55,41 +55,30 @@ class AllocPolicy:
         search starts in the inode's current allocation group and rehashes
         across groups only when that group is completely full.
         """
-
-        if self._m is None and self._e is None:
-            # Telemetry-off fast path: attempt the home group inline
-            # (no closure built, no rehash order) — it succeeds on the
-            # overwhelming majority of allocations.
-            cg = self.sb.cgs[inode.alloc_cg]
-            try:
-                return cg.alloc_block(
-                    pref if pref is not None and cg.owns_block(pref) else None
-                )
-            except OutOfSpaceError:
-                pass
-
-        def attempt(cg: CylinderGroup) -> Optional[int]:
-            try:
-                local_pref = pref if pref is not None and cg.owns_block(pref) else None
-                return cg.alloc_block(local_pref)
-            except OutOfSpaceError:
-                return None
-
-        if self._m is None and self._e is None:
-            return self.sb.hashalloc(inode.alloc_cg, attempt)
-        groups_tried = 0
-
-        def counted(cg: CylinderGroup) -> Optional[int]:
-            nonlocal groups_tried
-            groups_tried += 1
-            return attempt(cg)
-
+        # The home group is tried inline (no closure, no rehash order):
+        # it succeeds on the overwhelming majority of allocations.
         home_cg = inode.alloc_cg
-        block = self.sb.hashalloc(home_cg, counted)
-        if self._m is not None:
-            self._c_data.inc()
-        if groups_tried > 1:
-            # The preferred group was full: ffs_hashalloc rehashed.
+        cg = self.sb.cgs[home_cg]
+        try:
+            block = cg.alloc_block(
+                pref if pref is not None and cg.owns_block(pref) else None
+            )
+        except OutOfSpaceError:
+            groups_tried = 0
+
+            def attempt(cg: CylinderGroup) -> Optional[int]:
+                nonlocal groups_tried
+                groups_tried += 1
+                try:
+                    return cg.alloc_block(
+                        pref if pref is not None and cg.owns_block(pref) else None
+                    )
+                except OutOfSpaceError:
+                    return None
+
+            # The home group is full (its retry in ``hashalloc`` fails
+            # too), so whatever block this finds is a rehash fallback.
+            block = self.sb.hashalloc(home_cg, attempt)
             if self._m is not None:
                 self._c_fallback.inc()
             if self._e is not None:
@@ -101,6 +90,8 @@ class AllocPolicy:
                     to_cg=self.params.cg_of_block(block),
                     groups_tried=groups_tried,
                 )
+        if self._m is not None:
+            self._c_data.inc()
         return block
 
     def alloc_data_run(self, inode: Inode, pref: int, want: int) -> int:
@@ -110,14 +101,12 @@ class AllocPolicy:
         when the file's home group owns ``pref`` and has a free run
         starting there, one cluster allocation replaces up to ``want``
         per-block policy calls with identical resulting state — the same
-        blocks are taken in the same order and the group rotor ends at
-        the same place.  Returns the number of blocks taken; 0 tells the
-        caller to fall back to block-at-a-time allocation (which every
-        policy must still support).  Only active on the telemetry-off
-        fast path so per-block counters and events stay exact.
+        blocks are taken in the same order, the group rotor ends at the
+        same place, and ``data_blocks`` counts the same total.  Returns
+        the number of blocks taken; 0 tells the caller to fall back to
+        block-at-a-time allocation (which every policy must still
+        support).
         """
-        if self._m is not None or self._e is not None:
-            return 0
         cg = self.sb.cgs[inode.alloc_cg]
         if not cg.owns_block(pref):
             return 0
@@ -126,6 +115,8 @@ class AllocPolicy:
             return 0
         take = min(run, want)
         cg.alloc_cluster(pref, take)
+        if self._m is not None:
+            self._c_data.inc(take)
         return take
 
     def alloc_indirect_block(self, inode: Inode) -> int:
@@ -156,28 +147,26 @@ class AllocPolicy:
         self, inode: Inode, nfrags: int, pref: Optional[Tuple[int, int]]
     ) -> Tuple[int, int]:
         """Allocate a file tail of ``nfrags`` fragments."""
-        if self._m is None:
-            # Same home-group fast path as data blocks: tails almost
-            # always land in the file's current allocation group.
-            cg = self.sb.cgs[inode.alloc_cg]
-            try:
-                return cg.alloc_frags(
-                    nfrags,
-                    pref if pref is not None and cg.owns_block(pref[0]) else None,
-                )
-            except OutOfSpaceError:
-                pass
+        # Same home-group-first shape as data blocks: tails almost
+        # always land in the file's current allocation group.
+        cg = self.sb.cgs[inode.alloc_cg]
+        try:
+            frags = cg.alloc_frags(
+                nfrags,
+                pref if pref is not None and cg.owns_block(pref[0]) else None,
+            )
+        except OutOfSpaceError:
 
-        def attempt(cg: CylinderGroup) -> Optional[Tuple[int, int]]:
-            try:
-                local_pref = (
-                    pref if pref is not None and cg.owns_block(pref[0]) else None
-                )
-                return cg.alloc_frags(nfrags, local_pref)
-            except OutOfSpaceError:
-                return None
+            def attempt(cg: CylinderGroup) -> Optional[Tuple[int, int]]:
+                try:
+                    return cg.alloc_frags(
+                        nfrags,
+                        pref if pref is not None and cg.owns_block(pref[0]) else None,
+                    )
+                except OutOfSpaceError:
+                    return None
 
-        frags = self.sb.hashalloc(inode.alloc_cg, attempt)
+            frags = self.sb.hashalloc(inode.alloc_cg, attempt)
         if self._m is not None:
             self._c_tails.inc()
         return frags

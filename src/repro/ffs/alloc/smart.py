@@ -60,7 +60,10 @@ class SmartFallbackPolicy(AllocPolicy):
             except OutOfSpaceError:
                 return None
 
-        return self.sb.hashalloc(inode.alloc_cg, attempt)
+        block = self.sb.hashalloc(inode.alloc_cg, attempt)
+        if self._m is not None:
+            self._c_data.inc()
+        return block
 
     def _remaining_blocks(self, inode: Inode) -> int:
         """Full blocks of the file still unallocated (the size is on the

@@ -23,7 +23,6 @@ carried for the aging analysis.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import (
@@ -84,22 +83,18 @@ class FileSystem:
         of bitmap bytes and block addresses dominated their wall time.
         Each layer knows its own columns, so the whole graph copies with
         bulk container operations; only the immutable ``params`` is
-        shared.  Falls back to the generic walk when telemetry handles
-        are live, since those are part of the policy's object graph.
+        shared.  The policy's attributes are copied one level deep: its
+        plain-int tallies copy by value, and its telemetry handles are
+        shared, so a copy credits the same registry and event log as the
+        original (those of the session live when the original was built).
         """
         policy = self.policy
-        if policy._m is not None or policy._e is not None:
-            twin = FileSystem.__new__(FileSystem)
-            memo[id(self)] = twin
-            for key, value in self.__dict__.items():
-                setattr(twin, key, copy.deepcopy(value, memo))
-            return twin
         twin = FileSystem.__new__(FileSystem)
         memo[id(self)] = twin
         twin.params = self.params
         twin.sb = self.sb.clone()
         pol = type(policy).__new__(type(policy))
-        pol.__dict__.update(policy.__dict__)  # counters are plain ints
+        pol.__dict__.update(policy.__dict__)
         pol.sb = twin.sb
         twin.policy = pol
         twin.enforce_reserve = self.enforce_reserve

@@ -12,8 +12,11 @@ Three primitives, one switch:
 Telemetry is **disabled by default** and the disabled path is a no-op
 fast path: instrumented code asks :func:`metrics_or_none` /
 :func:`tracer_or_none` once (usually at construction) and skips its
-telemetry blocks entirely when they return ``None``, so the simulator's
-results and tier-1 benchmark numbers are bit-identical either way.
+telemetry blocks entirely when they return ``None``.  Telemetry never
+selects a simulator code path: the same code runs with a session live
+or not, and the handles only guard what gets recorded, so the
+simulator's results and tier-1 benchmark numbers are bit-identical
+either way.
 
 The registry/tracer pair is process-wide but *injectable*: tests and
 embedders can pass their own instances to :func:`enable` (or use the

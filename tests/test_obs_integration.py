@@ -6,6 +6,7 @@ The load-bearing guarantee is at the top: with telemetry disabled
 bit-identical to the seed implementation.
 """
 
+import copy
 import json
 
 import pytest
@@ -16,8 +17,23 @@ from repro.aging.replay import age_file_system
 from repro.analysis.report import render_disk_stats
 from repro.cli import main
 from repro.disk.model import DiskModel, DiskStats, IOKind
+from repro.experiments.config import aging_config, get_preset
+from repro.ffs.alloc import POLICIES
+from repro.ffs.filesystem import FileSystem
 from repro.ffs.params import scaled_params
+from repro.obs import events as obs_events
 from repro.units import KB, MB
+
+
+#: A 16 MB file system aged 20 days: full enough that the home group
+#: runs out and ``ffs_hashalloc`` rehashes (``alloc_fallback`` events).
+SQUEEZED_PARAMS = scaled_params(16 * MB)
+SQUEEZED_CONFIG = AgingConfig(params=SQUEEZED_PARAMS, days=20, seed=1996)
+
+
+@pytest.fixture(scope="module")
+def squeezed():
+    return SQUEEZED_PARAMS, build_workloads(SQUEEZED_CONFIG)
 
 
 def _exercise(model):
@@ -53,19 +69,23 @@ class TestNoopPathBitIdentical:
             _exercise(model_on)
         assert model_off.stats.to_dict() == model_on.stats.to_dict()
 
-    def test_replay_identical_disabled_vs_enabled(self):
-        params = scaled_params(24 * MB)
-        workloads = build_workloads(AgingConfig(params=params, days=3, seed=7))
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_replay_identical_disabled_vs_enabled(self, squeezed, policy):
+        """Telemetry never selects allocator code: every policy places
+        every block, tail and indirect block the same traced or not."""
+        params, workloads = squeezed
         plain = age_file_system(workloads.reconstructed, params=params,
-                                policy="realloc")
-        with obs.session():
+                                policy=policy)
+        with obs.session(events=obs.EventLog()):
             traced = age_file_system(workloads.reconstructed, params=params,
-                                     policy="realloc")
+                                     policy=policy)
         assert plain.timeline.final_score() == traced.timeline.final_score()
         assert plain.creates == traced.creates
-        assert [i.blocks for i in plain.fs.files()] == [
-            i.blocks for i in traced.fs.files()
-        ]
+        assert _layout(plain.fs) == _layout(traced.fs)
+
+
+def _layout(fs):
+    return [(i.ino, i.blocks, i.tail, i.indirect_blocks) for i in fs.files()]
 
 
 class TestDiskStatsFacade:
@@ -104,6 +124,126 @@ class TestDiskStatsFacade:
             assert second.stats.reads == 0
             first.reset()
             assert first.stats.writes == 0
+
+
+def _aged_telemetry(params, workload, policy):
+    """Age ``workload`` under a session with an event log; return the
+    allocator counters and the ``alloc_fallback`` payloads."""
+    log = obs.EventLog()
+    with obs.session(events=log) as (registry, _tracer):
+        age_file_system(workload, params=params, policy=policy)
+    counters = {
+        name: data["value"]
+        for name, data in registry.snapshot().items()
+        if name.startswith(("alloc.", "realloc.")) and data["type"] == "counter"
+    }
+    fallbacks = log.by_type(obs_events.ALLOC_FALLBACK)
+    assert {row["policy"] for row in fallbacks} <= {policy}
+    return counters, [
+        (row["ino"], row["from_cg"], row["to_cg"], row["groups_tried"])
+        for row in fallbacks
+    ]
+
+
+def _fallbacks(*inos):
+    """Rehashes from group 1 that found space in group 0, second try."""
+    return [(ino, 1, 0, 2) for ino in inos]
+
+
+#: Allocator counters and fallback payloads of a traced aging, recorded
+#: when traced runs still allocated one block per policy call.  The
+#: batched path must count exactly what that path counted.
+GOLDEN_ALLOC_TELEMETRY = {
+    ("tiny", "ffs"): ({
+        "alloc.ffs.data_blocks": 4172,
+        "alloc.ffs.fallbacks": 0,
+        "alloc.ffs.indirect_blocks": 76,
+        "alloc.ffs.tail_allocs": 1420,
+        "alloc.ffs.windows_fragmented": 69,
+        "alloc.ffs.windows_seen": 382,
+    }, []),
+    ("tiny", "realloc"): ({
+        "alloc.realloc.data_blocks": 4172,
+        "alloc.realloc.fallbacks": 0,
+        "alloc.realloc.indirect_blocks": 76,
+        "alloc.realloc.tail_allocs": 1420,
+        "realloc.attempts": 177,
+        "realloc.blocks_moved": 738,
+        "realloc.failures": 19,
+        "realloc.relocations": 158,
+    }, []),
+    ("squeezed", "ffs"): ({
+        "alloc.ffs.data_blocks": 3618,
+        "alloc.ffs.fallbacks": 30,
+        "alloc.ffs.indirect_blocks": 62,
+        "alloc.ffs.tail_allocs": 938,
+        "alloc.ffs.windows_fragmented": 86,
+        "alloc.ffs.windows_seen": 392,
+    }, _fallbacks(
+        117, 654, 654, 657, 657, 655, 658, 660, 661, 653, 661, 662, 663,
+        665, 659, 666, 668, 666, 669, 676, 671, 674, 676, 677, 679, 681,
+        683, 684, 686, 687,
+    )),
+    ("squeezed", "realloc"): ({
+        "alloc.realloc.data_blocks": 3618,
+        "alloc.realloc.fallbacks": 30,
+        "alloc.realloc.indirect_blocks": 62,
+        "alloc.realloc.tail_allocs": 938,
+        "realloc.attempts": 127,
+        "realloc.blocks_moved": 560,
+        "realloc.failures": 26,
+        "realloc.relocations": 101,
+    }, _fallbacks(
+        117, 654, 654, 657, 657, 655, 658, 660, 661, 653, 661, 662, 663,
+        665, 659, 666, 668, 666, 669, 676, 671, 674, 676, 671, 672, 679,
+        681, 683, 684, 686,
+    )),
+}
+
+
+class TestAllocatorTelemetryGolden:
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return get_preset("tiny").params, build_workloads(aging_config("tiny"))
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ALLOC_TELEMETRY), ids="-".join)
+    def test_counters_and_fallback_payloads(self, request, case):
+        params, workloads = request.getfixturevalue(case[0])
+        assert _aged_telemetry(params, workloads.reconstructed, case[1]) == \
+            GOLDEN_ALLOC_TELEMETRY[case]
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_data_blocks_counts_batched_and_single_blocks(self, policy):
+        """The first block of a file is allocated alone and the rest of
+        its window as one run; the counter sees all of them."""
+        with obs.session() as (registry, _tracer):
+            fs = FileSystem(scaled_params(24 * MB), policy=policy)
+            fs.create_file(fs.make_directory("d"), 56 * KB)
+        assert len(fs.files()[0].blocks) == 7
+        assert registry.snapshot()[f"alloc.{policy}.data_blocks"]["value"] == 7
+
+
+class TestCopyUnderSession:
+    def test_copy_shares_handles_and_credits_the_live_registry(self):
+        with obs.session(events=obs.EventLog()) as (registry, _tracer):
+            fs = FileSystem(scaled_params(24 * MB), policy="realloc")
+            d = fs.make_directory("d")
+            twin = copy.deepcopy(fs)
+            assert twin.policy._m is fs.policy._m is registry
+            assert twin.policy._e is fs.policy._e is not None
+            # Shred the twin's rotor area so the new file's blocks land
+            # scattered and realloc has a fragmented window to gather.
+            cg = twin.sb.cgs[d.cg]
+            taken = [cg.alloc_block() for _ in range(40)]
+            for block in taken[::2]:
+                cg.free_block(block)
+            cg.rotor = taken[0] - cg.base
+            twin.create_file(d, 56 * KB)
+            snapshot = registry.snapshot()
+        assert snapshot["alloc.realloc.data_blocks"]["value"] == 7
+        assert snapshot["realloc.attempts"]["value"] >= 1
+        assert twin.policy.relocation_attempts >= 1
+        assert fs.policy.relocation_attempts == 0  # tallies copy by value
 
 
 class TestReplayAndAllocatorTelemetry:
