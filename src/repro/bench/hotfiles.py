@@ -13,6 +13,7 @@ aggregate layout score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 from repro.analysis.layout import score_file_set
@@ -20,7 +21,7 @@ from repro.bench.iomodel import FileIOPricer
 from repro.bench.timing import BenchmarkRunner, Measurement
 from repro.disk.geometry import DiskGeometry
 from repro.ffs.filesystem import FileSystem
-from repro.storage import make_storage
+from repro.storage import DEFAULT_BACKEND, make_storage
 from repro.ffs.inode import Inode
 
 
@@ -56,11 +57,13 @@ class HotFileBenchmark:
         window_days: float = 30.0,
         runner: Optional[BenchmarkRunner] = None,
         geometry: Optional[DiskGeometry] = None,
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.fs = fs
         self.window_days = window_days
         self.runner = runner if runner is not None else BenchmarkRunner()
         self.geometry = geometry if geometry is not None else DiskGeometry()
+        self.backend = backend
 
     def hot_files(self) -> List[Inode]:
         """The hot set: files modified in the last ``window_days``,
@@ -78,9 +81,10 @@ class HotFileBenchmark:
         hot = self.hot_files()
         all_files = self.fs.files()
         hot_bytes = sum(i.size for i in hot)
+        device = partial(make_storage, self.geometry, backend=self.backend)
 
         def timed_read(angle: float) -> float:
-            disk = make_storage(self.geometry, initial_angle=angle)
+            disk = device(initial_angle=angle)
             pricer = FileIOPricer(self.fs, disk)
             for inode in hot:
                 pricer.read_directory(self.fs.directory_of(inode.ino).name)
@@ -89,7 +93,7 @@ class HotFileBenchmark:
             return hot_bytes / (disk.now_ms / 1000.0)
 
         def timed_write(angle: float) -> float:
-            disk = make_storage(self.geometry, initial_angle=angle)
+            disk = device(initial_angle=angle)
             pricer = FileIOPricer(self.fs, disk)
             for inode in hot:
                 pricer.write_file_data(inode)

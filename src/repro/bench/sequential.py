@@ -18,6 +18,7 @@ initial platter angles by a :class:`~repro.bench.timing.BenchmarkRunner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Set
 
 from repro.analysis.layout import score_file_set
@@ -27,7 +28,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.model import IOKind
 from repro.errors import InvalidRequestError
 from repro.ffs.filesystem import FileSystem
-from repro.storage import make_storage
+from repro.storage import DEFAULT_BACKEND, make_storage
 from repro.units import MB
 
 
@@ -60,6 +61,7 @@ class SequentialIOBenchmark:
         files_per_dir: int = 25,
         runner: Optional[BenchmarkRunner] = None,
         geometry: Optional[DiskGeometry] = None,
+        backend: str = DEFAULT_BACKEND,
         dir_prefix: str = "seqbench",
     ):
         self.fs = fs
@@ -67,6 +69,7 @@ class SequentialIOBenchmark:
         self.files_per_dir = files_per_dir
         self.runner = runner if runner is not None else BenchmarkRunner()
         self.geometry = geometry if geometry is not None else DiskGeometry()
+        self.backend = backend
         self.dir_prefix = dir_prefix
 
     def run(self, file_size: int) -> SequentialResult:
@@ -84,7 +87,8 @@ class SequentialIOBenchmark:
         # only disk-model arithmetic.
         params = self.fs.params
         block_size = params.block_size
-        probe = FileIOPricer(self.fs, make_storage(self.geometry))
+        device = partial(make_storage, self.geometry, backend=self.backend)
+        probe = FileIOPricer(self.fs, device())
         plan = []  # (inode_block, dir_block, read_inode_block?, extents)
         warm: Set[int] = set()
         for ino in inos:
@@ -105,7 +109,7 @@ class SequentialIOBenchmark:
             plan.append((inode_block, dir_block, read_block, extents))
 
         def timed_write(angle: float) -> float:
-            disk = make_storage(self.geometry, initial_angle=angle)
+            disk = device(initial_angle=angle)
             sync_write = disk.synchronous_metadata_write
             transfer = disk.transfer_extents
             for inode_block, dir_block, _read_block, extents in plan:
@@ -115,7 +119,7 @@ class SequentialIOBenchmark:
             return data_bytes / (disk.now_ms / 1000.0)
 
         def timed_read(angle: float) -> float:
-            disk = make_storage(self.geometry, initial_angle=angle)
+            disk = device(initial_angle=angle)
             access = disk.access
             transfer = disk.transfer_extents
             for _inode_block, _dir_block, read_block, extents in plan:

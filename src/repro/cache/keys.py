@@ -51,7 +51,6 @@ def replay_key(
     policy: str,
     label: str,
     faults: "Dict[str, object] | None" = None,
-    backend: str = "disk",
 ) -> CacheKey:
     """Key for one aged file system (a ``ReplayResult``).
 
@@ -65,13 +64,8 @@ def replay_key(
     digest, so a cached no-fault aging can never be served for a faulted
     request (or vice versa).
 
-    ``backend`` is the storage backend the run selected
-    (:func:`repro.storage.current_backend`).  The aged *layout* is
-    backend-independent, but the artifact belongs to the run
-    configuration that produced it, so a ``--backend ssd`` run keeps
-    its own cache lineage instead of silently aliasing the disk one.
-    (Adding the field re-digests every key once; pre-existing entries
-    simply miss and recompute, as any format bump does.)
+    The storage backend is deliberately absent: aging never touches the
+    device, so disk and flash runs share one aged file system.
     """
     return make_key(
         f"aged-{preset_name}-{workload}-{policy}",
@@ -82,5 +76,4 @@ def replay_key(
         policy=policy,
         label=label,
         faults=faults,
-        backend=backend,
     )

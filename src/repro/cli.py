@@ -7,15 +7,22 @@ Subcommands:
 * ``workload``   — generate the aging workload and write it to a file
   (the paper made its workload downloadable; this is ours).
 * ``experiment`` — run one experiment (``table1``, ``fig1`` ... ``fig6``,
-  ``table2``) or ``all``, and print the paper-style tables/charts.
+  ``table2``, the extensions) or ``all``, and print the paper-style
+  tables/charts.
 * ``freespace``  — age a file system and report its free-space
   fragmentation statistics (``--json`` for machine-readable output).
+* ``ablation``   — run a design-choice ablation study (``maxcontig``,
+  ``cluster-fit``, ``trigger``, ``indirect``, ``fallback``, or ``all``).
+* ``profiles``   — compare aging under different usage-pattern
+  workloads.
 * ``stats``      — render a captured ``--metrics`` manifest as
   paper-style tables.
 * ``cache``      — inspect (``ls``) or drop (``clear``) the persistent
   artifact cache that makes warm reruns fast.
 * ``report``     — join a run's telemetry artifacts (manifest + event
   log + trace) into one self-contained offline HTML page.
+* ``inspect``    — block-placement maps and fragmentation profile of a
+  saved image, or of a file system aged in place.
 * ``fsck``       — verify a saved image's invariants, or ``--repair`` a
   damaged one back to a verified-clean state (see :mod:`repro.fsck`).
 * ``chaos``      — crash aging replays at seeded points, repair the
@@ -28,21 +35,25 @@ Subcommands:
 * ``history``    — list the run registry (``--record``), filtered by
   ``--command``/``--policy``/``--limit``; ``--drift`` fits per-policy
   trend lines over the archived summaries and flags metric drift.
+* ``lint``       — run replint, the repo-aware static-analysis pass.
 
-Every subcommand takes ``--preset tiny|small|paper`` (default small)
-plus the telemetry flags ``--metrics FILE`` (write a JSON run manifest:
-config + environment + metrics), ``--trace FILE`` (write the span
-trace as JSONL), ``--events FILE`` (write the typed event log as
+The subcommands that age or generate (``age``, ``workload``,
+``experiment``, ``freespace``, ``ablation``, ``profiles``, ``inspect``,
+``chaos``) take ``--preset tiny|small|paper`` (default small) and
+``--no-cache`` / ``--cache-dir DIR`` to control the persistent artifact
+cache (see :mod:`repro.cache`); ``cache`` takes the cache flags too.
+Every subcommand except ``report``, ``history``, ``diff`` and ``lint``
+takes the telemetry flags ``--metrics FILE`` (write a JSON run
+manifest: config + environment + metrics), ``--trace FILE`` (write the
+span trace as JSONL), ``--events FILE`` (write the typed event log as
 JSONL), and ``--profile`` (per-phase cProfile attribution, folded into
 the manifest and printed to stderr).  Telemetry is off — a no-op —
-unless one of those flags is given.  Subcommands that age file systems
-also take ``--no-cache`` / ``--cache-dir DIR`` to control the
-persistent artifact cache (see :mod:`repro.cache`), and ``experiment
-all`` takes ``--jobs N`` to fan the suite across worker processes.
-``experiment``, ``chaos``, and ``inspect`` take ``--backend disk|ssd``
-to price I/O on the rotating disk (default) or the FTL-backed flash
-substrate (see :mod:`repro.ssd`); the selection joins the run manifest
-and the cache key lineage.
+unless one of those flags is given.  ``experiment all`` and ``chaos``
+take ``--jobs N`` to fan work across worker processes.
+``experiment`` and ``chaos`` take ``--backend disk|ssd`` to price I/O
+on the rotating disk (default) or the FTL-backed flash substrate (see
+:mod:`repro.ssd`); the name is passed down as an argument and recorded
+in the run manifest.
 
 Wall-clock timing of the reproduction itself is not a subcommand: the
 repository benchmark lives in ``perfbench/`` (see its README).
@@ -92,7 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         enabled=False if getattr(args, "no_cache", False) else None,
         directory=getattr(args, "cache_dir", None),
     )
-    storage.configure(getattr(args, "backend", None))
     wants_telemetry = (
         getattr(args, "metrics", None)
         or getattr(args, "trace", None)
@@ -580,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for sub_parser in (p_age, p_wl, p_exp, p_free, p_abl, p_prof,
                        p_cache, p_chaos, p_insp):
         _add_cache_flags(sub_parser)
-    for sub_parser in (p_exp, p_chaos, p_insp):
+    for sub_parser in (p_exp, p_chaos):
         _add_backend(sub_parser)
     return parser
 
@@ -778,6 +788,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=max(1, args.jobs),
         max_write=args.max_write,
+        backend=args.backend,
     )
     if getattr(args, "as_json", False):
         from repro.obs.export import write_json
@@ -820,7 +831,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         jobs = max(1, getattr(args, "jobs", 1))
         times = {}
         first = True
-        for name, text, elapsed in iter_all_rendered(args.preset, jobs=jobs):
+        for name, text, elapsed in iter_all_rendered(
+            args.preset, jobs, args.backend
+        ):
             if not first:
                 print(flush=True)
             print(experiment_header(name, args.preset), flush=True)
@@ -833,7 +846,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if getattr(args, "slowest", False):
             print(f"[obs] {slowest_summary(times)}", file=sys.stderr, flush=True)
         return 0
-    result, elapsed = run_one_timed(args.name, args.preset)
+    result, elapsed = run_one_timed(args.name, args.preset, args.backend)
     args._timings = {args.name: elapsed}
     print(result.render())  # type: ignore[attr-defined]
     print(f"[obs] {args.name}: {elapsed:.1f}s", file=sys.stderr, flush=True)

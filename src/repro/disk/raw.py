@@ -21,14 +21,14 @@ from repro.disk.model import IOKind
 def _raw_throughput(
     kind: IOKind,
     total_bytes: int,
-    geometry: "DiskGeometry | None" = None,
-    start_byte: int = 0,
-    initial_angle: float = 0.0,
+    geometry: "DiskGeometry | None",
+    initial_angle: float,
+    backend: str,
 ) -> float:
     geometry = geometry if geometry is not None else DiskGeometry()
-    model = storage.make_storage(geometry, initial_angle=initial_angle)
+    model = storage.make_storage(geometry, initial_angle, backend=backend)
     chunk = geometry.max_transfer_bytes
-    offset = start_byte
+    offset = 0
     remaining = total_bytes
     while remaining > 0:
         take = min(chunk, remaining)
@@ -43,15 +43,21 @@ def raw_read_throughput(
     total_bytes: int,
     geometry: "DiskGeometry | None" = None,
     initial_angle: float = 0.0,
+    backend: str = storage.DEFAULT_BACKEND,
 ) -> float:
     """Sequential raw-read throughput in bytes/second."""
-    return _raw_throughput(IOKind.READ, total_bytes, geometry, 0, initial_angle)
+    return _raw_throughput(
+        IOKind.READ, total_bytes, geometry, initial_angle, backend
+    )
 
 
 def raw_write_throughput(
     total_bytes: int,
     geometry: "DiskGeometry | None" = None,
     initial_angle: float = 0.0,
+    backend: str = storage.DEFAULT_BACKEND,
 ) -> float:
     """Sequential raw-write throughput in bytes/second."""
-    return _raw_throughput(IOKind.WRITE, total_bytes, geometry, 0, initial_angle)
+    return _raw_throughput(
+        IOKind.WRITE, total_bytes, geometry, initial_angle, backend
+    )

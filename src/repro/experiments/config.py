@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from repro import cache, storage
+from repro import cache
 from repro.aging.generator import AgingConfig, AgingArtifacts, build_workloads
 from repro.aging.replay import ReplayResult, age_file_system
 from repro.ffs.filesystem import FileSystem
@@ -132,12 +132,7 @@ def _replayed(
     key = None
     if store is not None:
         key = cache.replay_key(
-            preset_name,
-            aging_config(preset_name),
-            workload,
-            policy,
-            label,
-            backend=storage.current_backend(),
+            preset_name, aging_config(preset_name), workload, policy, label
         )
         cached = store.load_replay(key)
         if cached is not None:

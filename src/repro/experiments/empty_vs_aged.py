@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List
 
 from repro.analysis.report import render_table
@@ -22,6 +22,7 @@ from repro.bench.sequential import SequentialIOBenchmark
 from repro.bench.timing import BenchmarkRunner
 from repro.experiments.config import aged_fs_copy, get_preset
 from repro.ffs.filesystem import FileSystem
+from repro.storage import DEFAULT_BACKEND
 from repro.units import KB, MB
 
 
@@ -77,7 +78,7 @@ class EmptyVsAgedResult:
 
 
 @lru_cache(maxsize=None)
-def run(preset: str = "small") -> EmptyVsAgedResult:
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> EmptyVsAgedResult:
     """Benchmark empty and aged file systems under both policies."""
     p = get_preset(preset)
     sizes = [
@@ -85,18 +86,18 @@ def run(preset: str = "small") -> EmptyVsAgedResult:
         if s <= p.bench_total_bytes
     ]
     runner = BenchmarkRunner(p.bench_repetitions)
+    bench = partial(
+        SequentialIOBenchmark, total_bytes=p.bench_total_bytes, runner=runner,
+        backend=backend,
+    )
     throughput: Dict[str, Dict[int, "tuple[float, float]"]] = {}
     for policy in ("ffs", "realloc"):
         throughput[policy] = {}
         for size in sizes:
             empty_fs = FileSystem(p.params, policy=policy)
-            empty = SequentialIOBenchmark(
-                empty_fs, total_bytes=p.bench_total_bytes, runner=runner
-            ).run(size)
+            empty = bench(empty_fs).run(size)
             aged_fs = aged_fs_copy(preset, policy)
-            aged = SequentialIOBenchmark(
-                aged_fs, total_bytes=p.bench_total_bytes, runner=runner
-            ).run(size)
+            aged = bench(aged_fs).run(size)
             throughput[policy][size] = (
                 empty.read_throughput.mean,
                 aged.read_throughput.mean,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.analysis.report import render_chart, render_csv
 from repro.analysis.timeline import Timeline
 from repro.experiments.config import aged, aged_real
+from repro.storage import DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class Fig1Result:
         return chart + summary
 
 
-def run(preset: str = "small") -> Fig1Result:
-    """Build both curves for ``preset``."""
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig1Result:
+    """Build both curves for ``preset`` (layout only: ``backend`` is unused)."""
     return Fig1Result(
         real=aged_real(preset).timeline,
         simulated=aged(preset, "ffs").timeline,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.analysis.report import render_chart, render_csv
 from repro.analysis.timeline import Timeline
 from repro.experiments.config import aged
+from repro.storage import DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class Fig2Result:
         return chart + summary
 
 
-def run(preset: str = "small") -> Fig2Result:
-    """Age under both policies and collect the curves."""
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig2Result:
+    """Age under both policies and collect the curves (``backend`` is unused)."""
     return Fig2Result(
         ffs=aged(preset, "ffs").timeline,
         realloc=aged(preset, "realloc").timeline,

@@ -24,6 +24,7 @@ from repro.analysis.layout import (
 )
 from repro.analysis.report import render_chart, render_csv, render_table
 from repro.experiments.config import aged, get_preset
+from repro.storage import DEFAULT_BACKEND
 from repro.units import KB
 
 
@@ -77,8 +78,8 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.3f}" if value is not None else "--"
 
 
-def run(preset: str = "small") -> Fig3Result:
-    """Score the aged file populations by size."""
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig3Result:
+    """Score the aged file populations by size (``backend`` is unused)."""
     p = get_preset(preset)
     largest = max(
         (inode.size for inode in aged(preset, "ffs").fs.files()),

@@ -25,6 +25,7 @@ from repro.bench.sequential import SequentialIOBenchmark, SequentialResult
 from repro.bench.timing import BenchmarkRunner
 from repro.disk.raw import raw_read_throughput, raw_write_throughput
 from repro.experiments.config import aged_fs_copy, get_preset
+from repro.storage import DEFAULT_BACKEND
 from repro.units import KB, MB
 
 
@@ -114,7 +115,7 @@ class Fig4Result:
 
 
 @lru_cache(maxsize=None)
-def run(preset: str = "small") -> Fig4Result:
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig4Result:
     """Run the sweep on private copies of both aged file systems."""
     p = get_preset(preset)
     runner = BenchmarkRunner(p.bench_repetitions)
@@ -124,12 +125,13 @@ def run(preset: str = "small") -> Fig4Result:
         for size in sizes:
             fs = aged_fs_copy(preset, policy)
             bench = SequentialIOBenchmark(
-                fs, total_bytes=p.bench_total_bytes, runner=runner
+                fs, total_bytes=p.bench_total_bytes, runner=runner,
+                backend=backend,
             )
             results[policy][size] = bench.run(size)
     return Fig4Result(
         sizes=sizes,
         results=results,
-        raw_read=raw_read_throughput(p.bench_total_bytes),
-        raw_write=raw_write_throughput(p.bench_total_bytes),
+        raw_read=raw_read_throughput(p.bench_total_bytes, backend=backend),
+        raw_write=raw_write_throughput(p.bench_total_bytes, backend=backend),
     )

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from repro.analysis.report import render_chart, render_csv, render_table
 from repro.experiments.config import get_preset
 from repro.experiments import fig4
+from repro.storage import DEFAULT_BACKEND
 from repro.units import KB
 
 
@@ -60,9 +61,9 @@ def _fmt(value: Optional[float]) -> str:
 
 
 @lru_cache(maxsize=None)
-def run(preset: str = "small") -> Fig5Result:
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig5Result:
     """Collect the layout scores from the Figure 4 run (shared work)."""
-    f4 = fig4.run(preset)
+    f4 = fig4.run(preset, backend)
     return Fig5Result(
         sizes=f4.sizes,
         ffs={s: f4.results["ffs"][s].layout_score for s in f4.sizes},

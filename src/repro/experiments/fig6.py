@@ -19,6 +19,7 @@ from repro.analysis.report import render_chart
 from repro.bench.hotfiles import HotFileBenchmark
 from repro.experiments import fig5
 from repro.experiments.config import aged, get_preset
+from repro.storage import DEFAULT_BACKEND
 from repro.units import KB
 
 
@@ -53,7 +54,7 @@ class Fig6Result:
         return chart
 
 
-def run(preset: str = "small") -> Fig6Result:
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig6Result:
     """Score the hot sets by size and attach the Figure 5 curves."""
     p = get_preset(preset)
     hot_sets = {}
@@ -69,5 +70,5 @@ def run(preset: str = "small") -> Fig6Result:
         bins=bins,
         hot_ffs=layout_by_size_bins(hot_sets["ffs"], bins),
         hot_realloc=layout_by_size_bins(hot_sets["realloc"], bins),
-        seq=fig5.run(preset),
+        seq=fig5.run(preset, backend),
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
 from repro.analysis.report import render_table
@@ -40,7 +40,7 @@ from repro.disk.model import IOKind
 from repro.experiments.config import aged_fs_copy, get_preset
 from repro.ffs.filesystem import FileSystem
 from repro.ssd import SSDGeometry, SSDModel
-from repro.storage import BACKENDS, using_backend
+from repro.storage import BACKENDS, DEFAULT_BACKEND
 from repro.units import KB, MB
 
 #: The file population is dealt into this many cohorts; each churn
@@ -198,8 +198,11 @@ def _churn(preset: str, policy: str) -> ChurnOutcome:
 
 
 @lru_cache(maxsize=None)
-def run(preset: str = "small") -> FlashResult:
-    """Benchmark both policies on both backends, then churn on flash."""
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> FlashResult:
+    """Benchmark both policies on both backends, then churn on flash.
+
+    The study spans every backend itself, so ``backend`` is unused.
+    """
     p = get_preset(preset)
     sizes = [
         s for s in (16 * KB, 56 * KB, 96 * KB, 256 * KB, 1024 * KB)
@@ -208,24 +211,20 @@ def run(preset: str = "small") -> FlashResult:
     runner = BenchmarkRunner(p.bench_repetitions)
     throughput: Dict[Tuple[str, str], Dict[int, Tuple[float, float]]] = {}
     for policy in ("ffs", "realloc"):
-        for backend in BACKENDS:
+        for device in BACKENDS:
+            bench = partial(
+                SequentialIOBenchmark, total_bytes=p.bench_total_bytes,
+                runner=runner, backend=device,
+            )
             cell: Dict[int, Tuple[float, float]] = {}
-            with using_backend(backend):
-                for size in sizes:
-                    empty_fs = FileSystem(p.params, policy=policy)
-                    empty = SequentialIOBenchmark(
-                        empty_fs, total_bytes=p.bench_total_bytes,
-                        runner=runner,
-                    ).run(size)
-                    aged_fs = aged_fs_copy(preset, policy)
-                    aged = SequentialIOBenchmark(
-                        aged_fs, total_bytes=p.bench_total_bytes,
-                        runner=runner,
-                    ).run(size)
-                    cell[size] = (
-                        empty.read_throughput.mean,
-                        aged.read_throughput.mean,
-                    )
-            throughput[(policy, backend)] = cell
+            for size in sizes:
+                empty_fs = FileSystem(p.params, policy=policy)
+                empty = bench(empty_fs).run(size)
+                aged = bench(aged_fs_copy(preset, policy)).run(size)
+                cell[size] = (
+                    empty.read_throughput.mean,
+                    aged.read_throughput.mean,
+                )
+            throughput[(policy, device)] = cell
     churn = {policy: _churn(preset, policy) for policy in ("ffs", "realloc")}
     return FlashResult(sizes=sizes, throughput=throughput, churn=churn)

@@ -31,7 +31,7 @@ from repro.disk.request import extents_of_blocks
 from repro.experiments.config import aged, artifacts, get_preset
 from repro.lfs.params import LFSParams
 from repro.lfs.replay import age_lfs
-from repro.storage import make_storage
+from repro.storage import DEFAULT_BACKEND, make_storage
 from repro.units import MB
 
 
@@ -83,7 +83,7 @@ class LfsCompareResult:
 
 
 @lru_cache(maxsize=None)
-def run(preset: str = "small") -> LfsCompareResult:
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> LfsCompareResult:
     """Age all three systems with the identical workload and compare."""
     p = get_preset(preset)
     workload = artifacts(preset).reconstructed
@@ -101,6 +101,7 @@ def run(preset: str = "small") -> LfsCompareResult:
             result.fs.files_modified_since(_cutoff(result.fs, window)),
             p.params.block_size,
             runner,
+            backend,
         )
 
     lfs_params = LFSParams(size_bytes=p.params.actual_size_bytes)
@@ -110,6 +111,7 @@ def run(preset: str = "small") -> LfsCompareResult:
         lfs_result.fs.files_modified_since(_cutoff(lfs_result.fs, window)),
         lfs_params.block_size,
         runner,
+        backend,
     )
     return LfsCompareResult(
         timelines=timelines,
@@ -126,7 +128,9 @@ def _cutoff(fs, window: float) -> float:
     return max(inode.mtime for inode in files) - window
 
 
-def _hot_read_throughput(hot_files, block_size: int, runner) -> float:
+def _hot_read_throughput(
+    hot_files, block_size: int, runner, backend: str
+) -> float:
     """Read the hot set's data extents and return mean bytes/second.
 
     File-system-agnostic: any object with ``data_block_list()`` and
@@ -141,7 +145,7 @@ def _hot_read_throughput(hot_files, block_size: int, runner) -> float:
         return 0.0
 
     def timed(angle: float) -> float:
-        disk = make_storage(initial_angle=angle)
+        disk = make_storage(initial_angle=angle, backend=backend)
         for inode in hot:
             extents = extents_of_blocks(inode.data_block_list(), block_size)
             disk.transfer_extents(IOKind.READ, extents, block_size)

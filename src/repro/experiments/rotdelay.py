@@ -32,7 +32,7 @@ from repro.bench.timing import BenchmarkRunner
 from repro.disk.geometry import DiskGeometry
 from repro.experiments.config import get_preset
 from repro.ffs.filesystem import FileSystem
-from repro.storage import make_storage
+from repro.storage import DEFAULT_BACKEND, make_storage
 from repro.units import KB, MB
 
 
@@ -79,7 +79,11 @@ class RotdelayResult:
 
 
 @lru_cache(maxsize=None)
-def run(preset: str = "small", file_size: int = 96 * KB) -> RotdelayResult:
+def run(
+    preset: str = "small",
+    backend: str = DEFAULT_BACKEND,
+    file_size: int = 96 * KB,
+) -> RotdelayResult:
     """Measure both layouts under both disk generations."""
     p = get_preset(preset)
     runner = BenchmarkRunner(p.bench_repetitions)
@@ -96,7 +100,7 @@ def run(preset: str = "small", file_size: int = 96 * KB) -> RotdelayResult:
         total = sum(fs.inode(i).size for i in inos)
 
         def timed(angle: float, geometry, unclustered: bool) -> float:
-            disk = make_storage(geometry, initial_angle=angle)
+            disk = make_storage(geometry, initial_angle=angle, backend=backend)
             pricer = FileIOPricer(fs, disk)
             for ino in inos:
                 inode = fs.inode(ino)

@@ -7,9 +7,12 @@ it yields each experiment's result (with its wall time) as soon as it
 completes, so the CLI can print progressively instead of sitting
 silent until the whole suite finishes.
 
-Every experiment runs inside a telemetry span (``experiment.<name>``)
-when :mod:`repro.obs` is enabled; its wall time is also published as a
-gauge so run manifests record where the time went.
+Every experiment is called as ``run(preset, backend)``: the storage
+backend is an argument, so experiment memos key on the device and one
+process can run the suite on both.  Every experiment runs inside a
+telemetry span (``experiment.<name>``) when :mod:`repro.obs` is
+enabled; its wall time is also published as a gauge so run manifests
+record where the time went.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.storage import DEFAULT_BACKEND
 
 #: Experiment registry, in the paper's presentation order.
-EXPERIMENTS: Dict[str, Callable[[str], object]] = {
+EXPERIMENTS: Dict[str, Callable[[str, str], object]] = {
     "table1": table1.run,
     "fig1": fig1.run,
     "fig2": fig2.run,
@@ -54,7 +58,7 @@ EXPERIMENTS: Dict[str, Callable[[str], object]] = {
 #: Experiments runnable by name but excluded from ``all`` — ``all``'s
 #: roster (and therefore its stdout) is pinned by tests and compared
 #: across revisions, so additions land here instead.
-EXTRA_EXPERIMENTS: Dict[str, Callable[[str], object]] = {
+EXTRA_EXPERIMENTS: Dict[str, Callable[[str, str], object]] = {
     "flash": flash.run,
 }
 
@@ -91,7 +95,9 @@ def timed_call(
     return result, elapsed
 
 
-def run_one_timed(name: str, preset: str = "small") -> Tuple[object, float]:
+def run_one_timed(
+    name: str, preset: str = "small", backend: str = DEFAULT_BACKEND
+) -> Tuple[object, float]:
     """Run a single experiment; returns ``(result, wall_seconds)``.
 
     The wall time is measured unconditionally — telemetry being off
@@ -109,7 +115,7 @@ def run_one_timed(name: str, preset: str = "small") -> Tuple[object, float]:
     if ev is not None:
         ev.emit(obs_events.EXPERIMENT_START, name=name, preset=preset)
     result, elapsed = timed_call(
-        f"experiment.{name}", lambda: runner(preset), preset=preset
+        f"experiment.{name}", lambda: runner(preset, backend), preset=preset
     )
     if ev is not None:
         ev.emit(
@@ -119,25 +125,29 @@ def run_one_timed(name: str, preset: str = "small") -> Tuple[object, float]:
     return result, elapsed
 
 
-def run_one(name: str, preset: str = "small") -> object:
+def run_one(
+    name: str, preset: str = "small", backend: str = DEFAULT_BACKEND
+) -> object:
     """Run a single experiment by registry name."""
-    result, _elapsed = run_one_timed(name, preset)
+    result, _elapsed = run_one_timed(name, preset, backend)
     return result
 
 
-def iter_all(preset: str = "small") -> Iterator[Tuple[str, object, float]]:
+def iter_all(
+    preset: str = "small", backend: str = DEFAULT_BACKEND
+) -> Iterator[Tuple[str, object, float]]:
     """Run the suite in paper order, yielding as each experiment ends.
 
     Yields ``(name, result, wall_seconds)`` tuples; consumers that want
     progressive output (the CLI) render each one on arrival.
     """
     for name in EXPERIMENTS:
-        result, elapsed = run_one_timed(name, preset)
+        result, elapsed = run_one_timed(name, preset, backend)
         yield name, result, elapsed
 
 
 def iter_all_rendered(
-    preset: str = "small", jobs: int = 1
+    preset: str = "small", jobs: int = 1, backend: str = DEFAULT_BACKEND
 ) -> Iterator[Tuple[str, str, float]]:
     """Like :meth:`iter_all` but yields rendered text blocks.
 
@@ -151,9 +161,9 @@ def iter_all_rendered(
     if jobs > 1:
         from repro.parallel import iter_all_parallel
 
-        yield from iter_all_parallel(preset, jobs)
+        yield from iter_all_parallel(preset, jobs, backend)
         return
-    for name, result, elapsed in iter_all(preset):
+    for name, result, elapsed in iter_all(preset, backend):
         yield name, result.render(), elapsed  # type: ignore[attr-defined]
 
 
@@ -174,10 +184,12 @@ def slowest_summary(times: Dict[str, float], top: int = 3) -> str:
     return f"slowest: {body} (total {sum(times.values()):.1f}s)"
 
 
-def render_all(preset: str = "small", jobs: int = 1) -> str:
+def render_all(
+    preset: str = "small", jobs: int = 1, backend: str = DEFAULT_BACKEND
+) -> str:
     """Rendered text of the full suite, ready for the terminal."""
     blocks = []
-    for name, text, _elapsed in iter_all_rendered(preset, jobs=jobs):
+    for name, text, _elapsed in iter_all_rendered(preset, jobs, backend):
         blocks.append(experiment_header(name, preset))
         blocks.append(text)
     return "\n\n".join(blocks)

@@ -15,6 +15,7 @@ from typing import List, Tuple
 from repro.analysis.report import render_table
 from repro.disk.geometry import DiskGeometry
 from repro.experiments.config import get_preset
+from repro.storage import DEFAULT_BACKEND
 from repro.units import fmt_size
 
 
@@ -32,8 +33,8 @@ class Table1Result:
         )
 
 
-def run(preset: str = "paper") -> Table1Result:
-    """Collect the configuration for ``preset``."""
+def run(preset: str = "paper", backend: str = DEFAULT_BACKEND) -> Table1Result:
+    """Collect the configuration for ``preset`` (``backend`` is unused)."""
     p = get_preset(preset)
     geo = DiskGeometry()
     params = p.params

@@ -25,6 +25,7 @@ from repro.analysis.report import render_table
 from repro.bench.hotfiles import HotFileBenchmark, HotFileResult
 from repro.bench.timing import BenchmarkRunner
 from repro.experiments.config import aged_fs_copy, get_preset
+from repro.storage import DEFAULT_BACKEND
 from repro.units import MB
 
 
@@ -78,7 +79,7 @@ class Table2Result:
         return table + summary
 
 
-def run(preset: str = "small") -> Table2Result:
+def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Table2Result:
     """Run the hot-file benchmark on both aged file systems."""
     p = get_preset(preset)
     runner = BenchmarkRunner(p.bench_repetitions)
@@ -87,7 +88,8 @@ def run(preset: str = "small") -> Table2Result:
     window = 0.1 * p.days
     results = {
         policy: HotFileBenchmark(
-            aged_fs_copy(preset, policy), window_days=window, runner=runner
+            aged_fs_copy(preset, policy), window_days=window, runner=runner,
+            backend=backend,
         ).run()
         for policy in ("ffs", "realloc")
     }

@@ -17,9 +17,10 @@ read throughput over the largest surviving files), so the reported
 deltas isolate exactly the cost of the crash + repair, not of stopping
 early.
 
-Every case is a pure function of ``(preset, policy, plan)``: the
-harness runs cases across processes with ``--jobs N`` and renders
-byte-identical output to a serial run, in sampling order.
+Every case is a pure function of ``(preset, policy, plan, backend)``:
+the harness runs cases across processes with ``--jobs N``, handing each
+worker the backend as a task argument, and renders byte-identical
+output to a serial run, in sampling order.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class ChaosOutcome:
             "ops_applied": self.ops_applied,
         }
 
-    @classmethod
-    def from_dict(cls, blob: Dict[str, Any]) -> "ChaosOutcome":
-        return cls(**blob)
-
 
 @dataclass(frozen=True)
 class ChaosReport:
@@ -106,8 +103,13 @@ class ChaosReport:
         return all(o.fsck is not None for o in self.outcomes if o.fired)
 
 
-def run_case(preset_name: str, policy: str, plan: FaultPlan) -> ChaosOutcome:
-    """Run one crash-vs-baseline pair; pure in (preset, policy, plan)."""
+def run_case(
+    preset_name: str,
+    policy: str,
+    plan: FaultPlan,
+    backend: str = storage.DEFAULT_BACKEND,
+) -> ChaosOutcome:
+    """Run one crash-vs-baseline pair; pure in its arguments."""
     from repro.experiments import config
     from repro.aging.replay import AgingReplayer
     from repro.ffs.check import check_filesystem
@@ -154,8 +156,8 @@ def run_case(preset_name: str, policy: str, plan: FaultPlan) -> ChaosOutcome:
         fsck=fsck_report.to_dict(),
         score_repaired=_score(fs),
         score_baseline=_score(base_fs),
-        throughput_repaired=_read_throughput(fs),
-        throughput_baseline=_read_throughput(base_fs),
+        throughput_repaired=_read_throughput(fs, backend),
+        throughput_baseline=_read_throughput(base_fs, backend),
         live_files_repaired=len(fs.files()),
         live_files_baseline=len(base_fs.files()),
         ops_applied=crashed.ops_applied,
@@ -168,7 +170,9 @@ def _score(fs) -> Optional[float]:
     return score_file_set(fs.files())
 
 
-def _read_throughput(fs, n_files: int = THROUGHPUT_FILES) -> float:
+def _read_throughput(
+    fs, backend: str, n_files: int = THROUGHPUT_FILES
+) -> float:
     """Bytes/second reading the ``n_files`` largest files, inode order.
 
     The probe is deliberately tiny — it exists to show whether the
@@ -179,7 +183,7 @@ def _read_throughput(fs, n_files: int = THROUGHPUT_FILES) -> float:
     inodes = sorted(largest, key=lambda i: i.ino)
     if not inodes:
         return 0.0
-    disk = storage.make_storage()
+    disk = storage.make_storage(backend=backend)
     pricer = FileIOPricer(fs, disk)
     total = 0
     for inode in inodes:
@@ -189,29 +193,6 @@ def _read_throughput(fs, n_files: int = THROUGHPUT_FILES) -> float:
     if disk.now_ms <= 0.0:
         return 0.0
     return total / (disk.now_ms / 1000.0)
-
-
-# ----------------------------------------------------------------------
-# Worker task (module-level so it pickles under ProcessPoolExecutor)
-# ----------------------------------------------------------------------
-
-
-def _chaos_case_task(
-    preset_name: str,
-    policy: str,
-    plan_payload: Dict[str, Any],
-    backend: str = storage.DEFAULT_BACKEND,
-) -> Dict[str, Any]:
-    """One case in a worker process; ships the outcome home as JSON.
-
-    The parent's storage-backend selection is process-wide state, so it
-    is re-applied here — a ``--jobs N`` chaos run prices its throughput
-    probes on the same substrate as a serial one.
-    """
-    storage.configure(backend)
-    return run_case(
-        preset_name, policy, FaultPlan.from_payload(plan_payload)
-    ).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +207,7 @@ def run_chaos(
     seed: int = 4242,
     jobs: int = 1,
     max_write: int = 400,
+    backend: str = storage.DEFAULT_BACKEND,
 ) -> ChaosReport:
     """Crash-and-repair a seeded grid of ``crashes`` plans per policy.
 
@@ -248,22 +230,17 @@ def run_chaos(
         for index, (policy, plan) in enumerate(cases):
             outcome, _wall = timed_call(
                 f"chaos.case{index:02d}.{policy}",
-                lambda p=policy, pl=plan: run_case(preset_name, p, pl),
+                lambda p=policy, pl=plan: run_case(preset_name, p, pl, backend),
                 preset=preset_name,
             )
             outcomes.append(outcome)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(
-                    _chaos_case_task, preset_name, policy, plan.to_payload(),
-                    storage.current_backend(),
-                )
+                pool.submit(run_case, preset_name, policy, plan, backend)
                 for policy, plan in cases
             ]
-            outcomes = [
-                ChaosOutcome.from_dict(future.result()) for future in futures
-            ]
+            outcomes = [future.result() for future in futures]
     return ChaosReport(preset=preset_name, seed=seed, outcomes=tuple(outcomes))
 
 

@@ -113,7 +113,7 @@ class FaultPlan:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_payload` output (worker tasks)."""
+        """Rebuild a plan from :meth:`to_payload` output."""
         crash_blob = payload.get("crash")
         crash = (
             None

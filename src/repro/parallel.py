@@ -20,6 +20,10 @@ other, so ``experiment all --jobs N`` runs in two waves on a
    workers would re-run the shared sweep once per worker and hand back
    the wall-clock time parallelism just saved.
 
+The storage backend travels with each experiment task as an argument;
+the agings are shared across backends, so the pre-warm wave does not
+need it.
+
 Results stream back in paper order — the consumer blocks on the next
 experiment in sequence while later ones keep running — and stdout is
 byte-identical to the serial path because both sides run the very same
@@ -46,10 +50,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro import cache, obs, storage
+from repro import cache, obs
 from repro.obs import events as obs_events
+from repro.storage import DEFAULT_BACKEND
 
 #: The agings ``experiment all`` depends on, as (accessor, policy) pairs.
 _AGING_TASKS: Tuple[Tuple[str, Optional[str]], ...] = (
@@ -68,19 +73,15 @@ _AFFINITY: Tuple[Tuple[str, ...], ...] = (("fig4", "fig5", "fig6"),)
 # ----------------------------------------------------------------------
 
 
-def _worker_setup(
-    cache_enabled: bool, cache_dir: str, backend: str = storage.DEFAULT_BACKEND
-) -> None:
-    """Pin the worker's cache and storage view to the parent's settings.
+def _worker_setup(cache_enabled: bool, cache_dir: str) -> None:
+    """Pin the worker's cache to the parent's settings.
 
-    Both are process-wide state, so a pooled worker must re-apply them:
-    a ``--backend ssd`` parallel run prices I/O on the same substrate
-    (and caches under the same lineage) as its serial twin.
+    The cache configuration is process-wide state, so a pooled worker
+    must re-apply it to read the agings the parent's wave persisted.
     """
     cache.configure(
         enabled=cache_enabled, directory=cache_dir if cache_enabled else None
     )
-    storage.configure(backend)
 
 
 def _telemetry_payload(registry, tracer) -> Dict[str, object]:
@@ -107,12 +108,11 @@ def _warm_aging_task(
     telemetry: bool,
     events: bool,
     disktrace: bool = False,
-    backend: str = storage.DEFAULT_BACKEND,
 ) -> Dict[str, object]:
     """Build (and persist) one aged file system in a worker."""
     from repro.experiments import config
 
-    _worker_setup(cache_enabled, cache_dir, backend)
+    _worker_setup(cache_enabled, cache_dir)
     start = time.perf_counter()
     if not telemetry:
         _run_accessor(config, accessor, policy, preset)
@@ -138,23 +138,23 @@ def _run_accessor(config, accessor: str, policy: Optional[str], preset: str):
 def _experiment_group_task(
     names: Tuple[str, ...],
     preset: str,
+    backend: str,
     cache_enabled: bool,
     cache_dir: str,
     telemetry: bool,
     events: bool,
     disktrace: bool = False,
-    backend: str = storage.DEFAULT_BACKEND,
 ) -> Dict[str, object]:
     """Run one affinity group of experiments in a worker, in order."""
     from repro.experiments import config
     from repro.experiments.runner import run_one_timed
 
-    _worker_setup(cache_enabled, cache_dir, backend)
+    _worker_setup(cache_enabled, cache_dir)
 
     def _run_group() -> Dict[str, Dict[str, object]]:
         out: Dict[str, Dict[str, object]] = {}
         for name in names:
-            result, wall = run_one_timed(name, preset)
+            result, wall = run_one_timed(name, preset, backend)
             out[name] = {"text": result.render(), "wall": wall}  # type: ignore[attr-defined]
         return out
 
@@ -208,7 +208,7 @@ def _absorb_telemetry(payload: Dict[str, object], origin: str) -> None:
 
 
 def iter_all_parallel(
-    preset: str = "small", jobs: int = 2
+    preset: str = "small", jobs: int = 2, backend: str = DEFAULT_BACKEND
 ) -> Iterator[Tuple[str, str, float]]:
     """Parallel twin of ``runner.iter_all_rendered``.
 
@@ -219,12 +219,11 @@ def iter_all_parallel(
     from repro.experiments.runner import EXPERIMENTS, iter_all_rendered
 
     if jobs <= 1:
-        yield from iter_all_rendered(preset, jobs=1)
+        yield from iter_all_rendered(preset, 1, backend)
         return
 
     cache_enabled = cache.is_enabled()
     cache_dir = str(cache.directory())
-    backend = storage.current_backend()
     telemetry = obs.enabled()
     events_on = obs.events_or_none() is not None
     disktrace_on = obs.disktrace_or_none() is not None
@@ -241,7 +240,7 @@ def iter_all_parallel(
                 pool.submit(
                     _warm_aging_task, accessor, policy, preset,
                     cache_enabled, cache_dir, telemetry, events_on,
-                    disktrace_on, backend,
+                    disktrace_on,
                 )
                 for accessor, policy in _AGING_TASKS
             ]
@@ -259,9 +258,9 @@ def iter_all_parallel(
             group = group_of[name]
             if group not in futures:
                 futures[group] = pool.submit(
-                    _experiment_group_task, group, preset,
+                    _experiment_group_task, group, preset, backend,
                     cache_enabled, cache_dir, telemetry, events_on,
-                    disktrace_on, backend,
+                    disktrace_on,
                 )
         absorbed = set()
         for name in EXPERIMENTS:
@@ -279,9 +278,3 @@ def iter_all_parallel(
                 )
             yield name, entry["text"], entry["wall"]  # type: ignore[misc]
 
-
-def run_all_parallel(
-    preset: str = "small", jobs: int = 2
-) -> List[Tuple[str, str, float]]:
-    """Materialized form of :func:`iter_all_parallel`."""
-    return list(iter_all_parallel(preset, jobs=jobs))

@@ -1,26 +1,23 @@
-"""Storage backend selection: one protocol, two substrates.
+"""Storage backends: one protocol, two substrates.
 
 Everything above the device — benchmarks, experiments, chaos, fault
 injection — prices I/O through the ``access(kind, start_byte, nbytes)
 -> elapsed_ms`` contract that :class:`~repro.disk.model.DiskModel`
 defined and :class:`~repro.ssd.model.SSDModel` now also satisfies.
-This module names that contract (:class:`StorageModel`), holds the
-process-wide backend selection the CLI's ``--backend disk|ssd`` flag
-sets, and builds the right model via :func:`make_storage`.
+This module names that contract (:class:`StorageModel`) and builds the
+right model via :func:`make_storage`.
 
-The selection is process-wide (like :func:`repro.cache.configure`)
-because model construction happens deep inside benchmark loops that
-have no business threading a backend argument through every layer;
-parallel workers re-apply it in their initializer so a fan-out run
-matches its serial twin byte for byte.  The default is ``disk``, and
-the disk path constructs exactly what the pre-backend code did — same
-types, same arguments — so default behaviour is byte-identical.
+The backend is a plain name (``"disk"`` or ``"ssd"``) passed down from
+the CLI's ``--backend`` flag as an argument: experiments memoize on it,
+so one process can run both devices side by side, and parallel workers
+receive it with each task.  The default is ``disk``, and the disk path
+constructs exactly what the pre-backend code did — same types, same
+arguments — so default behaviour is byte-identical.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Optional, Protocol, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
@@ -34,17 +31,12 @@ __all__ = [
     "DEFAULT_BACKEND",
     "StorageModel",
     "StorageStats",
-    "configure",
-    "current_backend",
-    "using_backend",
     "make_storage",
 ]
 
 #: Recognised backend names, in presentation order.
 BACKENDS: Tuple[str, ...] = ("disk", "ssd")
 DEFAULT_BACKEND = "disk"
-
-_backend: str = DEFAULT_BACKEND
 
 
 class StorageStats(Protocol):
@@ -98,49 +90,20 @@ def _check(backend: str) -> str:
     return backend
 
 
-def configure(backend: "str | None") -> None:
-    """Select the process-wide backend (``None`` leaves it unchanged)."""
-    global _backend
-    if backend is not None:
-        _backend = _check(backend)
-
-
-def current_backend() -> str:
-    """The active backend name — joins cache keys and run manifests."""
-    return _backend
-
-
-@contextmanager
-def using_backend(backend: str) -> Iterator[None]:
-    """Run a block under ``backend``, restoring the prior selection.
-
-    Lets one process compare backends side by side (the flash
-    experiment runs its disk twin this way).
-    """
-    global _backend
-    prior = _backend
-    _backend = _check(backend)
-    try:
-        yield
-    finally:
-        _backend = prior
-
-
 def make_storage(
     geometry: "DiskGeometry | None" = None,
     initial_angle: float = 0.0,
-    backend: "str | None" = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> StorageModel:
-    """Construct a storage model for the selected backend.
+    """Construct a storage model for ``backend``.
 
     ``geometry`` is always the *disk* geometry the call site already
     has; the SSD backend derives a flash device of the same logical
     capacity from it, and ignores ``initial_angle`` (no platter — the
     repetition jitter the angle exists to produce is structurally zero
-    on flash).  ``backend=None`` uses the process-wide selection.
+    on flash).
     """
-    chosen = _check(backend) if backend is not None else _backend
-    if chosen == "ssd":
+    if _check(backend) == "ssd":
         disk_geometry = geometry if geometry is not None else DiskGeometry()
         return SSDModel(SSDGeometry.for_bytes(disk_geometry.capacity_bytes))
     return DiskModel(geometry, initial_angle=initial_angle)

@@ -40,6 +40,20 @@ def _hermetic_artifact_cache(tmp_path_factory):
         os.environ[cache.ENV_DIR] = prior
 
 
+@pytest.fixture
+def private_cache(tmp_path):
+    """Point the artifact cache at a private directory for one test;
+    yields that directory."""
+    from repro.experiments import config
+
+    directory = tmp_path / "cache"
+    cache.configure(enabled=True, directory=str(directory))
+    config.clear_caches()
+    yield directory
+    cache.configure()
+    config.clear_caches()
+
+
 @pytest.fixture(scope="session")
 def tiny_params() -> FSParams:
     """A small but structurally faithful file system (same block sizes,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import cache, obs
+from repro import obs
 from repro.experiments import config
 from repro.experiments.runner import (
     EXPERIMENTS,
@@ -18,16 +18,6 @@ from repro.experiments.runner import (
     run_one_timed,
     slowest_summary,
 )
-
-
-@pytest.fixture
-def private_cache(tmp_path):
-    """Point the artifact cache at a private directory for one test."""
-    cache.configure(enabled=True, directory=str(tmp_path / "cache"))
-    config.clear_caches()
-    yield
-    cache.configure()
-    config.clear_caches()
 
 
 @pytest.mark.slow

@@ -8,14 +8,21 @@ and every flash program is accounted to either the host or GC — so
 write amplification is an identity, not an estimate.
 """
 
+import hashlib
+
 import pytest
 
 from repro import obs, schemas, storage
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
 from repro.errors import InvalidRequestError, OutOfSpaceError
-from repro.experiments import flash
-from repro.experiments.runner import EXPERIMENTS, EXTRA_EXPERIMENTS
+from repro.experiments import config, fig4, flash
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    EXTRA_EXPERIMENTS,
+    render_all,
+    run_one,
+)
 from repro.obs.diff import RunArtifacts, diff_runs, render_diff
 from repro.obs.disktrace import DiskTrace
 from repro.obs.report_html import build_diff_report
@@ -262,7 +269,7 @@ class TestSSDModel:
 
 class TestStorageFactory:
     def test_default_backend_builds_the_disk_model(self):
-        assert storage.current_backend() == storage.DEFAULT_BACKEND == "disk"
+        assert storage.DEFAULT_BACKEND == "disk"
         assert isinstance(storage.make_storage(), DiskModel)
 
     def test_ssd_backend_matches_disk_capacity(self):
@@ -273,24 +280,54 @@ class TestStorageFactory:
     def test_unknown_backend_is_a_typed_error(self):
         with pytest.raises(InvalidRequestError):
             storage.make_storage(backend="tape")
-        with pytest.raises(InvalidRequestError):
-            storage.configure("tape")
-        assert storage.current_backend() == "disk"  # selection untouched
 
-    def test_using_backend_restores_even_on_error(self):
-        with storage.using_backend("ssd"):
-            assert storage.current_backend() == "ssd"
-            assert isinstance(storage.make_storage(), SSDModel)
-        assert storage.current_backend() == "disk"
-        with pytest.raises(RuntimeError):
-            with storage.using_backend("ssd"):
-                raise RuntimeError("boom")
-        assert storage.current_backend() == "disk"
 
-    def test_configure_none_leaves_selection_unchanged(self):
-        with storage.using_backend("ssd"):
-            storage.configure(None)
-            assert storage.current_backend() == "ssd"
+#: SHA-256 of ``render_all("tiny")`` per backend, and of the tiny flash
+#: study, each captured in a fresh process.
+TINY_SUITE_SHA = {
+    "disk": "5526e43ccca8d47e14f5f3d25f48f19e39266f7c640b8dcc554cc58b71e9fa41",
+    "ssd": "ad5cef1bd81be50f0e932892516afa6e3442805bb24839ed3fe573055e6d278e",
+}
+TINY_FLASH_SHA = (
+    "1e72d19f3b20c4936820a1bf4a025db7bedb849c5925826d9619a79ea639f224"
+)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestBackendIsAnArgument:
+    """The backend flows down as an argument, so experiment memos key
+    on the device and one process can run both."""
+
+    def test_one_process_runs_both_backends(self):
+        # No clear_caches() anywhere: a disk memo must never answer an
+        # SSD request (or the reverse).
+        assert _sha(render_all("tiny")) == TINY_SUITE_SHA["disk"]
+        assert _sha(render_all("tiny", backend="ssd")) == TINY_SUITE_SHA["ssd"]
+        assert _sha(render_all("tiny")) == TINY_SUITE_SHA["disk"]
+
+    def test_flash_study_is_pinned(self):
+        assert _sha(run_one("flash", "tiny").render()) == TINY_FLASH_SHA
+
+    @pytest.mark.slow
+    def test_parallel_ssd_matches_serial(self, private_cache):
+        serial = render_all("tiny", backend="ssd")
+        config.clear_caches()
+        assert render_all("tiny", jobs=2, backend="ssd") == serial
+
+    def test_agings_are_shared_across_backends(self, private_cache):
+        fig4.run("tiny")  # ages both policies on disk, persisting them
+        entries = sorted(path.name for path in private_cache.glob("*.json"))
+        assert len(entries) == 2
+        config.clear_caches()
+        with obs.session() as (registry, _tracer):
+            fig4.run("tiny", "ssd")
+            snapshot = registry.snapshot()
+        assert snapshot["cache.hits"]["value"] == 2
+        assert "cache.writes" not in snapshot and "cache.misses" not in snapshot
+        assert sorted(path.name for path in private_cache.glob("*.json")) == entries
 
 
 def _ssd_metrics():
