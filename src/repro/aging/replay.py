@@ -295,8 +295,8 @@ class AgingReplayer:
         """Free-space fragmentation + per-CG occupancy for day samples.
 
         Only computed when the event log is active: it walks every
-        group's free-run map, which would be wasted work on the
-        default path.
+        group's free runs, which would be wasted work on the default
+        path.
         """
         from repro.analysis.freespace import free_space_stats
 

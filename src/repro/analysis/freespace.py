@@ -43,7 +43,7 @@ def free_cluster_histogram(fs: FileSystem) -> Dict[int, int]:
     """
     histogram: Dict[int, int] = {}
     for cg in fs.sb.cgs:
-        for _start, length in cg.runmap.runs():
+        for _start, length in cg.bitmap.block_runs():
             histogram[length] = histogram.get(length, 0) + 1
     return dict(sorted(histogram.items()))
 
@@ -52,7 +52,7 @@ def free_space_stats(fs: FileSystem) -> FreeSpaceStats:
     """Compute :class:`FreeSpaceStats` for ``fs``."""
     lengths: List[int] = []
     for cg in fs.sb.cgs:
-        lengths.extend(length for _start, length in cg.runmap.runs())
+        lengths.extend(length for _start, length in cg.bitmap.block_runs())
     free_blocks = sum(lengths)
     maxcontig = fs.params.maxcontig
     clusterable = sum(length for length in lengths if length >= maxcontig)

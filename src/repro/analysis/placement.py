@@ -92,7 +92,7 @@ def inspect_filesystem(
     # --- group walk: occupancy, free structure, cylinder range --------
     groups: List[Dict[str, object]] = []
     for cg in fs.sb.cgs:
-        runs = [length for _start, length in cg.runmap.runs()]
+        runs = [length for _start, length in cg.bitmap.block_runs()]
         base = params.cg_base_block(cg.index)
         last = base + params.blocks_per_cg - 1
         groups.append({

@@ -153,20 +153,6 @@ class FaultPlan:
             bad_blocks=(),
         )
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        if self.crash is None:
-            crash = "no crash"
-        else:
-            crash = (
-                f"crash day {self.crash.day} "
-                f"write {self.crash.after_block_writes}"
-            )
-        return (
-            f"plan(seed={self.seed}, {crash}, drop={self.drop_prob:.2f}, "
-            f"tear={self.tear_prob:.2f}, bad_blocks={len(self.bad_blocks)})"
-        )
-
 
 def sample_plans(
     master_seed: int,

@@ -110,10 +110,9 @@ class AllocPolicy:
         cg = self.sb.cgs[inode.alloc_cg]
         if not cg.owns_block(pref):
             return 0
-        run = cg.runmap.free_run_length_at(pref - cg.base)
-        if run == 0:
+        take = cg.bitmap.free_blocks_at(pref - cg.base, want)
+        if take == 0:
             return 0
-        take = min(run, want)
         cg.alloc_cluster(pref, take)
         if self._m is not None:
             self._c_data.inc(take)

@@ -39,7 +39,7 @@ class SmartFallbackPolicy(AllocPolicy):
             local_pref = pref if pref is not None and cg.owns_block(pref) else None
             # The preferred block itself always wins when free: taking it
             # continues the current extent.
-            if local_pref is not None and cg.runmap.is_free(
+            if local_pref is not None and cg.bitmap.block_is_free(
                 local_pref - cg.base
             ):
                 cg.alloc_block_at(local_pref)

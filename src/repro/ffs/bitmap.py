@@ -1,17 +1,22 @@
-"""Fragment bitmap for one cylinder group.
+"""Fragment bitmap for one cylinder group: the group's only free map.
 
 FFS allocates whole 8 KB blocks for the body of a file and 1 KB fragments
 for the tail of small files, so the on-disk free map is kept at fragment
-granularity.  ``FragBitmap`` mirrors that: one bit per fragment, plus two
-derived indexes the allocator needs constantly —
+granularity.  ``FragBitmap`` mirrors that: one byte per fragment, plus a
+per-block free-fragment count (a block is a *free block* iff all of its
+fragments are free) and a running total of free blocks.
 
-* ``free_in_block`` — per-block free-fragment counts (a block is a *free
-  block* iff all of its fragments are free),
-* a fragment-run index equivalent to the kernel's ``cg_frsum``: for each
-  run length 1..7, which partially-allocated blocks currently contain a
-  maximal free run of that length.  The index is maintained lazily (the
-  allocator's hot path finds runs with :meth:`find_run_any_block`, a raw
-  ``bytearray.find`` scan) and flushed when a summary query needs it.
+Both allocator searches of the paper run over these arrays with C-level
+``bytearray`` primitives, much as 4.4BSD scans its per-group maps:
+
+* fragment runs — :meth:`find_run_any_block`, a ``find`` over the bits;
+* the next free block (``ffs_mapsearch``) — :meth:`find_free_block`, a
+  ``find`` over the per-block counts;
+* a free run of N blocks (``ffs_clusteralloc``) — :meth:`find_free_blocks`.
+
+Free-run summaries (:meth:`block_runs`, :meth:`max_block_run`) are
+computed on demand; only the once-per-day sampler and the analysis code
+ask for them.
 
 All addresses here are *local* to the cylinder group; the
 :class:`~repro.ffs.cg.CylinderGroup` wrapper translates to and from global
@@ -20,8 +25,8 @@ block numbers.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import List, Optional, Tuple
 
 
 class FragBitmap:
@@ -36,16 +41,12 @@ class FragBitmap:
         self.fpb = frags_per_block
         # 0 = free, 1 = allocated, one byte per fragment (fast and simple).
         self._bits = bytearray(nblocks * frags_per_block)
-        self._free_in_block = array("B", [frags_per_block] * nblocks)
+        # Free fragments per block; a wholly free block holds ``fpb``, so
+        # whole-block searches are ``find`` calls on this array.
+        self._free_in_block = bytearray([frags_per_block]) * nblocks
         self.free_frags = nblocks * frags_per_block
-        # frag-run index: run length -> {block: None}.  Maintained lazily:
-        # mutations only record the touched block in ``_dirty`` and the
-        # per-block re-derivation happens when a query needs the index
-        # (the allocator's hot path scans the raw bitmap instead).
-        self._runs: Dict[int, Dict[int, None]] = {
-            length: {} for length in range(1, frags_per_block)
-        }
-        self._dirty: Set[int] = set()
+        #: Wholly free blocks, kept by the four mutators.
+        self.free_blocks = nblocks
 
     def clone(self) -> "FragBitmap":
         """An independent copy, built by bulk-copying each column.
@@ -58,10 +59,9 @@ class FragBitmap:
         twin.nblocks = self.nblocks
         twin.fpb = self.fpb
         twin._bits = bytearray(self._bits)
-        twin._free_in_block = array("B", self._free_in_block)
+        twin._free_in_block = bytearray(self._free_in_block)
         twin.free_frags = self.free_frags
-        twin._runs = {length: dict(blocks) for length, blocks in self._runs.items()}
-        twin._dirty = set(self._dirty)
+        twin.free_blocks = self.free_blocks
         return twin
 
     # ------------------------------------------------------------------
@@ -105,17 +105,18 @@ class FragBitmap:
                 f"double allocation: block {block} frag {taken - block * self.fpb}"
             )
         self._bits[base : base + nfrags] = b"\x01" * nfrags
-        self._free_in_block[block] -= nfrags
+        free = self._free_in_block[block]
+        if free == self.fpb:
+            self.free_blocks -= 1
+        self._free_in_block[block] = free - nfrags
         self.free_frags -= nfrags
-        self._dirty.add(block)
 
     def alloc_block_range(self, block: int, nblocks: int) -> None:
         """Mark ``nblocks`` whole blocks starting at ``block`` allocated.
 
         The batched form of ``alloc_run(b, 0, fpb)`` for a cluster: one
-        slice write covers the whole range, and the run index only needs
-        the (now full) blocks removed.  Every fragment in the range must
-        be free.
+        slice write per array covers the whole range.  Every fragment in
+        the range must be free.
         """
         if nblocks < 1 or block < 0 or block + nblocks > self.nblocks:
             raise ValueError(
@@ -130,10 +131,9 @@ class FragBitmap:
                 f"frag {taken % self.fpb}"
             )
         self._bits[base:end] = b"\x01" * (end - base)
-        for b in range(block, block + nblocks):
-            self._free_in_block[b] = 0
+        self._free_in_block[block : block + nblocks] = bytes(nblocks)
         self.free_frags -= end - base
-        self._dirty.update(range(block, block + nblocks))
+        self.free_blocks -= nblocks
 
     def free_run(self, block: int, offset: int, nfrags: int) -> None:
         """Mark ``nfrags`` fragments starting at (block, offset) free."""
@@ -145,16 +145,19 @@ class FragBitmap:
                 f"double free: block {block} frag {freed - block * self.fpb}"
             )
         self._bits[base : base + nfrags] = b"\x00" * nfrags
-        self._free_in_block[block] += nfrags
+        free = self._free_in_block[block] + nfrags
+        self._free_in_block[block] = free
+        if free == self.fpb:
+            self.free_blocks += 1
         self.free_frags += nfrags
-        self._dirty.add(block)
 
     def free_block_range(self, block: int, nblocks: int) -> None:
         """Mark ``nblocks`` whole blocks starting at ``block`` free.
 
         The batched form of ``free_run(b, 0, fpb)`` over a contiguous
-        run — one slice write instead of per-block scan-and-set.  Every
-        fragment in the range must currently be allocated.
+        run — one slice write per array instead of per-block
+        scan-and-set.  Every fragment in the range must currently be
+        allocated.
         """
         if nblocks < 1 or block < 0 or block + nblocks > self.nblocks:
             raise ValueError(
@@ -168,10 +171,11 @@ class FragBitmap:
                 f"double free: block {freed // self.fpb} frag {freed % self.fpb}"
             )
         self._bits[base:end] = b"\x00" * (end - base)
-        for b in range(block, block + nblocks):
-            self._free_in_block[b] = self.fpb
+        self._free_in_block[block : block + nblocks] = (
+            bytes([self.fpb]) * nblocks
+        )
         self.free_frags += end - base
-        self._dirty.update(range(block, block + nblocks))
+        self.free_blocks += nblocks
 
     def find_free_frag_in_blocks(self, block: int, nblocks: int) -> int:
         """Bitmap index of the first free fragment in the block range, -1
@@ -179,7 +183,100 @@ class FragBitmap:
         return self._bits.find(0, block * self.fpb, (block + nblocks) * self.fpb)
 
     # ------------------------------------------------------------------
-    # Fragment-run queries (the cg_frsum equivalent)
+    # Whole-block queries
+    # ------------------------------------------------------------------
+
+    def find_free_block(self, pref: int) -> Optional[int]:
+        """First wholly free block at or after ``pref``, wrapping around.
+
+        This is the fallback search of the *original* allocator
+        (``ffs_mapsearch``): it takes the next free block regardless of
+        how large a run it sits in — precisely the behaviour the paper
+        blames for long-term fragmentation.
+        """
+        counts = self._free_in_block
+        hit = counts.find(self.fpb, pref)
+        if hit == -1 and pref > 0:
+            hit = counts.find(self.fpb, 0, pref)
+        return None if hit == -1 else hit
+
+    def find_free_blocks(
+        self, length: int, pref: int, fit: str = "firstfit"
+    ) -> Optional[int]:
+        """Start of ``length`` wholly free blocks, preferring continuation.
+
+        Search order mirrors ``ffs_clusteralloc``:
+
+        1. if ``length`` free blocks start at ``pref`` itself, return
+           ``pref`` — a cluster that seamlessly continues the caller's
+           previous allocation;
+        2. otherwise by ``fit``:
+
+           * ``"firstfit"`` (the kernel's behaviour) — the lowest-address
+             run of >= ``length`` blocks.  Address-ordered first fit
+             concentrates relocated clusters at the front of the group
+             and preserves the large free runs behind them.  The leftmost
+             match of ``length`` free blocks is always the start of such
+             a run (one block earlier would match too otherwise);
+           * ``"bestfit"`` — the smallest adequate run, taking the first
+             such run that starts after ``pref``, cyclically.  Exact fits
+             leave no crumbs; kept as an ablation of the design choice.
+        """
+        if length < 1:
+            raise ValueError("cluster length must be >= 1")
+        if fit not in ("firstfit", "bestfit"):
+            raise ValueError(f"unknown fit strategy {fit!r}")
+        counts = self._free_in_block
+        needle = bytes([self.fpb]) * length
+        if counts.startswith(needle, pref):
+            return pref
+        if fit == "firstfit":
+            hit = counts.find(needle)
+            return None if hit == -1 else hit
+        runs = self.block_runs()
+        first = bisect_right(runs, (pref, self.nblocks))
+        best: Optional[int] = None
+        best_len = self.nblocks + 1
+        for start, run_len in runs[first:] + runs[:first]:
+            if length <= run_len < best_len:
+                best, best_len = start, run_len
+                if run_len == length:
+                    break  # exact fit cannot be beaten
+        return best
+
+    def free_blocks_at(self, block: int, limit: int) -> int:
+        """Wholly free blocks from ``block`` onward, at most ``limit``."""
+        fpb = self.fpb
+        end = min(block + limit, self.nblocks)
+        taken = self._bits.find(1, block * fpb, end * fpb)
+        return end - block if taken == -1 else taken // fpb - block
+
+    def first_taken_block(self, block: int, nblocks: int) -> Optional[int]:
+        """First block in [block, block+nblocks) that is not wholly free."""
+        fpb = self.fpb
+        taken = self._bits.find(1, block * fpb, (block + nblocks) * fpb)
+        return None if taken == -1 else taken // fpb
+
+    def block_runs(self) -> List[Tuple[int, int]]:
+        """Maximal runs of wholly free blocks as (start, length)."""
+        counts = self._free_in_block
+        bits = self._bits
+        fpb = self.fpb
+        runs: List[Tuple[int, int]] = []
+        start = counts.find(fpb)
+        while start != -1:
+            taken = bits.find(1, start * fpb)
+            end = self.nblocks if taken == -1 else taken // fpb
+            runs.append((start, end - start))
+            start = counts.find(fpb, end + 1)
+        return runs
+
+    def max_block_run(self) -> int:
+        """Length of the longest run of wholly free blocks (0 if none)."""
+        return max((length for _start, length in self.block_runs()), default=0)
+
+    # ------------------------------------------------------------------
+    # Fragment-run queries
     # ------------------------------------------------------------------
 
     def frag_runs(self, block: int) -> List[Tuple[int, int]]:
@@ -237,38 +334,6 @@ class FragBitmap:
             hit = self._scan_for_run(needle, 0, start_block * self.fpb)
         return hit
 
-    def partial_blocks_with_run(self, nfrags: int) -> List[int]:
-        """Partially-allocated blocks containing a free run >= ``nfrags``.
-
-        This is the ``cg_frsum`` query: it tells the allocator which
-        partial blocks could donate a fragment run, without scanning the
-        bitmap.  The caller picks among them by distance from its
-        preference, reproducing ``ffs_mapsearch``'s first-fit-from-
-        preference order.
-        """
-        if not 1 <= nfrags < self.fpb:
-            raise ValueError(f"fragment allocations are 1..{self.fpb - 1} frags")
-        self._flush_runs()
-        found: Dict[int, None] = {}
-        for length in range(nfrags, self.fpb):
-            for block in self._runs[length]:
-                found[block] = None
-        return list(found)
-
-    def frsum(self) -> Dict[int, int]:
-        """Counts of partial blocks indexed under each run length."""
-        self._flush_runs()
-        return {length: len(bucket) for length, bucket in self._runs.items()}
-
-    def run_index(self) -> Dict[int, Dict[int, None]]:
-        """The frag-run index (flushed), keyed by run length.
-
-        Consistency checks read this instead of poking the internals so
-        they always see the post-flush state.
-        """
-        self._flush_runs()
-        return self._runs
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -293,25 +358,6 @@ class FragBitmap:
                 return (i // fpb, offset)
             pos = (i // fpb + 1) * fpb
         return None
-
-    def _flush_runs(self) -> None:
-        """Re-derive index entries for blocks dirtied since the last query.
-
-        Sorted order keeps bucket insertion order — and therefore the
-        order of :meth:`partial_blocks_with_run` — deterministic.
-        """
-        if not self._dirty:
-            return
-        runs = self._runs
-        for block in sorted(self._dirty):
-            for bucket in runs.values():
-                bucket.pop(block, None)
-            free = self._free_in_block[block]
-            if free == 0 or free == self.fpb:
-                continue  # full or wholly free blocks are not fragment donors
-            for _offset, length in self.frag_runs(block):
-                runs[length][block] = None
-        self._dirty.clear()
 
     def _check(self, block: int, offset: int, nfrags: int) -> None:
         if not 0 <= block < self.nblocks:

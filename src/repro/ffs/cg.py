@@ -1,14 +1,11 @@
 """Cylinder groups: the allocation pools of FFS.
 
 A cylinder group owns a contiguous slice of the disk's blocks, its own
-inode table, and its own free maps.  All allocation decisions in FFS are
-made *within* a group once the group has been chosen, so this class is
-where the bitmap (:class:`~repro.ffs.bitmap.FragBitmap`) and the free-run
-interval map (:class:`~repro.ffs.clustermap.BlockRunMap`) are kept
-mutually consistent:
-
-* the run map contains exactly the wholly-free blocks,
-* the bitmap is the fragment-granularity ground truth.
+inode table, and one free map.  All allocation decisions in FFS are made
+*within* a group once the group has been chosen; this class translates
+global block numbers to the group's local ones and answers every block,
+cluster and fragment request from that free map, the fragment bitmap
+(:class:`~repro.ffs.bitmap.FragBitmap`).
 
 The leading blocks of each group are reserved for the superblock copy,
 group descriptor, and inode table, as in a real ``newfs``; those addresses
@@ -22,14 +19,13 @@ from typing import Optional, Tuple
 
 from repro.errors import ConsistencyError, OutOfSpaceError
 from repro.ffs.bitmap import FragBitmap
-from repro.ffs.clustermap import BlockRunMap
 from repro.ffs.params import FSParams
 
 FragRef = Tuple[int, int]  # (global block number, fragment offset)
 
 
 class CylinderGroup:
-    """One cylinder group: free maps, inode table, allocation rotor."""
+    """One cylinder group: free map, inode table, allocation rotor."""
 
     def __init__(self, params: FSParams, index: int) -> None:
         if not 0 <= index < params.ncg:
@@ -39,14 +35,12 @@ class CylinderGroup:
         self.base = params.cg_base_block(index)
         self.nblocks = params.blocks_per_cg
         self.bitmap = FragBitmap(self.nblocks, params.frags_per_block)
-        self.runmap = BlockRunMap(self.nblocks)
         self._inode_used = bytearray(params.inodes_per_cg)
         self.nifree = params.inodes_per_cg
         self.ndirs = 0
         #: Next-allocation hint, like the kernel's cg rotor.
         self.rotor = params.metadata_blocks_per_cg
-        for local in range(params.metadata_blocks_per_cg):
-            self._take_whole_block(local)
+        self.bitmap.alloc_block_range(0, params.metadata_blocks_per_cg)
 
     # ------------------------------------------------------------------
     # Address translation
@@ -72,7 +66,6 @@ class CylinderGroup:
         twin.base = self.base
         twin.nblocks = self.nblocks
         twin.bitmap = self.bitmap.clone()
-        twin.runmap = self.runmap.clone()
         twin._inode_used = bytearray(self._inode_used)
         twin.nifree = self.nifree
         twin.ndirs = self.ndirs
@@ -91,11 +84,11 @@ class CylinderGroup:
     @property
     def free_blocks(self) -> int:
         """Wholly-free blocks in the group."""
-        return self.runmap.free_blocks
+        return self.bitmap.free_blocks
 
     def max_free_run(self) -> int:
         """Longest run of wholly-free blocks."""
-        return self.runmap.max_run()
+        return self.bitmap.max_block_run()
 
     # ------------------------------------------------------------------
     # Whole-block allocation
@@ -114,21 +107,21 @@ class CylinderGroup:
             start = self._local(pref)
         else:
             start = self.rotor % self.nblocks
-        local = self.runmap.find_free_block(start)
+        local = self.bitmap.find_free_block(start)
         if local is None:
             raise OutOfSpaceError(
                 f"cylinder group {self.index} has no free block", cg=self.index
             )
-        self._take_whole_block(local)
+        self.bitmap.alloc_run(local, 0, self.params.frags_per_block)
         self.rotor = (local + 1) % self.nblocks
         return self.base + local
 
     def alloc_block_at(self, block: int) -> None:
         """Allocate the specific global ``block`` (must be wholly free)."""
         local = self._local(block)
-        if not self.runmap.is_free(local):
+        if not self.bitmap.block_is_free(local):
             raise OutOfSpaceError(f"block {block} is not free", cg=self.index)
-        self._take_whole_block(local)
+        self.bitmap.alloc_run(local, 0, self.params.frags_per_block)
 
     def free_block(self, block: int) -> None:
         """Free a wholly-allocated block."""
@@ -138,14 +131,13 @@ class CylinderGroup:
                 f"freeing block {block} that is not fully allocated"
             )
         self.bitmap.free_run(local, 0, self.params.frags_per_block)
-        self.runmap.free(local)
 
     def free_block_range(self, start: int, nblocks: int) -> None:
         """Free ``nblocks`` wholly-allocated consecutive blocks at ``start``.
 
         The batched form of :meth:`free_block` for a file's contiguous
-        runs: one slice write in the bitmap and one interval merge in the
-        run map instead of ``nblocks`` independent frees.
+        runs: one slice write per bitmap array instead of ``nblocks``
+        independent frees.
         """
         local = self._local(start)
         if nblocks < 1 or local + nblocks > self.nblocks:
@@ -159,7 +151,6 @@ class CylinderGroup:
                 f"that is not fully allocated"
             )
         self.bitmap.free_block_range(local, nblocks)
-        self.runmap.free_range(local, nblocks)
 
     # ------------------------------------------------------------------
     # Cluster allocation (used by the realloc policy)
@@ -178,7 +169,7 @@ class CylinderGroup:
             # No usable preference: search from the rotor, where recent
             # allocation activity is, rather than the group's start.
             start = self.rotor % self.nblocks
-        local = self.runmap.find_free_run(
+        local = self.bitmap.find_free_blocks(
             length, start, fit=self.params.cluster_fit
         )
         if local is None:
@@ -188,9 +179,10 @@ class CylinderGroup:
     def alloc_cluster(self, start: int, length: int) -> None:
         """Allocate ``length`` consecutive blocks starting at global ``start``.
 
-        One interval splice in the run map plus one slice write in the
-        bitmap, rather than ``length`` independent block allocations —
-        this is the realloc policy's hottest write path.
+        One range check plus one slice write per bitmap array, rather
+        than ``length`` independent block allocations — this is the
+        realloc policy's hottest write path.  On failure the error names
+        the first block that is not wholly free and nothing changes.
         """
         local = self._local(start)
         if local + length > self.nblocks:
@@ -198,12 +190,11 @@ class CylinderGroup:
                 f"cluster ({start}, {length}) crosses the group boundary",
                 cg=self.index,
             )
-        bad = self.runmap.first_not_free(local, length)
+        bad = self.bitmap.first_taken_block(local, length)
         if bad is not None:
             raise OutOfSpaceError(
                 f"cluster block {self.base + bad} is not free", cg=self.index
             )
-        self.runmap.alloc_range(local, length)
         self.bitmap.alloc_block_range(local, length)
         self.rotor = (local + length) % self.nblocks
 
@@ -236,7 +227,7 @@ class CylinderGroup:
             if offset + nfrags <= fpb and self.bitmap.run_is_free(
                 local, offset, nfrags
             ):
-                self._take_frags(local, offset, nfrags)
+                self.bitmap.alloc_run(local, offset, nfrags)
                 return (pref[0], offset)
             start = local
         else:
@@ -250,7 +241,7 @@ class CylinderGroup:
                 cg=self.index,
             )
         best_block, offset = hit
-        self._take_frags(best_block, offset, nfrags)
+        self.bitmap.alloc_run(best_block, offset, nfrags)
         return (self.base + best_block, offset)
 
     def extend_frags(
@@ -270,7 +261,7 @@ class CylinderGroup:
         extra = new_nfrags - old_nfrags
         if not self.bitmap.run_is_free(local, offset + old_nfrags, extra):
             return False
-        self._take_frags(local, offset + old_nfrags, extra)
+        self.bitmap.alloc_run(local, offset + old_nfrags, extra)
         return True
 
     def alloc_frags_at(self, block: int, offset: int, nfrags: int) -> None:
@@ -285,14 +276,11 @@ class CylinderGroup:
                 f"fragment run ({block}, {offset}, {nfrags}) is not free",
                 cg=self.index,
             )
-        self._take_frags(local, offset, nfrags)
+        self.bitmap.alloc_run(local, offset, nfrags)
 
     def free_frag_run(self, block: int, offset: int, nfrags: int) -> None:
         """Free ``nfrags`` fragments at (block, offset)."""
-        local = self._local(block)
-        self.bitmap.free_run(local, offset, nfrags)
-        if self.bitmap.block_is_free(local):
-            self.runmap.free(local)
+        self.bitmap.free_run(self._local(block), offset, nfrags)
 
     # ------------------------------------------------------------------
     # Inode allocation
@@ -342,16 +330,3 @@ class CylinderGroup:
                     f"directory count of group {self.index} went negative"
                 )
             self.ndirs -= 1
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _take_whole_block(self, local: int) -> None:
-        self.runmap.alloc(local)
-        self.bitmap.alloc_run(local, 0, self.params.frags_per_block)
-
-    def _take_frags(self, local: int, offset: int, nfrags: int) -> None:
-        if self.bitmap.block_is_free(local):
-            self.runmap.alloc(local)
-        self.bitmap.alloc_run(local, offset, nfrags)

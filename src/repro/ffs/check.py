@@ -1,10 +1,10 @@
 """fsck-lite: cross-checks every redundant structure in the simulator.
 
 The simulator keeps several views of the same allocation state (fragment
-bitmap, per-block free counts, free-run interval map, fragment-run index,
-superblock totals, inode block lists).  ``check_filesystem`` rebuilds the
-ground truth from the live inodes and verifies every view against it,
-raising :class:`~repro.errors.ConsistencyError` on the first mismatch.
+bitmap, per-block free counts, per-group free-fragment and free-block
+totals, inode block lists).  ``check_filesystem`` rebuilds the ground
+truth from the live inodes and verifies every view against it, raising
+:class:`~repro.errors.ConsistencyError` on the first mismatch.
 
 Tests call this after every mutation sequence; it is the simulator's
 equivalent of running ``fsck`` on the aged file systems.
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Set, Tuple
 
 from repro.errors import ConsistencyError
-from repro.ffs.cg import CylinderGroup
 from repro.ffs.filesystem import FileSystem
 
 
@@ -69,13 +68,7 @@ def check_filesystem(fs: FileSystem) -> None:
                     f"{cg.bitmap.free_in_block(local)} != {block_free}"
                 )
             free_frags += block_free
-            wholly_free = block_free == fpb
-            if cg.runmap.is_free(local) != wholly_free:
-                raise ConsistencyError(
-                    f"run map disagrees with bitmap at block {block}: "
-                    f"runmap={'free' if cg.runmap.is_free(local) else 'allocated'}"
-                )
-            if wholly_free:
+            if block_free == fpb:
                 free_blocks += 1
         if cg.free_frags != free_frags:
             raise ConsistencyError(
@@ -85,8 +78,6 @@ def check_filesystem(fs: FileSystem) -> None:
             raise ConsistencyError(
                 f"cg {cg.index} free_blocks {cg.free_blocks} != recount {free_blocks}"
             )
-        _check_runs_sorted(cg)
-        _check_frag_index(cg)
 
     # Inode table consistency.
     for ino, inode in fs.inodes.items():
@@ -131,43 +122,3 @@ def _claim(
         )
     expected.add(key)
 
-
-def _check_runs_sorted(cg: CylinderGroup) -> None:
-    runs = cg.runmap.runs()
-    prev_end = -2  # so a legitimate first run at block 0 is not "abutting"
-    for start, length in runs:
-        if length <= 0:
-            raise ConsistencyError(f"cg {cg.index} has empty run at {start}")
-        # prev_end is inclusive, so start == prev_end + 1 is abutment
-        # (two runs the map should have merged), not a gap.
-        if start <= prev_end + 1:
-            raise ConsistencyError(
-                f"cg {cg.index} run at {start} overlaps or abuts previous "
-                f"(unmerged adjacent runs)"
-            )
-        prev_end = start + length - 1
-        if prev_end >= cg.nblocks:
-            raise ConsistencyError(f"cg {cg.index} run at {start} overflows group")
-
-
-def _check_frag_index(cg: CylinderGroup) -> None:
-    fpb = cg.params.frags_per_block
-    index = cg.bitmap.run_index()
-    for local in range(cg.nblocks):
-        free = cg.bitmap.free_in_block(local)
-        runs = cg.bitmap.frag_runs(local)
-        indexed = {length: local in index[length] for length in range(1, fpb)}
-        if free in (0, fpb):
-            if any(indexed.values()):
-                raise ConsistencyError(
-                    f"block {cg.base + local} indexed as partial donor but is "
-                    f"{'full' if free == 0 else 'free'}"
-                )
-            continue
-        run_lengths = {length for _off, length in runs}
-        for length in range(1, fpb):
-            if indexed[length] != (length in run_lengths):
-                raise ConsistencyError(
-                    f"frag-run index wrong for block {cg.base + local} "
-                    f"length {length}"
-                )

@@ -173,10 +173,6 @@ class Superblock:
     # Reserve enforcement
     # ------------------------------------------------------------------
 
-    def data_frags_free(self) -> int:
-        """Free fragments available to files (metadata already excluded)."""
-        return self.free_frags
-
     def would_break_reserve(self, nfrags: int) -> bool:
         """Whether allocating ``nfrags`` more would dip into ``minfree``.
 

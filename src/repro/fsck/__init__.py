@@ -2,8 +2,8 @@
 
 :func:`repro.ffs.check.check_filesystem` is the *detector*: it treats
 the inode and directory tables as ground truth, rebuilds every redundant
-view (fragment bitmap, per-CG free counts, cluster run map, frag-run
-index, inode usage map), and raises on the first mismatch.  This package
+view (fragment bitmap, per-block and per-CG free counts, inode usage
+map), and raises on the first mismatch.  This package
 is the matching *repairer*: :func:`repair_filesystem` performs the same
 scan but instead of raising it classifies the damage, fixes the
 authoritative state where it is self-contradictory (doubly-claimed

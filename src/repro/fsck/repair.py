@@ -11,8 +11,8 @@ Repair runs in phases, mirroring a real ``fsck``'s passes:
 3. **Inode sanity** — clamp sizes exceeding the (possibly truncated)
    capacity (the *truncated file* class, e.g. a torn append) and repair
    blocks-but-no-size inodes.
-4. **Map rebuild** — throw away every cylinder group's fragment bitmap,
-   cluster run map, and inode usage map and rebuild them from the now
+4. **Map rebuild** — throw away every cylinder group's fragment bitmap
+   (its only free map) and inode usage map and rebuild them from the now
    self-consistent inode table, preserving allocation rotors.  Space the
    old maps held that no inode references is the *orphaned blocks*
    class; space inodes reference that the old maps thought free is the
@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.errors import OutOfSpaceError, SimulationError
 from repro.ffs.bitmap import FragBitmap
 from repro.ffs.check import check_filesystem
-from repro.ffs.clustermap import BlockRunMap
 from repro.ffs.directory import Directory
 from repro.ffs.filesystem import FileSystem
 from repro.ffs.image import FORMAT_NAME, FORMAT_VERSION, inode_from_json
@@ -299,12 +298,10 @@ def _rebuild_maps(
     old_free = [cg.free_frags for cg in fs.sb.cgs]
     for cg in fs.sb.cgs:
         cg.bitmap = FragBitmap(cg.nblocks, params.frags_per_block)
-        cg.runmap = BlockRunMap(cg.nblocks)
         cg._inode_used = bytearray(params.inodes_per_cg)
         cg.nifree = params.inodes_per_cg
         cg.ndirs = 0
-        for local in range(params.metadata_blocks_per_cg):
-            cg._take_whole_block(local)
+        cg.bitmap.alloc_block_range(0, params.metadata_blocks_per_cg)
         # The rotor is a hint, not redundant state: preserve it so the
         # repaired system's future allocation decisions match a system
         # that was never damaged.

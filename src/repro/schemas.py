@@ -108,13 +108,3 @@ def split_tag(tag: str) -> Optional[Tuple[str, int]]:
     if not sep or not family or not version.isdigit():
         return None
     return family, int(version)
-
-
-def declared_families() -> Dict[str, int]:
-    """Map of declared family -> declared version number."""
-    families: Dict[str, int] = {}
-    for tag in REGISTRY.values():
-        split = split_tag(tag)
-        if split is not None:
-            families[split[0]] = split[1]
-    return families

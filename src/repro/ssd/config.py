@@ -97,11 +97,6 @@ class SSDGeometry:
     # Derived quantities -------------------------------------------------
 
     @cached_property
-    def block_bytes(self) -> int:
-        """Capacity of one erase block in bytes."""
-        return self.page_size * self.pages_per_block
-
-    @cached_property
     def logical_pages(self) -> int:
         """Logical pages the host can address (capacity / page size)."""
         return -(-self.logical_bytes // self.page_size)

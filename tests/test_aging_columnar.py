@@ -52,6 +52,15 @@ GOLDEN = {
         "bf863ecf87dbb6e4145afce10280ae04668ac90e3ebafd1469e966ada0c25529",
     "day-sample-events-ffs":
         "d7c6946c2046abff16a3230fa33ed5ba0bed0dc8fd7d3fa51b903b8d915c56b3",
+    # The whole-block search branches the two paper policies at their
+    # defaults never take: best-fit cluster search, the run-aware
+    # fallback, and reallocation without the two-block quirk.
+    "reconstructed-realloc-bestfit":
+        "7dcc3b81b91e68aa0184dee4cdede4228de9f64971b8c28a4f32dc688f545a67",
+    "reconstructed-ffs-smart":
+        "18ce2091fd2a4ad908177b5a51a4e1a890cf6034ad246358b27c5ec01696647c",
+    "reconstructed-realloc-eager":
+        "aa09bad73aa86e211e669204fc1605b0f822eeb4e4bb0c12a05be176443c9f9b",
 }
 
 #: Attributes that make up a workload's columns.
@@ -106,6 +115,21 @@ class TestEngineEquivalence:
     ):
         result = replay(aging_artifacts.reconstructed, tiny_params, policy)
         assert replay_digest(result) == GOLDEN[f"reconstructed-{policy}"]
+
+    @pytest.mark.parametrize(
+        "key, policy, fit",
+        [
+            ("reconstructed-realloc-bestfit", "realloc", "bestfit"),
+            ("reconstructed-ffs-smart", "ffs-smart", "firstfit"),
+            ("reconstructed-realloc-eager", "realloc-eager", "firstfit"),
+        ],
+    )
+    def test_search_branches(
+        self, tiny_params, aging_artifacts, key, policy, fit
+    ):
+        params = dataclasses.replace(tiny_params, cluster_fit=fit)
+        result = replay(aging_artifacts.reconstructed, params, policy)
+        assert replay_digest(result) == GOLDEN[key]
 
     @pytest.mark.parametrize("policy", ["ffs", "realloc"])
     def test_alternate_configuration(self, alternate_artifacts, policy):

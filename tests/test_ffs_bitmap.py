@@ -90,40 +90,45 @@ class TestFragRuns:
         assert not b.run_is_free(5, 3, 3)
 
 
-class TestRunIndex:
-    def test_partial_blocks_indexed(self):
-        b = make()
-        b.alloc_run(2, 0, 5)  # leaves a run of 3
-        assert 2 in b.partial_blocks_with_run(3)
-        assert 2 in b.partial_blocks_with_run(1)
-        assert 2 not in b.partial_blocks_with_run(4)
-
-    def test_free_blocks_not_indexed(self):
-        b = make()
-        assert b.partial_blocks_with_run(1) == []
-
-    def test_full_blocks_not_indexed(self):
-        b = make()
-        b.alloc_run(2, 0, 8)
-        assert b.partial_blocks_with_run(1) == []
-
-    def test_index_updates_on_free(self):
+class TestWholeBlockQueries:
+    def test_free_blocks_counts_only_wholly_free_blocks(self):
         b = make()
         b.alloc_run(2, 0, 5)
+        b.alloc_run(3, 0, 8)
+        assert b.free_blocks == 14
+        b.alloc_block_range(5, 3)
+        assert b.free_blocks == 11
+        b.free_block_range(5, 3)
         b.free_run(2, 0, 5)
-        assert b.partial_blocks_with_run(1) == []
+        assert b.free_blocks == 15
 
-    def test_invalid_size_rejected(self):
+    def test_free_blocks_at_stops_at_partial_block(self):
         b = make()
-        with pytest.raises(ValueError):
-            b.partial_blocks_with_run(8)
+        b.alloc_run(6, 7, 1)
+        assert b.free_blocks_at(2, 10) == 4
+        assert b.free_blocks_at(2, 3) == 3
+        assert b.free_blocks_at(6, 3) == 0
 
-    def test_frsum_counts(self):
+    def test_first_taken_block(self):
         b = make()
-        b.alloc_run(1, 0, 5)  # run of 3
-        b.alloc_run(2, 0, 5)  # run of 3
-        b.alloc_run(3, 0, 7)  # run of 1
-        frsum = b.frsum()
-        assert frsum[3] == 2
-        assert frsum[1] == 1
-        assert frsum[5] == 0
+        assert b.first_taken_block(0, 16) is None
+        b.alloc_run(9, 3, 2)
+        assert b.first_taken_block(4, 8) == 9
+        assert b.first_taken_block(4, 5) is None
+
+    def test_partial_blocks_are_not_runs(self):
+        b = make()
+        b.alloc_run(0, 0, 1)
+        b.alloc_run(15, 7, 1)
+        b.alloc_run(7, 4, 1)
+        assert b.block_runs() == [(1, 6), (8, 7)]
+        assert b.max_block_run() == 7
+        assert b.find_free_blocks(7, pref=3) == 8
+
+    def test_clone_is_independent(self):
+        b = make()
+        b.alloc_run(4, 0, 8)
+        twin = b.clone()
+        twin.free_run(4, 0, 8)
+        assert b.free_blocks == 15 and twin.free_blocks == 16
+        assert b.block_runs() == [(0, 4), (5, 11)]

@@ -26,7 +26,7 @@ def cg1(params):
 class TestConstruction:
     def test_metadata_blocks_reserved(self, cg, params):
         for local in range(params.metadata_blocks_per_cg):
-            assert not cg.runmap.is_free(local)
+            assert not cg.bitmap.block_is_free(local)
         assert cg.free_blocks == params.blocks_per_cg - params.metadata_blocks_per_cg
 
     def test_bad_index_rejected(self, params):
@@ -90,7 +90,7 @@ class TestClusterAllocation:
         assert start is not None
         cg.alloc_cluster(start, 7)
         for i in range(7):
-            assert not cg.runmap.is_free(start - cg.base + i)
+            assert not cg.bitmap.block_is_free(start - cg.base + i)
 
     def test_cluster_continuing_pref(self, cg):
         block = cg.alloc_block()
@@ -163,9 +163,13 @@ class TestFragAllocation:
         assert cg.free_frags == before - 5
 
     def test_free_frag_run_returns_block_to_runmap(self, cg):
+        """Freeing a block's last fragments makes it a free block again."""
+        before = cg.free_blocks
         block, offset = cg.alloc_frags(3, None)
+        assert cg.free_blocks == before - 1
         cg.free_frag_run(block, offset, 3)
-        assert cg.runmap.is_free(block - cg.base)
+        assert cg.bitmap.block_is_free(block - cg.base)
+        assert cg.free_blocks == before
 
     def test_whole_block_frag_request_rejected(self, cg, params):
         with pytest.raises(ValueError):

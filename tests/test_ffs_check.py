@@ -79,15 +79,6 @@ class TestDetection:
         with pytest.raises(ConsistencyError, match="free_frags"):
             check_filesystem(fs)
 
-    def test_runmap_desync(self, fs):
-        """Run map claiming an allocated block is free is caught."""
-        inode = fs.files()[0]
-        block = inode.blocks[0]
-        cg = fs.sb.cg_of_block(block)
-        cg.runmap.free(block - cg.base)
-        with pytest.raises(ConsistencyError):
-            check_filesystem(fs)
-
     def test_tail_double_claim(self, fs):
         """A tail overlapping another file's block is caught."""
         a, b = fs.files()
@@ -117,40 +108,10 @@ class TestPerViewDetection:
             check_filesystem(fs)
 
     def test_cg_free_blocks_total(self, fs):
-        """Superblock-level whole-block total desynced from the run map."""
+        """Group whole-block total desynced from the fragment bits."""
         cg = fs.sb.cgs[0]
-        cg.runmap.free_blocks += 1
+        cg.bitmap.free_blocks += 1
         with pytest.raises(ConsistencyError, match="free_blocks .* != recount"):
-            check_filesystem(fs)
-
-    def test_unmerged_adjacent_runs(self, fs):
-        """Run map intervals split without merging are caught.
-
-        Per-block `is_free` answers stay correct, so only the interval
-        invariant check can see this.
-        """
-        cg = fs.sb.cgs[0]
-        start, length = next(
-            (s, ln) for s, ln in cg.runmap.runs() if ln >= 2
-        )
-        cg.runmap._len_at[start] = 1
-        cg.runmap._len_at[start + 1] = length - 1
-        cg.runmap._starts = sorted(cg.runmap._starts + [start + 1])
-        with pytest.raises(ConsistencyError, match="overlaps or abuts"):
-            check_filesystem(fs)
-
-    def test_frag_run_index(self, fs):
-        """cg_frsum-style frag-run index missing a partial block."""
-        d = fs.directories["d"]
-        ino = fs.create_file(d, 41 * KB)  # 5 blocks + a 1-frag tail
-        inode = fs.inodes[ino]
-        assert inode.tail is not None
-        block = inode.tail[0]
-        cg = fs.sb.cg_of_block(block)
-        local = block - cg.base
-        (run_length,) = {ln for _off, ln in cg.bitmap.frag_runs(local)}
-        del cg.bitmap.run_index()[run_length][local]
-        with pytest.raises(ConsistencyError, match="frag-run index wrong"):
             check_filesystem(fs)
 
     def test_inode_table_key_mismatch(self, fs):

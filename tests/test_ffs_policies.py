@@ -110,7 +110,7 @@ class TestReallocPolicyBehaviour:
         # skipping anything already taken, e.g. the directory's block).
         local_start = params.metadata_blocks_per_cg
         for local in range(local_start, cg.nblocks, 2):
-            if cg.runmap.is_free(local):
+            if cg.bitmap.block_is_free(local):
                 cg.alloc_block_at(cg.base + local)
         before_fail = fs.policy.relocation_failures
         ino = fs.create_file(d, 32 * KB)

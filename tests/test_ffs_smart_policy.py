@@ -51,7 +51,7 @@ class TestSmartFallback:
         cg = fs.sb.cgs[d.cg]
         start = params.metadata_blocks_per_cg
         for local in range(start, cg.nblocks, 2):
-            if cg.runmap.is_free(local):
+            if cg.bitmap.block_is_free(local):
                 cg.alloc_block_at(cg.base + local)
         ino = fs.create_file(d, 32 * KB)
         assert len(fs.inode(ino).blocks) == 4  # allocated, fragmented

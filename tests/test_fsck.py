@@ -110,13 +110,6 @@ class TestRepairPairsDetection:
         # free but inodes actually reference.
         assert report.unrecorded_frags == 5
 
-    def test_runmap_desync(self, fs):
-        inode = fs.files()[0]
-        block = inode.blocks[0]
-        cg = fs.sb.cg_of_block(block)
-        cg.runmap.free(block - cg.base)
-        detect_then_repair(fs)
-
     def test_tail_double_claim(self, fs):
         a = min(fs.files(), key=lambda i: i.ino)
         ino = fs.create_file(fs.directories["d"], 41 * KB)
@@ -144,29 +137,7 @@ class TestRepairPairsPerViewDetection:
 
     def test_cg_free_blocks_total(self, fs):
         cg = fs.sb.cgs[0]
-        cg.runmap.free_blocks += 1
-        detect_then_repair(fs)
-
-    def test_unmerged_adjacent_runs(self, fs):
-        cg = fs.sb.cgs[0]
-        start, length = next(
-            (s, ln) for s, ln in cg.runmap.runs() if ln >= 2
-        )
-        cg.runmap._len_at[start] = 1
-        cg.runmap._len_at[start + 1] = length - 1
-        cg.runmap._starts = sorted(cg.runmap._starts + [start + 1])
-        detect_then_repair(fs)
-
-    def test_frag_run_index(self, fs):
-        d = fs.directories["d"]
-        ino = fs.create_file(d, 41 * KB)  # 5 blocks + a 1-frag tail
-        inode = fs.inodes[ino]
-        assert inode.tail is not None
-        block = inode.tail[0]
-        cg = fs.sb.cg_of_block(block)
-        local = block - cg.base
-        (run_length,) = {ln for _off, ln in cg.bitmap.frag_runs(local)}
-        del cg.bitmap.run_index()[run_length][local]
+        cg.bitmap.free_blocks += 1
         detect_then_repair(fs)
 
     def test_inode_table_key_mismatch(self, fs):

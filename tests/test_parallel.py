@@ -3,7 +3,7 @@
 The load-bearing property is byte-identity: ``--jobs N`` must produce
 exactly the stdout a serial run produces, because workers rebuild their
 file systems from cached images and any behavioural drift in the image
-layer (rotors, realloc marks, run maps) would surface here first.
+layer (rotors, realloc marks, free maps) would surface here first.
 """
 
 from __future__ import annotations

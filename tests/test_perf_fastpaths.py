@@ -1,7 +1,7 @@
 """Differential tests for the allocation, device-pricing and LFS hot paths.
 
-``FragBitmap`` and ``BlockRunMap`` were rewritten with ``bytearray``
-slice primitives and single-splice interval updates; ``DiskModel``
+``FragBitmap`` answers fragment and whole-block searches with
+``bytearray`` primitives over its own arrays; ``DiskModel``
 prices requests in one loop over locals; ``LogStructuredFS`` keeps its
 layout-score pair counts and clean-segment count incrementally.  These
 tests drive the fast code and deliberately naive references through the
@@ -33,7 +33,8 @@ from repro.errors import (
     OutOfSpaceError,
 )
 from repro.ffs.bitmap import FragBitmap
-from repro.ffs.clustermap import BlockRunMap
+from repro.ffs.cg import CylinderGroup
+from repro.ffs.params import scaled_params
 from repro.lfs.filesystem import LfsInode, LogStructuredFS, SegmentInfo
 from repro.lfs.params import LFSParams
 from repro.lfs.replay import LfsReplayer
@@ -101,16 +102,6 @@ class RefBitmap:
             self.bits[block][i] == 0 for i in range(offset, offset + nfrags)
         )
 
-    def partial_blocks_with_run(self, nfrags: int):
-        found = set()
-        for block in range(self.nblocks):
-            free = self.free_in_block(block)
-            if free == 0 or free == self.fpb:
-                continue
-            if any(length >= nfrags for _off, length in self.frag_runs(block)):
-                found.add(block)
-        return found
-
 
 class RefRunMap:
     """Free-block set; runs and queries are recomputed from scratch."""
@@ -130,10 +121,11 @@ class RefRunMap:
             raise ValueError("not free")
         self.free -= set(blocks)
 
-    def free_block(self, block: int) -> None:
-        if block in self.free:
+    def free_range(self, start: int, length: int) -> None:
+        blocks = range(start, start + length)
+        if any(b in self.free for b in blocks):
             raise ValueError("already free")
-        self.free.add(block)
+        self.free |= set(blocks)
 
     def runs(self):
         out, start = [], None
@@ -155,6 +147,26 @@ class RefRunMap:
                 return b
         return None
 
+    def find_free_block(self, pref: int):
+        for i in range(self.nblocks):
+            b = (pref + i) % self.nblocks
+            if b in self.free:
+                return b
+        return None
+
+    def find_free_blocks(self, length: int, pref: int, fit: str):
+        if all(b in self.free for b in range(pref, pref + length)):
+            return pref  # continuation
+        adequate = [(s, n) for s, n in self.runs() if n >= length]
+        if not adequate:
+            return None
+        if fit == "firstfit":
+            return adequate[0][0]
+        # best fit: the shortest adequate run, ties to the first one met
+        # scanning cyclically from the run after ``pref``
+        cyclic = sorted(adequate, key=lambda r: (r[0] - pref - 1) % self.nblocks)
+        return min(cyclic, key=lambda r: r[1])[0]
+
 
 # ----------------------------------------------------------------------
 # Differential drivers
@@ -166,10 +178,6 @@ def _assert_bitmap_equal(fast: FragBitmap, ref: RefBitmap) -> None:
     for block in range(fast.nblocks):
         assert fast.free_in_block(block) == ref.free_in_block(block)
         assert fast.frag_runs(block) == ref.frag_runs(block)
-    for nfrags in range(1, fast.fpb):
-        assert set(fast.partial_blocks_with_run(nfrags)) == (
-            ref.partial_blocks_with_run(nfrags)
-        )
 
 
 @pytest.mark.parametrize("seed", [1, 1996, 20260806])
@@ -213,113 +221,132 @@ def test_frag_bitmap_differential(seed):
     _assert_bitmap_equal(fast, ref)
 
 
-def _assert_runmap_equal(fast: BlockRunMap, ref: RefRunMap) -> None:
-    assert fast.runs() == ref.runs()
+def _assert_runmap_equal(fast: FragBitmap, ref: RefRunMap) -> None:
+    assert fast.block_runs() == ref.runs()
     assert fast.free_blocks == len(ref.free)
-    assert fast.max_run() == ref.max_run()
+    assert fast.max_block_run() == ref.max_run()
 
 
 @pytest.mark.parametrize("seed", [2, 42, 19960122])
 def test_block_runmap_differential(seed):
+    """Whole-block operations and searches of the bitmap against a set."""
     rng = random.Random(seed)
-    nblocks = 64
-    fast = BlockRunMap(nblocks)
+    nblocks, fpb = 64, 8
+    fast = FragBitmap(nblocks, fpb)
     ref = RefRunMap(nblocks)
     for _step in range(800):
         op = rng.random()
         block = rng.randrange(nblocks)
-        fast_err = ref_err = None
+        length = rng.randint(1, min(6, nblocks - block))
         if op < 0.35:
-            try:
-                fast.alloc(block)
-            except ValueError as exc:
-                fast_err = exc
-            try:
-                ref.alloc(block)
-            except ValueError:
-                ref_err = ValueError
+            fast_op, ref_op = fast.alloc_run, ref.alloc
+            fast_args, ref_args = (block, 0, fpb), (block,)
         elif op < 0.6:
-            length = rng.randint(1, min(6, nblocks - block))
-            try:
-                fast.alloc_range(block, length)
-            except ValueError as exc:
-                fast_err = exc
-            try:
-                ref.alloc_range(block, length)
-            except ValueError:
-                ref_err = ValueError
-            probe_len = rng.randint(1, min(6, nblocks - block))
-            assert fast.first_not_free(block, probe_len) == (
-                ref.first_not_free(block, probe_len)
-            )
+            fast_op, ref_op = fast.alloc_block_range, ref.alloc_range
+            fast_args = ref_args = (block, length)
+        elif op < 0.85:
+            fast_op, ref_op = fast.free_run, ref.free_range
+            fast_args, ref_args = (block, 0, fpb), (block, 1)
         else:
-            try:
-                fast.free(block)
-            except ValueError as exc:
-                fast_err = exc
-            try:
-                ref.free_block(block)
-            except ValueError:
-                ref_err = ValueError
-        assert (fast_err is None) == (ref_err is None)
-        assert fast.is_free(block) == (block in ref.free)
+            fast_op, ref_op = fast.free_block_range, ref.free_range
+            fast_args = ref_args = (block, length)
+        fast_err = ref_err = None
+        try:
+            fast_op(*fast_args)
+        except ValueError as exc:
+            fast_err = exc
+        try:
+            ref_op(*ref_args)
+        except ValueError:
+            ref_err = ValueError
+        assert (fast_err is None) == (ref_err is None), (fast_op, fast_args)
+        assert fast.block_is_free(block) == (block in ref.free)
+        assert fast.free_blocks == len(ref.free)
+        probe_len = rng.randint(1, min(6, nblocks - block))
+        taken = ref.first_not_free(block, probe_len)
+        assert fast.first_taken_block(block, probe_len) == taken
+        # the limit may run past the end of the map, as a policy's may
+        limit = rng.randint(1, 8)
+        taken = ref.first_not_free(block, limit)
+        assert fast.free_blocks_at(block, limit) == (
+            limit if taken is None else taken - block
+        )
+        pref = rng.randrange(nblocks)
+        assert fast.find_free_block(pref) == ref.find_free_block(pref)
+        want = rng.randint(1, 8)
+        for fit in ("firstfit", "bestfit"):
+            assert fast.find_free_blocks(want, pref, fit) == (
+                ref.find_free_blocks(want, pref, fit)
+            ), (want, pref, fit)
     _assert_runmap_equal(fast, ref)
-    # the search query still returns a genuinely free block (or None)
-    for pref in range(0, nblocks, 7):
-        found = fast.find_free_block(pref)
-        if ref.free:
-            assert found in ref.free
-        else:
-            assert found is None
 
 
 # ----------------------------------------------------------------------
-# Regression: alloc_range error contract (satellite fix)
+# Regression: CylinderGroup.alloc_cluster error contract
 # ----------------------------------------------------------------------
 
 
 class TestAllocRangeContract:
-    def test_start_not_free_names_start(self):
-        m = BlockRunMap(16)
-        m.alloc_range(4, 3)  # occupy [4, 7)
-        with pytest.raises(ValueError, match=r"block 5 is not free"):
-            m.alloc_range(5, 2)
+    """A failed cluster allocation names the first block that is not
+    wholly free and leaves the group untouched."""
 
-    def test_overrun_names_first_allocated_block(self):
-        m = BlockRunMap(16)
-        m.alloc_range(8, 2)  # occupy [8, 10); [0, 8) stays free
-        with pytest.raises(ValueError, match=r"block 8 is not free"):
-            m.alloc_range(6, 4)  # blocks 6..9: fails at 8
+    @pytest.fixture
+    def cg(self):
+        return CylinderGroup(scaled_params(24 * MB), 0)
 
-    def test_overrun_past_end_names_end(self):
-        m = BlockRunMap(16)
-        with pytest.raises(ValueError, match=r"block 16 is not free"):
-            m.alloc_range(14, 4)
+    @staticmethod
+    def first(cg):
+        """Global address of the group's first data block."""
+        return cg.base + cg.params.metadata_blocks_per_cg
 
-    def test_failed_alloc_range_is_atomic(self):
-        m = BlockRunMap(16)
-        m.alloc_range(8, 2)
-        before = (m.runs(), m.free_blocks, m.max_run())
+    @staticmethod
+    def state(cg):
+        bitmap = cg.bitmap
+        return (bitmap.block_runs(), cg.free_blocks, cg.free_frags, cg.rotor)
+
+    def test_start_not_free_names_start(self, cg):
+        b = self.first(cg)
+        cg.alloc_cluster(b + 4, 3)  # occupy [4, 7)
+        with pytest.raises(OutOfSpaceError, match=rf"block {b + 5} is not free"):
+            cg.alloc_cluster(b + 5, 2)
+
+    def test_overrun_names_first_allocated_block(self, cg):
+        b = self.first(cg)
+        cg.alloc_cluster(b + 8, 2)  # occupy [8, 10); [0, 8) stays free
+        with pytest.raises(OutOfSpaceError, match=rf"block {b + 8} is not free"):
+            cg.alloc_cluster(b + 6, 4)  # blocks 6..9: fails at 8
+
+    def test_overrun_past_end_names_end(self, cg):
+        end = cg.base + cg.nblocks
+        with pytest.raises(OutOfSpaceError, match="crosses the group boundary"):
+            cg.alloc_cluster(end - 2, 4)
+
+    def test_failed_alloc_range_is_atomic(self, cg):
+        b = self.first(cg)
+        cg.alloc_cluster(b + 8, 2)
+        before = self.state(cg)
+        with pytest.raises(OutOfSpaceError):
+            cg.alloc_cluster(b + 6, 4)
+        with pytest.raises(OutOfSpaceError):
+            cg.alloc_cluster(cg.base + cg.nblocks - 2, 4)
+        assert self.state(cg) == before
+
+    def test_zero_length_is_rejected(self, cg):
+        before = self.state(cg)
         with pytest.raises(ValueError):
-            m.alloc_range(6, 4)
-        assert (m.runs(), m.free_blocks, m.max_run()) == before
+            cg.alloc_cluster(self.first(cg), 0)
+        assert self.state(cg) == before
 
-    def test_zero_length_is_a_noop(self):
-        m = BlockRunMap(8)
-        m.alloc_range(3, 0)
-        assert m.runs() == [(0, 8)]
-
-    def test_max_run_tracks_splits_and_merges(self):
-        m = BlockRunMap(32)
-        assert m.max_run() == 32
-        m.alloc_range(10, 4)  # [0,10) + [14,32)
-        assert m.max_run() == 18
-        m.alloc_range(20, 12)  # [0,10) + [14,20)
-        assert m.max_run() == 10
-        for b in range(10, 14):
-            m.free(b)  # rejoin: [0,20)
-        assert m.max_run() == 20
-
+    def test_max_run_tracks_splits_and_merges(self, cg):
+        b = self.first(cg)
+        data = cg.nblocks - cg.params.metadata_blocks_per_cg
+        assert cg.max_free_run() == data
+        cg.alloc_cluster(b + 10, 4)  # [0,10) + [14,data)
+        assert cg.max_free_run() == data - 14
+        cg.alloc_cluster(b + 20, data - 20)  # [0,10) + [14,20)
+        assert cg.max_free_run() == 10
+        cg.free_block_range(b + 10, 4)  # rejoin: [0,20)
+        assert cg.max_free_run() == 20
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Property-based tests for the fragment bitmap.
 
-A random interleaving of valid allocate/free operations must keep every
-derived structure (free counts, per-block counts, the frag-run index)
+A random interleaving of valid fragment and whole-block allocate/free
+operations must keep every derived structure (free counts, per-block
+counts, the free-block total and the runs of wholly free blocks)
 consistent with a recount from scratch.
 """
 
@@ -47,6 +48,24 @@ class BitmapMachine(RuleBasedStateMachine):
         self.bitmap.free_run(block, offset, nfrags)
         self.shadow -= frags
 
+    @rule(block=st.integers(0, NBLOCKS - 1), nblocks=st.integers(1, 4))
+    def alloc_blocks_if_free(self, block, nblocks):
+        nblocks = min(nblocks, NBLOCKS - block)
+        frags = {(b, o) for b in range(block, block + nblocks) for o in range(FPB)}
+        if frags & self.shadow:
+            return
+        self.bitmap.alloc_block_range(block, nblocks)
+        self.shadow |= frags
+
+    @rule(block=st.integers(0, NBLOCKS - 1), nblocks=st.integers(1, 4))
+    def free_blocks_if_allocated(self, block, nblocks):
+        nblocks = min(nblocks, NBLOCKS - block)
+        frags = {(b, o) for b in range(block, block + nblocks) for o in range(FPB)}
+        if not frags <= self.shadow:
+            return
+        self.bitmap.free_block_range(block, nblocks)
+        self.shadow -= frags
+
     @invariant()
     def free_count_matches_shadow(self):
         assert self.bitmap.free_frags == NBLOCKS * FPB - len(self.shadow)
@@ -57,18 +76,24 @@ class BitmapMachine(RuleBasedStateMachine):
             allocated = sum(1 for (b, _o) in self.shadow if b == block)
             assert self.bitmap.free_in_block(block) == FPB - allocated
 
+    def _recount_runs(self):
+        runs, start = [], None
+        for block in range(NBLOCKS + 1):
+            if block < NBLOCKS and self.bitmap.free_in_block(block) == FPB:
+                if start is None:
+                    start = block
+            elif start is not None:
+                runs.append((start, block - start))
+                start = None
+        return runs
+
     @invariant()
-    def frag_run_index_matches_reality(self):
-        for nfrags in range(1, FPB):
-            indexed = set(self.bitmap.partial_blocks_with_run(nfrags))
-            actual = set()
-            for block in range(NBLOCKS):
-                free = self.bitmap.free_in_block(block)
-                if free in (0, FPB):
-                    continue
-                if self.bitmap.find_run_in_block(block, nfrags) is not None:
-                    actual.add(block)
-            assert indexed == actual
+    def block_runs_match_free_in_block(self):
+        assert self.bitmap.block_runs() == self._recount_runs()
+
+    @invariant()
+    def free_blocks_is_the_sum_of_the_runs(self):
+        assert self.bitmap.free_blocks == sum(n for _s, n in self._recount_runs())
 
 
 TestBitmapMachine = BitmapMachine.TestCase
@@ -93,7 +118,8 @@ class TestBitmapProperties:
             bitmap.free_run(block, offset, nfrags)
         assert bitmap.free_frags == NBLOCKS * FPB
         assert all(bitmap.block_is_free(b) for b in range(NBLOCKS))
-        assert bitmap.partial_blocks_with_run(1) == []
+        assert bitmap.block_runs() == [(0, NBLOCKS)]
+        assert bitmap.free_blocks == NBLOCKS
 
     @given(st.integers(0, NBLOCKS - 1), st.integers(1, FPB - 1))
     def test_frag_runs_cover_free_space(self, block, nalloc):
