@@ -1163,16 +1163,14 @@ def _load_diff_side(
             manifest=manifest,
             summary=summary if isinstance(summary, dict) else None,
         )
+    from repro.obs.events import read_jsonl
+
     if events_path:
-        from repro.obs.events import read_jsonl_events
-
         with open(events_path) as fp:
-            side.events = read_jsonl_events(fp)
+            side.events = read_jsonl(fp)
     if trace_path:
-        from repro.obs.disktrace import read_jsonl_trace
-
         with open(trace_path) as fp:
-            side.disk_trace = read_jsonl_trace(fp)
+            side.disk_trace = read_jsonl(fp)
     if image_path:
         from repro.analysis.placement import inspect_filesystem
         from repro.ffs.image import load_filesystem

@@ -1,13 +1,21 @@
 """``repro.obs`` — the telemetry layer of the reproduction.
 
-Three primitives, one switch:
+Four kinds of record, one switch:
 
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
   histograms in a name-keyed registry;
 * **traces** (:mod:`repro.obs.trace`) — hierarchical spans with
   wall-clock and simulated-clock timing;
+* **row logs** (:mod:`repro.obs.events`) — one bounded, ``seq``-numbered
+  JSONL log behind both the typed event log (:class:`EventLog`,
+  ``--events``) and the per-request disk trace (:class:`DiskTrace`,
+  ``--disk-trace``): one bound, one adopt path, one truncation marker,
+  one reader;
 * **manifests** (:mod:`repro.obs.manifest` / :mod:`repro.obs.export`) —
   one JSON artifact per run bundling config, environment, and metrics.
+
+The phase profiler (:class:`PhaseProfiler`, ``--profile``) rides the
+same switch.
 
 Telemetry is **disabled by default** and the disabled path is a no-op
 fast path: instrumented code asks :func:`metrics_or_none` /

@@ -10,13 +10,13 @@ trigger needs — seek-distance distributions and inter-request locality
 — and none of it is recoverable from aggregate counters.
 
 One :class:`DiskTrace` collects typed rows for one telemetry session
-(schema ``repro.obs.disktrace/v1``); ``repro-ffs ... --disk-trace FILE``
+(schema ``repro.obs.disktrace/v2``); ``repro-ffs ... --disk-trace FILE``
 writes them as JSONL and ``repro-ffs report --disk-trace FILE`` renders
-seek-distance and inter-request-distance histograms from them.  Like
-the event log, the trace is **bounded**: past
-:attr:`DiskTrace.max_requests` rows, new requests are counted in
-:attr:`DiskTrace.dropped` instead of stored, and the JSONL export ends
-with a truncation marker so a reader knows rows went missing.
+seek-distance and inter-request-distance histograms from them.  The
+trace is a :class:`repro.obs.events.RowLog`, so the bound, the ``seq``
+numbering, cross-process adoption, the ``log_truncated`` marker row and
+the reader (:func:`repro.obs.events.read_jsonl`) are the event log's;
+this module adds only :meth:`DiskTrace.record`.
 
 Row fields (one JSON object per request, in service order):
 
@@ -54,31 +54,20 @@ the statements it executed before tracing existed.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import Dict, Optional
 
 from repro import schemas
+from repro.obs.events import RowLog
 
 SCHEMA = schemas.DISKTRACE
 
-#: ``kind`` value of the synthetic final row the JSONL export appends
-#: when requests were dropped at the bound.
-TRUNCATED = "truncated"
-
-__all__ = ["DiskTrace", "read_jsonl_trace", "SCHEMA", "TRUNCATED"]
+__all__ = ["DiskTrace", "SCHEMA"]
 
 
-class DiskTrace:
+class DiskTrace(RowLog):
     """A bounded, append-only log of per-request disk access rows."""
 
-    def __init__(self, max_requests: int = 500_000) -> None:
-        if max_requests < 1:
-            raise ValueError("max_requests must be positive")
-        self.max_requests = max_requests
-        self._rows: List[Dict[str, object]] = []
-        self._seq = 0
-        #: Requests discarded because the trace was full.
-        self.dropped = 0
+    DEFAULT_MAX_ROWS = 500_000
 
     def record(
         self,
@@ -109,12 +98,7 @@ class DiskTrace:
         provided, so disk-backend traces are byte-identical to traces
         recorded before these fields existed.
         """
-        self._seq += 1
-        if len(self._rows) >= self.max_requests:
-            self.dropped += 1
-            return None
         row: Dict[str, object] = {
-            "seq": self._seq,
             "kind": kind,
             "byte": byte,
             "nbytes": nbytes,
@@ -131,97 +115,4 @@ class DiskTrace:
             row["gc_ms"] = round(gc_ms, 4)
         if map_misses is not None:
             row["map_misses"] = map_misses
-        self._rows.append(row)
-        return row
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def rows(self) -> List[Dict[str, object]]:
-        """All stored rows, in service order (a shallow copy)."""
-        return list(self._rows)
-
-    # ------------------------------------------------------------------
-    # Cross-process adoption
-    # ------------------------------------------------------------------
-
-    def adopt_rows(self, rows: Iterable[Dict[str, object]]) -> int:
-        """Graft a worker's :meth:`rows` into this trace, in order.
-
-        Sequence numbers are renumbered into this trace's sequence and
-        nothing else is touched: unlike event-log adoption there is no
-        origin stamp and no merge marker, because the parallel
-        experiment runner adopts worker rows in paper order and the
-        merged trace must stay **byte-identical** to a serial run's.
-        Rows past the bound count as dropped, like local recordings.
-        Returns the number of rows actually stored.
-        """
-        adopted = 0
-        for row in rows:
-            self._seq += 1
-            if len(self._rows) >= self.max_requests:
-                self.dropped += 1
-                continue
-            merged = dict(row)
-            merged["seq"] = self._seq
-            self._rows.append(merged)
-            adopted += 1
-        return adopted
-
-    def adopt_dropped(self, dropped: int) -> None:
-        """Fold a worker's drop count into this trace's total."""
-        if dropped < 0:
-            raise ValueError("dropped count cannot be negative")
-        self.dropped += dropped
-
-    # ------------------------------------------------------------------
-    # Summaries
-    # ------------------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        """Aggregate view of the stored rows, for renderers and tests."""
-        reads = sum(1 for r in self._rows if r.get("kind") == "read")
-        return {
-            "requests": len(self._rows),
-            "reads": reads,
-            "writes": len(self._rows) - reads,
-            "lost_rotations": sum(
-                1 for r in self._rows if r.get("lost_rot")
-            ),
-            "buffer_hits": sum(1 for r in self._rows if r.get("buf_hit")),
-            "dropped": self.dropped,
-        }
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def write_jsonl(self, fp: TextIO) -> int:
-        """Write one compact JSON object per request; returns the count.
-
-        When requests were dropped at the bound, a final synthetic row
-        ``{"kind": "truncated", "dropped": N, "seq": <last seq>}`` is
-        appended so a reader of the file alone can tell the trace is
-        incomplete.  The marker is not counted in the return value.
-        """
-        from repro.obs.export import write_jsonl
-
-        count = write_jsonl(fp, self._rows)
-        if self.dropped:
-            write_jsonl(
-                fp,
-                [{"seq": self._seq, "kind": TRUNCATED,
-                  "dropped": self.dropped}],
-            )
-        return count
-
-
-def read_jsonl_trace(fp: TextIO) -> List[Dict[str, object]]:
-    """Parse a ``--disk-trace`` JSONL file back into rows (blank lines
-    skipped), truncation marker included, for renderers and tests."""
-    rows: List[Dict[str, object]] = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            rows.append(json.loads(line))
-    return rows
+        return self.append(row)

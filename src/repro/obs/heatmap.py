@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.obs.events import split_truncation
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -157,14 +158,11 @@ def trace_summary(
     trace_rows: Sequence[Dict[str, object]],
 ) -> Dict[str, object]:
     """Headline numbers for a trace: request mix, misses, drop count."""
+    requests, dropped = split_truncation(trace_rows)
     reads = writes = lost = hits = 0
-    dropped = 0
     service_ms = 0.0
-    for row in trace_rows:
+    for row in requests:
         kind = row.get("kind")
-        if kind == "truncated":
-            dropped = int(row.get("dropped", 0) or 0)
-            continue
         if kind == "read":
             reads += 1
         elif kind == "write":

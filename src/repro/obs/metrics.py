@@ -153,27 +153,6 @@ class Histogram:
                 float(value) if mine is None else pick(mine, float(value)),  # type: ignore[arg-type]
             )
 
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile from the bucket upper bounds.
-
-        Exact min/max are returned for q at the extremes; interior
-        quantiles are the upper bound of the bucket containing the
-        rank, which is the usual histogram-quantile approximation.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        if q == 0.0:
-            return float(self.min)  # type: ignore[arg-type]
-        rank = q * self.count
-        seen = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            seen += n
-            if seen >= rank:
-                return bound
-        return float(self.max)  # type: ignore[arg-type]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "type": "histogram",

@@ -1312,40 +1312,19 @@ def build_diff_report(document: Dict[str, object]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _split_truncation_marker(
-    rows: List[Dict[str, object]],
-) -> Tuple[List[Dict[str, object]], int]:
-    """Separate ``log_truncated`` markers from real events.
-
-    Returns the marker-free rows and the total drop count the markers
-    carried, so the event table counts what happened and the "N events
-    dropped" note reports what didn't survive.
-    """
-    real: List[Dict[str, object]] = []
-    dropped = 0
-    for row in rows:
-        if row.get("type") == obs_events.LOG_TRUNCATED:
-            dropped += int(row.get("dropped", 0) or 0)
-        else:
-            real.append(row)
-    return real, dropped
-
-
 def build_report(
     manifest: Dict[str, object],
     events: Optional[Sequence[Dict[str, object]]] = None,
     spans: Optional[Sequence[Dict[str, object]]] = None,
     compare_manifest: Optional[Dict[str, object]] = None,
     compare_events: Optional[Sequence[Dict[str, object]]] = None,
-    events_dropped: int = 0,
     disk_trace: Optional[Sequence[Dict[str, object]]] = None,
     runs: Optional[Sequence[Dict[str, object]]] = None,
 ) -> str:
     """Render one run (optionally versus a second) as a single HTML page."""
-    events, marker_dropped = _split_truncation_marker(list(events or []))
-    events_dropped = events_dropped or marker_dropped
+    events, events_dropped = obs_events.split_truncation(events or [])
     spans = list(spans or [])
-    compare_events, _ = _split_truncation_marker(list(compare_events or []))
+    compare_events, _ = obs_events.split_truncation(compare_events or [])
     command = manifest.get("command", "run")
     sections = [
         _header_section(manifest, compare=compare_manifest is not None),
@@ -1382,42 +1361,30 @@ def report_from_files(
     runs_dir: Optional[str] = None,
 ) -> str:
     """Load the artifacts the CLI names and build the report HTML."""
-    from repro.obs.disktrace import read_jsonl_trace
-    from repro.obs.events import read_jsonl_events
     from repro.obs.manifest import RunManifest
     from repro.obs.store import RunStore
 
+    def load_rows(path: Optional[str]) -> List[Dict[str, object]]:
+        if not path:
+            return []
+        with open(path) as fp:
+            return obs_events.read_jsonl(fp)
+
     with open(manifest_path) as fp:
         manifest = RunManifest.load(fp).to_dict()
-    events: List[Dict[str, object]] = []
-    spans: List[Dict[str, object]] = []
     compare_manifest = None
-    compare_events: List[Dict[str, object]] = []
-    disk_trace: List[Dict[str, object]] = []
-    if events_path:
-        with open(events_path) as fp:
-            events = read_jsonl_events(fp)
-    if trace_path:
-        with open(trace_path) as fp:
-            spans = read_jsonl_events(fp)
     if compare_manifest_path:
         with open(compare_manifest_path) as fp:
             compare_manifest = RunManifest.load(fp).to_dict()
-    if compare_events_path:
-        with open(compare_events_path) as fp:
-            compare_events = read_jsonl_events(fp)
-    if disk_trace_path:
-        with open(disk_trace_path) as fp:
-            disk_trace = read_jsonl_trace(fp)
     runs: List[Dict[str, object]] = []
     if runs_dir is not None:
         runs = RunStore(runs_dir).runs()
     return build_report(
         manifest,
-        events=events,
-        spans=spans,
+        events=load_rows(events_path),
+        spans=load_rows(trace_path),
         compare_manifest=compare_manifest,
-        compare_events=compare_events,
-        disk_trace=disk_trace,
+        compare_events=load_rows(compare_events_path),
+        disk_trace=load_rows(disk_trace_path),
         runs=runs,
     )

@@ -36,6 +36,10 @@ session, each worker opens its own session per task, snapshots it, and
 the parent merges the snapshots (counters add, histograms merge
 exactly) and adopts the worker spans into its trace — so a
 ``--metrics`` manifest from a parallel run carries suite-wide totals.
+The event log and the disk trace travel as ``(rows, dropped)`` and are
+merged by one :meth:`repro.obs.events.RowLog.adopt` call each, so a
+worker's dropped rows reach the parent's ``log_truncated`` row and a
+``--jobs N`` disk trace, truncated or not, equals the serial one.
 Instrumented objects bind their registry at construction, and pooled
 worker processes outlive individual tasks, so telemetry-enabled tasks
 first drop the worker's in-process memo caches: otherwise an object
@@ -85,17 +89,17 @@ def _worker_setup(cache_enabled: bool, cache_dir: str) -> None:
 
 
 def _telemetry_payload(registry, tracer) -> Dict[str, object]:
+    """Snapshot a worker's session; each live row log ships as
+    ``(rows, dropped)``, the arguments of :meth:`RowLog.adopt`."""
     payload: Dict[str, object] = {
         "metrics": registry.snapshot(), "spans": tracer.to_rows(),
     }
-    events = obs.events_or_none()
-    if events is not None:
-        payload["events"] = events.rows()
-        payload["events_dropped"] = events.dropped
-    disktrace = obs.disktrace_or_none()
-    if disktrace is not None:
-        payload["disktrace"] = disktrace.rows()
-        payload["disktrace_dropped"] = disktrace.dropped
+    for key, log in (
+        ("events", obs.events_or_none()),
+        ("disktrace", obs.disktrace_or_none()),
+    ):
+        if log is not None:
+            payload[key] = (log.rows(), log.dropped)
     return payload
 
 
@@ -188,23 +192,19 @@ def _absorb_telemetry(payload: Dict[str, object], origin: str) -> None:
     if events is not None and "events" in payload:
         # The merge marker precedes the grafted rows, so a reader of
         # the combined log can attribute what follows to the worker.
-        rows = payload["events"]
+        rows, dropped = payload["events"]  # type: ignore[misc]
         events.emit(
             obs_events.WORKER_MERGE, origin=origin,
-            events=len(rows),  # type: ignore[arg-type]
-            dropped=payload.get("events_dropped", 0),
+            events=len(rows), dropped=dropped,
         )
-        events.adopt_rows(rows, origin=origin)  # type: ignore[arg-type]
+        events.adopt(rows, dropped, origin=origin)
     disktrace = obs.disktrace_or_none()
     if disktrace is not None and "disktrace" in payload:
         # Trace rows are adopted verbatim (sequence renumbered only, no
         # origin stamp): tasks are absorbed in paper order and the aging
         # replay issues no disk requests, so the merged stream is
         # byte-identical to a serial run's — and pinned by tests.
-        disktrace.adopt_rows(payload["disktrace"])  # type: ignore[arg-type]
-        disktrace.adopt_dropped(
-            payload.get("disktrace_dropped", 0)  # type: ignore[arg-type]
-        )
+        disktrace.adopt(*payload["disktrace"])  # type: ignore[misc]
 
 
 def iter_all_parallel(

@@ -36,8 +36,9 @@ from typing import Dict, Optional, Tuple
 MANIFEST = "repro.obs.manifest/v2"
 #: Typed JSONL event timeline (``--events``).
 EVENTS = "repro.obs.events/v1"
-#: Per-request disk I/O trace JSONL (``--disk-trace``).
-DISKTRACE = "repro.obs.disktrace/v1"
+#: Per-request disk I/O trace JSONL (``--disk-trace``).  ``/v2``: a
+#: truncated trace ends with the event log's ``log_truncated`` row.
+DISKTRACE = "repro.obs.disktrace/v2"
 #: Persistent run-registry documents under ``.repro/runs`` (``--record``).
 RUNSTORE = "repro.obs.runstore/v1"
 

@@ -471,6 +471,23 @@ class TestDiffCli:
         assert main(["diff", str(broken), str(a)]) == 2
         assert "diff:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--events-a", "--disk-trace-a"])
+    @pytest.mark.parametrize("line", ["42", "[1, 2]"])
+    def test_non_object_jsonl_line_exits_two(
+        self, tmp_path, capsys, flag, line
+    ):
+        a = self._write_manifest(tmp_path / "a.json")
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(line + "\n")
+        assert main(["diff", str(a), str(a), flag, str(rows)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip() == (
+            "diff: line 1: expected a JSON object, got "
+            + ("int" if line == "42" else "list")
+        )
+
     def test_negative_thresholds_exit_two(self, tmp_path, capsys):
         a = self._write_manifest(tmp_path / "a.json")
         assert main(["diff", str(a), str(a),

@@ -1,19 +1,19 @@
 """Disk-trace tests: the bounded per-request log, the DiskModel hook,
 and the histogram helpers the report builds from trace rows."""
 
-import io
-
 import pytest
 
 from repro import obs
 from repro.disk.model import DiskModel, IOKind
-from repro.obs.disktrace import SCHEMA, TRUNCATED, DiskTrace, read_jsonl_trace
+from repro.obs.disktrace import SCHEMA, DiskTrace
+from repro.obs.events import LOG_TRUNCATED
 from repro.obs.heatmap import (
     inter_request_histogram,
     seek_distance_histogram,
     trace_summary,
 )
 from repro.units import KB
+from tests.rowlog_cases import RowLogCases
 
 
 def _row(trace, seq_kind="read", cyl=0, seek_cyls=0, seek_ms=0.0):
@@ -25,9 +25,15 @@ def _row(trace, seq_kind="read", cyl=0, seek_cyls=0, seek_ms=0.0):
     )
 
 
-class TestDiskTrace:
+class TestDiskTrace(RowLogCases):
+    def make(self, max_rows=None):
+        return DiskTrace(max_rows)
+
+    def add(self, log, n):
+        return _row(log, cyl=n, seek_cyls=n, seek_ms=float(n))
+
     def test_schema_constant(self):
-        assert SCHEMA == "repro.obs.disktrace/v1"
+        assert SCHEMA == "repro.obs.disktrace/v2"
 
     def test_rows_are_sequenced_and_ms_rounded(self):
         trace = DiskTrace()
@@ -42,43 +48,6 @@ class TestDiskTrace:
         assert _row(trace)["seq"] == 2
         assert len(trace) == 2
 
-    def test_bound_drops_and_counts(self):
-        trace = DiskTrace(max_requests=2)
-        assert _row(trace) is not None
-        assert _row(trace) is not None
-        assert _row(trace) is None
-        assert len(trace) == 2
-        assert trace.dropped == 1
-        # Sequence keeps counting through drops.
-        assert trace.rows()[-1]["seq"] == 2
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            DiskTrace(max_requests=0)
-
-    def test_adopt_rows_renumbers_and_nothing_else(self):
-        # Byte-identity with a serial run depends on adoption adding no
-        # origin stamp and no merge marker: seq is the only field that
-        # may change.
-        parent, worker = DiskTrace(), DiskTrace()
-        _row(parent)
-        _row(worker, cyl=9, seek_cyls=4, seek_ms=2.0)
-        _row(worker, cyl=1)
-        assert parent.adopt_rows(worker.rows()) == 2
-        adopted = parent.rows()[1:]
-        assert [r["seq"] for r in adopted] == [2, 3]
-        for mine, theirs in zip(adopted, worker.rows()):
-            assert {k: v for k, v in mine.items() if k != "seq"} == \
-                   {k: v for k, v in theirs.items() if k != "seq"}
-
-    def test_adopt_dropped_accumulates(self):
-        trace = DiskTrace()
-        trace.adopt_dropped(3)
-        trace.adopt_dropped(2)
-        assert trace.dropped == 5
-        with pytest.raises(ValueError):
-            trace.adopt_dropped(-1)
-
     def test_summary_counts_kinds_and_flags(self):
         trace = DiskTrace()
         _row(trace)
@@ -88,31 +57,11 @@ class TestDiskTrace:
         trace.record(kind="read", byte=0, nbytes=1, cyl=0, seek_cyls=0,
                      seek_ms=0.0, rot_ms=0.0, transfer_ms=0.1,
                      service_ms=0.1, lost_rot=False, buf_hit=True)
-        assert trace.summary() == {
+        assert trace_summary(trace.rows()) == {
             "requests": 3, "reads": 2, "writes": 1,
-            "lost_rotations": 1, "buffer_hits": 1, "dropped": 0,
+            "lost_rotations": 1, "buffer_hits": 1, "service_ms": 1.7,
+            "dropped": 0,
         }
-
-    def test_jsonl_round_trip(self):
-        trace = DiskTrace()
-        _row(trace)
-        _row(trace, seq_kind="write", cyl=5, seek_cyls=5, seek_ms=3.0)
-        buf = io.StringIO()
-        assert trace.write_jsonl(buf) == 2
-        buf.seek(0)
-        assert read_jsonl_trace(buf) == trace.rows()
-
-    def test_jsonl_truncation_marker(self):
-        trace = DiskTrace(max_requests=1)
-        _row(trace)
-        _row(trace)
-        _row(trace)
-        buf = io.StringIO()
-        assert trace.write_jsonl(buf) == 1  # marker not counted
-        buf.seek(0)
-        rows = read_jsonl_trace(buf)
-        assert len(rows) == 2
-        assert rows[-1] == {"seq": 3, "kind": TRUNCATED, "dropped": 2}
 
 
 class TestDiskModelHook:
@@ -144,7 +93,7 @@ class TestDiskModelHook:
             model.access(IOKind.READ, 0, 8 * KB)
             model.access(IOKind.READ, 8 * KB, 8 * KB)
             model.access(IOKind.WRITE, 200 * KB, 8 * KB)
-            summary = trace.summary()
+            summary = trace_summary(trace.rows())
             assert summary["reads"] == model.stats.reads
             assert summary["writes"] == model.stats.writes
             assert summary["buffer_hits"] == model.stats.buffer_hits
@@ -196,7 +145,9 @@ class TestTraceHistograms:
         assert inter_request_histogram(self._rows()[:1]) is None
 
     def test_trace_summary_handles_truncation_marker(self):
-        rows = self._rows() + [{"seq": 9, "kind": TRUNCATED, "dropped": 7}]
+        rows = self._rows() + [
+            {"seq": 5, "type": LOG_TRUNCATED, "dropped": 7},
+        ]
         summary = trace_summary(rows)
         assert summary["requests"] == 4
         assert summary["dropped"] == 7

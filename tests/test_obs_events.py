@@ -19,9 +19,16 @@ from repro.errors import OutOfSpaceError
 from repro.ffs.filesystem import FileSystem
 from repro.obs import events as obs_events
 from repro.units import KB
+from tests.rowlog_cases import RowLogCases
 
 
-class TestEventLog:
+class TestEventLog(RowLogCases):
+    def make(self, max_rows=None):
+        return obs.EventLog(max_rows)
+
+    def add(self, log, n):
+        return log.emit(obs_events.CACHE_HIT, n=n)
+
     def test_emit_stores_typed_row_with_sequence(self):
         log = obs.EventLog()
         row = log.emit(obs_events.DAY_SAMPLE, day=3, layout_score=0.5)
@@ -37,16 +44,6 @@ class TestEventLog:
             log.emit("day_smaple")
         assert len(log) == 0
 
-    def test_bound_drops_and_counts_instead_of_growing(self):
-        log = obs.EventLog(max_events=3)
-        stored = [log.emit(obs_events.CACHE_HIT, n=i) for i in range(5)]
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert stored[3] is None and stored[4] is None
-        # The sequence keeps counting through drops, so a reader can
-        # tell rows went missing.
-        assert log._seq == 5
-
     def test_by_type_filters_in_order(self):
         log = obs.EventLog()
         log.emit(obs_events.CACHE_HIT, n=1)
@@ -54,57 +51,22 @@ class TestEventLog:
         log.emit(obs_events.CACHE_HIT, n=3)
         assert [r["n"] for r in log.by_type(obs_events.CACHE_HIT)] == [1, 3]
 
-    def test_adopt_rows_renumbers_and_stamps_origin(self):
-        worker = obs.EventLog()
-        worker.emit(obs_events.EXPERIMENT_START, name="fig1")
-        worker.emit(obs_events.EXPERIMENT_END, name="fig1")
-        parent = obs.EventLog()
-        parent.emit(obs_events.WORKER_MERGE, origin="w0")
-        adopted = parent.adopt_rows(worker.rows(), origin="w0")
-        assert adopted == 2
-        rows = parent.rows()
-        assert [r["seq"] for r in rows] == [1, 2, 3]
-        assert all(r["origin"] == "w0" for r in rows[1:])
-        # The worker's own rows are untouched (adopt copies).
-        assert "origin" not in worker.rows()[0]
 
-    def test_adopt_rows_respects_the_bound(self):
-        parent = obs.EventLog(max_events=2)
-        parent.emit(obs_events.WORKER_MERGE, origin="w0")
-        adopted = parent.adopt_rows(
-            [{"seq": 1, "type": "cache_hit"}] * 3, origin="w0"
-        )
-        assert adopted == 1
-        assert parent.dropped == 2
+class TestReadJsonl:
+    def test_blank_lines_are_skipped(self):
+        buffer = io.StringIO('{"seq": 1}\n\n  \n{"seq": 2}\n')
+        assert obs_events.read_jsonl(buffer) == [{"seq": 1}, {"seq": 2}]
 
-    def test_jsonl_round_trip(self):
-        log = obs.EventLog()
-        log.emit(obs_events.DAY_SAMPLE, day=0, layout_score=1.0)
-        log.emit(obs_events.ALLOC_FALLBACK, ino=7, from_cg=0, to_cg=1)
-        buffer = io.StringIO()
-        assert log.write_jsonl(buffer) == 2
-        buffer.seek(0)
-        assert obs_events.read_jsonl_events(buffer) == log.rows()
+    @pytest.mark.parametrize("line", ["42", "[1, 2]", '"row"', "null"])
+    def test_non_object_line_is_a_value_error_naming_the_line(self, line):
+        buffer = io.StringIO('{"seq": 1}\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 2: expected a JSON object"):
+            obs_events.read_jsonl(buffer)
 
-    def test_jsonl_appends_truncation_marker_when_rows_dropped(self):
-        log = obs.EventLog(max_events=2)
-        for i in range(5):
-            log.emit(obs_events.CACHE_HIT, n=i)
-        buffer = io.StringIO()
-        assert log.write_jsonl(buffer) == 2  # marker not counted
-        buffer.seek(0)
-        rows = obs_events.read_jsonl_events(buffer)
-        assert len(rows) == 3
-        assert rows[-1] == {
-            "seq": 6, "type": obs_events.LOG_TRUNCATED, "dropped": 3,
-        }
-
-    def test_untruncated_jsonl_has_no_marker(self):
-        log = obs.EventLog()
-        log.emit(obs_events.CACHE_HIT)
-        buffer = io.StringIO()
-        log.write_jsonl(buffer)
-        assert obs_events.LOG_TRUNCATED not in buffer.getvalue()
+    def test_invalid_json_names_the_line(self):
+        buffer = io.StringIO('{"seq": 1}\n\n{"seq": \n')
+        with pytest.raises(ValueError, match="line 3: invalid JSON"):
+            obs_events.read_jsonl(buffer)
 
 
 class TestDaySamples:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.obs.export import bucket_quantile
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -64,13 +65,14 @@ class TestHistogram:
             h.observe(1.5)
         for _ in range(50):
             h.observe(3.0)
-        assert h.quantile(0.25) == 2.0
-        assert h.quantile(1.0) == 4.0
-        assert h.quantile(0.0) == 1.5  # exact min at the extreme
+        data = h.to_dict()
+        assert bucket_quantile(data, 0.25) == 2.0
+        assert bucket_quantile(data, 1.0) == 4.0
+        assert bucket_quantile(data, 0.0) == 1.5  # exact min at the extreme
 
     def test_quantile_bounds_checked(self):
         with pytest.raises(ValueError):
-            Histogram("v").quantile(1.5)
+            bucket_quantile(Histogram("v").to_dict(), 1.5)
 
     def test_empty_histogram_dict(self):
         d = Histogram("v").to_dict()

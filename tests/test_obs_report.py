@@ -212,7 +212,7 @@ class TestNewSections:
 
     def test_disktrace_truncation_is_noted(self, manifest):
         rows = self._trace_rows() + [
-            {"seq": 9, "kind": "truncated", "dropped": 5},
+            {"seq": 5, "type": "log_truncated", "dropped": 5},
         ]
         html = build_report(manifest, disk_trace=rows)
         assert "Disk I/O trace" in html
@@ -350,6 +350,28 @@ class TestReportCli:
         capsys.readouterr()
         html = output.read_text()
         assert "<svg" in html and "Layout score" in html
+
+    @pytest.mark.parametrize("flag", ["--events", "--disk-trace"])
+    @pytest.mark.parametrize("line", ["42", "[1, 2]"])
+    def test_non_object_jsonl_line_exits_two(
+        self, tmp_path, capsys, flag, line
+    ):
+        manifest = obs.RunManifest(command="experiment")
+        manifest.finish(0.1, {})
+        manifest_path = tmp_path / "m.json"
+        with open(manifest_path, "w") as fp:
+            manifest.dump(fp)
+        rows_path = tmp_path / "rows.jsonl"
+        rows_path.write_text('{"seq": 1, "type": "cache_hit"}\n' + line + "\n")
+        assert main([
+            "report", str(manifest_path), flag, str(rows_path),
+            "--output", str(tmp_path / "r.html"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: expected a JSON object" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.html").exists()
 
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.json")]) == 2

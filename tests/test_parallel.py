@@ -8,9 +8,14 @@ layer (rotors, realloc marks, free maps) would surface here first.
 
 from __future__ import annotations
 
-import pytest
+import bisect
+import io
 
-from repro import obs
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs, parallel
 from repro.experiments import config
 from repro.experiments.runner import (
     EXPERIMENTS,
@@ -18,6 +23,8 @@ from repro.experiments.runner import (
     run_one_timed,
     slowest_summary,
 )
+from repro.obs import events as obs_events
+from repro.obs.disktrace import DiskTrace
 
 
 @pytest.mark.slow
@@ -87,3 +94,86 @@ def test_slowest_summary_ranks_and_totals():
 def test_slowest_summary_breaks_ties_by_name():
     line = slowest_summary({"b": 1.0, "a": 1.0}, top=2)
     assert line == "slowest: a 1.0s, b 1.0s (total 2.0s)"
+
+
+# ----------------------------------------------------------------------
+# Row-log adoption: what a worker drops must reach the parent's log
+# ----------------------------------------------------------------------
+
+
+def _worker_payload(**logs):
+    """The telemetry one worker task ships home, from the given logs."""
+    with obs.session(**logs) as (registry, tracer):
+        return parallel._telemetry_payload(registry, tracer)
+
+
+def _jsonl(log):
+    buffer = io.StringIO()
+    log.write_jsonl(buffer)
+    return buffer.getvalue()
+
+
+def _request(trace, n):
+    trace.record(
+        kind="read" if n % 2 else "write", byte=n * 8192, nbytes=8192,
+        cyl=n, seek_cyls=1, seek_ms=0.5, rot_ms=1.0, transfer_ms=0.25,
+        service_ms=1.75, lost_rot=n % 5 == 0, buf_hit=n % 3 == 0,
+    )
+
+
+def _serial_and_adopted(total, cuts, bound, worker_bound):
+    """JSONL of one serial trace, and of the same request stream split
+    at ``cuts`` across worker traces and adopted by a parent."""
+    serial = DiskTrace(bound)
+    workers = [DiskTrace(worker_bound) for _ in range(len(cuts) + 1)]
+    for n in range(total):
+        _request(serial, n)
+        _request(workers[bisect.bisect_right(cuts, n)], n)
+    parent = DiskTrace(bound)
+    with obs.session(disktrace=parent):
+        for i, worker in enumerate(workers):
+            parallel._absorb_telemetry(
+                _worker_payload(disktrace=worker), origin=f"w{i}"
+            )
+    return _jsonl(serial), _jsonl(parent)
+
+
+def test_worker_event_drops_reach_the_parent_marker():
+    worker = obs.EventLog(2)
+    for n in range(5):
+        worker.emit(obs_events.CACHE_HIT, n=n)
+    parent = obs.EventLog()
+    with obs.session(events=parent):
+        parallel._absorb_telemetry(_worker_payload(events=worker), "w0")
+    assert parent.dropped == 3
+    rows = obs_events.read_jsonl(io.StringIO(_jsonl(parent)))
+    merge, first, second, marker = rows
+    assert merge["type"] == obs_events.WORKER_MERGE
+    assert (merge["events"], merge["dropped"]) == (2, 3)
+    assert [first["n"], second["n"]] == [0, 1]
+    assert first["origin"] == second["origin"] == "w0"
+    assert marker == {
+        "seq": 7, "type": obs_events.LOG_TRUNCATED, "dropped": 3,
+    }
+
+
+def test_split_truncated_trace_adopts_to_the_serial_trace():
+    serial, adopted = _serial_and_adopted(10, [3], bound=4, worker_bound=4)
+    assert serial.endswith('{"dropped":6,"seq":11,"type":"log_truncated"}\n')
+    assert adopted == serial
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    total=st.integers(0, 30),
+    cuts=st.lists(st.integers(0, 30), max_size=3),
+    bound=st.integers(1, 12),
+    slack=st.integers(0, 4),
+)
+def test_adopted_trace_equals_serial_trace(total, cuts, bound, slack):
+    # Workers bounded at least as loosely as the parent drop only rows
+    # the parent would have dropped anyway.
+    serial, adopted = _serial_and_adopted(
+        total, sorted(cuts), bound, bound + slack
+    )
+    assert adopted == serial
