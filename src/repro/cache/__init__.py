@@ -6,22 +6,21 @@ ground-truth "Real" run) before it can measure anything.  Within one
 process :mod:`repro.experiments.config` memoizes them with
 ``lru_cache``; this package extends that memoization *across* processes
 by writing each aged :class:`~repro.aging.replay.ReplayResult` to disk,
-so a warm second ``repro-ffs experiment all`` (or a parallel worker)
-skips re-aging entirely.
+so a warm second ``repro-ffs experiment all`` (or a parallel worker, or
+an ablation at a stock setting) skips re-aging entirely.
 
 Keying and invalidation
 -----------------------
 
-Every entry is stored under a SHA-256 content hash of everything that
-determines the result: the full aging configuration (file-system
-geometry, days, seed, activity levels), the workload flavour, the
-allocation policy, and the cache/image format versions
-(:data:`FORMAT_VERSION`).  Change any input — or upgrade to a release
-whose on-disk format differs — and the key changes, so stale entries
-are simply never read again.  The full key payload is also stored
-*inside* each entry and compared on load, so even a hash collision (or
-a hand-edited file) falls back to a recompute instead of a wrong
-answer.
+Every entry is stored under a SHA-256 content hash (:func:`replay_key`)
+of the aging configuration (geometry, days, seed, activity levels), the
+file-system parameters replayed onto, the workload flavour, the policy,
+and the cache/image format versions (:data:`FORMAT_VERSION`) — nothing
+else.  Change any input — or upgrade to a release whose on-disk format
+differs — and the key changes, so stale entries are never read again.
+The full key payload is also stored *inside* each entry and compared on
+load, so even a hash collision (or a hand-edited file) falls back to a
+recompute instead of a wrong answer.
 
 Location and switches
 ---------------------

@@ -13,10 +13,11 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.aging.generator import AgingConfig
 from repro.ffs import image
+from repro.ffs.params import FSParams
 
 
 @dataclass(frozen=True)
@@ -49,31 +50,23 @@ def replay_key(
     config: AgingConfig,
     workload: str,
     policy: str,
-    label: str,
-    faults: "Dict[str, object] | None" = None,
+    params: Optional[FSParams] = None,
 ) -> CacheKey:
     """Key for one aged file system (a ``ReplayResult``).
 
-    ``workload`` names the flavour replayed (``"reconstructed"`` or
-    ``"ground-truth"``); the preset name is a filename hint only — the
-    digest covers the preset's actual parameters via ``config``.
-
-    ``faults`` is the fault plan's canonical payload
-    (:meth:`repro.faults.plan.FaultPlan.to_payload`) when the replay ran
-    under injection, ``None`` for a clean replay.  It is part of the
-    digest, so a cached no-fault aging can never be served for a faulted
-    request (or vice versa).
-
-    The storage backend is deliberately absent: aging never touches the
-    device, so disk and flash runs share one aged file system.
+    The digest covers exactly what determines the aging: ``config`` (the
+    workload built), ``params`` (the file system replayed onto;
+    ``config.params`` when ``None``), the ``workload`` flavour, the
+    ``policy`` and the format versions.  The preset name is a filename
+    hint only, and the storage backend is absent: aging never touches
+    the device, so disk and flash runs share one aged file system.
     """
     return make_key(
         f"aged-{preset_name}-{workload}-{policy}",
         kind="replay",
         image_format=image.FORMAT_VERSION,
         aging=dataclasses.asdict(config),
+        params=dataclasses.asdict(config.params if params is None else params),
         workload=workload,
         policy=policy,
-        label=label,
-        faults=faults,
     )

@@ -6,6 +6,8 @@ cached accessors here:
 
 * :func:`artifacts` — the aging workloads (ground truth, snapshots,
   reconstruction) for a preset;
+* :func:`age` — one :class:`Aging` spec through the persistent cache
+  (batches go through :func:`repro.parallel.age_many`);
 * :func:`aged` — the reconstructed workload replayed under a policy;
 * :func:`aged_real` — the ground truth replayed (the "Real" curve);
 * :func:`aged_fs_copy` — a deep copy of an aged file system for
@@ -20,9 +22,10 @@ which preset produced every reported number.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import cache
 from repro.aging.generator import AgingConfig, AgingArtifacts, build_workloads
@@ -106,7 +109,7 @@ def aging_config(preset_name: str) -> AgingConfig:
 
     Also the cache-key material for that preset's aged artifacts: two
     runs with equal configs are interchangeable, so the persistent
-    cache hashes exactly this.
+    cache hashes this (see :meth:`Aging.key`).
     """
     preset = get_preset(preset_name)
     return AgingConfig(params=preset.params, days=preset.days, seed=preset.seed)
@@ -118,43 +121,85 @@ def artifacts(preset_name: str) -> AgingArtifacts:
     return build_workloads(aging_config(preset_name))
 
 
-def _replayed(
-    preset_name: str, workload: str, policy: str, label: str
+#: The suite's replay labels; any other aging is labelled by its policy.
+_LABELS = {
+    ("reconstructed", "ffs"): "FFS",
+    ("reconstructed", "realloc"): "FFS + Realloc",
+    ("ground-truth", "ffs"): "Real",
+}
+
+
+@dataclass(frozen=True)
+class Aging:
+    """One aging, identified (and cache-keyed) by the ``config`` of the
+    workload built, the ``params`` replayed onto (``config.params`` when
+    ``None``), the ``workload`` flavour and the ``policy``; ``preset``
+    only names the cache file."""
+
+    preset: str
+    config: AgingConfig
+    workload: str = "reconstructed"
+    policy: str = "ffs"
+    params: Optional[FSParams] = None
+
+    @property
+    def label(self) -> str:
+        return _LABELS.get((self.workload, self.policy), self.policy)
+
+    def key(self) -> cache.CacheKey:
+        return cache.replay_key(
+            self.preset, self.config, self.workload, self.policy, self.params
+        )
+
+
+def preset_aging(
+    preset_name: str, policy: str = "ffs", workload: str = "reconstructed",
+    **overrides: Any,
+) -> Aging:
+    """An aging of a preset's own workload; keyword arguments override
+    the file-system parameters (the ablation knobs)."""
+    config = aging_config(preset_name)
+    params = dataclasses.replace(config.params, **overrides) if overrides else None
+    return Aging(preset_name, config, workload, policy, params)
+
+
+def age(
+    spec: Aging, built: Optional[Dict[AgingConfig, AgingArtifacts]] = None
 ) -> ReplayResult:
     """One aged file system, through the persistent cache when enabled.
 
-    Misses replay the workload and (best-effort) persist the result;
-    hits skip both the workload construction and the replay, which is
-    what makes a warm ``experiment all`` fast and what lets parallel
-    workers share agings instead of each redoing them.
+    Hits skip the workload build and the replay.  Misses build the
+    workload (a preset's own via :func:`artifacts`, any other into
+    ``built``, so a batch builds each once), replay it, and persist the
+    result (best-effort).
     """
     store = cache.store()
-    key = None
-    if store is not None:
-        key = cache.replay_key(
-            preset_name, aging_config(preset_name), workload, policy, label
-        )
-        cached = store.load_replay(key)
-        if cached is not None:
-            return cached
-    art = artifacts(preset_name)
-    source = art.reconstructed if workload == "reconstructed" else art.ground_truth
+    cached = store.load_replay(spec.key()) if store is not None else None
+    if cached is not None:
+        return cached
+    if spec.config == aging_config(spec.preset):
+        art = artifacts(spec.preset)
+    else:
+        built = {} if built is None else built
+        if spec.config not in built:
+            built[spec.config] = build_workloads(spec.config)
+        art = built[spec.config]
     result = age_file_system(
-        source,
-        params=get_preset(preset_name).params,
-        policy=policy,
-        label=label,
+        art.reconstructed if spec.workload == "reconstructed"
+        else art.ground_truth,
+        params=spec.params or spec.config.params,
+        policy=spec.policy,
+        label=spec.label,
     )
-    if store is not None and key is not None:
-        store.save_replay(key, result)
+    if store is not None:
+        store.save_replay(spec.key(), result)
     return result
 
 
 @lru_cache(maxsize=None)
 def aged(preset_name: str, policy: str) -> ReplayResult:
     """The reconstructed workload replayed under ``policy``."""
-    label = "FFS + Realloc" if policy == "realloc" else "FFS"
-    return _replayed(preset_name, "reconstructed", policy, label)
+    return age(preset_aging(preset_name, policy))
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +210,7 @@ def aged_real(preset_name: str) -> ReplayResult:
     validation: the activity the snapshots could not capture is present
     here and absent from the reconstruction.
     """
-    return _replayed(preset_name, "ground-truth", "ffs", "Real")
+    return age(preset_aging(preset_name, workload="ground-truth"))
 
 
 def aged_fs_copy(preset_name: str, policy: str) -> FileSystem:

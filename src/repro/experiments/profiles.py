@@ -9,18 +9,17 @@ which file-system design parameters matter for which workload class?
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, List
 
-import dataclasses
-
-from repro.aging.generator import AgingConfig, build_workloads
+from repro.aging.generator import AgingConfig
 from repro.aging.profiles import PROFILE_BYTES_PER_INODE, PROFILES
-from repro.aging.replay import age_file_system
 from repro.analysis.freespace import free_space_stats
 from repro.analysis.report import render_table
-from repro.experiments.config import get_preset
+from repro.experiments.config import Aging, get_preset
+from repro.parallel import age_many
 
 
 @dataclass(frozen=True)
@@ -73,27 +72,30 @@ class ProfilesResult:
         )
 
 
-@lru_cache(maxsize=None)
-def run(preset: str = "small") -> ProfilesResult:
-    """Age each profile's workload under both policies."""
+def agings(preset: str) -> List[Aging]:
+    """Each profile aged under FFS, then realloc, with the inode density
+    an administrator would choose for it (``newfs -i``); ``home`` is the
+    preset's own workload, so its two agings are the suite's."""
     p = get_preset(preset)
-    outcomes: Dict[str, ProfileOutcome] = {}
+    specs = []
     for name, levels in PROFILES.items():
-        # Each profile gets the inode density an administrator would
-        # have chosen for it (``newfs -i``).
         params = dataclasses.replace(
             p.params, bytes_per_inode=PROFILE_BYTES_PER_INODE[name]
         )
         config = AgingConfig(
             params=params, days=p.days, seed=p.seed, levels=levels
         )
-        workloads = build_workloads(config)
-        ffs = age_file_system(
-            workloads.reconstructed, params=params, policy="ffs"
-        )
-        realloc = age_file_system(
-            workloads.reconstructed, params=params, policy="realloc"
-        )
+        specs += [Aging(preset, config, policy=p) for p in ("ffs", "realloc")]
+    return specs
+
+
+@lru_cache(maxsize=None)
+def run(preset: str = "small") -> ProfilesResult:
+    """Age each profile's workload under both policies."""
+    results = age_many(agings(preset))
+    outcomes: Dict[str, ProfileOutcome] = {}
+    for name in PROFILES:
+        ffs, realloc = next(results), next(results)
         outcomes[name] = ProfileOutcome(
             ffs_final=ffs.timeline.final_score(),
             realloc_final=realloc.timeline.final_score(),

@@ -74,7 +74,8 @@ def timed_call(
     ``<label>.wall_s`` gauge — or none of them when telemetry is off,
     in which case only the (always-measured) wall clock remains.  The
     experiment runner and the chaos harness (:mod:`repro.faults.chaos`)
-    both use this envelope, so their traces read uniformly.
+    use this envelope inline and in :mod:`repro.parallel` workers alike,
+    so their traces read the same with or without ``--jobs``.
     """
     tr = obs.tracer_or_none()
     prof = obs.profiler_or_none()

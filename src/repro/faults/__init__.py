@@ -6,9 +6,9 @@ this package removes that assumption without giving up determinism.  A
 will go wrong — a crash point, the fate probabilities of buffered
 writes, a set of latently-bad blocks — sampled entirely from
 :mod:`repro.rng` substreams, so the same seed always injects the same
-faults.  The plan is inert data: it participates in cache keys
-(:func:`repro.cache.keys.replay_key`) and serialises into chaos
-reports.
+faults.  The plan is inert data: it serialises into chaos reports.
+Faulted replays never go through the artifact cache, so a plan is no
+part of any cache key.
 
 Three injection surfaces:
 

@@ -18,14 +18,14 @@ deltas isolate exactly the cost of the crash + repair, not of stopping
 early.
 
 Every case is a pure function of ``(preset, policy, plan, backend)``:
-the harness runs cases across processes with ``--jobs N``, handing each
-worker the backend as a task argument, and renders byte-identical
-output to a serial run, in sampling order.
+:func:`repro.parallel.fan_out` runs the cases inline or, with ``--jobs
+N``, in worker processes, each in the same ``chaos.case<NN>.<policy>``
+telemetry envelope; output and merged telemetry match a serial run's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -63,20 +63,7 @@ class ChaosOutcome:
     ops_applied: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "plan": self.plan,
-            "fired": self.fired,
-            "crash": self.crash,
-            "fsck": self.fsck,
-            "score_repaired": self.score_repaired,
-            "score_baseline": self.score_baseline,
-            "throughput_repaired": self.throughput_repaired,
-            "throughput_baseline": self.throughput_baseline,
-            "live_files_repaired": self.live_files_repaired,
-            "live_files_baseline": self.live_files_baseline,
-            "ops_applied": self.ops_applied,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -200,6 +187,17 @@ def _read_throughput(
 # ----------------------------------------------------------------------
 
 
+def _timed_case(label: str, preset_name: str, *case: Any) -> ChaosOutcome:
+    """:func:`run_case` in its ``label`` telemetry envelope (module level,
+    so a worker can run it by name)."""
+    from repro.experiments.runner import timed_call
+
+    outcome, _wall = timed_call(
+        label, lambda: run_case(preset_name, *case), preset=preset_name
+    )
+    return outcome  # type: ignore[return-value]
+
+
 def run_chaos(
     preset_name: str = "tiny",
     policies: Sequence[str] = ("ffs", "realloc"),
@@ -212,36 +210,24 @@ def run_chaos(
     """Crash-and-repair a seeded grid of ``crashes`` plans per policy.
 
     Case order — and therefore rendered output — is (policy, plan
-    index), regardless of ``jobs``: parallel runs submit all cases up
-    front and collect results in submission order, so stdout is
-    byte-identical to a serial run.
+    index), regardless of ``jobs``: the fan-out yields results in
+    submission order, so stdout is byte-identical to a serial run.
     """
     if jobs < 1:
         raise InvalidRequestError(f"jobs must be >= 1 (got {jobs})")
     from repro.experiments import config
+    from repro.parallel import fan_out
 
     preset = config.get_preset(preset_name)
     plans = sample_plans(seed, days=preset.days, count=crashes, max_write=max_write)
     cases = [(policy, plan) for policy in policies for plan in plans]
-    if jobs == 1 or len(cases) == 1:
-        from repro.experiments.runner import timed_call
-
-        outcomes = []
-        for index, (policy, plan) in enumerate(cases):
-            outcome, _wall = timed_call(
-                f"chaos.case{index:02d}.{policy}",
-                lambda p=policy, pl=plan: run_case(preset_name, p, pl, backend),
-                preset=preset_name,
-            )
-            outcomes.append(outcome)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_case, preset_name, policy, plan, backend)
-                for policy, plan in cases
-            ]
-            outcomes = [future.result() for future in futures]
-    return ChaosReport(preset=preset_name, seed=seed, outcomes=tuple(outcomes))
+    labels = [f"chaos.case{i:02d}.{policy}" for i, (policy, _) in enumerate(cases)]
+    outcomes = fan_out(
+        [[(label, _timed_case, (label, preset_name, policy, plan, backend))
+          for label, (policy, plan) in zip(labels, cases)]],
+        jobs,
+    )
+    return ChaosReport(preset=preset_name, seed=seed, outcomes=tuple(outcomes))  # type: ignore[arg-type]
 
 
 def render_report(report: ChaosReport) -> str:

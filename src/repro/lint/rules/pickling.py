@@ -1,7 +1,7 @@
 """R004 — parallel-pickle safety: executor tasks must be module-level.
 
-``repro.parallel`` fans experiments out over a
-``ProcessPoolExecutor``.  Everything submitted crosses a process
+``repro.parallel.fan_out`` runs agings, experiments and chaos cases on
+a ``ProcessPoolExecutor``.  Everything submitted crosses a process
 boundary by pickle, and pickle serialises functions *by qualified
 name*: a lambda or a closure defined inside another function has no
 importable name, so the submit call raises ``PicklingError`` — but only
@@ -25,10 +25,10 @@ contains ``pool`` or ``executor``.
 
 Compliant::
 
-    def _warm_aging_task(params, seed):  # module level: picklable by name
+    def _run_task(fn, args):  # module level: picklable by name
         ...
 
-    pool.submit(_warm_aging_task, params, seed)
+    pool.submit(_run_task, fn, args)
 """
 
 from __future__ import annotations

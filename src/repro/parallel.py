@@ -1,91 +1,84 @@
-"""``repro.parallel`` — fan the experiment suite across processes.
+"""``repro.parallel`` — one fan-out for every grid of independent work.
 
-The experiments are independent once the aged file systems exist, and
-the agings themselves (policy x workload) are independent of each
-other, so ``experiment all --jobs N`` runs in two waves on a
-``ProcessPoolExecutor``:
+:func:`fan_out` owns the package's only ``ProcessPoolExecutor``: it
+submits waves of ``(origin, fn, args)`` tasks, runs each in a worker
+through one entry point (:func:`_run_task`), and yields the results in
+task order; with ``jobs <= 1`` it runs the same calls inline.  Three
+callers sit on it:
 
-1. **pre-warm** — one task per aging the suite depends on (FFS,
-   realloc, and the ground-truth "Real" run).  Each worker replays its
-   workload and persists the result into the shared
-   :mod:`repro.cache` store; this wave is skipped when the cache is
-   disabled, since there would be nowhere to share the results.
-2. **experiments** — one task per experiment *group*, in the paper's
-   order.  Workers read the now-warm cache instead of re-aging, render
-   their results, and ship the *text* home (results embed whole
-   simulated file systems; pickling them back would cost more than it
-   saves).  Experiments that share memoized work — Figure 5 reads
-   Figure 4's sweep, Figure 6 builds on Figure 5 — are grouped into a
-   single task (:data:`_AFFINITY`), because splitting them across
-   workers would re-run the shared sweep once per worker and hand back
-   the wall-clock time parallelism just saved.
+* :func:`age_many` — a batch of aging specs.  With the cache on,
+  workers age the misses into the shared :mod:`repro.cache` store (the
+  warm wave) and the parent loads every result; with it off, the batch
+  ages serially;
+* :func:`iter_all_parallel` — ``experiment all --jobs N``: the warm
+  wave of the suite's three agings, then, on the same pool, one task
+  per experiment *group*, whose workers read the warm cache and ship
+  home rendered *text* (file systems cost more to pickle than to
+  reload).  Experiments sharing memoized work (Figures 4→5→6) form one
+  group (:data:`_AFFINITY`);
+* :func:`repro.faults.chaos.run_chaos` — one task per crash case.
 
-The storage backend travels with each experiment task as an argument;
-the agings are shared across backends, so the pre-warm wave does not
-need it.
-
-Results stream back in paper order — the consumer blocks on the next
-experiment in sequence while later ones keep running — and stdout is
-byte-identical to the serial path because both sides run the very same
-render code on behaviourally identical file systems (the image layer
+Output is byte-identical to the serial path because both run the same
+code on behaviourally identical file systems (the image layer
 round-trips allocator state exactly; ``tests/test_parallel.py`` pins
 this).
 
 Telemetry composes: when the parent has an active :mod:`repro.obs`
-session, each worker opens its own session per task, snapshots it, and
-the parent merges the snapshots (counters add, histograms merge
-exactly) and adopts the worker spans into its trace — so a
-``--metrics`` manifest from a parallel run carries suite-wide totals.
-The event log and the disk trace travel as ``(rows, dropped)`` and are
-merged by one :meth:`repro.obs.events.RowLog.adopt` call each, so a
-worker's dropped rows reach the parent's ``log_truncated`` row and a
-``--jobs N`` disk trace, truncated or not, equals the serial one.
-Instrumented objects bind their registry at construction, and pooled
-worker processes outlive individual tasks, so telemetry-enabled tasks
-first drop the worker's in-process memo caches: otherwise an object
-built during an earlier task would keep crediting that task's (already
-snapshotted, dead) registry and its counts would vanish.  The disk
-cache makes the resulting reload cheap.  Totals can still exceed a
-serial run's where independent workers each rebuild shared inputs
-(e.g. the aging workloads) that a single process builds once.
+session, each worker task opens its own; the parent merges the metrics
+(counters add, histograms merge exactly), adopts the spans, and adopts
+the event log and disk trace (shipped as ``(rows, dropped)``) with one
+:meth:`repro.obs.events.RowLog.adopt` call each, so ``--jobs N``
+manifests carry run-wide totals and disk traces equal the serial ones.
+Instrumented objects bind their registry at construction and pooled
+workers outlive tasks, so such a task first drops the worker's memos;
+totals can then exceed a serial run's where workers each rebuild
+shared inputs.
 """
 
 from __future__ import annotations
 
-import time
+import itertools
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro import cache, obs
 from repro.obs import events as obs_events
 from repro.storage import DEFAULT_BACKEND
 
-#: The agings ``experiment all`` depends on, as (accessor, policy) pairs.
-_AGING_TASKS: Tuple[Tuple[str, Optional[str]], ...] = (
-    ("aged", "ffs"),
-    ("aged", "realloc"),
-    ("aged_real", None),
-)
+if TYPE_CHECKING:
+    from repro.aging.generator import AgingArtifacts, AgingConfig
+    from repro.aging.replay import ReplayResult
+    from repro.experiments.config import Aging
+
+#: ``(origin, fn, args)``: one unit of :func:`fan_out` work.
+Task = Tuple[str, Callable[..., object], Tuple[object, ...]]
 
 #: Experiments that share in-process memoized work (fig5 reuses fig4's
 #: benchmark sweep; fig6 reuses fig5) and therefore run in one task.
 _AFFINITY: Tuple[Tuple[str, ...], ...] = (("fig4", "fig5", "fig6"),)
 
 
-# ----------------------------------------------------------------------
-# Worker-side task functions (module-level: they must pickle)
-# ----------------------------------------------------------------------
+def _run_task(
+    fn: Callable[..., object], args: Tuple[object, ...], settings: tuple
+) -> Dict[str, object]:
+    """The one worker entry point: pin the parent's cache ``settings``,
+    run ``fn(*args)`` (in a fresh telemetry session when the parent has
+    one) and ship the result home with the session's snapshot."""
+    cache_enabled, cache_dir, telemetry, events, disktrace = settings
+    cache.configure(enabled=cache_enabled, directory=cache_dir)
+    if not telemetry:
+        return {"result": fn(*args)}
+    from repro.experiments import config
 
-
-def _worker_setup(cache_enabled: bool, cache_dir: str) -> None:
-    """Pin the worker's cache to the parent's settings.
-
-    The cache configuration is process-wide state, so a pooled worker
-    must re-apply it to read the agings the parent's wave persisted.
-    """
-    cache.configure(
-        enabled=cache_enabled, directory=cache_dir if cache_enabled else None
-    )
+    config.clear_caches()  # rebind instrumented objects to this session
+    with obs.session(
+        events=obs.EventLog() if events else None,
+        disktrace=obs.DiskTrace() if disktrace else None,
+    ) as (registry, tracer):
+        result = fn(*args)
+        payload = _telemetry_payload(registry, tracer)
+    payload["result"] = result
+    return payload
 
 
 def _telemetry_payload(registry, tracer) -> Dict[str, object]:
@@ -101,83 +94,6 @@ def _telemetry_payload(registry, tracer) -> Dict[str, object]:
         if log is not None:
             payload[key] = (log.rows(), log.dropped)
     return payload
-
-
-def _warm_aging_task(
-    accessor: str,
-    policy: Optional[str],
-    preset: str,
-    cache_enabled: bool,
-    cache_dir: str,
-    telemetry: bool,
-    events: bool,
-    disktrace: bool = False,
-) -> Dict[str, object]:
-    """Build (and persist) one aged file system in a worker."""
-    from repro.experiments import config
-
-    _worker_setup(cache_enabled, cache_dir)
-    start = time.perf_counter()
-    if not telemetry:
-        _run_accessor(config, accessor, policy, preset)
-        return {"wall": time.perf_counter() - start}
-    config.clear_caches()  # rebind instrumented objects to this session
-    with obs.session(
-        events=obs.EventLog() if events else None,
-        disktrace=obs.DiskTrace() if disktrace else None,
-    ) as (registry, tracer):
-        with tracer.span(f"parallel.warm.{policy or 'real'}", preset=preset):
-            _run_accessor(config, accessor, policy, preset)
-        payload = _telemetry_payload(registry, tracer)
-    payload["wall"] = time.perf_counter() - start
-    return payload
-
-
-def _run_accessor(config, accessor: str, policy: Optional[str], preset: str):
-    if accessor == "aged":
-        return config.aged(preset, policy)
-    return config.aged_real(preset)
-
-
-def _experiment_group_task(
-    names: Tuple[str, ...],
-    preset: str,
-    backend: str,
-    cache_enabled: bool,
-    cache_dir: str,
-    telemetry: bool,
-    events: bool,
-    disktrace: bool = False,
-) -> Dict[str, object]:
-    """Run one affinity group of experiments in a worker, in order."""
-    from repro.experiments import config
-    from repro.experiments.runner import run_one_timed
-
-    _worker_setup(cache_enabled, cache_dir)
-
-    def _run_group() -> Dict[str, Dict[str, object]]:
-        out: Dict[str, Dict[str, object]] = {}
-        for name in names:
-            result, wall = run_one_timed(name, preset, backend)
-            out[name] = {"text": result.render(), "wall": wall}  # type: ignore[attr-defined]
-        return out
-
-    if not telemetry:
-        return {"results": _run_group()}
-    config.clear_caches()  # rebind instrumented objects to this session
-    with obs.session(
-        events=obs.EventLog() if events else None,
-        disktrace=obs.DiskTrace() if disktrace else None,
-    ) as (registry, tracer):
-        results = _run_group()
-        payload = _telemetry_payload(registry, tracer)
-    payload["results"] = results
-    return payload
-
-
-# ----------------------------------------------------------------------
-# Parent-side orchestration
-# ----------------------------------------------------------------------
 
 
 def _absorb_telemetry(payload: Dict[str, object], origin: str) -> None:
@@ -201,10 +117,93 @@ def _absorb_telemetry(payload: Dict[str, object], origin: str) -> None:
     disktrace = obs.disktrace_or_none()
     if disktrace is not None and "disktrace" in payload:
         # Trace rows are adopted verbatim (sequence renumbered only, no
-        # origin stamp): tasks are absorbed in paper order and the aging
+        # origin stamp): tasks are absorbed in task order and the aging
         # replay issues no disk requests, so the merged stream is
         # byte-identical to a serial run's — and pinned by tests.
         disktrace.adopt(*payload["disktrace"])  # type: ignore[misc]
+
+
+def fan_out(waves: Sequence[Sequence[Task]], jobs: int) -> Iterator[object]:
+    """Yield ``fn(*args)`` for each ``(origin, fn, args)`` task in order:
+    inline for ``jobs <= 1`` or a single task, else from one worker pool
+    (``fn`` must be module-level to pickle), absorbing each task's
+    telemetry under ``origin``.  A wave is submitted once every earlier
+    result is in; the workers, and their memos, outlive the waves."""
+    if jobs <= 1 or sum(map(len, waves)) <= 1:
+        yield from (fn(*args) for _o, fn, args in itertools.chain(*waves))
+        return
+    settings = (
+        cache.is_enabled(), str(cache.directory()), obs.enabled(),
+        obs.events_or_none() is not None, obs.disktrace_or_none() is not None,
+    )
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for wave in waves:
+            futures = [
+                pool.submit(_run_task, fn, args, settings)
+                for _origin, fn, args in wave
+            ]
+            for (origin, _fn, _args), future in zip(wave, futures):
+                payload = future.result()
+                _absorb_telemetry(payload, origin)
+                yield payload["result"]
+
+
+def _warm(spec: "Aging") -> None:
+    """Age one spec into the shared cache (the result stays there)."""
+    from repro.experiments import config
+
+    config.age(spec)
+    registry = obs.metrics_or_none()
+    if registry is not None:
+        registry.counter("parallel.warm_tasks").inc()
+
+
+def _warm_wave(specs: Sequence["Aging"]) -> List[Task]:
+    """One :func:`_warm` task per distinct spec missing from the cache
+    (none when the cache is off: workers could not share the results)."""
+    store = cache.store()
+    if store is None:
+        return []
+    misses = {
+        spec.key().digest: spec for spec in specs
+        if not store.path_for(spec.key()).is_file()
+    }
+    return [
+        (f"warm.{s.workload}.{s.policy}", _warm, (s,)) for s in misses.values()
+    ]
+
+
+def age_many(
+    specs: Sequence["Aging"], jobs: int = 1
+) -> Iterator["ReplayResult"]:
+    """Age every spec through the persistent cache, yielding results in
+    order; with ``jobs > 1`` the misses are first aged by workers.  Each
+    distinct workload is built at most once (none when every spec hits
+    the cache) and dropped after the last spec that needs it."""
+    from repro.experiments import config
+
+    if jobs > 1:
+        list(fan_out([_warm_wave(specs)], jobs))
+    built: Dict["AgingConfig", "AgingArtifacts"] = {}
+    last = {spec.config: i for i, spec in enumerate(specs)}
+    for i, spec in enumerate(specs):
+        yield config.age(spec, built)
+        if last[spec.config] == i:
+            built.pop(spec.config, None)
+
+
+def _experiment_group_task(
+    names: Tuple[str, ...], preset: str, backend: str
+) -> Dict[str, Dict[str, object]]:
+    """Run one affinity group of experiments in order; return each
+    one's rendered text and wall time."""
+    from repro.experiments.runner import run_one_timed
+
+    out: Dict[str, Dict[str, object]] = {}
+    for name in names:
+        result, wall = run_one_timed(name, preset, backend)
+        out[name] = {"text": result.render(), "wall": wall}  # type: ignore[attr-defined]
+    return out
 
 
 def iter_all_parallel(
@@ -216,65 +215,37 @@ def iter_all_parallel(
     wall time is the worker's compute time for that experiment, not the
     (overlapped) wait in the parent.
     """
-    from repro.experiments.runner import EXPERIMENTS, iter_all_rendered
+    from repro.experiments import config
+    from repro.experiments.runner import EXPERIMENTS
 
-    if jobs <= 1:
-        yield from iter_all_rendered(preset, 1, backend)
-        return
-
-    cache_enabled = cache.is_enabled()
-    cache_dir = str(cache.directory())
-    telemetry = obs.enabled()
-    events_on = obs.events_or_none() is not None
-    disktrace_on = obs.disktrace_or_none() is not None
     registry = obs.metrics_or_none()
     if registry is not None:
         registry.gauge("parallel.jobs").set(jobs)
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        if cache_enabled:
-            # Wave 1: the agings, which everything else reads back from
-            # the shared cache.  Without the cache, workers could not
-            # share them, so each experiment ages privately instead.
-            warm = [
-                pool.submit(
-                    _warm_aging_task, accessor, policy, preset,
-                    cache_enabled, cache_dir, telemetry, events_on,
-                    disktrace_on,
-                )
-                for accessor, policy in _AGING_TASKS
-            ]
-            for (accessor, policy), future in zip(_AGING_TASKS, warm):
-                payload = future.result()
-                _absorb_telemetry(payload, origin=f"warm.{policy or 'real'}")
-                if registry is not None:
-                    registry.counter("parallel.warm_tasks").inc()
-        group_of = {
-            name: next((g for g in _AFFINITY if name in g), (name,))
-            for name in EXPERIMENTS
-        }
-        futures = {}
-        for name in EXPERIMENTS:
-            group = group_of[name]
-            if group not in futures:
-                futures[group] = pool.submit(
-                    _experiment_group_task, group, preset, backend,
-                    cache_enabled, cache_dir, telemetry, events_on,
-                    disktrace_on,
-                )
-        absorbed = set()
-        for name in EXPERIMENTS:
-            group = group_of[name]
-            payload = futures[group].result()
-            if group not in absorbed:
-                absorbed.add(group)
-                _absorb_telemetry(payload, origin=f"experiment.{group[0]}")
-                if registry is not None:
-                    registry.counter("parallel.experiment_tasks").inc()
-            entry = payload["results"][name]  # type: ignore[index]
+    # Wave 1 ages the suite's agings (FFS, realloc, "Real") into the
+    # cache, which wave 2's experiments read back; without the cache
+    # each experiment ages privately.
+    warm = _warm_wave([
+        config.preset_aging(preset, "ffs"),
+        config.preset_aging(preset, "realloc"),
+        config.preset_aging(preset, workload="ground-truth"),
+    ])
+    groups = list(dict.fromkeys(
+        next((g for g in _AFFINITY if name in g), (name,))
+        for name in EXPERIMENTS
+    ))
+    arrivals = fan_out(
+        [warm, [
+            (f"experiment.{g[0]}", _experiment_group_task, (g, preset, backend))
+            for g in groups
+        ]],
+        jobs,
+    )
+    list(itertools.islice(arrivals, len(warm)))  # the warm wave's Nones
+    done: Dict[str, Dict[str, object]] = {}
+    for name in EXPERIMENTS:
+        while name not in done:  # fig6 arrives with fig4, before table2
+            done.update(next(arrivals))  # type: ignore[call-overload]
             if registry is not None:
-                registry.gauge(f"experiment.{name}.wall_s").set(
-                    entry["wall"]  # type: ignore[arg-type]
-                )
-            yield name, entry["text"], entry["wall"]  # type: ignore[misc]
-
+                registry.counter("parallel.experiment_tasks").inc()
+        entry = done.pop(name)
+        yield name, entry["text"], entry["wall"]  # type: ignore[misc]

@@ -24,9 +24,7 @@ def store(tmp_path) -> ArtifactCache:
 
 @pytest.fixture
 def key():
-    return cache.replay_key(
-        "tiny", aging_config("tiny"), "reconstructed", "ffs", "FFS"
-    )
+    return cache.replay_key("tiny", aging_config("tiny"), "reconstructed", "ffs")
 
 
 class TestRoundTrip:
@@ -68,19 +66,52 @@ class TestRoundTrip:
 class TestKeying:
     def test_key_changes_with_any_field(self):
         config = aging_config("tiny")
-        base = cache.replay_key("tiny", config, "reconstructed", "ffs", "FFS")
-        other_policy = cache.replay_key(
-            "tiny", config, "reconstructed", "realloc", "FFS"
-        )
+        base = cache.replay_key("tiny", config, "reconstructed", "ffs")
+        other_policy = cache.replay_key("tiny", config, "reconstructed", "realloc")
         other_config = cache.replay_key(
             "tiny",
             dataclasses.replace(config, seed=config.seed + 1),
             "reconstructed",
             "ffs",
-            "FFS",
         )
-        digests = {base.digest, other_policy.digest, other_config.digest}
-        assert len(digests) == 3
+        other_params = cache.replay_key(
+            "tiny", config, "reconstructed", "ffs",
+            dataclasses.replace(config.params, maxcontig=2),
+        )
+        digests = {
+            base.digest, other_policy.digest, other_config.digest,
+            other_params.digest,
+        }
+        assert len(digests) == 4
+        # Spelling out the config's own params is the default key.
+        explicit = cache.replay_key(
+            "tiny", config, "reconstructed", "ffs", config.params
+        )
+        assert explicit.digest == base.digest
+
+    def test_stock_knobs_share_the_suite_key(self):
+        """An ablation at its stock setting, and the ``home`` profile,
+        are the suite's agings: same digest, same cache entry."""
+        from repro.experiments import profiles
+        from repro.experiments.config import preset_aging
+
+        ffs = preset_aging("tiny", "ffs").key()
+        realloc = preset_aging("tiny", "realloc").key()
+        home = profiles.agings("tiny")[:2]  # PROFILES lists home first
+        stock = [
+            (preset_aging("tiny", "realloc", maxcontig=7), realloc),
+            (preset_aging("tiny", "realloc", cluster_fit="firstfit"), realloc),
+            (preset_aging("tiny", "realloc", indirect_switches_cg=True), realloc),
+            (preset_aging("tiny", "realloc"), realloc),
+            (preset_aging("tiny", "ffs"), ffs),
+            (home[0], ffs),
+            (home[1], realloc),
+        ]
+        for spec, suite in stock:
+            key = spec.key()
+            assert (key.digest, key.hint) == (suite.digest, suite.hint), spec
+        other = preset_aging("tiny", "realloc", maxcontig=2).key()
+        assert other.digest != realloc.digest
 
     def test_stored_key_mismatch_is_a_miss(self, store, key, aged_ffs):
         path = store.save_replay(key, aged_ffs)
@@ -91,28 +122,8 @@ class TestKeying:
 
     def test_format_version_participates_in_key(self):
         config = aging_config("tiny")
-        key = cache.replay_key("tiny", config, "reconstructed", "ffs", "FFS")
+        key = cache.replay_key("tiny", config, "reconstructed", "ffs")
         assert key.payload["cache_format"] == cache.FORMAT_VERSION
-
-    def test_fault_plan_participates_in_key(self):
-        """A faulted replay can never be served a clean cached aging."""
-        from repro.faults.plan import CrashSpec, FaultPlan
-
-        config = aging_config("tiny")
-        clean = cache.replay_key("tiny", config, "reconstructed", "ffs", "FFS")
-        plan = FaultPlan(
-            seed=3, crash=CrashSpec(day=2, after_block_writes=9)
-        ).to_payload()
-        faulted = cache.replay_key(
-            "tiny", config, "reconstructed", "ffs", "FFS", faults=plan
-        )
-        assert faulted.digest != clean.digest
-        assert faulted.payload["faults"] == plan
-        # Explicit None is the clean key: no-fault callers stay compatible.
-        explicit = cache.replay_key(
-            "tiny", config, "reconstructed", "ffs", "FFS", faults=None
-        )
-        assert explicit.digest == clean.digest
 
 
 class TestCorruption:

@@ -73,6 +73,27 @@ class TestStudyCommands:
         out = capsys.readouterr().out
         assert "news" in out and "database" in out
 
+    def test_ablation_reads_the_suite_agings_from_the_cache(
+        self, tmp_path, private_cache, capsys
+    ):
+        import json
+
+        primed = str(tmp_path / "primed")
+        assert main(["experiment", "all", "--preset", "tiny",
+                     "--cache-dir", primed]) == 0
+        metrics = tmp_path / "m.json"
+        assert main(["ablation", "fallback", "--preset", "tiny",
+                     "--cache-dir", primed, "--metrics", str(metrics)]) == 0
+        counters = json.loads(metrics.read_text())["metrics"]
+        # ffs and realloc are the suite's agings; only ffs-smart replays.
+        assert counters["cache.hits"]["value"] == 2
+        assert counters["cache.misses"]["value"] == 1
+        fresh = tmp_path / "fresh"
+        assert main(["ablation", "fallback", "--preset", "tiny",
+                     "--no-cache", "--cache-dir", str(fresh)]) == 0
+        assert not fresh.exists() or not any(fresh.iterdir())
+        capsys.readouterr()
+
     def test_ablation_unknown_rejected(self):
         import pytest
 

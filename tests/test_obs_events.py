@@ -157,7 +157,7 @@ class TestCacheEvents:
 
         store = ArtifactCache(tmp_path / "cache")
         key = repro_cache.replay_key(
-            "tiny", aging_config("tiny"), "reconstructed", "ffs", "FFS"
+            "tiny", aging_config("tiny"), "reconstructed", "ffs"
         )
         return store, key
 

@@ -1,22 +1,27 @@
-"""Tests for the parallel experiment runner (:mod:`repro.parallel`).
+"""Tests for the fan-out (:mod:`repro.parallel`) and its callers.
 
 The load-bearing property is byte-identity: ``--jobs N`` must produce
-exactly the stdout a serial run produces, because workers rebuild their
-file systems from cached images and any behavioural drift in the image
-layer (rotors, realloc marks, free maps) would surface here first.
+exactly what a serial run produces — stdout, aged file systems, and
+telemetry — because workers rebuild their file systems from cached
+images and any behavioural drift in the image layer (rotors, realloc
+marks, free maps) would surface here first.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
+import dataclasses
 import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs, parallel
+from repro import cache, obs, parallel
 from repro.experiments import config
+from repro.faults.chaos import run_chaos
+from repro.ffs.image import filesystem_to_document
 from repro.experiments.runner import (
     EXPERIMENTS,
     render_all,
@@ -71,6 +76,67 @@ def test_jobs_one_takes_the_serial_path(private_cache, monkeypatch):
 
     name, text, wall = next(iter_all_rendered("tiny", jobs=1))
     assert name == "table1" and text and wall >= 0
+
+
+def _fingerprint(result):
+    """What an aging produced: its image and its layout timeline."""
+    timeline = result.timeline
+    return (
+        filesystem_to_document(result.fs),
+        timeline.label,
+        [dataclasses.astuple(sample) for sample in timeline.samples],
+    )
+
+
+@pytest.mark.slow
+def test_age_many_in_workers_matches_serial(private_cache):
+    specs = [
+        config.preset_aging("tiny", "ffs"),
+        config.preset_aging("tiny", "realloc"),
+        config.preset_aging("tiny", "realloc", maxcontig=2),
+        config.preset_aging("tiny", workload="ground-truth"),
+    ]
+    cache.configure(enabled=False)
+    serial = [_fingerprint(r) for r in parallel.age_many(specs, jobs=1)]
+    cache.configure(enabled=True, directory=str(private_cache))
+    with obs.session() as (registry, _tracer):
+        fanned = [_fingerprint(r) for r in parallel.age_many(specs, jobs=2)]
+        warm_tasks = registry.counter("parallel.warm_tasks").value
+    assert warm_tasks == len(specs)  # every miss was aged in a worker
+    assert len(cache.store().entries()) == len(specs)
+    assert fanned == serial
+    assert [label for _doc, label, _samples in serial] == [
+        "FFS", "FFS + Realloc", "FFS + Realloc", "Real",
+    ]
+
+
+def _chaos_telemetry(jobs):
+    """Metrics snapshot and per-type event counts (worker merge markers
+    aside) of one seeded chaos grid."""
+    log = obs.EventLog()
+    with obs.session(events=log) as (registry, _tracer):
+        run_chaos("tiny", crashes=2, seed=11, jobs=jobs)
+        snapshot = registry.snapshot()
+    types = collections.Counter(
+        row["type"] for row in log.rows()
+        if row["type"] != obs_events.WORKER_MERGE
+    )
+    return snapshot, types
+
+
+@pytest.mark.slow
+def test_chaos_jobs_carries_the_serial_telemetry():
+    serial, serial_types = _chaos_telemetry(jobs=1)
+    fanned, fanned_types = _chaos_telemetry(jobs=2)
+    assert sorted(fanned) == sorted(serial)
+    for name, metric in serial.items():
+        if metric["type"] == "counter":
+            # Float counters are summed in another order, nothing more.
+            assert fanned[name]["value"] == pytest.approx(
+                metric["value"], rel=1e-12
+            ), name
+    assert fanned_types == serial_types
+    assert serial_types[obs_events.FAULT_INJECTED] > 0
 
 
 def test_run_one_timed_measures_without_telemetry():
