@@ -550,24 +550,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="emit findings as JSON (replint.report/v1) instead of text",
+        help="emit findings as JSON (replint.report/v2) instead of text",
     )
     p_lint.add_argument(
         "--select", metavar="RULES", default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    p_lint.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline file for grandfathered findings "
-        "(default: .replint-baseline.json when it exists)",
-    )
-    p_lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file; report every finding",
-    )
-    p_lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="absorb the current findings into the baseline file and exit 0",
     )
     p_lint.add_argument(
         "--list-rules", action="store_true",
@@ -1239,8 +1226,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro import lint as replint
-    from repro.lint.baseline import DEFAULT_BASELINE
-    from repro.lint.engine import collect_file_facts
 
     if args.list_rules:
         for rule in replint.all_rules():
@@ -1258,28 +1243,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     rules = None
     if args.select:
         rules = []
-        for rule_id in args.select.split(","):
-            rule = replint.get_rule(rule_id.strip())
+        # dict.fromkeys: a repeated id runs its rule once, in first order.
+        for rule_id in dict.fromkeys(r.strip() for r in args.select.split(",")):
+            rule = replint.get_rule(rule_id)
             if rule is None:
-                print(f"lint: unknown rule {rule_id.strip()!r}", file=sys.stderr)
+                print(f"lint: unknown rule {rule_id!r}", file=sys.stderr)
                 return 2
             rules.append(rule)
 
-    paths = [Path(p) for p in args.paths]
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    baseline = None
-    if not args.no_baseline and not args.update_baseline:
-        try:
-            baseline = replint.Baseline.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-
     try:
         result = replint.lint_paths(
-            paths,
+            [Path(p) for p in args.paths],
             rules=rules,
-            baseline=baseline,
             export_graph=args.graph_json is not None,
         )
     except FileNotFoundError as exc:
@@ -1293,30 +1268,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
         print(f"lint: wrote call graph to {args.graph_json}", file=sys.stderr)
 
-    if args.update_baseline:
-        sources, symbols = collect_file_facts(paths)
-        new_baseline = replint.Baseline.from_findings(
-            result.findings, sources, symbols
-        )
-        new_baseline.dump(baseline_path)
-        print(
-            f"lint: wrote {len(new_baseline)} grandfathered finding(s) "
-            f"to {baseline_path}"
-        )
-        return 0
-
     if args.as_json:
         print(json_mod.dumps(result.to_dict(), indent=2))
     else:
         for finding in result.findings:
             print(finding.format())
-        suppressed = result.pragma_suppressed + result.baseline_suppressed
         tail = f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
-        if suppressed:
-            tail += (
-                f" ({result.pragma_suppressed} pragma-waived, "
-                f"{result.baseline_suppressed} baselined)"
-            )
+        if result.pragma_suppressed:
+            tail += f" ({result.pragma_suppressed} pragma-waived)"
         print(tail)
     return 0 if result.clean else 1
 

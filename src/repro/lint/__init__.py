@@ -4,13 +4,13 @@ The reproduction's headline guarantees are statements about the *code*,
 not about any particular run: randomness flows only through
 :mod:`repro.rng`, telemetry is reachable only through the nullable
 ``*_or_none()`` facades (so the disabled path stays byte-identical),
-library errors are :mod:`repro.errors` types, callables handed to the
-process pool are picklable, and quantities in different units never mix
-silently.  Nothing about running the test suite enforces those
-conventions — a refactor can break them while every test still passes.
-replint checks them mechanically, on every PR.
+library errors are :mod:`repro.errors` types, and quantities in
+different units never mix silently.  Nothing about running the test
+suite enforces those conventions — a refactor can break them while
+every test still passes.  replint checks them mechanically, on every
+PR.
 
-v2 adds whole-program analysis: the per-file rules (R001–R005) are
+v2 adds whole-program analysis: the per-file rules (R001–R003) are
 joined by project rules (R101–R104) that see every linted file at once
 through a resolved call graph, so the determinism contract can be
 *proved* transitively — every function reachable from cache-key
@@ -32,17 +32,17 @@ The pieces:
   solver project rules share;
 * :mod:`repro.lint.project` — :class:`ProjectContext` /
   :class:`ProjectRule`, the whole-program rule interface;
-* :mod:`repro.lint.rules` — the shipped rules: per-file R001–R005 and
+* :mod:`repro.lint.rules` — the shipped rules: per-file R001–R003 and
   project-wide R101 (transitive determinism), R102 (schema-registry
-  drift), R103 (interprocedural unit flow), R104 (set iteration
-  order), each grounded in one of the contracts above;
+  drift), R103 (unit hygiene, within expressions and across calls),
+  R104 (set iteration order), each grounded in one of the contracts
+  above;
 * :mod:`repro.lint.pragmas` — inline waivers:
   ``# replint: disable=R001  (reason)``;
-* :mod:`repro.lint.baseline` — the committed grandfather file
-  (``replint.baseline/v2``: fingerprints carry the enclosing symbol
-  path) so a gate can be adopted without a flag day;
 * :mod:`repro.lint.engine` — file collection, parsing, graph
-  construction, and the suppression pipeline tying it all together.
+  construction, and pragma suppression tying it all together.
+
+There is no grandfather file: a finding is fixed or carries a pragma.
 
 CLI: ``repro-ffs lint [PATHS] [--json] [--graph-json FILE]``; exit
 codes follow the CLI's own contract: 0 clean, 1 findings, 2 usage
@@ -51,8 +51,7 @@ error.
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
-from repro.lint.engine import LintResult, collect_file_facts, lint_paths
+from repro.lint.engine import LintResult, lint_paths
 from repro.lint.findings import Finding
 from repro.lint.graph import CallGraph, build_graph
 from repro.lint.project import ProjectContext, ProjectRule
@@ -62,7 +61,6 @@ from repro.lint.registry import Rule, all_rules, get_rule, register
 from repro.lint import rules as _rules  # noqa: F401
 
 __all__ = [
-    "Baseline",
     "CallGraph",
     "Finding",
     "LintResult",
@@ -71,7 +69,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "build_graph",
-    "collect_file_facts",
     "get_rule",
     "lint_paths",
     "register",

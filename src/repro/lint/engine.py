@@ -3,25 +3,23 @@
 :func:`lint_paths` is the whole analyzer as one call: collect ``*.py``
 files under the given paths, parse each, run the selected module rules,
 build the whole-program call graph and run the project rules
-(R101–R104), then apply suppression in two layers — inline pragmas
-first (a deliberate, commented waiver at the site), committed baseline
-second (grandfathered debt).  What survives is the lint failure.
+(R101–R104), then drop what an inline pragma waives (a deliberate,
+commented waiver at the site).  What survives is the lint failure.
 
 Files that do not parse produce a non-suppressible ``E000`` finding:
-an unreadable file can hide anything, so neither pragmas nor the
-baseline may wave it through.  Project rules analyze whatever subset
-*did* parse — a broken file degrades the graph conservatively (its
-callees become unknown), it does not disable the analysis.
+an unreadable file can hide anything, so no pragma may wave it
+through.  Project rules analyze whatever subset *did* parse — a broken
+file degrades the graph conservatively (its callees become unknown),
+it does not disable the analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Type
 
 from repro import schemas
-from repro.lint.baseline import Baseline, SymbolIndex, build_symbol_index
 from repro.lint.findings import PARSE_ERROR, Finding
 from repro.lint.graph import build_graph
 from repro.lint.pragmas import PragmaMap, parse_pragmas
@@ -39,7 +37,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     pragma_suppressed: int = 0
-    baseline_suppressed: int = 0
     #: call-graph export (``--graph-json``); populated only when the
     #: run built a graph (a project rule was selected, or the caller
     #: asked for the export explicitly)
@@ -55,7 +52,6 @@ class LintResult:
             "schema": schemas.LINT_REPORT,
             "files_checked": self.files_checked,
             "pragma_suppressed": self.pragma_suppressed,
-            "baseline_suppressed": self.baseline_suppressed,
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -103,19 +99,15 @@ def _rel_path(path: Path, root: Optional[Path]) -> str:
 def lint_paths(
     paths: Sequence[Path],
     rules: Optional[Iterable[Type[Rule]]] = None,
-    baseline: Optional[Baseline] = None,
     root: Optional[Path] = None,
     export_graph: bool = False,
 ) -> LintResult:
     """Lint every ``*.py`` file under ``paths`` with ``rules``.
 
-    ``rules`` defaults to the full registry.  ``baseline`` (when given)
-    absorbs grandfathered findings after pragma suppression.  ``root``
-    anchors the repo-relative paths in findings (defaults to the
-    current directory) — it must match the root the baseline was
-    recorded against, or fingerprints will not line up.
-    ``export_graph`` forces the call graph to be built and attached to
-    the result even when no project rule is selected.
+    ``rules`` defaults to the full registry.  ``root`` anchors the
+    repo-relative paths in findings (defaults to the current
+    directory).  ``export_graph`` forces the call graph to be built
+    and attached to the result even when no project rule is selected.
     """
     rule_classes = list(rules) if rules is not None else all_rules()
     module_rules = [
@@ -127,8 +119,6 @@ def lint_paths(
 
     result = LintResult()
     raw: List[Finding] = []
-    sources: Dict[str, List[str]] = {}
-    symbols: Dict[str, SymbolIndex] = {}
     modules: List[ModuleContext] = []
     pragmas_by_rel: Dict[str, PragmaMap] = {}
 
@@ -140,7 +130,6 @@ def lint_paths(
             raw.append(Finding(rel, 1, 1, PARSE_ERROR, f"cannot read file: {exc}"))
             continue
         result.files_checked += 1
-        sources[rel] = source.splitlines()
         try:
             module = build_context(path, rel, source)
         except SyntaxError as exc:
@@ -156,7 +145,6 @@ def lint_paths(
             continue
 
         modules.append(module)
-        symbols[rel] = build_symbol_index(module.tree)
         pragmas = parse_pragmas(source)
         pragmas_by_rel[rel] = pragmas
         for rule in module_rules:
@@ -181,42 +169,5 @@ def lint_paths(
                 else:
                     raw.append(finding)
 
-    raw.sort(key=lambda f: f.sort_key)
-    if baseline is not None:
-        raw, absorbed = baseline.filter(raw, sources, symbols)
-        result.baseline_suppressed = absorbed
-    result.findings = raw
+    result.findings = sorted(raw, key=lambda f: f.sort_key)
     return result
-
-
-def collect_sources(paths: Sequence[Path], root: Optional[Path] = None) -> Dict[str, List[str]]:
-    """Source lines keyed by repo-relative path (for ``--update-baseline``)."""
-    return collect_file_facts(paths, root)[0]
-
-
-def collect_file_facts(
-    paths: Sequence[Path], root: Optional[Path] = None
-) -> Tuple[Dict[str, List[str]], Dict[str, SymbolIndex]]:
-    """Source lines and symbol indexes keyed by repo-relative path.
-
-    Both maps feed baseline fingerprinting; files that cannot be read
-    or parsed get empty entries (their findings are ``E000`` and never
-    baselined anyway).
-    """
-    import ast
-
-    sources: Dict[str, List[str]] = {}
-    symbols: Dict[str, SymbolIndex] = {}
-    for path in collect_files(paths):
-        rel = _rel_path(path, root)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            sources[rel] = []
-            continue
-        sources[rel] = source.splitlines()
-        try:
-            symbols[rel] = build_symbol_index(ast.parse(source))
-        except SyntaxError:
-            pass
-    return sources, symbols

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: Rule id used for files that cannot be parsed at all.  Not a real rule:
-#: it has no registry entry and cannot be waived by pragma or baseline —
-#: a file the analyzer cannot read is a problem no matter what.
+#: it has no registry entry and cannot be waived by pragma — a file the
+#: analyzer cannot read is a problem no matter what.
 PARSE_ERROR = "E000"
 
 

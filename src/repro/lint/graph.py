@@ -294,9 +294,6 @@ def build_graph(modules: Sequence[ModuleContext]) -> CallGraph:
     graph = CallGraph()
     indexed = [m for m in modules if m.module_name is not None]
     for module in indexed:
-        if module.module_name is None:
-            continue
-        graph.modules[module.module_name] = module
         _index_module(graph, module)
     for qualname, info in graph.classes.items():
         graph.classes_by_bare.setdefault(info.name, []).append(qualname)
@@ -313,10 +310,6 @@ def build_graph(modules: Sequence[ModuleContext]) -> CallGraph:
                 continue
             graph.calls[qualname] = _FunctionResolver(graph, module, fn).run()
     return graph
-
-
-#: Backwards-friendly alias: the engine and CLI import this name.
-build_project_graph = build_graph
 
 
 def _render_callee(node: ast.expr) -> str:
@@ -336,6 +329,7 @@ def _index_module(graph: CallGraph, module: ModuleContext) -> None:
     prefix = module.module_name
     if prefix is None:
         return
+    graph.modules[prefix] = module
 
     def add_function(
         node: "ast.FunctionDef | ast.AsyncFunctionDef",

@@ -140,11 +140,18 @@ def build_context(path: Path, rel_path: str, source: str) -> ModuleContext:
 
 
 def _module_name(path: Path) -> Optional[str]:
-    """Dotted module name under the rightmost ``repro`` path component."""
-    parts = [p for p in path.parts]
-    if "repro" not in parts:
+    """Dotted module name under the rightmost ``repro`` package.
+
+    Only a ``repro`` directory holding ``__init__.py`` counts, so a
+    checkout that merely sits in a directory named ``repro`` gets the
+    same names whether it is linted by absolute or relative path.
+    """
+    parts = path.parts
+    for idx in range(len(parts) - 2, -1, -1):
+        if parts[idx] == "repro" and Path(*parts[: idx + 1], "__init__.py").is_file():
+            break
+    else:
         return None
-    idx = len(parts) - 1 - parts[::-1].index("repro")
     mod_parts = list(parts[idx:])
     last = mod_parts[-1]
     if last.endswith(".py"):

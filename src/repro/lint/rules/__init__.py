@@ -10,11 +10,14 @@ from __future__ import annotations
 from repro.lint.rules import determinism as _determinism  # noqa: F401
 from repro.lint.rules import telemetry as _telemetry  # noqa: F401
 from repro.lint.rules import errors as _errors  # noqa: F401
-from repro.lint.rules import pickling as _pickling  # noqa: F401
-from repro.lint.rules import units as _units  # noqa: F401
 
-# v2 project-scope rules (whole-program graph + dataflow).  R104 must
-# import before R101, which reuses its set-iteration detector.
+# R004 (parallel-pickle-safety) is retired: the only executor submit
+# passes a fixed module-level function, and the task callables that do
+# cross the process boundary are exercised at jobs=2 by the test suite.
+# R005 (unit-hygiene) is folded into R103, which flags +/- between
+# conflicting unit suffixes in every linted module.
+
+# Project-scope rules (whole-program graph + dataflow).
 from repro.lint.rules import iteration as _iteration  # noqa: F401
 from repro.lint.rules import graph_determinism as _graph_determinism  # noqa: F401
 from repro.lint.rules import schema_registry as _schema_registry  # noqa: F401

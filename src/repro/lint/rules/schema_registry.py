@@ -1,7 +1,7 @@
 """R102 — schema registry: every ``family/vN`` tag lives in one place.
 
 Every persisted artifact in this repo is stamped with a schema tag
-(``repro.obs.manifest/v2``, ``repro.cache/v1``, ``replint.baseline/v2``
+(``repro.obs.manifest/v2``, ``repro.cache/v1``, ``replint.report/v2``
 …) and every reader checks it.  Before :mod:`repro.schemas` existed,
 those tags were string literals scattered across writers, readers, and
 tests — so bumping a version meant grepping, and a writer/reader skew

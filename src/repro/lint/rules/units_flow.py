@@ -1,34 +1,50 @@
-"""R103 — interprocedural unit hygiene: units survive call boundaries.
+"""R103 — unit hygiene: frag/block/sector/byte quantities never mix.
 
-R005 catches ``start_frag + len_blocks`` inside one expression.  It is
-blind to the same bug split across a call: a function that *returns*
-frags assigned to a variable named ``_blocks``, or a block count passed
-to a parameter named ``nfrags_needed``.  Those are exactly the bugs
-that survive review, because each side reads correctly in isolation.
+The simulator juggles four address spaces — bytes, 512-byte sectors,
+1 KB fragments, 8 KB blocks — and the conversion bugs between them are
+the classic FFS-reproduction failure mode: an offset in frags added to
+a length in blocks type-checks, runs, and quietly corrupts every
+downstream layout score.
 
-R103 closes the loop with the call graph and a fixed-point pass:
+The repo's convention is that unit-carrying identifiers advertise their
+unit with a suffix (``start_frag``, ``len_blocks``, ``offset_bytes``;
+``_frag``/``_frags``, ``_block``/``_blocks``, ``_sector``/``_sectors``,
+``_byte``/``_bytes``) and conversions go through :mod:`repro.units`.
+``nfrags`` has no underscore and does not participate.  R103 checks
+the convention inside expressions and across call boundaries:
 
-1. **Return units.**  Each function's return unit is inferred from its
-   ``return`` expressions — identifier suffixes (``_frag``/``_block``/
-   ``_sector``/``_byte``, as in R005), additive arithmetic (which
-   preserves a unit), and calls to already-solved functions.  The
-   solver iterates to a fixed point, so a chain like ``return
+1. **Additive arithmetic.**  ``+`` and ``-`` (including augmented
+   assignment) between two plain names or attributes carrying
+   conflicting suffixes is a finding, anywhere in any linted file::
+
+       pos = start_frag + len_blocks          # R103: frag + block
+       pos = start_frag + frags_per_block * len_blocks   # ok: converted
+
+   Multiplication and division are how conversions are *written*, so
+   they are always allowed; subscripts like ``free_in_block[b] -
+   nfrags`` are containers indexed by one unit holding another, which
+   is fine.
+
+2. **Return units.**  Each function's return unit is inferred from its
+   ``return`` expressions — identifier suffixes, additive arithmetic
+   (which preserves a unit), and calls to already-solved functions.
+   The solver iterates to a fixed point, so a chain like ``return
    helper(x)`` → ``return base_frag + pad`` types the whole chain.
-   Multiplication and division erase the unit: that is how conversions
-   are written.  A function whose returns disagree stays untyped.
+   Multiplication and division erase the unit.  A function whose
+   returns disagree stays untyped.
 
-2. **Argument checking.**  At every resolved call site, a positional
+3. **Argument checking.**  At every resolved call site, a positional
    or keyword argument with a known unit is checked against the
    callee's parameter *name*: passing ``len_blocks`` to a parameter
    named ``nfrags`` is a finding.  Only precise edges are checked
    (direct calls, constructors, typed/self dispatch) — the name-based
    CHA fallback is too coarse to accuse anyone with.
 
-3. **Assignment checking.**  A call whose solved return unit conflicts
+4. **Assignment checking.**  A call whose solved return unit conflicts
    with the suffix of the name it is assigned to is a finding.
 
 When the mix is intentional (a raw count reused across spaces), waive
-at the line with a reason, exactly as for R005::
+at the line with a reason::
 
     nframes = free_frags(cg)  # replint: disable=R103  (frames == frags here)
 """
@@ -43,7 +59,18 @@ from repro.lint.findings import Finding
 from repro.lint.graph import CallGraph, CallSite
 from repro.lint.project import ProjectContext, ProjectRule
 from repro.lint.registry import ModuleContext, register
-from repro.lint.rules.units import _UNIT_SUFFIXES
+
+#: suffix -> canonical unit
+_UNIT_SUFFIXES = {
+    "frag": "frag",
+    "frags": "frag",
+    "block": "block",
+    "blocks": "block",
+    "sector": "sector",
+    "sectors": "sector",
+    "byte": "byte",
+    "bytes": "byte",
+}
 
 #: Site kinds precise enough to check arguments against — everything
 #: but CHA (name-based guessing), EXTERNAL, and DYNAMIC.
@@ -58,6 +85,7 @@ def _ident_unit(ident: str) -> Optional[str]:
 
 
 def _node_unit(node: ast.AST) -> Optional[str]:
+    """Unit of a plain name or attribute; subscripts and calls have none."""
     if isinstance(node, ast.Name):
         return _ident_unit(node.id)
     if isinstance(node, ast.Attribute):
@@ -157,11 +185,13 @@ class UnitFlowRule(ProjectRule):
     rule_id = "R103"
     name = "unit-flow"
     summary = (
-        "unit suffixes must agree across call boundaries: arguments "
-        "match parameter names, returned units match assigned names"
+        "_frag/_block/_sector/_byte suffixes must agree: in +/- operands, "
+        "arguments vs. parameter names, returned vs. assigned names"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for module in project.modules:
+            yield from self._check_additive(module)
         graph = project.graph
         returns = solve_return_units(graph)
         for qualname in sorted(graph.functions):
@@ -176,6 +206,28 @@ class UnitFlowRule(ProjectRule):
             yield from self._check_assignments(
                 module, fn.node, sitemap, returns
             )
+
+    # -- +/- between conflicting suffixes ------------------------------
+
+    def _check_additive(self, module: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.BinOp):
+                left, right = node.left, node.right
+            elif isinstance(node, ast.AugAssign):
+                left, right = node.target, node.value
+            else:
+                continue
+            if not isinstance(node.op, (ast.Add, ast.Sub)):
+                continue
+            left_unit, right_unit = _node_unit(left), _node_unit(right)
+            if left_unit and right_unit and left_unit != right_unit:
+                yield module.finding(
+                    self,
+                    node,
+                    f"additive arithmetic mixes {left_unit}s with "
+                    f"{right_unit}s; convert explicitly via repro.units "
+                    f"before combining",
+                )
 
     # -- argument units vs. parameter names ----------------------------
 

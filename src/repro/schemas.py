@@ -69,11 +69,8 @@ SSD_STATS = "repro.ssd.stats/v1"
 # --- the analyzer's own formats ------------------------------------------
 
 #: ``repro-ffs lint --json`` findings report.
-LINT_REPORT = "replint.report/v1"
-#: Committed grandfather baseline (``.replint-baseline.json``).  v2 added
-#: the enclosing-symbol component to fingerprints, so a v1 file (keyed by
-#: line text alone) no longer loads.
-LINT_BASELINE = "replint.baseline/v2"
+#: v2 dropped ``baseline_suppressed`` with the grandfather baseline.
+LINT_REPORT = "replint.report/v2"
 #: ``repro-ffs lint --graph-json`` whole-program call-graph export.
 LINT_GRAPH = "replint.graph/v1"
 
@@ -93,7 +90,6 @@ REGISTRY: Dict[str, str] = {
     "SSD_CONFIG": SSD_CONFIG,
     "SSD_STATS": SSD_STATS,
     "LINT_REPORT": LINT_REPORT,
-    "LINT_BASELINE": LINT_BASELINE,
     "LINT_GRAPH": LINT_GRAPH,
 }
 

@@ -1,24 +1,12 @@
-"""Engine-level tests: pragmas, baseline, file collection, parse errors."""
+"""Engine-level tests: pragmas, file collection, module names, parse errors."""
 
-import json
+from pathlib import Path
 
-from repro.lint.baseline import MODULE_SYMBOL, Baseline
-from repro.lint.engine import (
-    collect_file_facts,
-    collect_files,
-    collect_sources,
-    lint_paths,
-)
+from repro.lint.engine import collect_files, lint_paths
 from repro.lint.findings import Finding
 from repro.lint.pragmas import parse_pragmas
 from repro.lint.registry import get_rule
-
-
-def write(tmp_path, rel, source):
-    path = tmp_path / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(source)
-    return path
+from tests.lint_fixtures import write
 
 
 class TestPragmas:
@@ -80,179 +68,18 @@ class TestPragmas:
 
     def test_multiple_ids_one_pragma(self):
         pragmas = parse_pragmas(
-            "x = 1  # replint: disable=R001, R005  (both waived)\n"
+            "x = 1  # replint: disable=R001, R103  (both waived)\n"
         )
         finding1 = Finding("f.py", 1, 1, "R001", "m")
-        finding5 = Finding("f.py", 1, 1, "R005", "m")
+        finding103 = Finding("f.py", 1, 1, "R103", "m")
         finding2 = Finding("f.py", 1, 1, "R002", "m")
         assert pragmas.suppresses(finding1)
-        assert pragmas.suppresses(finding5)
+        assert pragmas.suppresses(finding103)
         assert not pragmas.suppresses(finding2)
 
     def test_parse_error_not_suppressible(self):
         pragmas = parse_pragmas("# replint: disable-file=all  (nope)\n")
         assert not pragmas.suppresses(Finding("f.py", 1, 1, "E000", "syntax"))
-
-
-class TestBaseline:
-    def test_roundtrip_and_absorb(self, tmp_path):
-        src = "import time\nstamp = time.time()\n"
-        path = write(tmp_path, "repro/mod.py", src)
-        rules = [get_rule("R001")]
-        first = lint_paths([path], rules=rules, root=tmp_path)
-        assert len(first.findings) == 1
-
-        sources = collect_sources([path], root=tmp_path)
-        baseline = Baseline.from_findings(first.findings, sources)
-        baseline_file = tmp_path / "baseline.json"
-        baseline.dump(baseline_file)
-
-        loaded = Baseline.load(baseline_file)
-        second = lint_paths([path], rules=rules, baseline=loaded, root=tmp_path)
-        assert second.findings == []
-        assert second.baseline_suppressed == 1
-
-    def test_line_drift_tolerated(self, tmp_path):
-        path = write(tmp_path, "repro/mod.py", "import time\nstamp = time.time()\n")
-        rules = [get_rule("R001")]
-        first = lint_paths([path], rules=rules, root=tmp_path)
-        baseline = Baseline.from_findings(
-            first.findings, collect_sources([path], root=tmp_path)
-        )
-        # Unrelated lines added above: the finding moves but its
-        # fingerprint (path, rule, line text) is unchanged.
-        path.write_text("import time\n\n# a comment\n\nstamp = time.time()\n")
-        result = lint_paths([path], rules=rules, baseline=baseline, root=tmp_path)
-        assert result.findings == []
-
-    def test_edited_line_resurfaces(self, tmp_path):
-        path = write(tmp_path, "repro/mod.py", "import time\nstamp = time.time()\n")
-        rules = [get_rule("R001")]
-        first = lint_paths([path], rules=rules, root=tmp_path)
-        baseline = Baseline.from_findings(
-            first.findings, collect_sources([path], root=tmp_path)
-        )
-        # The flagged line itself changed: no longer grandfathered.
-        path.write_text("import time\nother_stamp = time.time()\n")
-        result = lint_paths([path], rules=rules, baseline=baseline, root=tmp_path)
-        assert len(result.findings) == 1
-
-    def test_one_entry_absorbs_one_finding(self, tmp_path):
-        path = write(tmp_path, "repro/mod.py", "import time\nstamp = time.time()\n")
-        rules = [get_rule("R001")]
-        first = lint_paths([path], rules=rules, root=tmp_path)
-        baseline = Baseline.from_findings(
-            first.findings, collect_sources([path], root=tmp_path)
-        )
-        # A second identical line: same fingerprint, but the baseline
-        # budget for it is 1, so one finding survives.
-        path.write_text(
-            "import time\nstamp = time.time()\nstamp = time.time()\n"
-        )
-        result = lint_paths([path], rules=rules, baseline=baseline, root=tmp_path)
-        assert len(result.findings) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
-
-class TestBaselineSymbols:
-    """v2 fingerprints carry the enclosing symbol path.
-
-    The v1 fragility this fixes: two identical lines in different
-    functions shared one fingerprint, so a baseline entry recorded
-    against one function could absorb a brand-new violation in another.
-    """
-
-    DIRTY_OLD = (
-        "import time\n"
-        "def old():\n"
-        "    stamp = time.time()\n"
-    )
-    DIRTY_NEW = (
-        "import time\n"
-        "def old():\n"
-        "    pass\n"
-        "def new():\n"
-        "    stamp = time.time()\n"
-    )
-
-    def test_same_line_in_other_function_is_not_absorbed(self, tmp_path):
-        path = write(tmp_path, "repro/mod.py", self.DIRTY_OLD)
-        rules = [get_rule("R001")]
-        first = lint_paths([path], rules=rules, root=tmp_path)
-        assert len(first.findings) == 1
-        sources, symbols = collect_file_facts([path], root=tmp_path)
-        baseline = Baseline.from_findings(first.findings, sources, symbols)
-
-        # old() is fixed; an *identical* line appears in new().  The
-        # line text matches the baselined entry, but the symbol path
-        # differs — the new violation must surface.
-        path.write_text(self.DIRTY_NEW)
-        result = lint_paths([path], rules=rules, baseline=baseline, root=tmp_path)
-        assert len(result.findings) == 1
-        assert result.baseline_suppressed == 0
-
-    def test_same_function_still_absorbed_after_drift(self, tmp_path):
-        path = write(tmp_path, "repro/mod.py", self.DIRTY_OLD)
-        rules = [get_rule("R001")]
-        first = lint_paths([path], rules=rules, root=tmp_path)
-        sources, symbols = collect_file_facts([path], root=tmp_path)
-        baseline = Baseline.from_findings(first.findings, sources, symbols)
-
-        # Unrelated code above moves the function: same symbol, same
-        # line text, still grandfathered.
-        path.write_text("import time\n\nX = 1\n\ndef old():\n    stamp = time.time()\n")
-        result = lint_paths([path], rules=rules, baseline=baseline, root=tmp_path)
-        assert result.findings == []
-        assert result.baseline_suppressed == 1
-
-    def test_dump_records_symbol(self, tmp_path):
-        path = write(tmp_path, "repro/mod.py", self.DIRTY_OLD)
-        first = lint_paths([path], rules=[get_rule("R001")], root=tmp_path)
-        sources, symbols = collect_file_facts([path], root=tmp_path)
-        baseline = Baseline.from_findings(first.findings, sources, symbols)
-        out = tmp_path / "baseline.json"
-        baseline.dump(out)
-        payload = json.loads(out.read_text())
-        assert payload["findings"][0]["symbol"] == "old"
-
-    def test_nested_symbol_paths_are_dotted(self, tmp_path):
-        source = (
-            "import time\n"
-            "class C:\n"
-            "    def method(self):\n"
-            "        stamp = time.time()\n"
-        )
-        path = write(tmp_path, "repro/mod.py", source)
-        first = lint_paths([path], rules=[get_rule("R001")], root=tmp_path)
-        sources, symbols = collect_file_facts([path], root=tmp_path)
-        baseline = Baseline.from_findings(first.findings, sources, symbols)
-        out = tmp_path / "baseline.json"
-        baseline.dump(out)
-        payload = json.loads(out.read_text())
-        symbols_recorded = {e["symbol"] for e in payload["findings"]}
-        assert symbols_recorded == {"C.method"}
-        assert MODULE_SYMBOL not in symbols_recorded
-
-    def test_v1_baseline_rejected_with_hint(self, tmp_path):
-        import pytest
-
-        old = tmp_path / "baseline.json"
-        v1_tag = "replint.baseline" + "/v1"  # built, not literal: R102
-        old.write_text(json.dumps({"schema": v1_tag, "findings": []}))
-        with pytest.raises(ValueError, match="--update-baseline"):
-            Baseline.load(old)
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "other/v9", "findings": []}))
-        try:
-            Baseline.load(bad)
-        except ValueError as exc:
-            assert "schema" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
 
 
 class TestCollection:
@@ -277,20 +104,38 @@ class TestCollection:
             raise AssertionError("expected FileNotFoundError")
 
 
+class TestModuleNames:
+    def test_findings_do_not_depend_on_path_spelling(
+        self, tmp_path, monkeypatch
+    ):
+        # A checkout in a directory called ``repro`` that is not itself
+        # a package: only ``src/repro`` is library code, by either path.
+        checkout = tmp_path / "repro"
+        test_src = "def test_x():\n    assert 1 + 1 == 2\n"
+        write(checkout, "tests/test_a.py", test_src)
+        write(checkout / "src", "repro/mod.py", "assert True\n")
+        absolute = lint_paths([checkout], root=checkout).findings
+        monkeypatch.chdir(checkout)
+        relative = lint_paths([Path(".")]).findings
+        assert absolute == relative
+        assert [(f.path, f.rule_id) for f in absolute] == [
+            ("src/repro/mod.py", "R003")
+        ]
+
+
 class TestParseErrors:
     def test_syntax_error_is_e000(self, tmp_path):
         path = write(tmp_path, "repro/broken.py", "def f(:\n")
         result = lint_paths([path], root=tmp_path)
         assert [f.rule_id for f in result.findings] == ["E000"]
 
-    def test_e000_survives_pragmas_and_baseline(self, tmp_path):
+    def test_e000_survives_pragmas(self, tmp_path):
         path = write(
             tmp_path,
             "repro/broken.py",
             "# replint: disable-file=all  (nice try)\ndef f(:\n",
         )
-        baseline = Baseline.from_findings([], {})
-        result = lint_paths([path], baseline=baseline, root=tmp_path)
+        result = lint_paths([path], root=tmp_path)
         assert [f.rule_id for f in result.findings] == ["E000"]
 
 
@@ -310,6 +155,7 @@ class TestResultShape:
         keys = [f.sort_key for f in result.findings]
         assert keys == sorted(keys)
         payload = result.to_dict()
-        assert payload["schema"] == "replint.report/v1"
-        assert payload["files_checked"] == 2
+        assert payload["schema"] == "replint.report/v2"
+        assert payload["files_checked"] == 3  # a.py, b.py, __init__.py
+        assert "baseline_suppressed" not in payload
         assert len(payload["findings"]) == len(result.findings)

@@ -23,14 +23,13 @@ from repro.lint.graph import (
     build_graph,
 )
 from repro.lint.registry import build_context
+from tests.lint_fixtures import write
 
 
 def build(tmp_path, files):
     modules = []
     for rel, source in sorted(files.items()):
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
+        path = write(tmp_path, rel, textwrap.dedent(source))
         modules.append(build_context(path, rel, path.read_text()))
     return build_graph(modules)
 

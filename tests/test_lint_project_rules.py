@@ -22,15 +22,14 @@ from repro.lint.rules.graph_determinism import (
 from repro.lint.rules.iteration import IterationOrderRule
 from repro.lint.rules.schema_registry import SchemaRegistryRule
 from repro.lint.rules.units_flow import UnitFlowRule
+from tests.lint_fixtures import write
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(tmp_path, files, rules):
     for rel, source in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
+        write(tmp_path, rel, textwrap.dedent(source))
     return lint_paths([tmp_path], rules=rules, root=tmp_path)
 
 

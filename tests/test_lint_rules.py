@@ -13,13 +13,12 @@ import pytest
 
 from repro.lint.engine import lint_paths
 from repro.lint.registry import get_rule
+from tests.lint_fixtures import write
 
 
 def run_rule(tmp_path, rule_id, source, rel="repro/mod.py"):
     """Lint one snippet with one rule; returns the findings."""
-    path = tmp_path / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(source)
+    path = write(tmp_path, rel, source)
     rule = get_rule(rule_id)
     assert rule is not None, rule_id
     result = lint_paths([path], rules=[rule], root=tmp_path)
@@ -163,108 +162,59 @@ class TestR003ErrorDiscipline:
         assert run_rule(tmp_path, "R003", src, rel="tests/test_x.py") == []
 
 
-class TestR004PickleSafety:
-    def test_fires_on_lambda(self, tmp_path):
-        src = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "with ProcessPoolExecutor() as pool:\n"
-            "    fut = pool.submit(lambda: 1)\n"
-        )
-        findings = run_rule(tmp_path, "R004", src)
-        assert findings and "lambda" in findings[0].message
-
-    def test_fires_on_nested_function(self, tmp_path):
-        src = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def run():\n"
-            "    def task(x):\n"
-            "        return x\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return pool.submit(task, 1)\n"
-        )
-        findings = run_rule(tmp_path, "R004", src)
-        assert findings and "task" in findings[0].message
-
-    def test_fires_on_bound_method(self, tmp_path):
-        src = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def run(worker):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return pool.submit(worker.step, 1)\n"
-        )
-        findings = run_rule(tmp_path, "R004", src)
-        assert findings and "bound method" in findings[0].message
-
-    def test_silent_on_module_level_function(self, tmp_path):
-        src = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def task(x):\n"
-            "    return x\n"
-            "def run():\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return pool.submit(task, 1)\n"
-        )
-        assert run_rule(tmp_path, "R004", src) == []
-
-    def test_silent_on_module_qualified_function(self, tmp_path):
-        src = (
-            "import concurrent.futures\n"
-            "import repro.parallel\n"
-            "def run(pool):\n"
-            "    return pool.submit(repro.parallel.prewarm, 1)\n"
-        )
-        assert run_rule(tmp_path, "R004", src) == []
-
-    def test_silent_on_unrelated_map(self, tmp_path):
-        # No executor import, receiver doesn't look like a pool: the
-        # builtin-style `obj.map(...)` on some container is fine.
-        src = "def run(frame):\n    return frame.map(lambda v: v + 1)\n"
-        assert run_rule(tmp_path, "R004", src) == []
-
-
 class TestR005UnitHygiene:
+    """The retired R005's fixtures, unchanged, now run under R103, which
+    absorbed its +/- check."""
+
     def test_fires_on_frag_plus_block(self, tmp_path):
         src = "pos = start_frag + len_blocks\n"
-        findings = run_rule(tmp_path, "R005", src)
+        findings = run_rule(tmp_path, "R103", src)
         assert findings and "repro.units" in findings[0].message
 
     def test_fires_on_byte_minus_sector(self, tmp_path):
         src = "gap = offset_bytes - pos_sectors\n"
-        assert run_rule(tmp_path, "R005", src)
+        assert run_rule(tmp_path, "R103", src)
 
     def test_fires_on_augmented_assign(self, tmp_path):
         src = "cursor_frag += len_blocks\n"
-        assert run_rule(tmp_path, "R005", src)
+        assert run_rule(tmp_path, "R103", src)
 
     def test_fires_on_attribute_operands(self, tmp_path):
         src = "end = req.start_sector + inode.len_bytes\n"
-        assert run_rule(tmp_path, "R005", src)
+        assert run_rule(tmp_path, "R103", src)
 
     def test_silent_on_same_unit(self, tmp_path):
         src = "end_frag = start_frag + len_frags\n"
-        assert run_rule(tmp_path, "R005", src) == []
+        assert run_rule(tmp_path, "R103", src) == []
 
     def test_silent_on_multiplication(self, tmp_path):
         # Multiplication is how conversions are written.
         src = "total_frags = frags_per_block * len_blocks\n"
-        assert run_rule(tmp_path, "R005", src) == []
+        assert run_rule(tmp_path, "R103", src) == []
 
     def test_silent_on_converted_operand(self, tmp_path):
         src = "pos_frag = start_frag + frags_per_block * len_blocks\n"
-        assert run_rule(tmp_path, "R005", src) == []
+        assert run_rule(tmp_path, "R103", src) == []
 
     def test_silent_on_subscript_container(self, tmp_path):
         # A container named by one unit indexed to yield another.
         src = "free_in_block[b] -= nfrags\n"
-        assert run_rule(tmp_path, "R005", src) == []
+        assert run_rule(tmp_path, "R103", src) == []
 
     def test_silent_without_underscore_suffix(self, tmp_path):
         src = "total = nfrags + nblocks\n"
-        assert run_rule(tmp_path, "R005", src) == []
+        assert run_rule(tmp_path, "R103", src) == []
+
+    def test_fires_outside_repro_and_inside_functions(self, tmp_path):
+        # Every linted module is walked whole: scripts, tests, and
+        # function bodies, not just call-graph edges.
+        src = "def f(req):\n    return req.start_sector - end_bytes\n"
+        assert run_rule(tmp_path, "R103", src, rel="scripts/tool.py")
+        assert run_rule(tmp_path, "R103", src)
 
 
 class TestRuleMetadata:
-    @pytest.mark.parametrize("rule_id", ["R001", "R002", "R003", "R004", "R005"])
+    @pytest.mark.parametrize("rule_id", ["R001", "R002", "R003", "R103"])
     def test_registered_with_docs(self, rule_id):
         rule = get_rule(rule_id)
         assert rule is not None
