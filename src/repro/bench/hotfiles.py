@@ -17,12 +17,13 @@ from functools import partial
 from typing import List, Optional
 
 from repro.analysis.layout import score_file_set
-from repro.bench.iomodel import FileIOPricer
+from repro.bench.iomodel import FileIOPricer, Request
 from repro.bench.timing import BenchmarkRunner, Measurement
 from repro.disk.geometry import DiskGeometry
+from repro.disk.model import IOKind
 from repro.ffs.filesystem import FileSystem
-from repro.storage import DEFAULT_BACKEND, make_storage
 from repro.ffs.inode import Inode
+from repro.storage import DEFAULT_BACKEND, make_storage
 
 
 @dataclass(frozen=True)
@@ -77,27 +78,26 @@ class HotFileBenchmark:
         return hot
 
     def run(self) -> HotFileResult:
-        """Measure read and overwrite throughput of the hot set."""
+        """Measure read and overwrite throughput of the hot set.
+
+        Each phase's request list is built once and served at every
+        angle.  A phase with nothing to move measures zero throughput.
+        """
         hot = self.hot_files()
         all_files = self.fs.files()
         hot_bytes = sum(i.size for i in hot)
         device = partial(make_storage, self.geometry, backend=self.backend)
-
-        def timed_read(angle: float) -> float:
-            disk = device(initial_angle=angle)
-            pricer = FileIOPricer(self.fs, disk)
-            for inode in hot:
-                pricer.read_directory(self.fs.directory_of(inode.ino).name)
-                pricer.read_inode(inode.ino)
-                pricer.read_file_data(inode)
-            return hot_bytes / (disk.now_ms / 1000.0)
-
-        def timed_write(angle: float) -> float:
-            disk = device(initial_angle=angle)
-            pricer = FileIOPricer(self.fs, disk)
-            for inode in hot:
-                pricer.write_file_data(inode)
-            return hot_bytes / (disk.now_ms / 1000.0)
+        pricer = FileIOPricer(self.fs, device())
+        reads: List[Request] = []
+        writes: List[Request] = []
+        for inode in hot:
+            data = pricer.data_requests(inode)
+            reads += pricer.directory_read_requests(
+                self.fs.directory_of(inode.ino).name
+            )
+            reads += pricer.inode_read_requests(inode.ino)
+            reads += data
+            writes += data
 
         return HotFileResult(
             n_hot_files=len(hot),
@@ -105,6 +105,10 @@ class HotFileBenchmark:
             hot_bytes=hot_bytes,
             total_bytes=sum(i.size for i in all_files),
             layout_score=score_file_set(hot),
-            read_throughput=self.runner.measure(timed_read),
-            write_throughput=self.runner.measure(timed_write),
+            read_throughput=self.runner.measure_stream(
+                device, IOKind.READ, reads, hot_bytes
+            ),
+            write_throughput=self.runner.measure_stream(
+                device, IOKind.WRITE, writes, hot_bytes
+            ),
         )

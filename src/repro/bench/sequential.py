@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.analysis.layout import score_file_set
-from repro.bench.iomodel import FileIOPricer
+from repro.bench.iomodel import FileIOPricer, Request
 from repro.bench.timing import BenchmarkRunner, Measurement
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import IOKind
@@ -82,55 +82,21 @@ class SequentialIOBenchmark:
         data_bytes = sum(i.size for i in inodes)
 
         # The layout is frozen once the files exist, so every angle of
-        # every phase issues the *same* disk requests.  Resolve extents
-        # and metadata blocks once here; the timed closures then contain
-        # only disk-model arithmetic.
-        params = self.fs.params
-        block_size = params.block_size
+        # every phase issues the *same* requests: build each phase's list
+        # once, then serve it in one device call per angle.
         device = partial(make_storage, self.geometry, backend=self.backend)
-        probe = FileIOPricer(self.fs, device())
-        plan = []  # (inode_block, dir_block, read_inode_block?, extents)
-        warm: Set[int] = set()
-        for ino in inos:
-            inode = self.fs.inode(ino)
-            extents = probe.file_extents(inode)
-            inode_block = params.inode_block(ino)
-            directory = self.fs.directory_of(ino)
-            dir_inode = self.fs.inodes[directory.ino]
-            dir_block = (
-                dir_inode.tail[0]
-                if dir_inode.tail is not None
-                else params.inode_block(directory.ino)
-            )
-            # read_inode() caches at block granularity per phase; the
-            # warm set is deterministic, so resolve the misses up front.
-            read_block = None if inode_block in warm else inode_block
-            warm.add(inode_block)
-            plan.append((inode_block, dir_block, read_block, extents))
+        pricer = FileIOPricer(self.fs, device())
+        writes: List[Request] = []
+        reads: List[Request] = []
+        for inode in inodes:
+            data = pricer.data_requests(inode)
+            writes += pricer.create_metadata_requests(inode.ino)
+            writes += data
+            reads += pricer.inode_read_requests(inode.ino)
+            reads += data
 
-        def timed_write(angle: float) -> float:
-            disk = device(initial_angle=angle)
-            sync_write = disk.synchronous_metadata_write
-            transfer = disk.transfer_extents
-            for inode_block, dir_block, _read_block, extents in plan:
-                sync_write(inode_block, block_size)
-                sync_write(dir_block, block_size)
-                transfer(IOKind.WRITE, extents, block_size)
-            return data_bytes / (disk.now_ms / 1000.0)
-
-        def timed_read(angle: float) -> float:
-            disk = device(initial_angle=angle)
-            access = disk.access
-            transfer = disk.transfer_extents
-            for _inode_block, _dir_block, read_block, extents in plan:
-                if read_block is not None:
-                    byte = disk.block_to_byte(read_block, block_size)
-                    access(IOKind.READ, byte, block_size)
-                transfer(IOKind.READ, extents, block_size)
-            return data_bytes / (disk.now_ms / 1000.0)
-
-        write_tp = self.runner.measure(timed_write)
-        read_tp = self.runner.measure(timed_read)
+        write_tp = self.runner.measure_stream(device, IOKind.WRITE, writes, data_bytes)
+        read_tp = self.runner.measure_stream(device, IOKind.READ, reads, data_bytes)
         return SequentialResult(
             file_size=file_size,
             n_files=n_files,

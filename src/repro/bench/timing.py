@@ -5,14 +5,20 @@ mean, noting standard deviations below 1.5–2% of the mean.  In the
 simulator the only run-to-run variation is the platter's initial angle
 (everything else is deterministic), so :class:`BenchmarkRunner` repeats a
 timed function across a set of evenly spaced initial angles and collects
-:class:`Measurement` statistics.
+:class:`Measurement` statistics.  A phase whose layout is frozen issues
+the same requests at every angle, so :meth:`BenchmarkRunner.measure_stream`
+serves one prebuilt request list per angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.disk.model import IOKind
+    from repro.storage import StorageModel
 
 
 @dataclass(frozen=True)
@@ -58,3 +64,23 @@ class BenchmarkRunner:
     def measure(self, timed: Callable[[float], float]) -> Measurement:
         """Run ``timed`` once per angle and collect the results."""
         return Measurement(values=[timed(angle) for angle in self.angles()])
+
+    def measure_stream(
+        self,
+        device: Callable[..., "StorageModel"],
+        kind: "IOKind",
+        requests: Sequence[Tuple[int, int]],
+        nbytes: int,
+    ) -> Measurement:
+        """Throughput of moving ``nbytes`` by serving ``requests``.
+
+        Each angle builds a fresh device with ``device(initial_angle=...)``
+        and serves the whole list in one call.  An empty list moves
+        nothing in no time, which reads as zero throughput.
+        """
+
+        def timed(angle: float) -> float:
+            elapsed_ms = device(initial_angle=angle).serve(kind, requests)
+            return nbytes / (elapsed_ms / 1000.0) if elapsed_ms else 0.0
+
+        return self.measure(timed)

@@ -23,11 +23,11 @@ so back-to-back sequential reads stream at media rate.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.disk.geometry import DiskGeometry
-from repro.disk.request import Extent
+from repro.disk.request import Extent, byte_requests
 from repro.disk.trackbuffer import TrackBuffer
 from repro.obs.metrics import MetricsRegistry
 from repro.units import MB
@@ -142,14 +142,14 @@ class DiskModel:
         ``nbytes`` must not exceed the hardware maximum transfer size;
         higher layers split requests first.
         """
-        if nbytes <= 0:
-            raise ValueError("access of zero bytes")
-        start = self.now_ms
-        self._serve(kind is IOKind.READ, ((start_byte, nbytes),))
-        return self.now_ms - start
+        return self.serve(kind, ((start_byte, nbytes),))
 
-    def _serve(self, is_read: bool, requests: Iterable[Tuple[int, int]]) -> None:
+    def serve(self, kind: IOKind, requests: Sequence[Tuple[int, int]]) -> float:
         """Price ``(start_byte, nbytes)`` requests back to back.
+
+        Returns the elapsed milliseconds and advances the clock.  A
+        zero-byte request anywhere in ``requests`` raises before the first
+        request is served.
 
         Each request first pays the host/controller overhead.  The platter
         keeps spinning (and the firmware keeps prefetching) during that
@@ -171,6 +171,10 @@ class DiskModel:
         leaves the model as the requests before it left it.  Float totals
         still grow one request at a time, in service order.
         """
+        for _start_byte, nbytes in requests:
+            if nbytes <= 0:
+                raise ValueError("access of zero bytes")
+        is_read = kind is IOKind.READ
         (ss, spt, spc, rotation, lost_after, media_rate, overhead, head_switch,
          t2t, max_bytes, third, seek_sqrt, seek_avg, seek_linear,
          linear_span) = self._consts
@@ -195,7 +199,7 @@ class DiskModel:
         g = stats._g
         trace = self._trace
         telemetry = g is not None or trace is not None
-        now = self.now_ms
+        now = start = self.now_ms
         cyl = self.current_cylinder
         try:
             for start_byte, nbytes in requests:
@@ -341,9 +345,10 @@ class DiskModel:
             stats._c_seeks.value, stats._c_seek_ms.value = seeks, seek_total
             stats._c_rotation_ms.value, stats._c_lost.value = rot_total, lost
             stats._c_buf_hits.value = hits
+        return now - start
 
     # ------------------------------------------------------------------
-    # Extent-level API used by the benchmarks
+    # Extent-level wrappers over serve
     # ------------------------------------------------------------------
 
     def block_to_byte(self, fs_block: int, block_size: int) -> int:
@@ -359,27 +364,12 @@ class DiskModel:
         """Issue all ``extents`` in order; return total elapsed ms.
 
         Each extent is split to respect the hardware maximum transfer
-        size, exactly as the FFS clustering layer would (the arithmetic of
-        :func:`~repro.disk.request.split_for_transfer`).  The whole list
+        size (:func:`~repro.disk.request.byte_requests`).  The whole list
         is split and checked before the first request is served.
         """
-        max_blocks = max(1, self.geometry.max_transfer_bytes // block_size)
-        fs_offset = self.fs_offset
-        requests: List[Tuple[int, int]] = []
-        for ext in extents:
-            block, blocks_left, bytes_left = ext.start, ext.nblocks, ext.nbytes
-            while blocks_left > 0:
-                take = min(max_blocks, blocks_left)
-                take_bytes = min(take * block_size, bytes_left)
-                if take_bytes <= 0:
-                    raise ValueError(f"{ext} splits into a request of 0 bytes")
-                requests.append((fs_offset + block * block_size, take_bytes))
-                block += take
-                blocks_left -= take
-                bytes_left -= take_bytes
-        start = self.now_ms
-        self._serve(kind is IOKind.READ, requests)
-        return self.now_ms - start
+        return self.serve(kind, byte_requests(
+            extents, block_size, self.geometry.max_transfer_bytes, self.fs_offset
+        ))
 
     def synchronous_metadata_write(self, fs_block: int, block_size: int) -> float:
         """One synchronous sector-sized metadata update (inode/directory).
@@ -387,10 +377,8 @@ class DiskModel:
         FFS writes metadata synchronously on create/delete; Section 5.1
         finds these dominate small-file create time.
         """
-        start = self.now_ms
         byte = self.block_to_byte(fs_block, block_size)
-        self._serve(False, ((byte, self.geometry.sector_size),))
-        return self.now_ms - start
+        return self.serve(IOKind.WRITE, ((byte, self.geometry.sector_size),))
 
 
 class DiskStats:
@@ -416,7 +404,7 @@ class DiskStats:
         m = registry if registry is not None else MetricsRegistry()
         self._m = m
         self._counters = {name: m.counter(f"disk.{name}") for name in self.FIELDS}
-        # Handles for DiskModel._serve, which reads these totals into
+        # Handles for DiskModel.serve, which reads these totals into
         # locals once per call and writes them back when it returns.
         c = self._counters
         self._c_reads = c["reads"]

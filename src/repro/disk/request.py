@@ -1,17 +1,19 @@
-"""I/O extents: the unit of work handed to the disk model.
+"""I/O extents and the byte requests they become.
 
-The benchmarks never hand the disk model individual file blocks.  They hand
-it *extents* — maximal runs of physically contiguous blocks — because that
+The benchmarks never price individual file blocks.  They work in
+*extents* — maximal runs of physically contiguous blocks — because that
 is what the FFS clustering layer (``ffs_read``/``ffs_write`` with
 ``maxcontig``) builds before issuing transfers.  This module holds the
-extent representation and the logic that turns an inode's block list into
-the extent sequence a clustered FFS would issue.
+extent representation, the logic that turns an inode's block list into
+the extent sequence a clustered FFS would issue, and the one routine
+that splits extents into the ``(start_byte, nbytes)`` requests a
+storage model serves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -107,26 +109,34 @@ def coalesce_extents(extents: Iterable[Extent], block_size: int) -> List[Extent]
     return merged
 
 
-def split_for_transfer(
-    extents: Iterable[Extent], block_size: int, max_transfer_bytes: int
-) -> List[Extent]:
-    """Split extents so no single transfer exceeds the hardware maximum.
+def byte_requests(
+    extents: Iterable[Extent],
+    block_size: int,
+    max_transfer_bytes: int,
+    fs_offset: int = 0,
+) -> List[Tuple[int, int]]:
+    """The ``(start_byte, nbytes)`` requests that transfer ``extents``.
 
-    Section 5.1: the Bustek controller caps transfers at 64 KB, so a
-    72 KB contiguous file still needs two requests — the source of the
-    write-throughput drop past 64 KB.
+    Each extent is split so no single transfer exceeds the hardware
+    maximum, exactly as the FFS clustering layer would.  Section 5.1: the
+    Bustek controller caps transfers at 64 KB, so a 72 KB contiguous file
+    still needs two requests — the source of the write-throughput drop
+    past 64 KB.  Block addresses become linear byte addresses relative to
+    the partition's ``fs_offset``.  The whole list is built and checked
+    before any request is served, so an extent whose bytes run out before
+    its blocks do raises here.
     """
     max_blocks = max(1, max_transfer_bytes // block_size)
-    out: List[Extent] = []
+    requests: List[Tuple[int, int]] = []
     for ext in extents:
-        remaining_blocks = ext.nblocks
-        remaining_bytes = ext.nbytes
-        start = ext.start
-        while remaining_blocks > 0:
-            take = min(max_blocks, remaining_blocks)
-            take_bytes = min(take * block_size, remaining_bytes)
-            out.append(Extent(start, take, take_bytes))
-            start += take
-            remaining_blocks -= take
-            remaining_bytes -= take_bytes
-    return out
+        block, blocks_left, bytes_left = ext.start, ext.nblocks, ext.nbytes
+        while blocks_left > 0:
+            take = min(max_blocks, blocks_left)
+            take_bytes = min(take * block_size, bytes_left)
+            if take_bytes <= 0:
+                raise ValueError(f"{ext} splits into a request of 0 bytes")
+            requests.append((fs_offset + block * block_size, take_bytes))
+            block += take
+            blocks_left -= take
+            bytes_left -= take_bytes
+    return requests

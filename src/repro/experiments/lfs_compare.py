@@ -20,14 +20,15 @@ realloc approaches LFS's layout without any background copying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Dict, List
 
 from repro.analysis.report import render_chart, render_table
 from repro.analysis.timeline import Timeline
 from repro.bench.timing import BenchmarkRunner
 from repro.disk.model import IOKind
-from repro.disk.request import extents_of_blocks
+from repro.disk.request import byte_requests, extents_of_blocks
 from repro.experiments.config import aged, artifacts, get_preset
 from repro.lfs.params import LFSParams
 from repro.lfs.replay import age_lfs
@@ -133,6 +134,9 @@ def _hot_read_throughput(
 ) -> float:
     """Read the hot set's data extents and return mean bytes/second.
 
+    The whole set is one request list, built once and served at every
+    initial angle.
+
     File-system-agnostic: any object with ``data_block_list()`` and
     ``size`` participates, which is the point — the three systems are
     priced by the same disk model over their actual layouts.
@@ -143,12 +147,15 @@ def _hot_read_throughput(
     )
     if total == 0:
         return 0.0
-
-    def timed(angle: float) -> float:
-        disk = make_storage(initial_angle=angle, backend=backend)
-        for inode in hot:
-            extents = extents_of_blocks(inode.data_block_list(), block_size)
-            disk.transfer_extents(IOKind.READ, extents, block_size)
-        return total / (disk.now_ms / 1000.0)
-
-    return runner.measure(timed).mean
+    device = partial(make_storage, backend=backend)
+    probe = device()
+    requests = byte_requests(
+        chain.from_iterable(
+            extents_of_blocks(inode.data_block_list(), block_size)
+            for inode in hot
+        ),
+        block_size,
+        probe.geometry.max_transfer_bytes,
+        probe.fs_offset,
+    )
+    return runner.measure_stream(device, IOKind.READ, requests, total).mean

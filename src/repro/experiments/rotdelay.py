@@ -11,8 +11,12 @@ This experiment runs it: a fresh file system laid out with rotational
 gaps of 0..3 blocks, read two ways —
 
 * **1985 mode** — one block per request with per-block host think time,
-  on a bufferless drive (track buffer disabled);
-* **1996 mode** — clustered transfers on the Table 1 drive.
+  on a bufferless drive (track buffer disabled).  The think time sits
+  between requests, so this mode prices block by block (``access`` then
+  ``idle``, :func:`unclustered_read`);
+* **1996 mode** — clustered transfers on the Table 1 drive, one read
+  list built once and served whole at every initial angle
+  (:func:`clustered_read`).
 
 The historical rationale appears on one diagonal (gapped layout wins in
 1985 mode) and Table 1's choice on the other (contiguous layout wins in
@@ -23,13 +27,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from functools import lru_cache, partial
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.bench.iomodel import FileIOPricer
-from repro.bench.timing import BenchmarkRunner
+from repro.bench.timing import BenchmarkRunner, Measurement
 from repro.disk.geometry import DiskGeometry
+from repro.disk.model import IOKind
 from repro.experiments.config import get_preset
 from repro.ffs.filesystem import FileSystem
 from repro.storage import DEFAULT_BACKEND, make_storage
@@ -97,23 +102,51 @@ def run(
         directory = fs.make_directory("bench")
         n_files = max(4, min(32, (2 * MB) // file_size))
         inos = [fs.create_file(directory, file_size) for _ in range(n_files)]
-        total = sum(fs.inode(i).size for i in inos)
 
-        def timed(angle: float, geometry, unclustered: bool) -> float:
-            disk = make_storage(geometry, initial_angle=angle, backend=backend)
-            pricer = FileIOPricer(fs, disk)
-            for ino in inos:
-                inode = fs.inode(ino)
-                if unclustered:
-                    pricer.read_file_data_unclustered(inode)
-                else:
-                    pricer.read_file_data(inode)
-            return total / (disk.now_ms / 1000.0)
-
-        throughput[(rotdelay, "1985")] = runner.measure(
-            lambda a: timed(a, bufferless, True)
+        throughput[(rotdelay, "1985")] = unclustered_read(
+            fs, inos, runner, bufferless, backend
         ).mean
-        throughput[(rotdelay, "1996")] = runner.measure(
-            lambda a: timed(a, buffered, False)
+        throughput[(rotdelay, "1996")] = clustered_read(
+            fs, inos, runner, buffered, backend
         ).mean
     return RotdelayResult(throughput=throughput)
+
+
+def unclustered_read(
+    fs: FileSystem,
+    inos: Sequence[int],
+    runner: BenchmarkRunner,
+    geometry: DiskGeometry,
+    backend: str,
+) -> Measurement:
+    """1985 mode: read the files block by block with host think time.
+
+    The think time sits between requests, so each block is its own
+    ``access`` followed by ``idle``; there is no request list to build.
+    """
+    total = sum(fs.inode(ino).size for ino in inos)
+
+    def timed(angle: float) -> float:
+        disk = make_storage(geometry, initial_angle=angle, backend=backend)
+        pricer = FileIOPricer(fs, disk)
+        for ino in inos:
+            pricer.read_file_data_unclustered(fs.inode(ino))
+        return total / (disk.now_ms / 1000.0)
+
+    return runner.measure(timed)
+
+
+def clustered_read(
+    fs: FileSystem,
+    inos: Sequence[int],
+    runner: BenchmarkRunner,
+    geometry: DiskGeometry,
+    backend: str,
+) -> Measurement:
+    """1996 mode: the files' clustered transfers as one read list,
+    built once and served whole at every initial angle."""
+    device = partial(make_storage, geometry, backend=backend)
+    pricer = FileIOPricer(fs, device())
+    reads = [req for ino in inos for req in pricer.data_requests(fs.inode(ino))]
+    total = sum(fs.inode(ino).size for ino in inos)
+    return runner.measure_stream(device, IOKind.READ, reads, total)

@@ -1,9 +1,10 @@
 """SSD timing model: the flash twin of :class:`~repro.disk.model.DiskModel`.
 
-Presents the identical ``access(kind, start_byte, nbytes) -> elapsed_ms``
-contract (plus the extent-level helpers and the ``read_fault_hook``
-seam), so every benchmark, experiment, and chaos case that drives a
-``DiskModel`` can drive this instead via :func:`repro.storage.make_storage`.
+Presents the identical ``serve(kind, requests) -> elapsed_ms`` contract
+(plus ``access`` for one request, the extent-level helpers and the
+``read_fault_hook`` seam), so every benchmark, experiment, and chaos
+case that drives a ``DiskModel`` can drive this instead via
+:func:`repro.storage.make_storage`.
 
 The structural differences all fall out of the FTL underneath:
 
@@ -24,11 +25,11 @@ same request can cost more on a device whose free pool is fragmented.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro import obs, schemas
 from repro.disk.model import IOKind
-from repro.disk.request import Extent, split_for_transfer
+from repro.disk.request import Extent, byte_requests
 from repro.errors import InvalidRequestError
 from repro.obs.metrics import MetricsRegistry
 from repro.ssd.config import SSDGeometry
@@ -97,7 +98,7 @@ class SSDModel:
         """
 
     # ------------------------------------------------------------------
-    # Low-level single-request timing
+    # Request pricing
     # ------------------------------------------------------------------
 
     def access(self, kind: IOKind, start_byte: int, nbytes: int) -> float:
@@ -108,9 +109,28 @@ class SSDModel:
         transfer size; higher layers split requests first — the same
         contract as the disk model.
         """
+        return self.serve(kind, ((start_byte, nbytes),))
+
+    def serve(self, kind: IOKind, requests: Sequence[Tuple[int, int]]) -> float:
+        """Price ``(start_byte, nbytes)`` requests back to back.
+
+        Returns the elapsed milliseconds.  A zero-byte request anywhere in
+        ``requests`` raises before the first request is served; a request
+        that raises later (oversized, an injected read fault) leaves the
+        device as the requests before it left it.
+        """
+        for _start_byte, nbytes in requests:
+            if nbytes <= 0:
+                raise InvalidRequestError("access of zero bytes")
+        start = self.now_ms
+        step = self._step
+        for start_byte, nbytes in requests:
+            step(kind, start_byte, nbytes)
+        return self.now_ms - start
+
+    def _step(self, kind: IOKind, start_byte: int, nbytes: int) -> None:
+        """Serve one request: page reads or programs, then the bus."""
         geo = self.geometry
-        if nbytes <= 0:
-            raise InvalidRequestError("access of zero bytes")
         if nbytes > geo.max_transfer_bytes:
             raise InvalidRequestError(
                 f"request of {nbytes} bytes exceeds hardware maximum "
@@ -180,10 +200,9 @@ class SSDModel:
                 gc_ms=gc_ms,
                 map_misses=cache.misses - pre_misses,
             )
-        return elapsed
 
     # ------------------------------------------------------------------
-    # Extent-level API used by the benchmarks
+    # Extent-level wrappers over serve
     # ------------------------------------------------------------------
 
     def block_to_byte(self, fs_block: int, block_size: int) -> int:
@@ -197,17 +216,14 @@ class SSDModel:
         block_size: int,
     ) -> float:
         """Issue all ``extents`` in order; return total elapsed ms."""
-        start = self.now_ms
-        for req in split_for_transfer(
-            extents, block_size, self.geometry.max_transfer_bytes
-        ):
-            self.access(kind, self.block_to_byte(req.start, block_size), req.nbytes)
-        return self.now_ms - start
+        return self.serve(kind, byte_requests(
+            extents, block_size, self.geometry.max_transfer_bytes, self.fs_offset
+        ))
 
     def synchronous_metadata_write(self, fs_block: int, block_size: int) -> float:
         """One synchronous sector-sized metadata update (inode/directory)."""
         byte = self.block_to_byte(fs_block, block_size)
-        return self.access(IOKind.WRITE, byte, self.geometry.sector_size)
+        return self.serve(IOKind.WRITE, ((byte, self.geometry.sector_size),))
 
 
 class SSDStats:

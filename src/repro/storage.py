@@ -1,9 +1,10 @@
 """Storage backends: one protocol, two substrates.
 
 Everything above the device — benchmarks, experiments, chaos, fault
-injection — prices I/O through the ``access(kind, start_byte, nbytes)
--> elapsed_ms`` contract that :class:`~repro.disk.model.DiskModel`
-defined and :class:`~repro.ssd.model.SSDModel` now also satisfies.
+injection — prices I/O through the ``serve(kind, requests) ->
+elapsed_ms`` contract, a list of ``(start_byte, nbytes)`` requests
+served back to back, that :class:`~repro.disk.model.DiskModel` and
+:class:`~repro.ssd.model.SSDModel` both satisfy.
 This module names that contract (:class:`StorageModel`) and builds the
 right model via :func:`make_storage`.
 
@@ -47,17 +48,34 @@ class StorageStats(Protocol):
     def throughput_bytes_per_sec(self) -> float: ...
 
 
+class StorageGeometry(Protocol):
+    """What backend-generic code may ask of a model's ``geometry``."""
+
+    @property
+    def sector_size(self) -> int: ...  # noqa: E704  (protocol member)
+
+    @property
+    def max_transfer_bytes(self) -> int: ...  # noqa: E704  (protocol member)
+
+
 class StorageModel(Protocol):
     """The device contract both backends satisfy.
 
     The timing substrate behind every throughput number: a simulated
-    clock (``now_ms``), request-level pricing (:meth:`access`), the
-    extent-level helpers the benchmarks drive, and the
-    ``read_fault_hook`` seam fault injection uses.
+    clock (``now_ms``), request-stream pricing (:meth:`serve`, with
+    :meth:`access` for one request), the extent-level helpers, and the
+    ``read_fault_hook`` seam fault injection uses.  ``fs_offset`` and
+    the geometry's transfer limit let callers build request lists once
+    (:func:`~repro.disk.request.byte_requests`) and serve them many
+    times.
     """
 
     now_ms: float
+    fs_offset: int
     read_fault_hook: Optional[Callable[[int, int], None]]
+
+    @property
+    def geometry(self) -> StorageGeometry: ...  # noqa: E704  (protocol member)
 
     @property
     def stats(self) -> StorageStats: ...  # noqa: E704  (protocol member)
@@ -69,6 +87,10 @@ class StorageModel(Protocol):
     def drop_caches(self) -> None: ...
 
     def access(self, kind: IOKind, start_byte: int, nbytes: int) -> float: ...
+
+    def serve(
+        self, kind: IOKind, requests: Sequence[Tuple[int, int]]
+    ) -> float: ...
 
     def block_to_byte(self, fs_block: int, block_size: int) -> int: ...
 

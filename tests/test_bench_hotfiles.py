@@ -37,6 +37,12 @@ class TestHotFileSelection:
 
 
 class TestHotFileRun:
+    def test_empty_fs_measures_zero_throughput(self, fresh_fs):
+        result = HotFileBenchmark(fresh_fs, runner=BenchmarkRunner(2)).run()
+        assert result.n_hot_files == 0 and result.hot_bytes == 0
+        assert list(result.read_throughput.values) == [0.0, 0.0]
+        assert list(result.write_throughput.values) == [0.0, 0.0]
+
     def test_result_fields(self, aged_ffs_copy, window):
         bench = HotFileBenchmark(
             aged_ffs_copy, window_days=window, runner=BenchmarkRunner(2)

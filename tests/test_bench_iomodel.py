@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.iomodel import FileIOPricer
-from repro.disk.model import DiskModel
+from repro.disk.model import DiskModel, IOKind
 from repro.units import KB
 
 
@@ -24,8 +24,8 @@ class TestDataTransfers:
         assert disk.stats.bytes_read == 24 * KB
 
     def test_write_consumes_time(self, setup):
-        fs, _d, ino, _disk, pricer = setup
-        assert pricer.write_file_data(fs.inode(ino)) > 0
+        fs, _d, ino, disk, pricer = setup
+        assert disk.serve(IOKind.WRITE, pricer.data_requests(fs.inode(ino))) > 0
 
     def test_partial_tail_transfers_fragment_rounded(self, fresh_fs):
         d = fresh_fs.make_directory("d")
@@ -57,17 +57,17 @@ class TestMetadataCaching:
         assert pricer.read_inode(ino) > 0
 
     def test_directory_read_cached(self, setup):
-        fs, d, _ino, _disk, pricer = setup
-        first = pricer.read_directory(d.name)
-        assert first > 0
-        assert pricer.read_directory(d.name) == 0.0
+        fs, d, _ino, disk, pricer = setup
+        first = pricer.directory_read_requests(d.name)
+        assert first and disk.serve(IOKind.READ, first) > 0
+        assert pricer.directory_read_requests(d.name) == []
 
 
 class TestCreateMetadata:
     def test_two_synchronous_writes(self, setup):
         fs, _d, ino, disk, pricer = setup
         before = disk.stats.writes
-        elapsed = pricer.create_metadata_writes(ino)
+        elapsed = disk.serve(IOKind.WRITE, pricer.create_metadata_requests(ino))
         assert disk.stats.writes == before + 2
         assert elapsed > 0
 
@@ -77,6 +77,6 @@ class TestCreateMetadata:
         ino = fresh_fs.create_file(d, 8 * KB)
         disk = DiskModel()
         pricer = FileIOPricer(fresh_fs, disk)
-        metadata_ms = pricer.create_metadata_writes(ino)
-        data_ms = pricer.write_file_data(fresh_fs.inode(ino))
+        metadata_ms = disk.serve(IOKind.WRITE, pricer.create_metadata_requests(ino))
+        data_ms = disk.serve(IOKind.WRITE, pricer.data_requests(fresh_fs.inode(ino)))
         assert metadata_ms > data_ms

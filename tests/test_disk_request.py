@@ -4,9 +4,9 @@ import pytest
 
 from repro.disk.request import (
     Extent,
+    byte_requests,
     coalesce_extents,
     extents_of_blocks,
-    split_for_transfer,
 )
 from repro.units import KB
 
@@ -88,21 +88,31 @@ class TestCoalesceExtents:
 
 class TestSplitForTransfer:
     def test_small_extent_unchanged(self):
-        exts = split_for_transfer([Extent(0, 4, 4 * BS)], BS, 64 * KB)
-        assert exts == [Extent(0, 4, 4 * BS)]
+        reqs = byte_requests([Extent(0, 4, 4 * BS)], BS, 64 * KB)
+        assert reqs == [(0, 4 * BS)]
 
     def test_large_extent_split_at_64kb(self):
-        exts = split_for_transfer([Extent(0, 16, 16 * BS)], BS, 64 * KB)
-        assert [e.nblocks for e in exts] == [8, 8]
-        assert exts[0].start == 0 and exts[1].start == 8
+        reqs = byte_requests([Extent(0, 16, 16 * BS)], BS, 64 * KB)
+        assert reqs == [(0, 8 * BS), (8 * BS, 8 * BS)]
 
     def test_partial_tail_bytes_preserved(self):
-        exts = split_for_transfer([Extent(0, 9, 8 * BS + KB)], BS, 64 * KB)
-        assert sum(e.nbytes for e in exts) == 8 * BS + KB
-        assert exts[-1].nbytes == KB
+        reqs = byte_requests([Extent(0, 9, 8 * BS + KB)], BS, 64 * KB)
+        assert sum(nbytes for _byte, nbytes in reqs) == 8 * BS + KB
+        assert reqs[-1] == (8 * BS, KB)
 
     def test_total_bytes_invariant(self):
         original = [Extent(3, 20, 20 * BS - 5 * KB)]
-        exts = split_for_transfer(original, BS, 64 * KB)
-        assert sum(e.nbytes for e in exts) == original[0].nbytes
-        assert sum(e.nblocks for e in exts) == original[0].nblocks
+        reqs = byte_requests(original, BS, 64 * KB)
+        assert sum(nbytes for _byte, nbytes in reqs) == original[0].nbytes
+        assert reqs[0][0] == 3 * BS
+
+    def test_addresses_are_relative_to_the_partition(self):
+        reqs = byte_requests([Extent(2, 1, BS), Extent(7, 1, KB)], BS, 64 * KB,
+                             fs_offset=3 * KB)
+        assert reqs == [(3 * KB + 2 * BS, BS), (3 * KB + 7 * BS, KB)]
+
+    def test_split_that_runs_out_of_bytes_is_rejected(self):
+        # 20 blocks holding 100 bytes: the second 64 KB split carries 0.
+        with pytest.raises(ValueError):
+            byte_requests([Extent(0, 4, 4 * BS), Extent(100, 20, 100)],
+                          BS, 64 * KB)

@@ -2,8 +2,10 @@
 
 ``FragBitmap`` answers fragment and whole-block searches with
 ``bytearray`` primitives over its own arrays; ``DiskModel``
-prices requests in one loop over locals; ``LogStructuredFS`` keeps its
-layout-score pair counts and clean-segment count incrementally.  These
+prices requests in one loop over locals; the benchmarks build each
+phase's request list once and serve it whole at every angle;
+``LogStructuredFS`` keeps its layout-score pair counts and clean-segment
+count incrementally.  These
 tests drive the fast code and deliberately naive references through the
 same randomized operation sequences and require identical observable
 state — including identical error behaviour — after every step.
@@ -11,6 +13,7 @@ state — including identical error behaviour — after every step.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random  # replint: disable=R001  (seeded test-local stream; repro.rng is the library-side rule)
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,9 +25,12 @@ from repro.aging.replay import AgingReplayer, ReplayResult
 from repro.aging.workload import Workload
 from repro.analysis.layout import optimal_pairs, score_file_set
 from repro.analysis.timeline import DailySample, Timeline
+from repro.bench.hotfiles import HotFileBenchmark
+from repro.bench.sequential import SequentialIOBenchmark
+from repro.bench.timing import BenchmarkRunner
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, DiskStats, IOKind
-from repro.disk.request import Extent, split_for_transfer
+from repro.disk.request import Extent, extents_of_blocks
 from repro.disk.trackbuffer import TrackBuffer
 from repro.errors import (
     FileNotFoundSimError,
@@ -32,6 +38,7 @@ from repro.errors import (
     LatentSectorReadError,
     OutOfSpaceError,
 )
+from repro.experiments import lfs_compare, rotdelay
 from repro.ffs.alloc import (
     OriginalPolicy,
     ReallocPolicy,
@@ -47,6 +54,8 @@ from repro.lfs.filesystem import LfsInode, LogStructuredFS, SegmentInfo
 from repro.lfs.params import LFSParams
 from repro.lfs.replay import LfsReplayer
 from repro.obs.disktrace import DiskTrace
+from repro.ssd import SSDGeometry, SSDModel
+from repro.storage import make_storage
 from repro.units import KB, MB
 
 
@@ -410,6 +419,25 @@ class RefStats(DiskStats):
             self._g_counters["buffer_hits"].inc()
 
 
+def split_for_transfer(extents, block_size, max_transfer_bytes):
+    """The extent splitter the disk and SSD models used before
+    ``byte_requests``: one ``Extent`` per hardware-sized transfer."""
+    max_blocks = max(1, max_transfer_bytes // block_size)
+    out = []
+    for ext in extents:
+        remaining_blocks = ext.nblocks
+        remaining_bytes = ext.nbytes
+        start = ext.start
+        while remaining_blocks > 0:
+            take = min(max_blocks, remaining_blocks)
+            take_bytes = min(take * block_size, remaining_bytes)
+            out.append(Extent(start, take, take_bytes))
+            start += take
+            remaining_blocks -= take
+            remaining_bytes -= take_bytes
+    return out
+
+
 class RefDiskModel:
     """The per-request call chain ``DiskModel`` used before its loop:
     ``access`` -> ``_service_read``/``_service_write`` ->
@@ -701,6 +729,29 @@ def test_disk_model_differential_with_telemetry(geo):
     assert fast_rows == ref_rows
 
 
+def _ssd_state(model):
+    ftl = model.ftl
+    return (
+        model.now_ms,
+        model.stats.to_dict(),
+        sorted(ftl.page_map.items()),
+        list(ftl.map_cache._resident.items()),
+    )
+
+
+def _device_state(model):
+    return _ssd_state(model) if isinstance(model, SSDModel) else _model_state(model)
+
+
+def _faultable(backend, geo, hook=None):
+    """A device of ``backend`` sized like ``geo``, with ``hook`` armed."""
+    if backend == "disk":
+        return DiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3,
+                         read_fault_hook=hook)
+    return SSDModel(SSDGeometry.for_bytes(geo.capacity_bytes),
+                    fs_offset_bytes=3 * KB, read_fault_hook=hook)
+
+
 def test_read_fault_midway_keeps_state_of_served_requests():
     bs = 8 * KB
     geo = DiskGeometry()
@@ -709,18 +760,27 @@ def test_read_fault_midway_keeps_state_of_served_requests():
         (3 * KB + r.start * bs, r.nbytes)
         for r in split_for_transfer(extents, bs, geo.max_transfer_bytes)
     ]
-    for k in range(len(requests)):
-        bad_sector = requests[k][0] // geo.sector_size
-        fast = DiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3,
-                         read_fault_hook=_bad_sector_hook({bad_sector}, 512))
-        fast.access(IOKind.READ, 0, 4 * KB)  # a live read-ahead window
-        with pytest.raises(LatentSectorReadError):
-            fast.transfer_extents(IOKind.READ, extents, bs)
-        ref = RefDiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3)
-        ref.access(IOKind.READ, 0, 4 * KB)
-        for start_byte, nbytes in requests[:k]:
-            ref.access(IOKind.READ, start_byte, nbytes)
-        assert _model_state(fast) == _model_state(ref), k
+    for backend in ("disk", "ssd"):
+        for via in ("transfer_extents", "serve"):
+            for k in range(len(requests)):
+                bad_sector = requests[k][0] // geo.sector_size
+                hook = _bad_sector_hook({bad_sector}, 512)
+                fast = _faultable(backend, geo, hook)
+                fast.access(IOKind.READ, 0, 4 * KB)  # a live read-ahead window
+                with pytest.raises(LatentSectorReadError):
+                    if via == "serve":
+                        fast.serve(IOKind.READ, requests)
+                    else:
+                        fast.transfer_extents(IOKind.READ, extents, bs)
+                if backend == "disk":
+                    ref = RefDiskModel(geo, fs_offset_bytes=3 * KB,
+                                       initial_angle=0.3)
+                else:
+                    ref = _faultable(backend, geo)
+                ref.access(IOKind.READ, 0, 4 * KB)
+                for start_byte, nbytes in requests[:k]:
+                    ref.access(IOKind.READ, start_byte, nbytes)
+                assert _device_state(fast) == _device_state(ref), (backend, via, k)
 
 
 def test_invalid_later_split_raises_before_any_request():
@@ -734,6 +794,262 @@ def test_invalid_later_split_raises_before_any_request():
         with pytest.raises(ValueError):
             model.transfer_extents(IOKind.WRITE, extents, bs)
         assert _model_state(model) == before
+
+
+@pytest.mark.parametrize("backend", ["disk", "ssd"])
+def test_zero_byte_request_anywhere_in_serve_raises_before_any_request(backend):
+    error = ValueError if backend == "disk" else InvalidRequestError
+    requests = [(8 * KB, 4 * KB), (200 * KB, 8 * KB), (1 * MB, 512)]
+    for at in range(len(requests) + 1):
+        model = _faultable(backend, DiskGeometry())
+        model.access(IOKind.READ, 0, 4 * KB)
+        before = _device_state(model)
+        with pytest.raises(error):
+            model.serve(IOKind.WRITE, requests[:at] + [(64 * KB, 0)] + requests[at:])
+        assert _device_state(model) == before, at
+
+
+# ----------------------------------------------------------------------
+# Benchmark phases: one request list per phase, served once per angle,
+# against the per-file loops that priced each file on every angle
+# ----------------------------------------------------------------------
+
+
+class AngleRunner(BenchmarkRunner):
+    """Three angles across the rotation; keeps every measurement's values."""
+
+    def __init__(self):
+        super().__init__(3)
+        self.values = []
+
+    def angles(self):
+        return [0.0, 0.37, 0.999]
+
+    def measure(self, timed):
+        measurement = super().measure(timed)
+        self.values.append(list(measurement.values))
+        return measurement
+
+
+def _ref_device(backend, geometry=None):
+    """Per-request pricing: the pre-loop disk call chain, or one SSD
+    ``access`` per request."""
+    if backend == "disk":
+        return lambda angle: RefDiskModel(geometry, initial_angle=angle)
+    return lambda angle: make_storage(geometry, initial_angle=angle, backend="ssd")
+
+
+def ref_transfer(disk, kind, extents, block_size):
+    for req in split_for_transfer(
+        extents, block_size, disk.geometry.max_transfer_bytes
+    ):
+        disk.access(kind, disk.block_to_byte(req.start, block_size), req.nbytes)
+
+
+def ref_file_extents(fs, inode):
+    params = fs.params
+    rounded = -(-inode.size // params.frag_size) * params.frag_size
+    overshoot = inode.n_chunks() * params.block_size - rounded
+    fits = inode.size > 0 and 0 <= overshoot < params.block_size
+    return extents_of_blocks(
+        inode.data_block_list(), params.block_size, rounded if fits else None
+    )
+
+
+def ref_read_block(fs, disk, warm, block, nbytes):
+    if block not in warm:
+        warm.add(block)
+        byte = disk.block_to_byte(block, fs.params.block_size)
+        disk.access(IOKind.READ, byte, nbytes)
+
+
+def ref_read_inode(fs, disk, warm, ino):
+    ref_read_block(fs, disk, warm, fs.params.inode_block(ino),
+                   fs.params.block_size)
+
+
+def ref_read_directory(fs, disk, warm, ino):
+    directory = fs.directory_of(ino)
+    ref_read_inode(fs, disk, warm, directory.ino)
+    dir_inode = fs.inodes[directory.ino]
+    if dir_inode.tail is not None:
+        ref_read_block(fs, disk, warm, dir_inode.tail[0], fs.params.frag_size)
+
+
+def ref_create_metadata(fs, disk, ino):
+    params = fs.params
+    directory = fs.directory_of(ino)
+    dir_inode = fs.inodes[directory.ino]
+    dir_block = (
+        dir_inode.tail[0]
+        if dir_inode.tail is not None
+        else params.inode_block(directory.ino)
+    )
+    for block in (params.inode_block(ino), dir_block):
+        byte = disk.block_to_byte(block, params.block_size)
+        disk.access(IOKind.WRITE, byte, disk.geometry.sector_size)
+
+
+def ref_sequential(fs, inos, runner, device):
+    """``SequentialIOBenchmark.run``'s timing loops, file by file."""
+    bs = fs.params.block_size
+    data_bytes = sum(fs.inode(ino).size for ino in inos)
+    extents = [ref_file_extents(fs, fs.inode(ino)) for ino in inos]
+
+    def timed_write(angle):
+        disk = device(angle)
+        for ino, exts in zip(inos, extents):
+            ref_create_metadata(fs, disk, ino)
+            ref_transfer(disk, IOKind.WRITE, exts, bs)
+        return data_bytes / (disk.now_ms / 1000.0)
+
+    def timed_read(angle):
+        disk = device(angle)
+        warm = set()
+        for ino, exts in zip(inos, extents):
+            ref_read_inode(fs, disk, warm, ino)
+            ref_transfer(disk, IOKind.READ, exts, bs)
+        return data_bytes / (disk.now_ms / 1000.0)
+
+    runner.measure(timed_write)
+    runner.measure(timed_read)
+
+
+def ref_hotfiles(fs, hot, runner, device):
+    """``HotFileBenchmark.run``'s timing loops, file by file."""
+    bs = fs.params.block_size
+    hot_bytes = sum(inode.size for inode in hot)
+
+    def timed_read(angle):
+        disk = device(angle)
+        warm = set()
+        for inode in hot:
+            ref_read_directory(fs, disk, warm, inode.ino)
+            ref_read_inode(fs, disk, warm, inode.ino)
+            ref_transfer(disk, IOKind.READ, ref_file_extents(fs, inode), bs)
+        return hot_bytes / (disk.now_ms / 1000.0)
+
+    def timed_write(angle):
+        disk = device(angle)
+        for inode in hot:
+            ref_transfer(disk, IOKind.WRITE, ref_file_extents(fs, inode), bs)
+        return hot_bytes / (disk.now_ms / 1000.0)
+
+    runner.measure(timed_read)
+    runner.measure(timed_write)
+
+
+def ref_lfs_hot_read(hot_files, bs, runner, device):
+    """``lfs_compare._hot_read_throughput``, file by file."""
+    hot = sorted(hot_files, key=lambda inode: inode.data_block_list()[:1])
+    total = sum(len(inode.data_block_list()) * bs for inode in hot)
+
+    def timed(angle):
+        disk = device(angle)
+        for inode in hot:
+            extents = extents_of_blocks(inode.data_block_list(), bs)
+            ref_transfer(disk, IOKind.READ, extents, bs)
+        return total / (disk.now_ms / 1000.0)
+
+    return runner.measure(timed).mean
+
+
+def ref_rotdelay_clustered(fs, inos, runner, device):
+    """The rotdelay study's 1996-mode read, file by file."""
+    total = sum(fs.inode(ino).size for ino in inos)
+
+    def timed(angle):
+        disk = device(angle)
+        for ino in inos:
+            extents = ref_file_extents(fs, fs.inode(ino))
+            ref_transfer(disk, IOKind.READ, extents, fs.params.block_size)
+        return total / (disk.now_ms / 1000.0)
+
+    runner.measure(timed)
+
+
+def _priced(side):
+    """Run ``side(runner)`` with telemetry on: the runner's values, the
+    registry snapshot and the disk-trace rows."""
+    runner = AngleRunner()
+    trace = DiskTrace()
+    with obs.session(disktrace=trace) as (registry, _tracer):
+        side(runner)
+    return runner.values, registry.snapshot(), trace.rows()
+
+
+def _assert_priced_alike(new, ref):
+    got_values, got_snapshot, got_rows = _priced(new)
+    want_values, want_snapshot, want_rows = _priced(ref)
+    assert want_values and want_rows, "the reference priced nothing"
+    assert got_values == want_values
+    assert got_snapshot == want_snapshot
+    assert got_rows == want_rows
+
+
+@pytest.mark.parametrize("backend", ["disk", "ssd"])
+@pytest.mark.parametrize("file_size", [24 * KB, 200 * KB])
+def test_sequential_phases_match_per_file_pricing(aged_ffs, backend, file_size):
+    total = 2 * MB
+
+    def new(runner):
+        bench = SequentialIOBenchmark(copy.deepcopy(aged_ffs.fs), total_bytes=total,
+                                      runner=runner, backend=backend)
+        bench.run(file_size)
+
+    def ref(runner):
+        fs = copy.deepcopy(aged_ffs.fs)
+        bench = SequentialIOBenchmark(fs, total_bytes=total)
+        inos = bench._create_files(file_size, total // file_size)
+        ref_sequential(fs, inos, runner, _ref_device(backend))
+
+    _assert_priced_alike(new, ref)
+
+
+@pytest.mark.parametrize("backend", ["disk", "ssd"])
+def test_hot_file_phases_match_per_file_pricing(aged_ffs, aging_artifacts, backend):
+    fs = aged_ffs.fs
+    window = 0.3 * aging_artifacts.config.days
+
+    def new(runner):
+        HotFileBenchmark(fs, window_days=window, runner=runner,
+                         backend=backend).run()
+
+    def ref(runner):
+        hot = HotFileBenchmark(fs, window_days=window).hot_files()
+        ref_hotfiles(fs, hot, runner, _ref_device(backend))
+
+    _assert_priced_alike(new, ref)
+
+
+@pytest.mark.parametrize("backend", ["disk", "ssd"])
+def test_lfs_hot_read_matches_per_file_pricing(backend):
+    fs = LogStructuredFS(CLEANER_HEAVY)
+    for method, args in _random_lfs_ops(random.Random(11), 300):
+        try:
+            getattr(fs, method)(*args)
+        except (FileNotFoundSimError, InvalidRequestError, OutOfSpaceError):
+            pass
+    hot = fs.files()
+    bs = CLEANER_HEAVY.block_size
+    _assert_priced_alike(
+        lambda runner: lfs_compare._hot_read_throughput(hot, bs, runner, backend),
+        lambda runner: ref_lfs_hot_read(hot, bs, runner, _ref_device(backend)),
+    )
+
+
+@pytest.mark.parametrize("backend", ["disk", "ssd"])
+def test_rotdelay_clustered_read_matches_per_file_pricing(tiny_params, backend):
+    fs = FileSystem(dataclasses.replace(tiny_params, rotdelay=2), policy="ffs")
+    directory = fs.make_directory("bench")
+    inos = [fs.create_file(directory, 96 * KB) for _ in range(6)]
+    geo = DiskGeometry()
+    _assert_priced_alike(
+        lambda runner: rotdelay.clustered_read(fs, inos, runner, geo, backend),
+        lambda runner: ref_rotdelay_clustered(
+            fs, inos, runner, _ref_device(backend, geo)
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

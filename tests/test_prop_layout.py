@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.analysis.layout import optimal_pairs, score_file_set
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
-from repro.disk.request import Extent, extents_of_blocks, split_for_transfer
+from repro.disk.request import Extent, byte_requests, extents_of_blocks
 from repro.ffs.inode import Inode
 from repro.units import KB
 
@@ -65,9 +65,9 @@ class TestExtentProperties:
     @given(block_lists, st.integers(1, 16))
     def test_split_respects_maximum(self, blocks, max_blocks):
         extents = extents_of_blocks(blocks, BS)
-        split = split_for_transfer(extents, BS, max_blocks * BS)
-        assert all(e.nblocks <= max_blocks for e in split)
-        assert sum(e.nblocks for e in split) == len(blocks)
+        split = byte_requests(extents, BS, max_blocks * BS)
+        assert all(nbytes <= max_blocks * BS for _byte, nbytes in split)
+        assert sum(nbytes for _byte, nbytes in split) == len(blocks) * BS
 
     @given(block_lists)
     def test_extent_count_equals_breaks_plus_one(self, blocks):

@@ -9,6 +9,7 @@ write amplification is an identity, not an estimate.
 """
 
 import hashlib
+import inspect
 
 import pytest
 
@@ -280,6 +281,33 @@ class TestStorageFactory:
     def test_unknown_backend_is_a_typed_error(self):
         with pytest.raises(InvalidRequestError):
             storage.make_storage(backend="tape")
+
+    @pytest.mark.parametrize("backend", storage.BACKENDS)
+    def test_backend_defines_every_protocol_member(self, backend):
+        """Every ``StorageModel`` method, with the protocol's parameter
+        names, and every attribute, on the model ``make_storage`` builds."""
+        members = {
+            name: value for name, value in vars(storage.StorageModel).items()
+            if not name.startswith("_")
+        }
+        methods = {n for n, v in members.items() if inspect.isfunction(v)}
+        attributes = set(storage.StorageModel.__annotations__) | {
+            n for n, v in members.items() if isinstance(v, property)
+        }
+        assert {"serve", "access", "transfer_extents"} <= methods
+        assert {"now_ms", "fs_offset", "geometry", "stats"} <= attributes
+        model = storage.make_storage(backend=backend)
+        for name in sorted(methods):
+            method = getattr(type(model), name, None)
+            assert inspect.isfunction(method), name
+            assert (
+                list(inspect.signature(method).parameters)
+                == list(inspect.signature(members[name]).parameters)
+            ), name
+        for name in sorted(attributes):
+            assert hasattr(model, name), name
+        for name in ("sector_size", "max_transfer_bytes"):
+            assert isinstance(getattr(model.geometry, name), int), name
 
 
 #: SHA-256 of ``render_all("tiny")`` per backend, and of the tiny flash
