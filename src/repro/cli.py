@@ -103,18 +103,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         enabled=False if getattr(args, "no_cache", False) else None,
         directory=getattr(args, "cache_dir", None),
     )
-    wants_telemetry = (
-        getattr(args, "metrics", None)
-        or getattr(args, "trace", None)
-        or getattr(args, "events", None)
-        or getattr(args, "disk_trace", None)
-        or getattr(args, "record", False)
-        or getattr(args, "profile", False)
-    )
     try:
         # `report` consumes telemetry files; its --events is an input
         # path, not a capture request, so it opts out of the session.
-        if getattr(args, "_no_telemetry", False) or not wants_telemetry:
+        if getattr(args, "_no_telemetry", False) or not any(
+            getattr(args, flag) for flag in _TELEMETRY_FLAGS
+        ):
             return args.handler(args)
         return _run_with_telemetry(args)
     except (SimulationError, OSError) as exc:
@@ -131,66 +125,43 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     as JSONL (``--events``), and the per-phase profile is folded into
     the manifest and printed to stderr (``--profile``).
     """
-    events_log = obs.EventLog() if getattr(args, "events", None) else None
-    profiler = obs.PhaseProfiler() if getattr(args, "profile", False) else None
-    disk_trace = (
-        obs.DiskTrace() if getattr(args, "disk_trace", None) else None
-    )
+    tracer = obs.Tracer(profiler=obs.PhaseProfiler() if args.profile else None)
+    events_log = obs.EventLog() if args.events else None
+    disk_trace = obs.DiskTrace() if args.disk_trace else None
     with obs.session(
-        events=events_log, profiler=profiler, disktrace=disk_trace
-    ) as (registry, tracer):
+        tracer=tracer, events=events_log, disktrace=disk_trace
+    ) as (registry, _tracer):
         manifest = obs.RunManifest(
             command=args.command, config=_manifest_config(args)
         )
         start = time.perf_counter()
         with tracer.span(f"cli.{args.command}", preset=getattr(args, "preset", None)):
-            if profiler is not None:
-                with profiler.phase(f"cli.{args.command}"):
-                    code = args.handler(args)
-            else:
-                code = args.handler(args)
+            code = args.handler(args)
         manifest.finish(time.perf_counter() - start, registry.snapshot())
         manifest.timings = dict(getattr(args, "_timings", {}) or {})
-        if profiler is not None:
+        if tracer.profiler is not None:
             from repro.obs.profiling import render_profile
 
-            manifest.profile = profiler.report()
+            manifest.profile = tracer.profiler.report()
             print(render_profile(manifest.profile), file=sys.stderr)
         if args.metrics:
             with open(args.metrics, "w") as fp:
                 manifest.dump(fp)
             print(f"[obs] wrote metrics manifest to {args.metrics}", file=sys.stderr)
-        if args.trace:
-            with open(args.trace, "w") as fp:
-                spans = tracer.write_jsonl(fp)
-            print(
-                f"[obs] wrote {spans} spans to {args.trace}", file=sys.stderr
-            )
-        if events_log is not None:
-            with open(args.events, "w") as fp:
-                count = events_log.write_jsonl(fp)
-            dropped = (
-                f" ({events_log.dropped} dropped)" if events_log.dropped else ""
-            )
-            print(
-                f"[obs] wrote {count} events to {args.events}{dropped}",
-                file=sys.stderr,
-            )
-        if disk_trace is not None:
-            with open(args.disk_trace, "w") as fp:
-                count = disk_trace.write_jsonl(fp)
-            dropped = (
-                f" ({disk_trace.dropped} dropped)" if disk_trace.dropped else ""
-            )
-            print(
-                f"[obs] wrote {count} disk requests to "
-                f"{args.disk_trace}{dropped}",
-                file=sys.stderr,
-            )
-        if getattr(args, "record", False):
+        for path, log, noun in (
+            (args.trace, tracer, "spans"),
+            (args.events, events_log, "events"),
+            (args.disk_trace, disk_trace, "disk requests"),
+        ):
+            if path:
+                with open(path, "w") as fp:
+                    count = log.write_jsonl(fp)  # type: ignore[union-attr]
+                dropped = f" ({log.dropped} dropped)" if log.dropped else ""  # type: ignore[union-attr]
+                print(f"[obs] wrote {count} {noun} to {path}{dropped}", file=sys.stderr)
+        if args.record:
             from repro.obs.store import RunStore
 
-            store = RunStore(getattr(args, "runs_dir", None))
+            store = RunStore(args.runs_dir)
             run_id = store.record(manifest)
             print(
                 f"[obs] recorded run {run_id} in {store.root}",
@@ -204,8 +175,7 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     return {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("handler", "command", "metrics", "trace", "events",
-                       "profile", "disk_trace", "record", "runs_dir")
+        if key not in ("handler", "command", "runs_dir", *_TELEMETRY_FLAGS)
         and not key.startswith("_")
         and not callable(value)
     }
@@ -589,6 +559,12 @@ def _add_preset(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: What :func:`_add_obs` declares that asks for a telemetry session
+#: (``--runs-dir`` only places what ``--record`` writes): ``main``
+#: opens a session when any is set, and none joins the manifest config.
+_TELEMETRY_FLAGS = ("metrics", "trace", "events", "disk_trace", "profile", "record")
+
+
 def _add_obs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics", metavar="FILE", default=None,
@@ -705,7 +681,7 @@ def _cmd_age(args: argparse.Namespace) -> int:
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
-    from repro.errors import ConsistencyError, SimulationError
+    from repro.errors import MalformedInputError, SimulationError
     from repro.ffs.image import load_filesystem
 
     if getattr(args, "repair", False):
@@ -713,7 +689,9 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     try:
         with open(args.image) as fp:
             fs = load_filesystem(fp, verify=True)
-    except (ConsistencyError, SimulationError) as exc:
+    except MalformedInputError:
+        raise  # not an image at all: a usage error, not corruption
+    except SimulationError as exc:
         print(f"CORRUPT: {exc}")
         return 1
     print(
@@ -732,13 +710,11 @@ def _fsck_repair(args: argparse.Namespace) -> int:
     the repair runs with ``trust_maps=False`` — map drift is not a
     damage class an image can carry.
     """
-    import json as json_mod
-
+    from repro.ffs.image import read_document
     from repro.fsck import repair_filesystem, skeleton_from_document
 
     with open(args.image) as fp:
-        document = json_mod.load(fp)
-    fs = skeleton_from_document(document)
+        fs = skeleton_from_document(read_document(fp))
     report = repair_filesystem(fs, trust_maps=False)
     if getattr(args, "as_json", False):
         from repro.obs.export import write_json

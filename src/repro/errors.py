@@ -5,7 +5,9 @@ Errors are split into four families:
 * :class:`SimulationError` — anything raised by the simulator proper,
 * :class:`ConsistencyError` — an internal invariant was violated (these are
   bugs, and the fsck-lite checker raises them),
-* :class:`WorkloadError` — malformed aging-workload input,
+* :class:`WorkloadError` — malformed aging-workload input, and
+  :class:`MalformedInputError` — a manifest or image file that is not
+  what its reader expects,
 * :class:`FaultInjectionError` — an *injected* failure from
   :mod:`repro.faults` (crash points, latent sector errors); these model
   hardware misbehaviour, not simulator bugs.
@@ -66,6 +68,16 @@ class WorkloadError(SimulationError):
     """An aging-workload record was malformed or out of order."""
 
 
+class MalformedInputError(SimulationError, ValueError):
+    """An input file is not what its reader expects.
+
+    Raised when a run manifest or a file-system image is not JSON, not
+    a JSON object, or carries a foreign schema or format.  It is also a
+    :class:`ValueError`, so readers that refuse a bad value keep
+    refusing it; the CLI maps it to a usage error.
+    """
+
+
 class RunStoreError(SimulationError):
     """A run-registry document under ``.repro/runs/`` was unusable.
 
@@ -117,7 +129,9 @@ def exit_code_for(exc: BaseException) -> int:
     raises — including corruption found by the checker and injected
     faults — is an operational failure (1).
     """
-    if isinstance(exc, (WorkloadError, InvalidRequestError, OSError)):
+    if isinstance(
+        exc, (WorkloadError, InvalidRequestError, MalformedInputError, OSError)
+    ):
         return EXIT_USAGE
     if isinstance(exc, SimulationError):
         return EXIT_FAILURE

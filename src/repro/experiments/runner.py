@@ -18,7 +18,6 @@ record where the time went.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro import obs
@@ -70,24 +69,20 @@ def timed_call(
 ) -> Tuple[object, float]:
     """Run ``call`` under the suite's standard telemetry envelope.
 
-    One span named ``label``, one profiler phase, and a
-    ``<label>.wall_s`` gauge — or none of them when telemetry is off,
-    in which case only the (always-measured) wall clock remains.  The
-    experiment runner and the chaos harness (:mod:`repro.faults.chaos`)
-    use this envelope inline and in :mod:`repro.parallel` workers alike,
-    so their traces read the same with or without ``--jobs``.
+    One span named ``label`` (which the tracer also profiles as a phase
+    under ``--profile``) and a ``<label>.wall_s`` gauge — or neither
+    when telemetry is off, in which case only the (always-measured)
+    wall clock remains.  The experiment runner and the chaos harness
+    (:mod:`repro.faults.chaos`) use this envelope inline and in
+    :mod:`repro.parallel` workers alike, so their traces read the same
+    with or without ``--jobs``.
     """
     tr = obs.tracer_or_none()
-    prof = obs.profiler_or_none()
     start = time.perf_counter()
-    if tr is None and prof is None:
+    if tr is None:
         result = call()
         return result, time.perf_counter() - start
-    with ExitStack() as stack:
-        if tr is not None:
-            stack.enter_context(tr.span(label, preset=preset))
-        if prof is not None:
-            stack.enter_context(prof.phase(label))
+    with tr.span(label, preset=preset):
         result = call()
     elapsed = time.perf_counter() - start
     m = obs.metrics_or_none()

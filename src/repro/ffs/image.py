@@ -21,7 +21,7 @@ import dataclasses
 import json
 from typing import Any, Dict, TextIO
 
-from repro.errors import SimulationError
+from repro.errors import MalformedInputError
 from repro.ffs.check import check_filesystem
 from repro.ffs.directory import Directory
 from repro.ffs.filesystem import FileSystem
@@ -71,7 +71,29 @@ def load_filesystem(fp: TextIO, verify: bool = True) -> FileSystem:
     referenced by the saved inodes; with ``verify`` (the default) the
     result is cross-checked by the fsck-lite checker before returning.
     """
-    return filesystem_from_document(json.load(fp), verify=verify)
+    return filesystem_from_document(read_document(fp), verify=verify)
+
+
+def read_document(fp: TextIO) -> Dict[str, Any]:
+    """Parse a JSON image file; one that is not JSON raises
+    :class:`MalformedInputError` (its format is checked on rebuild)."""
+    try:
+        return json.load(fp)
+    except ValueError as exc:  # not JSON, or not text at all
+        raise MalformedInputError(
+            f"not a repro-ffs image (invalid JSON: {exc})"
+        ) from None
+
+
+def check_format(document: object) -> None:
+    """Refuse a document that is not a repro-ffs image of this version."""
+    if not isinstance(document, dict) or document.get("format") != FORMAT_NAME:
+        raise MalformedInputError("not a repro-ffs image")
+    if document.get("version") != FORMAT_VERSION:
+        raise MalformedInputError(
+            f"image version {document.get('version')} not supported "
+            f"(expected {FORMAT_VERSION})"
+        )
 
 
 def filesystem_from_document(
@@ -79,13 +101,7 @@ def filesystem_from_document(
 ) -> FileSystem:
     """Rebuild a file system from a document made by
     :func:`filesystem_to_document`."""
-    if document.get("format") != FORMAT_NAME:
-        raise SimulationError("not a repro-ffs image")
-    if document.get("version") != FORMAT_VERSION:
-        raise SimulationError(
-            f"image version {document.get('version')} not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
+    check_format(document)
     params = FSParams(**document["params"])
     fs = FileSystem(params, policy=document["policy"])
 

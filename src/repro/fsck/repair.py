@@ -37,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import OutOfSpaceError, SimulationError
+from repro.errors import OutOfSpaceError
 from repro.ffs.bitmap import FragBitmap
 from repro.ffs.check import check_filesystem
 from repro.ffs.directory import Directory
 from repro.ffs.filesystem import FileSystem
-from repro.ffs.image import FORMAT_NAME, FORMAT_VERSION, inode_from_json
+from repro.ffs.image import check_format, inode_from_json
 from repro.ffs.params import FSParams
 
 #: Name of the directory orphaned inodes are reattached to.
@@ -429,13 +429,7 @@ def skeleton_from_document(document: Dict[str, Any]) -> FileSystem:
     follow it with ``repair_filesystem(fs, trust_maps=False)`` to
     rebuild the maps and repair whatever the image got wrong.
     """
-    if document.get("format") != FORMAT_NAME:
-        raise SimulationError("not a repro-ffs image")
-    if document.get("version") != FORMAT_VERSION:
-        raise SimulationError(
-            f"image version {document.get('version')} not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
+    check_format(document)
     params = FSParams(**document["params"])
     fs = FileSystem(params, policy=document["policy"])
     for blob in document["inodes"]:

@@ -10,13 +10,12 @@ exclusively through the nullable facades::
     if m is not None:
         m.counter("ffs.alloc.calls").inc()
 
-The null-object forms — ``obs.metrics()``, ``obs.tracer()``,
-``obs.events()``, ``obs.profiler()`` — look harmless but build and
-discard throwaway objects on the disabled path (and, worse, make it
-impossible to grep for unguarded telemetry).  This rule flags any call
-to those constructors from ``repro.*`` modules outside :mod:`repro.obs`
-itself and :mod:`repro.cli` (the CLI owns session setup and legitimately
-calls ``obs.enable``/``obs.session``).
+``obs.metrics()`` is the session owner's accessor: it returns the live
+registry and raises when no session is live.  Called from library code
+it would crash every untraced run, so this rule flags any call to it
+from ``repro.*`` modules outside :mod:`repro.obs` itself and
+:mod:`repro.cli` (the CLI owns session setup and legitimately calls
+``obs.enable``/``obs.session``).
 
 ``obs.enable`` / ``obs.disable`` / ``obs.session`` are not flagged:
 starting or scoping a telemetry session is explicit opt-in, which is
@@ -32,13 +31,8 @@ from typing import Iterator
 from repro.lint.findings import Finding
 from repro.lint.registry import ModuleContext, Rule, register
 
-#: Null-object facade constructors that bypass the guarded pattern.
-_BARE_FACADES = {
-    "repro.obs.metrics",
-    "repro.obs.tracer",
-    "repro.obs.events",
-    "repro.obs.profiler",
-}
+#: Session-owner accessors that raise when telemetry is off.
+_BARE_FACADES = {"repro.obs.metrics"}
 
 #: Packages/modules allowed to touch obs directly.
 _EXEMPT_PACKAGES = ("repro.obs", "repro.cli")
@@ -77,6 +71,6 @@ class TelemetryPurityRule(Rule):
                     self,
                     node,
                     f"bare 'obs.{facade}()' in library code; use "
-                    f"'obs.{facade}_or_none()' and guard with 'is not None' "
-                    f"so the telemetry-off path stays byte-identical",
+                    f"'obs.{facade}_or_none()' and guard with 'is not None': "
+                    f"'obs.{facade}()' raises when telemetry is off",
                 )

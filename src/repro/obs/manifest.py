@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TextIO
 
 from repro import schemas
+from repro.errors import MalformedInputError
 
 SCHEMA = schemas.MANIFEST
 
@@ -89,9 +90,13 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunManifest":
+        """Rebuild a manifest; anything else raises
+        :class:`MalformedInputError`."""
+        if not isinstance(data, dict):
+            raise MalformedInputError("not a run manifest (not a JSON object)")
         schema = data.get("schema", SCHEMA)
         if not str(schema).startswith("repro.obs.manifest/"):
-            raise ValueError(f"not a run manifest (schema {schema!r})")
+            raise MalformedInputError(f"not a run manifest (schema {schema!r})")
         return cls(
             command=str(data.get("command", "")),
             config=dict(data.get("config", {})),  # type: ignore[arg-type]
@@ -106,4 +111,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, fp: TextIO) -> "RunManifest":
-        return cls.from_dict(json.load(fp))
+        try:
+            data = json.load(fp)
+        except ValueError as exc:  # not JSON, or not text at all
+            raise MalformedInputError(
+                f"not a run manifest (invalid JSON: {exc})"
+            ) from None
+        return cls.from_dict(data)

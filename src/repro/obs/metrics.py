@@ -14,10 +14,9 @@ Metrics live in a :class:`MetricsRegistry`, keyed by dotted name
 plain dict of plain values, ready for the JSON/CSV exporters in
 :mod:`repro.obs.export` and for the ``repro-ffs stats`` renderer.
 
-The module also provides null variants (:data:`NULL_REGISTRY` and the
-shared no-op metric instances it hands out) so instrumented code can hold
-a metric handle unconditionally and pay only a no-op method call when
-telemetry is disabled.
+There is no null registry: instrumented code asks
+:func:`repro.obs.metrics_or_none` and skips its telemetry block when
+telemetry is off.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "default_buckets",
 ]
 
@@ -242,69 +239,3 @@ class MetricsRegistry:
             elif kind == "histogram":
                 self.histogram(name).merge_dict(data)
 
-
-class _NullCounter:
-    """Shared no-op counter: the disabled-telemetry fast path."""
-
-    __slots__ = ()
-    name = help = ""
-    value = 0
-
-    def inc(self, n: float = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = help = ""
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = help = ""
-    count = 0
-    sum = 0.0
-    min = max = None
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullRegistry:
-    """Registry façade whose metrics are shared no-op singletons."""
-
-    def counter(self, name: str, help: str = "") -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "") -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, help: str = "", buckets=None) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def names(self) -> List[str]:
-        return []
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {}
-
-
-NULL_REGISTRY = NullRegistry()

@@ -706,7 +706,7 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
     if not spans:
         return ""
     children: Dict[object, List[Dict[str, object]]] = {}
-    ids = {row.get("span_id") for row in spans}
+    ids = {row.get("seq") for row in spans}
     roots: List[Dict[str, object]] = []
     for row in spans:
         parent = row.get("parent_id")
@@ -733,7 +733,7 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
         )
 
     def render(nodes: List[Dict[str, object]]) -> str:
-        nodes = sorted(nodes, key=lambda r: r.get("span_id") or 0)
+        nodes = sorted(nodes, key=lambda r: r.get("seq") or 0)
         items: List[str] = []
         index = 0
         while index < len(nodes):
@@ -764,7 +764,7 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
             if emitted[0] > cap:
                 items.append('<li class="t">…truncated…</li>')
                 break
-            kids = children.get(row.get("span_id"), [])
+            kids = children.get(row.get("seq"), [])
             sub = render(kids) if kids else ""
             items.append(f"<li>{one(row)}{sub}</li>")
             index += 1
@@ -1323,7 +1323,7 @@ def build_report(
 ) -> str:
     """Render one run (optionally versus a second) as a single HTML page."""
     events, events_dropped = obs_events.split_truncation(events or [])
-    spans = list(spans or [])
+    spans, _ = obs_events.split_truncation(spans or [])
     compare_events, _ = obs_events.split_truncation(compare_events or [])
     command = manifest.get("command", "run")
     sections = [

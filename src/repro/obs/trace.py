@@ -1,255 +1,129 @@
 """Hierarchical spans with wall-clock and simulated-clock timing.
 
-A :class:`Span` covers one unit of work — a CLI invocation, one
-experiment, one simulated day of aging replay.  Spans nest: the tracer
-keeps a stack, so a span begun while another is open records that span
-as its parent, and the trace reconstructs the tree.
+A span covers one unit of work — a CLI invocation, one experiment, one
+simulated day of aging replay.  Spans nest: the tracer keeps a stack,
+so a span begun while another is open records that span as its parent,
+and the trace reconstructs the tree.
+
+The :class:`Tracer` is a :class:`repro.obs.events.RowLog`: each span is
+one row, stored when the span *begins* and completed in place when it
+ends, so the log is in begin order and a parent always precedes its
+children.  A row's ``seq`` is its span id and ``parent_id`` is the
+parent's ``seq`` (None for a root).  The bound, the ``log_truncated``
+marker, :meth:`~repro.obs.events.RowLog.write_jsonl` and the reader are
+the row log's.
 
 Two clocks are recorded per span:
 
 * **wall clock** (``time.perf_counter``) — how long the *reproduction*
-  took, for finding slow experiments;
+  took, for finding slow experiments (``wall_start_s``,
+  ``wall_elapsed_s``, the latter None while the span is open);
 * **simulated clock** — optional, in whatever unit the instrumented
   layer uses (milliseconds for the disk model, days for aging replay).
-  Callers pass it explicitly at begin/end; the tracer never guesses.
+  Callers pass it explicitly at begin/end (``sim_start``,
+  ``sim_elapsed``); the tracer never guesses.
 
-Traces export as JSONL (one span per line, in completion order) via
-:meth:`Tracer.write_jsonl`, matching the exporters in
-:mod:`repro.obs.export`.  A shared :data:`NULL_TRACER` makes every
-operation a no-op when telemetry is disabled.
+A tracer built with a :class:`repro.obs.profiling.PhaseProfiler`
+profiles every :meth:`Tracer.span` block as the same-named phase, so
+``--profile`` attributes time to the same units the trace shows.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional, TextIO
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+from repro.obs.events import Row, RowLog
+
+if TYPE_CHECKING:
+    from repro.obs.profiling import PhaseProfiler
+
+__all__ = ["Tracer"]
 
 
-class Span:
-    """One timed, attributed unit of work."""
-
-    __slots__ = ("span_id", "parent_id", "name", "wall_start", "wall_end",
-                 "sim_start", "sim_end", "attrs")
+class Tracer(RowLog):
+    """A bounded log of spans, one row per span, in begin order."""
 
     def __init__(
         self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        wall_start: float,
-        sim_start: Optional[float] = None,
-    ):
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.wall_start = wall_start
-        self.wall_end: Optional[float] = None
-        self.sim_start = sim_start
-        self.sim_end: Optional[float] = None
-        self.attrs: Dict[str, object] = {}
-
-    @property
-    def wall_elapsed(self) -> Optional[float]:
-        """Wall-clock duration in seconds, or None while open."""
-        if self.wall_end is None:
-            return None
-        return self.wall_end - self.wall_start
-
-    @property
-    def sim_elapsed(self) -> Optional[float]:
-        """Simulated-clock duration, when both endpoints were recorded."""
-        if self.sim_start is None or self.sim_end is None:
-            return None
-        return self.sim_end - self.sim_start
-
-    def to_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "wall_start_s": self.wall_start,
-            "wall_elapsed_s": self.wall_elapsed,
-        }
-        if self.sim_start is not None:
-            row["sim_start"] = self.sim_start
-        if self.sim_elapsed is not None:
-            row["sim_elapsed"] = self.sim_elapsed
-        if self.attrs:
-            row["attrs"] = self.attrs
-        return row
-
-
-class Tracer:
-    """Collects spans for one process-wide telemetry session."""
-
-    def __init__(self) -> None:
-        self._next_id = 1
-        self._stack: List[Span] = []
-        #: Completed spans, in completion order.
-        self.finished: List[Span] = []
-
-    # ------------------------------------------------------------------
-    # Explicit begin/end — for spans that straddle loop iterations
-    # ------------------------------------------------------------------
+        max_rows: Optional[int] = None,
+        profiler: "Optional[PhaseProfiler]" = None,
+    ) -> None:
+        super().__init__(max_rows)
+        #: Profiles each :meth:`span` block as a phase when set.
+        self.profiler = profiler
+        self._stack: List[Row] = []
 
     def begin(
         self, name: str, sim: Optional[float] = None, **attrs: object
-    ) -> Span:
-        """Open a span as a child of the innermost open span."""
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(self._next_id, parent, name, time.perf_counter(), sim)
-        self._next_id += 1
+    ) -> Row:
+        """Open a span as a child of the innermost open span; returns
+        its row (a detached one when the bound dropped it)."""
+        row: Row = {
+            "name": name,
+            "parent_id": self._stack[-1]["seq"] if self._stack else None,
+            "wall_start_s": time.perf_counter(),
+            "wall_elapsed_s": None,
+        }
+        if sim is not None:
+            row["sim_start"] = sim
         if attrs:
-            span.attrs.update(attrs)
+            row["attrs"] = dict(attrs)
+        span = self.append(row)
+        if span is None:
+            span = {**row, "seq": self._seq}
         self._stack.append(span)
         return span
 
-    def end(
-        self, span: Span, sim: Optional[float] = None, **attrs: object
-    ) -> Span:
+    def end(self, span: Row, sim: Optional[float] = None, **attrs: object) -> Row:
         """Close ``span`` (and any still-open descendants)."""
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
-            self._finish(top, None)
-        else:
-            raise ValueError(f"span {span.name!r} is not open")
+        if not any(open_ is span for open_ in self._stack):
+            raise ValueError(f"span {span.get('name')!r} is not open")
+        while self._stack[-1] is not span:
+            self._close(self._stack.pop(), None)
+        self._stack.pop()
         if attrs:
-            span.attrs.update(attrs)
-        self._finish(span, sim)
+            span.setdefault("attrs", {}).update(attrs)  # type: ignore[union-attr]
+        self._close(span, sim)
         return span
 
-    def _finish(self, span: Span, sim: Optional[float]) -> None:
-        span.wall_end = time.perf_counter()
-        if sim is not None:
-            span.sim_end = sim
-        self.finished.append(span)
-
-    # ------------------------------------------------------------------
-    # Context-manager convenience
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _close(span: Row, sim: Optional[float]) -> None:
+        span["wall_elapsed_s"] = time.perf_counter() - span["wall_start_s"]  # type: ignore[operator]
+        if sim is not None and "sim_start" in span:
+            span["sim_elapsed"] = sim - span["sim_start"]  # type: ignore[operator]
 
     @contextmanager
     def span(self, name: str, sim: Optional[float] = None, **attrs: object):
-        """``with tracer.span("experiment.fig1", preset="tiny") as s:``"""
+        """``with tracer.span("experiment.fig1", preset="tiny") as row:``"""
         opened = self.begin(name, sim=sim, **attrs)
         try:
-            yield opened
+            if self.profiler is None:
+                yield opened
+            else:
+                with self.profiler.phase(name):
+                    yield opened
         finally:
-            if opened.wall_end is None:
+            if opened["wall_elapsed_s"] is None:
                 self.end(opened)
 
-    # ------------------------------------------------------------------
-    # Cross-process adoption
-    # ------------------------------------------------------------------
+    def adopt(self, rows: Iterable[Row], dropped: int = 0, **stamp: object) -> int:
+        """Graft another tracer's ``rows()`` under the innermost open span.
 
-    def adopt_rows(
-        self,
-        rows: List[Dict[str, object]],
-        parent: Optional[Span] = None,
-        **attrs: object,
-    ) -> int:
-        """Graft spans exported by another process into this trace.
-
-        ``rows`` is another tracer's :meth:`to_rows` output (what a
-        parallel worker ships home).  Span ids are renumbered into this
-        tracer's sequence and the worker's root spans are attached under
-        ``parent`` (or the innermost open span), so the merged trace
-        stays one consistent tree.  Durations are preserved; start
-        offsets remain in the worker's clock, since ``perf_counter``
-        epochs are not comparable across processes.  Extra ``attrs``
-        (e.g. a worker tag) are stamped onto every adopted span.
-        Returns the number of spans adopted.
+        :meth:`RowLog.adopt` renumbers the rows; one pass then re-points
+        each ``parent_id`` at its parent's new ``seq`` (rows are in begin
+        order, so parents come first), and the other tracer's roots hang
+        under the open span.  Durations are kept; ``wall_start_s`` stays
+        in the other process's clock, since ``perf_counter`` epochs are
+        not comparable across processes.
         """
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        id_map: Dict[object, int] = {}
-        for row in rows:
-            new_id = self._next_id
-            self._next_id += 1
-            id_map[row.get("span_id")] = new_id
-            old_parent = row.get("parent_id")
-            if old_parent in id_map:
-                parent_id: Optional[int] = id_map[old_parent]
-            else:
-                parent_id = parent.span_id if parent is not None else None
-            span = Span(
-                new_id,
-                parent_id,
-                str(row.get("name", "")),
-                float(row.get("wall_start_s", 0.0)),  # type: ignore[arg-type]
-                sim_start=row.get("sim_start"),  # type: ignore[arg-type]
-            )
-            elapsed = row.get("wall_elapsed_s")
-            span.wall_end = (
-                span.wall_start + float(elapsed) if elapsed is not None else None  # type: ignore[arg-type]
-            )
-            if row.get("sim_elapsed") is not None and span.sim_start is not None:
-                span.sim_end = span.sim_start + float(row["sim_elapsed"])  # type: ignore[arg-type]
-            span.attrs.update(row.get("attrs", {}))  # type: ignore[arg-type]
-            if attrs:
-                span.attrs.update(attrs)
-            self.finished.append(span)
-        return len(rows)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        """Completed spans as plain dicts, in completion order."""
-        return [span.to_dict() for span in self.finished]
-
-    def write_jsonl(self, fp: TextIO) -> int:
-        """Write one JSON object per completed span; returns span count."""
-        from repro.obs.export import write_jsonl
-
-        return write_jsonl(fp, self.to_rows())
-
-
-class _NullSpan:
-    """Shared do-nothing span; also its own context manager."""
-
-    __slots__ = ()
-    span_id = parent_id = None
-    name = ""
-    wall_start = wall_end = sim_start = sim_end = None
-    wall_elapsed = sim_elapsed = None
-    attrs: Dict[str, object] = {}
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Tracer façade whose every operation is a no-op."""
-
-    finished: List[Span] = []
-
-    def begin(self, name: str, sim=None, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def end(self, span, sim=None, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span(self, name: str, sim=None, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        return []
-
-    def write_jsonl(self, fp: TextIO) -> int:
-        return 0
-
-
-NULL_TRACER = NullTracer()
+        rows = list(rows)
+        first = len(self._rows)
+        stored = super().adopt(rows, dropped, **stamp)
+        adopted = self._rows[first:]
+        new_id = {row["seq"]: mine["seq"] for row, mine in zip(rows, adopted)}
+        root = self._stack[-1]["seq"] if self._stack else None
+        for mine in adopted:
+            mine["parent_id"] = new_id.get(mine["parent_id"], root)
+        return stored

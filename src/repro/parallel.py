@@ -25,10 +25,12 @@ this).
 
 Telemetry composes: when the parent has an active :mod:`repro.obs`
 session, each worker task opens its own; the parent merges the metrics
-(counters add, histograms merge exactly), adopts the spans, and adopts
-the event log and disk trace (shipped as ``(rows, dropped)``) with one
-:meth:`repro.obs.events.RowLog.adopt` call each, so ``--jobs N``
-manifests carry run-wide totals and disk traces equal the serial ones.
+(counters add, histograms merge exactly) and adopts the span trace, the
+event log and the disk trace — all three row logs, shipped as
+``(rows, dropped)`` — with one ``adopt`` call each.  ``--jobs N``
+manifests therefore carry run-wide totals, disk traces equal the serial
+ones, and a worker's span tree keeps its parent links, hung under the
+span open in the parent.
 Instrumented objects bind their registry at construction and pooled
 workers outlive tasks, so such a task first drops the worker's memos;
 totals can then exceed a serial run's where workers each rebuild
@@ -84,10 +86,9 @@ def _run_task(
 def _telemetry_payload(registry, tracer) -> Dict[str, object]:
     """Snapshot a worker's session; each live row log ships as
     ``(rows, dropped)``, the arguments of :meth:`RowLog.adopt`."""
-    payload: Dict[str, object] = {
-        "metrics": registry.snapshot(), "spans": tracer.to_rows(),
-    }
+    payload: Dict[str, object] = {"metrics": registry.snapshot()}
     for key, log in (
+        ("spans", tracer),
         ("events", obs.events_or_none()),
         ("disktrace", obs.disktrace_or_none()),
     ):
@@ -102,8 +103,8 @@ def _absorb_telemetry(payload: Dict[str, object], origin: str) -> None:
     if registry is not None and payload.get("metrics"):
         registry.merge_snapshot(payload["metrics"])  # type: ignore[arg-type]
     tracer = obs.tracer_or_none()
-    if tracer is not None and payload.get("spans"):
-        tracer.adopt_rows(payload["spans"], origin=origin)  # type: ignore[arg-type]
+    if tracer is not None and "spans" in payload:
+        tracer.adopt(*payload["spans"], origin=origin)  # type: ignore[misc]
     events = obs.events_or_none()
     if events is not None and "events" in payload:
         # The merge marker precedes the grafted rows, so a reader of

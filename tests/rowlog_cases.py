@@ -1,10 +1,11 @@
 """The bounded-row-log cases, written once for every RowLog subclass.
 
-``EventLog`` and ``DiskTrace`` share their bound, ``seq`` numbering,
-adoption, truncation marker and reader through ``RowLog``.  A test
-class for either log inherits :class:`RowLogCases` and supplies
-``make(max_rows)`` and ``add(log, n)`` (append one distinguishable
-row), so each shared rule is tested once and run over both logs.
+``EventLog``, ``DiskTrace`` and the span ``Tracer`` share their bound,
+``seq`` numbering, adoption, truncation marker and reader through
+``RowLog``.  A test class for any of them inherits :class:`RowLogCases`
+and supplies ``make(max_rows)`` and ``add(log, n)`` (append one
+distinguishable row; return it, or None when the bound dropped it), so
+each shared rule is tested once and run over every log.
 """
 
 import io

@@ -160,6 +160,36 @@ class TestErrorRouting:
         assert main(["fsck", "/nonexistent/image.json", "--repair"]) == 2
         assert "repro-ffs fsck:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["stats"], ["fsck"], ["fsck", "--repair"], ["inspect"],
+    ])
+    def test_non_json_file_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("this is not JSON\n")
+        assert main([argv[0], str(bogus), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro-ffs {argv[0]}: not a ")
+        assert "invalid JSON" in lines[0]
+
+    @pytest.mark.parametrize("command, body, message", [
+        ("stats", '{"schema": "other/v9"}', "not a run manifest"),
+        ("stats", "[1, 2]", "not a run manifest"),
+        ("inspect", '{"format": "tarball"}', "not a repro-ffs image"),
+    ])
+    def test_wrong_schema_exits_2_with_one_line(
+        self, tmp_path, capsys, command, body, message
+    ):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(body)
+        assert main([command, str(bogus)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == err.strip().splitlines()[0]
+        assert f"repro-ffs {command}: {message}" in err
+
 
 class TestFsckCommand:
     @pytest.fixture

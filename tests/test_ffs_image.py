@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.analysis.layout import aggregate_layout_score
-from repro.errors import SimulationError
+from repro.errors import MalformedInputError, SimulationError
 from repro.ffs.check import check_filesystem
 from repro.ffs.image import (
     FORMAT_VERSION,
@@ -80,6 +80,10 @@ class TestFormatValidation:
     def test_wrong_format_rejected(self):
         with pytest.raises(SimulationError, match="not a repro-ffs image"):
             load_filesystem(io.StringIO('{"format": "tarball"}'))
+
+    def test_non_json_rejected(self):
+        with pytest.raises(MalformedInputError, match="invalid JSON"):
+            load_filesystem(io.StringIO("not json"))
 
     def test_wrong_version_rejected(self, fresh_fs):
         buf = io.StringIO()

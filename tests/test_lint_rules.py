@@ -94,10 +94,6 @@ class TestR002TelemetryPurity:
         findings = run_rule(tmp_path, "R002", src)
         assert findings and "metrics_or_none" in findings[0].message
 
-    def test_fires_on_bare_tracer(self, tmp_path):
-        src = "from repro import obs\nwith obs.tracer().span('s'):\n    pass\n"
-        assert run_rule(tmp_path, "R002", src)
-
     def test_silent_on_guarded_facade(self, tmp_path):
         src = (
             "from repro import obs\n"

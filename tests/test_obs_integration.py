@@ -254,7 +254,7 @@ class TestReplayAndAllocatorTelemetry:
         with obs.session() as (registry, tracer):
             age_file_system(workloads.reconstructed, params=params,
                             policy="realloc", label="aged")
-        return registry.snapshot(), tracer.to_rows()
+        return registry.snapshot(), tracer.rows()
 
     def test_alloc_counters(self, captured):
         snapshot, _rows = captured
@@ -334,8 +334,10 @@ class TestCliTelemetry:
         assert "[obs] lfs:" in captured.err
         assert "Figure 2" in captured.out
 
-    def test_stats_rejects_non_manifest(self, tmp_path):
+    def test_stats_rejects_non_manifest(self, tmp_path, capsys):
         bogus = tmp_path / "x.json"
         bogus.write_text('{"schema": "other/v9"}')
-        with pytest.raises(ValueError):
-            main(["stats", str(bogus)])
+        assert main(["stats", str(bogus)]) == 2
+        err = capsys.readouterr().err
+        assert "repro-ffs stats: not a run manifest" in err
+        assert "Traceback" not in err

@@ -4,8 +4,8 @@ import pytest
 
 from repro import obs
 from repro.obs.export import bucket_quantile
+from repro.errors import InvalidRequestError
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -111,31 +111,20 @@ class TestRegistry:
         assert len(m) == 1
 
 
-class TestNullRegistry:
-    def test_null_metrics_are_shared_noops(self):
-        c = NULL_REGISTRY.counter("anything")
-        assert c is NULL_REGISTRY.counter("other")
-        c.inc(10)
-        assert c.value == 0
-        NULL_REGISTRY.gauge("g").set(5.0)
-        NULL_REGISTRY.histogram("h").observe(1.0)
-        assert NULL_REGISTRY.snapshot() == {}
-        assert len(NULL_REGISTRY) == 0
-
-
 class TestGlobalState:
     def test_disabled_by_default(self):
         assert not obs.enabled()
         assert obs.metrics_or_none() is None
         assert obs.tracer_or_none() is None
-        assert obs.metrics() is NULL_REGISTRY
+        with pytest.raises(InvalidRequestError, match="no telemetry session"):
+            obs.metrics()
 
     def test_session_enables_and_restores(self):
         assert not obs.enabled()
         with obs.session() as (registry, tracer):
             assert obs.enabled()
             assert obs.metrics() is registry
-            assert obs.tracer() is tracer
+            assert obs.tracer_or_none() is tracer
             registry.counter("in.session").inc()
         assert not obs.enabled()
 

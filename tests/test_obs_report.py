@@ -52,9 +52,9 @@ def day_events():
 @pytest.fixture
 def spans():
     return [
-        {"span_id": 1, "parent_id": None, "name": "cli.experiment",
+        {"seq": 1, "parent_id": None, "name": "cli.experiment",
          "wall_elapsed_s": 12.5, "sim_elapsed": None, "attrs": {}},
-        {"span_id": 2, "parent_id": 1, "name": "experiment.fig1",
+        {"seq": 2, "parent_id": 1, "name": "experiment.fig1",
          "wall_elapsed_s": 2.5, "sim_elapsed": 4.0,
          "attrs": {"preset": "tiny"}},
     ]
@@ -112,10 +112,10 @@ class TestBuildReport:
 
     def test_sibling_span_runs_are_folded(self, manifest):
         spans = [
-            {"span_id": 1, "parent_id": None, "name": "cli.age",
+            {"seq": 1, "parent_id": None, "name": "cli.age",
              "wall_elapsed_s": 5.0, "sim_elapsed": None, "attrs": {}},
         ] + [
-            {"span_id": i, "parent_id": 1, "name": "replay.day",
+            {"seq": i, "parent_id": 1, "name": "replay.day",
              "wall_elapsed_s": 0.05, "sim_elapsed": 1.0, "attrs": {}}
             for i in range(2, 52)
         ]
@@ -147,14 +147,24 @@ class TestBuildReport:
 
     def test_zero_duration_spans_render(self, manifest):
         spans = [
-            {"span_id": 1, "parent_id": None, "name": "cli.age",
+            {"seq": 1, "parent_id": None, "name": "cli.age",
              "wall_elapsed_s": 0.0, "sim_elapsed": None, "attrs": {}},
-            {"span_id": 2, "parent_id": 1, "name": "replay.day",
+            {"seq": 2, "parent_id": 1, "name": "replay.day",
              "wall_elapsed_s": 0.0, "sim_elapsed": 0.0, "attrs": {}},
         ]
         html = build_report(manifest, spans=spans)
         assert "Span tree" in html
         assert "cli.age" in html
+
+    def test_truncated_span_trace_has_no_marker_node(self, manifest):
+        spans = [
+            {"seq": 1, "parent_id": None, "name": "cli.age",
+             "wall_elapsed_s": 1.0, "attrs": {}},
+            {"seq": 2, "type": "log_truncated", "dropped": 4},
+        ]
+        html = build_report(manifest, spans=spans)
+        assert "cli.age" in html
+        assert "<strong>?</strong>" not in html
 
     def test_truncation_marker_surfaces_dropped_count(self, manifest):
         rows = [

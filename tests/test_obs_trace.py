@@ -5,8 +5,24 @@ import json
 
 import pytest
 
+from repro.errors import MalformedInputError
 from repro.obs.manifest import RunManifest, environment_info
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.profiling import PhaseProfiler
+from repro.obs.trace import Tracer
+from tests.rowlog_cases import RowLogCases
+
+
+class TestTracerRowLog(RowLogCases):
+    """The tracer keeps the bound, ``seq``, adopt and truncation rules
+    of every row log."""
+
+    def make(self, max_rows=None):
+        return Tracer(max_rows)
+
+    def add(self, log, n):
+        row = log.begin("step", n=n)
+        log.end(row)
+        return row if row in log.rows() else None
 
 
 class TestSpanNesting:
@@ -15,10 +31,10 @@ class TestSpanNesting:
         with tr.span("outer"):
             with tr.span("inner"):
                 pass
-        inner, outer = tr.finished  # completion order: inner first
-        assert inner.name == "inner"
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
+        outer, inner = tr.rows()  # begin order: parent first
+        assert inner["name"] == "inner"
+        assert inner["parent_id"] == outer["seq"]
+        assert outer["parent_id"] is None
 
     def test_siblings_share_parent(self):
         tr = Tracer()
@@ -27,27 +43,25 @@ class TestSpanNesting:
                 pass
             with tr.span("b"):
                 pass
-        spans = {s.name: s for s in tr.finished}
-        assert spans["a"].parent_id == spans["root"].span_id
-        assert spans["b"].parent_id == spans["root"].span_id
-        assert spans["a"].span_id != spans["b"].span_id
+        spans = {row["name"]: row for row in tr.rows()}
+        assert spans["a"]["parent_id"] == spans["root"]["seq"]
+        assert spans["b"]["parent_id"] == spans["root"]["seq"]
+        assert spans["a"]["seq"] != spans["b"]["seq"]
 
     def test_begin_end_across_iterations(self):
         tr = Tracer()
-        spans = []
         for day in range(3):
-            span = tr.begin("replay.day", sim=day, day=day)
-            tr.end(span, sim=day + 1)
-            spans.append(span)
-        assert [s.sim_elapsed for s in spans] == [1, 1, 1]
-        assert all(s.wall_elapsed >= 0 for s in spans)
+            tr.end(tr.begin("replay.day", sim=day, day=day), sim=day + 1)
+        spans = tr.rows()
+        assert [s["sim_elapsed"] for s in spans] == [1, 1, 1]
+        assert all(s["wall_elapsed_s"] >= 0 for s in spans)
 
     def test_end_closes_open_descendants(self):
         tr = Tracer()
         outer = tr.begin("outer")
         tr.begin("inner")  # never explicitly ended
         tr.end(outer)
-        assert {s.name for s in tr.finished} == {"outer", "inner"}
+        assert all(row["wall_elapsed_s"] is not None for row in tr.rows())
 
     def test_ending_unopened_span_rejected(self):
         tr = Tracer()
@@ -61,7 +75,34 @@ class TestSpanNesting:
         with pytest.raises(RuntimeError):
             with tr.span("doomed"):
                 raise RuntimeError("boom")
-        assert tr.finished[0].wall_end is not None
+        assert tr.rows()[0]["wall_elapsed_s"] is not None
+
+    def test_span_is_stored_at_begin(self):
+        tr = Tracer()
+        with tr.span("open") as row:
+            assert tr.rows() == [row]
+            assert row["wall_elapsed_s"] is None
+        assert row["wall_elapsed_s"] >= 0
+
+    def test_dropped_span_still_nests_and_ends(self):
+        tr = Tracer(1)
+        with tr.span("kept") as kept:
+            with tr.span("dropped") as dropped:
+                assert dropped["parent_id"] == kept["seq"]
+        assert tr.rows() == [kept]
+        assert tr.dropped == 1
+        assert dropped["wall_elapsed_s"] >= 0
+
+
+class TestTracerProfiler:
+    def test_span_profiles_the_same_named_phase(self):
+        profiler = PhaseProfiler()
+        tr = Tracer(profiler=profiler)
+        with tr.span("cli.experiment"):
+            with tr.span("experiment.fig1"):
+                sum(range(100))
+        tr.end(tr.begin("replay.day"))  # begin/end spans are not phases
+        assert profiler.phases() == ["cli.experiment", "experiment.fig1"]
 
 
 class TestTraceExport:
@@ -73,17 +114,10 @@ class TestTraceExport:
         buf = io.StringIO()
         assert tr.write_jsonl(buf) == 2
         rows = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert rows[0]["name"] == "inner"
-        assert rows[1]["attrs"] == {"preset": "tiny"}
-        assert rows[1]["wall_elapsed_s"] >= 0
-
-    def test_null_tracer_is_inert(self):
-        with NULL_TRACER.span("x") as span:
-            pass
-        NULL_TRACER.end(NULL_TRACER.begin("y"))
-        assert span.wall_elapsed is None
-        assert NULL_TRACER.to_rows() == []
-        assert NULL_TRACER.write_jsonl(io.StringIO()) == 0
+        assert [row["name"] for row in rows] == ["outer", "inner"]
+        assert rows[0]["attrs"] == {"preset": "tiny"}
+        assert rows[0]["wall_elapsed_s"] >= 0
+        assert "span_id" not in rows[0]
 
 
 class TestManifest:
@@ -109,5 +143,9 @@ class TestManifest:
         assert set(env) == {"python", "implementation", "platform", "machine"}
 
     def test_non_manifest_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError):
             RunManifest.from_dict({"schema": "something/else"})
+
+    def test_non_json_rejected(self):
+        with pytest.raises(MalformedInputError, match="invalid JSON"):
+            RunManifest.load(io.StringIO("not json"))

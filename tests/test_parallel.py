@@ -47,7 +47,7 @@ def test_parallel_merges_worker_telemetry(private_cache):
     with obs.session() as (registry, tracer):
         blocks = list(iter_all_parallel("tiny", jobs=2))
         snapshot = registry.snapshot()
-        spans = len(tracer.finished)
+        spans = len(tracer)
     from repro.parallel import _AFFINITY
 
     grouped = sum(len(group) - 1 for group in _AFFINITY)
@@ -221,6 +221,34 @@ def test_worker_event_drops_reach_the_parent_marker():
     assert marker == {
         "seq": 7, "type": obs_events.LOG_TRUNCATED, "dropped": 3,
     }
+
+
+def test_adopted_span_tree_keeps_its_parent_links():
+    worker = obs.Tracer()
+    with worker.span("experiment.fig1"):
+        with worker.span("replay.age"):
+            worker.end(worker.begin("replay.day", sim=0), sim=1)
+    with worker.span("experiment.fig2"):
+        pass
+    payload = _worker_payload(tracer=worker)
+    parent = obs.Tracer()
+    with obs.session(tracer=parent):
+        with parent.span("cli.experiment") as cli:
+            parallel._absorb_telemetry(payload, origin="w0")
+    rows = parent.rows()
+    seq = {row["name"]: row["seq"] for row in rows}
+    assert [row["name"] for row in rows] == [
+        "cli.experiment", "experiment.fig1", "replay.age", "replay.day",
+        "experiment.fig2",
+    ]
+    assert {row["name"]: row["parent_id"] for row in rows} == {
+        "cli.experiment": None,
+        "experiment.fig1": cli["seq"],
+        "replay.age": seq["experiment.fig1"],
+        "replay.day": seq["replay.age"],
+        "experiment.fig2": cli["seq"],
+    }
+    assert [row.get("origin") for row in rows] == [None] + ["w0"] * 4
 
 
 def test_split_truncated_trace_adopts_to_the_serial_trace():
