@@ -25,7 +25,7 @@ prints.  HTML rendering lives with the other HTML in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.freespace import free_space_stats
 from repro.analysis.layout import file_layout_score, optimal_pairs
@@ -48,7 +48,7 @@ def inspect_filesystem(
     fs: FileSystem,
     label: Optional[str] = None,
     top_files: int = 15,
-) -> Dict[str, object]:
+) -> Dict[str, Any]:
     """One deterministic placement document for one file system."""
     params = fs.params
     geo = DiskGeometry()
@@ -59,7 +59,7 @@ def inspect_filesystem(
     blocks_in_cg: Dict[int, int] = {}
     spill_in_cg: Dict[int, int] = {}
     optimal_total = countable_total = 0
-    files: List[Dict[str, object]] = []
+    files: List[Dict[str, Any]] = []
     for inode in sorted(fs.files(), key=lambda i: i.ino):
         block_list = inode.data_block_list()
         optimal, countable = optimal_pairs(block_list)
@@ -86,11 +86,11 @@ def inspect_filesystem(
             "cyl_span": (max(cyls) - min(cyls) + 1) if cyls else 0,
             "layout_score": round(score, 4) if score is not None else None,
         })
-    files.sort(key=lambda f: (-int(f["size"]), f["ino"]))  # type: ignore[call-overload, arg-type]
+    files.sort(key=lambda f: (-int(f["size"]), f["ino"]))
     files = files[:top_files]
 
     # --- group walk: occupancy, free structure, cylinder range --------
-    groups: List[Dict[str, object]] = []
+    groups: List[Dict[str, Any]] = []
     for cg in fs.sb.cgs:
         runs = [length for _start, length in cg.bitmap.block_runs()]
         base = params.cg_base_block(cg.index)
@@ -132,11 +132,11 @@ def inspect_filesystem(
     }
 
 
-def _groups_table(document: Dict[str, object]) -> str:
+def _groups_table(document: Dict[str, Any]) -> str:
     from repro.analysis.report import render_table
 
     rows = []
-    for g in document["groups"]:  # type: ignore[union-attr]
+    for g in document["groups"]:
         cyl_lo, cyl_hi = g["cylinders"]
         rows.append([
             str(g["cg"]),
@@ -156,12 +156,12 @@ def _groups_table(document: Dict[str, object]) -> str:
     )
 
 
-def _files_table(document: Dict[str, object]) -> str:
+def _files_table(document: Dict[str, Any]) -> str:
     from repro.analysis.report import render_table
     from repro.units import fmt_size
 
     rows = []
-    for f in document["files"]:  # type: ignore[union-attr]
+    for f in document["files"]:
         score = f["layout_score"]
         rows.append([
             str(f["ino"]),
@@ -180,7 +180,7 @@ def _files_table(document: Dict[str, object]) -> str:
     )
 
 
-def render_inspection(document: Dict[str, object]) -> str:
+def render_inspection(document: Dict[str, Any]) -> str:
     """``repro-ffs inspect``'s text form of one placement document."""
     free = document["freespace"]
     head = (
@@ -188,9 +188,9 @@ def render_inspection(document: Dict[str, object]) -> str:
         f"(policy {document['policy']})\n"
         f"  utilization {document['utilization']:.0%} · aggregate layout "
         f"score {document['aggregate_layout_score']:.3f}\n"
-        f"  free space: {free['free_blocks']:.0f} blocks in "  # type: ignore[index, call-overload]
-        f"{free['n_runs']:.0f} runs, largest {free['largest_run']:.0f}, "  # type: ignore[index, call-overload]
-        f"clusterable {free['clusterable_fraction']:.0%}"  # type: ignore[index, call-overload]
+        f"  free space: {free['free_blocks']:.0f} blocks in "
+        f"{free['n_runs']:.0f} runs, largest {free['largest_run']:.0f}, "
+        f"clusterable {free['clusterable_fraction']:.0%}"
     )
     return "\n".join([
         head, "", _groups_table(document), "", _files_table(document),
@@ -198,7 +198,7 @@ def render_inspection(document: Dict[str, object]) -> str:
 
 
 def render_comparison(
-    left: Dict[str, object], right: Dict[str, object]
+    left: Dict[str, Any], right: Dict[str, Any]
 ) -> str:
     """Policy-vs-policy placement comparison, group by group."""
     from repro.analysis.report import render_table
@@ -219,16 +219,16 @@ def render_comparison(
     for key in ("n_runs", "largest_run", "clusterable_fraction"):
         summary_rows.append([
             key.replace("_", " "),
-            f"{lf[key]:g}",  # type: ignore[index, call-overload]
-            f"{rf[key]:g}",  # type: ignore[index, call-overload]
+            f"{lf[key]:g}",
+            f"{rf[key]:g}",
         ])
     out = [render_table(
         ["metric", str(left["label"]), str(right["label"])],
         summary_rows,
         title="placement comparison",
     )]
-    lg = {g["cg"]: g for g in left["groups"]}  # type: ignore[union-attr]
-    rg = {g["cg"]: g for g in right["groups"]}  # type: ignore[union-attr]
+    lg = {g["cg"]: g for g in left["groups"]}
+    rg = {g["cg"]: g for g in right["groups"]}
     rows = []
     for cg in sorted(set(lg) & set(rg)):
         a, b = lg[cg], rg[cg]

@@ -69,6 +69,7 @@ from typing import List, Optional
 from repro import cache, obs, storage
 from repro.analysis.freespace import free_cluster_histogram, free_space_stats
 from repro.analysis.report import render_disk_stats, render_table
+from repro.errors import InvalidRequestError
 from repro.experiments.config import PRESETS, aged, artifacts, get_preset
 from repro.experiments.runner import (
     EXPERIMENTS,
@@ -684,7 +685,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     from repro.errors import MalformedInputError, SimulationError
     from repro.ffs.image import load_filesystem
 
-    if getattr(args, "repair", False):
+    if args.repair:
         return _fsck_repair(args)
     try:
         with open(args.image) as fp:
@@ -710,13 +711,13 @@ def _fsck_repair(args: argparse.Namespace) -> int:
     the repair runs with ``trust_maps=False`` — map drift is not a
     damage class an image can carry.
     """
-    from repro.ffs.image import read_document
-    from repro.fsck import repair_filesystem, skeleton_from_document
+    from repro.ffs.image import read_document, skeleton_from_document
+    from repro.fsck import repair_filesystem
 
     with open(args.image) as fp:
         fs = skeleton_from_document(read_document(fp))
     report = repair_filesystem(fs, trust_maps=False)
-    if getattr(args, "as_json", False):
+    if args.as_json:
         from repro.obs.export import write_json
 
         write_json(sys.stdout, report.to_dict())
@@ -729,7 +730,7 @@ def _fsck_repair(args: argparse.Namespace) -> int:
             f"utilization {fs.utilization():.0%}, "
             f"policy {fs.policy.name}"
         )
-    if getattr(args, "save", None):
+    if args.save:
         from repro.ffs.image import dump_filesystem
 
         with open(args.save, "w") as fp:
@@ -948,19 +949,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report_html import report_from_files
 
-    try:
-        html_text = report_from_files(
-            args.manifest,
-            events_path=args.events,
-            trace_path=args.trace,
-            compare_manifest_path=args.compare,
-            compare_events_path=args.compare_events,
-            disk_trace_path=args.disk_trace,
-            runs_dir=args.runs_dir,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
+    html_text = report_from_files(
+        args.manifest,
+        events_path=args.events,
+        trace_path=args.trace,
+        compare_manifest_path=args.compare,
+        compare_events_path=args.compare_events,
+        disk_trace_path=args.disk_trace,
+        runs_dir=args.runs_dir,
+    )
     with open(args.output, "w") as fp:
         fp.write(html_text)
     print(f"wrote report to {args.output}")
@@ -978,10 +975,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     )
 
     if len(args.images) > 2:
-        print(
-            "inspect: at most two images can be compared", file=sys.stderr
-        )
-        return 2
+        raise InvalidRequestError("at most two images can be compared")
     documents = []
     if args.images:
         from repro.ffs.image import load_filesystem
@@ -1006,7 +1000,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                     top_files=args.top,
                 )
             )
-    if getattr(args, "as_json", False):
+    if args.as_json:
         from repro.obs.export import write_json
 
         write_json(
@@ -1021,7 +1015,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print()
         if len(documents) == 2:
             print(render_comparison(documents[0], documents[1]))
-    if getattr(args, "html", None):
+    if args.html:
         from repro.obs.report_html import build_inspect_report
 
         with open(args.html, "w") as fp:
@@ -1031,38 +1025,31 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
+    from repro.obs.export import write_json
     from repro.obs.store import RunStore, filter_runs, render_history
 
-    limit = getattr(args, "limit", None)
-    if limit is not None and limit < 1:
-        print("history: --limit must be at least 1", file=sys.stderr)
-        return 2
-    store = RunStore(getattr(args, "runs_dir", None))
+    if args.limit is not None and args.limit < 1:
+        raise InvalidRequestError("--limit must be at least 1")
     runs = filter_runs(
-        store.runs(warn=True),
-        command=getattr(args, "filter_command", None),
-        policy=getattr(args, "filter_policy", None),
-        limit=limit,
+        RunStore(args.runs_dir).runs(warn=True),
+        command=args.filter_command,
+        policy=args.filter_policy,
+        limit=args.limit,
     )
-    if getattr(args, "drift", False):
+    if args.drift:
         from repro.obs.diff import detect_drift, render_drift
 
         # Trend lines read left to right; undo the listing's
         # newest-first order.
         document = detect_drift(list(reversed(runs)))
-        if getattr(args, "as_json", False):
-            from repro.obs.export import write_json
-
+        if args.as_json:
             write_json(sys.stdout, document)
         else:
             print(render_drift(document))
-        return 0
-    if getattr(args, "as_json", False):
-        from repro.obs.export import write_json
-
-        write_json(sys.stdout, runs)
-        return 0
-    print(render_history(runs))
+    elif args.as_json:
+        write_json(sys.stdout, [run.document for run in runs])
+    else:
+        print(render_history(runs))
     return 0
 
 
@@ -1075,65 +1062,31 @@ def _load_diff_side(
 ):
     """Resolve one ``diff`` operand into a :class:`RunArtifacts`.
 
-    ``ref`` may be a file (a registry document or a ``--metrics``
-    manifest — distinguished by schema) or a registry run id / unique
-    id prefix resolved against ``--runs-dir``.
+    ``ref`` is a file (a registry document or a ``--metrics`` manifest)
+    or a registry run id / unique id prefix under ``--runs-dir``; both
+    go through the run store's reader.
     """
-    import json as json_mod
     from pathlib import Path
 
-    from repro.errors import RunStoreError
     from repro.obs.diff import RunArtifacts
-    from repro.obs.store import RunStore
+    from repro.obs.disktrace import read_disk_trace
+    from repro.obs.events import read_jsonl
+    from repro.obs.store import RunStore, read_run_file
 
     path = Path(ref)
-    if path.is_file():
-        try:
-            with open(path) as fp:
-                document = json_mod.load(fp)
-        except json_mod.JSONDecodeError as exc:
-            raise RunStoreError(f"{ref}: {exc}") from exc
-        if not isinstance(document, dict):
-            raise RunStoreError(f"{ref}: not a JSON object")
-        schema = str(document.get("schema", ""))
-        if schema.startswith("repro.obs.runstore/"):
-            manifest = document.get("manifest")
-            if not isinstance(manifest, dict):
-                raise RunStoreError(f"{ref}: registry document "
-                                    f"carries no manifest")
-            summary = document.get("summary")
-            side = RunArtifacts(
-                label=str(document.get("id", path.name)),
-                manifest=manifest,
-                summary=summary if isinstance(summary, dict) else None,
-            )
-        elif schema.startswith("repro.obs.manifest/"):
-            side = RunArtifacts(label=path.name, manifest=document)
-        else:
-            raise RunStoreError(
-                f"{ref}: schema {schema!r} is neither a registry "
-                f"document nor a run manifest"
-            )
-    else:
-        document = RunStore(runs_dir).load_run(ref)
-        manifest = document.get("manifest")
-        if not isinstance(manifest, dict):
-            raise RunStoreError(f"run {ref}: registry document "
-                                f"carries no manifest")
-        summary = document.get("summary")
-        side = RunArtifacts(
-            label=str(document.get("id", ref)),
-            manifest=manifest,
-            summary=summary if isinstance(summary, dict) else None,
-        )
-    from repro.obs.events import read_jsonl
-
+    record = (
+        read_run_file(path) if path.is_file()
+        else RunStore(runs_dir).load_run(ref)
+    )
+    side = RunArtifacts(
+        label=record.id, manifest=record.manifest, summary=record.summary,
+    )
     if events_path:
         with open(events_path) as fp:
             side.events = read_jsonl(fp)
     if trace_path:
         with open(trace_path) as fp:
-            side.disk_trace = read_jsonl(fp)
+            side.disk_trace = read_disk_trace(fp)
     if image_path:
         from repro.analysis.placement import inspect_filesystem
         from repro.ffs.image import load_filesystem
@@ -1150,43 +1103,33 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     """``repro-ffs diff``: exit 0 on a rendered diff, 2 on unusable
     input.  The diff reports, it does not gate — regression *labels*
     are informational here and never change the exit code."""
-    import json as json_mod
-
-    from repro.errors import RunStoreError
     from repro.obs.diff import Classifier, diff_runs, render_diff
 
-    rel = getattr(args, "rel_threshold", None)
-    floor = getattr(args, "abs_floor", None)
+    rel, floor = args.rel_threshold, args.abs_floor
     if (rel is not None and rel < 0) or (floor is not None and floor < 0):
-        print(
-            "diff: --rel-threshold and --abs-floor must be non-negative",
-            file=sys.stderr,
+        raise InvalidRequestError(
+            "--rel-threshold and --abs-floor must be non-negative"
         )
-        return 2
     classifier = Classifier(
         rel_threshold=rel if rel is not None else Classifier().rel_threshold,
         abs_floor=floor if floor is not None else Classifier().abs_floor,
     )
-    try:
-        side_a = _load_diff_side(
-            args.run_a, args.runs_dir,
-            args.events_a, args.disk_trace_a, args.image_a,
-        )
-        side_b = _load_diff_side(
-            args.run_b, args.runs_dir,
-            args.events_b, args.disk_trace_b, args.image_b,
-        )
-    except (RunStoreError, ValueError, json_mod.JSONDecodeError) as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
+    side_a = _load_diff_side(
+        args.run_a, args.runs_dir,
+        args.events_a, args.disk_trace_a, args.image_a,
+    )
+    side_b = _load_diff_side(
+        args.run_b, args.runs_dir,
+        args.events_b, args.disk_trace_b, args.image_b,
+    )
     document = diff_runs(side_a, side_b, classifier=classifier)
-    if getattr(args, "as_json", False):
+    if args.as_json:
         from repro.obs.export import write_json
 
         write_json(sys.stdout, document)
     else:
         print(render_diff(document))
-    if getattr(args, "html", None):
+    if args.html:
         from repro.obs.report_html import build_diff_report
 
         with open(args.html, "w") as fp:

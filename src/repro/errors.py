@@ -71,18 +71,31 @@ class WorkloadError(SimulationError):
 class MalformedInputError(SimulationError, ValueError):
     """An input file is not what its reader expects.
 
-    Raised when a run manifest or a file-system image is not JSON, not
-    a JSON object, or carries a foreign schema or format.  It is also a
+    Raised when a run manifest, a registry document, a JSONL row file
+    or a file-system image is not JSON, not a JSON object, carries a
+    foreign schema or format, or has the wrong shape.  It is also a
     :class:`ValueError`, so readers that refuse a bad value keep
     refusing it; the CLI maps it to a usage error.
     """
 
 
-class RunStoreError(SimulationError):
+def is_number(value: object) -> bool:
+    """True for a JSON number (a bool is not one); the loaders that
+    raise :class:`MalformedInputError` share this and :func:`is_int`."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_int(value: object) -> bool:
+    """True for a JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class RunStoreError(MalformedInputError):
     """A run-registry document under ``.repro/runs/`` was unusable.
 
     Raised by :mod:`repro.obs.store` when an entry is unreadable,
-    truncated, or carries a foreign schema.  Bulk listings
+    truncated, carries a foreign schema or has the wrong shape, and
+    when a run id names no run (or several).  Bulk listings
     (``repro-ffs history``, drift trends) catch it per entry and
     degrade to a one-line stderr warning; addressing one run directly
     (``repro-ffs diff <run-id>``) lets it surface.  Carries the path

@@ -9,7 +9,12 @@ result with the fsck-lite checker, so a loaded file system is
 bit-identical in behaviour to the one that was saved.
 
 The format is versioned; readers reject images from a different major
-version rather than guessing.
+version rather than guessing.  :func:`check_format` is the one place
+that decides what a valid image document looks like: every loader
+(:func:`filesystem_from_document`, :func:`skeleton_from_document` for
+``fsck --repair``, the artifact cache) goes through it, and a document
+it refuses raises :class:`MalformedInputError` instead of a
+``KeyError`` deep in the rebuild.
 
 CLI: ``repro-ffs age --save-image FILE`` writes one; ``repro-ffs fsck``
 and ``repro-ffs inspect`` read it.
@@ -19,9 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, TextIO
+from typing import Any, Callable, Dict, TextIO
 
-from repro.errors import MalformedInputError
+from repro.errors import (
+    ConsistencyError,
+    MalformedInputError,
+    is_int,
+    is_number,
+)
 from repro.ffs.check import check_filesystem
 from repro.ffs.directory import Directory
 from repro.ffs.filesystem import FileSystem
@@ -85,8 +95,72 @@ def read_document(fp: TextIO) -> Dict[str, Any]:
         ) from None
 
 
+def _ints(value: object) -> bool:
+    return isinstance(value, list) and all(is_int(v) for v in value)
+
+
+def _tail(value: object) -> bool:
+    return value is None or (
+        isinstance(value, list) and len(value) == 3 and _ints(value)
+    )
+
+
+#: Every key a saved inode or directory object carries, with the test
+#: its value must pass.
+_INODE_FIELDS: Dict[str, Callable[[object], bool]] = {
+    "ino": is_int, "is_dir": lambda v: isinstance(v, bool), "size": is_int,
+    "ctime": is_number, "mtime": is_number, "dir_cg": is_int,
+    "alloc_cg": is_int, "blocks": _ints, "tail": _tail,
+    "indirect_blocks": _ints,
+}
+_DIRECTORY_FIELDS: Dict[str, Callable[[object], bool]] = {
+    "name": lambda v: isinstance(v, str), "ino": is_int, "cg": is_int,
+    "children": _ints,
+}
+_PARAM_KEYS = frozenset(f.name for f in dataclasses.fields(FSParams))
+
+
+def _objects_with(
+    items: object, fields: Dict[str, Callable[[object], bool]]
+) -> bool:
+    return isinstance(items, list) and all(
+        isinstance(item, dict)
+        and all(key in item and ok(item[key]) for key, ok in fields.items())
+        for item in items
+    )
+
+
+def _shape_problem(document: Dict[str, Any]) -> "str | None":
+    """What is wrong with an image document's sections, or None."""
+    params = document.get("params")
+    if not isinstance(params, dict):
+        return "'params' is not an object"
+    unknown = sorted(set(params) - _PARAM_KEYS)
+    if unknown:
+        return f"unknown params {', '.join(map(repr, unknown))}"
+    if not isinstance(document.get("policy"), str):
+        return "'policy' is not a string"
+    if not _objects_with(document.get("inodes"), _INODE_FIELDS):
+        return "'inodes' is not a list of inode objects"
+    if not _objects_with(document.get("directories"), _DIRECTORY_FIELDS):
+        return "'directories' is not a list of directory objects"
+    files = document.get("file_directory")
+    if not isinstance(files, dict) or not all(
+        key.isdigit() and isinstance(name, str) for key, name in files.items()
+    ):
+        return "'file_directory' is not an object of inode -> directory"
+    if not _ints(document.get("rotors", [])):
+        return "'rotors' is not a list of integers"
+    return None
+
+
 def check_format(document: object) -> None:
-    """Refuse a document that is not a repro-ffs image of this version."""
+    """Refuse a document that is not a repro-ffs image of this version,
+    or whose sections have the wrong shape: ``params`` keys must be
+    :class:`FSParams` fields, ``policy`` a string, ``inodes`` and
+    ``directories`` lists of complete objects whose values have the
+    saved types, ``file_directory`` an object of inode number ->
+    directory name and ``rotors`` (optional) a list of integers."""
     if not isinstance(document, dict) or document.get("format") != FORMAT_NAME:
         raise MalformedInputError("not a repro-ffs image")
     if document.get("version") != FORMAT_VERSION:
@@ -94,23 +168,85 @@ def check_format(document: object) -> None:
             f"image version {document.get('version')} not supported "
             f"(expected {FORMAT_VERSION})"
         )
+    problem = _shape_problem(document)
+    if problem is not None:
+        raise MalformedInputError(f"malformed repro-ffs image: {problem}")
 
 
-def filesystem_from_document(
-    document: Dict[str, Any], verify: bool = True
-) -> FileSystem:
-    """Rebuild a file system from a document made by
-    :func:`filesystem_to_document`."""
+def _range_problem(fs: FileSystem) -> "str | None":
+    """What inode number, block address, tail or group in ``fs``'s
+    inode table lies outside its parameters, or None."""
+    params = fs.params
+    for inode in fs.inodes.values():
+        if not 0 <= inode.ino < params.ninodes:
+            return f"inode {inode.ino} out of range"
+        if not (0 <= inode.dir_cg < params.ncg
+                and 0 <= inode.alloc_cg < params.ncg):
+            return f"inode {inode.ino} names a cylinder group out of range"
+        blocks = inode.blocks + inode.indirect_blocks
+        if inode.tail is not None:
+            block, offset, nfrags = inode.tail
+            blocks = blocks + [block]
+            if not (offset >= 0 and nfrags >= 1
+                    and offset + nfrags <= params.frags_per_block):
+                return f"inode {inode.ino} has a bad tail {list(inode.tail)}"
+        for block in blocks:
+            if not 0 <= block < params.nblocks:
+                return f"inode {inode.ino} block {block} out of range"
+    for directory in fs.directories.values():
+        if not 0 <= directory.cg < params.ncg:
+            return f"directory {directory.name!r} cg {directory.cg} out of range"
+    return None
+
+
+def skeleton_from_document(document: Dict[str, Any]) -> FileSystem:
+    """Load an image *without* marking maps or verifying anything.
+
+    :func:`filesystem_from_document` refuses corrupt images —
+    re-marking a doubly-claimed block raises before any repair could
+    run.  This loader builds the skeleton only (parameters, inodes,
+    directories, rotors), leaving every allocation map empty; follow it
+    with ``repro.fsck.repair_filesystem(fs, trust_maps=False)`` to
+    rebuild the maps and repair whatever the image got wrong.  An inode
+    number, block address or group outside the parameters raises
+    :class:`MalformedInputError`: no repair can place it.
+    """
     check_format(document)
-    params = FSParams(**document["params"])
-    fs = FileSystem(params, policy=document["policy"])
-
-    # Recreate inodes and re-mark their space as allocated.
+    try:
+        params = FSParams(**document["params"])
+        fs = FileSystem(params, policy=document["policy"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(
+            f"malformed repro-ffs image: {exc}"
+        ) from None
     for blob in document["inodes"]:
         inode = inode_from_json(blob)
         fs.inodes[inode.ino] = inode
-        cg = fs.sb.cgs[params.cg_of_inode(inode.ino)]
-        cg.alloc_inode_at(inode.ino, is_dir=inode.is_dir)
+    for blob in document["directories"]:
+        directory = Directory(
+            name=blob["name"], ino=blob["ino"], cg=blob["cg"]
+        )
+        for child in blob["children"]:
+            directory.add(child)
+        fs.directories[directory.name] = directory
+    problem = _range_problem(fs)
+    if problem is not None:
+        raise MalformedInputError(f"malformed repro-ffs image: {problem}")
+    fs._dir_of_file.update(
+        {int(ino): name for ino, name in document["file_directory"].items()}
+    )
+    for cg, rotor in zip(fs.sb.cgs, document.get("rotors", [])):
+        cg.rotor = rotor
+    return fs
+
+
+def mark_inode_space(fs: FileSystem) -> None:
+    """Mark every inode, and the blocks and fragments it references,
+    allocated in its cylinder group's maps (which must start empty)."""
+    for inode in fs.inodes.values():
+        fs.sb.cgs[fs.params.cg_of_inode(inode.ino)].alloc_inode_at(
+            inode.ino, is_dir=inode.is_dir
+        )
         for block in inode.blocks:
             fs.sb.cg_of_block(block).alloc_block_at(block)
         for block in inode.indirect_blocks:
@@ -119,23 +255,20 @@ def filesystem_from_document(
             block, offset, nfrags = inode.tail
             fs.sb.cg_of_block(block).alloc_frags_at(block, offset, nfrags)
 
-    # Directory table and membership.
-    for blob in document["directories"]:
-        directory = Directory(
-            name=blob["name"], ino=blob["ino"], cg=blob["cg"]
-        )
-        for child in blob["children"]:
-            directory.add(child)
-        fs.directories[directory.name] = directory
-    fs._dir_of_file.update(
-        {int(ino): name for ino, name in document["file_directory"].items()}
-    )
+
+def filesystem_from_document(
+    document: Dict[str, Any], verify: bool = True
+) -> FileSystem:
+    """Rebuild a file system from a document made by
+    :func:`filesystem_to_document`: the skeleton, then every inode's
+    space re-marked in the free maps."""
+    fs = skeleton_from_document(document)
+    if len(fs.inodes) != len(document["inodes"]):
+        raise ConsistencyError("image lists an inode number twice")
+    mark_inode_space(fs)
     fs._realloc_mark.update(
         {inode.ino: len(inode.blocks) for inode in fs.inodes.values()}
     )
-    for cg, rotor in zip(fs.sb.cgs, document.get("rotors", [])):
-        cg.rotor = rotor
-
     if verify:
         check_filesystem(fs)
     return fs

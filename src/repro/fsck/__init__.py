@@ -21,16 +21,10 @@ inject → repair → verify loop.
 
 from __future__ import annotations
 
-from repro.fsck.repair import (
-    LOST_FOUND,
-    FsckReport,
-    repair_filesystem,
-    skeleton_from_document,
-)
+from repro.fsck.repair import LOST_FOUND, FsckReport, repair_filesystem
 
 __all__ = [
     "LOST_FOUND",
     "FsckReport",
     "repair_filesystem",
-    "skeleton_from_document",
 ]

@@ -40,10 +40,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.errors import OutOfSpaceError
 from repro.ffs.bitmap import FragBitmap
 from repro.ffs.check import check_filesystem
-from repro.ffs.directory import Directory
 from repro.ffs.filesystem import FileSystem
-from repro.ffs.image import check_format, inode_from_json
-from repro.ffs.params import FSParams
+from repro.ffs.image import mark_inode_space
 
 #: Name of the directory orphaned inodes are reattached to.
 LOST_FOUND = "lost+found"
@@ -305,18 +303,7 @@ def _rebuild_maps(
         # The rotor is a hint, not redundant state: preserve it so the
         # repaired system's future allocation decisions match a system
         # that was never damaged.
-    for ino in sorted(fs.inodes):
-        inode = fs.inodes[ino]
-        fs.sb.cgs[params.cg_of_inode(ino)].alloc_inode_at(
-            ino, is_dir=inode.is_dir
-        )
-        for block in inode.blocks:
-            fs.sb.cg_of_block(block).alloc_block_at(block)
-        for block in inode.indirect_blocks:
-            fs.sb.cg_of_block(block).alloc_block_at(block)
-        if inode.tail is not None:
-            block, offset, nfrags = inode.tail
-            fs.sb.cg_of_block(block).alloc_frags_at(block, offset, nfrags)
+    mark_inode_space(fs)
     if not trust_maps:
         return
     for index, cg in enumerate(fs.sb.cgs):
@@ -412,37 +399,3 @@ def _reconcile_bookkeeping(fs: FileSystem) -> None:
     for ino, inode in fs.inodes.items():
         if not inode.is_dir:
             fs._realloc_mark[ino] = len(inode.blocks)
-
-
-# ----------------------------------------------------------------------
-# Tolerant image loading
-# ----------------------------------------------------------------------
-
-
-def skeleton_from_document(document: Dict[str, Any]) -> FileSystem:
-    """Load an image *without* marking maps or verifying anything.
-
-    :func:`repro.ffs.image.filesystem_from_document` refuses corrupt
-    images — re-marking a doubly-claimed block raises before any repair
-    could run.  This loader builds the skeleton only (parameters,
-    inodes, directories, rotors), leaving every allocation map empty;
-    follow it with ``repair_filesystem(fs, trust_maps=False)`` to
-    rebuild the maps and repair whatever the image got wrong.
-    """
-    check_format(document)
-    params = FSParams(**document["params"])
-    fs = FileSystem(params, policy=document["policy"])
-    for blob in document["inodes"]:
-        inode = inode_from_json(blob)
-        fs.inodes[inode.ino] = inode
-    for blob in document["directories"]:
-        directory = Directory(name=blob["name"], ino=blob["ino"], cg=blob["cg"])
-        for child in blob["children"]:
-            directory.add(child)
-        fs.directories[directory.name] = directory
-    fs._dir_of_file.update(
-        {int(ino): name for ino, name in document["file_directory"].items()}
-    )
-    for cg, rotor in zip(fs.sb.cgs, document.get("rotors", [])):
-        cg.rotor = rotor
-    return fs

@@ -39,11 +39,22 @@ and reports zero significant deltas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.obs.export import bucket_quantiles
+from repro.obs.manifest import RunManifest
 
 from repro import schemas
+
+if TYPE_CHECKING:
+    from repro.obs.heatmap import DaySample
+    from repro.obs.store import RunRecord
+
+#: A ``repro.diff/v1`` or ``repro.drift/v1`` document.  Only this
+#: module builds them, so its renderers index them without re-checking.
+Document = Dict[str, Any]
 
 SCHEMA = schemas.DIFF
 DRIFT_SCHEMA = schemas.DRIFT
@@ -76,6 +87,7 @@ __all__ = [
     "RunArtifacts",
     "diff_runs",
     "render_diff",
+    "pair_name",
     "detect_drift",
     "render_drift",
     "fit_trend",
@@ -179,7 +191,7 @@ class Classifier:
         current: float,
         direction: Optional[bool] = None,
         abs_floor: Optional[float] = None,
-    ) -> Dict[str, object]:
+    ) -> Dict[str, Any]:
         """One classified delta; ``direction`` is lower-is-better (or
         None for neutral metrics)."""
         floor = self.abs_floor if abs_floor is None else abs_floor
@@ -212,11 +224,6 @@ class Classifier:
         }
 
 
-def _quantiles(data: Mapping[str, object]) -> Dict[str, object]:
-    """p50/p90/p99 of one histogram snapshot (None when empty)."""
-    return bucket_quantiles(dict(data))
-
-
 # ----------------------------------------------------------------------
 # Run diffing
 # ----------------------------------------------------------------------
@@ -231,23 +238,25 @@ class RunArtifacts:
     shifts, placement document → spatial comparison).  ``summary`` is
     the run store's distilled headline block; when absent it is
     recomputed from the manifest, so a bare ``--metrics`` file diffs
-    identically to a registry entry.
+    identically to a registry entry.  Every field arrives through its
+    loader (:meth:`RunManifest.from_dict`, the run store,
+    :func:`~repro.obs.events.read_jsonl`, the image loader), so the
+    differ trusts its shape.
     """
 
     label: str
-    manifest: Dict[str, object]
-    summary: Optional[Dict[str, object]] = None
+    manifest: RunManifest
+    summary: Optional[Dict[str, Any]] = None
     events: Optional[List[Dict[str, object]]] = None
     disk_trace: Optional[List[Dict[str, object]]] = None
-    placement: Optional[Dict[str, object]] = None
+    placement: Optional[Dict[str, Any]] = None
 
-    def headline(self) -> Dict[str, object]:
+    def headline(self) -> Dict[str, Any]:
         if self.summary is not None:
             return dict(self.summary)
-        from repro.obs.manifest import RunManifest
         from repro.obs.store import summarize_manifest
 
-        return summarize_manifest(RunManifest.from_dict(dict(self.manifest)))
+        return summarize_manifest(self.manifest)
 
 
 class _DeltaSink:
@@ -255,51 +264,44 @@ class _DeltaSink:
 
     def __init__(self, classifier: Classifier) -> None:
         self.classifier = classifier
-        self.rows: List[Dict[str, object]] = []
+        self.rows: List[Dict[str, Any]] = []
 
     def add(
         self,
         section: str,
         name: str,
-        baseline: object,
-        current: object,
+        baseline: float,
+        current: float,
         direction: Optional[bool] = None,
         abs_floor: Optional[float] = None,
-    ) -> Dict[str, object]:
+    ) -> None:
         verdict = self.classifier.classify(
-            float(baseline),  # type: ignore[arg-type]
-            float(current),  # type: ignore[arg-type]
+            float(baseline),
+            float(current),
             direction=direction,
             abs_floor=abs_floor,
         )
-        row: Dict[str, object] = {"section": section, "name": name}
-        row.update(verdict)
-        self.rows.append(row)
-        return row
+        self.rows.append({"section": section, "name": name, **verdict})
 
-    def sorted_rows(self) -> List[Dict[str, object]]:
+    def sorted_rows(self) -> List[Dict[str, Any]]:
         return sorted(
             self.rows,
             key=lambda r: (
-                _SEVERITY_RANK[str(r["label"])],
-                str(r["section"]),
-                str(r["name"]),
+                _SEVERITY_RANK[r["label"]], r["section"], r["name"]
             ),
         )
 
 
 def _side_info(side: RunArtifacts) -> Dict[str, object]:
     manifest = side.manifest
-    config = manifest.get("config")
-    config = config if isinstance(config, dict) else {}
     return {
         "label": side.label,
-        "command": manifest.get("command"),
-        "preset": config.get("preset"),
-        "policy": config.get("policy"),
-        "backend": config.get("backend"),
-        "schema": manifest.get("schema"),
-        "wall_seconds": manifest.get("wall_seconds"),
+        "command": manifest.command,
+        "preset": manifest.config.get("preset"),
+        "policy": manifest.config.get("policy"),
+        "backend": manifest.config.get("backend"),
+        "schema": manifest.schema,
+        "wall_seconds": manifest.wall_seconds,
     }
 
 
@@ -319,12 +321,10 @@ def _diff_mappings(
     }
 
 
-def _scalar_config(manifest: Mapping[str, object]) -> Dict[str, object]:
-    config = manifest.get("config")
-    config = config if isinstance(config, dict) else {}
+def _scalar_config(manifest: RunManifest) -> Dict[str, object]:
     return {
-        str(key): value
-        for key, value in config.items()
+        key: value
+        for key, value in manifest.config.items()
         if not isinstance(value, (dict, list))
     }
 
@@ -332,39 +332,23 @@ def _scalar_config(manifest: Mapping[str, object]) -> Dict[str, object]:
 def _diff_meta(
     a: RunArtifacts, b: RunArtifacts, sink: _DeltaSink
 ) -> Dict[str, object]:
-    wall_a = a.manifest.get("wall_seconds")
-    wall_b = b.manifest.get("wall_seconds")
-    if isinstance(wall_a, (int, float)) and isinstance(wall_b, (int, float)):
+    wall_a = a.manifest.wall_seconds
+    wall_b = b.manifest.wall_seconds
+    if wall_a is not None and wall_b is not None:
         sink.add(
             "meta", "wall_seconds", wall_a, wall_b,
             direction=True, abs_floor=WALL_CLOCK_ABS_FLOOR_S,
         )
-    env_a = a.manifest.get("environment")
-    env_b = b.manifest.get("environment")
     return {
         "config": _diff_mappings(_scalar_config(a.manifest),
                                  _scalar_config(b.manifest)),
-        "environment": _diff_mappings(
-            env_a if isinstance(env_a, dict) else {},
-            env_b if isinstance(env_b, dict) else {},
-        ),
-    }
-
-
-def _metric_pairs(
-    manifest: Mapping[str, object],
-) -> Dict[str, Dict[str, object]]:
-    metrics = manifest.get("metrics")
-    metrics = metrics if isinstance(metrics, dict) else {}
-    return {
-        str(name): data
-        for name, data in metrics.items()
-        if isinstance(data, dict)
+        "environment": _diff_mappings(a.manifest.environment,
+                                      b.manifest.environment),
     }
 
 
 def _bucket_deltas(
-    base: Mapping[str, object], cur: Mapping[str, object]
+    base: Mapping[str, Any], cur: Mapping[str, Any]
 ) -> List[List[object]]:
     """Per-bucket count deltas, aligned on the union of bucket bounds.
 
@@ -375,12 +359,12 @@ def _bucket_deltas(
     """
     base_counts: Dict[object, int] = {}
     order: List[object] = []
-    for bound, count in base.get("buckets", []):  # type: ignore[union-attr]
+    for bound, count in base["buckets"]:
         key = str(bound)
         base_counts[key] = int(count)
         order.append(bound)
     cur_counts: Dict[object, int] = {}
-    for bound, count in cur.get("buckets", []):  # type: ignore[union-attr]
+    for bound, count in cur["buckets"]:
         key = str(bound)
         cur_counts[key] = int(count)
         if key not in base_counts:
@@ -395,20 +379,19 @@ def _bucket_deltas(
 def _diff_histogram(
     section: str,
     name: str,
-    base: Mapping[str, object],
-    cur: Mapping[str, object],
+    base: Dict[str, Any],
+    cur: Dict[str, Any],
     sink: _DeltaSink,
 ) -> Dict[str, object]:
     """Quantile-rule classification of one histogram pair + the signed
     per-bucket deltas the HTML report draws."""
     direction = lower_is_better(name)
-    sink.add(f"{section}", f"{name}.count",
-             base.get("count", 0), cur.get("count", 0))
-    base_q = _quantiles(base)
-    cur_q = _quantiles(cur)
+    sink.add(section, f"{name}.count", base["count"], cur["count"])
+    base_q = bucket_quantiles(base)
+    cur_q = bucket_quantiles(cur)
     for key in sorted(base_q):
         qb, qc = base_q[key], cur_q[key]
-        if isinstance(qb, (int, float)) and isinstance(qc, (int, float)):
+        if qb is not None and qc is not None:
             sink.add(section, f"{name}.{key}", qb, qc, direction=direction)
     return {
         "name": name,
@@ -421,23 +404,22 @@ def _diff_histogram(
 def _diff_metrics(
     a: RunArtifacts, b: RunArtifacts, sink: _DeltaSink
 ) -> Dict[str, object]:
-    metrics_a = _metric_pairs(a.manifest)
-    metrics_b = _metric_pairs(b.manifest)
+    metrics_a = a.manifest.metrics
+    metrics_b = b.manifest.metrics
     histograms: List[Dict[str, object]] = []
     compared = 0
     for name in sorted(set(metrics_a) & set(metrics_b)):
         da, db = metrics_a[name], metrics_b[name]
-        if da.get("type") != db.get("type"):
+        if da["type"] != db["type"]:
             continue
         compared += 1
-        if da.get("type") in ("counter", "gauge"):
+        if da["type"] == "histogram":
+            histograms.append(_diff_histogram("metrics", name, da, db, sink))
+        else:
             sink.add(
-                "metrics", name,
-                da.get("value", 0.0), db.get("value", 0.0),
+                "metrics", name, da["value"], db["value"],
                 direction=lower_is_better(name),
             )
-        elif da.get("type") == "histogram":
-            histograms.append(_diff_histogram("metrics", name, da, db, sink))
     return {
         "compared": compared,
         "only_a": sorted(set(metrics_a) - set(metrics_b)),
@@ -458,10 +440,8 @@ def _diff_summaries(
     """
     sa = a.headline()
     sb = b.headline()
-    scores_a = sa.pop("layout_scores", None)
-    scores_b = sb.pop("layout_scores", None)
-    scores_a = scores_a if isinstance(scores_a, dict) else {}
-    scores_b = scores_b if isinstance(scores_b, dict) else {}
+    scores_a = sa.pop("layout_scores", {})
+    scores_b = sb.pop("layout_scores", {})
     pairs: List[Tuple[str, str]] = [
         (label, label) for label in sorted(set(scores_a) & set(scores_b))
     ]
@@ -476,23 +456,17 @@ def _diff_summaries(
             "summary", name, scores_a[la], scores_b[lb],
             direction=False, abs_floor=SCORE_ABS_FLOOR,
         )
-    for key in sorted(set(sa) & set(sb)):
-        va, vb = sa[key], sb[key]
-        if key == "wall_seconds":
-            continue  # already classified under meta
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-            sink.add("summary", key, va, vb, direction=lower_is_better(key))
+    for key in sorted(set(sa) & set(sb) - {"wall_seconds"}):
+        # wall_seconds is already classified under meta.
+        sink.add("summary", key, sa[key], sb[key],
+                 direction=lower_is_better(key))
     # Flash-substrate numbers ride along verbatim so renderers can show
     # them even when only one side ran on --backend ssd (a disk-vs-ssd
     # diff has no shared key to classify, but the values still matter).
     ssd_keys = ("write_amplification", "flash_erases", "gc_moved_pages",
                 "ssd_throughput_mb_s")
     ssd = {
-        tag: {
-            key: side[key]
-            for key in ssd_keys
-            if isinstance(side.get(key), (int, float))
-        }
+        tag: {key: side[key] for key in ssd_keys if key in side}
         for tag, side in (("a", sa), ("b", sb))
     }
     out: Dict[str, object] = {
@@ -505,39 +479,9 @@ def _diff_summaries(
     return out
 
 
-def _day_samples(
-    events: Sequence[Dict[str, object]],
-) -> Tuple[List[str], Dict[str, Dict[int, Dict[str, object]]]]:
-    """Day-keyed day_sample rows per label, labels in first-seen order."""
-    order: List[str] = []
-    by_label: Dict[str, Dict[int, Dict[str, object]]] = {}
-    for row in events:
-        if row.get("type") != "day_sample":
-            continue
-        label = str(row.get("label", ""))
-        if label not in by_label:
-            by_label[label] = {}
-            order.append(label)
-        day = row.get("day")
-        if isinstance(day, (int, float)):
-            by_label[label][int(day)] = row
-    return order, by_label
-
-
-def _series(
-    samples: Mapping[int, Dict[str, object]], days: Sequence[int], key: str
-) -> List[List[float]]:
-    out: List[List[float]] = []
-    for day in days:
-        value = samples[day].get(key)
-        if isinstance(value, (int, float)):
-            out.append([float(day), float(value)])
-    return out
-
-
 def _occupancy_delta(
-    sa: Mapping[int, Dict[str, object]],
-    sb: Mapping[int, Dict[str, object]],
+    sa: Mapping[int, DaySample],
+    sb: Mapping[int, DaySample],
     days: Sequence[int],
 ) -> Optional[Dict[str, object]]:
     """Day × CG occupancy delta matrix (b − a) for the delta heatmap.
@@ -549,14 +493,13 @@ def _occupancy_delta(
     kept_days: List[int] = []
     matrix: List[List[float]] = []
     for day in days:
-        va = sa[day].get("cg_occupancy")
-        vb = sb[day].get("cg_occupancy")
-        if not isinstance(va, list) or not isinstance(vb, list) or not va:
+        va = sa[day].cg_occupancy
+        vb = sb[day].cg_occupancy
+        if va is None or vb is None or not va:
             continue
-        n = min(len(va), len(vb))
         kept_days.append(day)
         matrix.append([
-            round(float(vb[i]) - float(va[i]), 4) for i in range(n)
+            round(float(y) - float(x), 4) for x, y in zip(va, vb)
         ])
     if not matrix:
         return None
@@ -569,11 +512,19 @@ def _diff_timeline(
 ) -> Optional[Dict[str, object]]:
     if a.events is None or b.events is None:
         return None
-    order_a, samples_a = _day_samples(a.events)
-    order_b, samples_b = _day_samples(b.events)
-    pairs = [(label, label) for label in order_a if label in samples_b]
-    if not pairs and len(order_a) == 1 and len(order_b) == 1:
-        pairs = [(order_a[0], order_b[0])]
+    from repro.obs.heatmap import day_samples
+
+    samples_a = {
+        label: {s.day: s for s in rows}
+        for label, rows in day_samples(a.events).items()
+    }
+    samples_b = {
+        label: {s.day: s for s in rows}
+        for label, rows in day_samples(b.events).items()
+    }
+    pairs = [(label, label) for label in samples_a if label in samples_b]
+    if not pairs and len(samples_a) == 1 and len(samples_b) == 1:
+        pairs = [(next(iter(samples_a)), next(iter(samples_b)))]
     out_pairs: List[Dict[str, object]] = []
     for la, lb in pairs:
         sa, sb = samples_a[la], samples_b[lb]
@@ -583,12 +534,7 @@ def _diff_timeline(
         divergence: List[List[float]] = []
         first_divergence: Optional[int] = None
         for day in days:
-            va = sa[day].get("layout_score")
-            vb = sb[day].get("layout_score")
-            if not isinstance(va, (int, float)) or not isinstance(
-                vb, (int, float)
-            ):
-                continue
+            va, vb = sa[day].layout_score, sb[day].layout_score
             divergence.append([float(day), round(float(vb) - float(va), 6)])
             if first_divergence is None:
                 verdict = classifier.classify(
@@ -597,26 +543,22 @@ def _diff_timeline(
                 if verdict["label"] != NOISE:
                     first_divergence = day
         pair_name = la if la == lb else f"{la} vs {lb}"
-        last = days[-1]
-        fa = sa[last].get("layout_score")
-        fb = sb[last].get("layout_score")
-        if isinstance(fa, (int, float)) and isinstance(fb, (int, float)):
-            sink.add(
-                "timeline", f"layout_score[{pair_name}].final", fa, fb,
-                direction=False, abs_floor=SCORE_ABS_FLOOR,
-            )
-        ua = sa[last].get("utilization")
-        ub = sb[last].get("utilization")
-        if isinstance(ua, (int, float)) and isinstance(ub, (int, float)):
-            sink.add(
-                "timeline", f"utilization[{pair_name}].final", ua, ub,
-            )
+        last_a, last_b = sa[days[-1]], sb[days[-1]]
+        sink.add(
+            "timeline", f"layout_score[{pair_name}].final",
+            last_a.layout_score, last_b.layout_score,
+            direction=False, abs_floor=SCORE_ABS_FLOOR,
+        )
+        sink.add(
+            "timeline", f"utilization[{pair_name}].final",
+            last_a.utilization, last_b.utilization,
+        )
         out_pairs.append({
             "label_a": la,
             "label_b": lb,
             "days": days,
-            "score_a": _series(sa, days, "layout_score"),
-            "score_b": _series(sb, days, "layout_score"),
+            "score_a": [[float(d), float(sa[d].layout_score)] for d in days],
+            "score_b": [[float(d), float(sb[d].layout_score)] for d in days],
             "score_divergence": divergence,
             "first_divergence_day": first_divergence,
             "occupancy_delta": _occupancy_delta(sa, sb, days),
@@ -654,12 +596,9 @@ def _diff_disktrace(
 
     summary_a = trace_summary(a.disk_trace)
     summary_b = trace_summary(b.disk_trace)
-    for key in sorted(set(summary_a) & set(summary_b)):
-        va, vb = summary_a[key], summary_b[key]
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-            sink.add(
-                "trace", key, va, vb, direction=lower_is_better(key)
-            )
+    for key in sorted(summary_a):
+        sink.add("trace", key, summary_a[key], summary_b[key],
+                 direction=lower_is_better(key))
     histograms: List[Dict[str, object]] = []
     for name, build in (
         ("seek_distance_cyl", seek_distance_histogram),
@@ -684,37 +623,26 @@ def _diff_placement(
         ("utilization", None, None),
         ("files_total", None, None),
     ):
-        va, vb = pa.get(key), pb.get(key)
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-            sink.add("placement", key, va, vb,
-                     direction=direction, abs_floor=floor)
-    fa = pa.get("freespace")
-    fb = pb.get("freespace")
-    fa = fa if isinstance(fa, dict) else {}
-    fb = fb if isinstance(fb, dict) else {}
+        sink.add("placement", key, pa[key], pb[key],
+                 direction=direction, abs_floor=floor)
     for key in ("n_runs", "largest_run", "clusterable_fraction"):
-        va, vb = fa.get(key), fb.get(key)
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-            sink.add("placement", f"freespace.{key}", va, vb,
-                     direction=lower_is_better(key))
-    groups_a = pa.get("groups")
-    groups_b = pb.get("groups")
-    groups_a = groups_a if isinstance(groups_a, list) else []
-    groups_b = groups_b if isinstance(groups_b, list) else []
-    spill_a = sum(int(g.get("spill_blocks", 0)) for g in groups_a)
-    spill_b = sum(int(g.get("spill_blocks", 0)) for g in groups_b)
-    sink.add("placement", "spill_blocks", spill_a, spill_b, direction=True)
-    occupancy_delta = [
-        round(
-            float(gb.get("occupancy", 0.0)) - float(ga.get("occupancy", 0.0)),
-            4,
-        )
-        for ga, gb in zip(groups_a, groups_b)
-    ]
+        sink.add("placement", f"freespace.{key}",
+                 pa["freespace"][key], pb["freespace"][key],
+                 direction=lower_is_better(key))
+    groups_a, groups_b = pa["groups"], pb["groups"]
+    sink.add(
+        "placement", "spill_blocks",
+        sum(g["spill_blocks"] for g in groups_a),
+        sum(g["spill_blocks"] for g in groups_b),
+        direction=True,
+    )
     return {
-        "label_a": pa.get("label"),
-        "label_b": pb.get("label"),
-        "occupancy_delta": occupancy_delta,
+        "label_a": pa["label"],
+        "label_b": pb["label"],
+        "occupancy_delta": [
+            round(gb["occupancy"] - ga["occupancy"], 4)
+            for ga, gb in zip(groups_a, groups_b)
+        ],
     }
 
 
@@ -722,7 +650,7 @@ def diff_runs(
     a: RunArtifacts,
     b: RunArtifacts,
     classifier: Optional[Classifier] = None,
-) -> Dict[str, object]:
+) -> Document:
     """Structurally compare two runs; returns the ``repro.diff/v1`` doc.
 
     Every classified delta lands in the flat ``deltas`` list (ranked
@@ -741,8 +669,8 @@ def diff_runs(
     deltas = sink.sorted_rows()
     counts = {NOISE: 0, NOTABLE: 0, REGRESSION: 0}
     for row in deltas:
-        counts[str(row["label"])] += 1
-    document: Dict[str, object] = {
+        counts[row["label"]] += 1
+    document: Document = {
         "schema": SCHEMA,
         "a": _side_info(a),
         "b": _side_info(b),
@@ -778,88 +706,76 @@ def _fmt(value: object) -> str:
     return f"{value:,}" if isinstance(value, int) else str(value)
 
 
-def _fmt_delta(row: Mapping[str, object]) -> str:
-    delta = row.get("delta")
-    rel = row.get("rel")
-    sign = "+" if isinstance(delta, (int, float)) and delta >= 0 else ""
-    text = f"{sign}{_fmt(delta)}"
-    if isinstance(rel, (int, float)):
+def _fmt_delta(row: Mapping[str, Any]) -> str:
+    delta = row["delta"]
+    rel = row["rel"]
+    text = f"{'+' if delta >= 0 else ''}{_fmt(delta)}"
+    if rel is not None:
         text += f", {'+' if rel >= 0 else ''}{rel:.1%}"
     return text
 
 
-def render_diff(document: Dict[str, object]) -> str:
+def render_diff(document: Document) -> str:
     """Deterministic text form of a ``repro.diff/v1`` document."""
-    a = document.get("a")
-    b = document.get("b")
-    a = a if isinstance(a, dict) else {}
-    b = b if isinstance(b, dict) else {}
+    a, b = document["a"], document["b"]
 
-    def side_line(tag: str, side: Mapping[str, object]) -> str:
-        bits = [f"repro-ffs {side.get('command', '?')}"]
+    def side_line(tag: str, side: Mapping[str, Any]) -> str:
+        bits = [f"repro-ffs {side['command']}"]
         for key in ("preset", "policy", "backend"):
-            if side.get(key):
+            if side[key]:
                 bits.append(f"{key} {side[key]}")
-        wall = side.get("wall_seconds")
-        if isinstance(wall, (int, float)):
-            bits.append(f"wall {wall:.2f}s")
-        return f"  {tag}: {side.get('label', '?')} ({', '.join(bits)})"
+        if side["wall_seconds"] is not None:
+            bits.append(f"wall {side['wall_seconds']:.2f}s")
+        return f"  {tag}: {side['label']} ({', '.join(bits)})"
 
     lines = [
-        f"run diff: {a.get('label', '?')} -> {b.get('label', '?')}",
+        f"run diff: {a['label']} -> {b['label']}",
         side_line("a", a),
         side_line("b", b),
     ]
-    meta = document.get("meta")
-    meta = meta if isinstance(meta, dict) else {}
-    config = meta.get("config")
-    config = config if isinstance(config, dict) else {}
-    changed = config.get("changed")
-    if isinstance(changed, dict) and changed:
+    changed = document["meta"]["config"]["changed"]
+    if changed:
         pairs = ", ".join(
             f"{key}: {_fmt(vals[0])} -> {_fmt(vals[1])}"
             for key, vals in sorted(changed.items())
         )
         lines.append(f"  config changes: {pairs}")
-    env = meta.get("environment")
-    env = env if isinstance(env, dict) else {}
-    env_changed = env.get("changed")
-    if isinstance(env_changed, dict) and env_changed:
+    env_changed = document["meta"]["environment"]["changed"]
+    if env_changed:
         pairs = ", ".join(
             f"{key}: {vals[0]} -> {vals[1]}"
             for key, vals in sorted(env_changed.items())
         )
         lines.append(f"  environment changes: {pairs}")
-    deltas = document.get("deltas")
-    deltas = deltas if isinstance(deltas, list) else []
-    significant = [r for r in deltas if r.get("label") != NOISE]
+    deltas = document["deltas"]
+    significant = [r for r in deltas if r["label"] != NOISE]
     lines.append("")
     lines.append(
         f"significant deltas: {len(significant)} of {len(deltas)} compared"
     )
     for row in significant:
         lines.append(
-            f"  {str(row.get('label', '?')).upper():<11}"
-            f"{str(row.get('section', '?')):<10} "
-            f"{str(row.get('name', '?')):<36} "
-            f"{_fmt(row.get('baseline'))} -> {_fmt(row.get('current'))}  "
+            f"  {row['label'].upper():<11}"
+            f"{row['section']:<10} "
+            f"{row['name']:<36} "
+            f"{_fmt(row['baseline'])} -> {_fmt(row['current'])}  "
             f"({_fmt_delta(row)})"
         )
     if not significant:
         lines.append("  (none — the runs are equivalent under the classifier)")
-    timeline = document.get("timeline")
-    timeline = timeline if isinstance(timeline, dict) else {}
-    for pair in timeline.get("pairs", []):  # type: ignore[union-attr]
-        name = (
-            pair["label_a"] if pair["label_a"] == pair["label_b"]
-            else f"{pair['label_a']} vs {pair['label_b']}"
-        )
-        day = pair.get("first_divergence_day")
+    for pair in document.get("timeline", {}).get("pairs", []):
+        day = pair["first_divergence_day"]
         lines.append(
-            f"first divergence [{name}]: "
+            f"first divergence [{pair_name(pair)}]: "
             + (f"day {day}" if day is not None else "none within the overlap")
         )
     return "\n".join(lines)
+
+
+def pair_name(pair: Mapping[str, Any]) -> str:
+    """``FFS`` for a same-label timeline pair, ``FFS vs Realloc`` else."""
+    la, lb = pair["label_a"], pair["label_b"]
+    return str(la) if la == lb else f"{la} vs {lb}"
 
 
 # ----------------------------------------------------------------------
@@ -882,41 +798,11 @@ def fit_trend(values: Sequence[float]) -> Tuple[float, float]:
     return slope, y_bar - slope * x_bar
 
 
-def _drift_series(
-    runs: Sequence[Dict[str, object]],
-) -> Dict[str, List[float]]:
-    """Chronological metric series from run-store summaries.
-
-    Layout scores fan out per policy label (``layout_score[FFS]``);
-    runs missing a metric simply contribute nothing to that series, so
-    a registry mixing ``age`` and ``freespace`` runs still trends what
-    each run actually observed.
-    """
-    series: Dict[str, List[float]] = {}
-    for document in runs:
-        summary = document.get("summary")
-        summary = summary if isinstance(summary, dict) else {}
-        scores = summary.get("layout_scores")
-        if isinstance(scores, dict):
-            for label, value in scores.items():
-                if isinstance(value, (int, float)):
-                    series.setdefault(
-                        f"layout_score[{label}]", []
-                    ).append(float(value))
-        for key in ("throughput_mb_s", "lost_rotations", "seek_p99_ms",
-                    "write_amplification", "flash_erases",
-                    "ssd_throughput_mb_s"):
-            value = summary.get(key)
-            if isinstance(value, (int, float)):
-                series.setdefault(key, []).append(float(value))
-    return series
-
-
 def detect_drift(
-    runs: Sequence[Dict[str, object]],
+    runs: Sequence[RunRecord],
     classifier: Optional[Classifier] = None,
     min_points: int = 3,
-) -> Dict[str, object]:
+) -> Document:
     """Fit trend lines over recorded-run summaries; classify the drift.
 
     ``runs`` must be chronological (the run store's natural order).
@@ -926,11 +812,13 @@ def detect_drift(
     fitted end) goes through the classifier — so one noisy run cannot
     flag drift, but a consistent slide across the window can.
     """
+    from repro.obs.store import summary_series
+
     classifier = classifier if classifier is not None else Classifier()
-    trends: List[Dict[str, object]] = []
-    series = _drift_series(runs)
+    trends: List[Dict[str, Any]] = []
+    series = summary_series(list(runs))
     for name in sorted(series):
-        values = series[name]
+        values = [value for _index, value in series[name]]
         if len(values) < min_points:
             continue
         slope, intercept = fit_trend(values)
@@ -951,12 +839,10 @@ def detect_drift(
             "rel": verdict["rel"],
             "label": verdict["label"],
         })
-    trends.sort(
-        key=lambda t: (_SEVERITY_RANK[str(t["label"])], str(t["metric"]))
-    )
+    trends.sort(key=lambda t: (_SEVERITY_RANK[t["label"]], t["metric"]))
     counts = {NOISE: 0, NOTABLE: 0, REGRESSION: 0}
     for trend in trends:
-        counts[str(trend["label"])] += 1
+        counts[trend["label"]] += 1
     return {
         "schema": DRIFT_SCHEMA,
         "window": len(runs),
@@ -967,34 +853,32 @@ def detect_drift(
     }
 
 
-def render_drift(document: Dict[str, object]) -> str:
+def render_drift(document: Document) -> str:
     """``repro-ffs history --drift``'s text form of a drift document."""
     from repro.analysis.report import render_table
 
-    trends = document.get("trends")
-    trends = trends if isinstance(trends, list) else []
+    trends = document["trends"]
     if not trends:
         return (
             f"registry drift: no metric series with enough recorded "
-            f"points in the window ({document.get('window', 0)} runs); "
+            f"points in the window ({document['window']} runs); "
             f"record more runs with --record"
         )
     rows = [
         [
-            str(t.get("metric", "?")),
-            str(t.get("n", "?")),
-            _fmt(t.get("first")),
-            _fmt(t.get("last")),
-            _fmt(t.get("slope_per_run")),
-            _fmt_delta({"delta": t.get("projected_change"),
-                        "rel": t.get("rel")}),
-            str(t.get("label", "?")).upper(),
+            t["metric"],
+            str(t["n"]),
+            _fmt(t["first"]),
+            _fmt(t["last"]),
+            _fmt(t["slope_per_run"]),
+            _fmt_delta({"delta": t["projected_change"], "rel": t["rel"]}),
+            t["label"].upper(),
         ]
         for t in trends
     ]
     head = (
-        f"registry drift over {document.get('window', 0)} recorded runs: "
-        f"{document.get('drifting', 0)} drifting series"
+        f"registry drift over {document['window']} recorded runs: "
+        f"{document['drifting']} drifting series"
     )
     return head + "\n" + render_table(
         ["metric", "n", "first", "last", "slope/run", "projected", "label"],

@@ -16,7 +16,8 @@ seek-distance and inter-request-distance histograms from them.  The
 trace is a :class:`repro.obs.events.RowLog`, so the bound, the ``seq``
 numbering, cross-process adoption, the ``log_truncated`` marker row and
 the reader (:func:`repro.obs.events.read_jsonl`) are the event log's;
-this module adds only :meth:`DiskTrace.record`.
+this module adds :meth:`DiskTrace.record` and :func:`read_disk_trace`,
+which also checks the numeric fields the trace's readers compute with.
 
 Row fields (one JSON object per request, in service order):
 
@@ -54,14 +55,37 @@ the statements it executed before tracing existed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, TextIO
 
 from repro import schemas
-from repro.obs.events import RowLog
+from repro.errors import MalformedInputError, is_number
+from repro.obs.events import RowLog, read_jsonl
 
 SCHEMA = schemas.DISKTRACE
 
-__all__ = ["DiskTrace", "SCHEMA"]
+__all__ = ["DiskTrace", "read_disk_trace", "SCHEMA"]
+
+#: Request-row fields the trace's readers (:mod:`repro.obs.heatmap`)
+#: compute with; each may be absent, but when present is a number.
+_NUMERIC_FIELDS = ("cyl", "seek_cyls", "seek_ms", "service_ms")
+
+
+def read_disk_trace(fp: TextIO) -> List[Dict[str, object]]:
+    """Parse a ``--disk-trace`` JSONL file: :func:`read_jsonl`, then a
+    read/write row whose numeric fields are not numbers raises
+    :class:`MalformedInputError` naming its ``seq``."""
+    rows = read_jsonl(fp)
+    for row in rows:
+        if row.get("kind") not in ("read", "write"):
+            continue
+        for key in _NUMERIC_FIELDS:
+            value = row.get(key)
+            if value is not None and not is_number(value):
+                raise MalformedInputError(
+                    f"disk trace row seq {row.get('seq')}: bad {key} "
+                    f"{value!r}"
+                )
+    return rows
 
 
 class DiskTrace(RowLog):

@@ -199,10 +199,14 @@ class EventLog(RowLog):
 def read_jsonl(fp: TextIO) -> List[Row]:
     """Parse a JSONL file of rows (events, spans or a disk trace).
 
-    Blank lines are skipped.  A line that is not a JSON object raises
-    :class:`ValueError` naming its line number, so the CLI can refuse a
-    hostile file with one line instead of a traceback.
+    Blank lines are skipped.  A line that is not a JSON object, or a
+    :data:`LOG_TRUNCATED` marker without an integer ``dropped`` count,
+    raises :class:`~repro.errors.MalformedInputError` naming its line
+    number, so the CLI refuses a hostile file with one line instead of
+    a traceback.
     """
+    from repro.errors import MalformedInputError, is_int
+
     rows: List[Row] = []
     for number, line in enumerate(fp, start=1):
         line = line.strip()
@@ -211,11 +215,19 @@ def read_jsonl(fp: TextIO) -> List[Row]:
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {number}: invalid JSON ({exc})") from None
+            raise MalformedInputError(
+                f"line {number}: invalid JSON ({exc})"
+            ) from None
         if not isinstance(row, dict):
-            raise ValueError(
+            raise MalformedInputError(
                 f"line {number}: expected a JSON object, "
                 f"got {type(row).__name__}"
+            )
+        dropped = row.get("dropped")
+        if row.get("type") == LOG_TRUNCATED and not is_int(dropped):
+            raise MalformedInputError(
+                f"line {number}: {LOG_TRUNCATED} row without an integer "
+                f"dropped count"
             )
         rows.append(row)
     return rows
@@ -232,7 +244,7 @@ def split_truncation(rows: Iterable[Row]) -> Tuple[List[Row], int]:
     dropped = 0
     for row in rows:
         if row.get("type") == LOG_TRUNCATED:
-            dropped += int(row.get("dropped", 0) or 0)
+            dropped += int(row["dropped"])  # type: ignore[call-overload]
         else:
             real.append(row)
     return real, dropped

@@ -13,17 +13,22 @@ consecutive requests, whether or not a seek was paid).
 
 Everything here is pure post-processing over already-captured rows —
 no simulator state, no clocks — so it can run on any machine that has
-the JSONL artifacts.
+the JSONL artifacts.  :func:`day_samples` is the one reader of
+``day_sample`` rows: the report's curves and heatmaps and the diff's
+timeline all pivot through it, so they agree on what a bad row is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-from repro.obs.events import split_truncation
+from repro.errors import MalformedInputError, is_int, is_number
+from repro.obs.events import DAY_SAMPLE, split_truncation
 from repro.obs.metrics import Histogram
 
 __all__ = [
+    "DaySample",
+    "day_samples",
     "HeatmapSeries",
     "heatmap_series",
     "seek_distance_histogram",
@@ -33,24 +38,68 @@ __all__ = [
 ]
 
 
-class HeatmapSeries:
-    """One label's day × CG matrices, pivoted from day_sample rows."""
+class DaySample(NamedTuple):
+    """One simulated day of one label's aging, from a day_sample row."""
 
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.days: List[int] = []
-        #: Rows in day order; each row is the per-CG vector for that day.
-        self.occupancy: List[List[float]] = []
-        self.frag: List[List[float]] = []
+    day: int
+    layout_score: float
+    utilization: float
+    #: Per-CG vectors; None in captures that predate them.
+    cg_occupancy: Optional[List[float]]
+    cg_frag: Optional[List[float]]
 
-    @property
-    def ncg(self) -> int:
-        return len(self.occupancy[0]) if self.occupancy else 0
 
-    def add(self, day: int, occupancy: List[float], frag: List[float]) -> None:
-        self.days.append(day)
-        self.occupancy.append(occupancy)
-        self.frag.append(frag)
+def _numbers(value: object) -> bool:
+    return isinstance(value, list) and all(is_number(v) for v in value)
+
+
+def day_samples(
+    rows: Iterable[Dict[str, object]],
+) -> Dict[str, List[DaySample]]:
+    """Pivot ``day_sample`` rows into per-label samples.
+
+    Labels come out in first-appearance order, samples in log order.
+    The one rule for a bad row: a day_sample must carry a string
+    ``label``, an integer ``day`` and numeric ``layout_score`` and
+    ``utilization``.  The per-CG vectors are optional (older captures
+    lack them) but, when present, are lists of numbers.  Any other row
+    raises :class:`MalformedInputError` naming its ``seq``.
+    """
+    out: Dict[str, List[DaySample]] = {}
+    for row in rows:
+        if row.get("type") != DAY_SAMPLE:
+            continue
+        label, day = row.get("label"), row.get("day")
+        score, util = row.get("layout_score"), row.get("utilization")
+        occupancy, frag = row.get("cg_occupancy"), row.get("cg_frag")
+        for name, ok in (
+            ("label", isinstance(label, str)),
+            ("day", is_int(day)),
+            ("layout_score", is_number(score)),
+            ("utilization", is_number(util)),
+            ("cg_occupancy", occupancy is None or _numbers(occupancy)),
+            ("cg_frag", frag is None or _numbers(frag)),
+        ):
+            if not ok:
+                raise MalformedInputError(
+                    f"day_sample row seq {row.get('seq')}: bad {name} "
+                    f"{row.get(name)!r}"
+                )
+        sample = DaySample(
+            day, score, util, occupancy, frag  # type: ignore[arg-type]
+        )
+        out.setdefault(str(label), []).append(sample)
+    return out
+
+
+class HeatmapSeries(NamedTuple):
+    """One label's day × CG matrices: one row per sampled day, each row
+    the per-CG vector for that day."""
+
+    label: str
+    days: List[int]
+    occupancy: List[List[float]]
+    frag: List[List[float]]
 
 
 def heatmap_series(
@@ -58,24 +107,21 @@ def heatmap_series(
 ) -> List[HeatmapSeries]:
     """Pivot ``day_sample`` events into per-label heatmap matrices.
 
-    Rows without the per-CG vectors (captures from before they existed,
-    or hand-built fixtures) are skipped, so a report over an old event
-    log simply renders no heatmap rather than failing.  Labels come out
-    in first-appearance order, matching the line charts.
+    Samples without the per-CG vectors (captures from before they
+    existed) are skipped, so a report over an old event log simply
+    renders no heatmap.  Labels come out in first-appearance order,
+    matching the line charts.
     """
-    series: Dict[str, HeatmapSeries] = {}
-    for row in events:
-        if row.get("type") != "day_sample":
-            continue
-        occupancy = row.get("cg_occupancy")
-        frag = row.get("cg_frag")
-        if not isinstance(occupancy, list) or not isinstance(frag, list):
-            continue
-        label = str(row.get("label", ""))
-        if label not in series:
-            series[label] = HeatmapSeries(label)
-        series[label].add(int(row.get("day", 0)), occupancy, frag)
-    return list(series.values())
+    out: List[HeatmapSeries] = []
+    for label, samples in day_samples(events).items():
+        rows = [
+            (s.day, s.cg_occupancy, s.cg_frag) for s in samples
+            if s.cg_occupancy is not None and s.cg_frag is not None
+        ]
+        if rows:
+            days, occupancy, frag = (list(column) for column in zip(*rows))
+            out.append(HeatmapSeries(label, days, occupancy, frag))
+    return out
 
 
 def _distance_buckets() -> List[float]:
@@ -156,7 +202,7 @@ def inter_request_histogram(
 
 def trace_summary(
     trace_rows: Sequence[Dict[str, object]],
-) -> Dict[str, object]:
+) -> Dict[str, float]:
     """Headline numbers for a trace: request mix, misses, drop count."""
     requests, dropped = split_truncation(trace_rows)
     reads = writes = lost = hits = 0

@@ -14,6 +14,11 @@ innermost open phase and never double-counted.  Re-entering a phase
 name accumulates into the same profile (``cProfile`` supports repeated
 enable/disable), which is what a phase that straddles loop iterations
 wants.
+
+A ``--jobs N`` worker profiles its own phases and ships their raw
+stats home (:meth:`PhaseProfiler.stats`); the parent folds them in by
+phase name (:meth:`PhaseProfiler.adopt`), so a parallel run's profile
+has the phases a serial run's has.
 """
 
 from __future__ import annotations
@@ -22,9 +27,20 @@ import cProfile
 import os
 import pstats
 from contextlib import contextmanager
-from typing import Dict, List
+from typing import Any, Dict, List
 
 __all__ = ["PhaseProfiler", "render_profile"]
+
+#: One phase's raw ``pstats`` table: ``(file, line, func) ->
+#: (primitive calls, calls, tottime, cumtime, callers)``.
+RawStats = Dict[Any, Any]
+
+
+def _merge(into: RawStats, raw: RawStats) -> None:
+    for func, stat in raw.items():
+        into[func] = pstats.add_func_stats(  # type: ignore[attr-defined]
+            into.get(func, (0, 0, 0.0, 0.0, {})), stat
+        )
 
 
 def _format_func(filename: str, line: int, funcname: str) -> str:
@@ -41,6 +57,8 @@ class PhaseProfiler:
         #: Rows per phase in :meth:`report` (the manifest table length).
         self.top = top
         self._profiles: Dict[str, cProfile.Profile] = {}
+        #: Stats adopted from worker processes, per phase.
+        self._shipped: Dict[str, RawStats] = {}
         self._order: List[str] = []
         self._stack: List[cProfile.Profile] = []
 
@@ -51,7 +69,8 @@ class PhaseProfiler:
         if profile is None:
             profile = cProfile.Profile()
             self._profiles[name] = profile
-            self._order.append(name)
+            if name not in self._shipped:
+                self._order.append(name)
         if self._stack:
             self._stack[-1].disable()
         self._stack.append(profile)
@@ -68,6 +87,28 @@ class PhaseProfiler:
         """Phase names in first-entered order."""
         return list(self._order)
 
+    def _phase_stats(self, name: str) -> RawStats:
+        """One phase's raw stats: its own profile plus anything adopted."""
+        entries: RawStats = {}
+        _merge(entries, self._shipped.get(name, {}))
+        profile = self._profiles.get(name)
+        if profile is not None:
+            profile.create_stats()
+            _merge(entries, profile.stats)  # type: ignore[attr-defined]
+        return entries
+
+    def stats(self) -> Dict[str, RawStats]:
+        """Every phase's raw stats (picklable), in first-entered order,
+        for a worker to ship home.  Must be called with phases closed."""
+        return {name: self._phase_stats(name) for name in self._order}
+
+    def adopt(self, shipped: Dict[str, RawStats]) -> None:
+        """Fold a worker's :meth:`stats` in, merging by phase name."""
+        for name, raw in shipped.items():
+            if name not in self._profiles and name not in self._shipped:
+                self._order.append(name)
+            _merge(self._shipped.setdefault(name, {}), raw)
+
     def top_offenders(self, name: str, limit: int = 0) -> List[Dict[str, object]]:
         """The hottest functions of one phase, by self (tottime) time.
 
@@ -75,11 +116,9 @@ class PhaseProfiler:
         ``tottime_s`` and ``cumtime_s``.  Must be called with the phase
         closed (no profile running).
         """
-        profile = self._profiles[name]
-        profile.create_stats()
-        stats = pstats.Stats(profile)
         rows: List[Dict[str, object]] = []
-        for func, (_cc, ncalls, tottime, cumtime, _callers) in stats.stats.items():  # type: ignore[attr-defined]
+        stats = self._phase_stats(name)
+        for func, (_cc, ncalls, tottime, cumtime, _callers) in stats.items():
             rows.append({
                 "function": _format_func(*func),
                 "ncalls": ncalls,

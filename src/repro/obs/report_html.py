@@ -24,9 +24,19 @@ with a note), thin marks, values carried in text tokens with native
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, TextIO,
+    Tuple,
+)
 
 from repro.obs import events as obs_events
+
+if TYPE_CHECKING:
+    from repro.obs.heatmap import DaySample
+    from repro.obs.manifest import RunManifest
+    from repro.obs.store import RunRecord
+
+_Rows = List[Dict[str, object]]
 
 __all__ = [
     "build_report",
@@ -105,6 +115,18 @@ code { background: var(--surface-2); padding: 0 4px; border-radius: 3px; }
 
 def _esc(value: object) -> str:
     return html.escape(str(value), quote=True)
+
+
+def _page(title: str, body: str) -> str:
+    """The one self-contained page shell every report renders into."""
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en"><head><meta charset="utf-8">\n'
+        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
+        f"<title>{_esc(title)}</title>\n"
+        f"<style>{_CSS}</style></head>\n"
+        f"<body>{body}</body></html>\n"
+    )
 
 
 def _nice(value: object) -> str:
@@ -222,11 +244,11 @@ def _line_chart(
 
 
 def _histogram_chart(
-    name: str, data: Dict[str, object], width: int = 660, height: int = 120
+    name: str, data: Dict[str, Any], width: int = 660, height: int = 120
 ) -> str:
     """Inline-SVG bar chart of one Histogram snapshot's buckets."""
     buckets: List[Tuple[object, int]] = [
-        (bound, int(count)) for bound, count in data.get("buckets", [])  # type: ignore[union-attr]
+        (bound, int(count)) for bound, count in data["buckets"]
     ]
     if not buckets:
         return '<p class="note">(no observations)</p>'
@@ -328,150 +350,89 @@ def _signed_bar_chart(
     return "".join(parts)
 
 
-def _signed_heatmap_chart(
-    days: Sequence[int],
-    matrix: Sequence[Sequence[float]],
-    caption: str,
-    width: int = 660,
-    height: int = 150,
-    max_cols: int = 100,
-) -> str:
-    """Signed day × CG delta heatmap: run-b-fuller cells in the primary
-    series color, run-a-fuller cells in the secondary, intensity in
-    ``fill-opacity`` scaled to the matrix's own peak |delta|."""
-    if not matrix or not matrix[0]:
-        return '<p class="note">(no per-group samples on both sides)</p>'
-    peak = max((abs(v) for row in matrix for v in row), default=0.0) or 1.0
-    stride = max(1, -(-len(days) // max_cols))
-    cols = list(range(0, len(days), stride))
-    if cols[-1] != len(days) - 1:
-        cols.append(len(days) - 1)
-    ncg = max(len(row) for row in matrix)
-    pad_l, pad_r, pad_t, pad_b = 44, 8, 6, 20
-    plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
-    cell_w = plot_w / len(cols)
-    cell_h = plot_h / ncg
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(caption)}">'
-        f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">cg 0</text>'
-        f'<text x="{pad_l - 6}" y="{pad_t + plot_h:.1f}" text-anchor="end">'
-        f"cg {ncg - 1}</text>"
-    ]
-    for i, col in enumerate(cols):
-        row = matrix[col]
-        x = pad_l + i * cell_w
-        for cg in range(len(row)):
-            value = float(row[cg])
-            opacity = min(1.0, abs(value) / peak)
-            if opacity < 0.01:
-                continue
-            color = "var(--series-1)" if value > 0 else "var(--series-2)"
-            y = pad_t + cg * cell_h
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="{color}" '
-                f'fill-opacity="{opacity:.3f}">'
-                f"<title>day {days[col]}, cg {cg}: "
-                f"{'+' if value > 0 else ''}{value:.3f}</title></rect>"
-            )
-    for col_index in (0, len(cols) - 1):
-        x = pad_l + (col_index + 0.5) * cell_w
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - 5}" text-anchor="middle">'
-            f"day {days[cols[col_index]]}</text>"
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 # ----------------------------------------------------------------------
 # Sections
 # ----------------------------------------------------------------------
 
 
-def _header_section(manifest: Dict[str, object], compare: bool) -> str:
-    command = manifest.get("command", "?")
-    config = manifest.get("config", {}) or {}
-    env = manifest.get("environment", {}) or {}
+def _header_section(manifest: RunManifest, compare: bool) -> str:
+    command = manifest.command
     config_text = " ".join(
         f"{key}={value}"
-        for key, value in sorted(config.items())  # type: ignore[union-attr]
+        for key, value in sorted(manifest.config.items())
         if value is not None and not isinstance(value, (dict, list))
     )
-    wall = manifest.get("wall_seconds")
+    env = manifest.environment
     title = f"repro run report — {command}{' (comparison)' if compare else ''}"
     return (
         f"<header><h1>{_esc(title)}</h1>"
         f'<p class="meta">repro-ffs {_esc(command)} {_esc(config_text)}</p>'
-        f'<p class="meta">wall {_esc(_fmt_wall(wall))} · '  # type: ignore[arg-type]
-        f"python {_esc(env.get('python', '?'))} on "  # type: ignore[union-attr]
-        f"{_esc(env.get('platform', '?'))} · schema "  # type: ignore[union-attr]
-        f"{_esc(manifest.get('schema', '?'))}</p></header>"
+        f'<p class="meta">wall {_esc(_fmt_wall(manifest.wall_seconds))} · '
+        f"python {_esc(env.get('python', '?'))} on "
+        f"{_esc(env.get('platform', '?'))} · schema "
+        f"{_esc(manifest.schema)}</p></header>"
     )
 
 
 def _day_series(
-    rows: Sequence[Dict[str, object]], field: str, suffix: str = ""
+    samples: Dict[str, List[DaySample]], field: str, suffix: str = ""
 ) -> List[Tuple[str, List[Tuple[float, float]]]]:
-    """Per-label (day, field) series from day_sample rows, in first-seen
-    label order."""
-    order: List[str] = []
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    for row in rows:
-        if row.get("type") != obs_events.DAY_SAMPLE or field not in row:
-            continue
-        label = str(row.get("label", "?")) + suffix
-        if label not in series:
-            series[label] = []
-            order.append(label)
-        series[label].append((float(row["day"]), float(row[field])))  # type: ignore[arg-type]
-    return [(label, series[label]) for label in order]
+    """Per-label (day, field) series from pivoted day samples, in
+    first-seen label order."""
+    return [
+        (label + suffix,
+         [(float(s.day), float(getattr(s, field))) for s in rows])
+        for label, rows in samples.items()
+    ]
 
 
 def _timeline_section(
     events: Sequence[Dict[str, object]],
     compare_events: Sequence[Dict[str, object]],
 ) -> str:
-    score = _day_series(events, "layout_score")
-    score += _day_series(compare_events, "layout_score", suffix=" (compare)")
-    if not score:
+    from repro.obs.heatmap import day_samples
+
+    samples = day_samples(events)
+    compare = day_samples(compare_events)
+    if not samples and not compare:
         return ""
-    out = [
-        "<section><h2>Layout score by simulated day</h2>",
-        _line_chart(score, y_label="layout score"),
-    ]
-    util = _day_series(events, "utilization")
-    util += _day_series(compare_events, "utilization", suffix=" (compare)")
-    if util:
-        out.append("<h2>Utilization by simulated day</h2>")
-        out.append(_line_chart(util, y_label="utilization", height=120))
-    out.append("</section>")
-    return "".join(out)
+
+    def chart(field: str, y_label: str, height: int) -> str:
+        series = _day_series(samples, field)
+        series += _day_series(compare, field, suffix=" (compare)")
+        return _line_chart(series, y_label=y_label, height=height)
+
+    return (
+        "<section><h2>Layout score by simulated day</h2>"
+        + chart("layout_score", "layout score", 170)
+        + "<h2>Utilization by simulated day</h2>"
+        + chart("utilization", "utilization", 120)
+        + "</section>"
+    )
 
 
-def _heatmap_chart(
+#: One heatmap cell's ``(fill, fill-opacity, tooltip value)``, or None
+#: to leave the cell blank.
+_Shade = Callable[[float], Optional[Tuple[str, float, str]]]
+
+
+def _heatmap_svg(
     days: Sequence[int],
     matrix: Sequence[Sequence[float]],
+    ncg: int,
     caption: str,
+    shade: _Shade,
     width: int = 660,
     height: int = 150,
     max_cols: int = 100,
 ) -> str:
-    """Inline-SVG day × CG heatmap: one shaded cell per (day, group).
-
-    Cell intensity is carried in ``fill-opacity`` over the accent color,
-    so the map needs no gradient resources and adapts to dark mode like
-    every other chart.  Long agings are column-sampled down to
-    ``max_cols`` days — a trend surface, not a lossless archive.
-    """
-    if not matrix or not matrix[0]:
-        return '<p class="note">(no per-group samples)</p>'
+    """Lay out a day × CG grid of ``ncg`` rows, one cell per (day,
+    group) shaded by ``shade``.  Long agings are column-sampled down to
+    ``max_cols`` days — a trend surface, not a lossless archive."""
     stride = max(1, -(-len(days) // max_cols))
     cols = list(range(0, len(days), stride))
     if cols[-1] != len(days) - 1:
         cols.append(len(days) - 1)
-    ncg = len(matrix[0])
     pad_l, pad_r, pad_t, pad_b = 44, 8, 6, 20
     plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
     cell_w = plot_w / len(cols)
@@ -487,16 +448,16 @@ def _heatmap_chart(
         row = matrix[col]
         x = pad_l + i * cell_w
         for cg in range(min(ncg, len(row))):
-            value = max(0.0, min(1.0, float(row[cg])))
-            if value < 0.005:
+            cell = shade(float(row[cg]))
+            if cell is None:
                 continue
+            fill, opacity, text = cell
             y = pad_t + cg * cell_h
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="var(--accent)" '
-                f'fill-opacity="{value:.3f}">'
-                f"<title>day {days[col]}, cg {cg}: {value:.2f}</title>"
-                f"</rect>"
+                f'height="{cell_h:.2f}" fill="{fill}" '
+                f'fill-opacity="{opacity:.3f}">'
+                f"<title>day {days[col]}, cg {cg}: {text}</title></rect>"
             )
     for col_index in (0, len(cols) - 1):
         x = pad_l + (col_index + 0.5) * cell_w
@@ -506,6 +467,48 @@ def _heatmap_chart(
         )
     parts.append("</svg>")
     return "".join(parts)
+
+
+def _heatmap_chart(
+    days: Sequence[int], matrix: Sequence[Sequence[float]], caption: str
+) -> str:
+    """Inline-SVG day × CG heatmap: one shaded cell per (day, group).
+
+    Cell intensity is carried in ``fill-opacity`` over the accent color,
+    so the map needs no gradient resources and adapts to dark mode like
+    every other chart.
+    """
+    if not matrix or not matrix[0]:
+        return '<p class="note">(no per-group samples)</p>'
+
+    def shade(value: float) -> Optional[Tuple[str, float, str]]:
+        value = max(0.0, min(1.0, value))
+        if value < 0.005:
+            return None
+        return "var(--accent)", value, f"{value:.2f}"
+
+    return _heatmap_svg(days, matrix, len(matrix[0]), caption, shade)
+
+
+def _signed_heatmap_chart(
+    days: Sequence[int], matrix: Sequence[Sequence[float]], caption: str
+) -> str:
+    """Signed day × CG delta heatmap: run-b-fuller cells in the primary
+    series color, run-a-fuller cells in the secondary, intensity in
+    ``fill-opacity`` scaled to the matrix's own peak |delta|."""
+    if not matrix or not matrix[0]:
+        return '<p class="note">(no per-group samples on both sides)</p>'
+    peak = max((abs(v) for row in matrix for v in row), default=0.0) or 1.0
+
+    def shade(value: float) -> Optional[Tuple[str, float, str]]:
+        opacity = min(1.0, abs(value) / peak)
+        if opacity < 0.01:
+            return None
+        fill = "var(--series-1)" if value > 0 else "var(--series-2)"
+        return fill, opacity, f"{'+' if value > 0 else ''}{value:.3f}"
+
+    ncg = max(len(row) for row in matrix)
+    return _heatmap_svg(days, matrix, ncg, caption, shade)
 
 
 def _heatmap_section(events: Sequence[Dict[str, object]]) -> str:
@@ -560,7 +563,7 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
     summary = trace_summary(trace_rows)
     cells = "".join(
         f"<tr><td>{_esc(label)}</td>"
-        f'<td class="num">{_nice(summary.get(key))}</td></tr>'
+        f'<td class="num">{_nice(summary[key])}</td></tr>'
         for label, key in (
             ("requests", "requests"),
             ("reads", "reads"),
@@ -570,7 +573,7 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
             ("total service (ms)", "service_ms"),
         )
     )
-    dropped = summary.get("dropped") or 0
+    dropped = summary["dropped"]
     note = (
         f'<p class="note">{dropped:,} requests dropped at the trace '
         f"bound.</p>"
@@ -594,7 +597,7 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
             for q in (0.5, 0.9, 0.99)
         )
         out.append(
-            f'<p class="meta">{_esc(title)} — count {data.get("count"):,}, '
+            f'<p class="meta">{_esc(title)} — count {data["count"]:,}, '
             f"{quantiles}</p>"
         )
         out.append(_histogram_chart(title, data))
@@ -602,47 +605,32 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
     return "".join(out)
 
 
-def _history_section(runs: Sequence[Dict[str, object]]) -> str:
+def _history_section(runs: List[RunRecord]) -> str:
     """Per-policy trend lines across the recorded run registry."""
+    from repro.obs.store import summary_series
+
     if not runs:
         return ""
-    score_series: Dict[str, List[Tuple[float, float]]] = {}
-    order: List[str] = []
-    throughput: List[Tuple[float, float]] = []
-    for index, document in enumerate(runs):
-        summary = document.get("summary")
-        summary = summary if isinstance(summary, dict) else {}
-        scores = summary.get("layout_scores")
-        if isinstance(scores, dict):
-            for label, value in scores.items():
-                if label not in score_series:
-                    score_series[label] = []
-                    order.append(label)
-                score_series[label].append((float(index), float(value)))
-        mb_s = summary.get("throughput_mb_s")
-        if isinstance(mb_s, (int, float)):
-            throughput.append((float(index), float(mb_s)))
+    series = summary_series(runs)
+    scores = [
+        (name[len("layout_score["):-1], points)
+        for name, points in series.items()
+        if name.startswith("layout_score[")
+    ]
+    throughput = series.get("throughput_mb_s", [])
     out = [f"<section><h2>Run history ({len(runs)} recorded)</h2>"]
-    plotted = False
-    if score_series:
+    if scores:
         out.append('<p class="meta">final layout score per recorded run</p>')
-        out.append(
-            _line_chart(
-                [(label, score_series[label]) for label in order],
-                y_label="final layout score", x_label="recorded run #",
-            )
-        )
-        plotted = True
+        out.append(_line_chart(
+            scores, y_label="final layout score", x_label="recorded run #",
+        ))
     if len(throughput) > 1:
         out.append('<p class="meta">aggregate disk throughput (MB/s)</p>')
-        out.append(
-            _line_chart(
-                [("throughput", throughput)], y_label="MB/s",
-                x_label="recorded run #", height=120,
-            )
-        )
-        plotted = True
-    if not plotted:
+        out.append(_line_chart(
+            [("throughput", throughput)], y_label="MB/s",
+            x_label="recorded run #", height=120,
+        ))
+    if not scores and len(throughput) <= 1:
         out.append(
             '<p class="note">(recorded runs carry no layout or '
             "throughput summaries)</p>"
@@ -676,12 +664,11 @@ def _event_summary_section(
     )
 
 
-def _histograms_section(manifest: Dict[str, object], cap: int = 8) -> str:
-    metrics = manifest.get("metrics", {}) or {}
+def _histograms_section(manifest: RunManifest, cap: int = 8) -> str:
     histograms = [
         (name, data)
-        for name, data in sorted(metrics.items())  # type: ignore[union-attr]
-        if data.get("type") == "histogram" and data.get("count")
+        for name, data in sorted(manifest.metrics.items())
+        if data["type"] == "histogram" and data["count"]
     ]
     if not histograms:
         return ""
@@ -689,8 +676,8 @@ def _histograms_section(manifest: Dict[str, object], cap: int = 8) -> str:
     for name, data in histograms[:cap]:
         out.append(
             f'<p class="meta"><code>{_esc(name)}</code> — '
-            f"count {data.get('count'):,}, mean {_nice(data.get('mean'))}, "
-            f"min {_nice(data.get('min'))}, max {_nice(data.get('max'))}</p>"
+            f"count {data['count']:,}, mean {_nice(data['mean'])}, "
+            f"min {_nice(data['min'])}, max {_nice(data['max'])}</p>"
         )
         out.append(_histogram_chart(name, data))
     if len(histograms) > cap:
@@ -702,12 +689,14 @@ def _histograms_section(manifest: Dict[str, object], cap: int = 8) -> str:
     return "".join(out)
 
 
-def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> str:
+def _span_tree_section(
+    spans: Sequence[Dict[str, Any]], cap: int = 1500
+) -> str:
     if not spans:
         return ""
-    children: Dict[object, List[Dict[str, object]]] = {}
-    ids = {row.get("seq") for row in spans}
-    roots: List[Dict[str, object]] = []
+    children: Dict[int, List[Dict[str, Any]]] = {}
+    ids = {row["seq"] for row in spans}
+    roots: List[Dict[str, Any]] = []
     for row in spans:
         parent = row.get("parent_id")
         if parent is None or parent not in ids:
@@ -716,13 +705,13 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
             children.setdefault(parent, []).append(row)
     emitted = [0]
 
-    def one(row: Dict[str, object]) -> str:
-        wall = _fmt_wall(row.get("wall_elapsed_s"))  # type: ignore[arg-type]
+    def one(row: Dict[str, Any]) -> str:
+        wall = _fmt_wall(row.get("wall_elapsed_s"))
         sim = row.get("sim_elapsed")
         sim_text = f" · sim {_nice(sim)}" if sim is not None else ""
         attrs = row.get("attrs") or {}
         attr_text = ""
-        if isinstance(attrs, dict) and attrs:
+        if attrs:
             pairs = list(attrs.items())[:3]
             attr_text = " · " + ", ".join(
                 f"{_esc(k)}={_esc(_nice(v))}" for k, v in pairs
@@ -732,8 +721,8 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
             f'<span class="t">{_esc(wall)}{sim_text}{attr_text}</span>'
         )
 
-    def render(nodes: List[Dict[str, object]]) -> str:
-        nodes = sorted(nodes, key=lambda r: r.get("seq") or 0)
+    def render(nodes: List[Dict[str, Any]]) -> str:
+        nodes = sorted(nodes, key=lambda r: r["seq"])
         items: List[str] = []
         index = 0
         while index < len(nodes):
@@ -764,7 +753,7 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
             if emitted[0] > cap:
                 items.append('<li class="t">…truncated…</li>')
                 break
-            kids = children.get(row.get("seq"), [])
+            kids = children.get(row["seq"], [])
             sub = render(kids) if kids else ""
             items.append(f"<li>{one(row)}{sub}</li>")
             index += 1
@@ -777,18 +766,18 @@ def _span_tree_section(spans: Sequence[Dict[str, object]], cap: int = 1500) -> s
     )
 
 
-def _timings_section(manifest: Dict[str, object]) -> str:
-    timings = manifest.get("timings", {}) or {}
+def _timings_section(manifest: RunManifest) -> str:
+    timings = manifest.timings
     if not timings:
         return ""
-    peak = max(float(v) for v in timings.values()) or 1.0  # type: ignore[union-attr, arg-type]
+    peak = max(float(v) for v in timings.values()) or 1.0
     rows = "".join(
         f"<tr><td><code>{_esc(name)}</code></td>"
         f'<td class="num">{_esc(_fmt_wall(float(wall)))}</td>'
         f'<td><span class="bar" style="width:'
         f'{max(2, round(180 * float(wall) / peak))}px"></span></td></tr>'
         for name, wall in sorted(
-            timings.items(), key=lambda kv: (-float(kv[1]), kv[0])  # type: ignore[union-attr, arg-type]
+            timings.items(), key=lambda kv: (-float(kv[1]), kv[0])
         )
     )
     return (
@@ -798,12 +787,11 @@ def _timings_section(manifest: Dict[str, object]) -> str:
     )
 
 
-def _profile_section(manifest: Dict[str, object]) -> str:
-    profile = manifest.get("profile", {}) or {}
-    if not profile:
+def _profile_section(manifest: RunManifest) -> str:
+    if not manifest.profile:
         return ""
     out = ["<section><h2>Profile (top offenders per phase)</h2>"]
-    for phase, rows in profile.items():  # type: ignore[union-attr]
+    for phase, rows in manifest.profile.items():
         body = "".join(
             f"<tr><td><code>{_esc(row.get('function'))}</code></td>"
             f'<td class="num">{_esc(row.get("ncalls"))}</td>'
@@ -821,16 +809,12 @@ def _profile_section(manifest: Dict[str, object]) -> str:
     return "".join(out)
 
 
-def _compare_section(
-    manifest: Dict[str, object], compare: Dict[str, object]
-) -> str:
-    def line(m: Dict[str, object]) -> str:
-        config = m.get("config", {}) or {}
-        preset = config.get("preset", "?")  # type: ignore[union-attr]
+def _compare_section(manifest: RunManifest, compare: RunManifest) -> str:
+    def line(m: RunManifest) -> str:
         return (
-            f"<td>repro-ffs {_esc(m.get('command', '?'))}</td>"
-            f"<td>{_esc(preset)}</td>"
-            f"<td class=\"num\">{_esc(_fmt_wall(m.get('wall_seconds')))}</td>"  # type: ignore[arg-type]
+            f"<td>repro-ffs {_esc(m.command)}</td>"
+            f"<td>{_esc(m.config.get('preset', '?'))}</td>"
+            f'<td class="num">{_esc(_fmt_wall(m.wall_seconds))}</td>'
         )
 
     return (
@@ -844,7 +828,7 @@ def _compare_section(
 
 
 def _cg_bar_chart(
-    groups: Sequence[Dict[str, object]],
+    groups: Sequence[Dict[str, Any]],
     field: str,
     caption: str,
     peak: Optional[float] = None,
@@ -852,7 +836,7 @@ def _cg_bar_chart(
     height: int = 110,
 ) -> str:
     """Per-cylinder-group bar strip for inspect documents."""
-    values = [float(g.get(field, 0.0) or 0.0) for g in groups]  # type: ignore[arg-type]
+    values = [float(g[field]) for g in groups]
     if not values:
         return '<p class="note">(no groups)</p>'
     top = peak if peak is not None else (max(values) or 1.0)
@@ -889,28 +873,26 @@ def _cg_bar_chart(
     return "".join(parts)
 
 
-def build_inspect_report(documents: Sequence[Dict[str, object]]) -> str:
+def build_inspect_report(documents: Sequence[Dict[str, Any]]) -> str:
     """``repro-ffs inspect --html``: placement documents as one page."""
     sections: List[str] = []
-    labels = " vs ".join(_esc(d.get("label", "?")) for d in documents)
+    labels = " vs ".join(_esc(d["label"]) for d in documents)
     sections.append(
         f"<header><h1>placement inspection — {labels}</h1>"
-        f'<p class="meta">schema {_esc(documents[0].get("schema", "?") if documents else "?")}'
+        f'<p class="meta">schema {_esc(documents[0]["schema"])}'
         f"</p></header>"
     )
     for document in documents:
-        groups = document.get("groups")
-        groups = groups if isinstance(groups, list) else []
-        free = document.get("freespace")
-        free = free if isinstance(free, dict) else {}
+        groups = document["groups"]
+        free = document["freespace"]
         sections.append(
-            f"<section><h2>{_esc(document.get('label', '?'))}</h2>"
-            f'<p class="meta">policy {_esc(document.get("policy", "?"))} · '
-            f"utilization {_nice(document.get('utilization'))} · "
+            f"<section><h2>{_esc(document['label'])}</h2>"
+            f'<p class="meta">policy {_esc(document["policy"])} · '
+            f"utilization {_nice(document['utilization'])} · "
             f"aggregate layout score "
-            f"{_nice(document.get('aggregate_layout_score'))} · "
-            f"{_nice(free.get('n_runs'))} free runs, largest "
-            f"{_nice(free.get('largest_run'))}</p>"
+            f"{_nice(document['aggregate_layout_score'])} · "
+            f"{_nice(free['n_runs'])} free runs, largest "
+            f"{_nice(free['largest_run'])}</p>"
         )
         sections.append('<p class="meta">occupancy by cylinder group</p>')
         sections.append(
@@ -931,21 +913,20 @@ def build_inspect_report(documents: Sequence[Dict[str, object]]) -> str:
                 groups, "largest_free_run", "largest free run by group"
             )
         )
-        files = document.get("files")
-        files = files if isinstance(files, list) else []
+        files = document["files"]
         if files:
             sections.append(
                 f'<p class="meta">largest files (top {len(files)} of '
-                f"{_nice(document.get('files_total'))})</p>"
+                f"{_nice(document['files_total'])})</p>"
             )
             rows = "".join(
-                f'<tr><td class="num">{_esc(f.get("ino"))}</td>'
-                f'<td class="num">{_nice(f.get("size"))}</td>'
-                f'<td class="num">{_nice(f.get("blocks"))}</td>'
-                f'<td class="num">{_esc(f.get("home_cg"))}</td>'
-                f'<td class="num">{_nice(f.get("cg_span"))}</td>'
-                f'<td class="num">{_nice(f.get("cyl_span"))}</td>'
-                f'<td class="num">{_nice(f.get("layout_score"))}</td></tr>'
+                f'<tr><td class="num">{_esc(f["ino"])}</td>'
+                f'<td class="num">{_nice(f["size"])}</td>'
+                f'<td class="num">{_nice(f["blocks"])}</td>'
+                f'<td class="num">{_esc(f["home_cg"])}</td>'
+                f'<td class="num">{_nice(f["cg_span"])}</td>'
+                f'<td class="num">{_nice(f["cyl_span"])}</td>'
+                f'<td class="num">{_nice(f["layout_score"])}</td></tr>'
                 for f in files
             )
             sections.append(
@@ -957,47 +938,34 @@ def build_inspect_report(documents: Sequence[Dict[str, object]]) -> str:
                 f"{rows}</table>"
             )
         sections.append("</section>")
-    body = "".join(sections)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        f"<title>placement inspection</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f"<body>{body}</body></html>\n"
-    )
+    return _page("placement inspection", "".join(sections))
 
 
-def _diff_header_section(document: Dict[str, object]) -> str:
-    a = document.get("a")
-    b = document.get("b")
-    a = a if isinstance(a, dict) else {}
-    b = b if isinstance(b, dict) else {}
-    counts = document.get("counts")
-    counts = counts if isinstance(counts, dict) else {}
+def _diff_header_section(document: Dict[str, Any]) -> str:
+    a, b, counts = document["a"], document["b"], document["counts"]
 
-    def side_row(tag: str, side: Dict[str, object]) -> str:
+    def side_row(tag: str, side: Dict[str, Any]) -> str:
         return (
             f"<tr><td>{_esc(tag)}</td>"
-            f"<td><code>{_esc(side.get('label', '?'))}</code></td>"
-            f"<td>repro-ffs {_esc(side.get('command', '?'))}</td>"
-            f"<td>{_esc(side.get('preset') or '-')}</td>"
-            f"<td>{_esc(side.get('policy') or '-')}</td>"
-            f"<td>{_esc(side.get('backend') or '-')}</td>"
+            f"<td><code>{_esc(side['label'])}</code></td>"
+            f"<td>repro-ffs {_esc(side['command'])}</td>"
+            f"<td>{_esc(side['preset'] or '-')}</td>"
+            f"<td>{_esc(side['policy'] or '-')}</td>"
+            f"<td>{_esc(side['backend'] or '-')}</td>"
             f'<td class="num">'
-            f"{_esc(_fmt_wall(side.get('wall_seconds')))}</td></tr>"  # type: ignore[arg-type]
+            f"{_esc(_fmt_wall(side['wall_seconds']))}</td></tr>"
         )
 
-    title = f"run diff — {a.get('label', '?')} vs {b.get('label', '?')}"
+    title = f"run diff — {a['label']} vs {b['label']}"
     badge = (
-        f'<span class="lab lab-regression">{counts.get("regression", 0)} '
+        f'<span class="lab lab-regression">{counts["regression"]} '
         f'regression</span> <span class="lab lab-notable">'
-        f'{counts.get("notable", 0)} notable</span> '
-        f'<span class="lab lab-noise">{counts.get("noise", 0)} noise</span>'
+        f'{counts["notable"]} notable</span> '
+        f'<span class="lab lab-noise">{counts["noise"]} noise</span>'
     )
     return (
         f"<header><h1>{_esc(title)}</h1>"
-        f'<p class="meta">schema {_esc(document.get("schema", "?"))} · '
+        f'<p class="meta">schema {_esc(document["schema"])} · '
         f"{badge}</p></header>"
         "<section><table>"
         "<tr><th></th><th>run</th><th>command</th><th>preset</th>"
@@ -1006,10 +974,13 @@ def _diff_header_section(document: Dict[str, object]) -> str:
     )
 
 
-def _diff_deltas_section(document: Dict[str, object]) -> str:
-    deltas = document.get("deltas")
-    deltas = deltas if isinstance(deltas, list) else []
-    significant = [r for r in deltas if r.get("label") != "noise"]
+def _signed(value: float) -> str:
+    return f"{'+' if value >= 0 else ''}{_nice(value)}"
+
+
+def _diff_deltas_section(document: Dict[str, Any]) -> str:
+    deltas = document["deltas"]
+    significant = [r for r in deltas if r["label"] != "noise"]
     if not significant:
         return (
             "<section><h2>Significant deltas</h2>"
@@ -1019,21 +990,18 @@ def _diff_deltas_section(document: Dict[str, object]) -> str:
         )
     rows = []
     for r in significant:
-        delta = r.get("delta")
-        rel = r.get("rel")
-        sign = "+" if isinstance(delta, (int, float)) and delta >= 0 else ""
+        rel = r["rel"]
         rel_text = (
-            f" ({'+' if rel >= 0 else ''}{rel:.1%})"
-            if isinstance(rel, (int, float)) else ""
+            f" ({'+' if rel >= 0 else ''}{rel:.1%})" if rel is not None else ""
         )
         rows.append(
-            f'<tr><td><span class="lab lab-{_esc(r.get("label"))}">'
-            f"{_esc(r.get('label'))}</span></td>"
-            f"<td>{_esc(r.get('section', '?'))}</td>"
-            f"<td><code>{_esc(r.get('name', '?'))}</code></td>"
-            f'<td class="num">{_nice(r.get("baseline"))}</td>'
-            f'<td class="num">{_nice(r.get("current"))}</td>'
-            f'<td class="num">{sign}{_nice(delta)}{_esc(rel_text)}</td></tr>'
+            f'<tr><td><span class="lab lab-{_esc(r["label"])}">'
+            f"{_esc(r['label'])}</span></td>"
+            f"<td>{_esc(r['section'])}</td>"
+            f"<td><code>{_esc(r['name'])}</code></td>"
+            f'<td class="num">{_nice(r["baseline"])}</td>'
+            f'<td class="num">{_nice(r["current"])}</td>'
+            f'<td class="num">{_signed(r["delta"])}{_esc(rel_text)}</td></tr>'
         )
     return (
         "<section><h2>Significant deltas</h2><table>"
@@ -1046,24 +1014,17 @@ def _diff_deltas_section(document: Dict[str, object]) -> str:
     )
 
 
-def _diff_timeline_section(document: Dict[str, object]) -> str:
-    timeline = document.get("timeline")
-    timeline = timeline if isinstance(timeline, dict) else {}
-    pairs = timeline.get("pairs")
-    pairs = pairs if isinstance(pairs, list) else []
+def _diff_timeline_section(document: Dict[str, Any]) -> str:
+    from repro.obs.diff import pair_name
+
+    pairs = document.get("timeline", {}).get("pairs", [])
     if not pairs:
         return ""
-    a = document.get("a")
-    b = document.get("b")
-    label_a = str(a.get("label", "a")) if isinstance(a, dict) else "a"
-    label_b = str(b.get("label", "b")) if isinstance(b, dict) else "b"
+    label_a, label_b = document["a"]["label"], document["b"]["label"]
     out = ["<section><h2>Timeline divergence</h2>"]
     for pair in pairs[:_MAX_SERIES]:
-        name = (
-            pair["label_a"] if pair["label_a"] == pair["label_b"]
-            else f"{pair['label_a']} vs {pair['label_b']}"
-        )
-        day = pair.get("first_divergence_day")
+        name = pair_name(pair)
+        day = pair["first_divergence_day"]
         day_text = (
             f"first significant divergence at day {day}"
             if day is not None else "no significant divergence"
@@ -1075,34 +1036,33 @@ def _diff_timeline_section(document: Dict[str, object]) -> str:
         out.append(
             _line_chart(
                 [
-                    (f"{label_a}: {pair['label_a']}", pair.get("score_a", [])),
-                    (f"{label_b}: {pair['label_b']}", pair.get("score_b", [])),
+                    (f"{label_a}: {pair['label_a']}", pair["score_a"]),
+                    (f"{label_b}: {pair['label_b']}", pair["score_b"]),
                 ],
                 y_label="layout score",
             )
         )
-        divergence = pair.get("score_divergence")
-        if divergence:
+        if pair["score_divergence"]:
             out.append(
                 f'<p class="meta">{_esc(name)} — score divergence '
                 f"(b &#8722; a)</p>"
             )
             out.append(
                 _line_chart(
-                    [("b - a", divergence)],
+                    [("b - a", pair["score_divergence"])],
                     y_label="score delta", height=120,
                 )
             )
-        occupancy = pair.get("occupancy_delta")
-        if isinstance(occupancy, dict):
+        occupancy = pair["occupancy_delta"]
+        if occupancy is not None:
             out.append(
                 f'<p class="meta">{_esc(name)} — per-CG occupancy delta '
                 f"(blue = b fuller, orange = a fuller)</p>"
             )
             out.append(
                 _signed_heatmap_chart(
-                    occupancy.get("days", []),
-                    occupancy.get("matrix", []),
+                    occupancy["days"],
+                    occupancy["matrix"],
                     caption=f"{name} occupancy delta heatmap",
                 )
             )
@@ -1116,32 +1076,24 @@ def _diff_timeline_section(document: Dict[str, object]) -> str:
 
 
 def _diff_histograms_section(
-    document: Dict[str, object], cap: int = 8
+    document: Dict[str, Any], cap: int = 8
 ) -> str:
-    panels: List[Dict[str, object]] = []
-    for section_key in ("metrics", "disktrace"):
-        section = document.get(section_key)
-        section = section if isinstance(section, dict) else {}
-        histograms = section.get("histograms")
-        if isinstance(histograms, list):
-            panels.extend(h for h in histograms if isinstance(h, dict))
     panels = [
-        h for h in panels
-        if any(v for _, v in h.get("bucket_deltas", []))  # type: ignore[union-attr]
+        h
+        for section_key in ("metrics", "disktrace")
+        for h in document.get(section_key, {}).get("histograms", [])
+        if any(v for _, v in h["bucket_deltas"])
     ]
     if not panels:
         return ""
     out = ["<section><h2>Distribution shifts (b &#8722; a)</h2>"]
     for h in panels[:cap]:
-        name = str(h.get("name", "?"))
-        base_q = h.get("baseline_quantiles")
-        cur_q = h.get("current_quantiles")
-        base_q = base_q if isinstance(base_q, dict) else {}
-        cur_q = cur_q if isinstance(cur_q, dict) else {}
+        name = h["name"]
+        base_q, cur_q = h["baseline_quantiles"], h["current_quantiles"]
         quantiles = " · ".join(
-            f"{key} {_nice(base_q.get(key))} &#8594; {_nice(cur_q.get(key))}"
+            f"{key} {_nice(base_q[key])} &#8594; {_nice(cur_q[key])}"
             for key in ("p50", "p90", "p99")
-            if base_q.get(key) is not None or cur_q.get(key) is not None
+            if base_q[key] is not None or cur_q[key] is not None
         )
         out.append(
             f'<p class="meta"><code>{_esc(name)}</code>'
@@ -1149,7 +1101,7 @@ def _diff_histograms_section(
         )
         out.append(
             _signed_bar_chart(
-                [(bound, float(v)) for bound, v in h.get("bucket_deltas", [])],  # type: ignore[union-attr]
+                [(bound, float(v)) for bound, v in h["bucket_deltas"]],
                 caption=f"{name} bucket deltas",
             )
         )
@@ -1162,11 +1114,9 @@ def _diff_histograms_section(
     return "".join(out)
 
 
-def _diff_placement_section(document: Dict[str, object]) -> str:
-    placement = document.get("placement")
-    placement = placement if isinstance(placement, dict) else {}
-    occupancy = placement.get("occupancy_delta")
-    if not isinstance(occupancy, list) or not occupancy:
+def _diff_placement_section(document: Dict[str, Any]) -> str:
+    occupancy = document.get("placement", {}).get("occupancy_delta")
+    if not occupancy:
         return ""
     return (
         "<section><h2>Placement occupancy delta "
@@ -1189,52 +1139,39 @@ _SSD_SUMMARY_KEYS = (
 )
 
 
-def _diff_ssd_section(document: Dict[str, object]) -> str:
+def _diff_ssd_section(document: Dict[str, Any]) -> str:
     """Flash-substrate panel: WA / erase-wear values and deltas, shown
     whenever either side recorded SSD summary numbers (a disk-vs-ssd
     diff still shows the flash side's wear, with no classified delta)."""
-    summary = document.get("summary")
-    summary = summary if isinstance(summary, dict) else {}
-    ssd = summary.get("ssd")
-    ssd = ssd if isinstance(ssd, dict) else {}
-    side_a = ssd.get("a") if isinstance(ssd.get("a"), dict) else {}
-    side_b = ssd.get("b") if isinstance(ssd.get("b"), dict) else {}
-    deltas = document.get("deltas")
-    deltas = deltas if isinstance(deltas, list) else []
+    ssd = document["summary"].get("ssd")
+    if ssd is None:
+        return ""
     by_name = {
-        str(r.get("name")): r
-        for r in deltas
-        if isinstance(r, dict) and r.get("section") == "summary"
+        r["name"]: r for r in document["deltas"] if r["section"] == "summary"
     }
     rows = []
     for key, title in _SSD_SUMMARY_KEYS:
-        va = side_a.get(key)
-        vb = side_b.get(key)
+        va = ssd["a"].get(key)
+        vb = ssd["b"].get(key)
         if va is None and vb is None:
             continue
         r = by_name.get(key)
         if r is not None:
-            delta = r.get("delta")
-            sign = (
-                "+" if isinstance(delta, (int, float)) and delta >= 0 else ""
-            )
-            delta_cell = f"{sign}{_nice(delta)}"
+            delta_cell = _signed(r["delta"])
             label_cell = (
-                f'<span class="lab lab-{_esc(r.get("label"))}">'
-                f"{_esc(r.get('label'))}</span>"
+                f'<span class="lab lab-{_esc(r["label"])}">'
+                f"{_esc(r['label'])}</span>"
             )
         else:
             delta_cell = "-"
             label_cell = ""
         rows.append(
             f"<tr><td>{_esc(title)}</td>"
-            f'<td class="num">{_nice(va) if va is not None else "-"}</td>'
-            f'<td class="num">{_nice(vb) if vb is not None else "-"}</td>'
+            f'<td class="num">{_nice(va)}</td>'
+            f'<td class="num">{_nice(vb)}</td>'
             f'<td class="num">{delta_cell}</td>'
             f"<td>{label_cell}</td></tr>"
         )
-    if not rows:
-        return ""
     return (
         "<section><h2>Flash substrate (FTL)</h2><table>"
         '<tr><th>metric</th><th class="num">a</th><th class="num">b</th>'
@@ -1246,20 +1183,16 @@ def _diff_ssd_section(document: Dict[str, object]) -> str:
     )
 
 
-def _diff_config_section(document: Dict[str, object]) -> str:
-    meta = document.get("meta")
-    meta = meta if isinstance(meta, dict) else {}
+def _diff_config_section(document: Dict[str, Any]) -> str:
     out: List[str] = []
     for key, title in (
         ("config", "Config changes"),
         ("environment", "Environment changes"),
     ):
-        block = meta.get(key)
-        block = block if isinstance(block, dict) else {}
-        changed = block.get("changed")
-        changed = changed if isinstance(changed, dict) else {}
-        only_a = block.get("only_a") or []
-        only_b = block.get("only_b") or []
+        block = document["meta"][key]
+        changed, only_a, only_b = (
+            block["changed"], block["only_a"], block["only_b"]
+        )
         if not changed and not only_a and not only_b:
             continue
         rows = "".join(
@@ -1284,7 +1217,7 @@ def _diff_config_section(document: Dict[str, object]) -> str:
     return "".join(out)
 
 
-def build_diff_report(document: Dict[str, object]) -> str:
+def build_diff_report(document: Dict[str, Any]) -> str:
     """``repro-ffs diff --html``: one ``repro.diff/v1`` document as a
     self-contained side-by-side page."""
     sections = [
@@ -1296,15 +1229,7 @@ def build_diff_report(document: Dict[str, object]) -> str:
         _diff_placement_section(document),
         _diff_config_section(document),
     ]
-    body = "".join(s for s in sections if s)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        "<title>repro run diff</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f"<body>{body}</body></html>\n"
-    )
+    return _page("repro run diff", "".join(s for s in sections if s))
 
 
 # ----------------------------------------------------------------------
@@ -1313,19 +1238,22 @@ def build_diff_report(document: Dict[str, object]) -> str:
 
 
 def build_report(
-    manifest: Dict[str, object],
+    manifest: RunManifest,
     events: Optional[Sequence[Dict[str, object]]] = None,
     spans: Optional[Sequence[Dict[str, object]]] = None,
-    compare_manifest: Optional[Dict[str, object]] = None,
+    compare_manifest: Optional[RunManifest] = None,
     compare_events: Optional[Sequence[Dict[str, object]]] = None,
     disk_trace: Optional[Sequence[Dict[str, object]]] = None,
-    runs: Optional[Sequence[Dict[str, object]]] = None,
+    runs: Optional[List[RunRecord]] = None,
 ) -> str:
-    """Render one run (optionally versus a second) as a single HTML page."""
+    """Render one run (optionally versus a second) as a single HTML page.
+
+    Every input arrives through its loader (:meth:`RunManifest.load`,
+    :func:`~repro.obs.events.read_jsonl`, the run store), so the
+    sections trust its shape."""
     events, events_dropped = obs_events.split_truncation(events or [])
     spans, _ = obs_events.split_truncation(spans or [])
     compare_events, _ = obs_events.split_truncation(compare_events or [])
-    command = manifest.get("command", "run")
     sections = [
         _header_section(manifest, compare=compare_manifest is not None),
     ]
@@ -1339,15 +1267,10 @@ def build_report(
     sections.append(_span_tree_section(spans))
     sections.append(_profile_section(manifest))
     sections.append(_event_summary_section(events, dropped=events_dropped))
-    sections.append(_history_section(list(runs or [])))
-    body = "".join(s for s in sections if s)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        f"<title>{_esc(f'repro run report — {command}')}</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f"<body>{body}</body></html>\n"
+    sections.append(_history_section(runs or []))
+    return _page(
+        f"repro run report — {manifest.command}",
+        "".join(s for s in sections if s),
     )
 
 
@@ -1361,30 +1284,32 @@ def report_from_files(
     runs_dir: Optional[str] = None,
 ) -> str:
     """Load the artifacts the CLI names and build the report HTML."""
+    from repro.obs.disktrace import read_disk_trace
     from repro.obs.manifest import RunManifest
     from repro.obs.store import RunStore
+    from repro.obs.trace import read_trace
 
-    def load_rows(path: Optional[str]) -> List[Dict[str, object]]:
+    def load_rows(
+        path: Optional[str],
+        read: Callable[[TextIO], _Rows] = obs_events.read_jsonl,
+    ) -> _Rows:
         if not path:
             return []
         with open(path) as fp:
-            return obs_events.read_jsonl(fp)
+            return read(fp)
 
     with open(manifest_path) as fp:
-        manifest = RunManifest.load(fp).to_dict()
+        manifest = RunManifest.load(fp)
     compare_manifest = None
     if compare_manifest_path:
         with open(compare_manifest_path) as fp:
-            compare_manifest = RunManifest.load(fp).to_dict()
-    runs: List[Dict[str, object]] = []
-    if runs_dir is not None:
-        runs = RunStore(runs_dir).runs()
+            compare_manifest = RunManifest.load(fp)
     return build_report(
         manifest,
         events=load_rows(events_path),
-        spans=load_rows(trace_path),
+        spans=load_rows(trace_path, read_trace),
         compare_manifest=compare_manifest,
         compare_events=load_rows(compare_events_path),
-        disk_trace=load_rows(disk_trace_path),
-        runs=runs,
+        disk_trace=load_rows(disk_trace_path, read_disk_trace),
+        runs=[] if runs_dir is None else RunStore(runs_dir).runs(warn=True),
     )

@@ -24,6 +24,12 @@ Documents carry schema ``repro.obs.runstore/v1``:
  "preset": "...", "started_at": ..., "summary": {...},
  "manifest": {...}}
 ```
+
+:class:`RunStore` and :func:`read_run_file` read these documents
+through one check: the embedded manifest goes through
+:meth:`RunManifest.from_dict` and the summary's shape is checked, so
+``history``, ``diff``, the drift fit and the report's trend panel trust
+what they get.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import RunStoreError
+from repro.errors import MalformedInputError, RunStoreError, is_number
 from repro.obs.export import bucket_quantiles, write_json
 from repro.obs.manifest import RunManifest
 
@@ -44,8 +50,34 @@ SCHEMA = schemas.RUNSTORE
 #: Default registry location, next to the artifact cache.
 DEFAULT_DIR = ".repro/runs"
 
-__all__ = ["RunStore", "summarize_manifest", "render_history",
-           "filter_runs", "SCHEMA", "DEFAULT_DIR"]
+__all__ = ["RunStore", "RunRecord", "read_run_file", "summarize_manifest",
+           "summary_series", "render_history", "filter_runs", "SCHEMA",
+           "DEFAULT_DIR"]
+
+
+class RunRecord(NamedTuple):
+    """A registry document that passed the store's check."""
+
+    id: str
+    started_at: float
+    manifest: RunManifest
+    #: A :func:`summarize_manifest`-shaped object, or None when the
+    #: document has none (a bare ``--metrics`` manifest read by
+    #: :func:`read_run_file`); :attr:`headline` treats both alike.
+    summary: Optional[Dict[str, Any]]
+    #: The document as read, for ``history --json``.
+    document: Dict[str, Any]
+
+    @property
+    def headline(self) -> Dict[str, Any]:
+        return self.summary or {}
+
+
+#: Summary fields trended per run besides the per-label layout scores.
+_SERIES_KEYS = (
+    "throughput_mb_s", "lost_rotations", "seek_p99_ms",
+    "write_amplification", "flash_erases", "ssd_throughput_mb_s",
+)
 
 
 def summarize_manifest(manifest: RunManifest) -> Dict[str, object]:
@@ -65,7 +97,7 @@ def summarize_manifest(manifest: RunManifest) -> Dict[str, object]:
             and data.get("type") == "gauge"
         ):
             label = name[len("replay."):-len(".final_score")]
-            scores[label] = float(data.get("value", 0.0))  # type: ignore[arg-type]
+            scores[label] = float(data["value"])
     if scores:
         summary["layout_scores"] = {
             label: round(score, 4) for label, score in sorted(scores.items())
@@ -75,7 +107,7 @@ def summarize_manifest(manifest: RunManifest) -> Dict[str, object]:
         data = metrics.get(name)
         if data is None or data.get("type") != "counter":
             return None
-        return float(data.get("value", 0.0))  # type: ignore[arg-type]
+        return float(data["value"])
 
     busy_ms = counter("disk.busy_ms")
     bytes_read = counter("disk.bytes_read")
@@ -153,38 +185,7 @@ class RunStore:
             write_json(fp, document)
         return run_id
 
-    def _load_document(self, path: Path) -> Dict[str, object]:
-        """One registry document, or a typed :class:`RunStoreError`.
-
-        Foreign schemas (a stray JSON file in the directory) and
-        corrupt/truncated entries both come back as the same error
-        type, so every caller makes one decision: skip with a warning
-        (bulk listings) or surface (direct addressing).
-        """
-        try:
-            with open(path) as fp:
-                document = json.load(fp)
-        except OSError as exc:
-            raise RunStoreError(
-                f"unreadable run document {path.name}: {exc}",
-                path=str(path),
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise RunStoreError(
-                f"corrupt run document {path.name}: {exc}",
-                path=str(path),
-            ) from exc
-        if not isinstance(document, dict) or not str(
-            document.get("schema", "")
-        ).startswith("repro.obs.runstore/"):
-            raise RunStoreError(
-                f"foreign document {path.name}: not a "
-                f"repro.obs.runstore/* entry",
-                path=str(path),
-            )
-        return document
-
-    def runs(self, warn: bool = False) -> List[Dict[str, object]]:
+    def runs(self, warn: bool = False) -> List[RunRecord]:
         """All readable run documents, oldest first (id order).
 
         Unreadable or foreign JSON files are skipped, not fatal: the
@@ -196,17 +197,17 @@ class RunStore:
         """
         if not self.root.is_dir():
             return []
-        documents: List[Dict[str, object]] = []
+        documents: List[RunRecord] = []
         for path in sorted(self.root.glob("*.json")):
             try:
-                documents.append(self._load_document(path))
+                documents.append(_load(path))
             except RunStoreError as exc:
                 if warn:
                     print(f"warning: skipping {exc}", file=sys.stderr)
                 continue
         return documents
 
-    def load_run(self, run_id: str) -> Dict[str, object]:
+    def load_run(self, run_id: str) -> RunRecord:
         """One run by exact id, or by unique id prefix.
 
         A prefix that matches several runs, a missing id, or a corrupt
@@ -216,11 +217,11 @@ class RunStore:
         """
         exact = self.root / f"{run_id}.json"
         if exact.is_file():
-            return self._load_document(exact)
+            return _load(exact)
         if self.root.is_dir():
             matches = sorted(self.root.glob(f"{run_id}*.json"))
             if len(matches) == 1:
-                return self._load_document(matches[0])
+                return _load(matches[0])
             if len(matches) > 1:
                 names = ", ".join(p.stem for p in matches[:5])
                 raise RunStoreError(
@@ -231,12 +232,142 @@ class RunStore:
         )
 
 
+def _summary_problem(summary: object) -> Optional[str]:
+    """What is wrong with a registry document's summary, or None."""
+    if not isinstance(summary, dict):
+        return "'summary' is not an object"
+    scores = summary.get("layout_scores", {})
+    if not isinstance(scores, dict) or not all(
+        is_number(v) for v in scores.values()
+    ):
+        return "summary 'layout_scores' is not an object of numbers"
+    for key, value in summary.items():
+        if key != "layout_scores" and not is_number(value):
+            return f"summary {key!r} is not a number"
+    return None
+
+
+def _read_json(path: Path) -> object:
+    try:
+        with open(path) as fp:
+            return json.load(fp)
+    except (OSError, ValueError) as exc:
+        kind = "unreadable" if isinstance(exc, OSError) else "corrupt"
+        raise RunStoreError(
+            f"{kind} run document {path.name}: {exc}", path=str(path),
+        ) from exc
+
+
+def _record(document: Dict[str, Any], path: Path) -> RunRecord:
+    """Check a registry document's shape: a string ``id``, a numeric
+    ``started_at``, the embedded manifest through
+    :meth:`RunManifest.from_dict` and an optional summary."""
+
+    def refuse(problem: str) -> RunStoreError:
+        return RunStoreError(
+            f"malformed run document {path.name}: {problem}", path=str(path),
+        )
+
+    if not isinstance(document.get("id"), str):
+        raise refuse("'id' is not a string")
+    if not is_number(document.get("started_at")):
+        raise refuse("'started_at' is not a number")
+    try:
+        manifest = RunManifest.from_dict(document.get("manifest"))
+    except MalformedInputError as exc:
+        raise refuse(str(exc)) from None
+    if "summary" in document:
+        problem = _summary_problem(document["summary"])
+        if problem is not None:
+            raise refuse(problem)
+    return RunRecord(
+        id=document["id"],
+        started_at=float(document["started_at"]),
+        manifest=manifest,
+        summary=document.get("summary"),
+        document=document,
+    )
+
+
+def _load(path: Path) -> RunRecord:
+    """One registry document, or a typed :class:`RunStoreError`.
+
+    Corrupt or truncated entries, foreign schemas (a stray JSON file in
+    the directory) and malformed entries all raise the same error type,
+    so every caller makes one decision: skip with a warning (bulk
+    listings) or surface (direct addressing).
+    """
+    document = _read_json(path)
+    if not isinstance(document, dict) or not str(
+        document.get("schema", "")
+    ).startswith("repro.obs.runstore/"):
+        raise RunStoreError(
+            f"foreign document {path.name}: not a repro.obs.runstore/* "
+            f"entry",
+            path=str(path),
+        )
+    return _record(document, path)
+
+
+def read_run_file(path: Path) -> RunRecord:
+    """``diff``'s file operand: a registry document, or a ``--metrics``
+    manifest (its schema tag required) read as a summary-free record
+    named after its file; anything else raises :class:`RunStoreError`."""
+    document = _read_json(path)
+    if not isinstance(document, dict):
+        raise RunStoreError(f"{path.name}: not a JSON object", path=str(path))
+    schema = str(document.get("schema", ""))
+    if schema.startswith("repro.obs.runstore/"):
+        return _record(document, path)
+    if not schema.startswith("repro.obs.manifest/"):
+        raise RunStoreError(
+            f"{path.name}: schema {schema!r} is neither a registry "
+            f"document nor a run manifest",
+            path=str(path),
+        )
+    try:
+        manifest = RunManifest.from_dict(document)
+    except MalformedInputError as exc:
+        raise RunStoreError(f"{path.name}: {exc}", path=str(path)) from None
+    return RunRecord(
+        id=path.name, started_at=manifest.started_at, manifest=manifest,
+        summary=None, document=document,
+    )
+
+
+def summary_series(
+    runs: List[RunRecord],
+) -> Dict[str, List[Tuple[float, float]]]:
+    """Chronological ``(run index, value)`` series from run summaries.
+
+    Layout scores fan out per policy label (``layout_score[FFS]``);
+    runs missing a metric simply contribute nothing to that series, so
+    a registry mixing ``age`` and ``freespace`` runs still trends what
+    each run actually observed.  Series come out in first-seen order.
+    This is the one reader of registry series: ``history --drift`` fits
+    it and the report's run-history panel draws it.
+    """
+    series: Dict[str, List[Tuple[float, float]]] = {}
+    for index, run in enumerate(runs):
+        summary = run.headline
+        for label, value in summary.get("layout_scores", {}).items():
+            series.setdefault(f"layout_score[{label}]", []).append(
+                (float(index), float(value))
+            )
+        for key in _SERIES_KEYS:
+            if key in summary:
+                series.setdefault(key, []).append(
+                    (float(index), float(summary[key]))
+                )
+    return series
+
+
 def filter_runs(
-    runs: List[Dict[str, object]],
+    runs: List[RunRecord],
     command: Optional[str] = None,
     policy: Optional[str] = None,
     limit: Optional[int] = None,
-) -> List[Dict[str, object]]:
+) -> List[RunRecord]:
     """``repro-ffs history``'s view: filtered, newest first.
 
     ``command`` matches the recorded subcommand exactly; ``policy``
@@ -247,24 +378,19 @@ def filter_runs(
     filtering.  The input (the store's natural oldest-first order) is
     not mutated.
     """
-    kept: List[Dict[str, object]] = []
-    for document in reversed(runs):
-        if command is not None and document.get("command") != command:
+    kept: List[RunRecord] = []
+    for run in reversed(runs):
+        if command is not None and run.manifest.command != command:
             continue
-        if policy is not None:
-            manifest = document.get("manifest")
-            manifest = manifest if isinstance(manifest, dict) else {}
-            config = manifest.get("config")
-            config = config if isinstance(config, dict) else {}
-            if config.get("policy") != policy:
-                continue
-        kept.append(document)
+        if policy is not None and run.manifest.config.get("policy") != policy:
+            continue
+        kept.append(run)
         if limit is not None and len(kept) >= limit:
             break
     return kept
 
 
-def render_history(runs: List[Dict[str, object]]) -> str:
+def render_history(runs: List[RunRecord]) -> str:
     """``repro-ffs history``: one table row per recorded run."""
     from datetime import datetime, timezone
 
@@ -275,34 +401,28 @@ def render_history(runs: List[Dict[str, object]]) -> str:
             "no recorded runs (run any subcommand with --record to "
             "start the registry)"
         )
+
+    def cell(value: Optional[float], fmt: str) -> str:
+        return "-" if value is None else format(value, fmt)
+
     rows: List[List[str]] = []
-    for document in runs:
-        summary = document.get("summary")
-        summary = summary if isinstance(summary, dict) else {}
-        started = document.get("started_at")
-        when = (
-            datetime.fromtimestamp(
-                float(started), tz=timezone.utc  # type: ignore[arg-type]
-            ).strftime("%Y-%m-%d %H:%M")
-            if isinstance(started, (int, float))
-            else "?"
-        )
-        scores = summary.get("layout_scores")
-        scores = scores if isinstance(scores, dict) else {}
+    for run in runs:
+        summary = run.headline
+        when = datetime.fromtimestamp(
+            run.started_at, tz=timezone.utc
+        ).strftime("%Y-%m-%d %H:%M")
         score_text = " ".join(
-            f"{label}={value:.3f}" for label, value in scores.items()
+            f"{label}={value:.3f}"
+            for label, value in summary.get("layout_scores", {}).items()
         ) or "-"
-        throughput = summary.get("throughput_mb_s")
-        seek_p99 = summary.get("seek_p99_ms")
-        wall = summary.get("wall_seconds")
         rows.append([
-            str(document.get("id", "?")),
+            run.id,
             when,
-            str(document.get("preset") or "-"),
+            str(run.manifest.config.get("preset") or "-"),
             score_text,
-            f"{throughput:.2f}" if isinstance(throughput, (int, float)) else "-",
-            f"{seek_p99:g}" if isinstance(seek_p99, (int, float)) else "-",
-            f"{wall:.1f}" if isinstance(wall, (int, float)) else "-",
+            cell(summary.get("throughput_mb_s"), ".2f"),
+            cell(summary.get("seek_p99_ms"), "g"),
+            cell(summary.get("wall_seconds"), ".1f"),
         ])
     return render_table(
         ["run", "started (UTC)", "preset", "final layout scores",

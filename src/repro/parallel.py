@@ -27,10 +27,12 @@ Telemetry composes: when the parent has an active :mod:`repro.obs`
 session, each worker task opens its own; the parent merges the metrics
 (counters add, histograms merge exactly) and adopts the span trace, the
 event log and the disk trace — all three row logs, shipped as
-``(rows, dropped)`` — with one ``adopt`` call each.  ``--jobs N``
-manifests therefore carry run-wide totals, disk traces equal the serial
-ones, and a worker's span tree keeps its parent links, hung under the
-span open in the parent.
+``(rows, dropped)`` — with one ``adopt`` call each.  Under ``--profile``
+each worker profiles its own phases and the parent merges their raw
+stats by phase name.  ``--jobs N`` manifests therefore carry run-wide
+totals and the serial run's profile phases, disk traces equal the
+serial ones, and a worker's span tree keeps its parent links, hung
+under the span open in the parent.
 Instrumented objects bind their registry at construction and pooled
 workers outlive tasks, so such a task first drops the worker's memos;
 totals can then exceed a serial run's where workers each rebuild
@@ -66,7 +68,7 @@ def _run_task(
     """The one worker entry point: pin the parent's cache ``settings``,
     run ``fn(*args)`` (in a fresh telemetry session when the parent has
     one) and ship the result home with the session's snapshot."""
-    cache_enabled, cache_dir, telemetry, events, disktrace = settings
+    cache_enabled, cache_dir, telemetry, events, disktrace, profile = settings
     cache.configure(enabled=cache_enabled, directory=cache_dir)
     if not telemetry:
         return {"result": fn(*args)}
@@ -74,6 +76,7 @@ def _run_task(
 
     config.clear_caches()  # rebind instrumented objects to this session
     with obs.session(
+        tracer=obs.Tracer(profiler=obs.PhaseProfiler() if profile else None),
         events=obs.EventLog() if events else None,
         disktrace=obs.DiskTrace() if disktrace else None,
     ) as (registry, tracer):
@@ -94,6 +97,8 @@ def _telemetry_payload(registry, tracer) -> Dict[str, object]:
     ):
         if log is not None:
             payload[key] = (log.rows(), log.dropped)
+    if tracer.profiler is not None:
+        payload["profile"] = tracer.profiler.stats()
     return payload
 
 
@@ -105,6 +110,9 @@ def _absorb_telemetry(payload: Dict[str, object], origin: str) -> None:
     tracer = obs.tracer_or_none()
     if tracer is not None and "spans" in payload:
         tracer.adopt(*payload["spans"], origin=origin)  # type: ignore[misc]
+    profiler = tracer.profiler if tracer is not None else None
+    if profiler is not None and "profile" in payload:
+        profiler.adopt(payload["profile"])  # type: ignore[arg-type]
     events = obs.events_or_none()
     if events is not None and "events" in payload:
         # The merge marker precedes the grafted rows, so a reader of
@@ -133,9 +141,11 @@ def fan_out(waves: Sequence[Sequence[Task]], jobs: int) -> Iterator[object]:
     if jobs <= 1 or sum(map(len, waves)) <= 1:
         yield from (fn(*args) for _o, fn, args in itertools.chain(*waves))
         return
+    tracer = obs.tracer_or_none()
     settings = (
         cache.is_enabled(), str(cache.directory()), obs.enabled(),
         obs.events_or_none() is not None, obs.disktrace_or_none() is not None,
+        tracer is not None and tracer.profiler is not None,
     )
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for wave in waves:

@@ -22,17 +22,19 @@ from repro.obs.diff import (
     render_diff,
     render_drift,
 )
+from repro.obs.manifest import RunManifest
 from repro.obs.report_html import build_diff_report
+from repro.obs.store import RunRecord
 
 
-def _manifest_dict(command="age", policy="ffs", metrics=None, wall=30.0,
-                   started_at=1_700_000_000.0):
+def _manifest(command="age", policy="ffs", metrics=None, wall=30.0,
+              started_at=1_700_000_000.0):
     manifest = obs.RunManifest(
         command=command, config={"preset": "tiny", "policy": policy},
     )
     manifest.started_at = started_at
     manifest.finish(wall, metrics or {})
-    return manifest.to_dict()
+    return manifest
 
 
 def _metrics(score=0.74, lost=100, label="FFS"):
@@ -131,7 +133,7 @@ class TestDiffRuns:
     def _side(self, label="a", **kwargs):
         events = kwargs.pop("events", None)
         return RunArtifacts(
-            label=label, manifest=_manifest_dict(**kwargs), events=events,
+            label=label, manifest=_manifest(**kwargs), events=events,
         )
 
     def test_self_diff_has_zero_significant_deltas(self):
@@ -243,8 +245,8 @@ class TestDiffRuns:
 
 class TestRenderDiff:
     def test_text_names_sides_and_significant_deltas(self):
-        a = RunArtifacts("base", _manifest_dict(metrics=_metrics(lost=100)))
-        b = RunArtifacts("cand", _manifest_dict(metrics=_metrics(lost=200),
+        a = RunArtifacts("base", _manifest(metrics=_metrics(lost=100)))
+        b = RunArtifacts("cand", _manifest(metrics=_metrics(lost=200),
                                                 policy="realloc"))
         text = render_diff(diff_runs(a, b))
         assert "run diff: base -> cand" in text
@@ -253,15 +255,15 @@ class TestRenderDiff:
         assert "config changes: policy: ffs -> realloc" in text
 
     def test_equivalent_runs_say_so(self):
-        side = RunArtifacts("x", _manifest_dict(metrics=_metrics()))
+        side = RunArtifacts("x", _manifest(metrics=_metrics()))
         text = render_diff(diff_runs(side, side))
         assert "significant deltas: 0" in text
         assert "equivalent under the classifier" in text
 
     def test_first_divergence_line(self):
-        a = RunArtifacts("a", _manifest_dict(),
+        a = RunArtifacts("a", _manifest(),
                          events=_day_events(scores=(1.0, 0.5)))
-        b = RunArtifacts("b", _manifest_dict(),
+        b = RunArtifacts("b", _manifest(),
                          events=_day_events(scores=(1.0, 0.9)))
         text = render_diff(diff_runs(a, b))
         assert "first divergence [FFS]: day 1" in text
@@ -284,10 +286,11 @@ class TestDrift:
             summary = {"layout_scores": {"FFS": score}}
             if lost is not None:
                 summary["lost_rotations"] = lost[i]
-            runs.append({
-                "schema": "repro.obs.runstore/v1", "id": f"r{i}",
-                "started_at": 1_700_000_000.0 + i, "summary": summary,
-            })
+            runs.append(RunRecord(
+                id=f"r{i}", started_at=1_700_000_000.0 + i,
+                manifest=RunManifest(command="age"), summary=summary,
+                document={},
+            ))
         return runs
 
     def test_consistent_score_slide_is_a_regression(self):
@@ -328,10 +331,10 @@ class TestDrift:
 
 class TestDiffHtml:
     def _document(self):
-        a = RunArtifacts("base", _manifest_dict(metrics=_metrics(lost=100)),
+        a = RunArtifacts("base", _manifest(metrics=_metrics(lost=100)),
                          events=_day_events(scores=(1.0, 0.9, 0.8)))
         b = RunArtifacts("cand",
-                         _manifest_dict(metrics=_metrics(0.9, lost=220),
+                         _manifest(metrics=_metrics(0.9, lost=220),
                                         policy="realloc"),
                          events=_day_events(scores=(1.0, 0.8, 0.6)))
         return diff_runs(a, b)
@@ -353,13 +356,13 @@ class TestDiffHtml:
     def test_untrusted_labels_are_escaped(self):
         side = RunArtifacts(
             '<script>alert("x")</script>',
-            _manifest_dict(metrics=_metrics()),
+            _manifest(metrics=_metrics()),
         )
         html = build_diff_report(diff_runs(side, side))
         assert "<script" not in html
 
     def test_equivalent_runs_render_an_empty_delta_section(self):
-        side = RunArtifacts("x", _manifest_dict(metrics=_metrics()))
+        side = RunArtifacts("x", _manifest(metrics=_metrics()))
         html = build_diff_report(diff_runs(side, side))
         assert "equivalent" in html
 
@@ -484,7 +487,7 @@ class TestDiffCli:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.strip() == (
-            "diff: line 1: expected a JSON object, got "
+            "repro-ffs diff: line 1: expected a JSON object, got "
             + ("int" if line == "42" else "list")
         )
 

@@ -1,17 +1,20 @@
 """HTML run-report tests: self-containment, sections, escaping, CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.obs.manifest import RunManifest
 from repro.obs.report_html import build_report
+from repro.obs.store import RunRecord
 
 
 @pytest.fixture
 def manifest():
-    return {
+    return RunManifest.from_dict({
         "schema": "repro.obs.manifest/v2",
         "command": "experiment",
         "config": {"preset": "tiny", "name": "all"},
@@ -32,7 +35,7 @@ def manifest():
                  "tottime_s": 1.25, "cumtime_s": 2.0},
             ],
         },
-    }
+    })
 
 
 @pytest.fixture
@@ -92,15 +95,16 @@ class TestBuildReport:
         compare_rows = [dict(row) for row in day_events]
         html = build_report(
             manifest, events=day_events[:10],
-            compare_manifest=dict(manifest),
+            compare_manifest=manifest,
             compare_events=compare_rows[:10],
         )
         assert "Compared runs" in html
         assert "(compare)" in html
 
     def test_untrusted_text_is_escaped(self, manifest):
-        evil = dict(manifest)
-        evil["command"] = 'experiment <script>alert("x")</script>'
+        evil = dataclasses.replace(
+            manifest, command='experiment <script>alert("x")</script>'
+        )
         rows = [{
             "seq": 1, "type": "day_sample", "label": "<b>bold</b>",
             "day": 0, "layout_score": 1.0, "utilization": 0.1,
@@ -125,8 +129,9 @@ class TestBuildReport:
         assert html.count("replay.day") == 1
 
     def test_empty_manifest_still_renders(self):
-        html = build_report({"schema": "repro.obs.manifest/v2",
-                             "command": "age"})
+        html = build_report(RunManifest.from_dict(
+            {"schema": "repro.obs.manifest/v2", "command": "age"}
+        ))
         assert html.startswith("<!DOCTYPE html>")
         assert "run report" in html
 
@@ -230,13 +235,15 @@ class TestNewSections:
 
     def test_history_section_draws_trends(self, manifest):
         runs = [
-            {"schema": "repro.obs.runstore/v1", "id": f"r{i}",
-             "command": "experiment", "preset": "tiny",
-             "started_at": 1_700_000_000.0 + i,
-             "summary": {
-                 "layout_scores": {"FFS": 0.7 + 0.01 * i},
-                 "throughput_mb_s": 2.0 + 0.1 * i,
-             }}
+            RunRecord(
+                id=f"r{i}", started_at=1_700_000_000.0 + i,
+                manifest=RunManifest(command="experiment"),
+                summary={
+                    "layout_scores": {"FFS": 0.7 + 0.01 * i},
+                    "throughput_mb_s": 2.0 + 0.1 * i,
+                },
+                document={},
+            )
             for i in range(3)
         ]
         html = build_report(manifest, runs=runs)
@@ -247,8 +254,9 @@ class TestNewSections:
         html = build_report(
             manifest, events=self._heat_events(),
             disk_trace=self._trace_rows(),
-            runs=[{"schema": "repro.obs.runstore/v1", "id": "r0",
-                   "started_at": 1.0, "summary": {}}],
+            runs=[RunRecord(id="r0", started_at=1.0,
+                            manifest=RunManifest(command="age"),
+                            summary={}, document={})],
         )
         for forbidden in ("http://", "https://", "<script", "@import",
                           "url("):
@@ -295,9 +303,9 @@ class TestBoundedLogEdgeCases:
     def test_diff_occupancy_delta_skips_vectorless_days(self):
         from repro.obs.diff import RunArtifacts, diff_runs
 
-        base = {"schema": "repro.obs.manifest/v2", "command": "age"}
-        a = RunArtifacts("a", dict(base), events=self._truncated_events())
-        b = RunArtifacts("b", dict(base), events=self._truncated_events())
+        base = RunManifest(command="age")
+        a = RunArtifacts("a", base, events=self._truncated_events())
+        b = RunArtifacts("b", base, events=self._truncated_events())
         pair = diff_runs(a, b)["timeline"]["pairs"][0]
         # Three shared days, but the delta matrix only keeps the two
         # that carried vectors on both sides.
@@ -308,9 +316,9 @@ class TestBoundedLogEdgeCases:
         from repro.obs.diff import RunArtifacts, diff_runs
         from repro.obs.report_html import build_diff_report
 
-        base = {"schema": "repro.obs.manifest/v2", "command": "age"}
-        a = RunArtifacts("a", dict(base), events=list(day_events))
-        b = RunArtifacts("b", dict(base), events=list(day_events))
+        base = RunManifest(command="age")
+        a = RunArtifacts("a", base, events=list(day_events))
+        b = RunArtifacts("b", base, events=list(day_events))
         document = diff_runs(a, b)
         for pair in document["timeline"]["pairs"]:
             assert pair["occupancy_delta"] is None
@@ -321,13 +329,13 @@ class TestBoundedLogEdgeCases:
         from repro.obs.diff import RunArtifacts, diff_runs
         from repro.obs.report_html import build_diff_report
 
-        base = {"schema": "repro.obs.manifest/v2", "command": "age"}
-        a = RunArtifacts("a", dict(base), events=self._truncated_events())
+        base = RunManifest(command="age")
+        a = RunArtifacts("a", base, events=self._truncated_events())
         b_rows = self._truncated_events()
         for row in b_rows:
             if row.get("type") == "day_sample":
                 row["layout_score"] = 0.5
-        b = RunArtifacts("b", dict(base), events=b_rows)
+        b = RunArtifacts("b", base, events=b_rows)
         html = build_diff_report(diff_runs(a, b))
         for forbidden in ("http://", "https://", "<script", "@import",
                           "url("):

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import RunStoreError
 from repro.obs.store import (
     SCHEMA,
+    RunRecord,
     RunStore,
     filter_runs,
     render_history,
@@ -100,7 +101,7 @@ class TestRunStore:
         (root / "notes.json").write_text('{"schema": "something.else/v1"}')
         (root / "broken.json").write_text("{not json")
         runs = store.runs()
-        assert [r["started_at"] for r in runs] == [
+        assert [r.started_at for r in runs] == [
             1_700_000_001.0, 1_700_000_002.0,
         ]
 
@@ -139,12 +140,12 @@ class TestLoadRun:
     def test_exact_id(self, tmp_path):
         store = self._store(tmp_path)
         run = store.load_run("1700000001000-age")
-        assert run["command"] == "age"
+        assert run.manifest.command == "age"
 
     def test_unique_prefix_resolves(self, tmp_path):
         store = self._store(tmp_path)
         run = store.load_run("1700000002000")
-        assert run["command"] == "experiment"
+        assert run.manifest.command == "experiment"
 
     def test_ambiguous_prefix_raises(self, tmp_path):
         store = self._store(tmp_path)
@@ -173,37 +174,37 @@ class TestFilterRuns:
             config = {"preset": "tiny"}
             if policy is not None:
                 config["policy"] = policy
-            out.append({
-                "schema": SCHEMA, "id": f"r{i}", "command": command,
-                "started_at": 1_700_000_000.0 + i,
-                "manifest": {"config": config},
-            })
+            out.append(RunRecord(
+                id=f"r{i}", started_at=1_700_000_000.0 + i,
+                manifest=obs.RunManifest(command=command, config=config),
+                summary=None, document={},
+            ))
         return out
 
     def test_unfiltered_is_newest_first(self):
         kept = filter_runs(self._runs())
-        assert [r["id"] for r in kept] == ["r3", "r2", "r1", "r0"]
+        assert [r.id for r in kept] == ["r3", "r2", "r1", "r0"]
 
     def test_command_filter_is_exact(self):
         kept = filter_runs(self._runs(), command="age")
-        assert [r["id"] for r in kept] == ["r3", "r1", "r0"]
+        assert [r.id for r in kept] == ["r3", "r1", "r0"]
         assert filter_runs(self._runs(), command="ag") == []
 
     def test_policy_filter_matches_config_not_labels(self):
         kept = filter_runs(self._runs(), policy="ffs")
-        assert [r["id"] for r in kept] == ["r3", "r0"]
+        assert [r.id for r in kept] == ["r3", "r0"]
         # "realloc" must not be swallowed by an "ffs" substring match.
         kept = filter_runs(self._runs(), policy="realloc")
-        assert [r["id"] for r in kept] == ["r1"]
+        assert [r.id for r in kept] == ["r1"]
 
     def test_limit_keeps_the_newest_n(self):
         kept = filter_runs(self._runs(), command="age", limit=2)
-        assert [r["id"] for r in kept] == ["r3", "r1"]
+        assert [r.id for r in kept] == ["r3", "r1"]
 
     def test_input_order_is_not_mutated(self):
         runs = self._runs()
         filter_runs(runs, limit=1)
-        assert [r["id"] for r in runs] == ["r0", "r1", "r2", "r3"]
+        assert [r.id for r in runs] == ["r0", "r1", "r2", "r3"]
 
 
 class TestRenderHistory:
@@ -220,7 +221,11 @@ class TestRenderHistory:
         assert "2.00" in text  # MB/s
 
     def test_summary_free_document_renders_dashes(self):
-        text = render_history([{"schema": SCHEMA, "id": "x-run"}])
+        text = render_history([RunRecord(
+            id="x-run", started_at=1.0,
+            manifest=obs.RunManifest(command="age"), summary=None,
+            document={},
+        )])
         assert "x-run" in text
         assert "-" in text
 
@@ -253,14 +258,14 @@ class TestHistoryCli:
         assert "[obs] recorded run" in err
         runs = RunStore(runs_dir).runs()
         assert len(runs) == 1
-        assert runs[0]["command"] == "age"
-        assert runs[0]["preset"] == "tiny"
+        assert runs[0].manifest.command == "age"
+        assert runs[0].document["preset"] == "tiny"
         # Which metrics the summary carries depends on whether this
         # process had already aged the preset (the in-process memo skips
         # the replay, and with it the final-score gauges), so only the
         # always-present field is pinned here; the full summary path is
         # covered by TestSummarizeManifest.
-        assert "wall_seconds" in runs[0]["summary"]
+        assert "wall_seconds" in runs[0].headline
 
     def test_history_filters_and_limit(self, tmp_path, capsys):
         store = RunStore(tmp_path / "runs")

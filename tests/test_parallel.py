@@ -271,3 +271,42 @@ def test_adopted_trace_equals_serial_trace(total, cuts, bound, slack):
         total, sorted(cuts), bound, bound + slack
     )
     assert adopted == serial
+
+
+# ----------------------------------------------------------------------
+# Profiles: what a worker profiles must reach the parent's profiler
+# ----------------------------------------------------------------------
+
+
+def _work():
+    return sum(range(1000))
+
+
+def _profiled_task(phase):
+    with obs.tracer_or_none().span(phase):
+        _work()
+    return phase
+
+
+def test_worker_profiles_merge_home_by_phase(private_cache):
+    tracer = obs.Tracer(profiler=obs.PhaseProfiler())
+    phases = ["task.a", "task.b", "task.a"]
+    tasks = [
+        (f"t{i}", _profiled_task, (phase,)) for i, phase in enumerate(phases)
+    ]
+    with obs.session(tracer=tracer):
+        with tracer.span("cli.test"):
+            assert list(parallel.fan_out([tasks], jobs=2)) == phases
+    profiler = tracer.profiler
+    assert sorted(profiler.phases()) == ["cli.test", "task.a", "task.b"]
+
+    def work_calls(phase):
+        return sum(
+            row["ncalls"]
+            for row in profiler.top_offenders(phase, limit=10_000)
+            if str(row["function"]).endswith("(_work)")
+        )
+
+    # task.a ran in two worker tasks: their stats merged by phase name.
+    assert work_calls("task.a") == 2
+    assert work_calls("task.b") == 1

@@ -370,19 +370,19 @@ def _ssd_metrics():
     }
 
 
-def _manifest_dict(backend="ssd", metrics=None):
+def _manifest(backend="ssd", metrics=None):
     manifest = obs.RunManifest(
         command="experiment",
         config={"preset": "tiny", "backend": backend},
     )
     manifest.started_at = 1_700_000_000.0
     manifest.finish(30.0, metrics if metrics is not None else _ssd_metrics())
-    return manifest.to_dict()
+    return manifest
 
 
 class TestBackendInRegistryAndDiff:
     def test_summary_distils_flash_headlines(self):
-        manifest = obs.RunManifest.from_dict(_manifest_dict())
+        manifest = _manifest()
         summary = summarize_manifest(manifest)
         assert summary["write_amplification"] == 1.25
         assert summary["flash_erases"] == 17
@@ -390,16 +390,14 @@ class TestBackendInRegistryAndDiff:
         assert summary["ssd_throughput_mb_s"] == 2.0
 
     def test_disk_run_summary_has_no_flash_keys(self):
-        manifest = obs.RunManifest.from_dict(
-            _manifest_dict(backend="disk", metrics={})
-        )
+        manifest = _manifest(backend="disk", metrics={})
         summary = summarize_manifest(manifest)
         assert "write_amplification" not in summary
         assert "ssd_throughput_mb_s" not in summary
 
     def test_diff_sides_and_render_carry_backend(self):
-        a = RunArtifacts("base", _manifest_dict(backend="disk", metrics={}))
-        b = RunArtifacts("cand", _manifest_dict(backend="ssd"))
+        a = RunArtifacts("base", _manifest(backend="disk", metrics={}))
+        b = RunArtifacts("cand", _manifest(backend="ssd"))
         document = diff_runs(a, b)
         assert document["a"]["backend"] == "disk"
         assert document["b"]["backend"] == "ssd"
@@ -407,26 +405,26 @@ class TestBackendInRegistryAndDiff:
         assert "backend disk" in text and "backend ssd" in text
 
     def test_diff_summary_surfaces_ssd_block(self):
-        a = RunArtifacts("base", _manifest_dict())
-        b = RunArtifacts("cand", _manifest_dict())
+        a = RunArtifacts("base", _manifest())
+        b = RunArtifacts("cand", _manifest())
         document = diff_runs(a, b)
         ssd = document["summary"]["ssd"]
         assert ssd["a"]["write_amplification"] == 1.25
         assert ssd["b"]["flash_erases"] == 17
 
     def test_disk_only_diff_has_no_ssd_block(self):
-        side = RunArtifacts("x", _manifest_dict(backend="disk", metrics={}))
+        side = RunArtifacts("x", _manifest(backend="disk", metrics={}))
         assert "ssd" not in diff_runs(side, side)["summary"]
 
     def test_html_report_renders_the_flash_panel(self):
-        a = RunArtifacts("base", _manifest_dict())
-        b = RunArtifacts("cand", _manifest_dict())
+        a = RunArtifacts("base", _manifest())
+        b = RunArtifacts("cand", _manifest())
         html = build_diff_report(diff_runs(a, b))
         assert "write amplification" in html
         assert "<th>backend</th>" in html
 
     def test_html_report_omits_panel_for_disk_runs(self):
-        side = RunArtifacts("x", _manifest_dict(backend="disk", metrics={}))
+        side = RunArtifacts("x", _manifest(backend="disk", metrics={}))
         html = build_diff_report(diff_runs(side, side))
         assert "write amplification" not in html
 
