@@ -24,6 +24,7 @@ from repro.aging.nfstrace import SyntheticNFSTrace, integrate_short_lived
 from repro.aging.snapshot import ActivityLevels, Snapshot, SourceActivityModel
 from repro.aging.workload import Workload
 from repro.ffs.params import FSParams
+from repro.gcpause import gc_paused
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ def build_workloads(config: AgingConfig) -> AgingArtifacts:
         seed=config.seed,
         levels=config.levels,
     )
-    ground_truth, snapshots = model.generate()
-
-    per_day = diff_snapshots(snapshots, seed=config.seed + 1)
     pairs = config.trace_pairs_per_day
     if pairs is None:
         pairs = (
@@ -70,13 +68,18 @@ def build_workloads(config: AgingConfig) -> AgingArtifacts:
             * config.params.actual_size_bytes
             / (1024 * 1024)
         )
-    trace = SyntheticNFSTrace(
-        seed=config.seed + 2,
-        n_days=config.trace_days,
-        pairs_per_day=pairs,
-    )
-    with_churn = integrate_short_lived(per_day, trace, seed=config.seed + 3)
-    reconstructed = merge_days(with_churn)
+    with gc_paused():
+        ground_truth, snapshots = model.generate()
+        per_day = diff_snapshots(snapshots, seed=config.seed + 1)
+        trace = SyntheticNFSTrace(
+            seed=config.seed + 2,
+            n_days=config.trace_days,
+            pairs_per_day=pairs,
+        )
+        with_churn = integrate_short_lived(
+            per_day, trace, seed=config.seed + 3
+        )
+        reconstructed = merge_days(with_churn)
     return AgingArtifacts(
         config=config,
         ground_truth=ground_truth,

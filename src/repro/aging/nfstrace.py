@@ -128,7 +128,7 @@ def integrate_short_lived(
     rng = streams.get("trace-sampling")
     next_fid = first_file_id
     out: List[List[WorkloadRow]] = []
-    for day_index, day_ops in enumerate(per_day_ops):
+    for day_ops in per_day_ops:
         merged = list(day_ops)
         ranked = directory_activity(day_ops)
         if ranked:
@@ -140,24 +140,25 @@ def integrate_short_lived(
             ordered_groups = sorted(
                 groups.values(), key=lambda g: -len(g)
             )
+            # Anchor to the day the reconstructed ops carry (derived
+            # from the data, so partial day lists behave sensibly too),
+            # and clamp times into [base_day + 1e-6, base_day + 0.9999].
+            base_day = float(int(day_ops[0].time))
+            first, last = base_day + 1e-6, base_day + 0.9999
             for rank, group in enumerate(ordered_groups):
                 target_dir, _count, peak_time = ranked[rank % len(ranked)]
                 target_ino = _representative_ino(day_ops, target_dir)
                 group_mean = sum(tf.create_frac for tf in group) / len(group)
-                # Anchor to the day the reconstructed ops actually carry
-                # (normally equal to the list index, but derived from the
-                # data so partial day lists behave sensibly too).
-                base_day = float(int(day_ops[0].time)) if day_ops else float(day_index)
                 shift = (peak_time - base_day) - group_mean
-                for tf in group:
-                    t_create = _clamp(base_day + tf.create_frac + shift, base_day)
-                    t_delete = _clamp(
-                        base_day + tf.delete_frac + shift, base_day
+                for fid, tf in enumerate(group, next_fid):
+                    t_create = min(
+                        last, max(first, base_day + tf.create_frac + shift)
+                    )
+                    t_delete = min(
+                        last, max(first, base_day + tf.delete_frac + shift)
                     )
                     if t_delete <= t_create:
-                        t_delete = min(base_day + 0.9999, t_create + 1e-4)
-                    fid = next_fid
-                    next_fid += 1
+                        t_delete = min(last, t_create + 1e-4)
                     merged.append(
                         WorkloadRow(
                             t_create, fid, CREATE_CODE, tf.size, target_ino,
@@ -170,6 +171,7 @@ def integrate_short_lived(
                             target_dir,
                         )
                     )
+                next_fid += len(group)
         out.append(merged)
     return out
 
@@ -182,7 +184,3 @@ def _representative_ino(
         if record.directory == directory:
             return record.src_ino
     return 0
-
-
-def _clamp(when: float, day: float) -> float:
-    return min(day + 0.9999, max(day + 1e-6, when))

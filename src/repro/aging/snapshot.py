@@ -178,11 +178,16 @@ class SourceActivityModel:
             self._free_inodes.append(heap)
         # Live file table.
         self._live: Dict[int, FileRecord] = {}  # by file_id
-        self._live_ids: List[int] = []
-        self._live_pos: Dict[int, int] = {}
         # Per-directory live files in creation order (insertion-ordered
         # dict), the basis for spatially correlated deletions.
         self._dir_live: Dict[str, Dict[int, None]] = {d: {} for d in self._dirs}
+        # Running count of live files with ``ctime < day`` (those
+        # eligible for deletion and modification on ``day``), and the
+        # live files not yet counted, keyed by the first day they are:
+        # ``int(ctime) + 1``.
+        self._day = 0
+        self._n_eligible = 0
+        self._eligible_from: Dict[int, int] = {}
         self._frags_used = 0
         self._frags_used_cg: List[int] = [0] * params.ncg
         self._next_file_id = 0
@@ -211,9 +216,7 @@ class SourceActivityModel:
         rng = self.streams.get("daily")
         ops: List[WorkloadRow] = []
         target_frags = int(self._target_utilization(day) * self._data_frags())
-        n_eligible = sum(
-            1 for fid in self._live_ids if self._live[fid].ctime < day
-        )
+        n_eligible = self._eligible_on(day)
 
         # Deletions: spatially correlated runs of consecutively created
         # files within one directory, plus occasional whole-directory
@@ -291,21 +294,40 @@ class SourceActivityModel:
                 )
             )
 
-        # Short-lived churn: create+delete pairs within the day.
+        # Short-lived churn: create+delete pairs within the day.  A pair
+        # leaves the live tables, the inode heaps and the utilization
+        # exactly as it found them, so it only takes a file id and the
+        # inode a create would pop and its delete push straight back.
         n_short = self._poisson(
             rng,
             self.levels.short_pairs_per_mb * self.params.actual_size_bytes / (1024 * 1024),
         )
-        for _ in range(n_short):
+        dir_cg = self._dir_cg
+        free_heap = self._free_heap
+        first = self._next_file_id
+        for fid in range(first, first + n_short):
             directory = self._pick_directory(rng)
             size = self._shortlived_size(rng)
             t_create = day + self._op_time(rng, directory)
             lifetime = min(rng.expovariate(12.0), 0.4)  # mean ~2 hours
             t_delete = min(t_create + max(lifetime, 1e-4), day + 0.9999)
-            created = self._create(t_create, directory, size, short_lived=True)
-            ops.append(created)
-            ops.append(self._delete(created.file_id, t_delete))
+            ino = free_heap(dir_cg[directory])[0]
+            ops.append(
+                WorkloadRow(t_create, fid, CREATE_CODE, size, ino, directory)
+            )
+            ops.append(WorkloadRow(t_delete, fid, DELETE_CODE, 0, ino, directory))
+        self._next_file_id += n_short
         return ops
+
+    def _eligible_on(self, day: int) -> int:
+        """Live files with ``ctime < day``; days are asked in order.
+
+        A modify's rewrite lands at ``when + 1e-4``, which can round to
+        exactly ``day + 1.0``: that file is counted from ``day + 2``.
+        """
+        self._day = day
+        self._n_eligible += self._eligible_from.pop(day, 0)
+        return self._n_eligible
 
     def _snapshot(self, day: int) -> Snapshot:
         files = {rec.ino: rec for rec in self._live.values()}
@@ -397,7 +419,6 @@ class SourceActivityModel:
         directory: str,
         size: int,
         force_ino: Optional[int] = None,
-        short_lived: bool = False,
     ) -> WorkloadRow:
         cg = self._dir_cg[directory]
         if force_ino is not None:
@@ -405,14 +426,16 @@ class SourceActivityModel:
             # (keep_ino), so it is not on any free list.
             ino = force_ino
         else:
-            ino = self._alloc_inode(cg)
+            ino = heappop(self._free_heap(cg))
         fid = self._next_file_id
         self._next_file_id += 1
         record = FileRecord(ino=ino, size=size, ctime=when, directory=directory)
         self._live[fid] = record
-        self._live_pos[fid] = len(self._live_ids)
-        self._live_ids.append(fid)
         self._dir_live[directory][fid] = None
+        eligible_from = int(when) + 1
+        self._eligible_from[eligible_from] = (
+            self._eligible_from.get(eligible_from, 0) + 1
+        )
         frags = self._frags_for(size)
         self._frags_used += frags
         self._frags_used_cg[cg] += frags
@@ -422,12 +445,12 @@ class SourceActivityModel:
         self, fid: int, when: float, keep_ino: Optional[int] = None
     ) -> WorkloadRow:
         record = self._live.pop(fid)
-        pos = self._live_pos.pop(fid)
-        last = self._live_ids.pop()
-        if last != fid:
-            self._live_ids[pos] = last
-            self._live_pos[last] = pos
         del self._dir_live[record.directory][fid]
+        eligible_from = int(record.ctime) + 1
+        if eligible_from <= self._day:
+            self._n_eligible -= 1
+        else:
+            self._eligible_from[eligible_from] -= 1
         frags = self._frags_for(record.size)
         self._frags_used -= frags
         self._frags_used_cg[self._dir_cg[record.directory]] -= frags
@@ -550,9 +573,13 @@ class SourceActivityModel:
             product *= rng.random()
         return k
 
-    def _alloc_inode(self, cg: int) -> int:
-        order = [cg] + [(cg + i) % self.params.ncg for i in range(1, self.params.ncg)]
-        for candidate in order:
-            if self._free_inodes[candidate]:
-                return heappop(self._free_inodes[candidate])
+    def _free_heap(self, cg: int) -> List[int]:
+        """The free-inode heap a create in group ``cg`` takes its inode
+        from: the group's own, else the next group's in order with one."""
+        heaps = self._free_inodes
+        ncg = len(heaps)
+        for i in range(ncg):
+            heap = heaps[(cg + i) % ncg]
+            if heap:
+                return heap
         raise SimulationError("source model ran out of inodes")

@@ -14,6 +14,7 @@ workload it came from.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -33,6 +34,12 @@ OP_CODES = {CREATE: CREATE_CODE, APPEND: APPEND_CODE, DELETE: DELETE_CODE}
 
 #: Op names indexed by byte code (the inverse of ``OP_CODES``).
 _OP_NAMES = (CREATE, APPEND, DELETE)
+
+#: Op times are fractional days in ``[0, HORIZON_DAYS)``: ten years of
+#: nightly snapshots, a dozen times the paper's 300 days.  A workload
+#: carries one day slice (and a replay takes one layout sample) per day
+#: up to its last op, so an unbounded time is an unbounded build.
+HORIZON_DAYS = 3650
 
 #: A workload row as a plain tuple (see ``WorkloadRow``).
 _Row = Tuple[float, int, int, int, int, str]
@@ -270,7 +277,9 @@ class Workload:
 def _check_columns(
     op: Tuple[int, ...], time: Tuple[float, ...], size: Tuple[int, ...]
 ) -> None:
-    """The checks of ``WorkloadRecord.__post_init__``, over columns."""
+    """The checks of ``WorkloadRecord.__post_init__``, over columns,
+    plus the time horizon: every time is finite and below
+    ``HORIZON_DAYS``."""
     unknown = set(op).difference(OP_CODES.values())
     if unknown:
         raise WorkloadError(f"unknown op code {min(unknown, key=repr)!r}")
@@ -282,5 +291,14 @@ def _check_columns(
                 )
             if code == APPEND_CODE:
                 raise WorkloadError("append of zero bytes")
-    if time and min(time) < 0:
+    if not time:
+        return
+    if min(time) < 0:
         raise WorkloadError(f"negative time {min(time)}")
+    # A nan compares false, so min and max can step over it; a sum cannot.
+    if not max(time) < HORIZON_DAYS or math.isnan(sum(time)):
+        bad = next(t for t in time if not t < HORIZON_DAYS)
+        raise WorkloadError(
+            f"time {bad!r} is not a finite day below the horizon "
+            f"of {HORIZON_DAYS} days"
+        )

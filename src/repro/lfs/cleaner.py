@@ -15,7 +15,8 @@ these cleaners; here cleaning is on-demand at the low-water mark.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Sequence
 
 
 def choose_victims(
@@ -25,12 +26,14 @@ def choose_victims(
     exclude: int = -1,
     count: int = 1,
 ) -> List["SegmentInfo"]:
-    """Pick up to ``count`` victim segments for cleaning.
+    """Pick up to ``count`` victim segments for cleaning, best first.
 
     ``capacity`` is the segment size in blocks (for the utilization
     term).  Only dirty segments other than ``exclude`` (the log head)
-    are candidates; fully empty dirty segments rank first under either
-    policy (they are free wins).  Returns fewer than ``count`` — maybe
+    are candidates.  Greedy ranks fully empty segments first; under
+    cost-benefit an empty segment's benefit is its age, so an old
+    half-full segment can outrank a young empty one.  Ties break toward
+    the lower segment index.  Returns fewer than ``count`` — maybe
     none — when there are no candidates.
     """
     if policy not in ("greedy", "cost-benefit"):
@@ -42,19 +45,21 @@ def choose_victims(
     ]
     if not candidates:
         return []
-    newest = max(seg.sequence for seg in candidates)
-
-    # Keys end in the segment index, so ties break toward lower indexes.
-    def greedy_key(seg) -> Tuple[float, int]:
-        return float(seg.live), seg.index
-
-    def cost_benefit_key(seg) -> Tuple[float, int]:
-        u = seg.live / capacity
-        if u >= 1.0:
-            return float("inf"), seg.index  # nothing to gain
-        age = newest - seg.sequence + 1
-        # Negated so that a smaller key = better victim, as with greedy.
-        return -((1.0 - u) * age / (1.0 + u)), seg.index
-
-    key = greedy_key if policy == "greedy" else cost_benefit_key
-    return heapq.nsmallest(count, candidates, key=key)
+    # Each candidate is ranked by (key, index); a smaller key is a
+    # better victim.  Cost-benefit keys are negated benefit/cost, and a
+    # fully live segment has nothing to gain.
+    if policy == "greedy":
+        ranked = [(float(seg.live), seg.index, seg) for seg in candidates]
+    else:
+        newest = max([seg.sequence for seg in candidates])
+        ranked = [
+            (
+                -((1.0 - u) * (newest - seg.sequence + 1) / (1.0 + u))
+                if u < 1.0 else math.inf,
+                seg.index,
+                seg,
+            )
+            for seg in candidates
+            for u in (seg.live / capacity,)
+        ]
+    return [seg for _key, _index, seg in heapq.nsmallest(count, ranked)]

@@ -17,6 +17,7 @@ was BSD's answer to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -71,6 +72,10 @@ class LogStructuredFS:
 
     def __init__(self, params: Optional[LFSParams] = None):
         self.params = params if params is not None else LFSParams()
+        # The geometry is frozen: read it once, not per block.
+        self._block_size = self.params.block_size
+        self._blocks_per_segment = self.params.blocks_per_segment
+        self._usable_blocks = self.params.usable_blocks
         self.segments = [SegmentInfo(index=i) for i in range(self.params.nsegments)]
         self.inodes: Dict[int, LfsInode] = {}
         #: Live-block reverse map: log address -> (ino, logical block).
@@ -127,21 +132,38 @@ class LogStructuredFS:
         if nbytes <= 0:
             raise InvalidRequestError(f"append of {nbytes} bytes")
         new_size = inode.size + nbytes
-        bs = self.params.block_size
-        needed = -(-new_size // bs) - len(inode.blocks)
+        bs = self._block_size
+        blocks = inode.blocks
+        needed = -(-new_size // bs) - len(blocks)
         self._check_space(needed)
         # Rewriting the (partial) last block moves it to the log head,
         # as any LFS overwrite does.
-        blocks = inode.blocks
         if blocks and inode.size % bs != 0:
             last_lbn = len(blocks) - 1
             self._kill(blocks[last_lbn])
             self._place(blocks, last_lbn, self._log_write(ino, last_lbn))
             self.user_blocks_written += 1
-        for _ in range(needed):
-            lbn = len(blocks)
-            self._place(blocks, lbn, self._log_write(ino, lbn))
-            self.user_blocks_written += 1
+        # New blocks go down a run at a time, each run as much of the
+        # head segment as is left; a run is contiguous, so each of its
+        # blocks but the first pairs with the one before it.
+        owner = self.owner
+        lbn = len(blocks)
+        end = lbn + needed
+        while lbn < end:
+            address, n = self._log_run(end - lbn)
+            owner.update(zip(
+                range(address, address + n),
+                zip(repeat(ino), range(lbn, lbn + n)),
+            ))
+            if lbn:
+                self.countable_pairs += n
+                self.optimal_pairs += n - (address != blocks[-1] + 1)
+            else:
+                self.countable_pairs += n - 1
+                self.optimal_pairs += n - 1
+            blocks.extend(range(address, address + n))
+            lbn += n
+        self.user_blocks_written += needed
         inode.size = new_size
         inode.mtime = max(inode.mtime, when)
 
@@ -195,7 +217,7 @@ class LogStructuredFS:
 
     def utilization(self) -> float:
         """Live blocks over usable capacity."""
-        return self.live_blocks() / self.params.usable_blocks
+        return len(self.owner) / self._usable_blocks
 
     def idle_clean(self, target: Optional[int] = None) -> int:
         """Clean during idle time, up to ``target`` clean segments.
@@ -229,18 +251,27 @@ class LogStructuredFS:
 
     def _log_write(self, ino: int, lbn: int) -> int:
         """Append one block to the log; returns its address."""
-        if self._head_offset >= self.params.blocks_per_segment:
-            self._advance_head()
-        address = (
-            self._head_segment * self.params.blocks_per_segment
-            + self._head_offset
-        )
-        self._head_offset += 1
-        segment = self.segments[self._head_segment]
-        segment.live += 1
-        segment.sequence = self._bump()
+        address, _ = self._log_run(1)
         self.owner[address] = (ino, lbn)
         return address
+
+    def _log_run(self, n: int) -> Tuple[int, int]:
+        """Claim up to ``n`` consecutive log addresses in the head
+        segment, sealing a full head first; returns ``(first address,
+        count)``.  The segment's live count and sequence move as if the
+        blocks were written one by one; the caller records the owners.
+        """
+        bps = self._blocks_per_segment
+        if self._head_offset >= bps:
+            self._advance_head()
+        offset = self._head_offset
+        n = min(n, bps - offset)
+        self._head_offset = offset + n
+        segment = self.segments[self._head_segment]
+        segment.live += n
+        self._sequence += n
+        segment.sequence = self._sequence
+        return self._head_segment * bps + offset, n
 
     def _advance_head(self) -> None:
         """Seal the current segment and move to a clean one."""
@@ -249,12 +280,15 @@ class LogStructuredFS:
             and self.clean_segments() <= self.params.clean_low_water
         ):
             self._clean()
-        for candidate in range(self.params.nsegments):
-            index = (self._head_segment + 1 + candidate) % self.params.nsegments
-            if self.segments[index].clean:
-                self.segments[index].clean = False
+        segments = self.segments
+        nsegments = len(segments)
+        for step in range(1, nsegments + 1):
+            index = (self._head_segment + step) % nsegments
+            segment = segments[index]
+            if segment.clean:
+                segment.clean = False
                 self._clean_count -= 1
-                self.segments[index].sequence = self._bump()
+                segment.sequence = self._bump()
                 self._head_segment = index
                 self._head_offset = 0
                 return
@@ -269,8 +303,10 @@ class LogStructuredFS:
         self.cleanings += 1
         self._cleaning = True
         try:
-            blocks_per_seg = self.params.blocks_per_segment
-            while self.clean_segments() < target:
+            blocks_per_seg = self._blocks_per_segment
+            owner = self.owner
+            inodes = self.inodes
+            while self._clean_count < target:
                 victims = choose_victims(
                     self.segments,
                     capacity=blocks_per_seg,
@@ -283,23 +319,32 @@ class LogStructuredFS:
                 victim = victims[0]
                 base = victim.index * blocks_per_seg
                 live = [
-                    (address, self.owner[address])
+                    address
                     for address in range(base, base + blocks_per_seg)
-                    if address in self.owner
+                    if address in owner
                 ]
                 # A fully live victim cannot net any space; cleaning it
                 # would spin forever.
                 if len(live) >= blocks_per_seg:
                     return
-                for address, (ino, lbn) in live:
-                    self._kill(address)
-                    new_address = self._log_write(ino, lbn)
-                    self._place(self.inodes[ino].blocks, lbn, new_address)
-                    self.cleaner_blocks_copied += 1
-                    if self._idle_cleaning:
-                        self.background_copies += 1
-                    else:
-                        self.foreground_copies += 1
+                # Copy the live blocks a head-segment run at a time; the
+                # victim's live count drops to zero when it is marked
+                # clean below.
+                copied = 0
+                while copied < len(live):
+                    address, n = self._log_run(len(live) - copied)
+                    for old, new in zip(
+                        live[copied : copied + n], range(address, address + n)
+                    ):
+                        ino, lbn = pair = owner.pop(old)
+                        owner[new] = pair
+                        self._place(inodes[ino].blocks, lbn, new)
+                    copied += n
+                self.cleaner_blocks_copied += copied
+                if self._idle_cleaning:
+                    self.background_copies += copied
+                else:
+                    self.foreground_copies += copied
                 victim.clean = True
                 victim.live = 0
                 self._clean_count += 1
@@ -339,16 +384,14 @@ class LogStructuredFS:
             self.countable_pairs -= len(blocks) - 1
 
     def _kill(self, address: int) -> None:
-        owner = self.owner.pop(address, None)
-        if owner is None:
+        if self.owner.pop(address, None) is None:
             raise FileNotFoundSimError(f"block {address} has no live owner")
-        segment = self.segments[self.params.segment_of_block(address)]
-        segment.live -= 1
+        self.segments[address // self._blocks_per_segment].live -= 1
 
     def _check_space(self, needed_blocks: int) -> None:
         if needed_blocks <= 0:
             return
-        if self.live_blocks() + needed_blocks > self.params.usable_blocks:
+        if len(self.owner) + needed_blocks > self._usable_blocks:
             raise OutOfSpaceError(
                 f"allocating {needed_blocks} blocks would exceed the "
                 f"usable capacity"

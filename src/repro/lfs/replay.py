@@ -24,6 +24,7 @@ from repro.aging.replay import ReplayResult
 from repro.aging.workload import Workload
 from repro.analysis.timeline import DailySample, Timeline
 from repro.errors import OutOfSpaceError
+from repro.gcpause import gc_paused
 from repro.lfs.filesystem import LogStructuredFS
 from repro.lfs.params import LFSParams
 
@@ -128,9 +129,11 @@ def age_lfs(
     label: str = "LFS",
     idle_clean_gap_days: Optional[float] = None,
 ) -> ReplayResult:
-    """Convenience: build a fresh LFS and age it with ``workload``."""
+    """Convenience: build a fresh LFS and age it with ``workload``, with
+    the cyclic collector paused (see :mod:`repro.gcpause`)."""
     fs = LogStructuredFS(params)
     replayer = LfsReplayer(
         fs, label=label, idle_clean_gap_days=idle_clean_gap_days
     )
-    return replayer.replay(workload)
+    with gc_paused():
+        return replayer.replay(workload)

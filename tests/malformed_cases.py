@@ -4,8 +4,10 @@ Every reader of a recorded artifact validates its document once, at the
 loader: :meth:`RunManifest.from_dict` for manifests, the run store for
 registry documents, :func:`~repro.obs.heatmap.day_samples` for
 ``day_sample`` rows, :func:`~repro.obs.disktrace.read_disk_trace` and
-:func:`~repro.obs.trace.read_trace` for disk and span traces, and
-:func:`~repro.ffs.image.check_format` for images.  :data:`CASES` names, per malformed fixture, each ``repro-ffs``
+:func:`~repro.obs.trace.read_trace` for disk and span traces,
+:func:`~repro.ffs.image.check_format` for images, and
+:meth:`Workload.load <repro.aging.workload.Workload.load>` for workload
+files.  :data:`CASES` names, per malformed fixture, each ``repro-ffs``
 command that reads it; :func:`write_fixtures` writes the fixtures into a
 directory, and the command paths are relative to it.  The tier-1 suite
 (``tests/test_malformed_inputs.py``) and CI's ``run-report`` job both
@@ -37,6 +39,13 @@ BAD_DAY_SAMPLE = "bad-day-sample.jsonl"
 BAD_DISK_TRACE = "bad-disk-trace.jsonl"
 #: A span trace whose one span has a non-numeric wall time.
 BAD_SPAN_TRACE = "bad-span-trace.jsonl"
+
+#: Two-line workload files whose delete time no replay can reach.
+BAD_WORKLOAD_TIMES: Dict[str, str] = {
+    "workload-nan-time": "nan",
+    "workload-inf-time": "inf",
+    "workload-time-past-horizon": "5e7",
+}
 
 #: A registry whose one document embeds a manifest metric without value.
 BAD_RUNS_DIR = "runs"
@@ -102,6 +111,11 @@ def write_fixtures(directory: Path) -> None:
     })
     for name, document in {**BAD_IMAGES, **NOT_RUNS}.items():
         dump(f"{name}.json", document)
+    for name, time in BAD_WORKLOAD_TIMES.items():
+        (directory / f"{name}.txt").write_text(
+            "0.0 create 0 4096 5 dir000_0\n"
+            f"{time} delete 0 0 5 dir000_0\n"
+        )
 
 
 def _cases() -> List[Tuple[str, List[str]]]:
@@ -143,6 +157,12 @@ def _cases() -> List[Tuple[str, List[str]]]:
             (f"fsck-repair-{name}", ["fsck", path, "--repair"]),
             (f"inspect-{name}", ["inspect", path]),
         ]
+    cases += [
+        (f"age-{name}",
+         ["age", "--preset", "tiny", "--no-cache", "--workload",
+          f"{name}.txt"])
+        for name in BAD_WORKLOAD_TIMES
+    ]
     return cases
 
 

@@ -1,10 +1,15 @@
 """Unit tests for the synthetic source-activity model."""
 
+import hashlib
+from array import array
+
 import pytest
 
+from repro.aging.generator import build_workloads
 from repro.aging.snapshot import ActivityLevels, SourceActivityModel
 from repro.aging.workload import APPEND, CREATE, DELETE
 from repro.errors import SimulationError
+from repro.experiments.config import aging_config
 from repro.ffs.params import scaled_params
 from repro.units import KB, MB
 
@@ -135,3 +140,81 @@ class TestFragsFor:
         model = SourceActivityModel(params, days=2, seed=1)
         assert model._frags_for(3 * KB) == 3
         assert model._frags_for(0) == 0
+
+
+class TestEligibility:
+    """A file is eligible for deletion or modification on day ``d`` when
+    its ctime is before ``d``.  A modify stamps its rewrite at
+    ``when + 1e-4``, which can round to exactly ``day + 1.0``; that file
+    is not eligible until the day after next."""
+
+    def test_ctime_on_the_day_boundary_waits_a_day(self, params):
+        model = SourceActivityModel(params, days=4, seed=1)
+        directory = "dir000_0"
+        assert model._eligible_on(0) == 0
+        early = model._create(0.5, directory, 4 * KB).file_id
+        model._create(1.0, directory, 4 * KB)
+        assert model._eligible_on(1) == 1
+        rng = model.streams.get("daily")
+        for _ in range(20):
+            assert model._pick_victim_run(rng, 1, 5) == [early]
+        assert model._eligible_on(2) == 2
+
+    def test_delete_leaves_the_running_count(self, params):
+        model = SourceActivityModel(params, days=4, seed=1)
+        old = model._create(0.5, "dir000_0", 4 * KB).file_id
+        model._create(1.0, "dir000_0", 4 * KB)
+        assert model._eligible_on(1) == 1
+        model._delete(old, 1.5)
+        assert model._eligible_on(2) == 1
+
+
+def _workload_digest(workload):
+    """SHA-256 of a workload's columns and directory table."""
+    digest = hashlib.sha256(workload.op)
+    for column in (
+        workload.time, workload.file_id, workload.size, workload.src_ino,
+    ):
+        digest.update(column.tobytes())
+    digest.update(array("q", workload.dir_id).tobytes())
+    digest.update("\n".join(workload.dir_table).encode())
+    digest.update(repr(workload.day_slices).encode())
+    return digest.hexdigest()
+
+
+def _snapshots_digest(snapshots):
+    """SHA-256 of every snapshot's records, in snapshot order."""
+    digest = hashlib.sha256()
+    for snap in snapshots:
+        digest.update(repr((snap.day, [
+            (r.ino, r.size, r.ctime, r.directory)
+            for r in snap.files.values()
+        ])).encode())
+    return digest.hexdigest()
+
+
+#: ``build_workloads`` output per preset: (ground truth, reconstructed,
+#: snapshots).  Recorded before the source model and the NFS fold were
+#: flattened; any change that moves one changes every aging result.
+BUILD_GOLDEN = {
+    "tiny": (
+        "d2402c42ba4be5b948accf599105421afc7f6b6c8e61deca33c03c8362d4a4d5",
+        "a4dbc7bdc811ffcb2cfa30eb2be05f4d4ab455d409cfb4e9c7ead73ecd55c8d6",
+        "e8f50d6d92f7c5575d13583aaca91dab4a58cd0093755bae5c077e3c7d3cd614",
+    ),
+    "small": (
+        "0a29a04f03ef6abf764ce0118e2b54df9782a12f52da205c7d4f3ea2ab5b02af",
+        "a80b06feb33b375c657de0ae3be74a7302879d3f110aeb27dc6ebbe4b530e30a",
+        "880745f69d747cd7876bf0d3a2e178a48de1f1f40721350185fac6566edb2f4d",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(BUILD_GOLDEN))
+def test_build_workloads_golden(preset):
+    built = build_workloads(aging_config(preset))
+    assert (
+        _workload_digest(built.ground_truth),
+        _workload_digest(built.reconstructed),
+        _snapshots_digest(built.snapshots),
+    ) == BUILD_GOLDEN[preset]

@@ -262,6 +262,22 @@ class TestVictimSelection:
         ranked = choose_victims(segments, 32, policy="greedy", count=3)
         assert [seg.index for seg in ranked] == [1, 2, 0]
 
+    def test_empty_segments_do_not_always_rank_first(self):
+        # A young empty segment, an old half-full one and a newer empty
+        # one: greedy takes the empties first, cost-benefit weighs the
+        # old segment's age above the young one's emptiness.
+        segments = self.make_segments([0, 16, 0])
+        for seg, sequence in zip(segments, (90, 1, 100)):
+            seg.sequence = sequence
+        ranked = {
+            policy: [
+                seg.index
+                for seg in choose_victims(segments, 32, policy=policy, count=3)
+            ]
+            for policy in ("greedy", "cost-benefit")
+        }
+        assert ranked == {"greedy": [0, 2, 1], "cost-benefit": [1, 0, 2]}
+
     def test_empty_candidate_list(self):
         segments = self.make_segments([5])
         segments[0].clean = True
