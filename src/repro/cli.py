@@ -37,23 +37,28 @@ Subcommands:
   trend lines over the archived summaries and flags metric drift.
 * ``lint``       — run replint, the repo-aware static-analysis pass.
 
-The subcommands that age or generate (``age``, ``workload``,
-``experiment``, ``freespace``, ``ablation``, ``profiles``, ``inspect``,
-``chaos``) take ``--preset tiny|small|paper`` (default small) and
-``--no-cache`` / ``--cache-dir DIR`` to control the persistent artifact
-cache (see :mod:`repro.cache`); ``cache`` takes the cache flags too.
-Every subcommand except ``report``, ``history``, ``diff`` and ``lint``
-takes the telemetry flags ``--metrics FILE`` (write a JSON run
-manifest: config + environment + metrics), ``--trace FILE`` (write the
-span trace as JSONL), ``--events FILE`` (write the typed event log as
-JSONL), and ``--profile`` (per-phase cProfile attribution, folded into
-the manifest and printed to stderr).  Telemetry is off — a no-op —
-unless one of those flags is given.  ``experiment all`` and ``chaos``
-take ``--jobs N`` to fan work across worker processes.
-``experiment`` and ``chaos`` take ``--backend disk|ssd`` to price I/O
-on the rotating disk (default) or the FTL-backed flash substrate (see
-:mod:`repro.ssd`); the name is passed down as an argument and recorded
-in the run manifest.
+Each flag shared by several subcommands is declared once, its group on
+a parent parser that the subcommands name:
+
+* preset: ``--preset tiny|small|paper`` (default small), on the
+  subcommands that age or generate (``age``, ``workload``,
+  ``experiment``, ``freespace``, ``ablation``, ``profiles``,
+  ``inspect``, ``chaos``);
+* cache: ``--no-cache`` / ``--cache-dir DIR`` (see :mod:`repro.cache`),
+  on those and ``cache``;
+* telemetry: ``--metrics FILE`` (a JSON run manifest), ``--trace FILE``
+  (the span trace), ``--events FILE`` (the typed event log),
+  ``--disk-trace FILE`` (the per-request disk trace), ``--profile``
+  (per-phase cProfile attribution) and ``--record`` (archive the run),
+  on every subcommand but ``report``, ``history``, ``diff`` and
+  ``lint``; telemetry is off, a no-op, unless one of them is given;
+* runs-dir: ``--runs-dir DIR``, the run registry, wherever one is
+  written or read;
+* backend and jobs: ``--backend disk|ssd`` (price I/O on the rotating
+  disk or the FTL-backed flash of :mod:`repro.ssd`) and ``--jobs N``
+  (fan work across worker processes; output byte-identical to serial),
+  on ``experiment`` and ``chaos``;
+* json: ``--json``, on each subcommand that can print JSON.
 
 Wall-clock timing of the reproduction itself is not a subcommand: the
 repository benchmark lives in ``perfbench/`` (see its README).
@@ -105,6 +110,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         directory=getattr(args, "cache_dir", None),
     )
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidRequestError(f"--jobs must be at least 1 (got {args.jobs})")
         # `report` consumes telemetry files; its --events is an input
         # path, not a capture request, so it opts out of the session.
         if getattr(args, "_no_telemetry", False) or not any(
@@ -126,12 +133,8 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     as JSONL (``--events``), and the per-phase profile is folded into
     the manifest and printed to stderr (``--profile``).
     """
-    tracer = obs.Tracer(profiler=obs.PhaseProfiler() if args.profile else None)
-    events_log = obs.EventLog() if args.events else None
-    disk_trace = obs.DiskTrace() if args.disk_trace else None
-    with obs.session(
-        tracer=tracer, events=events_log, disktrace=disk_trace
-    ) as (registry, _tracer):
+    capture = obs.Capture(bool(args.events), bool(args.disk_trace), args.profile)
+    with capture.open() as (registry, tracer):
         manifest = obs.RunManifest(
             command=args.command, config=_manifest_config(args)
         )
@@ -151,8 +154,8 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
             print(f"[obs] wrote metrics manifest to {args.metrics}", file=sys.stderr)
         for path, log, noun in (
             (args.trace, tracer, "spans"),
-            (args.events, events_log, "events"),
-            (args.disk_trace, disk_trace, "disk requests"),
+            (args.events, obs.events_or_none(), "events"),
+            (args.disk_trace, obs.disktrace_or_none(), "disk requests"),
         ):
             if path:
                 with open(path, "w") as fp:
@@ -182,6 +185,12 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     }
 
 
+#: The telemetry parent's flags that ask for a session (``--runs-dir``
+#: only places what ``--record`` writes): ``main`` opens a session when
+#: any is set, and none joins the manifest config.
+_TELEMETRY_FLAGS = ("metrics", "trace", "events", "disk_trace", "profile", "record")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ffs",
@@ -192,12 +201,86 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_age = sub.add_parser("age", help="age a file system and print the trajectory")
-    _add_preset(p_age)
-    p_age.add_argument(
-        "--policy", choices=["ffs", "realloc", "both"], default="both",
-        help="allocation policy to age under",
+    def parent() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    preset = parent()
+    preset.add_argument(
+        "--preset", choices=sorted(PRESETS), default="small",
+        help="scale preset (default: small)",
     )
+    telemetry = parent()
+    for flag, artifact in (
+        ("metrics", "a JSON run manifest (render it with `repro-ffs stats`)"),
+        ("trace", "the span trace as JSONL"),
+        ("events", "the typed event log as JSONL"),
+        ("disk-trace", "the per-request disk I/O trace as JSONL"),
+    ):
+        telemetry.add_argument(
+            f"--{flag}", metavar="FILE", default=None,
+            help=f"capture telemetry and write {artifact}",
+        )
+    telemetry.add_argument(
+        "--profile", action="store_true",
+        help="profile each phase with cProfile; fold the top offenders "
+        "into the --metrics manifest and print them to stderr",
+    )
+    telemetry.add_argument(
+        "--record", action="store_true",
+        help="capture telemetry and archive this run's manifest and "
+        "summary metrics in the run registry "
+        "(list it with `repro-ffs history`)",
+    )
+    runs_dir = parent()
+    runs_dir.add_argument(
+        "--runs-dir", metavar="DIR", default=None,
+        help="run registry location (default: .repro/runs/)",
+    )
+    caching = parent()
+    caching.add_argument(
+        "--no-cache", action="store_true",
+        help="do not read or write the persistent artifact cache",
+    )
+    caching.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help=f"artifact cache location (default: {cache.DEFAULT_DIR}/, "
+        f"or ${cache.ENV_DIR})",
+    )
+    backend = parent()
+    backend.add_argument(
+        "--backend", choices=list(storage.BACKENDS),
+        default=storage.DEFAULT_BACKEND,
+        help="storage substrate the run prices I/O on: the Table 1 "
+        "rotating disk or the FTL-backed flash device (default: "
+        f"{storage.DEFAULT_BACKEND})",
+    )
+    jobs = parent()
+    jobs.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="run across N worker processes (default: 1, serial); "
+        "output is byte-identical to serial",
+    )
+    as_json = parent()
+    as_json.add_argument(
+        "--json", action="store_true", dest="as_json",
+        help="emit the result as JSON on stdout instead of text",
+    )
+    simulates = [preset, telemetry, runs_dir, caching]
+
+    def add_policy(
+        parser: argparse.ArgumentParser, default: str, both: bool = True
+    ) -> None:
+        parser.add_argument(
+            "--policy", default=default,
+            choices=["ffs", "realloc", "both"] if both else ["ffs", "realloc"],
+            help=f"allocation policy (default: {default})",
+        )
+
+    p_age = sub.add_parser(
+        "age", parents=simulates,
+        help="age a file system and print the trajectory",
+    )
+    add_policy(p_age, "both")
     p_age.add_argument(
         "--workload", metavar="FILE", default=None,
         help="replay a workload file (from `repro-ffs workload`) instead "
@@ -211,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_age.set_defaults(handler=_cmd_age)
 
     p_fsck = sub.add_parser(
-        "fsck", help="verify (or repair) a saved file-system image"
+        "fsck", parents=[telemetry, runs_dir, as_json],
+        help="verify (or repair) a saved file-system image",
     )
     p_fsck.add_argument("image", help="image file from `age --save-image`")
     p_fsck.add_argument(
@@ -224,22 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save", metavar="FILE", default=None,
         help="with --repair: write the repaired image to FILE",
     )
-    p_fsck.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="with --repair: print the repair report as JSON",
-    )
     p_fsck.set_defaults(handler=_cmd_fsck)
 
     p_chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[*simulates, backend, jobs, as_json],
         help="crash aging replays at sampled points, fsck the wreckage, "
         "and compare against clean halts",
     )
-    _add_preset(p_chaos)
-    p_chaos.add_argument(
-        "--policy", choices=["ffs", "realloc", "both"], default="both",
-        help="allocation policy (default: both)",
-    )
+    add_policy(p_chaos, "both")
     p_chaos.add_argument(
         "--crashes", type=int, default=3, metavar="N",
         help="crash plans sampled per policy (default: 3)",
@@ -254,22 +330,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "crash point may fire at (default: 400)",
     )
     p_chaos.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run cases across N worker processes (default: 1, serial); "
-        "output is byte-identical to serial",
-    )
-    p_chaos.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full report as JSON (repro.chaos/v1) on stdout",
-    )
-    p_chaos.add_argument(
         "--output", metavar="FILE", default=None,
         help="also write the JSON report to FILE",
     )
     p_chaos.set_defaults(handler=_cmd_chaos)
 
-    p_wl = sub.add_parser("workload", help="generate and save the aging workload")
-    _add_preset(p_wl)
+    p_wl = sub.add_parser(
+        "workload", parents=simulates,
+        help="generate and save the aging workload",
+    )
     p_wl.add_argument("output", help="path to write the workload file")
     p_wl.add_argument(
         "--which", choices=["reconstructed", "ground-truth"],
@@ -277,8 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_wl.set_defaults(handler=_cmd_workload)
 
-    p_exp = sub.add_parser("experiment", help="run a paper experiment")
-    _add_preset(p_exp)
+    p_exp = sub.add_parser(
+        "experiment", parents=[*simulates, backend, jobs],
+        help="run a paper experiment",
+    )
     p_exp.add_argument(
         "name",
         choices=sorted({**EXPERIMENTS, **EXTRA_EXPERIMENTS}) + ["all"],
@@ -291,39 +362,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "(figures with series only)",
     )
     p_exp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run `all` across N worker processes (default: 1, serial); "
-        "output is byte-identical to serial",
-    )
-    p_exp.add_argument(
         "--slowest", action="store_true",
         help="after `all`, print the slowest experiments to stderr",
     )
     p_exp.set_defaults(handler=_cmd_experiment)
 
     p_free = sub.add_parser(
-        "freespace", help="free-space fragmentation of an aged file system"
+        "freespace", parents=[*simulates, as_json],
+        help="free-space fragmentation of an aged file system",
     )
-    _add_preset(p_free)
-    p_free.add_argument(
-        "--policy", choices=["ffs", "realloc"], default="ffs",
-    )
-    p_free.add_argument(
-        "--json", action="store_true",
-        help="emit the statistics and run-length histogram as JSON",
-    )
+    add_policy(p_free, "ffs", both=False)
     p_free.set_defaults(handler=_cmd_freespace)
 
     p_stats = sub.add_parser(
-        "stats", help="render a captured --metrics manifest as tables"
+        "stats", parents=[telemetry, runs_dir],
+        help="render a captured --metrics manifest as tables",
     )
     p_stats.add_argument("manifest", help="manifest file from a --metrics run")
     p_stats.set_defaults(handler=_cmd_stats)
 
     p_abl = sub.add_parser(
-        "ablation", help="run a design-choice ablation study"
+        "ablation", parents=simulates,
+        help="run a design-choice ablation study",
     )
-    _add_preset(p_abl)
     p_abl.add_argument(
         "name",
         choices=["maxcontig", "cluster-fit", "trigger", "indirect",
@@ -333,14 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(handler=_cmd_ablation)
 
     p_prof = sub.add_parser(
-        "profiles",
+        "profiles", parents=simulates,
         help="compare aging under different usage-pattern workloads",
     )
-    _add_preset(p_prof)
     p_prof.set_defaults(handler=_cmd_profiles)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect or clear the persistent artifact cache"
+        "cache", parents=[telemetry, runs_dir, caching],
+        help="inspect or clear the persistent artifact cache",
     )
     p_cache.add_argument(
         "action", choices=["ls", "clear"],
@@ -349,12 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cache.set_defaults(handler=_cmd_cache)
 
     p_report = sub.add_parser(
-        "report",
+        "report", parents=[runs_dir],
         help="render a run's telemetry artifacts as one offline HTML page",
     )
-    p_report.add_argument(
-        "manifest", help="run manifest from a --metrics run"
-    )
+    p_report.add_argument("manifest", help="run manifest from a --metrics run")
     p_report.add_argument(
         "--events", metavar="FILE", default=None,
         help="event log (JSONL) from the same run's --events",
@@ -377,38 +436,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "--disk-trace",
     )
     p_report.add_argument(
-        "--runs-dir", metavar="DIR", default=None,
-        help="run registry (from --record) for the trend-line panel",
-    )
-    p_report.add_argument(
         "--output", metavar="FILE", default="run-report.html",
         help="HTML output path (default: run-report.html)",
     )
     p_report.set_defaults(handler=_cmd_report, _no_telemetry=True)
 
     p_insp = sub.add_parser(
-        "inspect",
+        "inspect", parents=[*simulates, as_json],
         help="block-placement maps and fragmentation profile of a saved "
         "image or a freshly aged file system",
     )
-    _add_preset(p_insp)
     p_insp.add_argument(
         "images", nargs="*", metavar="IMAGE",
         help="saved image(s) from `age --save-image` (none: age the "
         "preset in place; two: compare them)",
     )
-    p_insp.add_argument(
-        "--policy", choices=["ffs", "realloc", "both"], default="ffs",
-        help="policy to age under when no image is given "
-        "(both: compare the two policies)",
-    )
+    add_policy(p_insp, "ffs")
     p_insp.add_argument(
         "--top", type=int, default=15, metavar="N",
         help="largest files to list (default: 15)",
-    )
-    p_insp.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the placement document(s) as JSON (repro.inspect/v1)",
     )
     p_insp.add_argument(
         "--html", metavar="FILE", default=None,
@@ -417,12 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_insp.set_defaults(handler=_cmd_inspect)
 
     p_hist = sub.add_parser(
-        "history",
+        "history", parents=[runs_dir, as_json],
         help="list the run registry recorded by --record",
-    )
-    p_hist.add_argument(
-        "--runs-dir", metavar="DIR", default=None,
-        help="run registry location (default: .repro/runs/)",
     )
     p_hist.add_argument(
         "--command", metavar="NAME", default=None, dest="filter_command",
@@ -442,15 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fit per-policy trend lines (layout score, MB/s, lost "
         "rotations, seek p99) over the filtered runs and flag drift",
     )
-    p_hist.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the run documents as a JSON array instead of a table "
-        "(with --drift: the repro.drift/v1 document)",
-    )
     p_hist.set_defaults(handler=_cmd_history, _no_telemetry=True)
 
     p_diff = sub.add_parser(
-        "diff",
+        "diff", parents=[runs_dir, as_json],
         help="structurally compare two recorded runs and classify "
         "every delta noise/notable/regression",
     )
@@ -463,35 +500,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "run_b", metavar="RUN_B",
         help="comparison side, same forms as RUN_A",
     )
-    p_diff.add_argument(
-        "--runs-dir", metavar="DIR", default=None,
-        help="run registry to resolve run ids in (default: .repro/runs/)",
-    )
-    p_diff.add_argument(
-        "--events-a", metavar="FILE", default=None,
-        help="event log (JSONL) captured by run A's --events",
-    )
-    p_diff.add_argument(
-        "--events-b", metavar="FILE", default=None,
-        help="event log (JSONL) captured by run B's --events",
-    )
-    p_diff.add_argument(
-        "--disk-trace-a", metavar="FILE", default=None,
-        help="disk I/O trace (JSONL) captured by run A's --disk-trace",
-    )
-    p_diff.add_argument(
-        "--disk-trace-b", metavar="FILE", default=None,
-        help="disk I/O trace (JSONL) captured by run B's --disk-trace",
-    )
-    p_diff.add_argument(
-        "--image-a", metavar="FILE", default=None,
-        help="saved image from run A (age --save-image) for the "
-        "placement comparison",
-    )
-    p_diff.add_argument(
-        "--image-b", metavar="FILE", default=None,
-        help="saved image from run B for the placement comparison",
-    )
+    for side in "ab":
+        for flag, artifact in (
+            ("events", "event log (JSONL) from its --events"),
+            ("disk-trace", "disk I/O trace (JSONL) from its --disk-trace"),
+            ("image", "saved image (age --save-image), for placement"),
+        ):
+            p_diff.add_argument(
+                f"--{flag}-{side}", metavar="FILE", default=None,
+                help=f"run {side.upper()}'s {artifact}",
+            )
     p_diff.add_argument(
         "--rel-threshold", type=float, default=None, metavar="FRAC",
         help="relative significance threshold (default: 0.05 = 5%%)",
@@ -502,26 +520,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 0, with per-family floors for wall clock and scores)",
     )
     p_diff.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the diff document (repro.diff/v1) instead of text",
-    )
-    p_diff.add_argument(
         "--html", metavar="FILE", default=None,
         help="also render a self-contained side-by-side HTML report",
     )
     p_diff.set_defaults(handler=_cmd_diff, _no_telemetry=True)
 
     p_lint = sub.add_parser(
-        "lint",
+        "lint", parents=[as_json],
         help="run replint, the repo-aware static-analysis pass",
     )
     p_lint.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)",
-    )
-    p_lint.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as JSON (replint.report/v2) instead of text",
     )
     p_lint.add_argument(
         "--select", metavar="RULES", default=None,
@@ -541,95 +551,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "(replint.graph/v1) to FILE",
     )
     p_lint.set_defaults(handler=_cmd_lint, _no_telemetry=True)
-
-    for sub_parser in (p_age, p_fsck, p_wl, p_exp, p_free, p_stats,
-                       p_abl, p_prof, p_cache, p_chaos, p_insp):
-        _add_obs(sub_parser)
-    for sub_parser in (p_age, p_wl, p_exp, p_free, p_abl, p_prof,
-                       p_cache, p_chaos, p_insp):
-        _add_cache_flags(sub_parser)
-    for sub_parser in (p_exp, p_chaos):
-        _add_backend(sub_parser)
     return parser
 
 
-def _add_preset(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--preset", choices=sorted(PRESETS), default="small",
-        help="scale preset (default: small)",
-    )
-
-
-#: What :func:`_add_obs` declares that asks for a telemetry session
-#: (``--runs-dir`` only places what ``--record`` writes): ``main``
-#: opens a session when any is set, and none joins the manifest config.
-_TELEMETRY_FLAGS = ("metrics", "trace", "events", "disk_trace", "profile", "record")
-
-
-def _add_obs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics", metavar="FILE", default=None,
-        help="capture telemetry and write a JSON run manifest "
-        "(render it with `repro-ffs stats FILE`)",
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="capture telemetry and write the span trace as JSONL",
-    )
-    parser.add_argument(
-        "--events", metavar="FILE", default=None,
-        help="capture telemetry and write the typed event log as JSONL "
-        "(render it with `repro-ffs report`)",
-    )
-    parser.add_argument(
-        "--disk-trace", metavar="FILE", default=None,
-        help="capture telemetry and write the per-request disk I/O "
-        "trace as JSONL (render it with `repro-ffs report`)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile each phase with cProfile; fold the top offenders "
-        "into the --metrics manifest and print them to stderr",
-    )
-    parser.add_argument(
-        "--record", action="store_true",
-        help="capture telemetry and archive this run's manifest and "
-        "summary metrics in the run registry "
-        "(list it with `repro-ffs history`)",
-    )
-    parser.add_argument(
-        "--runs-dir", metavar="DIR", default=None,
-        help="run registry location for --record (default: .repro/runs/)",
-    )
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=list(storage.BACKENDS),
-        default=storage.DEFAULT_BACKEND,
-        help="storage substrate the run prices I/O on: the Table 1 "
-        "rotating disk or the FTL-backed flash device (default: "
-        f"{storage.DEFAULT_BACKEND})",
-    )
-
-
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the persistent artifact cache",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help=f"artifact cache location (default: {cache.DEFAULT_DIR}/, "
-        f"or ${cache.ENV_DIR})",
-    )
+def _policies(policy: str) -> List[str]:
+    """A ``--policy`` value as the policies it names."""
+    return ["ffs", "realloc"] if policy == "both" else [policy]
 
 
 def _cmd_age(args: argparse.Namespace) -> int:
-    policies = ["ffs", "realloc"] if args.policy == "both" else [args.policy]
+    policies = _policies(args.policy)
     rows = []
     results = {}
-    if getattr(args, "workload", None):
+    if args.workload:
         from repro.aging.replay import age_file_system
         from repro.aging.workload import Workload
 
@@ -652,12 +586,10 @@ def _cmd_age(args: argparse.Namespace) -> int:
             row.append(f"{results[policy].timeline.samples[i].layout_score:.3f}")
         row.append(f"{results[policies[0]].timeline.samples[i].utilization:.2f}")
         rows.append(row)
-    print(
-        render_table(
-            ["day"] + policies + ["util"], rows,
-            title=f"Aging trajectory (preset {args.preset})",
-        )
-    )
+    print(render_table(
+        ["day"] + policies + ["util"], rows,
+        title=f"Aging trajectory (preset {args.preset})",
+    ))
     for policy in policies:
         r = results[policy]
         print(
@@ -666,15 +598,13 @@ def _cmd_age(args: argparse.Namespace) -> int:
             f"{fmt_size(r.bytes_written)} written, "
             f"{r.skipped_no_space} ops skipped for space"
         )
-    if getattr(args, "save_image", None):
+    if args.save_image:
         from repro.ffs.image import dump_filesystem
 
         for policy in policies:
-            path = (
-                args.save_image
-                if len(policies) == 1
-                else f"{args.save_image}.{policy}"
-            )
+            path = args.save_image
+            if len(policies) > 1:
+                path += f".{policy}"
             with open(path, "w") as fp:
                 dump_filesystem(results[policy].fs, fp)
             print(f"saved {policy} image to {path}")
@@ -695,13 +625,15 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     except SimulationError as exc:
         print(f"CORRUPT: {exc}")
         return 1
-    print(
-        f"clean: {len(fs.files())} files, "
-        f"{len(fs.directories)} directories, "
-        f"utilization {fs.utilization():.0%}, "
-        f"policy {fs.policy.name}"
-    )
+    print(f"clean: {_fs_summary(fs)}")
     return 0
+
+
+def _fs_summary(fs) -> str:
+    return (
+        f"{len(fs.files())} files, {len(fs.directories)} directories, "
+        f"utilization {fs.utilization():.0%}, policy {fs.policy.name}"
+    )
 
 
 def _fsck_repair(args: argparse.Namespace) -> int:
@@ -724,12 +656,7 @@ def _fsck_repair(args: argparse.Namespace) -> int:
         print()
     else:
         print(report.render())
-        print(
-            f"after repair: {len(fs.files())} files, "
-            f"{len(fs.directories)} directories, "
-            f"utilization {fs.utilization():.0%}, "
-            f"policy {fs.policy.name}"
-        )
+        print(f"after repair: {_fs_summary(fs)}")
     if args.save:
         from repro.ffs.image import dump_filesystem
 
@@ -742,26 +669,23 @@ def _fsck_repair(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import render_report, run_chaos
 
-    policies = (
-        ["ffs", "realloc"] if args.policy == "both" else [args.policy]
-    )
     report = run_chaos(
         args.preset,
-        policies=policies,
+        policies=_policies(args.policy),
         crashes=args.crashes,
         seed=args.seed,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         max_write=args.max_write,
         backend=args.backend,
     )
-    if getattr(args, "as_json", False):
+    if args.as_json:
         from repro.obs.export import write_json
 
         write_json(sys.stdout, report.to_dict())
         print()
     else:
         print(render_report(report))
-    if getattr(args, "output", None):
+    if args.output:
         from repro.obs.export import write_json
 
         with open(args.output, "w") as fp:
@@ -792,22 +716,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         # minutes at larger presets); stdout stays byte-identical to the
         # old batch rendering — and to the serial rendering when --jobs
         # fans the suite across workers — progress notes go to stderr.
-        jobs = max(1, getattr(args, "jobs", 1))
         times = {}
-        first = True
         for name, text, elapsed in iter_all_rendered(
-            args.preset, jobs, args.backend
+            args.preset, args.jobs, args.backend
         ):
-            if not first:
-                print(flush=True)
-            print(experiment_header(name, args.preset), flush=True)
-            print(flush=True)
-            print(text, flush=True)
-            first = False
+            blank = "\n" if times else ""
+            header = experiment_header(name, args.preset)
+            print(f"{blank}{header}\n\n{text}", flush=True)
             times[name] = elapsed
             print(f"[obs] {name}: {elapsed:.1f}s", file=sys.stderr, flush=True)
         args._timings = dict(times)  # sealed into the --metrics manifest
-        if getattr(args, "slowest", False):
+        if args.slowest:
             print(f"[obs] {slowest_summary(times)}", file=sys.stderr, flush=True)
         return 0
     result, elapsed = run_one_timed(args.name, args.preset, args.backend)
@@ -828,7 +747,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_freespace(args: argparse.Namespace) -> int:
     fs = aged(args.preset, args.policy).fs
     stats = free_space_stats(fs)
-    if getattr(args, "json", False):
+    if args.as_json:
         from repro.obs.export import write_json
 
         write_json(
@@ -976,6 +895,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     if len(args.images) > 2:
         raise InvalidRequestError("at most two images can be compared")
+    if args.top < 0:
+        raise InvalidRequestError(f"--top must be at least 0 (got {args.top})")
     documents = []
     if args.images:
         from repro.ffs.image import load_filesystem
@@ -989,10 +910,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 )
             )
     else:
-        policies = (
-            ["ffs", "realloc"] if args.policy == "both" else [args.policy]
-        )
-        for policy in policies:
+        for policy in _policies(args.policy):
             documents.append(
                 inspect_filesystem(
                     aged(args.preset, policy).fs,
@@ -1053,18 +971,14 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_diff_side(
-    ref: str,
-    runs_dir: "str | None",
-    events_path: "str | None",
-    trace_path: "str | None",
-    image_path: "str | None",
-):
-    """Resolve one ``diff`` operand into a :class:`RunArtifacts`.
+def _load_diff_side(args: argparse.Namespace, side: str):
+    """Resolve ``diff``'s ``side`` (``"a"`` or ``"b"``): its operand and
+    its ``--events-``/``--disk-trace-``/``--image-`` files, into a
+    :class:`RunArtifacts`.
 
-    ``ref`` is a file (a registry document or a ``--metrics`` manifest)
-    or a registry run id / unique id prefix under ``--runs-dir``; both
-    go through the run store's reader.
+    The operand is a file (a registry document or a ``--metrics``
+    manifest) or a registry run id / unique id prefix under
+    ``--runs-dir``; both go through the run store's reader.
     """
     from pathlib import Path
 
@@ -1073,10 +987,14 @@ def _load_diff_side(
     from repro.obs.events import read_jsonl
     from repro.obs.store import RunStore, read_run_file
 
+    ref, events_path, trace_path, image_path = (
+        getattr(args, f"{name}_{side}")
+        for name in ("run", "events", "disk_trace", "image")
+    )
     path = Path(ref)
     record = (
         read_run_file(path) if path.is_file()
-        else RunStore(runs_dir).load_run(ref)
+        else RunStore(args.runs_dir).load_run(ref)
     )
     side = RunArtifacts(
         label=record.id, manifest=record.manifest, summary=record.summary,
@@ -1114,15 +1032,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         rel_threshold=rel if rel is not None else Classifier().rel_threshold,
         abs_floor=floor if floor is not None else Classifier().abs_floor,
     )
-    side_a = _load_diff_side(
-        args.run_a, args.runs_dir,
-        args.events_a, args.disk_trace_a, args.image_a,
+    document = diff_runs(
+        _load_diff_side(args, "a"), _load_diff_side(args, "b"),
+        classifier=classifier,
     )
-    side_b = _load_diff_side(
-        args.run_b, args.runs_dir,
-        args.events_b, args.disk_trace_b, args.image_b,
-    )
-    document = diff_runs(side_a, side_b, classifier=classifier)
     if args.as_json:
         from repro.obs.export import write_json
 
@@ -1153,8 +1066,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.explain:
         rule = replint.get_rule(args.explain)
         if rule is None:
-            print(f"lint: unknown rule {args.explain!r}", file=sys.stderr)
-            return 2
+            raise InvalidRequestError(f"unknown rule {args.explain!r}")
         print(f"{rule.rule_id} — {rule.name}\n")
         print(rule.explain())
         return 0
@@ -1166,8 +1078,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule_id in dict.fromkeys(r.strip() for r in args.select.split(",")):
             rule = replint.get_rule(rule_id)
             if rule is None:
-                print(f"lint: unknown rule {rule_id!r}", file=sys.stderr)
-                return 2
+                raise InvalidRequestError(f"unknown rule {rule_id!r}")
             rules.append(rule)
 
     try:

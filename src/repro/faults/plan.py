@@ -173,6 +173,10 @@ def sample_plans(
     """
     if count < 1:
         raise InvalidRequestError(f"cannot sample {count} fault plans")
+    if max_write < 1:
+        raise InvalidRequestError(
+            f"a crash point fires at block write >= 1 (max_write {max_write})"
+        )
     if days < 2:
         raise InvalidRequestError(
             f"need an aging window of >= 2 days to place crashes (got {days})"

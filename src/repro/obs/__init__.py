@@ -29,7 +29,11 @@ benchmark numbers are bit-identical either way.
 
 The session is process-wide but *injectable*: tests and embedders can
 pass their own instances to :func:`enable` (or use the :func:`session`
-context manager) instead of sharing the globals.
+context manager) instead of sharing the globals.  A :class:`Capture`
+names what a session records beyond metrics and spans (events, disk
+trace, profile) and opens one: the CLI opens its session from the
+flags, and :func:`capture_or_none` hands the live one's shape to
+``--jobs`` workers, which open the same.
 
 Typical instrumentation::
 
@@ -55,7 +59,7 @@ Typical capture (what the CLI does for ``--metrics``/``--trace``)::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import InvalidRequestError
 from repro.obs.disktrace import DiskTrace
@@ -80,6 +84,8 @@ __all__ = [
     "enable",
     "disable",
     "session",
+    "Capture",
+    "capture_or_none",
     "metrics",
     "metrics_or_none",
     "tracer_or_none",
@@ -144,6 +150,33 @@ def session(
         yield pair
     finally:
         _registry, _tracer, _events, _disktrace = prior
+
+
+class Capture(NamedTuple):
+    """What a session records beyond metrics and spans."""
+
+    events: bool = False
+    disktrace: bool = False
+    profile: bool = False
+
+    def open(self):
+        """A :func:`session` with fresh logs of this shape."""
+        return session(
+            tracer=Tracer(profiler=PhaseProfiler() if self.profile else None),
+            events=EventLog() if self.events else None,
+            disktrace=DiskTrace() if self.disktrace else None,
+        )
+
+
+def capture_or_none() -> Optional[Capture]:
+    """The live session's :class:`Capture`, or None with no session."""
+    if _registry is None:
+        return None
+    return Capture(
+        events=_events is not None,
+        disktrace=_disktrace is not None,
+        profile=_tracer is not None and _tracer.profiler is not None,
+    )
 
 
 def metrics() -> MetricsRegistry:

@@ -23,16 +23,17 @@ code on behaviourally identical file systems (the image layer
 round-trips allocator state exactly; ``tests/test_parallel.py`` pins
 this).
 
-Telemetry composes: when the parent has an active :mod:`repro.obs`
-session, each worker task opens its own; the parent merges the metrics
-(counters add, histograms merge exactly) and adopts the span trace, the
-event log and the disk trace — all three row logs, shipped as
-``(rows, dropped)`` — with one ``adopt`` call each.  Under ``--profile``
-each worker profiles its own phases and the parent merges their raw
-stats by phase name.  ``--jobs N`` manifests therefore carry run-wide
-totals and the serial run's profile phases, disk traces equal the
-serial ones, and a worker's span tree keeps its parent links, hung
-under the span open in the parent.
+Each worker pins the parent's cache switch and directory once, as the
+pool starts.  Telemetry composes: when the parent has an active
+:mod:`repro.obs` session, each worker task opens one of the same
+:class:`~repro.obs.Capture` (events, disk trace, profile); the parent
+merges the metrics (counters add, histograms merge exactly), adopts
+the span trace, the event log and the disk trace — all three row logs,
+shipped as ``(rows, dropped)`` — with one ``adopt`` call each, and
+merges the workers' raw profile stats by phase name.  ``--jobs N``
+manifests therefore carry run-wide totals and the serial run's profile
+phases, disk traces equal the serial ones, and a worker's span tree
+keeps its parent links, hung under the span open in the parent.
 Instrumented objects bind their registry at construction and pooled
 workers outlive tasks, so such a task first drops the worker's memos;
 totals can then exceed a serial run's where workers each rebuild
@@ -63,23 +64,19 @@ _AFFINITY: Tuple[Tuple[str, ...], ...] = (("fig4", "fig5", "fig6"),)
 
 
 def _run_task(
-    fn: Callable[..., object], args: Tuple[object, ...], settings: tuple
+    fn: Callable[..., object],
+    args: Tuple[object, ...],
+    capture: "obs.Capture | None",
 ) -> Dict[str, object]:
-    """The one worker entry point: pin the parent's cache ``settings``,
-    run ``fn(*args)`` (in a fresh telemetry session when the parent has
-    one) and ship the result home with the session's snapshot."""
-    cache_enabled, cache_dir, telemetry, events, disktrace, profile = settings
-    cache.configure(enabled=cache_enabled, directory=cache_dir)
-    if not telemetry:
+    """The one worker entry point: run ``fn(*args)`` (in a session of the
+    parent's ``capture`` when the parent has one) and ship the result
+    home with the session's snapshot."""
+    if capture is None:
         return {"result": fn(*args)}
     from repro.experiments import config
 
     config.clear_caches()  # rebind instrumented objects to this session
-    with obs.session(
-        tracer=obs.Tracer(profiler=obs.PhaseProfiler() if profile else None),
-        events=obs.EventLog() if events else None,
-        disktrace=obs.DiskTrace() if disktrace else None,
-    ) as (registry, tracer):
+    with capture.open() as (registry, tracer):
         result = fn(*args)
         payload = _telemetry_payload(registry, tracer)
     payload["result"] = result
@@ -141,16 +138,15 @@ def fan_out(waves: Sequence[Sequence[Task]], jobs: int) -> Iterator[object]:
     if jobs <= 1 or sum(map(len, waves)) <= 1:
         yield from (fn(*args) for _o, fn, args in itertools.chain(*waves))
         return
-    tracer = obs.tracer_or_none()
-    settings = (
-        cache.is_enabled(), str(cache.directory()), obs.enabled(),
-        obs.events_or_none() is not None, obs.disktrace_or_none() is not None,
-        tracer is not None and tracer.profiler is not None,
-    )
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    capture = obs.capture_or_none()
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=cache.configure,  # each worker pins the parent's cache
+        initargs=(cache.is_enabled(), str(cache.directory())),
+    ) as pool:
         for wave in waves:
             futures = [
-                pool.submit(_run_task, fn, args, settings)
+                pool.submit(_run_task, fn, args, capture)
                 for _origin, fn, args in wave
             ]
             for (origin, _fn, _args), future in zip(wave, futures):

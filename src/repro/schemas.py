@@ -28,7 +28,7 @@ can import it without cycles.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 # --- observability payloads ---------------------------------------------
 
@@ -92,16 +92,3 @@ REGISTRY: Dict[str, str] = {
     "LINT_REPORT": LINT_REPORT,
     "LINT_GRAPH": LINT_GRAPH,
 }
-
-
-def split_tag(tag: str) -> Optional[Tuple[str, int]]:
-    """Split ``"repro.diff/v1"`` into ``("repro.diff", 1)``.
-
-    Returns ``None`` for strings that are not versioned schema tags —
-    callers use this both to validate declared tags and to recognize
-    candidate tags in source text.
-    """
-    family, sep, version = tag.partition("/v")
-    if not sep or not family or not version.isdigit():
-        return None
-    return family, int(version)

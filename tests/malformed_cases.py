@@ -163,6 +163,19 @@ def _cases() -> List[Tuple[str, List[str]]]:
           f"{name}.txt"])
         for name in BAD_WORKLOAD_TIMES
     ]
+    # Nonsensical numeric requests, refused before any aging.
+    cases += [
+        ("chaos-max-write-zero",
+         ["chaos", "--preset", "tiny", "--no-cache", "--crashes", "1",
+          "--max-write", "0"]),
+        ("experiment-jobs-zero",
+         ["experiment", "table1", "--preset", "tiny", "--no-cache",
+          "--jobs", "0"]),
+        ("chaos-jobs-negative",
+         ["chaos", "--preset", "tiny", "--no-cache", "--jobs", "-1"]),
+        ("inspect-top-negative",
+         ["inspect", "--preset", "tiny", "--no-cache", "--top", "-1"]),
+    ]
     return cases
 
 

@@ -1,11 +1,39 @@
 """Tests for the ``repro-ffs`` command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+#: ``{"argv", "namespace"}`` per representative invocation, handlers by
+#: name: what each subcommand parsed to before its flags moved into
+#: shared parent parsers.  The namespace is the manifest ``config``, so
+#: it must not drift.
+NAMESPACES = json.loads(
+    (Path(__file__).parent / "cli_namespaces.json").read_text()
+)
+
+#: Dests renamed on purpose since the table was recorded:
+#: ``(command, old) -> new``.
+RENAMED = {("freespace", "json"): "as_json"}
 
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "case", NAMESPACES, ids=[" ".join(c["argv"]) for c in NAMESPACES]
+    )
+    def test_parsed_namespace_is_pinned(self, case):
+        args = vars(_build_parser().parse_args(case["argv"]))
+        got = {k: v.__name__ if callable(v) else v for k, v in args.items()}
+        command = case["namespace"]["command"]
+        expected = {
+            RENAMED.get((command, key), key): value
+            for key, value in case["namespace"].items()
+        }
+        assert got == expected
+
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
         assert "repro-ffs" in capsys.readouterr().out

@@ -128,6 +128,20 @@ class TestGlobalState:
             registry.counter("in.session").inc()
         assert not obs.enabled()
 
+    @pytest.mark.parametrize("capture", [
+        obs.Capture(),
+        obs.Capture(events=True),
+        obs.Capture(disktrace=True, profile=True),
+    ])
+    def test_capture_opens_the_session_it_reads_back(self, capture):
+        assert obs.capture_or_none() is None
+        with capture.open() as (_registry, tracer):
+            assert obs.capture_or_none() == capture
+            assert (obs.events_or_none() is not None) == capture.events
+            assert (obs.disktrace_or_none() is not None) == capture.disktrace
+            assert (tracer.profiler is not None) == capture.profile
+        assert obs.capture_or_none() is None
+
     def test_session_injects_instances(self):
         mine = MetricsRegistry()
         with obs.session(registry=mine):
