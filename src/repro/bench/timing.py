@@ -7,7 +7,8 @@ simulator the only run-to-run variation is the platter's initial angle
 timed function across a set of evenly spaced initial angles and collects
 :class:`Measurement` statistics.  A phase whose layout is frozen issues
 the same requests at every angle, so :meth:`BenchmarkRunner.measure_stream`
-serves one prebuilt request list per angle.
+prices one prebuilt request list: it plans the list once and clocks the
+plan at each angle, since only the rotational wait depends on the angle.
 """
 
 from __future__ import annotations
@@ -74,13 +75,16 @@ class BenchmarkRunner:
     ) -> Measurement:
         """Throughput of moving ``nbytes`` by serving ``requests``.
 
-        Each angle builds a fresh device with ``device(initial_angle=...)``
-        and serves the whole list in one call.  An empty list moves
-        nothing in no time, which reads as zero throughput.
+        The list is planned once, on a fresh ``device()``; each angle
+        then clocks the plan on a fresh ``device(initial_angle=...)``,
+        which prices exactly what serving the whole list there would.
+        An empty list moves nothing in no time, which reads as zero
+        throughput.
         """
+        plan = device().plan(kind, requests)
 
         def timed(angle: float) -> float:
-            elapsed_ms = device(initial_angle=angle).serve(kind, requests)
+            elapsed_ms = device(initial_angle=angle).clock(plan)
             return nbytes / (elapsed_ms / 1000.0) if elapsed_ms else 0.0
 
         return self.measure(timed)

@@ -67,6 +67,7 @@ repository benchmark lives in ``perfbench/`` (see its README).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -1024,9 +1025,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.diff import Classifier, diff_runs, render_diff
 
     rel, floor = args.rel_threshold, args.abs_floor
-    if (rel is not None and rel < 0) or (floor is not None and floor < 0):
+    if any(v is not None and not 0 <= v < math.inf for v in (rel, floor)):
         raise InvalidRequestError(
-            "--rel-threshold and --abs-floor must be non-negative"
+            "--rel-threshold and --abs-floor must be finite and non-negative"
         )
     classifier = Classifier(
         rel_threshold=rel if rel is not None else Classifier().rel_threshold,
@@ -1081,15 +1082,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 raise InvalidRequestError(f"unknown rule {rule_id!r}")
             rules.append(rule)
 
-    try:
-        result = replint.lint_paths(
-            [Path(p) for p in args.paths],
-            rules=rules,
-            export_graph=args.graph_json is not None,
-        )
-    except FileNotFoundError as exc:
-        print(f"lint: no such path: {exc}", file=sys.stderr)
-        return 2
+    result = replint.lint_paths(
+        [Path(p) for p in args.paths],
+        rules=rules,
+        export_graph=args.graph_json is not None,
+    )
 
     if args.graph_json:
         graph_doc = result.graph_document or {}

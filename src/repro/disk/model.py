@@ -18,17 +18,28 @@ rather than being special-cased:
 
 Reads are filtered through a :class:`~repro.disk.trackbuffer.TrackBuffer`,
 so back-to-back sequential reads stream at media rate.
+
+Pricing is two passes.  :meth:`DiskModel.plan` walks a request list
+once and fixes everything the clock does not touch: buffer hits, seeks,
+each target sector's angle, transfers, and the head and read-ahead
+state the list leaves behind.  :meth:`DiskModel.clock` then adds the
+times up against one platter angle, waiting for each sector, and
+publishes the counters and trace rows.  :meth:`DiskModel.serve` is one
+plan clocked on the model that made it; a benchmark phase, which
+serves the same list at several initial angles, plans it once and
+clocks it on a fresh model per angle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.disk.geometry import DiskGeometry
 from repro.disk.request import Extent, byte_requests
 from repro.disk.trackbuffer import TrackBuffer
+from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.units import MB
 
@@ -38,6 +49,35 @@ class IOKind(enum.Enum):
 
     READ = "read"
     WRITE = "write"
+
+
+#: Head cylinder, then the read-ahead window: valid, start, end, frontier.
+HeadState = Tuple[int, bool, int, int, int]
+
+#: One planned request: ``(hit_ms, seek_ms, angle, transfer_ms,
+#: seek_cyls)``.  ``angle`` is the skewed angle of the target sector, or
+#: ``None`` for a read the track buffer serves without positioning.
+Step = Tuple[float, float, Optional[float], float, int]
+
+
+class DiskPlan(NamedTuple):
+    """A request list priced up to the clock (:meth:`DiskModel.plan`).
+
+    ``steps`` has one entry per request the plan serves; ``error`` is
+    what the next request raised, if one did.  ``start`` and ``end`` are
+    the head and read-ahead state before and after; the counts are the
+    served requests' bytes, seeks and buffer hits.
+    """
+
+    kind: "IOKind"
+    requests: Sequence[Tuple[int, int]]
+    steps: List[Step]
+    start: HeadState
+    end: HeadState
+    io_bytes: int
+    seeks: int
+    hits: int
+    error: Optional[Exception]
 
 
 class DiskModel:
@@ -58,14 +98,14 @@ class DiskModel:
         small run-to-run variation the paper reports (std dev < 1.5%).
     read_fault_hook:
         Optional fault-injection check called with ``(start_byte,
-        nbytes)`` before each read is serviced (see
+        nbytes)`` as each read is planned (see
         :func:`repro.faults.disk.read_fault_hook`).  It raises a typed
         error on a faulted read; the faulted request leaves the model's
         clock, head and buffer untouched, and the requests before it in
         the same call stay served.  It must not read the model's state,
-        which catches up only when the call returns.  ``None`` (the
-        default) keeps the model byte-identical to a build without fault
-        injection.
+        which catches up only when the call's clock pass returns.
+        ``None`` (the default) keeps the model byte-identical to a build
+        without fault injection.
     """
 
     def __init__(
@@ -147,14 +187,31 @@ class DiskModel:
     def serve(self, kind: IOKind, requests: Sequence[Tuple[int, int]]) -> float:
         """Price ``(start_byte, nbytes)`` requests back to back.
 
-        Returns the elapsed milliseconds and advances the clock.  A
-        zero-byte request anywhere in ``requests`` raises before the first
-        request is served.
+        Returns the elapsed milliseconds and advances the clock: the
+        :meth:`plan` of ``requests`` against this device, then its
+        :meth:`clock` on it.  A zero-byte request anywhere in
+        ``requests`` raises before the first request is served; a request
+        that raises later (an oversized transfer, an injected read fault)
+        leaves the model as the requests before it left it.
+        """
+        return self.clock(self.plan(kind, requests))
 
-        Each request first pays the host/controller overhead.  The platter
-        keeps spinning (and the firmware keeps prefetching) during that
-        window — this is what makes sequential writes miss their sector.
-        Then:
+    def _head_state(self) -> HeadState:
+        buf = self.buffer
+        return (
+            self.current_cylinder, buf._valid, buf._start, buf._end,
+            buf._frontier,
+        )
+
+    def plan(self, kind: IOKind, requests: Sequence[Tuple[int, int]]) -> "DiskPlan":
+        """Price ``requests`` up to the clock; the model does not change.
+
+        Only the rotational wait depends on when a request starts, so
+        everything else is fixed by the requests and the head and
+        read-ahead state they start from.  Each request first pays the
+        host/controller overhead.  The platter keeps spinning (and the
+        firmware keeps prefetching) during that window — this is what
+        makes sequential writes miss their sector.  Then:
 
         * a read that starts inside the buffered window is served from
           drive RAM over the bus; the rest of it arrives at media rate,
@@ -165,42 +222,30 @@ class DiskModel:
           and waits for the target sector; a write also invalidates the
           read-ahead stream.
 
-        The clock, the head, the read-ahead window and the counters live
-        in locals and are written back once, in ``finally``: a request
-        that raises (an oversized transfer, an injected read fault)
-        leaves the model as the requests before it left it.  Float totals
-        still grow one request at a time, in service order.
+        A zero-byte request anywhere in ``requests`` raises here.  An
+        oversized request (``ValueError``), or a read the
+        ``read_fault_hook`` refuses with a typed
+        :class:`~repro.errors.SimulationError`, ends the plan: it keeps
+        the requests before it and the error, which :meth:`clock` raises
+        once it has served them.
         """
         for _start_byte, nbytes in requests:
             if nbytes <= 0:
                 raise ValueError("access of zero bytes")
         is_read = kind is IOKind.READ
-        (ss, spt, spc, rotation, lost_after, media_rate, overhead, head_switch,
+        (ss, spt, spc, rotation, _lost_after, media_rate, overhead, head_switch,
          t2t, max_bytes, third, seek_sqrt, seek_avg, seek_linear,
          linear_span) = self._consts
-        angle0 = self._initial_angle
         bus_rate = self.bus_rate
         hook = self.read_fault_hook if is_read else None
-        buf = self.buffer
-        capacity = buf.capacity
-        prefetched = int(overhead * buf.media_rate)
-        valid, b_start, b_end, frontier = (
-            buf._valid, buf._start, buf._end, buf._frontier
-        )
-        stats = self.stats
-        if is_read:
-            c_n, c_bytes = stats._c_reads, stats._c_bytes_read
-        else:
-            c_n, c_bytes = stats._c_writes, stats._c_bytes_written
-        n_io, io_bytes, busy = c_n.value, c_bytes.value, stats._c_busy_ms.value
-        seeks, seek_total = stats._c_seeks.value, stats._c_seek_ms.value
-        rot_total, lost = stats._c_rotation_ms.value, stats._c_lost.value
-        hits = stats._c_buf_hits.value
-        g = stats._g
-        trace = self._trace
-        telemetry = g is not None or trace is not None
-        now = start = self.now_ms
-        cyl = self.current_cylinder
+        capacity = self.buffer.capacity
+        prefetched = int(overhead * self.buffer.media_rate)
+        start = self._head_state()
+        cyl, valid, b_start, b_end, frontier = start
+        steps: List[Step] = []
+        step = steps.append
+        io_bytes = seeks = hits = 0
+        error: Optional[Exception] = None
         try:
             for start_byte, nbytes in requests:
                 if nbytes > max_bytes:
@@ -209,38 +254,29 @@ class DiskModel:
                         f"{max_bytes}"
                     )
                 if hook is not None:
-                    # Before any state changes, so a caught injected error
-                    # leaves the model consistent.
                     hook(start_byte, nbytes)
-                start_time = now
-                pre_cyl, pre_seek, pre_rot, pre_lost, pre_hits = (
-                    cyl, seek_total, rot_total, lost, hits
-                )
                 if valid and overhead > 0:
                     frontier += prefetched
                     b_end = frontier
                     if b_end - b_start > capacity:
                         b_start = b_end - capacity
-                now += overhead
-
-                position = True
+                sector = start_byte // ss
+                target = sector // spc
+                distance = abs(target - cyl)
+                hit_ms = seek = transfer = 0.0
+                angle: Optional[float] = None
                 at, xfer = start_byte, nbytes
                 if not is_read:
                     valid = False
                     b_start = b_end = frontier = 0
-                elif valid and b_start <= start_byte <= b_end and b_start < b_end:
-                    position = False
+                if valid and b_start <= start_byte <= b_end and b_start < b_end:
                     if start_byte < b_end:
                         hit = min(nbytes, b_end - start_byte)
-                        now += hit / bus_rate
+                        hit_ms = hit / bus_rate
                         hits += 1
                         at += hit
                         xfer -= hit
-
-                if position:
-                    sector = start_byte // ss
-                    target = sector // spc
-                    distance = abs(target - cyl)
+                else:
                     # Seek curve: sqrt from one cylinder to a third of the
                     # stroke, linear beyond (DiskGeometry.seek_time_ms).
                     if distance == 0:
@@ -253,23 +289,15 @@ class DiskModel:
                         seek = seek_avg + seek_linear * (
                             (distance - third) / linear_span
                         )
-                    now += seek
                     if seek:
                         seeks += 1
-                        seek_total += seek
                     cyl = target
-                    # Skewed sector angle (DiskGeometry.rotational_position)
-                    # against the platter angle now (angle_at).
+                    # Skewed sector angle (DiskGeometry.rotational_position).
                     angle = (
                         (sector % spt) / spt
                         + ((sector // spt - target) * head_switch + target * t2t)
                         / rotation
                     ) % 1.0
-                    wait = ((angle - (angle0 + now / rotation) % 1.0) % 1.0) * rotation
-                    now += wait
-                    rot_total += wait
-                    if wait > lost_after:
-                        lost += 1
 
                 if xfer:
                     # Media rate plus a head switch per track crossed and a
@@ -283,7 +311,6 @@ class DiskModel:
                         transfer += (tracks - cyls) * head_switch
                         transfer += cyls * t2t
                     cyl = last // spc
-                    now += transfer
 
                 if is_read:
                     # The firmware keeps prefetching from the end of this
@@ -294,57 +321,115 @@ class DiskModel:
                     valid = True
                     if b_end - b_start > capacity:
                         b_start = b_end - capacity
-
-                elapsed = now - start_time
-                n_io += 1
                 io_bytes += nbytes
-                busy += elapsed
-                if telemetry:
-                    if g is not None:
-                        gc = stats._g_counters
-                        gc["reads" if is_read else "writes"].inc()
-                        gc["bytes_read" if is_read else "bytes_written"].inc(nbytes)
-                        gc["busy_ms"].inc(elapsed)
-                        stats._g_service_hist.observe(elapsed)
-                        if hits > pre_hits:
-                            gc["buffer_hits"].inc()
-                        if position:
-                            if seek:
-                                gc["seeks"].inc()
-                                gc["seek_ms"].inc(seek)
-                                stats._g_seek_hist.observe(seek)
-                                stats._g_seek_dist_hist.observe(distance)
-                            gc["rotation_ms"].inc(wait)
-                            if lost > pre_lost:
-                                gc["lost_rotations"].inc()
-                            stats._g_rot_hist.observe(wait)
-                    if trace is not None:
-                        target_cyl = start_byte // ss // spc
-                        seek_ms = seek_total - pre_seek
-                        rot_ms = rot_total - pre_rot
-                        trace.record(
-                            kind="read" if is_read else "write",
-                            byte=start_byte,
-                            nbytes=nbytes,
-                            cyl=target_cyl,
-                            seek_cyls=abs(target_cyl - pre_cyl),
-                            seek_ms=seek_ms,
-                            rot_ms=rot_ms,
-                            transfer_ms=elapsed - seek_ms - rot_ms,
-                            service_ms=elapsed,
-                            lost_rot=lost > pre_lost,
-                            buf_hit=hits > pre_hits,
-                        )
-        finally:
-            self.now_ms = now
-            self.current_cylinder = cyl
-            buf._valid, buf._start, buf._end, buf._frontier = (
-                valid, b_start, b_end, frontier
+                step((hit_ms, seek, angle, transfer, distance))
+        except (ValueError, SimulationError) as exc:
+            error = exc
+        return DiskPlan(
+            kind, requests, steps, start, (cyl, valid, b_start, b_end, frontier),
+            io_bytes, seeks, hits, error,
+        )
+
+    def clock(self, plan: "DiskPlan") -> float:
+        """Serve a :meth:`plan` on this model's clock and platter angle.
+
+        Each request adds, in order, the host overhead, the bus time of a
+        buffer hit, the seek, the wait for its sector against the platter
+        angle then (:meth:`angle_at`) and the transfer.  Returns the
+        elapsed milliseconds and advances the clock; the head, the
+        read-ahead window and the counters move as serving the plan's
+        requests would move them.  Raises the plan's error, if it has
+        one, after serving the requests before it.  A plan made from
+        another head or read-ahead state is refused (``ValueError``)
+        before anything moves.
+        """
+        if plan.start != self._head_state():
+            raise ValueError(
+                "plan was made for another head or read-ahead state"
             )
-            c_n.value, c_bytes.value, stats._c_busy_ms.value = n_io, io_bytes, busy
-            stats._c_seeks.value, stats._c_seek_ms.value = seeks, seek_total
-            stats._c_rotation_ms.value, stats._c_lost.value = rot_total, lost
-            stats._c_buf_hits.value = hits
+        is_read = plan.kind is IOKind.READ
+        ss, _spt, spc, rotation, lost_after, _rate, overhead = self._consts[:7]
+        angle0 = self._initial_angle
+        stats = self.stats
+        busy, seek_total = stats._c_busy_ms.value, stats._c_seek_ms.value
+        rot_total, lost = stats._c_rotation_ms.value, stats._c_lost.value
+        g = stats._g
+        trace = self._trace
+        telemetry = g is not None or trace is not None
+        now = start = self.now_ms
+        for (start_byte, nbytes), (hit_ms, seek, angle, transfer, distance) in zip(
+            plan.requests, plan.steps
+        ):
+            begin = now
+            pre_seek, pre_rot = seek_total, rot_total
+            now += overhead
+            now += hit_ms
+            wait = 0.0
+            if angle is not None:
+                now += seek
+                if seek:
+                    seek_total += seek
+                wait = ((angle - (angle0 + now / rotation) % 1.0) % 1.0) * rotation
+                now += wait
+                rot_total += wait
+                if wait > lost_after:
+                    lost += 1
+            now += transfer
+            elapsed = now - begin
+            busy += elapsed
+            if telemetry:
+                if g is not None:
+                    gc = stats._g_counters
+                    gc["reads" if is_read else "writes"].inc()
+                    gc["bytes_read" if is_read else "bytes_written"].inc(nbytes)
+                    gc["busy_ms"].inc(elapsed)
+                    stats._g_service_hist.observe(elapsed)
+                    if hit_ms:
+                        gc["buffer_hits"].inc()
+                    if angle is not None:
+                        if seek:
+                            gc["seeks"].inc()
+                            gc["seek_ms"].inc(seek)
+                            stats._g_seek_hist.observe(seek)
+                            stats._g_seek_dist_hist.observe(distance)
+                        gc["rotation_ms"].inc(wait)
+                        if wait > lost_after:
+                            gc["lost_rotations"].inc()
+                        stats._g_rot_hist.observe(wait)
+                if trace is not None:
+                    seek_ms = seek_total - pre_seek
+                    rot_ms = rot_total - pre_rot
+                    trace.record(
+                        kind="read" if is_read else "write",
+                        byte=start_byte,
+                        nbytes=nbytes,
+                        cyl=start_byte // ss // spc,
+                        seek_cyls=distance,
+                        seek_ms=seek_ms,
+                        rot_ms=rot_ms,
+                        transfer_ms=elapsed - seek_ms - rot_ms,
+                        service_ms=elapsed,
+                        lost_rot=wait > lost_after,
+                        buf_hit=hit_ms > 0,
+                    )
+        self.now_ms = now
+        buf = self.buffer
+        self.current_cylinder, buf._valid, buf._start, buf._end, buf._frontier = (
+            plan.end
+        )
+        if is_read:
+            c_n, c_bytes = stats._c_reads, stats._c_bytes_read
+        else:
+            c_n, c_bytes = stats._c_writes, stats._c_bytes_written
+        c_n.value += len(plan.steps)
+        c_bytes.value += plan.io_bytes
+        stats._c_busy_ms.value = busy
+        stats._c_seeks.value += plan.seeks
+        stats._c_seek_ms.value = seek_total
+        stats._c_rotation_ms.value, stats._c_lost.value = rot_total, lost
+        stats._c_buf_hits.value += plan.hits
+        if plan.error is not None:
+            raise plan.error
         return now - start
 
     # ------------------------------------------------------------------

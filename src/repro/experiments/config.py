@@ -11,7 +11,9 @@ cached accessors here:
 * :func:`aged` — the reconstructed workload replayed under a policy;
 * :func:`aged_real` — the ground truth replayed (the "Real" curve);
 * :func:`aged_fs_copy` — a deep copy of an aged file system for
-  benchmarks that mutate it.
+  benchmarks that mutate it;
+* :func:`aged_sequential` — one sequential-benchmark point on such a
+  copy, measured once however many experiments read it.
 
 Three presets trade fidelity for runtime.  All keep the paper's block
 and fragment sizes, ``maxcontig``, and utilization trajectory; only the
@@ -30,6 +32,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro import cache
 from repro.aging.generator import AgingConfig, AgingArtifacts, build_workloads
 from repro.aging.replay import ReplayResult, age_file_system
+from repro.bench.sequential import SequentialIOBenchmark, SequentialResult
+from repro.bench.timing import BenchmarkRunner
 from repro.ffs.filesystem import FileSystem
 from repro.ffs.params import FSParams, scaled_params
 from repro.units import KB, MB
@@ -216,6 +220,21 @@ def aged_real(preset_name: str) -> ReplayResult:
 def aged_fs_copy(preset_name: str, policy: str) -> FileSystem:
     """A private deep copy of an aged file system, safe to mutate."""
     return copy.deepcopy(aged(preset_name, policy).fs)
+
+
+@lru_cache(maxsize=None)
+def aged_sequential(
+    preset_name: str, policy: str, size: int, backend: str
+) -> SequentialResult:
+    """The sequential benchmark at ``size`` on a private copy of an
+    aged file system.  Figure 4 sweeps these points; the empty-vs-aged
+    and flash studies reread the ones they share with it."""
+    p = get_preset(preset_name)
+    bench = SequentialIOBenchmark(
+        aged_fs_copy(preset_name, policy), total_bytes=p.bench_total_bytes,
+        runner=BenchmarkRunner(p.bench_repetitions), backend=backend,
+    )
+    return bench.run(size)
 
 
 def clear_caches() -> None:

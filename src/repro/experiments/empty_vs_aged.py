@@ -12,7 +12,6 @@ performance.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Dict, List
@@ -20,7 +19,7 @@ from typing import Dict, List
 from repro.analysis.report import render_table
 from repro.bench.sequential import SequentialIOBenchmark
 from repro.bench.timing import BenchmarkRunner
-from repro.experiments.config import aged_fs_copy, get_preset
+from repro.experiments.config import aged_sequential, get_preset
 from repro.ffs.filesystem import FileSystem
 from repro.storage import DEFAULT_BACKEND
 from repro.units import KB, MB
@@ -96,8 +95,7 @@ def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> EmptyVsAgedRes
         for size in sizes:
             empty_fs = FileSystem(p.params, policy=policy)
             empty = bench(empty_fs).run(size)
-            aged_fs = aged_fs_copy(preset, policy)
-            aged = bench(aged_fs).run(size)
+            aged = aged_sequential(preset, policy, size, backend)
             throughput[policy][size] = (
                 empty.read_throughput.mean,
                 aged.read_throughput.mean,

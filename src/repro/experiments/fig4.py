@@ -21,10 +21,9 @@ from functools import lru_cache
 from typing import Dict, List
 
 from repro.analysis.report import render_chart, render_csv, render_table
-from repro.bench.sequential import SequentialIOBenchmark, SequentialResult
-from repro.bench.timing import BenchmarkRunner
+from repro.bench.sequential import SequentialResult
 from repro.disk.raw import raw_read_throughput, raw_write_throughput
-from repro.experiments.config import aged_fs_copy, get_preset
+from repro.experiments.config import aged_sequential, get_preset
 from repro.storage import DEFAULT_BACKEND
 from repro.units import KB, MB
 
@@ -118,17 +117,12 @@ class Fig4Result:
 def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> Fig4Result:
     """Run the sweep on private copies of both aged file systems."""
     p = get_preset(preset)
-    runner = BenchmarkRunner(p.bench_repetitions)
-    results: Dict[str, Dict[int, SequentialResult]] = {"ffs": {}, "realloc": {}}
     sizes = [s for s in p.bench_file_sizes if s <= p.bench_total_bytes]
-    for policy in ("ffs", "realloc"):
-        for size in sizes:
-            fs = aged_fs_copy(preset, policy)
-            bench = SequentialIOBenchmark(
-                fs, total_bytes=p.bench_total_bytes, runner=runner,
-                backend=backend,
-            )
-            results[policy][size] = bench.run(size)
+    results: Dict[str, Dict[int, SequentialResult]] = {
+        policy: {size: aged_sequential(preset, policy, size, backend)
+                 for size in sizes}
+        for policy in ("ffs", "realloc")
+    }
     return Fig4Result(
         sizes=sizes,
         results=results,

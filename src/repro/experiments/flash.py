@@ -37,7 +37,7 @@ from repro.bench.iomodel import FileIOPricer
 from repro.bench.sequential import SequentialIOBenchmark
 from repro.bench.timing import BenchmarkRunner
 from repro.disk.model import IOKind
-from repro.experiments.config import aged_fs_copy, get_preset
+from repro.experiments.config import aged_fs_copy, aged_sequential, get_preset
 from repro.ffs.filesystem import FileSystem
 from repro.ssd import SSDGeometry, SSDModel
 from repro.storage import BACKENDS, DEFAULT_BACKEND
@@ -220,7 +220,7 @@ def run(preset: str = "small", backend: str = DEFAULT_BACKEND) -> FlashResult:
             for size in sizes:
                 empty_fs = FileSystem(p.params, policy=policy)
                 empty = bench(empty_fs).run(size)
-                aged = bench(aged_fs_copy(preset, policy)).run(size)
+                aged = aged_sequential(preset, policy, size, device)
                 cell[size] = (
                     empty.read_throughput.mean,
                     aged.read_throughput.mean,

@@ -16,7 +16,60 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.lfs.filesystem import SegmentInfo
+
+
+#: ``(key, index, segment)``: a candidate's rank; the smallest is the
+#: best victim.
+Ranked = Tuple[float, int, "SegmentInfo"]
+
+
+def rank_candidates(
+    segments: Sequence["SegmentInfo"],
+    capacity: int,
+    policy: str = "cost-benefit",
+    exclude: int = -1,
+) -> Tuple[List[Ranked], int]:
+    """Rank every cleaning candidate; returns the ranks and the newest
+    candidate's sequence stamp (0 when there are none).
+
+    ``capacity`` is the segment size in blocks (for the utilization
+    term).  Only dirty segments other than ``exclude`` (the log head)
+    are candidates.  Greedy ranks fully empty segments first; under
+    cost-benefit an empty segment's benefit is its age, so an old
+    half-full segment can outrank a young empty one.  Ties break toward
+    the lower segment index.  A rank depends on the candidate's live
+    count and sequence and, under cost-benefit, on the newest stamp.
+    """
+    if policy not in ("greedy", "cost-benefit"):
+        raise ValueError(f"unknown cleaner policy {policy!r}")
+    if capacity < 1:
+        raise ValueError("segment capacity must be >= 1 block")
+    # One sweep finds the candidates and the newest stamp.  Cost-benefit
+    # keys are negated benefit/cost, and a fully live segment has
+    # nothing to gain.
+    candidates = []
+    newest = 0
+    for seg in segments:
+        if not seg.clean and seg.index != exclude:
+            candidates.append(seg)
+            if seg.sequence > newest:
+                newest = seg.sequence
+    if policy == "greedy":
+        return [(float(seg.live), seg.index, seg) for seg in candidates], newest
+    return [
+        (
+            -((1.0 - u) * (newest - seg.sequence + 1) / (1.0 + u))
+            if u < 1.0 else math.inf,
+            seg.index,
+            seg,
+        )
+        for seg in candidates
+        for u in (seg.live / capacity,)
+    ], newest
 
 
 def choose_victims(
@@ -26,40 +79,8 @@ def choose_victims(
     exclude: int = -1,
     count: int = 1,
 ) -> List["SegmentInfo"]:
-    """Pick up to ``count`` victim segments for cleaning, best first.
-
-    ``capacity`` is the segment size in blocks (for the utilization
-    term).  Only dirty segments other than ``exclude`` (the log head)
-    are candidates.  Greedy ranks fully empty segments first; under
-    cost-benefit an empty segment's benefit is its age, so an old
-    half-full segment can outrank a young empty one.  Ties break toward
-    the lower segment index.  Returns fewer than ``count`` — maybe
-    none — when there are no candidates.
-    """
-    if policy not in ("greedy", "cost-benefit"):
-        raise ValueError(f"unknown cleaner policy {policy!r}")
-    if capacity < 1:
-        raise ValueError("segment capacity must be >= 1 block")
-    candidates = [
-        seg for seg in segments if not seg.clean and seg.index != exclude
-    ]
-    if not candidates:
-        return []
-    # Each candidate is ranked by (key, index); a smaller key is a
-    # better victim.  Cost-benefit keys are negated benefit/cost, and a
-    # fully live segment has nothing to gain.
-    if policy == "greedy":
-        ranked = [(float(seg.live), seg.index, seg) for seg in candidates]
-    else:
-        newest = max([seg.sequence for seg in candidates])
-        ranked = [
-            (
-                -((1.0 - u) * (newest - seg.sequence + 1) / (1.0 + u))
-                if u < 1.0 else math.inf,
-                seg.index,
-                seg,
-            )
-            for seg in candidates
-            for u in (seg.live / capacity,)
-        ]
+    """Pick up to ``count`` victim segments for cleaning, best first
+    (ranked by :func:`rank_candidates`).  Returns fewer than ``count``
+    — maybe none — when there are no candidates."""
+    ranked, _newest = rank_candidates(segments, capacity, policy, exclude)
     return [seg for _key, _index, seg in heapq.nsmallest(count, ranked)]

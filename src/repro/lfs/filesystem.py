@@ -25,7 +25,7 @@ from repro.errors import (
     InvalidRequestError,
     OutOfSpaceError,
 )
-from repro.lfs.cleaner import choose_victims
+from repro.lfs.cleaner import Ranked, rank_candidates
 from repro.lfs.params import LFSParams
 
 
@@ -306,17 +306,23 @@ class LogStructuredFS:
             blocks_per_seg = self._blocks_per_segment
             owner = self.owner
             inodes = self.inodes
+            # Cleaning moves no other candidate's live count or stamp, so
+            # the ranking holds for the next pick while the head stays
+            # put.  Cost-benefit ages count from the newest candidate
+            # stamp, so a victim that held it forces a re-rank too.
+            ranked: List[Ranked] = []
+            ranked_head, newest = -1, 0
             while self._clean_count < target:
-                victims = choose_victims(
-                    self.segments,
-                    capacity=blocks_per_seg,
-                    policy=self.params.cleaner_policy,
-                    exclude=self._head_segment,
-                    count=1,
-                )
-                if not victims:
+                if ranked_head != self._head_segment:
+                    ranked_head = self._head_segment
+                    ranked, newest = rank_candidates(
+                        self.segments, blocks_per_seg,
+                        self.params.cleaner_policy, exclude=ranked_head,
+                    )
+                if not ranked:
                     return  # nothing cleanable (everything live or clean)
-                victim = victims[0]
+                best = min(ranked)
+                victim = best[2]
                 base = victim.index * blocks_per_seg
                 live = [
                     address
@@ -348,6 +354,9 @@ class LogStructuredFS:
                 victim.clean = True
                 victim.live = 0
                 self._clean_count += 1
+                ranked.remove(best)
+                if victim.sequence == newest:
+                    ranked_head = -1
         finally:
             self._cleaning = False
 

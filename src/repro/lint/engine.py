@@ -61,13 +61,13 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
 
     Hidden directories and the cache/VCS directories in ``_SKIP_DIRS``
     are skipped.  A path that is itself a ``.py`` file is taken as-is.
-    Raises :class:`FileNotFoundError` for a path that does not exist
-    (the CLI maps that to exit 2).
+    Raises :class:`FileNotFoundError` naming a path that does not
+    exist (the CLI prints it and exits 2).
     """
     files: List[Path] = []
     for path in paths:
         if not path.exists():
-            raise FileNotFoundError(str(path))
+            raise FileNotFoundError(f"no such path: {path}")
         if path.is_file():
             if path.suffix == ".py":
                 files.append(path)

@@ -14,8 +14,9 @@ callers sit on it:
   wave of the suite's three agings, then, on the same pool, one task
   per experiment *group*, whose workers read the warm cache and ship
   home rendered *text* (file systems cost more to pickle than to
-  reload).  Experiments sharing memoized work (Figures 4→5→6) form one
-  group (:data:`_AFFINITY`);
+  reload).  Experiments sharing memoized work (Figures 4→5→6 and the
+  aged benchmark points empty-vs-aged rereads) form one group
+  (:data:`_AFFINITY`);
 * :func:`repro.faults.chaos.run_chaos` — one task per crash case.
 
 Output is byte-identical to the serial path because both run the same
@@ -59,8 +60,13 @@ if TYPE_CHECKING:
 Task = Tuple[str, Callable[..., object], Tuple[object, ...]]
 
 #: Experiments that share in-process memoized work (fig5 reuses fig4's
-#: benchmark sweep; fig6 reuses fig5) and therefore run in one task.
-_AFFINITY: Tuple[Tuple[str, ...], ...] = (("fig4", "fig5", "fig6"),)
+#: benchmark sweep, fig6 reuses fig5, and empty-vs-aged rereads fig4's
+#: aged points) and therefore run in one task.  A group is a contiguous
+#: span of paper order (table2 rides along), so the task's disk-trace
+#: rows are adopted where a serial run would have written them.
+_AFFINITY: Tuple[Tuple[str, ...], ...] = (
+    ("fig4", "fig5", "table2", "fig6", "empty-vs-aged"),
+)
 
 
 def _run_task(
@@ -250,7 +256,7 @@ def iter_all_parallel(
     list(itertools.islice(arrivals, len(warm)))  # the warm wave's Nones
     done: Dict[str, Dict[str, object]] = {}
     for name in EXPERIMENTS:
-        while name not in done:  # fig6 arrives with fig4, before table2
+        while name not in done:  # a group arrives whole, with its first name
             done.update(next(arrivals))  # type: ignore[call-overload]
             if registry is not None:
                 registry.counter("parallel.experiment_tasks").inc()

@@ -35,6 +35,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.ssd.config import SSDGeometry
 from repro.ssd.ftl import PageMappedFTL
 
+#: A flash plan: the request kind and the requests, as given.
+SSDPlan = Tuple[IOKind, Sequence[Tuple[int, int]]]
+
 
 class SSDModel:
     """Simulated flash device: extent sequences to elapsed time.
@@ -119,9 +122,20 @@ class SSDModel:
         that raises later (oversized, an injected read fault) leaves the
         device as the requests before it left it.
         """
+        return self.clock(self.plan(kind, requests))
+
+    def plan(self, kind: IOKind, requests: Sequence[Tuple[int, int]]) -> SSDPlan:
+        """The disk model's planning pass, on flash: nothing but the
+        zero-byte check can be fixed ahead of the FTL, so the plan is
+        the requests themselves."""
         for _start_byte, nbytes in requests:
             if nbytes <= 0:
                 raise InvalidRequestError("access of zero bytes")
+        return kind, requests
+
+    def clock(self, plan: SSDPlan) -> float:
+        """Serve a :meth:`plan`'s requests; returns the elapsed ms."""
+        kind, requests = plan
         start = self.now_ms
         step = self._step
         for start_byte, nbytes in requests:

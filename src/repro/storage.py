@@ -18,7 +18,7 @@ arguments — so default behaviour is byte-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Optional, Protocol, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
@@ -67,7 +67,9 @@ class StorageModel(Protocol):
     ``read_fault_hook`` seam fault injection uses.  ``fs_offset`` and
     the geometry's transfer limit let callers build request lists once
     (:func:`~repro.disk.request.byte_requests`) and serve them many
-    times.
+    times.  ``serve`` is :meth:`plan` then :meth:`clock`: a list served
+    at several initial angles is planned once, on a fresh model, and
+    clocked on a fresh model per angle.
     """
 
     now_ms: float
@@ -91,6 +93,14 @@ class StorageModel(Protocol):
     def serve(
         self, kind: IOKind, requests: Sequence[Tuple[int, int]]
     ) -> float: ...
+
+    # A plan is opaque: only a model of the backend that made it can
+    # clock it (the disk model also refuses another head state).
+    def plan(
+        self, kind: IOKind, requests: Sequence[Tuple[int, int]]
+    ) -> Any: ...
+
+    def clock(self, plan: Any) -> float: ...
 
     def block_to_byte(self, fs_block: int, block_size: int) -> int: ...
 

@@ -175,6 +175,11 @@ def _cases() -> List[Tuple[str, List[str]]]:
          ["chaos", "--preset", "tiny", "--no-cache", "--jobs", "-1"]),
         ("inspect-top-negative",
          ["inspect", "--preset", "tiny", "--no-cache", "--top", "-1"]),
+        ("diff-rel-threshold-nan",
+         ["diff", GOOD_MANIFEST, GOOD_MANIFEST, "--rel-threshold", "nan"]),
+        ("diff-abs-floor-inf",
+         ["diff", GOOD_MANIFEST, GOOD_MANIFEST, "--abs-floor", "inf"]),
+        ("lint-no-such-path", ["lint", "no-such-dir"]),
     ]
     return cases
 
