@@ -253,7 +253,9 @@ class AgingReplayer:
                         if faults is not None:
                             faults.before_op(fs, "delete", ino)
                         fs.delete_file(ino, when=times[i])
-                        self._untrack_pairs(ino)
+                        optimal, countable = pairs.pop(ino, (0, 0))
+                        self._optimal_total -= optimal
+                        self._countable_total -= countable
                         result.deletes += 1
                         op_kind = "delete"
                     result.ops_applied += 1

@@ -28,6 +28,7 @@ same seed always produces the identical ground truth.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -178,9 +179,6 @@ class SourceActivityModel:
             self._free_inodes.append(heap)
         # Live file table.
         self._live: Dict[int, FileRecord] = {}  # by file_id
-        # Per-directory live files in creation order (insertion-ordered
-        # dict), the basis for spatially correlated deletions.
-        self._dir_live: Dict[str, Dict[int, None]] = {d: {} for d in self._dirs}
         # Running count of live files with ``ctime < day`` (those
         # eligible for deletion and modification on ``day``), and the
         # live files not yet counted, keyed by the first day they are:
@@ -188,6 +186,12 @@ class SourceActivityModel:
         self._day = 0
         self._n_eligible = 0
         self._eligible_from: Dict[int, int] = {}
+        # The same files by directory: each directory's eligible file ids
+        # in creation (= file id) order, the basis for spatially
+        # correlated deletions, and the files still waiting for their
+        # first eligible day.
+        self._dir_eligible: Dict[str, List[int]] = {d: [] for d in self._dirs}
+        self._pending: Dict[int, List[Tuple[str, int]]] = {}
         self._frags_used = 0
         self._frags_used_cg: List[int] = [0] * params.ncg
         self._next_file_id = 0
@@ -327,6 +331,12 @@ class SourceActivityModel:
         """
         self._day = day
         self._n_eligible += self._eligible_from.pop(day, 0)
+        live = self._live
+        for directory, fid in self._pending.pop(day, ()):
+            if fid in live:
+                # Appends, except after a day-boundary file that waited
+                # an extra day behind younger ones.
+                insort(self._dir_eligible[directory], fid)
         return self._n_eligible
 
     def _snapshot(self, day: int) -> Snapshot:
@@ -335,14 +345,11 @@ class SourceActivityModel:
 
     def _pick_victim_run(self, rng: rng_module.Random, day: int, length: int) -> List[int]:
         """A run of up to ``length`` consecutively created eligible files
-        from one directory (weighted toward busy directories)."""
+        from one directory (weighted toward busy directories); ``day`` is
+        the day last passed to :meth:`_eligible_on`."""
         for _attempt in range(8):
             directory = self._pick_directory(rng)
-            eligible = [
-                fid
-                for fid in self._dir_live[directory]
-                if self._live[fid].ctime < day
-            ]
+            eligible = self._dir_eligible[directory]
             if not eligible:
                 continue
             start = rng.randrange(len(eligible))
@@ -353,11 +360,7 @@ class SourceActivityModel:
         """Purge most of one directory — a user removing a build tree."""
         ops: List[WorkloadRow] = []
         directory = self._pick_directory(rng)
-        eligible = [
-            fid
-            for fid in self._dir_live[directory]
-            if self._live[fid].ctime < day
-        ]
+        eligible = self._dir_eligible[directory]
         n = int(len(eligible) * self.levels.cleanup_fraction)
         when_base = self._op_time(rng, directory)
         for fid in eligible[:n]:
@@ -431,11 +434,11 @@ class SourceActivityModel:
         self._next_file_id += 1
         record = FileRecord(ino=ino, size=size, ctime=when, directory=directory)
         self._live[fid] = record
-        self._dir_live[directory][fid] = None
         eligible_from = int(when) + 1
         self._eligible_from[eligible_from] = (
             self._eligible_from.get(eligible_from, 0) + 1
         )
+        self._pending.setdefault(eligible_from, []).append((directory, fid))
         frags = self._frags_for(size)
         self._frags_used += frags
         self._frags_used_cg[cg] += frags
@@ -445,10 +448,11 @@ class SourceActivityModel:
         self, fid: int, when: float, keep_ino: Optional[int] = None
     ) -> WorkloadRow:
         record = self._live.pop(fid)
-        del self._dir_live[record.directory][fid]
         eligible_from = int(record.ctime) + 1
         if eligible_from <= self._day:
             self._n_eligible -= 1
+            eligible = self._dir_eligible[record.directory]
+            del eligible[bisect_left(eligible, fid)]
         else:
             self._eligible_from[eligible_from] -= 1
         frags = self._frags_for(record.size)

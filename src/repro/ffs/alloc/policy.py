@@ -103,14 +103,8 @@ class AllocPolicy:
         block-at-a-time allocation (which every policy must still
         support).
         """
-        cg = self.sb.cgs[inode.alloc_cg]
-        if not cg.owns_block(pref):
-            return 0
-        take = cg.bitmap.free_blocks_at(pref - cg.base, want)
-        if take == 0:
-            return 0
-        cg.alloc_cluster(pref, take)
-        if self._m is not None:
+        take = self.sb.cgs[inode.alloc_cg].alloc_free_run_at(pref, want)
+        if take and self._m is not None:
             self._c_data.inc(take)
         return take
 

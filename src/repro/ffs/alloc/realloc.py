@@ -156,8 +156,8 @@ class ReallocPolicy(AllocPolicy):
                 distance=abs(target - window[0]),
             )
         cg.alloc_cluster(target, length)
-        for old in window:
-            self.sb.cg_of_block(old).free_block(old)
+        for old_cg, start, run in self.sb.runs_of(sorted(window)):
+            old_cg.free_block_range(start, run)
         inode.blocks[start_lbn:end_lbn] = list(range(target, target + length))
 
     def _quirk_gate(self, inode: Inode) -> bool:

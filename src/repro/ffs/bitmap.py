@@ -9,7 +9,7 @@ fragments are free) and a running total of free blocks.
 Both allocator searches of the paper run over these arrays with C-level
 ``bytearray`` primitives, much as 4.4BSD scans its per-group maps:
 
-* fragment runs — :meth:`find_run_any_block`, a ``find`` over the bits;
+* fragment runs — :meth:`alloc_run_near`, a ``find`` over the bits;
 * the next free block (``ffs_mapsearch``) — :meth:`find_free_block`, a
   ``find`` over the per-block counts;
 * a free run of N blocks (``ffs_clusteralloc``) — :meth:`find_free_blocks`.
@@ -18,9 +18,19 @@ Free-run summaries (:meth:`block_runs`, :meth:`max_block_run`) are
 computed on demand; only the once-per-day sampler and the analysis code
 ask for them.
 
+Every write is checked once.  The checked mutators (:meth:`alloc_run`,
+:meth:`free_run` and their whole-block forms) make one ``find`` over
+the run and, if no fragment of it is in the wrong state, one slice
+write per array; else they write nothing and return the index of the
+first offending fragment (-1 on success) for the caller to name.  The
+search-and-take mutators (:meth:`alloc_free_block`,
+:meth:`alloc_free_blocks_at`, :meth:`alloc_run_near`) write what their
+search found without looking again.
+
 All addresses here are *local* to the cylinder group; the
 :class:`~repro.ffs.cg.CylinderGroup` wrapper translates to and from global
-block numbers.
+block numbers and range-checks every request once, before it reaches
+the bitmap.
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ class FragBitmap:
         # Free fragments per block; a wholly free block holds ``fpb``, so
         # whole-block searches are ``find`` calls on this array.
         self._free_in_block = bytearray([frags_per_block]) * nblocks
+        #: One wholly free block's count, the unit of range frees.
+        self._full = bytes([frags_per_block])
         self.free_frags = nblocks * frags_per_block
         #: Wholly free blocks, kept by the four mutators.
         self.free_blocks = nblocks
@@ -60,6 +72,7 @@ class FragBitmap:
         twin.fpb = self.fpb
         twin._bits = bytearray(self._bits)
         twin._free_in_block = bytearray(self._free_in_block)
+        twin._full = self._full
         twin.free_frags = self.free_frags
         twin.free_blocks = self.free_blocks
         return twin
@@ -70,16 +83,11 @@ class FragBitmap:
 
     def is_frag_free(self, block: int, offset: int) -> bool:
         """Whether fragment ``offset`` of ``block`` is free."""
-        self._check(block, offset, 1)
         return self._bits[block * self.fpb + offset] == 0
 
     def block_is_free(self, block: int) -> bool:
         """Whether every fragment of ``block`` is free."""
         return self._free_in_block[block] == self.fpb
-
-    def block_is_full(self, block: int) -> bool:
-        """Whether every fragment of ``block`` is allocated."""
-        return self._free_in_block[block] == 0
 
     def free_in_block(self, block: int) -> int:
         """Number of free fragments in ``block``."""
@@ -89,21 +97,97 @@ class FragBitmap:
     # Mutation
     # ------------------------------------------------------------------
 
-    def alloc_run(self, block: int, offset: int, nfrags: int) -> None:
-        """Mark ``nfrags`` fragments starting at (block, offset) allocated.
-
-        The scan-and-set is done with ``bytearray`` primitives (``find``
-        plus one slice assignment) rather than a per-fragment Python
-        loop; this is the allocator's innermost write and the difference
-        is measurable across a ten-month aging replay.
-        """
-        self._check(block, offset, nfrags)
+    def alloc_run(self, block: int, offset: int, nfrags: int) -> int:
+        """Mark ``nfrags`` free fragments at (block, offset) allocated."""
         base = block * self.fpb + offset
         taken = self._bits.find(1, base, base + nfrags)
-        if taken != -1:
-            raise ValueError(
-                f"double allocation: block {block} frag {taken - block * self.fpb}"
-            )
+        if taken == -1:
+            self._take_frags(block, base, nfrags)
+        return taken
+
+    def alloc_block_range(self, block: int, nblocks: int) -> int:
+        """Mark ``nblocks`` wholly free blocks from ``block`` allocated."""
+        base = block * self.fpb
+        taken = self._bits.find(1, base, base + nblocks * self.fpb)
+        if taken == -1:
+            self._take_blocks(block, nblocks)
+        return taken
+
+    def free_run(self, block: int, offset: int, nfrags: int) -> int:
+        """Mark ``nfrags`` allocated fragments at (block, offset) free."""
+        base = block * self.fpb + offset
+        end = base + nfrags
+        freed = self._bits.find(0, base, end)
+        if freed == -1:
+            self._bits[base:end] = bytes(nfrags)
+            free = self._free_in_block[block] + nfrags
+            self._free_in_block[block] = free
+            if free == self.fpb:
+                self.free_blocks += 1
+            self.free_frags += nfrags
+        return freed
+
+    def free_block_range(self, block: int, nblocks: int) -> int:
+        """Mark ``nblocks`` wholly allocated blocks from ``block`` free."""
+        base = block * self.fpb
+        end = base + nblocks * self.fpb
+        freed = self._bits.find(0, base, end)
+        if freed == -1:
+            self._bits[base:end] = bytes(end - base)
+            self._free_in_block[block : block + nblocks] = self._full * nblocks
+            self.free_frags += end - base
+            self.free_blocks += nblocks
+        return freed
+
+    def alloc_free_block(self, pref: int) -> Optional[int]:
+        """Take the block :meth:`find_free_block` finds; None if none."""
+        block = self.find_free_block(pref)
+        if block is not None:
+            fpb = self.fpb
+            self._bits[block * fpb : (block + 1) * fpb] = b"\x01" * fpb
+            self._free_in_block[block] = 0
+            self.free_frags -= fpb
+            self.free_blocks -= 1
+        return block
+
+    def alloc_free_blocks_at(self, block: int, limit: int) -> int:
+        """Take the blocks :meth:`free_blocks_at` counts; returns how many."""
+        nblocks = self.free_blocks_at(block, limit)
+        if nblocks:
+            self._take_blocks(block, nblocks)
+        return nblocks
+
+    def alloc_run_near(
+        self, start_block: int, nfrags: int
+    ) -> Optional[Tuple[int, int]]:
+        """Take the nearest free run of ``nfrags`` fragments.
+
+        Scans forward (cyclically) from ``start_block`` for the first
+        block — wholly free or partially allocated — that contains an
+        adequate free run, and takes that block's first such run;
+        returns its (block, offset), or None when no block qualifies.
+        This is the allocator's fragment search reduced to
+        ``bytearray.find`` with a needle of ``nfrags`` zero bytes: a
+        match can only start inside a block if that block has an
+        adequate in-block run (shorter runs cannot contain the needle),
+        and the leftmost match straddling a block boundary proves the
+        block it starts in has no adequate run, so the scan resumes at
+        the boundary.  The group has checked that ``nfrags`` is
+        1..fpb-1 and ``start_block`` a local block.
+        """
+        needle = b"\x00" * nfrags
+        pos = start_block * self.fpb
+        hit = self._scan_for_run(needle, pos, len(self._bits))
+        if hit == -1 and pos:
+            hit = self._scan_for_run(needle, 0, pos)
+        if hit == -1:
+            return None
+        block = hit // self.fpb
+        self._take_frags(block, hit, nfrags)
+        return (block, hit - block * self.fpb)
+
+    def _take_frags(self, block: int, base: int, nfrags: int) -> None:
+        """Mark fragments [base, base + nfrags) of ``block`` allocated."""
         self._bits[base : base + nfrags] = b"\x01" * nfrags
         free = self._free_in_block[block]
         if free == self.fpb:
@@ -111,76 +195,13 @@ class FragBitmap:
         self._free_in_block[block] = free - nfrags
         self.free_frags -= nfrags
 
-    def alloc_block_range(self, block: int, nblocks: int) -> None:
-        """Mark ``nblocks`` whole blocks starting at ``block`` allocated.
-
-        The batched form of ``alloc_run(b, 0, fpb)`` for a cluster: one
-        slice write per array covers the whole range.  Every fragment in
-        the range must be free.
-        """
-        if nblocks < 1 or block < 0 or block + nblocks > self.nblocks:
-            raise ValueError(
-                f"block range ({block}, {nblocks}) out of range 0..{self.nblocks - 1}"
-            )
+    def _take_blocks(self, block: int, nblocks: int) -> None:
+        nfrags = nblocks * self.fpb
         base = block * self.fpb
-        end = (block + nblocks) * self.fpb
-        taken = self._bits.find(1, base, end)
-        if taken != -1:
-            raise ValueError(
-                f"double allocation: block {taken // self.fpb} "
-                f"frag {taken % self.fpb}"
-            )
-        self._bits[base:end] = b"\x01" * (end - base)
+        self._bits[base : base + nfrags] = b"\x01" * nfrags
         self._free_in_block[block : block + nblocks] = bytes(nblocks)
-        self.free_frags -= end - base
+        self.free_frags -= nfrags
         self.free_blocks -= nblocks
-
-    def free_run(self, block: int, offset: int, nfrags: int) -> None:
-        """Mark ``nfrags`` fragments starting at (block, offset) free."""
-        self._check(block, offset, nfrags)
-        base = block * self.fpb + offset
-        freed = self._bits.find(0, base, base + nfrags)
-        if freed != -1:
-            raise ValueError(
-                f"double free: block {block} frag {freed - block * self.fpb}"
-            )
-        self._bits[base : base + nfrags] = b"\x00" * nfrags
-        free = self._free_in_block[block] + nfrags
-        self._free_in_block[block] = free
-        if free == self.fpb:
-            self.free_blocks += 1
-        self.free_frags += nfrags
-
-    def free_block_range(self, block: int, nblocks: int) -> None:
-        """Mark ``nblocks`` whole blocks starting at ``block`` free.
-
-        The batched form of ``free_run(b, 0, fpb)`` over a contiguous
-        run — one slice write per array instead of per-block
-        scan-and-set.  Every fragment in the range must currently be
-        allocated.
-        """
-        if nblocks < 1 or block < 0 or block + nblocks > self.nblocks:
-            raise ValueError(
-                f"block range ({block}, {nblocks}) out of range 0..{self.nblocks - 1}"
-            )
-        base = block * self.fpb
-        end = (block + nblocks) * self.fpb
-        freed = self._bits.find(0, base, end)
-        if freed != -1:
-            raise ValueError(
-                f"double free: block {freed // self.fpb} frag {freed % self.fpb}"
-            )
-        self._bits[base:end] = b"\x00" * (end - base)
-        self._free_in_block[block : block + nblocks] = (
-            bytes([self.fpb]) * nblocks
-        )
-        self.free_frags += end - base
-        self.free_blocks += nblocks
-
-    def find_free_frag_in_blocks(self, block: int, nblocks: int) -> int:
-        """Bitmap index of the first free fragment in the block range, -1
-        if every fragment of the range is allocated (one ``find`` call)."""
-        return self._bits.find(0, block * self.fpb, (block + nblocks) * self.fpb)
 
     # ------------------------------------------------------------------
     # Whole-block queries
@@ -227,7 +248,7 @@ class FragBitmap:
         if fit not in ("firstfit", "bestfit"):
             raise ValueError(f"unknown fit strategy {fit!r}")
         counts = self._free_in_block
-        needle = bytes([self.fpb]) * length
+        needle = self._full * length
         if counts.startswith(needle, pref):
             return pref
         if fit == "firstfit":
@@ -251,12 +272,6 @@ class FragBitmap:
         taken = self._bits.find(1, block * fpb, end * fpb)
         return end - block if taken == -1 else taken // fpb - block
 
-    def first_taken_block(self, block: int, nblocks: int) -> Optional[int]:
-        """First block in [block, block+nblocks) that is not wholly free."""
-        fpb = self.fpb
-        taken = self._bits.find(1, block * fpb, (block + nblocks) * fpb)
-        return None if taken == -1 else taken // fpb
-
     def block_runs(self) -> List[Tuple[int, int]]:
         """Maximal runs of wholly free blocks as (start, length)."""
         counts = self._free_in_block
@@ -276,72 +291,12 @@ class FragBitmap:
         return max((length for _start, length in self.block_runs()), default=0)
 
     # ------------------------------------------------------------------
-    # Fragment-run queries
-    # ------------------------------------------------------------------
-
-    def frag_runs(self, block: int) -> List[Tuple[int, int]]:
-        """Maximal free fragment runs of ``block`` as (offset, length)."""
-        runs: List[Tuple[int, int]] = []
-        base = block * self.fpb
-        start: Optional[int] = None
-        for off in range(self.fpb):
-            if self._bits[base + off] == 0:
-                if start is None:
-                    start = off
-            elif start is not None:
-                runs.append((start, off - start))
-                start = None
-        if start is not None:
-            runs.append((start, self.fpb - start))
-        return runs
-
-    def find_run_in_block(self, block: int, nfrags: int) -> Optional[int]:
-        """Offset of the first free run of >= ``nfrags`` in ``block``."""
-        for offset, length in self.frag_runs(block):
-            if length >= nfrags:
-                return offset
-        return None
-
-    def run_is_free(self, block: int, offset: int, nfrags: int) -> bool:
-        """Whether the exact run (block, offset, nfrags) is entirely free."""
-        self._check(block, offset, nfrags)
-        base = block * self.fpb + offset
-        return self._bits.find(1, base, base + nfrags) == -1
-
-    def find_run_any_block(
-        self, start_block: int, nfrags: int
-    ) -> Optional[Tuple[int, int]]:
-        """Nearest (block, offset) holding a free run of >= ``nfrags``.
-
-        Scans forward (cyclically) from ``start_block`` and returns the
-        first block — wholly free or partially allocated — that contains
-        an adequate free run, with the offset of that block's first such
-        run; None when no block qualifies.  This is the allocator's
-        fragment search reduced to ``bytearray.find`` with a needle of
-        ``nfrags`` zero bytes: a match can only start inside a block if
-        that block has an adequate in-block run (shorter runs cannot
-        contain the needle), and the leftmost match straddling a block
-        boundary proves the block it starts in has no adequate run, so
-        the scan resumes at the boundary.
-        """
-        if not 1 <= nfrags < self.fpb:
-            raise ValueError(f"fragment allocations are 1..{self.fpb - 1} frags")
-        if not 0 <= start_block < self.nblocks:
-            raise ValueError(f"block {start_block} out of range 0..{self.nblocks - 1}")
-        needle = b"\x00" * nfrags
-        hit = self._scan_for_run(needle, start_block * self.fpb, len(self._bits))
-        if hit is None and start_block > 0:
-            hit = self._scan_for_run(needle, 0, start_block * self.fpb)
-        return hit
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _scan_for_run(
-        self, needle: bytes, pos: int, end: int
-    ) -> Optional[Tuple[int, int]]:
-        """Leftmost in-block match of ``needle`` within [pos, end).
+    def _scan_for_run(self, needle: bytes, pos: int, end: int) -> int:
+        """Bitmap index of the leftmost in-block match of ``needle``
+        within [pos, end), -1 if none.
 
         ``pos`` must be block-aligned so every in-block offset of each
         candidate block is examined.
@@ -351,20 +306,7 @@ class FragBitmap:
         nfrags = len(needle)
         while pos < end:
             i = bits.find(needle, pos, end)
-            if i == -1:
-                return None
-            offset = i % fpb
-            if offset + nfrags <= fpb:
-                return (i // fpb, offset)
+            if i == -1 or i % fpb + nfrags <= fpb:
+                return i
             pos = (i // fpb + 1) * fpb
-        return None
-
-    def _check(self, block: int, offset: int, nfrags: int) -> None:
-        if not 0 <= block < self.nblocks:
-            raise ValueError(f"block {block} out of range 0..{self.nblocks - 1}")
-        if not 0 <= offset < self.fpb:
-            raise ValueError(f"fragment offset {offset} out of range")
-        if nfrags < 1 or offset + nfrags > self.fpb:
-            raise ValueError(
-                f"fragment run ({offset}, {nfrags}) crosses a block boundary"
-            )
+        return -1

@@ -7,6 +7,11 @@ global block numbers to the group's local ones and answers every block,
 cluster and fragment request from that free map, the fragment bitmap
 (:class:`~repro.ffs.bitmap.FragBitmap`).
 
+Each mutator range-checks its request once and hands the bitmap one
+write that is also the write's only double-allocation or double-free
+check; a refused write changes nothing and names the first offending
+fragment, which the group raises as its own typed error.
+
 The leading blocks of each group are reserved for the superblock copy,
 group descriptor, and inode table, as in a real ``newfs``; those addresses
 double as the targets of synchronous metadata writes in the performance
@@ -15,7 +20,7 @@ model.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NoReturn, Optional, Tuple
 
 from repro.errors import ConsistencyError, OutOfSpaceError
 from repro.ffs.bitmap import FragBitmap
@@ -103,54 +108,46 @@ class CylinderGroup:
         in.  Raises :class:`OutOfSpaceError` when the group has no free
         block.
         """
-        if pref is not None and self.owns_block(pref):
-            start = self._local(pref)
-        else:
+        start = -1 if pref is None else pref - self.base
+        if not 0 <= start < self.nblocks:
             start = self.rotor % self.nblocks
-        local = self.bitmap.find_free_block(start)
+        local = self.bitmap.alloc_free_block(start)
         if local is None:
             raise OutOfSpaceError(
                 f"cylinder group {self.index} has no free block", cg=self.index
             )
-        self.bitmap.alloc_run(local, 0, self.params.frags_per_block)
         self.rotor = (local + 1) % self.nblocks
         return self.base + local
 
-    def alloc_block_at(self, block: int) -> None:
-        """Allocate the specific global ``block`` (must be wholly free)."""
-        local = self._local(block)
-        if not self.bitmap.block_is_free(local):
-            raise OutOfSpaceError(f"block {block} is not free", cg=self.index)
-        self.bitmap.alloc_run(local, 0, self.params.frags_per_block)
-
-    def free_block(self, block: int) -> None:
-        """Free a wholly-allocated block."""
-        local = self._local(block)
-        if self.bitmap.free_in_block(local) != 0:
-            raise ConsistencyError(
-                f"freeing block {block} that is not fully allocated"
+    def alloc_block_at(self, block: int, nblocks: int = 1) -> None:
+        """Allocate ``nblocks`` specific wholly-free blocks from global
+        ``block``; the error names the first block that is not free."""
+        local = block - self.base
+        if not (0 <= local and 0 < nblocks <= self.nblocks - local):
+            self._refuse_range(block, nblocks)
+        taken = self.bitmap.alloc_block_range(local, nblocks)
+        if taken != -1:
+            raise OutOfSpaceError(
+                f"block {self.base + taken // self.params.frags_per_block} "
+                f"is not free",
+                cg=self.index,
             )
-        self.bitmap.free_run(local, 0, self.params.frags_per_block)
 
     def free_block_range(self, start: int, nblocks: int) -> None:
         """Free ``nblocks`` wholly-allocated consecutive blocks at ``start``.
 
-        The batched form of :meth:`free_block` for a file's contiguous
-        runs: one slice write per bitmap array instead of ``nblocks``
-        independent frees.
+        One slice write per bitmap array frees a file's contiguous run;
+        the error names the first block that is not fully allocated.
         """
-        local = self._local(start)
-        if nblocks < 1 or local + nblocks > self.nblocks:
-            raise ValueError(
-                f"block range ({start}, {nblocks}) crosses the group boundary"
-            )
-        free_at = self.bitmap.find_free_frag_in_blocks(local, nblocks)
-        if free_at != -1:
+        local = start - self.base
+        if not (0 <= local and 0 < nblocks <= self.nblocks - local):
+            self._refuse_range(start, nblocks)
+        freed = self.bitmap.free_block_range(local, nblocks)
+        if freed != -1:
             raise ConsistencyError(
-                f"freeing block {self.base + free_at // self.params.frags_per_block} "
+                f"freeing block {self.base + freed // self.params.frags_per_block} "
                 f"that is not fully allocated"
             )
-        self.bitmap.free_block_range(local, nblocks)
 
     # ------------------------------------------------------------------
     # Cluster allocation (used by the realloc policy)
@@ -163,9 +160,8 @@ class CylinderGroup:
         so a cluster that would seamlessly continue the caller's previous
         cluster is found first when one exists.
         """
-        if pref is not None and self.owns_block(pref):
-            start = self._local(pref)
-        else:
+        start = -1 if pref is None else pref - self.base
+        if not 0 <= start < self.nblocks:
             # No usable preference: search from the rotor, where recent
             # allocation activity is, rather than the group's start.
             start = self.rotor % self.nblocks
@@ -179,10 +175,10 @@ class CylinderGroup:
     def alloc_cluster(self, start: int, length: int) -> None:
         """Allocate ``length`` consecutive blocks starting at global ``start``.
 
-        One range check plus one slice write per bitmap array, rather
-        than ``length`` independent block allocations — this is the
-        realloc policy's hottest write path.  On failure the error names
-        the first block that is not wholly free and nothing changes.
+        One range check plus one checked slice write per bitmap array,
+        rather than ``length`` independent block allocations — this is
+        the realloc policy's hottest write path.  On failure the error
+        names the first block that is not wholly free and nothing changes.
         """
         local = self._local(start)
         if local + length > self.nblocks:
@@ -190,13 +186,31 @@ class CylinderGroup:
                 f"cluster ({start}, {length}) crosses the group boundary",
                 cg=self.index,
             )
-        bad = self.bitmap.first_taken_block(local, length)
-        if bad is not None:
-            raise OutOfSpaceError(
-                f"cluster block {self.base + bad} is not free", cg=self.index
+        if length < 1:
+            raise ValueError(
+                f"block range ({local}, {length}) out of range "
+                f"0..{self.nblocks - 1}"
             )
-        self.bitmap.alloc_block_range(local, length)
+        taken = self.bitmap.alloc_block_range(local, length)
+        if taken != -1:
+            raise OutOfSpaceError(
+                f"cluster block {self.base + taken // self.params.frags_per_block} "
+                f"is not free",
+                cg=self.index,
+            )
         self.rotor = (local + length) % self.nblocks
+
+    def alloc_free_run_at(self, start: int, want: int) -> int:
+        """Allocate the free run at global ``start`` (at most ``want``
+        blocks) and move the rotor past it, as :meth:`alloc_cluster`
+        does; returns its length, 0 if ``start`` is taken or not ours."""
+        local = start - self.base
+        if not 0 <= local < self.nblocks:
+            return 0
+        taken = self.bitmap.alloc_free_blocks_at(local, want)
+        if taken:
+            self.rotor = (local + taken) % self.nblocks
+        return taken
 
     # ------------------------------------------------------------------
     # Fragment allocation
@@ -222,27 +236,26 @@ class CylinderGroup:
         fpb = self.params.frags_per_block
         if not 1 <= nfrags < fpb:
             raise ValueError(f"fragment allocations are 1..{fpb - 1} frags")
-        if pref is not None and self.owns_block(pref[0]):
-            local, offset = self._local(pref[0]), pref[1]
-            if offset + nfrags <= fpb and self.bitmap.run_is_free(
-                local, offset, nfrags
-            ):
-                self.bitmap.alloc_run(local, offset, nfrags)
-                return (pref[0], offset)
-            start = local
-        else:
+        start = -1
+        if pref is not None:
+            block, offset = pref
+            start = block - self.base
+            if 0 <= start < self.nblocks and offset + nfrags <= fpb:
+                if offset < 0:
+                    raise ValueError(f"fragment offset {offset} out of range")
+                if self.bitmap.alloc_run(start, offset, nfrags) == -1:
+                    return (block, offset)
+        if not 0 <= start < self.nblocks:
             start = self.rotor % self.nblocks
 
-        hit = self.bitmap.find_run_any_block(start, nfrags)
+        hit = self.bitmap.alloc_run_near(start, nfrags)
         if hit is None:
             raise OutOfSpaceError(
                 f"cylinder group {self.index} has no free run of "
                 f"{nfrags} fragments",
                 cg=self.index,
             )
-        best_block, offset = hit
-        self.bitmap.alloc_run(best_block, offset, nfrags)
-        return (self.base + best_block, offset)
+        return (self.base + hit[0], hit[1])
 
     def extend_frags(
         self, block: int, offset: int, old_nfrags: int, new_nfrags: int
@@ -254,15 +267,13 @@ class CylinderGroup:
         """
         if new_nfrags <= old_nfrags:
             raise ValueError("extend_frags only grows runs")
-        fpb = self.params.frags_per_block
-        if offset + new_nfrags > fpb:
+        if offset + new_nfrags > self.params.frags_per_block:
             return False
         local = self._local(block)
-        extra = new_nfrags - old_nfrags
-        if not self.bitmap.run_is_free(local, offset + old_nfrags, extra):
-            return False
-        self.bitmap.alloc_run(local, offset + old_nfrags, extra)
-        return True
+        grow_at = offset + old_nfrags
+        if grow_at < 0:
+            raise ValueError(f"fragment offset {grow_at} out of range")
+        return self.bitmap.alloc_run(local, grow_at, new_nfrags - old_nfrags) == -1
 
     def alloc_frags_at(self, block: int, offset: int, nfrags: int) -> None:
         """Allocate the exact fragment run (block, offset, nfrags).
@@ -270,17 +281,42 @@ class CylinderGroup:
         Used when restoring a file-system image; raises if any of the
         fragments is already taken.
         """
-        local = self._local(block)
-        if not self.bitmap.run_is_free(local, offset, nfrags):
+        local = block - self.base
+        fpb = self.params.frags_per_block
+        if not (0 <= local < self.nblocks and 0 <= offset and 0 < nfrags <= fpb - offset):
+            self._refuse_run(block, offset, nfrags)
+        if self.bitmap.alloc_run(local, offset, nfrags) != -1:
             raise OutOfSpaceError(
                 f"fragment run ({block}, {offset}, {nfrags}) is not free",
                 cg=self.index,
             )
-        self.bitmap.alloc_run(local, offset, nfrags)
 
     def free_frag_run(self, block: int, offset: int, nfrags: int) -> None:
         """Free ``nfrags`` fragments at (block, offset)."""
-        self.bitmap.free_run(self._local(block), offset, nfrags)
+        local = block - self.base
+        fpb = self.params.frags_per_block
+        if not (0 <= local < self.nblocks and 0 <= offset and 0 < nfrags <= fpb - offset):
+            self._refuse_run(block, offset, nfrags)
+        freed = self.bitmap.free_run(local, offset, nfrags)
+        if freed != -1:
+            raise ValueError(f"double free: block {local} frag {freed - local * fpb}")
+
+    # Each mutator tests its request's range inline; these raise the
+    # error for one that failed.
+
+    def _refuse_range(self, start: int, nblocks: int) -> NoReturn:
+        self._local(start)
+        raise ValueError(
+            f"block range ({start}, {nblocks}) crosses the group boundary"
+        )
+
+    def _refuse_run(self, block: int, offset: int, nfrags: int) -> NoReturn:
+        self._local(block)
+        if not 0 <= offset < self.params.frags_per_block:
+            raise ValueError(f"fragment offset {offset} out of range")
+        raise ValueError(
+            f"fragment run ({offset}, {nfrags}) crosses a block boundary"
+        )
 
     # ------------------------------------------------------------------
     # Inode allocation
@@ -322,11 +358,11 @@ class CylinderGroup:
             raise ValueError(f"inode {ino} not in cylinder group {self.index}")
         if not self._inode_used[idx]:
             raise ConsistencyError(f"double free of inode {ino}")
-        self._inode_used[idx] = 0
-        self.nifree += 1
         if is_dir:
             if self.ndirs <= 0:
                 raise ConsistencyError(
                     f"directory count of group {self.index} went negative"
                 )
             self.ndirs -= 1
+        self._inode_used[idx] = 0
+        self.nifree += 1

@@ -12,9 +12,10 @@ equivalent of running ``fsck`` on the aged file systems.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict
 
 from repro.errors import ConsistencyError
+from repro.ffs.cg import CylinderGroup
 from repro.ffs.filesystem import FileSystem
 
 
@@ -22,62 +23,48 @@ def check_filesystem(fs: FileSystem) -> None:
     """Verify all invariants of ``fs``; raises ConsistencyError on a bug."""
     params = fs.params
     fpb = params.frags_per_block
+    cgs = fs.sb.cgs
 
-    # Ground truth: which fragments should be allocated?
-    expected: Set[Tuple[int, int]] = set()  # (global block, frag offset)
+    # Ground truth in the bitmap's shape, per group: allocated fragments
+    # and per-block free counts, claimed in a fixed order (metadata, then
+    # each inode's blocks, indirect blocks and tail; a repeat is named).
+    meta = params.metadata_blocks_per_cg
+    expected = [
+        bytearray(b"\x01") * (meta * fpb) + bytes((cg.nblocks - meta) * fpb)
+        for cg in cgs
+    ]
+    counts = [bytearray(meta) + bytes([fpb]) * (cg.nblocks - meta) for cg in cgs]
 
-    def claim_block(block: int, what: str) -> None:
-        for off in range(fpb):
-            _claim(expected, block, off, what)
-
-    for cg in fs.sb.cgs:
-        for local in range(params.metadata_blocks_per_cg):
-            claim_block(cg.base + local, f"metadata of cg {cg.index}")
+    def claim(block: int, offset: int, nfrags: int, what: str) -> None:
+        if not (0 <= block < params.nblocks and 0 <= offset <= offset + nfrags <= fpb):
+            raise ConsistencyError(
+                f"{what} claims fragment run ({block}, {offset}, {nfrags}) "
+                f"outside the disk"
+            )
+        g = block // params.blocks_per_cg
+        local = block - cgs[g].base
+        lo = local * fpb + offset
+        taken = expected[g].find(1, lo, lo + nfrags)
+        if taken != -1:
+            raise ConsistencyError(
+                f"fragment {(block, taken - local * fpb)} doubly referenced "
+                f"(second claim by {what})"
+            )
+        expected[g][lo : lo + nfrags] = b"\x01" * nfrags
+        counts[g][local] -= nfrags
 
     for inode in fs.inodes.values():
+        what = f"inode {inode.ino}"
         for block in inode.blocks:
-            claim_block(block, f"inode {inode.ino}")
+            claim(block, 0, fpb, what)
         for block in inode.indirect_blocks:
-            claim_block(block, f"indirect of inode {inode.ino}")
+            claim(block, 0, fpb, f"indirect of {what}")
         if inode.tail is not None:
-            block, offset, nfrags = inode.tail
-            for off in range(offset, offset + nfrags):
-                _claim(expected, block, off, f"tail of inode {inode.ino}")
+            claim(*inode.tail, f"tail of {what}")
 
-    # Check the bitmap fragment by fragment and the derived structures.
-    for cg in fs.sb.cgs:
-        free_frags = 0
-        free_blocks = 0
-        for local in range(cg.nblocks):
-            block = cg.base + local
-            block_free = 0
-            for off in range(fpb):
-                bit_allocated = not cg.bitmap.is_frag_free(local, off)
-                should = (block, off) in expected
-                if bit_allocated != should:
-                    raise ConsistencyError(
-                        f"bitmap mismatch at block {block} frag {off}: "
-                        f"bitmap says {'allocated' if bit_allocated else 'free'}, "
-                        f"inodes say {'allocated' if should else 'free'}"
-                    )
-                if not bit_allocated:
-                    block_free += 1
-            if cg.bitmap.free_in_block(local) != block_free:
-                raise ConsistencyError(
-                    f"free-in-block count wrong for block {block}: "
-                    f"{cg.bitmap.free_in_block(local)} != {block_free}"
-                )
-            free_frags += block_free
-            if block_free == fpb:
-                free_blocks += 1
-        if cg.free_frags != free_frags:
-            raise ConsistencyError(
-                f"cg {cg.index} free_frags {cg.free_frags} != recount {free_frags}"
-            )
-        if cg.free_blocks != free_blocks:
-            raise ConsistencyError(
-                f"cg {cg.index} free_blocks {cg.free_blocks} != recount {free_blocks}"
-            )
+    # Whole columns compared; the first difference is sought only if any.
+    for cg, bits, free in zip(cgs, expected, counts):
+        _compare_group(cg, bits, free, fpb)
 
     # Inode table consistency.
     for ino, inode in fs.inodes.items():
@@ -112,13 +99,43 @@ def check_filesystem(fs: FileSystem) -> None:
             )
 
 
-def _claim(
-    expected: Set[Tuple[int, int]], block: int, offset: int, what: str
+def _compare_group(
+    cg: CylinderGroup, expected: bytearray, counts: bytearray, fpb: int
 ) -> None:
-    key = (block, offset)
-    if key in expected:
+    """Check one group's bitmap, per-block counts and totals against the
+    claimed columns, naming the first mismatch in address order: a
+    block's fragments before its count, every block before the totals."""
+    bits, free = cg.bitmap._bits, cg.bitmap._free_in_block
+    bad = _first_difference(bits, expected)
+    # Blocks before the first bad fragment hold the expected bits, so
+    # ``counts`` is their recount.
+    limit = cg.nblocks if bad == -1 else bad // fpb
+    block = _first_difference(free[:limit], counts[:limit])
+    if block != -1:
         raise ConsistencyError(
-            f"fragment {key} doubly referenced (second claim by {what})"
+            f"free-in-block count wrong for block {cg.base + block}: "
+            f"{free[block]} != {counts[block]}"
         )
-    expected.add(key)
+    if bad != -1:
+        said = "free" if cg.bitmap.is_frag_free(*divmod(bad, fpb)) else "allocated"
+        raise ConsistencyError(
+            f"bitmap mismatch at block {cg.base + bad // fpb} frag {bad % fpb}: "
+            f"bitmap says {said}, inodes say "
+            f"{'allocated' if said == 'free' else 'free'}"
+        )
+    if cg.free_frags != bits.count(0):
+        raise ConsistencyError(
+            f"cg {cg.index} free_frags {cg.free_frags} != recount {bits.count(0)}"
+        )
+    if cg.free_blocks != counts.count(fpb):
+        raise ConsistencyError(
+            f"cg {cg.index} free_blocks {cg.free_blocks} != recount "
+            f"{counts.count(fpb)}"
+        )
 
+
+def _first_difference(a: bytearray, b: bytearray) -> int:
+    """Index of the first byte where ``a`` and ``b`` differ, -1 if none."""
+    if a == b:
+        return -1
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)

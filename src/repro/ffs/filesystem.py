@@ -442,15 +442,16 @@ class FileSystem:
 
     def _check_reserve(self, inode: Inode, final_full: int, tail_frags: int) -> None:
         params = self.params
-        fpb = params.frags_per_block
         ndaddr = params.ndaddr
         if final_full > ndaddr:
             indirects = 1 + (final_full - ndaddr - 1) // (params.block_size // 4)
         else:
             indirects = 0
-        needed = (final_full + indirects) * fpb + tail_frags - inode.frags_used(
-            params
-        )
+        # Less the inode's own fragments (``Inode.frags_used``, inline).
+        held = len(inode.blocks) + len(inode.indirect_blocks)
+        needed = (final_full + indirects - held) * params.frags_per_block + tail_frags
+        if inode.tail is not None:
+            needed -= inode.tail[2]
         if needed > 0 and self.sb.would_break_reserve(needed):
             raise OutOfSpaceError(
                 f"allocating {needed} fragments would break the "
@@ -458,29 +459,18 @@ class FileSystem:
             )
 
     def _free_data(self, inode: Inode) -> None:
-        # Sort the file's blocks and free physically-contiguous stretches
-        # in one pass each — clustered files return their space in a
-        # handful of range frees instead of per-block bitmap writes.
-        # Free state is the same either way (frees commute), so this is
-        # observationally identical to the per-block path.
-        blocks = sorted(inode.blocks + inode.indirect_blocks)
-        params = self.params
-        cgs = self.sb.cgs
-        bpg = params.blocks_per_cg
-        i, n = 0, len(blocks)
-        while i < n:
-            start = blocks[i]
-            cg_limit = (start // bpg + 1) * bpg  # runs never span groups
-            j = i + 1
-            while j < n and blocks[j] == blocks[j - 1] + 1 and blocks[j] < cg_limit:
-                j += 1
-            cgs[params.cg_of_block(start)].free_block_range(
-                start, blocks[j - 1] - start + 1
-            )
-            i = j
+        # One range free per physically contiguous stretch (frees commute,
+        # so the state is as if freed block by block); a file of only a
+        # tail, as most small files are, has nothing to sort.
+        if inode.blocks:
+            blocks = sorted(inode.blocks + inode.indirect_blocks)
+            for cg, start, length in self.sb.runs_of(blocks):
+                cg.free_block_range(start, length)
         if inode.tail is not None:
             block, offset, nfrags = inode.tail
-            cgs[params.cg_of_block(block)].free_frag_run(block, offset, nfrags)
+            self.sb.cgs[self.params.cg_of_block(block)].free_frag_run(
+                block, offset, nfrags
+            )
 
     def _live(self, ino: int) -> Inode:
         try:

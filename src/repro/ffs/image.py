@@ -242,18 +242,21 @@ def skeleton_from_document(document: Dict[str, Any]) -> FileSystem:
 
 def mark_inode_space(fs: FileSystem) -> None:
     """Mark every inode, and the blocks and fragments it references,
-    allocated in its cylinder group's maps (which must start empty)."""
+    allocated in its cylinder group's maps (which must start empty), its
+    blocks a contiguous stretch at a time.  A block or fragment run
+    claimed twice is named by the group's refusal."""
+    sb = fs.sb
     for inode in fs.inodes.values():
-        fs.sb.cgs[fs.params.cg_of_inode(inode.ino)].alloc_inode_at(
+        sb.cgs[fs.params.cg_of_inode(inode.ino)].alloc_inode_at(
             inode.ino, is_dir=inode.is_dir
         )
-        for block in inode.blocks:
-            fs.sb.cg_of_block(block).alloc_block_at(block)
-        for block in inode.indirect_blocks:
-            fs.sb.cg_of_block(block).alloc_block_at(block)
+        for cg, start, length in sb.runs_of(
+            sorted(inode.blocks + inode.indirect_blocks)
+        ):
+            cg.alloc_block_at(start, length)
         if inode.tail is not None:
             block, offset, nfrags = inode.tail
-            fs.sb.cg_of_block(block).alloc_frags_at(block, offset, nfrags)
+            sb.cg_of_block(block).alloc_frags_at(block, offset, nfrags)
 
 
 def filesystem_from_document(

@@ -16,7 +16,7 @@ halves of the FFS allocation machinery:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import OutOfSpaceError
 from repro.ffs.cg import CylinderGroup
@@ -88,6 +88,23 @@ class Superblock:
     def cg_of_block(self, block: int) -> CylinderGroup:
         """The group owning global ``block``."""
         return self.cgs[self.params.cg_of_block(block)]
+
+    def runs_of(
+        self, blocks: List[int]
+    ) -> Iterator[Tuple[CylinderGroup, int, int]]:
+        """``(group, start, length)`` for each physically contiguous
+        stretch of the ascending ``blocks`` (never spanning two groups),
+        so a file's blocks are freed or marked one range per stretch."""
+        i, n = 0, len(blocks)
+        while i < n:
+            start = blocks[i]
+            cg = self.cg_of_block(start)
+            cg_limit = cg.base + cg.nblocks
+            j = i + 1
+            while j < n and blocks[j] == blocks[j - 1] + 1 and blocks[j] < cg_limit:
+                j += 1
+            yield cg, start, blocks[j - 1] - start + 1
+            i = j
 
     # ------------------------------------------------------------------
     # Group selection

@@ -5,6 +5,19 @@ import pytest
 from repro.ffs.bitmap import FragBitmap
 
 
+def frag_runs(bitmap, block):
+    """Maximal free fragment runs of ``block`` as (offset, length)."""
+    free = [bitmap.is_frag_free(block, off) for off in range(bitmap.fpb)]
+    runs, start = [], None
+    for off, is_free in enumerate(free + [False]):
+        if is_free and start is None:
+            start = off
+        elif not is_free and start is not None:
+            runs.append((start, off - start))
+            start = None
+    return runs
+
+
 def make(nblocks=16, fpb=8):
     return FragBitmap(nblocks, fpb)
 
@@ -42,52 +55,58 @@ class TestAllocFree:
 
     def test_double_alloc_rejected(self):
         b = make()
-        b.alloc_run(0, 0, 4)
-        with pytest.raises(ValueError):
-            b.alloc_run(0, 3, 2)
+        assert b.alloc_run(0, 0, 4) == -1
+        before = b.clone()
+        assert b.alloc_run(0, 3, 2) == 3  # the first taken fragment
+        assert b.free_frags == before.free_frags
+        assert frag_runs(b, 0) == frag_runs(before, 0)
 
     def test_double_free_rejected(self):
         b = make()
-        with pytest.raises(ValueError):
-            b.free_run(0, 0, 1)
-
-    def test_run_crossing_block_boundary_rejected(self):
-        b = make()
-        with pytest.raises(ValueError):
-            b.alloc_run(0, 6, 4)
+        b.alloc_run(0, 1, 2)
+        assert b.free_run(0, 1, 3) == 3  # the first free fragment
+        assert frag_runs(b, 0) == [(0, 1), (3, 5)]
+        assert b.free_frags == 16 * 8 - 2
 
     def test_block_full_after_eight_frags(self):
         b = make()
         b.alloc_run(3, 0, 8)
-        assert b.block_is_full(3)
+        assert b.free_in_block(3) == 0
+        assert b.free_blocks == 15
 
 
 class TestFragRuns:
     def test_whole_free_block_single_run(self):
         b = make()
-        assert b.frag_runs(5) == [(0, 8)]
+        assert frag_runs(b, 5) == [(0, 8)]
 
     def test_runs_after_middle_allocation(self):
         b = make()
         b.alloc_run(5, 3, 2)
-        assert b.frag_runs(5) == [(0, 3), (5, 3)]
+        assert frag_runs(b, 5) == [(0, 3), (5, 3)]
 
     def test_full_block_no_runs(self):
         b = make()
         b.alloc_run(5, 0, 8)
-        assert b.frag_runs(5) == []
+        assert frag_runs(b, 5) == []
 
-    def test_find_run_in_block(self):
+    def test_alloc_run_near(self):
         b = make()
         b.alloc_run(5, 0, 2)
-        assert b.find_run_in_block(5, 6) == 2
-        assert b.find_run_in_block(5, 7) is None
+        assert b.alloc_run_near(5, 6) == (5, 2)
+        assert b.free_in_block(5) == 0
+        assert b.alloc_run_near(5, 7) == (6, 0)
+        b.alloc_run(15, 0, 8)
+        assert b.alloc_run_near(15, 1) == (0, 0)  # wraps to the front
+        assert b.alloc_run_near(7, 7) == (7, 0)
 
-    def test_run_is_free(self):
+    def test_alloc_run_writes_only_a_free_run(self):
         b = make()
         b.alloc_run(5, 4, 1)
-        assert b.run_is_free(5, 0, 4)
-        assert not b.run_is_free(5, 3, 3)
+        assert b.alloc_run(5, 3, 3) == 5 * 8 + 4
+        assert b.free_in_block(5) == 7
+        assert b.alloc_run(5, 0, 4) == -1
+        assert b.free_in_block(5) == 3
 
 
 class TestWholeBlockQueries:
@@ -109,12 +128,13 @@ class TestWholeBlockQueries:
         assert b.free_blocks_at(2, 3) == 3
         assert b.free_blocks_at(6, 3) == 0
 
-    def test_first_taken_block(self):
+    def test_alloc_block_range_reports_first_taken_fragment(self):
         b = make()
-        assert b.first_taken_block(0, 16) is None
         b.alloc_run(9, 3, 2)
-        assert b.first_taken_block(4, 8) == 9
-        assert b.first_taken_block(4, 5) is None
+        assert b.alloc_block_range(4, 8) == 9 * 8 + 3
+        assert b.free_blocks == 15
+        assert b.alloc_block_range(4, 5) == -1
+        assert b.free_blocks == 10
 
     def test_partial_blocks_are_not_runs(self):
         b = make()

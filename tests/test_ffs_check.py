@@ -43,7 +43,7 @@ class TestDetection:
         """A block owned by an inode but free in the bitmap is caught."""
         inode = fs.files()[0]
         block = inode.blocks[0]
-        fs.sb.cg_of_block(block).free_block(block)
+        fs.sb.cg_of_block(block).free_block_range(block, 1)
         with pytest.raises(ConsistencyError, match="bitmap mismatch"):
             check_filesystem(fs)
 
@@ -52,6 +52,20 @@ class TestDetection:
         a, b = fs.files()
         b.blocks[0] = a.blocks[0]
         with pytest.raises(ConsistencyError, match="doubly referenced"):
+            check_filesystem(fs)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda inode, nblocks: inode.blocks.__setitem__(0, nblocks),
+            lambda inode, nblocks: setattr(inode, "tail", (0, 6, 4)),
+        ],
+        ids=["block-past-the-disk", "tail-past-its-block"],
+    )
+    def test_claim_outside_the_disk(self, fs, corrupt):
+        """A claim no bitmap holds is caught, not skipped."""
+        corrupt(fs.files()[0], fs.params.nblocks)
+        with pytest.raises(ConsistencyError, match="outside the disk"):
             check_filesystem(fs)
 
     def test_size_exceeding_capacity(self, fs):

@@ -154,3 +154,54 @@ class TestCliIntegration:
         capsys.readouterr()
         assert main(["fsck", str(image)]) == 1
         assert "CORRUPT" in capsys.readouterr().out
+
+
+class TestDoubleClaimReport:
+    """A restore that finds one block or fragment run claimed twice names
+    it in one line (recorded before restores marked by runs)."""
+
+    @pytest.fixture(scope="class")
+    def aged_document(self, tmp_path_factory):
+        from repro.cli import main
+
+        image = tmp_path_factory.mktemp("double-claim") / "aged.json"
+        assert main([
+            "age", "--preset", "tiny", "--policy", "ffs",
+            "--save-image", str(image),
+        ]) == 0
+        return json.loads(image.read_text())
+
+    @staticmethod
+    def _claim_twice(document, field):
+        doc = json.loads(json.dumps(document))
+        first, second = [
+            blob for blob in doc["inodes"]
+            if not blob["is_dir"] and blob[field]
+        ][:2]
+        if field == "blocks":
+            second["blocks"][0] = first["blocks"][0]
+        else:
+            second["tail"] = list(first["tail"])
+        return doc
+
+    @pytest.mark.parametrize(
+        "field, fault",
+        [
+            ("blocks", "block 1554 is not free"),
+            ("tail", "fragment run (1562, 0, 6) is not free"),
+        ],
+    )
+    def test_inspect_and_fsck_name_the_first_double_claim(
+        self, aged_document, tmp_path, capsys, field, fault
+    ):
+        from repro.cli import main
+
+        image = tmp_path / "twice.json"
+        image.write_text(json.dumps(self._claim_twice(aged_document, field)))
+        capsys.readouterr()
+        assert main(["inspect", str(image)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"repro-ffs inspect: {fault}\n")
+        assert main(["fsck", str(image)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (f"CORRUPT: {fault}\n", "")

@@ -63,7 +63,7 @@ class TestOriginalPolicyBehaviour:
         base = cg.alloc_block()       # rotor anchor
         hole = cg.alloc_block()       # will become the 1-block hole
         plug = cg.alloc_block()       # stays allocated
-        cg.free_block(hole)
+        cg.free_block_range(hole, 1)
         # Preference is the hole's predecessor: taken, so the fallback
         # scans forward and lands in the 1-block hole.
         got = fs.policy.alloc_data_block(fs.inode(d.ino), base)
@@ -88,7 +88,7 @@ class TestReallocPolicyBehaviour:
         # blocks land scattered before the policy gathers them.
         taken = [cg.alloc_block() for _ in range(40)]
         for block in taken[::2]:
-            cg.free_block(block)
+            cg.free_block_range(block, 1)
         cg.rotor = taken[0] - cg.base
         ino = fs.create_file(d, 56 * KB)
         blocks = fs.inode(ino).blocks
@@ -127,7 +127,7 @@ class TestReallocPolicyBehaviour:
         cg = fs.sb.cgs[d.cg]
         taken = [cg.alloc_block() for _ in range(20)]
         for block in taken[::2]:
-            cg.free_block(block)
+            cg.free_block_range(block, 1)
         cg.rotor = taken[0] - cg.base
         before = fs.policy.relocation_attempts
         ino = fs.create_file(d, 15 * KB + 512)  # two blocks, second not full
@@ -142,7 +142,7 @@ class TestReallocPolicyBehaviour:
         cg = fs.sb.cgs[d.cg]
         taken = [cg.alloc_block() for _ in range(20)]
         for block in taken[::2]:
-            cg.free_block(block)
+            cg.free_block_range(block, 1)
         cg.rotor = taken[0] - cg.base
         ino = fs.create_file(d, 16 * KB)
         assert run_is_contiguous(fs.inode(ino).blocks)
@@ -154,7 +154,7 @@ class TestReallocPolicyBehaviour:
         cg = fs.sb.cgs[d.cg]
         taken = [cg.alloc_block() for _ in range(60)]
         for block in taken[::2]:
-            cg.free_block(block)
+            cg.free_block_range(block, 1)
         for size in (24 * KB, 56 * KB, 120 * KB):
             fs.create_file(d, size)
         policy = fs.policy

@@ -18,7 +18,7 @@ def shred_rotor_area(fs, cg, n=60):
     """Allocate n blocks at the rotor and free every other one."""
     taken = [cg.alloc_block() for _ in range(n)]
     for block in taken[::2]:
-        cg.free_block(block)
+        cg.free_block_range(block, 1)
     cg.rotor = taken[0] - cg.base
     return taken
 

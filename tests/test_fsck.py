@@ -61,7 +61,7 @@ class TestRepairPairsDetection:
         """Owned block free in the bitmap → re-claimed by the rebuild."""
         inode = fs.files()[0]
         block = inode.blocks[0]
-        fs.sb.cg_of_block(block).free_block(block)
+        fs.sb.cg_of_block(block).free_block_range(block, 1)
         report = detect_then_repair(fs)
         assert report.unrecorded_frags == fs.params.frags_per_block
 

@@ -236,7 +236,7 @@ class TestCopyUnderSession:
             cg = twin.sb.cgs[d.cg]
             taken = [cg.alloc_block() for _ in range(40)]
             for block in taken[::2]:
-                cg.free_block(block)
+                cg.free_block_range(block, 1)
             cg.rotor = taken[0] - cg.base
             twin.create_file(d, 56 * KB)
             snapshot = registry.snapshot()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.ffs.bitmap import FragBitmap
+from tests.test_ffs_bitmap import frag_runs
 
 NBLOCKS = 12
 FPB = 8
@@ -125,5 +126,5 @@ class TestBitmapProperties:
     def test_frag_runs_cover_free_space(self, block, nalloc):
         bitmap = FragBitmap(NBLOCKS, FPB)
         bitmap.alloc_run(block, 0, nalloc)
-        runs = bitmap.frag_runs(block)
+        runs = frag_runs(bitmap, block)
         assert sum(length for _o, length in runs) == FPB - nalloc
