@@ -12,122 +12,102 @@ approximate workload using exactly the paper's heuristics:
   **modified**, treated as a delete followed by a rewrite at the new
   change time (files are seldom modified in place, per [Ousterhout85]).
 
-The reconstruction is returned per-day so the short-lived NFS churn can
-be folded into the right days before the final merge.
+The reconstruction runs a day at a time (:class:`SnapshotDiffer`), so
+the short-lived NFS churn can be folded into each day as it is made.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, count
+from typing import Dict, List, Sequence, Tuple
 
-from repro.aging.snapshot import Snapshot
+from repro.aging.snapshot import FileRecord, Snapshot
 from repro.aging.workload import (
     CREATE_CODE,
     DELETE_CODE,
+    Row,
     Workload,
     WorkloadRow,
 )
 from repro.rng import SeededStreams
 
 
-class _IdAllocator:
-    """Fresh file ids for reconstructed lifetimes."""
+class SnapshotDiffer:
+    """The reconstruction, one snapshot at a time.
 
-    def __init__(self) -> None:
-        self._next = 0
+    Holds only the previous snapshot's file map and the reconstructed
+    file id of each live source inode.
+    """
 
-    def take(self) -> int:
-        """Return the next unused file id."""
-        fid = self._next
-        self._next += 1
-        return fid
+    def __init__(self, seed: int = 0) -> None:
+        self._seed = seed
+        self._rng = SeededStreams(seed).get("delete-times")
+        self._ids = count()
+        self._live_fid: Dict[int, int] = {}  # source ino -> file id
+        self._old: Dict[int, FileRecord] = {}
+
+    def next_day(self, snapshot: Snapshot) -> List[Row]:
+        """Day ``snapshot.day``'s operations: those inferred between the
+        previous snapshot (none before the first, matching the paper's
+        choice of a 9%-full starting point) and ``snapshot``."""
+        old, new, day = self._old, snapshot.files, snapshot.day
+        rng, ids, live_fid = self._rng, self._ids, self._live_fid
+        rng.seed(f"{self._seed}:delete-times:{day}")
+        ops: List[Row] = []
+        modified: List[Tuple[FileRecord, FileRecord]] = []
+        times: List[float] = []
+        # Creates, in one pass with the modified files: timestamped by
+        # the inode change time (clamped into the day in case the
+        # snapshot carried a stale value).
+        for ino, record in new.items():
+            before = old.get(ino)
+            if before is None:
+                fid = live_fid[ino] = next(ids)
+                ops.append((
+                    _clamp_into_day(record.ctime, day), fid, CREATE_CODE,
+                    record.size, ino, record.directory,
+                ))
+                times.append(record.ctime)
+            elif before.ctime != record.ctime:
+                modified.append((before, record))
+                times.append(record.ctime)
+
+        # Deletes: random times within today's activity span.
+        span = _activity_span(times, day)
+        for ino, record in old.items():
+            if ino not in new:
+                ops.append((
+                    rng.uniform(*span), live_fid.pop(ino), DELETE_CODE, 0,
+                    ino, record.directory,
+                ))
+
+        # Modifies: delete immediately before the rewrite.
+        for before, record in modified:
+            ino = record.ino
+            when = _clamp_into_day(record.ctime, day)
+            ops.append((
+                max(day + 1e-6, when - 1e-4), live_fid[ino], DELETE_CODE, 0,
+                ino, before.directory,
+            ))
+            fid = live_fid[ino] = next(ids)
+            ops.append((when, fid, CREATE_CODE, record.size, ino, record.directory))
+        self._old = new
+        return ops
 
 
 def diff_snapshots(
     snapshots: Sequence[Snapshot], seed: int = 0
 ) -> List[List[WorkloadRow]]:
-    """Reconstruct per-day operations from a snapshot series.
-
-    Day ``d``'s operations are those inferred between snapshot ``d-1``
-    (empty for day 0, matching the paper's choice of a 9%-full starting
-    point) and snapshot ``d``.  Returns one list of rows per day.
-    """
-    streams = SeededStreams(seed)
-    ids = _IdAllocator()
-    live_fid: Dict[int, int] = {}  # source ino -> reconstructed file id
-    days: List[List[WorkloadRow]] = []
-    previous: Optional[Snapshot] = None
-    for snapshot in snapshots:
-        day_ops: List[WorkloadRow] = []
-        old = previous.files if previous is not None else {}
-        new = snapshot.files
-        day = snapshot.day
-        rng = streams.get("delete-times")
-        rng.seed(f"{seed}:delete-times:{day}")
-
-        created = [ino for ino in new if ino not in old]
-        deleted = [ino for ino in old if ino not in new]
-        modified = [
-            ino
-            for ino in new
-            if ino in old and new[ino].ctime != old[ino].ctime
-        ]
-
-        # Creates: timestamped by the inode change time (clamped into
-        # the day in case the snapshot carried a stale value).
-        for ino in created:
-            record = new[ino]
-            when = _clamp_into_day(record.ctime, day)
-            fid = ids.take()
-            live_fid[ino] = fid
-            day_ops.append(
-                WorkloadRow(
-                    when, fid, CREATE_CODE, record.size, ino, record.directory
-                )
-            )
-
-        # The observable span of today's activity, for delete times.
-        span = _activity_span(
-            [new[ino].ctime for ino in created]
-            + [new[ino].ctime for ino in modified],
-            day,
-        )
-
-        # Deletes: random times within today's activity span.
-        for ino in deleted:
-            record = old[ino]
-            fid = live_fid.pop(ino)
-            when = rng.uniform(*span)
-            day_ops.append(
-                WorkloadRow(when, fid, DELETE_CODE, 0, ino, record.directory)
-            )
-
-        # Modifies: delete immediately before the rewrite.
-        for ino in modified:
-            record = new[ino]
-            when = _clamp_into_day(record.ctime, day)
-            old_fid = live_fid.pop(ino)
-            day_ops.append(
-                WorkloadRow(
-                    max(day + 1e-6, when - 1e-4), old_fid, DELETE_CODE, 0,
-                    ino, old[ino].directory,
-                )
-            )
-            fid = ids.take()
-            live_fid[ino] = fid
-            day_ops.append(
-                WorkloadRow(
-                    when, fid, CREATE_CODE, record.size, ino, record.directory
-                )
-            )
-
-        days.append(day_ops)
-        previous = snapshot
-    return days
+    """Reconstruct per-day operations from a snapshot series: one list
+    of rows per snapshot (see :class:`SnapshotDiffer`)."""
+    differ = SnapshotDiffer(seed)
+    return [
+        list(map(WorkloadRow._make, differ.next_day(snapshot)))
+        for snapshot in snapshots
+    ]
 
 
-def merge_days(days: Sequence[Sequence[WorkloadRow]]) -> Workload:
+def merge_days(days: Sequence[Sequence[Row]]) -> Workload:
     """Merge per-day operation lists into a validated workload."""
     workload = Workload.from_rows(chain.from_iterable(days))
     workload.validate()
@@ -135,21 +115,24 @@ def merge_days(days: Sequence[Sequence[WorkloadRow]]) -> Workload:
 
 
 def directory_activity(
-    day_ops: Sequence[WorkloadRow],
-) -> List[Tuple[str, int, float]]:
+    day_ops: Sequence[Row],
+) -> List[Tuple[str, int, float, int]]:
     """Directories ranked by change count for one day.
 
-    Returns (directory, change count, mean op time) sorted by descending
-    activity — the ranking used to decide where the short-lived NFS
-    files go and what time to shift them to (Section 3.1).
+    Returns (directory, change count, mean op time, source inode of its
+    first op) sorted by descending activity — the ranking used to decide
+    where the short-lived NFS files go, what time to shift them to, and
+    which inode steers them to the directory's group (Section 3.1).
     """
     counts: Dict[str, int] = {}
     time_sums: Dict[str, float] = {}
-    for record in day_ops:
-        counts[record.directory] = counts.get(record.directory, 0) + 1
-        time_sums[record.directory] = time_sums.get(record.directory, 0.0) + record.time
+    first_ino: Dict[str, int] = {}
+    for time, _fid, _code, _size, ino, directory in day_ops:
+        counts[directory] = counts.get(directory, 0) + 1
+        time_sums[directory] = time_sums.get(directory, 0.0) + time
+        first_ino.setdefault(directory, ino)
     ranked = sorted(counts, key=lambda d: (-counts[d], d))
-    return [(d, counts[d], time_sums[d] / counts[d]) for d in ranked]
+    return [(d, counts[d], time_sums[d] / counts[d], first_ino[d]) for d in ranked]
 
 
 def _clamp_into_day(when: float, day: int) -> float:

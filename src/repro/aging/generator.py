@@ -1,13 +1,15 @@
 """End-to-end aging-workload construction.
 
-``build_workloads`` runs the whole Section 3 pipeline:
+``build_workloads`` runs the whole Section 3 pipeline a day at a time,
+holding only the previous snapshot and one day of rows:
 
 1. simulate the source file system (:class:`SourceActivityModel`) to get
-   the ground-truth workload and its nightly snapshots;
-2. reconstruct an approximate workload from the snapshots alone with the
-   paper's heuristics (:mod:`repro.aging.diff`);
-3. fold synthetic NFS-trace churn into the reconstruction
-   (:mod:`repro.aging.nfstrace`).
+   the day's ground-truth operations and that night's snapshot;
+2. reconstruct the day's operations from that snapshot and the previous
+   one alone with the paper's heuristics (:mod:`repro.aging.diff`);
+3. fold synthetic NFS-trace churn into the reconstructed day
+   (:mod:`repro.aging.nfstrace`);
+4. append both days to their workloads' growing columns.
 
 Replaying (1) gives the "Real" curve of Figure 1; replaying (3) gives
 the "Simulated" curve and is the aging workload used by every other
@@ -17,12 +19,12 @@ experiment.  Both workloads exist at every scale preset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from repro.aging.diff import diff_snapshots, merge_days
-from repro.aging.nfstrace import SyntheticNFSTrace, integrate_short_lived
+from repro.aging.diff import SnapshotDiffer
+from repro.aging.nfstrace import ShortLivedFolder, SyntheticNFSTrace
 from repro.aging.snapshot import ActivityLevels, Snapshot, SourceActivityModel
-from repro.aging.workload import Workload
+from repro.aging.workload import Workload, WorkloadBuilder
 from repro.ffs.params import FSParams
 from repro.gcpause import gc_paused
 
@@ -49,7 +51,8 @@ class AgingArtifacts:
 
     config: AgingConfig
     ground_truth: Workload
-    snapshots: List[Snapshot]
+    #: The source file system after the last day.
+    final_snapshot: Snapshot
     reconstructed: Workload
 
 
@@ -69,20 +72,23 @@ def build_workloads(config: AgingConfig) -> AgingArtifacts:
             / (1024 * 1024)
         )
     with gc_paused():
-        ground_truth, snapshots = model.generate()
-        per_day = diff_snapshots(snapshots, seed=config.seed + 1)
         trace = SyntheticNFSTrace(
             seed=config.seed + 2,
             n_days=config.trace_days,
             pairs_per_day=pairs,
         )
-        with_churn = integrate_short_lived(
-            per_day, trace, seed=config.seed + 3
-        )
-        reconstructed = merge_days(with_churn)
+        differ = SnapshotDiffer(seed=config.seed + 1)
+        folder = ShortLivedFolder(trace, seed=config.seed + 3)
+        truth, recon = WorkloadBuilder(), WorkloadBuilder()
+        for day, rows, snapshot in model.run():
+            truth.add(rows, day + 1)
+            recon.add(folder.fold(differ.next_day(snapshot)), day + 1)
+        ground_truth, reconstructed = truth.finish(), recon.finish()
+        ground_truth.validate()
+        reconstructed.validate()
     return AgingArtifacts(
         config=config,
         ground_truth=ground_truth,
-        snapshots=snapshots,
+        final_snapshot=snapshot,
         reconstructed=reconstructed,
     )

@@ -12,9 +12,9 @@ The traces themselves are proprietary, so :class:`SyntheticNFSTrace`
 generates days with the same relevant structure: a Poisson number of
 same-day create/delete pairs, Zipf-weighted across trace directories,
 clustered in time per directory, with sub-day exponential lifetimes and
-small log-normal sizes.  :func:`integrate_short_lived` then performs the
-paper's placement/time-shifting step verbatim against the reconstructed
-per-day operations.
+small log-normal sizes.  :class:`ShortLivedFolder` then performs the
+paper's placement/time-shifting step verbatim against each reconstructed
+day's operations.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.aging.diff import directory_activity
-from repro.aging.workload import CREATE_CODE, DELETE_CODE, WorkloadRow
+from repro.aging.workload import CREATE_CODE, DELETE_CODE, Row, WorkloadRow
 from repro import rng as rng_module
 from repro.rng import SeededStreams
 from repro.units import KB
@@ -109,13 +109,8 @@ class SyntheticNFSTrace:
         return k
 
 
-def integrate_short_lived(
-    per_day_ops: Sequence[List[WorkloadRow]],
-    trace: SyntheticNFSTrace,
-    seed: int = 0,
-    first_file_id: int = 1 << 40,
-) -> List[List[WorkloadRow]]:
-    """Fold short-lived trace files into each reconstructed day.
+class ShortLivedFolder:
+    """The paper's placement and time-shifting step, one day at a time.
 
     For each day: sample one trace day, group its files by trace
     directory (busiest first), map those groups onto the source
@@ -124,63 +119,62 @@ def integrate_short_lived(
     activity time.  Short-lived file ids start at ``first_file_id`` so
     they can never collide with reconstructed ids.
     """
-    streams = SeededStreams(seed)
-    rng = streams.get("trace-sampling")
-    next_fid = first_file_id
-    out: List[List[WorkloadRow]] = []
-    for day_ops in per_day_ops:
-        merged = list(day_ops)
+
+    def __init__(
+        self,
+        trace: SyntheticNFSTrace,
+        seed: int = 0,
+        first_file_id: int = 1 << 40,
+    ) -> None:
+        self._trace = trace
+        self._rng = SeededStreams(seed).get("trace-sampling")
+        self._next_fid = first_file_id
+
+    def fold(self, day_ops: List[Row]) -> List[Row]:
+        """Append one day's short-lived pairs to ``day_ops`` and return it."""
         ranked = directory_activity(day_ops)
-        if ranked:
-            trace_day = trace.days[rng.randrange(trace.n_days)]
-            groups: Dict[int, List[TraceFile]] = {}
-            for tf in trace_day:
-                groups.setdefault(tf.trace_dir, []).append(tf)
-            # Busiest trace directories map onto busiest source dirs.
-            ordered_groups = sorted(
-                groups.values(), key=lambda g: -len(g)
-            )
-            # Anchor to the day the reconstructed ops carry (derived
-            # from the data, so partial day lists behave sensibly too),
-            # and clamp times into [base_day + 1e-6, base_day + 0.9999].
-            base_day = float(int(day_ops[0].time))
-            first, last = base_day + 1e-6, base_day + 0.9999
-            for rank, group in enumerate(ordered_groups):
-                target_dir, _count, peak_time = ranked[rank % len(ranked)]
-                target_ino = _representative_ino(day_ops, target_dir)
-                group_mean = sum(tf.create_frac for tf in group) / len(group)
-                shift = (peak_time - base_day) - group_mean
-                for fid, tf in enumerate(group, next_fid):
-                    t_create = min(
-                        last, max(first, base_day + tf.create_frac + shift)
-                    )
-                    t_delete = min(
-                        last, max(first, base_day + tf.delete_frac + shift)
-                    )
-                    if t_delete <= t_create:
-                        t_delete = min(last, t_create + 1e-4)
-                    merged.append(
-                        WorkloadRow(
-                            t_create, fid, CREATE_CODE, tf.size, target_ino,
-                            target_dir,
-                        )
-                    )
-                    merged.append(
-                        WorkloadRow(
-                            t_delete, fid, DELETE_CODE, 0, target_ino,
-                            target_dir,
-                        )
-                    )
-                next_fid += len(group)
-        out.append(merged)
-    return out
+        if not ranked:
+            return day_ops
+        trace_day = self._trace.days[self._rng.randrange(self._trace.n_days)]
+        groups: Dict[int, List[TraceFile]] = {}
+        for tf in trace_day:
+            groups.setdefault(tf.trace_dir, []).append(tf)
+        # Busiest trace directories map onto busiest source dirs.
+        ordered_groups = sorted(groups.values(), key=lambda g: -len(g))
+        # Anchor to the day the reconstructed ops carry (derived from the
+        # data, so partial day lists behave sensibly too), and clamp
+        # times into [base_day + 1e-6, base_day + 0.9999].
+        base_day = float(int(day_ops[0][0]))
+        first, last = base_day + 1e-6, base_day + 0.9999
+        next_fid = self._next_fid
+        for rank, group in enumerate(ordered_groups):
+            target_dir, _count, peak_time, target_ino = ranked[rank % len(ranked)]
+            group_mean = sum(tf.create_frac for tf in group) / len(group)
+            shift = (peak_time - base_day) - group_mean
+            for fid, tf in enumerate(group, next_fid):
+                t_create = min(last, max(first, base_day + tf.create_frac + shift))
+                t_delete = min(last, max(first, base_day + tf.delete_frac + shift))
+                if t_delete <= t_create:
+                    t_delete = min(last, t_create + 1e-4)
+                day_ops += (
+                    (t_create, fid, CREATE_CODE, tf.size, target_ino, target_dir),
+                    (t_delete, fid, DELETE_CODE, 0, target_ino, target_dir),
+                )
+            next_fid += len(group)
+        self._next_fid = next_fid
+        return day_ops
 
 
-def _representative_ino(
-    day_ops: Sequence[WorkloadRow], directory: str
-) -> int:
-    """A source inode belonging to ``directory``, for cg steering."""
-    for record in day_ops:
-        if record.directory == directory:
-            return record.src_ino
-    return 0
+def integrate_short_lived(
+    per_day_ops: Sequence[Sequence[Row]],
+    trace: SyntheticNFSTrace,
+    seed: int = 0,
+    first_file_id: int = 1 << 40,
+) -> List[List[WorkloadRow]]:
+    """Fold short-lived trace files into each reconstructed day (see
+    :class:`ShortLivedFolder`); the input lists are left as they were."""
+    folder = ShortLivedFolder(trace, seed, first_file_id)
+    return [
+        list(map(WorkloadRow._make, folder.fold(list(day_ops))))
+        for day_ops in per_day_ops
+    ]

@@ -31,13 +31,15 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.aging.workload import (
     APPEND_CODE,
     CREATE_CODE,
     DELETE_CODE,
+    Row,
     Workload,
+    WorkloadBuilder,
     WorkloadRow,
 )
 from repro.errors import SimulationError
@@ -201,14 +203,21 @@ class SourceActivityModel:
     # Public entry point
     # ------------------------------------------------------------------
 
+    def run(self) -> Iterator[Tuple[int, List[Row], Snapshot]]:
+        """Yield each day, its ground-truth rows as drawn (some may fall
+        at or after the next midnight, see :meth:`_eligible_on`), and
+        that night's snapshot."""
+        for day in range(self.days):
+            yield day, self._one_day(day), self._snapshot(day)
+
     def generate(self) -> Tuple[Workload, List[Snapshot]]:
         """Run the model; returns (ground-truth workload, nightly snapshots)."""
-        rows: List[WorkloadRow] = []
+        builder = WorkloadBuilder()
         snapshots: List[Snapshot] = []
-        for day in range(self.days):
-            rows.extend(self._one_day(day))
-            snapshots.append(self._snapshot(day))
-        workload = Workload.from_rows(rows)
+        for day, rows, snapshot in self.run():
+            builder.add(rows, day + 1)
+            snapshots.append(snapshot)
+        workload = builder.finish()
         workload.validate()
         return workload, snapshots
 
@@ -216,9 +225,9 @@ class SourceActivityModel:
     # Daily dynamics
     # ------------------------------------------------------------------
 
-    def _one_day(self, day: int) -> List[WorkloadRow]:
+    def _one_day(self, day: int) -> List[Row]:
         rng = self.streams.get("daily")
-        ops: List[WorkloadRow] = []
+        ops: List[Row] = []
         target_frags = int(self._target_utilization(day) * self._data_frags())
         n_eligible = self._eligible_on(day)
 
@@ -316,10 +325,8 @@ class SourceActivityModel:
             lifetime = min(rng.expovariate(12.0), 0.4)  # mean ~2 hours
             t_delete = min(t_create + max(lifetime, 1e-4), day + 0.9999)
             ino = free_heap(dir_cg[directory])[0]
-            ops.append(
-                WorkloadRow(t_create, fid, CREATE_CODE, size, ino, directory)
-            )
-            ops.append(WorkloadRow(t_delete, fid, DELETE_CODE, 0, ino, directory))
+            ops.append((t_create, fid, CREATE_CODE, size, ino, directory))
+            ops.append((t_delete, fid, DELETE_CODE, 0, ino, directory))
         self._next_file_id += n_short
         return ops
 
@@ -356,9 +363,9 @@ class SourceActivityModel:
             return eligible[start : start + max(1, length)]
         return []
 
-    def _cleanup_directory(self, rng: rng_module.Random, day: int) -> List[WorkloadRow]:
+    def _cleanup_directory(self, rng: rng_module.Random, day: int) -> List[Row]:
         """Purge most of one directory — a user removing a build tree."""
-        ops: List[WorkloadRow] = []
+        ops: List[Row] = []
         directory = self._pick_directory(rng)
         eligible = self._dir_eligible[directory]
         n = int(len(eligible) * self.levels.cleanup_fraction)
@@ -379,7 +386,7 @@ class SourceActivityModel:
         directory: str,
         size: int,
         force_ino: Optional[int] = None,
-    ) -> List[WorkloadRow]:
+    ) -> List[Row]:
         """Create a long-lived file, chunking large writes over time.
 
         Bookkeeping (live table, utilization) records the full size at
@@ -392,15 +399,11 @@ class SourceActivityModel:
         levels = self.levels
         if size <= levels.chunk_threshold:
             return [full]
+        fid, ino = full.file_id, full.src_ino
         chunk = levels.write_chunk_bytes
         day = int(when)
         first = min(chunk, size)
-        rows = [
-            WorkloadRow(
-                full.time, full.file_id, CREATE_CODE, first, full.src_ino,
-                directory,
-            )
-        ]
+        rows = [(when, fid, CREATE_CODE, first, ino, directory)]
         remaining = size - first
         n_chunks = -(-remaining // chunk)
         duration = rng.uniform(0.2, 1.0) * levels.write_duration_frac
@@ -408,12 +411,7 @@ class SourceActivityModel:
             piece = min(chunk, remaining)
             remaining -= piece
             t = min(when + duration * (i + 1) / n_chunks, day + 0.99995)
-            rows.append(
-                WorkloadRow(
-                    t, full.file_id, APPEND_CODE, piece, full.src_ino,
-                    directory,
-                )
-            )
+            rows.append((t, fid, APPEND_CODE, piece, ino, directory))
         return rows
 
     def _create(
@@ -446,7 +444,7 @@ class SourceActivityModel:
 
     def _delete(
         self, fid: int, when: float, keep_ino: Optional[int] = None
-    ) -> WorkloadRow:
+    ) -> Row:
         record = self._live.pop(fid)
         eligible_from = int(record.ctime) + 1
         if eligible_from <= self._day:
@@ -461,9 +459,7 @@ class SourceActivityModel:
         if keep_ino is None:
             cg = record.ino // self.params.inodes_per_cg
             heappush(self._free_inodes[cg], record.ino)
-        return WorkloadRow(
-            when, fid, DELETE_CODE, 0, record.ino, record.directory
-        )
+        return (when, fid, DELETE_CODE, 0, record.ino, record.directory)
 
     # ------------------------------------------------------------------
     # Distributions and helpers

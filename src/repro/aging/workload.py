@@ -19,7 +19,10 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, List, NamedTuple, Set, TextIO, Tuple
+from itertools import chain
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, TextIO, Tuple,
+)
 
 from repro.errors import WorkloadError
 
@@ -41,8 +44,8 @@ _OP_NAMES = (CREATE, APPEND, DELETE)
 #: up to its last op, so an unbounded time is an unbounded build.
 HORIZON_DAYS = 3650
 
-#: A workload row as a plain tuple (see ``WorkloadRow``).
-_Row = Tuple[float, int, int, int, int, str]
+#: A workload row as a plain tuple: the fields of ``WorkloadRow``.
+Row = Tuple[float, int, int, int, int, str]
 
 #: Sort key of a workload row: (time, file id, op code).  The sort is
 #: stable, so rows tying on all three keep their input order.
@@ -120,9 +123,9 @@ class WorkloadRow(NamedTuple):
 
     The fields of a :class:`WorkloadRecord` as a plain tuple, with the
     op as its byte code (``OP_CODES``) and the fields ordered so that
-    ``(time, file_id, code)`` leads.  Rows skip the record's per-object
-    checks; :meth:`Workload.from_rows` runs the same checks over the
-    columns it builds.
+    ``(time, file_id, code)`` leads; the build passes them as bare
+    ``Row`` tuples.  Rows skip the record's per-object checks;
+    :class:`WorkloadBuilder` runs the same checks over each batch.
     """
 
     time: float
@@ -151,51 +154,36 @@ class Workload:
     day loop iterates contiguous slices instead of testing the day of
     every op.  Iterating a workload rebuilds its records.
 
-    ``Workload(records)`` takes validated records; the aging pipeline
-    builds its workloads with :meth:`from_rows` instead, which makes no
-    object per op.  Both sort by (time, file id, op rank) and check
-    every op as ``WorkloadRecord`` does.
+    ``Workload(records)`` takes validated records and
+    :meth:`from_rows` takes rows, which need no object per op; each is
+    one batch into a :class:`WorkloadBuilder`, which the aging build
+    feeds a day at a time.  All sort by (time, file id, op rank) and
+    check every op as ``WorkloadRecord`` does.
     """
 
+    op: bytes
+    time: "array[float]"
+    file_id: "array[int]"
+    size: "array[int]"
+    src_ino: "array[int]"
+    dir_id: "array[int]"
+    dir_table: Tuple[str, ...]
+    day_slices: Tuple[Tuple[int, int], ...]
+
     def __init__(self, records: Iterable[WorkloadRecord] = ()):
-        self._fill(
+        builder = WorkloadBuilder()
+        builder.add(
             (r.time, r.file_id, OP_CODES[r.op], r.size, r.src_ino, r.directory)
             for r in records
         )
+        builder.finish(self)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[WorkloadRow]) -> "Workload":
+    def from_rows(cls, rows: Iterable[Row]) -> "Workload":
         """Build a workload from pipeline rows, in any order."""
-        workload = cls.__new__(cls)
-        workload._fill(rows)
-        return workload
-
-    def _fill(self, rows: Iterable[_Row]) -> None:
-        """Sort ``rows``, check them as ``WorkloadRecord`` would, and
-        set the columns."""
-        out = sorted(rows, key=_ROW_ORDER)
-        n = len(out)
-        time, file_id, op, size, src_ino, directory = (
-            tuple(zip(*out)) or ((),) * 6
-        )
-        _check_columns(op, time, size)
-        self.op = bytes(op)
-        self.time = array("d", time)
-        self.file_id = array("q", file_id)
-        self.size = array("q", size)
-        self.src_ino = array("q", src_ino)
-        self.dir_table: Tuple[str, ...] = tuple(dict.fromkeys(directory))
-        dir_index = {name: i for i, name in enumerate(self.dir_table)}
-        self.dir_id = array("l", map(dir_index.__getitem__, directory))
-        slices: List[Tuple[int, int]] = []
-        start = 0
-        for day in range(1, int(time[-1]) + 1 if n else 0):
-            end = bisect_left(self.time, day)
-            slices.append((start, end))
-            start = end
-        if n:
-            slices.append((start, n))
-        self.day_slices: Tuple[Tuple[int, int], ...] = tuple(slices)
+        builder = WorkloadBuilder()
+        builder.add(rows)
+        return builder.finish()
 
     def __len__(self) -> int:
         return len(self.op)
@@ -272,6 +260,76 @@ class Workload:
             for line in fp
             if line.strip() and not line.startswith("#")
         )
+
+
+class WorkloadBuilder:
+    """Workload columns grown one batch of rows at a time.
+
+    :meth:`add` sorts a batch by (time, file id, op code), checks it as
+    ``WorkloadRecord`` would, and appends its rows timed before
+    ``through``; the rest lead the next batch.  So batches with no row
+    before an earlier batch's ``through`` (others are refused) build
+    the columns of one stable sort of all their rows.
+    """
+
+    def __init__(self) -> None:
+        self._op = bytearray()
+        self._time = array("d")
+        self._file_id = array("q")
+        self._size = array("q")
+        self._src_ino = array("q")
+        self._dir_id = array("l")
+        self._dir_index: Dict[str, int] = {}
+        self._carry: List[Row] = []
+        self._through = -math.inf
+
+    def add(self, rows: Iterable[Row], through: float = math.inf) -> None:
+        """Append the rows of ``rows`` and the carry timed before
+        ``through``, in order; carry the others."""
+        batch = sorted(chain(self._carry, rows), key=_ROW_ORDER)
+        time, file_id, op, size, src_ino, directory = (
+            tuple(zip(*batch)) or ((),) * 6
+        )
+        _check_columns(op, time, size)
+        if time and time[0] < self._through:
+            raise WorkloadError(
+                f"time {time[0]!r} comes before {self._through!r}, "
+                f"the bound of an earlier batch"
+            )
+        cut = bisect_left(time, through)
+        self._carry = batch[cut:]
+        self._through = max(self._through, through)
+        self._op.extend(op[:cut])
+        self._time.extend(time[:cut])
+        self._file_id.extend(file_id[:cut])
+        self._size.extend(size[:cut])
+        self._src_ino.extend(src_ino[:cut])
+        index = self._dir_index
+        for name in dict.fromkeys(directory[:cut]):
+            index.setdefault(name, len(index))
+        self._dir_id.extend(map(index.__getitem__, directory[:cut]))
+
+    def finish(self, workload: Optional[Workload] = None) -> Workload:
+        """Append the carry and set the columns on ``workload`` (a new
+        one by default)."""
+        self.add(())
+        if workload is None:
+            workload = Workload.__new__(Workload)
+        time = self._time
+        workload.op = bytes(self._op)
+        workload.time = time
+        workload.file_id = self._file_id
+        workload.size = self._size
+        workload.src_ino = self._src_ino
+        workload.dir_table = tuple(self._dir_index)
+        workload.dir_id = self._dir_id
+        # Day d's ops end where day d + 1's begin, and the last day's at n.
+        n = len(time)
+        last_day = int(time[-1]) if n else -1
+        ends = [bisect_left(time, day) for day in range(1, last_day + 1)]
+        ends += [n] if n else []
+        workload.day_slices = tuple(zip([0] + ends, ends))
+        return workload
 
 
 def _check_columns(

@@ -468,9 +468,7 @@ class FileSystem:
                 cg.free_block_range(start, length)
         if inode.tail is not None:
             block, offset, nfrags = inode.tail
-            self.sb.cgs[self.params.cg_of_block(block)].free_frag_run(
-                block, offset, nfrags
-            )
+            self.sb.cg_of_block(block).free_frag_run(block, offset, nfrags)
 
     def _live(self, ino: int) -> Inode:
         try:

@@ -34,6 +34,7 @@ class Superblock:
             CylinderGroup(params, i) for i in range(params.ncg)
         ]
         self._reserve = int(params.data_frags * params.minfree)
+        self._blocks_per_cg = params.blocks_per_cg
 
     def clone(self) -> "Superblock":
         """An independent copy; shares only the immutable ``params``."""
@@ -41,6 +42,7 @@ class Superblock:
         twin.params = self.params
         twin.cgs = [cg.clone() for cg in self.cgs]
         twin._reserve = self._reserve
+        twin._blocks_per_cg = self._blocks_per_cg
         return twin
 
     # ------------------------------------------------------------------
@@ -86,8 +88,14 @@ class Superblock:
         return data_used / data_total if data_total else 0.0
 
     def cg_of_block(self, block: int) -> CylinderGroup:
-        """The group owning global ``block``."""
-        return self.cgs[self.params.cg_of_block(block)]
+        """The group owning global ``block``, for one of its mutators.
+
+        Unchecked: each group mutator range-checks its own request, so
+        a block outside the disk goes to the nearer end group, which
+        refuses it with a ``ValueError``.
+        """
+        cgs = self.cgs
+        return cgs[min(max(block // self._blocks_per_cg, 0), len(cgs) - 1)]
 
     def runs_of(
         self, blocks: List[int]

@@ -3,20 +3,18 @@
 import pytest
 
 from repro.aging.nfstrace import SyntheticNFSTrace, integrate_short_lived
-from repro.aging.workload import CREATE, DELETE, Workload, WorkloadRecord
+from repro.aging.workload import CREATE_CODE, Workload, WorkloadRow
 
 
 def base_day(day, n=4, directory="hot"):
     """A reconstructed day with some activity in one directory."""
-    ops = []
-    for i in range(n):
-        ops.append(
-            WorkloadRecord(
-                time=day + 0.4 + 0.05 * i, op=CREATE, file_id=day * 1000 + i,
-                size=1024, src_ino=500 + i, directory=directory,
-            )
+    return [
+        WorkloadRow(
+            day + 0.4 + 0.05 * i, day * 1000 + i, CREATE_CODE, 1024, 500 + i,
+            directory,
         )
-    return ops
+        for i in range(n)
+    ]
 
 
 class TestSyntheticTrace:

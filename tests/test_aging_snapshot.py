@@ -194,8 +194,9 @@ def _snapshots_digest(snapshots):
 
 
 #: ``build_workloads`` output per preset: (ground truth, reconstructed,
-#: snapshots).  Recorded before the source model and the NFS fold were
-#: flattened; any change that moves one changes every aging result.
+#: the source model's nightly snapshots).  Recorded before the source
+#: model and the NFS fold were flattened; any change that moves one
+#: changes every aging result.
 BUILD_GOLDEN = {
     "tiny": (
         "d2402c42ba4be5b948accf599105421afc7f6b6c8e61deca33c03c8362d4a4d5",
@@ -212,9 +213,14 @@ BUILD_GOLDEN = {
 
 @pytest.mark.parametrize("preset", sorted(BUILD_GOLDEN))
 def test_build_workloads_golden(preset):
-    built = build_workloads(aging_config(preset))
+    config = aging_config(preset)
+    built = build_workloads(config)
+    _, snapshots = SourceActivityModel(
+        config.params, config.days, config.seed, config.levels
+    ).generate()
     assert (
         _workload_digest(built.ground_truth),
         _workload_digest(built.reconstructed),
-        _snapshots_digest(built.snapshots),
+        _snapshots_digest(snapshots),
     ) == BUILD_GOLDEN[preset]
+    assert built.final_snapshot == snapshots[-1]

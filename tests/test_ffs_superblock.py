@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import OutOfSpaceError
-from repro.ffs.params import scaled_params
+from repro.ffs.filesystem import FileSystem
+from repro.ffs.params import FSParams, scaled_params
 from repro.ffs.superblock import Superblock
-from repro.units import MB
+from repro.units import KB, MB
 
 
 @pytest.fixture
@@ -130,3 +131,42 @@ class TestReserve:
         headroom = sb.free_frags - reserve
         assert not sb.would_break_reserve(headroom)
         assert sb.would_break_reserve(headroom + 1)
+
+
+class TestGroupOfBlock:
+    """``cg_of_block`` picks a group without a range check of its own:
+    the group's mutator makes the one check of the request."""
+
+    def test_in_range_blocks_map_to_their_group(self, sb, params):
+        bpc = params.blocks_per_cg
+        for block in (0, bpc - 1, bpc, params.nblocks - 1):
+            assert sb.cg_of_block(block) is sb.cgs[params.cg_of_block(block)]
+
+    @pytest.mark.parametrize("where", ["below", "far_below", "above", "far_above"])
+    def test_out_of_range_block_is_refused_by_the_group(self, sb, params, where):
+        block = {
+            "below": -1,
+            "far_below": -3 * params.blocks_per_cg,
+            "above": params.nblocks,
+            "far_above": params.nblocks + 5 * params.blocks_per_cg,
+        }[where]
+        before = sb.free_frags
+        with pytest.raises(ValueError):
+            sb.cg_of_block(block).free_block_range(block, 1)
+        with pytest.raises(ValueError):
+            sb.cg_of_block(block).free_frag_run(block, 0, 1)
+        assert sb.free_frags == before
+
+    def test_delete_checks_each_freed_run_once(self, params, monkeypatch):
+        fs = FileSystem(params, policy="ffs")
+        fs.make_directory("d")
+        inos = [fs.create_file("d", size) for size in (3 * KB, 200 * KB)]
+        before = fs.sb.free_frags
+
+        def second_check(_self, block):
+            raise AssertionError(f"block {block} range-checked twice")
+
+        monkeypatch.setattr(FSParams, "cg_of_block", second_check)
+        for ino in inos:
+            fs.delete_file(ino)
+        assert fs.sb.free_frags > before

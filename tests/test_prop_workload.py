@@ -1,12 +1,21 @@
 """Property-based tests for workload generation and reconstruction."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aging.diff import diff_snapshots, merge_days
 from repro.aging.generator import AgingConfig, build_workloads
 from repro.aging.snapshot import SourceActivityModel
-from repro.aging.workload import APPEND, CREATE, DELETE
+from repro.aging.workload import (
+    APPEND,
+    CREATE,
+    CREATE_CODE,
+    DELETE,
+    Workload,
+    WorkloadBuilder,
+)
+from repro.errors import WorkloadError
 from repro.ffs.params import scaled_params
 from repro.units import MB
 
@@ -56,7 +65,8 @@ class TestModelProperties:
                 live[r.file_id] += r.size
             elif r.op == DELETE:
                 live.pop(r.file_id)
-        final = artifacts.snapshots[-1]
+        final = artifacts.final_snapshot
+        assert final.day == config.days - 1
         assert len(live) == len(final.files)
         assert sum(live.values()) == sum(f.size for f in final.files.values())
 
@@ -74,3 +84,50 @@ class TestModelProperties:
                 live_inos[record.file_id] = record.src_ino
             elif record.op == DELETE:
                 assert live_inos.pop(record.file_id) == record.src_ino
+
+
+#: Times within a day, weighted toward the instants that tie: midnight,
+#: and exactly the next midnight (a row the builder must carry).
+_DAY_FRACTIONS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+#: A day's rows before its day number is added to the time: file ids,
+#: codes and inodes from small ranges, so that rows tie on
+#: (time, file id, code) while differing in size, inode or directory.
+_DAY_ROWS = st.lists(
+    st.tuples(
+        _DAY_FRACTIONS,
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(1, 5),
+        st.integers(0, 3),
+        st.sampled_from("abc"),
+    ),
+    max_size=8,
+)
+
+
+class TestBuilderBatches:
+    @given(st.lists(_DAY_ROWS, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_day_batches_build_the_one_batch_columns(self, days):
+        batches = [
+            [(day + row[0],) + row[1:] for row in rows]
+            for day, rows in enumerate(days)
+        ]
+        builder = WorkloadBuilder()
+        for day, rows in enumerate(batches):
+            builder.add(rows, day + 1)
+        batched = builder.finish()
+        whole = Workload.from_rows(row for rows in batches for row in rows)
+        for name in ("op", "time", "file_id", "size", "src_ino", "dir_id",
+                     "dir_table", "day_slices"):
+            assert getattr(batched, name) == getattr(whole, name), name
+
+    def test_row_before_an_earlier_bound_is_refused(self):
+        builder = WorkloadBuilder()
+        builder.add([(0.5, 1, CREATE_CODE, 1, 0, "a")], 1)
+        with pytest.raises(WorkloadError):
+            builder.add([(0.75, 2, CREATE_CODE, 1, 0, "a")], 2)
