@@ -15,12 +15,12 @@ Subcommands:
   ``cluster-fit``, ``trigger``, ``indirect``, ``fallback``, or ``all``).
 * ``profiles``   — compare aging under different usage-pattern
   workloads.
-* ``stats``      — render a captured ``--metrics`` manifest as
+* ``stats``      — render a run file's manifest and metrics as
   paper-style tables.
 * ``cache``      — inspect (``ls``) or drop (``clear``) the persistent
   artifact cache that makes warm reruns fast.
-* ``report``     — join a run's telemetry artifacts (manifest + event
-  log + trace) into one self-contained offline HTML page.
+* ``report``     — render a run file (manifest, spans, events, disk
+  rows, metrics) as one self-contained offline HTML page.
 * ``inspect``    — block-placement maps and fragmentation profile of a
   saved image, or of a file system aged in place.
 * ``fsck``       — verify a saved image's invariants, or ``--repair`` a
@@ -28,10 +28,10 @@ Subcommands:
 * ``chaos``      — crash aging replays at seeded points, repair the
   wreckage with fsck, and report the layout/throughput cost against a
   clean halt at the same instant (see :mod:`repro.faults`).
-* ``diff``       — structurally compare two recorded runs (registry
-  ids or manifest files): config, metrics, timelines, disk traces,
-  placement — every delta classified noise/notable/regression by the
-  shared significance rules in :mod:`repro.obs.diff`.
+* ``diff``       — structurally compare two runs (run files or
+  registry ids): config, metrics, timelines, disk rows, placement —
+  every delta classified noise/notable/regression by the shared
+  significance rules in :mod:`repro.obs.diff`.
 * ``history``    — list the run registry (``--record``), filtered by
   ``--command``/``--policy``/``--limit``; ``--drift`` fits per-policy
   trend lines over the archived summaries and flags metric drift.
@@ -46,12 +46,14 @@ a parent parser that the subcommands name:
   ``inspect``, ``chaos``);
 * cache: ``--no-cache`` / ``--cache-dir DIR`` (see :mod:`repro.cache`),
   on those and ``cache``;
-* telemetry: ``--metrics FILE`` (a JSON run manifest), ``--trace FILE``
-  (the span trace), ``--events FILE`` (the typed event log),
-  ``--disk-trace FILE`` (the per-request disk trace), ``--profile``
-  (per-phase cProfile attribution) and ``--record`` (archive the run),
-  on every subcommand but ``report``, ``history``, ``diff`` and
-  ``lint``; telemetry is off, a no-op, unless one of them is given;
+* telemetry: ``--run FILE`` (write the run file: the manifest header,
+  the span and event rows, the metrics row; see
+  :mod:`repro.obs.runfile`), ``--disk-rows`` (add one row per simulated
+  disk request), ``--profile`` (per-phase cProfile attribution) and
+  ``--record`` (keep the run file in the run registry), on every
+  subcommand but ``report``, ``history``, ``diff`` and ``lint``;
+  telemetry is off, a no-op, unless ``--run``, ``--profile`` or
+  ``--record`` is given;
 * runs-dir: ``--runs-dir DIR``, the run registry, wherever one is
   written or read;
 * backend and jobs: ``--backend disk|ssd`` (price I/O on the rotating
@@ -113,11 +115,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise InvalidRequestError(f"--jobs must be at least 1 (got {args.jobs})")
-        # `report` consumes telemetry files; its --events is an input
-        # path, not a capture request, so it opts out of the session.
-        if getattr(args, "_no_telemetry", False) or not any(
-            getattr(args, flag) for flag in _TELEMETRY_FLAGS
-        ):
+        if getattr(args, "disk_rows", False) and not (args.run or args.record):
+            raise InvalidRequestError("--disk-rows needs --run FILE or --record")
+        if not any(getattr(args, flag, None) for flag in _TELEMETRY_FLAGS):
             return args.handler(args)
         return _run_with_telemetry(args)
     except (SimulationError, OSError) as exc:
@@ -129,12 +129,13 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     """Run one subcommand under an active telemetry session.
 
     The whole invocation becomes the root span; afterwards the metrics
-    snapshot is sealed into a run manifest (``--metrics``), the span
-    trace is written as JSONL (``--trace``), the event log is written
-    as JSONL (``--events``), and the per-phase profile is folded into
-    the manifest and printed to stderr (``--profile``).
+    snapshot is sealed into the run's manifest, the per-phase profile is
+    folded into it and printed to stderr (``--profile``), and the run
+    file is written (``--run``) and kept in the registry (``--record``).
     """
-    capture = obs.Capture(bool(args.events), bool(args.disk_trace), args.profile)
+    from repro.obs.runfile import Run, write_run
+
+    capture = obs.Capture(disktrace=args.disk_rows, profile=args.profile)
     with capture.open() as (registry, tracer):
         manifest = obs.RunManifest(
             command=args.command, config=_manifest_config(args)
@@ -149,29 +150,24 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
 
             manifest.profile = tracer.profiler.report()
             print(render_profile(manifest.profile), file=sys.stderr)
-        if args.metrics:
-            with open(args.metrics, "w") as fp:
-                manifest.dump(fp)
-            print(f"[obs] wrote metrics manifest to {args.metrics}", file=sys.stderr)
-        for path, log, noun in (
-            (args.trace, tracer, "spans"),
-            (args.events, obs.events_or_none(), "events"),
-            (args.disk_trace, obs.disktrace_or_none(), "disk requests"),
-        ):
-            if path:
-                with open(path, "w") as fp:
-                    count = log.write_jsonl(fp)  # type: ignore[union-attr]
-                dropped = f" ({log.dropped} dropped)" if log.dropped else ""  # type: ignore[union-attr]
-                print(f"[obs] wrote {count} {noun} to {path}{dropped}", file=sys.stderr)
+        logs = (tracer, obs.events_or_none(), obs.disktrace_or_none())
+        run = Run(manifest)
         if args.record:
             from repro.obs.store import RunStore
 
             store = RunStore(args.runs_dir)
-            run_id = store.record(manifest)
-            print(
-                f"[obs] recorded run {run_id} in {store.root}",
-                file=sys.stderr,
+            run = store.record(manifest, logs)
+            print(f"[obs] recorded run {run.id} in {store.root}", file=sys.stderr)
+        if args.run:
+            with open(args.run, "w") as fp:
+                write_run(fp, run, logs)
+            counts = ", ".join(
+                f"{len(log)} {noun}"
+                + (f" ({log.dropped} dropped)" if log.dropped else "")
+                for log, noun in zip(logs, ("spans", "events", "disk requests"))
+                if log is not None
             )
+            print(f"[obs] wrote run file {args.run} ({counts})", file=sys.stderr)
     return code
 
 
@@ -180,16 +176,17 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     return {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("handler", "command", "runs_dir", *_TELEMETRY_FLAGS)
+        if key not in ("handler", "command", "runs_dir", "disk_rows",
+                       *_TELEMETRY_FLAGS)
         and not key.startswith("_")
         and not callable(value)
     }
 
 
-#: The telemetry parent's flags that ask for a session (``--runs-dir``
-#: only places what ``--record`` writes): ``main`` opens a session when
-#: any is set, and none joins the manifest config.
-_TELEMETRY_FLAGS = ("metrics", "trace", "events", "disk_trace", "profile", "record")
+#: The telemetry parent's flags that ask for a session (``--disk-rows``
+#: and ``--runs-dir`` only shape what they write): ``main`` opens a
+#: session when any is set, and none joins the manifest config.
+_TELEMETRY_FLAGS = ("run", "profile", "record")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,25 +208,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scale preset (default: small)",
     )
     telemetry = parent()
-    for flag, artifact in (
-        ("metrics", "a JSON run manifest (render it with `repro-ffs stats`)"),
-        ("trace", "the span trace as JSONL"),
-        ("events", "the typed event log as JSONL"),
-        ("disk-trace", "the per-request disk I/O trace as JSONL"),
-    ):
-        telemetry.add_argument(
-            f"--{flag}", metavar="FILE", default=None,
-            help=f"capture telemetry and write {artifact}",
-        )
+    telemetry.add_argument(
+        "--run", metavar="FILE", default=None,
+        help="capture telemetry and write the run file: manifest header, "
+        "span and event rows, metrics (read it with `repro-ffs report`, "
+        "`diff` or `stats`)",
+    )
+    telemetry.add_argument(
+        "--disk-rows", action="store_true",
+        help="also write one row per simulated disk request into the run "
+        "file",
+    )
     telemetry.add_argument(
         "--profile", action="store_true",
         help="profile each phase with cProfile; fold the top offenders "
-        "into the --metrics manifest and print them to stderr",
+        "into the run file's header and print them to stderr",
     )
     telemetry.add_argument(
         "--record", action="store_true",
-        help="capture telemetry and archive this run's manifest and "
-        "summary metrics in the run registry "
+        help="capture telemetry and keep the run file, stamped with a run "
+        "id and summary metrics, in the run registry "
         "(list it with `repro-ffs history`)",
     )
     runs_dir = parent()
@@ -377,9 +375,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser(
         "stats", parents=[telemetry, runs_dir],
-        help="render a captured --metrics manifest as tables",
+        help="render a run file's metrics as tables",
     )
-    p_stats.add_argument("manifest", help="manifest file from a --metrics run")
+    p_stats.add_argument(
+        "run_file", metavar="RUN", help="run file from a --run capture"
+    )
     p_stats.set_defaults(handler=_cmd_stats)
 
     p_abl = sub.add_parser(
@@ -412,35 +412,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report", parents=[runs_dir],
-        help="render a run's telemetry artifacts as one offline HTML page",
-    )
-    p_report.add_argument("manifest", help="run manifest from a --metrics run")
-    p_report.add_argument(
-        "--events", metavar="FILE", default=None,
-        help="event log (JSONL) from the same run's --events",
+        help="render a run file as one offline HTML page",
     )
     p_report.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="span trace (JSONL) from the same run's --trace",
+        "run_file", metavar="RUN", help="run file from a --run capture"
     )
     p_report.add_argument(
-        "--compare", metavar="MANIFEST", default=None,
-        help="second run manifest to overlay (e.g. the other policy)",
-    )
-    p_report.add_argument(
-        "--compare-events", metavar="FILE", default=None,
-        help="event log of the --compare run",
-    )
-    p_report.add_argument(
-        "--disk-trace", metavar="FILE", default=None,
-        help="per-request disk I/O trace (JSONL) from the same run's "
-        "--disk-trace",
+        "--compare", metavar="RUN", default=None,
+        help="second run file to overlay (e.g. the other policy)",
     )
     p_report.add_argument(
         "--output", metavar="FILE", default="run-report.html",
         help="HTML output path (default: run-report.html)",
     )
-    p_report.set_defaults(handler=_cmd_report, _no_telemetry=True)
+    p_report.set_defaults(handler=_cmd_report)
 
     p_insp = sub.add_parser(
         "inspect", parents=[*simulates, as_json],
@@ -485,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fit per-policy trend lines (layout score, MB/s, lost "
         "rotations, seek p99) over the filtered runs and flag drift",
     )
-    p_hist.set_defaults(handler=_cmd_history, _no_telemetry=True)
+    p_hist.set_defaults(handler=_cmd_history)
 
     p_diff = sub.add_parser(
         "diff", parents=[runs_dir, as_json],
@@ -494,23 +479,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument(
         "run_a", metavar="RUN_A",
-        help="baseline side: a registry run id (or unique prefix), a "
-        "registry document, or a --metrics manifest file",
+        help="baseline side: a run file, or a registry run id (or unique "
+        "prefix)",
     )
     p_diff.add_argument(
         "run_b", metavar="RUN_B",
         help="comparison side, same forms as RUN_A",
     )
     for side in "ab":
-        for flag, artifact in (
-            ("events", "event log (JSONL) from its --events"),
-            ("disk-trace", "disk I/O trace (JSONL) from its --disk-trace"),
-            ("image", "saved image (age --save-image), for placement"),
-        ):
-            p_diff.add_argument(
-                f"--{flag}-{side}", metavar="FILE", default=None,
-                help=f"run {side.upper()}'s {artifact}",
-            )
+        p_diff.add_argument(
+            f"--image-{side}", metavar="FILE", default=None,
+            help=f"run {side.upper()}'s saved image (age --save-image), "
+            "for placement",
+        )
     p_diff.add_argument(
         "--rel-threshold", type=float, default=None, metavar="FRAC",
         help="relative significance threshold (default: 0.05 = 5%%)",
@@ -524,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--html", metavar="FILE", default=None,
         help="also render a self-contained side-by-side HTML report",
     )
-    p_diff.set_defaults(handler=_cmd_diff, _no_telemetry=True)
+    p_diff.set_defaults(handler=_cmd_diff)
 
     p_lint = sub.add_parser(
         "lint", parents=[as_json],
@@ -551,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the resolved whole-program call graph "
         "(replint.graph/v1) to FILE",
     )
-    p_lint.set_defaults(handler=_cmd_lint, _no_telemetry=True)
+    p_lint.set_defaults(handler=_cmd_lint)
     return parser
 
 
@@ -726,7 +707,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"{blank}{header}\n\n{text}", flush=True)
             times[name] = elapsed
             print(f"[obs] {name}: {elapsed:.1f}s", file=sys.stderr, flush=True)
-        args._timings = dict(times)  # sealed into the --metrics manifest
+        args._timings = dict(times)  # sealed into the run file's header
         if args.slowest:
             print(f"[obs] {slowest_summary(times)}", file=sys.stderr, flush=True)
         return 0
@@ -785,10 +766,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from datetime import datetime, timezone
 
     from repro.obs.export import render_metrics
-    from repro.obs.manifest import RunManifest
+    from repro.obs.runfile import load_run
 
-    with open(args.manifest) as fp:
-        manifest = RunManifest.load(fp)
+    manifest = load_run(args.run_file).manifest
     started = datetime.fromtimestamp(
         manifest.started_at, tz=timezone.utc
     ).strftime("%Y-%m-%d %H:%M:%S UTC")
@@ -869,15 +849,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report_html import report_from_files
 
-    html_text = report_from_files(
-        args.manifest,
-        events_path=args.events,
-        trace_path=args.trace,
-        compare_manifest_path=args.compare,
-        compare_events_path=args.compare_events,
-        disk_trace_path=args.disk_trace,
-        runs_dir=args.runs_dir,
-    )
+    html_text = report_from_files(args.run_file, args.compare, args.runs_dir)
     with open(args.output, "w") as fp:
         fp.write(html_text)
     print(f"wrote report to {args.output}")
@@ -966,7 +938,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         else:
             print(render_drift(document))
     elif args.as_json:
-        write_json(sys.stdout, [run.document for run in runs])
+        write_json(sys.stdout, [run.header() for run in runs])
     else:
         print(render_history(runs))
     return 0
@@ -974,48 +946,38 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 def _load_diff_side(args: argparse.Namespace, side: str):
     """Resolve ``diff``'s ``side`` (``"a"`` or ``"b"``): its operand and
-    its ``--events-``/``--disk-trace-``/``--image-`` files, into a
-    :class:`RunArtifacts`.
+    its ``--image-`` file, into a :class:`RunArtifacts`.
 
-    The operand is a file (a registry document or a ``--metrics``
-    manifest) or a registry run id / unique id prefix under
-    ``--runs-dir``; both go through the run store's reader.
+    The operand is a run file, or a registry run id / unique id prefix
+    under ``--runs-dir``; both go through the run-file loader.  A
+    recorded run is labelled by its id, any other file by its name.
     """
     from pathlib import Path
 
     from repro.obs.diff import RunArtifacts
-    from repro.obs.disktrace import read_disk_trace
-    from repro.obs.events import read_jsonl
-    from repro.obs.store import RunStore, read_run_file
+    from repro.obs.runfile import load_run
+    from repro.obs.store import RunStore
 
-    ref, events_path, trace_path, image_path = (
-        getattr(args, f"{name}_{side}")
-        for name in ("run", "events", "disk_trace", "image")
-    )
+    ref, image_path = getattr(args, f"run_{side}"), getattr(args, f"image_{side}")
     path = Path(ref)
-    record = (
-        read_run_file(path) if path.is_file()
+    run = (
+        load_run(path) if path.is_file()
         else RunStore(args.runs_dir).load_run(ref)
     )
-    side = RunArtifacts(
-        label=record.id, manifest=record.manifest, summary=record.summary,
+    artifacts = RunArtifacts(
+        label=run.id or path.name, manifest=run.manifest, summary=run.summary,
+        events=run.events, disk_trace=run.disk,
     )
-    if events_path:
-        with open(events_path) as fp:
-            side.events = read_jsonl(fp)
-    if trace_path:
-        with open(trace_path) as fp:
-            side.disk_trace = read_disk_trace(fp)
     if image_path:
         from repro.analysis.placement import inspect_filesystem
         from repro.ffs.image import load_filesystem
 
         with open(image_path) as fp:
             fs = load_filesystem(fp, verify=True)
-        side.placement = inspect_filesystem(
+        artifacts.placement = inspect_filesystem(
             fs, label=Path(image_path).name
         )
-    return side
+    return artifacts
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:

@@ -1,8 +1,9 @@
 """R002 — telemetry purity: obs access only via guarded ``*_or_none()``.
 
 The telemetry-off path is guaranteed byte-identical to the seed tree:
-with no ``--metrics/--trace/--events/--profile`` flag, a run allocates
-no registries, takes no locks, and emits exactly the seed's stdout.
+with no ``--run``, ``--record`` or ``--profile`` flag (``--disk-rows``
+only adds rows to a run file), a run allocates no registries, takes no
+locks, and emits exactly the seed's stdout.
 That guarantee holds because library code touches :mod:`repro.obs`
 exclusively through the nullable facades::
 

@@ -1,19 +1,25 @@
 """``repro.obs`` — the telemetry layer of the reproduction.
 
-Four kinds of record, one switch:
+Four kinds of record, one switch, one file:
 
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
   histograms in a name-keyed registry;
 * **row logs** (:mod:`repro.obs.events`) — one bounded, ``seq``-numbered
-  JSONL log behind the span trace (:class:`Tracer`, ``--trace``), the
-  typed event log (:class:`EventLog`, ``--events``) and the per-request
-  disk trace (:class:`DiskTrace`, ``--disk-trace``): one bound, one
-  adopt path, one truncation marker, one reader;
+  log kind behind the span trace (:class:`Tracer`), the typed event log
+  (:class:`EventLog`) and the per-request disk log (:class:`DiskTrace`,
+  opt-in with ``--disk-rows``): one bound, one adopt path, one
+  truncation marker;
 * **profiles** (:mod:`repro.obs.profiling`) — a :class:`PhaseProfiler`
   (``--profile``) handed to the tracer, which profiles each
   ``tracer.span`` block as the same-named phase;
-* **manifests** (:mod:`repro.obs.manifest` / :mod:`repro.obs.export`) —
-  one JSON artifact per run bundling config, environment, and metrics.
+* **manifests** (:mod:`repro.obs.manifest`) — config, environment,
+  timings and the metrics snapshot of one run.
+
+A captured run is written as one **run file** (:mod:`repro.obs.runfile`,
+``--run FILE``): JSONL whose first row is the manifest header, whose
+log rows are tagged ``span``, ``event`` or ``disk``, and whose last row
+is the metrics snapshot.  One loader checks it for ``report``, ``diff``,
+``stats`` and the run registry (``--record``, :mod:`repro.obs.store`).
 
 Telemetry is **disabled by default** and the disabled path is a no-op
 fast path: instrumented code asks :func:`metrics_or_none` /
@@ -30,9 +36,9 @@ benchmark numbers are bit-identical either way.
 The session is process-wide but *injectable*: tests and embedders can
 pass their own instances to :func:`enable` (or use the :func:`session`
 context manager) instead of sharing the globals.  A :class:`Capture`
-names what a session records beyond metrics and spans (events, disk
-trace, profile) and opens one: the CLI opens its session from the
-flags, and :func:`capture_or_none` hands the live one's shape to
+names what a CLI session records beyond metrics, spans and events (the
+disk rows, the profile) and opens one: the CLI opens its session from
+the flags, and :func:`capture_or_none` hands the live one's shape to
 ``--jobs`` workers, which open the same.
 
 Typical instrumentation::
@@ -48,7 +54,7 @@ Typical instrumentation::
             if self._m is not None:
                 self._m.counter("replay.ops").inc()
 
-Typical capture (what the CLI does for ``--metrics``/``--trace``)::
+Typical capture (what the CLI does for ``--run``)::
 
     with obs.session() as (registry, tracer):
         with tracer.span("experiment.fig1", preset="tiny"):
@@ -116,10 +122,10 @@ def enable(
     objects constructed before keep their no-op handles.  Passing
     explicit instances injects them (tests do this, and the CLI passes
     a ``Tracer(profiler=...)`` for ``--profile``); otherwise fresh ones
-    are created.  The event log and disk trace are **opt-in**: they
-    stay off unless an instance is passed (the CLI builds one for
-    ``--events`` / ``--disk-trace``), so a plain metrics/trace session
-    pays nothing for them.
+    are created.  The event log and disk trace stay off unless an
+    instance is passed (a :class:`Capture` always passes an event log,
+    and a disk log for ``--disk-rows``), so a plain metrics/trace
+    session pays nothing for them.
     """
     global _registry, _tracer, _events, _disktrace
     _registry = registry if registry is not None else MetricsRegistry()
@@ -153,9 +159,8 @@ def session(
 
 
 class Capture(NamedTuple):
-    """What a session records beyond metrics and spans."""
+    """What a run-file session records beyond metrics, spans and events."""
 
-    events: bool = False
     disktrace: bool = False
     profile: bool = False
 
@@ -163,7 +168,7 @@ class Capture(NamedTuple):
         """A :func:`session` with fresh logs of this shape."""
         return session(
             tracer=Tracer(profiler=PhaseProfiler() if self.profile else None),
-            events=EventLog() if self.events else None,
+            events=EventLog(),
             disktrace=DiskTrace() if self.disktrace else None,
         )
 
@@ -173,7 +178,6 @@ def capture_or_none() -> Optional[Capture]:
     if _registry is None:
         return None
     return Capture(
-        events=_events is not None,
         disktrace=_disktrace is not None,
         profile=_tracer is not None and _tracer.profiler is not None,
     )
@@ -201,7 +205,7 @@ def events_or_none() -> Optional[EventLog]:
     """The active event log, or None — the hot-path guard form.
 
     None both when telemetry is fully off and when a session is active
-    without an event log (metrics/trace only).
+    without an event log (one opened by :func:`enable` without one).
     """
     return _events
 
@@ -210,6 +214,6 @@ def disktrace_or_none() -> Optional[DiskTrace]:
     """The active disk trace, or None — the hot-path guard form.
 
     None both when telemetry is fully off and when a session is active
-    without a disk trace (tracing is opt-in via ``--disk-trace``).
+    without a disk trace (disk rows are opt-in via ``--disk-rows``).
     """
     return _disktrace

@@ -50,7 +50,7 @@ from repro import schemas
 
 if TYPE_CHECKING:
     from repro.obs.heatmap import DaySample
-    from repro.obs.store import RunRecord
+    from repro.obs.runfile import Run
 
 #: A ``repro.diff/v1`` or ``repro.drift/v1`` document.  Only this
 #: module builds them, so its renderers index them without re-checking.
@@ -234,14 +234,14 @@ class RunArtifacts:
     """Everything one side of a diff may bring to the table.
 
     Only the manifest is required; the optional artifacts each unlock
-    one more diff section (events → timeline, disk trace → locality
-    shifts, placement document → spatial comparison).  ``summary`` is
-    the run store's distilled headline block; when absent it is
-    recomputed from the manifest, so a bare ``--metrics`` file diffs
-    identically to a registry entry.  Every field arrives through its
-    loader (:meth:`RunManifest.from_dict`, the run store,
-    :func:`~repro.obs.events.read_jsonl`, the image loader), so the
-    differ trusts its shape.
+    one more diff section when both sides carry them (events → timeline,
+    disk rows → locality shifts, placement document → spatial
+    comparison).  ``summary`` is the run store's distilled headline
+    block; when absent it is recomputed from the manifest, so an
+    unrecorded run file diffs identically to a registry entry.  Every
+    field arrives through its loader (the run-file loader of
+    :mod:`repro.obs.runfile`, the image loader), so the differ trusts
+    its shape.
     """
 
     label: str
@@ -799,7 +799,7 @@ def fit_trend(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def detect_drift(
-    runs: Sequence[RunRecord],
+    runs: Sequence[Run],
     classifier: Optional[Classifier] = None,
     min_points: int = 3,
 ) -> Document:

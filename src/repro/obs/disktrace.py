@@ -10,14 +10,15 @@ trigger needs — seek-distance distributions and inter-request locality
 — and none of it is recoverable from aggregate counters.
 
 One :class:`DiskTrace` collects typed rows for one telemetry session
-(schema ``repro.obs.disktrace/v2``); ``repro-ffs ... --disk-trace FILE``
-writes them as JSONL and ``repro-ffs report --disk-trace FILE`` renders
-seek-distance and inter-request-distance histograms from them.  The
-trace is a :class:`repro.obs.events.RowLog`, so the bound, the ``seq``
-numbering, cross-process adoption, the ``log_truncated`` marker row and
-the reader (:func:`repro.obs.events.read_jsonl`) are the event log's;
-this module adds :meth:`DiskTrace.record` and :func:`read_disk_trace`,
-which also checks the numeric fields the trace's readers compute with.
+(schema ``repro.obs.disktrace/v2``); ``repro-ffs ... --run FILE
+--disk-rows`` writes them into the run file as ``disk`` rows and
+``repro-ffs report`` renders seek-distance and inter-request-distance
+histograms from them.  The trace is a :class:`repro.obs.events.RowLog`,
+so the bound, the ``seq`` numbering, cross-process adoption and the
+``log_truncated`` marker row are the event log's; this module adds
+:meth:`DiskTrace.record`, and the run-file loader
+(:mod:`repro.obs.runfile`) checks the numeric fields the readers
+compute with.
 
 Row fields (one JSON object per request, in service order):
 
@@ -55,43 +56,21 @@ the statements it executed before tracing existed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TextIO
+from typing import Dict, Optional
 
 from repro import schemas
-from repro.errors import MalformedInputError, is_number
-from repro.obs.events import RowLog, read_jsonl
+from repro.obs.events import RowLog
 
 SCHEMA = schemas.DISKTRACE
 
-__all__ = ["DiskTrace", "read_disk_trace", "SCHEMA"]
-
-#: Request-row fields the trace's readers (:mod:`repro.obs.heatmap`)
-#: compute with; each may be absent, but when present is a number.
-_NUMERIC_FIELDS = ("cyl", "seek_cyls", "seek_ms", "service_ms")
-
-
-def read_disk_trace(fp: TextIO) -> List[Dict[str, object]]:
-    """Parse a ``--disk-trace`` JSONL file: :func:`read_jsonl`, then a
-    read/write row whose numeric fields are not numbers raises
-    :class:`MalformedInputError` naming its ``seq``."""
-    rows = read_jsonl(fp)
-    for row in rows:
-        if row.get("kind") not in ("read", "write"):
-            continue
-        for key in _NUMERIC_FIELDS:
-            value = row.get(key)
-            if value is not None and not is_number(value):
-                raise MalformedInputError(
-                    f"disk trace row seq {row.get('seq')}: bad {key} "
-                    f"{value!r}"
-                )
-    return rows
+__all__ = ["DiskTrace", "SCHEMA"]
 
 
 class DiskTrace(RowLog):
     """A bounded, append-only log of per-request disk access rows."""
 
     DEFAULT_MAX_ROWS = 500_000
+    kind = "disk"
 
     def record(
         self,

@@ -1,17 +1,17 @@
-"""Bounded row logs: the event log, the disk trace, and their one JSONL format.
+"""Bounded row logs: the event log, the disk log, the span trace.
 
 Metrics (:mod:`repro.obs.metrics`) answer "how much, in total"; spans
 (:mod:`repro.obs.trace`) answer "where did the wall time go".  The row
 logs keep the evidence itself, in order.  The :class:`EventLog` holds
 typed events: the layout score at the end of every simulated day, each
 allocator fallback, each cluster relocation, each cache hit/miss.  The
-disk trace (:class:`repro.obs.disktrace.DiskTrace`) holds one row per
-simulated disk request.  ``repro-ffs ... --events FILE`` and
-``--disk-trace FILE`` write them as JSONL and ``repro-ffs report``
-renders them without replaying months of simulated time.
+disk log (:class:`repro.obs.disktrace.DiskTrace`) holds one row per
+simulated disk request.  A run file (:mod:`repro.obs.runfile`) carries
+them, and ``repro-ffs report`` renders them without replaying months of
+simulated time.
 
-Both are thin subclasses of one :class:`RowLog`, which owns every rule
-the two streams share:
+The span trace, the event log and the disk log are thin subclasses of
+one :class:`RowLog`, which owns every rule the streams share:
 
 * **one bound** — past :attr:`RowLog.max_rows` stored rows, new rows are
   counted in :attr:`RowLog.dropped` instead of stored, so a chatty run
@@ -22,15 +22,13 @@ the two streams share:
   ``(rows, dropped)`` into the parent log, renumbered into the parent's
   sequence, so the parent counts the worker's drops and a verbatim
   adoption writes what a serial log would have written;
-* **one truncation rule** — when rows were dropped, the JSONL export
-  ends with ``{"seq": <next seq>, "type": "log_truncated", "dropped": N}``;
-* **one reader** — :func:`read_jsonl` parses events, spans and disk
-  traces alike, and :func:`split_truncation` separates the marker.
+* **one export** — :meth:`RowLog.write_jsonl` writes the rows as run-file
+  rows tagged with the log's :attr:`RowLog.kind`, and when rows were
+  dropped ends with ``{"seq": <next seq>, "type": "log_truncated",
+  "dropped": N}``; :func:`split_truncation` separates that marker again.
 """
-
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Mapping, Optional, TextIO, Tuple
 
 from repro import schemas
@@ -56,6 +54,11 @@ WORKER_MERGE = "worker_merge"
 #: :mod:`repro.faults` injected one fault (``kind`` distinguishes a
 #: ``crash``, ``dropped_write``, ``torn_write``, or ``latent_read_error``).
 FAULT_INJECTED = "fault_injected"
+#: The key that tags every run-file row with its kind
+#: (:mod:`repro.obs.runfile`); no row field uses it (``kind`` and
+#: ``type`` are taken).
+TAG = "row"
+
 #: Synthetic final row the JSONL export of any :class:`RowLog` appends
 #: when the bound dropped rows (``dropped`` carries the count), so a
 #: reader of the file alone can tell the log is incomplete.
@@ -77,8 +80,8 @@ EVENT_TYPES = frozenset({
 __all__ = [
     "RowLog",
     "EventLog",
-    "read_jsonl",
     "split_truncation",
+    "TAG",
     "EVENT_TYPES",
     "SCHEMA",
     "DAY_SAMPLE",
@@ -102,6 +105,8 @@ class RowLog:
 
     #: Bound used when the constructor is given none.
     DEFAULT_MAX_ROWS = 200_000
+    #: The run-file tag (:mod:`repro.obs.runfile`) of this log's rows.
+    kind = ""
 
     def __init__(self, max_rows: Optional[int] = None) -> None:
         if max_rows is None:
@@ -156,7 +161,8 @@ class RowLog:
         return stored
 
     def write_jsonl(self, fp: TextIO) -> int:
-        """Write one compact JSON object per row; returns the count.
+        """Write each row as one compact run-file row tagged with this
+        log's :attr:`kind`; returns the count.
 
         When rows were dropped, a final :data:`LOG_TRUNCATED` row with
         the next ``seq`` and the drop count is appended so a reader of
@@ -165,18 +171,21 @@ class RowLog:
         """
         from repro.obs.export import write_jsonl
 
-        count = write_jsonl(fp, self._rows)
+        tag = {TAG: self.kind}
+        count = write_jsonl(fp, ({**row, **tag} for row in self._rows))
         if self.dropped:
             write_jsonl(
                 fp,
                 [{"seq": self._seq + 1, "type": LOG_TRUNCATED,
-                  "dropped": self.dropped}],
+                  "dropped": self.dropped, **tag}],
             )
         return count
 
 
 class EventLog(RowLog):
     """A bounded, append-only log of typed telemetry events."""
+
+    kind = "event"
 
     def emit(self, type: str, **fields: object) -> Optional[Row]:
         """Append one typed event; returns the stored row (or None when
@@ -194,43 +203,6 @@ class EventLog(RowLog):
     def by_type(self, type: str) -> List[Row]:
         """The stored rows of one event type, in order."""
         return [row for row in self._rows if row.get("type") == type]
-
-
-def read_jsonl(fp: TextIO) -> List[Row]:
-    """Parse a JSONL file of rows (events, spans or a disk trace).
-
-    Blank lines are skipped.  A line that is not a JSON object, or a
-    :data:`LOG_TRUNCATED` marker without an integer ``dropped`` count,
-    raises :class:`~repro.errors.MalformedInputError` naming its line
-    number, so the CLI refuses a hostile file with one line instead of
-    a traceback.
-    """
-    from repro.errors import MalformedInputError, is_int
-
-    rows: List[Row] = []
-    for number, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(
-                f"line {number}: invalid JSON ({exc})"
-            ) from None
-        if not isinstance(row, dict):
-            raise MalformedInputError(
-                f"line {number}: expected a JSON object, "
-                f"got {type(row).__name__}"
-            )
-        dropped = row.get("dropped")
-        if row.get("type") == LOG_TRUNCATED and not is_int(dropped):
-            raise MalformedInputError(
-                f"line {number}: {LOG_TRUNCATED} row without an integer "
-                f"dropped count"
-            )
-        rows.append(row)
-    return rows
 
 
 def split_truncation(rows: Iterable[Row]) -> Tuple[List[Row], int]:

@@ -1,16 +1,12 @@
 """Serialisation of telemetry artifacts: JSON, JSONL, CSV, and tables.
 
-One experiment run produces at most two files:
-
-* a **manifest** (``--metrics FILE``) — a single JSON document bundling
-  the run's configuration, environment, and final metrics snapshot
-  (see :mod:`repro.obs.manifest`);
-* a **trace** (``--trace FILE``) — JSONL, one completed span per line.
-
-This module owns the encoding so every producer (CLI, tests, examples)
-emits byte-compatible artifacts, plus the inverse direction: rendering a
-captured metrics snapshot back into the paper-style text tables that
-``repro-ffs stats`` prints.
+One captured run produces one JSONL run file (see
+:mod:`repro.obs.runfile`); the JSON documents (``diff --json``, chaos
+and inspect reports) share its encoder.  This module owns the encoding
+so every producer (CLI, tests, examples) emits byte-compatible
+artifacts, plus the inverse direction: rendering a captured metrics
+snapshot back into the paper-style text tables that ``repro-ffs stats``
+prints.
 """
 
 from __future__ import annotations

@@ -6,23 +6,23 @@ got there (the x axis of decay).  The ``day_sample`` events already
 carry per-group occupancy and free-space fragmentation vectors at every
 simulated day boundary; this module pivots those rows into dense
 day × CG matrices for the HTML report's heatmap panels, and distils a
-``--disk-trace`` capture into the two locality distributions the
+run's ``disk`` rows into the two locality distributions the
 ROADMAP's scheduler work needs: seek distance (cylinders travelled per
 positioning seek) and inter-request distance (cylinder gap between
 consecutive requests, whether or not a seek was paid).
 
 Everything here is pure post-processing over already-captured rows —
 no simulator state, no clocks — so it can run on any machine that has
-the JSONL artifacts.  :func:`day_samples` is the one reader of
-``day_sample`` rows: the report's curves and heatmaps and the diff's
-timeline all pivot through it, so they agree on what a bad row is.
+the run file.  The rows arrive through the run-file loader
+(:mod:`repro.obs.runfile`), which has checked their shape;
+:func:`day_samples` is the one pivot of ``day_sample`` rows: the
+report's curves and heatmaps and the diff's timeline all go through it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-from repro.errors import MalformedInputError, is_int, is_number
 from repro.obs.events import DAY_SAMPLE, split_truncation
 from repro.obs.metrics import Histogram
 
@@ -49,46 +49,22 @@ class DaySample(NamedTuple):
     cg_frag: Optional[List[float]]
 
 
-def _numbers(value: object) -> bool:
-    return isinstance(value, list) and all(is_number(v) for v in value)
-
-
 def day_samples(
     rows: Iterable[Dict[str, object]],
 ) -> Dict[str, List[DaySample]]:
     """Pivot ``day_sample`` rows into per-label samples.
 
     Labels come out in first-appearance order, samples in log order.
-    The one rule for a bad row: a day_sample must carry a string
-    ``label``, an integer ``day`` and numeric ``layout_score`` and
-    ``utilization``.  The per-CG vectors are optional (older captures
-    lack them) but, when present, are lists of numbers.  Any other row
-    raises :class:`MalformedInputError` naming its ``seq``.
     """
     out: Dict[str, List[DaySample]] = {}
     for row in rows:
         if row.get("type") != DAY_SAMPLE:
             continue
-        label, day = row.get("label"), row.get("day")
-        score, util = row.get("layout_score"), row.get("utilization")
-        occupancy, frag = row.get("cg_occupancy"), row.get("cg_frag")
-        for name, ok in (
-            ("label", isinstance(label, str)),
-            ("day", is_int(day)),
-            ("layout_score", is_number(score)),
-            ("utilization", is_number(util)),
-            ("cg_occupancy", occupancy is None or _numbers(occupancy)),
-            ("cg_frag", frag is None or _numbers(frag)),
-        ):
-            if not ok:
-                raise MalformedInputError(
-                    f"day_sample row seq {row.get('seq')}: bad {name} "
-                    f"{row.get(name)!r}"
-                )
         sample = DaySample(
-            day, score, util, occupancy, frag  # type: ignore[arg-type]
+            row["day"], row["layout_score"], row["utilization"],  # type: ignore[arg-type]
+            row.get("cg_occupancy"), row.get("cg_frag"),  # type: ignore[arg-type]
         )
-        out.setdefault(str(label), []).append(sample)
+        out.setdefault(str(row["label"]), []).append(sample)
     return out
 
 

@@ -1,15 +1,14 @@
 """Self-contained HTML run reports: ``repro-ffs report``.
 
-Joins one run's telemetry artifacts — the ``--metrics`` manifest, the
-``--events`` JSONL log, the ``--trace`` span JSONL — into a single HTML
-file a reviewer can open offline instead of replaying ten simulated
-months: inline-SVG sparklines of the Figure 1/2 layout-score curves
-(from ``day_sample`` events), bucket histograms straight from the
-manifest's ``Histogram`` snapshots, the span tree with wall and
-simulated time, per-experiment wall times, ``--profile`` attribution
-tables, and run-registry trend lines.  A second
-manifest/event-log pair (``--compare``) overlays its curves for
-original-vs-realloc style comparisons.
+Renders one run file (``--run``: manifest header, span, event and disk
+rows, metrics) into a single HTML file a reader can open offline
+instead of replaying ten simulated months: inline-SVG sparklines of the
+Figure 1/2 layout-score curves (from ``day_sample`` events), bucket
+histograms straight from the manifest's ``Histogram`` snapshots, the
+disk rows' locality histograms, the span tree with wall and simulated
+time, per-experiment wall times, ``--profile`` attribution tables, and
+run-registry trend lines.  A second run file (``--compare``) overlays
+its curves for original-vs-realloc style comparisons.
 
 Everything is generated with the standard library and embedded inline —
 no scripts, no external fonts, no network fetches — so the artifact
@@ -25,8 +24,7 @@ from __future__ import annotations
 
 import html
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, TextIO,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 from repro.obs import events as obs_events
@@ -34,9 +32,7 @@ from repro.obs import events as obs_events
 if TYPE_CHECKING:
     from repro.obs.heatmap import DaySample
     from repro.obs.manifest import RunManifest
-    from repro.obs.store import RunRecord
-
-_Rows = List[Dict[str, object]]
+    from repro.obs.runfile import Run
 
 __all__ = [
     "build_report",
@@ -159,6 +155,21 @@ def _fmt_wall(seconds: Optional[float]) -> str:
 # ----------------------------------------------------------------------
 
 
+#: Padding (left, right, top, bottom) around every bar strip's plot.
+_BAR_PAD = (44, 8, 6, 20)
+
+
+def _svg_open(width: int, height: int, caption: str) -> str:
+    return (
+        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
+        f'height="{height}" role="img" aria-label="{_esc(caption)}">'
+    )
+
+
+def _bound_label(bound: object) -> str:
+    return "+inf" if bound == "+inf" else _nice(bound)
+
+
 def _line_chart(
     series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
     y_label: str,
@@ -188,10 +199,7 @@ def _line_chart(
     def py(y: float) -> float:
         return pad_t + (y_max - y) / (y_max - y_min) * plot_h
 
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(y_label)}">'
-    ]
+    parts = [_svg_open(width, height, y_label)]
     # Recessive grid: three horizontal rules + y labels.
     for frac in (0.0, 0.5, 1.0):
         y_val = y_min + frac * (y_max - y_min)
@@ -243,6 +251,53 @@ def _line_chart(
     return "".join(parts) + legend_html
 
 
+def _bar_chart(
+    caption: str,
+    n: int,
+    mark: Callable[[int, float, float], str],
+    axis_y: str,
+    scale: Sequence[Tuple[str, str]],
+    width: int,
+    height: int,
+    bounds: Optional[Sequence[object]] = None,
+    gap: int = 2,
+    min_bar_w: float = 2.0,
+) -> str:
+    """The one bar-strip renderer: ``n`` equal bars across the plot, bar
+    ``i`` drawn by ``mark(i, x, bar_w)`` (empty for no bar), an axis
+    rule at ``axis_y`` with ``(y, text)`` scale labels at its left, and
+    tick labels under the bars — about twelve bucket bounds (always the
+    last) when ``bounds`` are given, else the first and last group."""
+    pad_l, pad_r, _, _ = _BAR_PAD
+    bar_w = max(min_bar_w, (width - pad_l - pad_r - gap * (n - 1)) / n)
+    every = max(1, (n + 11) // 12)
+
+    def tick(i: int, text: str) -> str:
+        x = pad_l + i * (bar_w + gap)
+        return (
+            f'<text x="{x + bar_w / 2:.1f}" y="{height - 5}" '
+            f'text-anchor="middle">{_esc(text)}</text>'
+        )
+
+    parts = [
+        _svg_open(width, height, caption),
+        f'<line x1="{pad_l}" y1="{axis_y}" x2="{width - pad_r}" '
+        f'y2="{axis_y}" stroke="var(--grid)" stroke-width="1"/>',
+    ]
+    parts += [
+        f'<text x="{pad_l - 6}" y="{y}" text-anchor="end">{text}</text>'
+        for y, text in scale
+    ]
+    for i in range(n):
+        parts.append(mark(i, pad_l + i * (bar_w + gap), bar_w))
+        if bounds is not None and (i % every == 0 or i == n - 1):
+            parts.append(tick(i, _bound_label(bounds[i])))
+    if bounds is None:
+        parts += [tick(i, f"cg {i}") for i in (0, n - 1)]
+    parts.append("</svg>")
+    return "".join(parts)
+
+
 def _histogram_chart(
     name: str, data: Dict[str, Any], width: int = 660, height: int = 120
 ) -> str:
@@ -252,46 +307,33 @@ def _histogram_chart(
     ]
     if not buckets:
         return '<p class="note">(no observations)</p>'
-    pad_l, pad_r, pad_t, pad_b = 44, 8, 6, 20
-    plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
+    pad_t, plot_h = _BAR_PAD[2], height - _BAR_PAD[2] - _BAR_PAD[3]
+    base = pad_t + plot_h
     peak = max(count for _, count in buckets)
-    n = len(buckets)
-    gap = 2
-    bar_w = max(2.0, (plot_w - gap * (n - 1)) / n)
-    label_every = max(1, (n + 11) // 12)
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(name)}">'
-        f'<line x1="{pad_l}" y1="{pad_t + plot_h}" x2="{width - pad_r}" '
-        f'y2="{pad_t + plot_h}" stroke="var(--grid)" stroke-width="1"/>'
-        f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">'
-        f"{_nice(peak)}</text>"
-    ]
-    for i, (bound, count) in enumerate(buckets):
-        x = pad_l + i * (bar_w + gap)
-        h = max(1.0, plot_h * count / peak) if count else 0.0
-        y = pad_t + plot_h - h
+
+    def mark(i: int, x: float, bar_w: float) -> str:
+        bound, count = buckets[i]
+        if not count:
+            return ""
+        h = max(1.0, plot_h * count / peak)
+        y = base - h
         r = min(2.0, bar_w / 2, h)
-        label = "+inf" if bound == "+inf" else _nice(bound)
-        if h:
-            # Rounded top corners only; the base stays anchored.
-            parts.append(
-                f'<path d="M{x:.1f},{pad_t + plot_h:.1f} '
-                f'L{x:.1f},{y + r:.1f} Q{x:.1f},{y:.1f} {x + r:.1f},{y:.1f} '
-                f'L{x + bar_w - r:.1f},{y:.1f} '
-                f'Q{x + bar_w:.1f},{y:.1f} {x + bar_w:.1f},{y + r:.1f} '
-                f'L{x + bar_w:.1f},{pad_t + plot_h:.1f} Z" '
-                f'fill="var(--accent)">'
-                f"<title>&#8804; {_esc(label)}: {count:,} observations</title>"
-                f"</path>"
-            )
-        if i % label_every == 0 or i == n - 1:
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{height - 5}" '
-                f'text-anchor="middle">{_esc(label)}</text>'
-            )
-    parts.append("</svg>")
-    return "".join(parts)
+        # Rounded top corners only; the base stays anchored.
+        return (
+            f'<path d="M{x:.1f},{base:.1f} '
+            f'L{x:.1f},{y + r:.1f} Q{x:.1f},{y:.1f} {x + r:.1f},{y:.1f} '
+            f'L{x + bar_w - r:.1f},{y:.1f} '
+            f'Q{x + bar_w:.1f},{y:.1f} {x + bar_w:.1f},{y + r:.1f} '
+            f'L{x + bar_w:.1f},{base:.1f} Z" fill="var(--accent)">'
+            f"<title>&#8804; {_esc(_bound_label(bound))}: {count:,} "
+            f"observations</title></path>"
+        )
+
+    return _bar_chart(
+        name, len(buckets), mark, axis_y=f"{base}",
+        scale=[(f"{pad_t + 8}", _nice(peak))], width=width, height=height,
+        bounds=[bound for bound, _ in buckets],
+    )
 
 
 def _signed_bar_chart(
@@ -310,44 +352,30 @@ def _signed_bar_chart(
     if not values:
         return '<p class="note">(no buckets)</p>'
     peak = max(abs(v) for v in values) or 1.0
-    pad_l, pad_r, pad_t, pad_b = 44, 8, 6, 20
-    plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
+    pad_t, plot_h = _BAR_PAD[2], height - _BAR_PAD[2] - _BAR_PAD[3]
     zero_y = pad_t + plot_h / 2.0
     half = plot_h / 2.0 - 2
-    n = len(pairs)
-    gap = 2
-    bar_w = max(2.0, (plot_w - gap * (n - 1)) / n)
-    label_every = max(1, (n + 11) // 12)
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(caption)}">'
-        f'<line x1="{pad_l}" y1="{zero_y:.1f}" x2="{width - pad_r}" '
-        f'y2="{zero_y:.1f}" stroke="var(--grid)" stroke-width="1"/>'
-        f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">'
-        f"+{_nice(peak)}</text>"
-        f'<text x="{pad_l - 6}" y="{pad_t + plot_h:.1f}" text-anchor="end">'
-        f"-{_nice(peak)}</text>"
-    ]
-    for i, (bound, value) in enumerate(pairs):
-        x = pad_l + i * (bar_w + gap)
-        label = "+inf" if bound == "+inf" else _nice(bound)
-        if value:
-            h = max(1.0, half * abs(float(value)) / peak)
-            color = "var(--series-1)" if value > 0 else "var(--series-2)"
-            y = zero_y - h if value > 0 else zero_y
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
-                f'height="{h:.1f}" fill="{color}">'
-                f"<title>{_esc(label)}: "
-                f"{'+' if value > 0 else ''}{_nice(value)}</title></rect>"
-            )
-        if i % label_every == 0 or i == n - 1:
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{height - 5}" '
-                f'text-anchor="middle">{_esc(label)}</text>'
-            )
-    parts.append("</svg>")
-    return "".join(parts)
+
+    def mark(i: int, x: float, bar_w: float) -> str:
+        bound, value = pairs[i]
+        if not value:
+            return ""
+        h = max(1.0, half * abs(float(value)) / peak)
+        color = "var(--series-1)" if value > 0 else "var(--series-2)"
+        y = zero_y - h if value > 0 else zero_y
+        return (
+            f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
+            f'height="{h:.1f}" fill="{color}">'
+            f"<title>{_esc(_bound_label(bound))}: "
+            f"{'+' if value > 0 else ''}{_nice(value)}</title></rect>"
+        )
+
+    return _bar_chart(
+        caption, len(pairs), mark, axis_y=f"{zero_y:.1f}",
+        scale=[(f"{pad_t + 8}", f"+{_nice(peak)}"),
+               (f"{pad_t + plot_h:.1f}", f"-{_nice(peak)}")],
+        width=width, height=height, bounds=[bound for bound, _ in pairs],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +466,8 @@ def _heatmap_svg(
     cell_w = plot_w / len(cols)
     cell_h = plot_h / ncg
     parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(caption)}">'
-        f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">cg 0</text>'
+        _svg_open(width, height, caption)
+        + f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">cg 0</text>'
         f'<text x="{pad_l - 6}" y="{pad_t + plot_h:.1f}" text-anchor="end">'
         f"cg {ncg - 1}</text>"
     ]
@@ -550,7 +577,7 @@ def _heatmap_section(events: Sequence[Dict[str, object]]) -> str:
 
 
 def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
-    """Request anatomy panels from a ``--disk-trace`` capture."""
+    """Request anatomy panels from a run's ``disk`` rows."""
     from repro.obs.export import bucket_quantile
     from repro.obs.heatmap import (
         inter_request_histogram,
@@ -605,7 +632,7 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
     return "".join(out)
 
 
-def _history_section(runs: List[RunRecord]) -> str:
+def _history_section(runs: List[Run]) -> str:
     """Per-policy trend lines across the recorded run registry."""
     from repro.obs.store import summary_series
 
@@ -841,36 +868,24 @@ def _cg_bar_chart(
         return '<p class="note">(no groups)</p>'
     top = peak if peak is not None else (max(values) or 1.0)
     top = top or 1.0
-    pad_l, pad_r, pad_t, pad_b = 44, 8, 6, 20
-    plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
-    n = len(values)
-    gap = 1
-    bar_w = max(1.5, (plot_w - gap * (n - 1)) / n)
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="{_esc(caption)}">'
-        f'<line x1="{pad_l}" y1="{pad_t + plot_h}" x2="{width - pad_r}" '
-        f'y2="{pad_t + plot_h}" stroke="var(--grid)" stroke-width="1"/>'
-        f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">'
-        f"{_nice(top)}</text>"
-    ]
-    for i, value in enumerate(values):
-        x = pad_l + i * (bar_w + gap)
+    pad_t, plot_h = _BAR_PAD[2], height - _BAR_PAD[2] - _BAR_PAD[3]
+
+    def mark(i: int, x: float, bar_w: float) -> str:
+        value = values[i]
         h = plot_h * min(1.0, value / top) if value > 0 else 0.0
-        if h:
-            parts.append(
-                f'<rect x="{x:.1f}" y="{pad_t + plot_h - h:.1f}" '
-                f'width="{bar_w:.1f}" height="{h:.1f}" fill="var(--accent)">'
-                f"<title>cg {i}: {_nice(value)}</title></rect>"
-            )
-    for i in (0, n - 1):
-        x = pad_l + i * (bar_w + gap) + bar_w / 2
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - 5}" text-anchor="middle">'
-            f"cg {i}</text>"
+        if not h:
+            return ""
+        return (
+            f'<rect x="{x:.1f}" y="{pad_t + plot_h - h:.1f}" '
+            f'width="{bar_w:.1f}" height="{h:.1f}" fill="var(--accent)">'
+            f"<title>cg {i}: {_nice(value)}</title></rect>"
         )
-    parts.append("</svg>")
-    return "".join(parts)
+
+    return _bar_chart(
+        caption, len(values), mark, axis_y=f"{pad_t + plot_h}",
+        scale=[(f"{pad_t + 8}", _nice(top))], width=width, height=height,
+        gap=1, min_bar_w=1.5,
+    )
 
 
 def build_inspect_report(documents: Sequence[Dict[str, Any]]) -> str:
@@ -1244,13 +1259,13 @@ def build_report(
     compare_manifest: Optional[RunManifest] = None,
     compare_events: Optional[Sequence[Dict[str, object]]] = None,
     disk_trace: Optional[Sequence[Dict[str, object]]] = None,
-    runs: Optional[List[RunRecord]] = None,
+    runs: Optional[List[Run]] = None,
 ) -> str:
     """Render one run (optionally versus a second) as a single HTML page.
 
-    Every input arrives through its loader (:meth:`RunManifest.load`,
-    :func:`~repro.obs.events.read_jsonl`, the run store), so the
-    sections trust its shape."""
+    Every input arrives through the run-file loader
+    (:mod:`repro.obs.runfile`) or the run store, so the sections trust
+    its shape."""
     events, events_dropped = obs_events.split_truncation(events or [])
     spans, _ = obs_events.split_truncation(spans or [])
     compare_events, _ = obs_events.split_truncation(compare_events or [])
@@ -1275,41 +1290,22 @@ def build_report(
 
 
 def report_from_files(
-    manifest_path: str,
-    events_path: Optional[str] = None,
-    trace_path: Optional[str] = None,
-    compare_manifest_path: Optional[str] = None,
-    compare_events_path: Optional[str] = None,
-    disk_trace_path: Optional[str] = None,
+    run_path: str,
+    compare_path: Optional[str] = None,
     runs_dir: Optional[str] = None,
 ) -> str:
-    """Load the artifacts the CLI names and build the report HTML."""
-    from repro.obs.disktrace import read_disk_trace
-    from repro.obs.manifest import RunManifest
+    """Load the run files the CLI names and build the report HTML."""
+    from repro.obs.runfile import load_run
     from repro.obs.store import RunStore
-    from repro.obs.trace import read_trace
 
-    def load_rows(
-        path: Optional[str],
-        read: Callable[[TextIO], _Rows] = obs_events.read_jsonl,
-    ) -> _Rows:
-        if not path:
-            return []
-        with open(path) as fp:
-            return read(fp)
-
-    with open(manifest_path) as fp:
-        manifest = RunManifest.load(fp)
-    compare_manifest = None
-    if compare_manifest_path:
-        with open(compare_manifest_path) as fp:
-            compare_manifest = RunManifest.load(fp)
+    run = load_run(run_path)
+    compare = load_run(compare_path) if compare_path else None
     return build_report(
-        manifest,
-        events=load_rows(events_path),
-        spans=load_rows(trace_path, read_trace),
-        compare_manifest=compare_manifest,
-        compare_events=load_rows(compare_events_path),
-        disk_trace=load_rows(disk_trace_path, read_disk_trace),
+        run.manifest,
+        events=run.events,
+        spans=run.spans,
+        compare_manifest=compare.manifest if compare else None,
+        compare_events=compare.events if compare else None,
+        disk_trace=run.disk,
         runs=[] if runs_dir is None else RunStore(runs_dir).runs(warn=True),
     )

@@ -1,76 +1,41 @@
 """Persistent run registry: ``--record`` and ``repro-ffs history``.
 
-A manifest describes one run; the **run store** makes runs comparable
-*across invocations*.  Every ``--record`` run archives its manifest
-under ``.repro/runs/`` together with a distilled summary — final layout
-score per policy, aggregate disk throughput, seek p50/p99 — so a
-longitudinal question ("has realloc's final score moved since the
-allocator change?") is one ``repro-ffs history`` away instead of a
-replay.  The report's trend-line panel reads the same documents
-(``repro-ffs report --runs-dir``), and a future sharded runner can
-treat the directory as its results substrate: one JSON document per
-run, write-once, lexicographically ordered by run id.
+A run file describes one run; the **run store** makes runs comparable
+*across invocations*.  Every ``--record`` run keeps its run file
+(:mod:`repro.obs.runfile`) under ``.repro/runs/<id>.jsonl``, its header
+stamped with the run id and a distilled summary — final layout score
+per policy, aggregate disk throughput, seek p50/p99 — so a longitudinal
+question ("has realloc's final score moved since the allocator
+change?") is one ``repro-ffs history`` away instead of a replay, and
+``history`` reads one line per run.  The report's trend-line panel
+reads the same headers (``repro-ffs report --runs-dir``), and ``diff``
+loads a whole recorded run by id: one write-once file per run,
+lexicographically ordered by run id.
 
 Run ids derive from the manifest's own start timestamp
 (``<epoch-ms>-<command>``), so recording is deterministic given the
 manifest and needs no extra clock sampling; a collision (two recorded
 runs of the same command in the same millisecond) gets a ``.2``,
 ``.3``... suffix rather than overwriting history.
-
-Documents carry schema ``repro.obs.runstore/v1``:
-
-```json
-{"schema": "repro.obs.runstore/v1", "id": "...", "command": "...",
- "preset": "...", "started_at": ..., "summary": {...},
- "manifest": {...}}
-```
-
-:class:`RunStore` and :func:`read_run_file` read these documents
-through one check: the embedded manifest goes through
-:meth:`RunManifest.from_dict` and the summary's shape is checked, so
-``history``, ``diff``, the drift fit and the report's trend panel trust
-what they get.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import MalformedInputError, RunStoreError, is_number
-from repro.obs.export import bucket_quantiles, write_json
+from repro.errors import MalformedInputError, RunStoreError
+from repro.obs.events import RowLog
+from repro.obs.export import bucket_quantiles
 from repro.obs.manifest import RunManifest
-
-from repro import schemas
-
-SCHEMA = schemas.RUNSTORE
+from repro.obs.runfile import Run, read_run, write_run
 
 #: Default registry location, next to the artifact cache.
 DEFAULT_DIR = ".repro/runs"
 
-__all__ = ["RunStore", "RunRecord", "read_run_file", "summarize_manifest",
-           "summary_series", "render_history", "filter_runs", "SCHEMA",
-           "DEFAULT_DIR"]
-
-
-class RunRecord(NamedTuple):
-    """A registry document that passed the store's check."""
-
-    id: str
-    started_at: float
-    manifest: RunManifest
-    #: A :func:`summarize_manifest`-shaped object, or None when the
-    #: document has none (a bare ``--metrics`` manifest read by
-    #: :func:`read_run_file`); :attr:`headline` treats both alike.
-    summary: Optional[Dict[str, Any]]
-    #: The document as read, for ``history --json``.
-    document: Dict[str, Any]
-
-    @property
-    def headline(self) -> Dict[str, Any]:
-        return self.summary or {}
+__all__ = ["RunStore", "summarize_manifest", "summary_series",
+           "render_history", "filter_runs", "DEFAULT_DIR"]
 
 
 #: Summary fields trended per run besides the per-label layout scores.
@@ -152,7 +117,7 @@ def summarize_manifest(manifest: RunManifest) -> Dict[str, object]:
 
 
 class RunStore:
-    """One directory of write-once run documents, ordered by run id."""
+    """One directory of write-once run files, ordered by run id."""
 
     def __init__(self, root: "str | Path | None" = None) -> None:
         self.root = Path(root) if root is not None else Path(DEFAULT_DIR)
@@ -161,65 +126,60 @@ class RunStore:
         """Deterministic id for a manifest: ``<epoch-ms>-<command>``."""
         return f"{int(manifest.started_at * 1000):013d}-{manifest.command}"
 
-    def record(self, manifest: RunManifest) -> str:
-        """Archive one run; returns the id it was stored under."""
+    def path(self, run_id: str) -> Path:
+        return self.root / f"{run_id}.jsonl"
+
+    def record(
+        self, manifest: RunManifest, logs: Iterable[Optional[RowLog]] = ()
+    ) -> Run:
+        """Keep one run's file, its header stamped with the run id and
+        summary; returns the run as recorded."""
         self.root.mkdir(parents=True, exist_ok=True)
         base = self.run_id(manifest)
         run_id = base
         suffix = 2
-        while (self.root / f"{run_id}.json").exists():
+        while self.path(run_id).exists():
             run_id = f"{base}.{suffix}"
             suffix += 1
-        config = manifest.config
-        document: Dict[str, object] = {
-            "schema": SCHEMA,
-            "id": run_id,
-            "command": manifest.command,
-            "preset": config.get("preset"),
-            "backend": config.get("backend"),
-            "started_at": manifest.started_at,
-            "summary": summarize_manifest(manifest),
-            "manifest": manifest.to_dict(),
-        }
-        with open(self.root / f"{run_id}.json", "w") as fp:
-            write_json(fp, document)
-        return run_id
+        run = Run(manifest, id=run_id, summary=summarize_manifest(manifest))
+        with open(self.path(run_id), "w") as fp:
+            write_run(fp, run, logs)
+        return run
 
-    def runs(self, warn: bool = False) -> List[RunRecord]:
-        """All readable run documents, oldest first (id order).
+    def runs(self, warn: bool = False) -> List[Run]:
+        """Every run's header, oldest first (id order).
 
-        Unreadable or foreign JSON files are skipped, not fatal: the
-        registry is append-only across many sessions and one damaged
-        document must not hide the rest of the history.  With
-        ``warn=True`` (what ``repro-ffs history`` and the trend panels
-        pass) each skipped entry costs one stderr line, so silent data
-        loss is still visible.
+        Unreadable or foreign files are skipped, not fatal: the registry
+        is append-only across many sessions and one damaged file must
+        not hide the rest of the history.  With ``warn=True`` (what
+        ``repro-ffs history`` and the trend panels pass) each skipped
+        file costs one stderr line, so silent data loss is still
+        visible.
         """
         if not self.root.is_dir():
             return []
-        documents: List[RunRecord] = []
-        for path in sorted(self.root.glob("*.json")):
+        runs: List[Run] = []
+        for path in sorted(p for p in self.root.iterdir() if p.is_file()):
             try:
-                documents.append(_load(path))
+                runs.append(_load(path, header_only=True))
             except RunStoreError as exc:
                 if warn:
                     print(f"warning: skipping {exc}", file=sys.stderr)
-                continue
-        return documents
+        return runs
 
-    def load_run(self, run_id: str) -> RunRecord:
-        """One run by exact id, or by unique id prefix.
+    def load_run(self, run_id: str) -> Run:
+        """One whole run by exact id, or by unique id prefix.
 
         A prefix that matches several runs, a missing id, or a corrupt
-        entry all raise :class:`RunStoreError` — direct addressing
+        file all raise :class:`RunStoreError` — direct addressing
         (``repro-ffs diff <run-id>``) must fail loudly where bulk
         listing degrades.
         """
-        exact = self.root / f"{run_id}.json"
+        exact = self.path(run_id)
         if exact.is_file():
             return _load(exact)
         if self.root.is_dir():
-            matches = sorted(self.root.glob(f"{run_id}*.json"))
+            matches = sorted(self.root.glob(f"{run_id}*.jsonl"))
             if len(matches) == 1:
                 return _load(matches[0])
             if len(matches) > 1:
@@ -232,111 +192,28 @@ class RunStore:
         )
 
 
-def _summary_problem(summary: object) -> Optional[str]:
-    """What is wrong with a registry document's summary, or None."""
-    if not isinstance(summary, dict):
-        return "'summary' is not an object"
-    scores = summary.get("layout_scores", {})
-    if not isinstance(scores, dict) or not all(
-        is_number(v) for v in scores.values()
-    ):
-        return "summary 'layout_scores' is not an object of numbers"
-    for key, value in summary.items():
-        if key != "layout_scores" and not is_number(value):
-            return f"summary {key!r} is not a number"
-    return None
-
-
-def _read_json(path: Path) -> object:
+def _load(path: Path, header_only: bool = False) -> Run:
+    """One registry run file, or a typed :class:`RunStoreError`, so
+    every caller makes one decision: skip with a warning (bulk
+    listings) or surface (direct addressing)."""
     try:
         with open(path) as fp:
-            return json.load(fp)
-    except (OSError, ValueError) as exc:
+            run = read_run(fp, header_only)
+    except (OSError, MalformedInputError) as exc:
         kind = "unreadable" if isinstance(exc, OSError) else "corrupt"
         raise RunStoreError(
-            f"{kind} run document {path.name}: {exc}", path=str(path),
-        ) from exc
-
-
-def _record(document: Dict[str, Any], path: Path) -> RunRecord:
-    """Check a registry document's shape: a string ``id``, a numeric
-    ``started_at``, the embedded manifest through
-    :meth:`RunManifest.from_dict` and an optional summary."""
-
-    def refuse(problem: str) -> RunStoreError:
-        return RunStoreError(
-            f"malformed run document {path.name}: {problem}", path=str(path),
-        )
-
-    if not isinstance(document.get("id"), str):
-        raise refuse("'id' is not a string")
-    if not is_number(document.get("started_at")):
-        raise refuse("'started_at' is not a number")
-    try:
-        manifest = RunManifest.from_dict(document.get("manifest"))
-    except MalformedInputError as exc:
-        raise refuse(str(exc)) from None
-    if "summary" in document:
-        problem = _summary_problem(document["summary"])
-        if problem is not None:
-            raise refuse(problem)
-    return RunRecord(
-        id=document["id"],
-        started_at=float(document["started_at"]),
-        manifest=manifest,
-        summary=document.get("summary"),
-        document=document,
-    )
-
-
-def _load(path: Path) -> RunRecord:
-    """One registry document, or a typed :class:`RunStoreError`.
-
-    Corrupt or truncated entries, foreign schemas (a stray JSON file in
-    the directory) and malformed entries all raise the same error type,
-    so every caller makes one decision: skip with a warning (bulk
-    listings) or surface (direct addressing).
-    """
-    document = _read_json(path)
-    if not isinstance(document, dict) or not str(
-        document.get("schema", "")
-    ).startswith("repro.obs.runstore/"):
+            f"{kind} run file {path.name}: {exc}", path=str(path),
+        ) from None
+    if run.id is None:
         raise RunStoreError(
-            f"foreign document {path.name}: not a repro.obs.runstore/* "
-            f"entry",
+            f"corrupt run file {path.name}: its header has no run id",
             path=str(path),
         )
-    return _record(document, path)
-
-
-def read_run_file(path: Path) -> RunRecord:
-    """``diff``'s file operand: a registry document, or a ``--metrics``
-    manifest (its schema tag required) read as a summary-free record
-    named after its file; anything else raises :class:`RunStoreError`."""
-    document = _read_json(path)
-    if not isinstance(document, dict):
-        raise RunStoreError(f"{path.name}: not a JSON object", path=str(path))
-    schema = str(document.get("schema", ""))
-    if schema.startswith("repro.obs.runstore/"):
-        return _record(document, path)
-    if not schema.startswith("repro.obs.manifest/"):
-        raise RunStoreError(
-            f"{path.name}: schema {schema!r} is neither a registry "
-            f"document nor a run manifest",
-            path=str(path),
-        )
-    try:
-        manifest = RunManifest.from_dict(document)
-    except MalformedInputError as exc:
-        raise RunStoreError(f"{path.name}: {exc}", path=str(path)) from None
-    return RunRecord(
-        id=path.name, started_at=manifest.started_at, manifest=manifest,
-        summary=None, document=document,
-    )
+    return run
 
 
 def summary_series(
-    runs: List[RunRecord],
+    runs: List[Run],
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Chronological ``(run index, value)`` series from run summaries.
 
@@ -363,11 +240,11 @@ def summary_series(
 
 
 def filter_runs(
-    runs: List[RunRecord],
+    runs: List[Run],
     command: Optional[str] = None,
     policy: Optional[str] = None,
     limit: Optional[int] = None,
-) -> List[RunRecord]:
+) -> List[Run]:
     """``repro-ffs history``'s view: filtered, newest first.
 
     ``command`` matches the recorded subcommand exactly; ``policy``
@@ -378,7 +255,7 @@ def filter_runs(
     filtering.  The input (the store's natural oldest-first order) is
     not mutated.
     """
-    kept: List[RunRecord] = []
+    kept: List[Run] = []
     for run in reversed(runs):
         if command is not None and run.manifest.command != command:
             continue
@@ -390,7 +267,7 @@ def filter_runs(
     return kept
 
 
-def render_history(runs: List[RunRecord]) -> str:
+def render_history(runs: List[Run]) -> str:
     """``repro-ffs history``: one table row per recorded run."""
     from datetime import datetime, timezone
 

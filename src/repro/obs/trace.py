@@ -10,8 +10,8 @@ one row, stored when the span *begins* and completed in place when it
 ends, so the log is in begin order and a parent always precedes its
 children.  A row's ``seq`` is its span id and ``parent_id`` is the
 parent's ``seq`` (None for a root).  The bound, the ``log_truncated``
-marker, :meth:`~repro.obs.events.RowLog.write_jsonl` and the reader are
-the row log's; :func:`read_trace` adds the checks the span tree needs.
+marker and :meth:`~repro.obs.events.RowLog.write_jsonl` are the row
+log's; a run file carries the rows tagged ``span``.
 
 Two clocks are recorded per span:
 
@@ -32,48 +32,20 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, List, Optional, TextIO
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from repro.errors import MalformedInputError, is_int, is_number
-from repro.obs.events import LOG_TRUNCATED, Row, RowLog, read_jsonl
+from repro.obs.events import Row, RowLog
 
 if TYPE_CHECKING:
     from repro.obs.profiling import PhaseProfiler
 
-__all__ = ["Tracer", "read_trace"]
-
-
-def _number_or_none(value: object) -> bool:
-    return value is None or is_number(value)
-
-
-def read_trace(fp: TextIO) -> List[Row]:
-    """Parse a ``--trace`` JSONL file: :func:`read_jsonl`, then a span
-    row whose ``seq`` is not an integer, whose ``parent_id`` is neither
-    an integer nor null, whose ``wall_elapsed_s`` or ``sim_elapsed`` is
-    neither a number nor null, or whose ``attrs`` is not an object
-    raises :class:`MalformedInputError` naming the row."""
-    rows = read_jsonl(fp)
-    for number, row in enumerate(rows, start=1):
-        if row.get("type") == LOG_TRUNCATED:
-            continue
-        parent = row.get("parent_id")
-        for key, ok in (
-            ("seq", is_int(row.get("seq"))),
-            ("parent_id", parent is None or is_int(parent)),
-            ("wall_elapsed_s", _number_or_none(row.get("wall_elapsed_s"))),
-            ("sim_elapsed", _number_or_none(row.get("sim_elapsed"))),
-            ("attrs", isinstance(row.get("attrs") or {}, dict)),
-        ):
-            if not ok:
-                raise MalformedInputError(
-                    f"span row {number}: bad {key} {row.get(key)!r}"
-                )
-    return rows
+__all__ = ["Tracer"]
 
 
 class Tracer(RowLog):
     """A bounded log of spans, one row per span, in begin order."""
+
+    kind = "span"
 
     def __init__(
         self,

@@ -27,13 +27,13 @@ this).
 Each worker pins the parent's cache switch and directory once, as the
 pool starts.  Telemetry composes: when the parent has an active
 :mod:`repro.obs` session, each worker task opens one of the same
-:class:`~repro.obs.Capture` (events, disk trace, profile); the parent
+:class:`~repro.obs.Capture` (disk rows, profile); the parent
 merges the metrics (counters add, histograms merge exactly), adopts
 the span trace, the event log and the disk trace — all three row logs,
 shipped as ``(rows, dropped)`` — with one ``adopt`` call each, and
-merges the workers' raw profile stats by phase name.  ``--jobs N``
-manifests therefore carry run-wide totals and the serial run's profile
-phases, disk traces equal the serial ones, and a worker's span tree
+merges the workers' raw profile stats by phase name.  ``--jobs N`` run
+files therefore carry run-wide totals and the serial run's profile
+phases, disk rows equal the serial ones, and a worker's span tree
 keeps its parent links, hung under the span open in the parent.
 Instrumented objects bind their registry at construction and pooled
 workers outlive tasks, so such a task first drops the worker's memos;

@@ -32,15 +32,15 @@ from typing import Dict
 
 # --- observability payloads ---------------------------------------------
 
-#: Run manifest: config + environment + metric registry (``--metrics``).
+#: Run manifest: config + environment + metric registry, the header
+#: row (less the metrics, which close the file) of a run file (``--run``).
 MANIFEST = "repro.obs.manifest/v2"
-#: Typed JSONL event timeline (``--events``).
+#: Typed event rows (``event`` rows of a run file).
 EVENTS = "repro.obs.events/v1"
-#: Per-request disk I/O trace JSONL (``--disk-trace``).  ``/v2``: a
-#: truncated trace ends with the event log's ``log_truncated`` row.
+#: Per-request disk I/O rows (``disk`` rows of a run file, with
+#: ``--disk-rows``).  ``/v2``: a truncated log ends with the event log's
+#: ``log_truncated`` row.
 DISKTRACE = "repro.obs.disktrace/v2"
-#: Persistent run-registry documents under ``.repro/runs`` (``--record``).
-RUNSTORE = "repro.obs.runstore/v1"
 
 # --- comparison / analysis documents ------------------------------------
 
@@ -81,7 +81,6 @@ REGISTRY: Dict[str, str] = {
     "MANIFEST": MANIFEST,
     "EVENTS": EVENTS,
     "DISKTRACE": DISKTRACE,
-    "RUNSTORE": RUNSTORE,
     "DIFF": DIFF,
     "DRIFT": DRIFT,
     "INSPECT": INSPECT,

@@ -1,10 +1,8 @@
 """One table of malformed inputs, each refused with one line and exit 2.
 
-Every reader of a recorded artifact validates its document once, at the
-loader: :meth:`RunManifest.from_dict` for manifests, the run store for
-registry documents, :func:`~repro.obs.heatmap.day_samples` for
-``day_sample`` rows, :func:`~repro.obs.disktrace.read_disk_trace` and
-:func:`~repro.obs.trace.read_trace` for disk and span traces,
+Every reader of a recorded artifact validates it once, at its loader:
+the run-file loader (:mod:`repro.obs.runfile`) for runs given to
+``report``, ``diff`` and ``stats`` or kept in the run registry,
 :func:`~repro.ffs.image.check_format` for images, and
 :meth:`Workload.load <repro.aging.workload.Workload.load>` for workload
 files.  :data:`CASES` names, per malformed fixture, each ``repro-ffs``
@@ -20,10 +18,10 @@ from typing import Dict, List, Tuple
 
 from repro import schemas
 
-#: A valid manifest every case can diff against.
-GOOD_MANIFEST = "good.json"
+#: A valid run file every case can diff against.
+GOOD_RUN = "good.jsonl"
 
-#: A manifest metrics section each reader must refuse.
+#: A metrics row's snapshot each reader must refuse.
 BAD_METRICS: Dict[str, object] = {
     "metric-without-value": {"x": {"type": "counter"}},
     "metrics-not-object": "nope",
@@ -33,12 +31,41 @@ BAD_METRICS: Dict[str, object] = {
     },
 }
 
-#: An event log whose one day_sample row has a non-numeric score.
+#: A run file whose one day_sample event has a non-numeric score.
 BAD_DAY_SAMPLE = "bad-day-sample.jsonl"
-#: A disk trace whose one request has a non-numeric seek time.
+#: A run file whose one disk request has a non-numeric seek time.
 BAD_DISK_TRACE = "bad-disk-trace.jsonl"
-#: A span trace whose one span has a non-numeric wall time.
+#: A run file whose one span has a non-numeric wall time.
 BAD_SPAN_TRACE = "bad-span-trace.jsonl"
+
+#: Run files whose rows are each well formed but do not make a run
+#: file: a tag no loader knows, two runs pasted together (a second
+#: header), a log row after the metrics row, and a disk request tagged
+#: as an event.
+BAD_LAYOUTS: Dict[str, List[Dict[str, object]]] = {
+    "unknown-tag": [{"row": "trace", "seq": 1, "name": "cli.age"}],
+    "two-runs": [{"row": "metrics", "metrics": {}},
+                 {"row": "header", "schema": schemas.MANIFEST,
+                  "command": "age"}],
+    "metrics-not-last": [{"row": "metrics", "metrics": {}},
+                         {"row": "event", "seq": 1, "type": "cache_hit"}],
+    "disk-row-tagged-event": [{"row": "event", "seq": 1, "kind": "read",
+                               "cyl": 3, "seek_ms": 0.5}],
+}
+
+#: The two documents the run file replaced: a ``--metrics`` manifest and
+#: a ``--record`` registry document, pretty-printed JSON as they were
+#: written.  (The registry document's retired schema tag is left out:
+#: the schema registry no longer declares it.)
+OLD_DOCUMENTS: Dict[str, object] = {
+    "old-manifest": {"schema": schemas.MANIFEST, "command": "age",
+                     "config": {"preset": "tiny"}, "metrics": {}},
+    "old-registry": {"id": "1700000000000-age", "command": "age",
+                     "preset": "tiny", "started_at": 1_700_000_000.0,
+                     "summary": {},
+                     "manifest": {"schema": schemas.MANIFEST,
+                                  "command": "age", "metrics": {}}},
+}
 
 #: Two-line workload files whose delete time no replay can reach.
 BAD_WORKLOAD_TIMES: Dict[str, str] = {
@@ -47,9 +74,11 @@ BAD_WORKLOAD_TIMES: Dict[str, str] = {
     "workload-time-past-horizon": "5e7",
 }
 
-#: A registry whose one document embeds a manifest metric without value.
+#: A registry whose one run file has a metric without value.
 BAD_RUNS_DIR = "runs"
 BAD_RUN_ID = "1700000000000-age"
+#: A registry whose one run file's header has a malformed summary.
+BAD_HEADER_RUNS_DIR = "runs-bad-header"
 
 _IMAGE = {
     "format": "repro-ffs-image", "version": 2, "policy": "ffs",
@@ -69,85 +98,96 @@ BAD_IMAGES: Dict[str, object] = {
     "image-inode-out-of-range": {**_IMAGE, "inodes": [{**_INODE, "ino": 10**9}]},
 }
 
-#: JSON objects that are neither a registry document nor a manifest:
-#: ``diff`` must refuse them, not read them as an empty run.
+#: JSON objects that are no run file: ``diff`` must refuse them, not
+#: read them as an empty run.
 NOT_RUNS: Dict[str, object] = {
     "empty-object": {},
     "image-document": _IMAGE,
 }
 
 
-def _manifest(metrics: object) -> Dict[str, object]:
-    return {"schema": schemas.MANIFEST, "command": "age",
-            "config": {"preset": "tiny"}, "metrics": metrics}
+_HEADER = {"row": "header", "schema": schemas.MANIFEST, "command": "age",
+           "config": {"preset": "tiny"}}
+
+
+def _run(*rows: object, metrics: object = None, **header: object) -> str:
+    """A run file's text: a header, ``rows``, a metrics row."""
+    lines = [{**_HEADER, **header}, *rows,
+             {"row": "metrics", "metrics": {} if metrics is None else metrics}]
+    return "".join(json.dumps(line) + "\n" for line in lines)
 
 
 def write_fixtures(directory: Path) -> None:
     """Write every fixture :data:`CASES` names into ``directory``."""
     directory = Path(directory)
 
-    def dump(name: str, document: object) -> None:
-        (directory / name).write_text(json.dumps(document))
+    def write(name: str, text: str) -> None:
+        (directory / name).write_text(text)
 
-    dump(GOOD_MANIFEST, _manifest({}))
+    write(GOOD_RUN, _run())
     for name, metrics in BAD_METRICS.items():
-        dump(f"{name}.json", _manifest(metrics))
-    (directory / BAD_DAY_SAMPLE).write_text(json.dumps({
-        "seq": 1, "type": "day_sample", "label": "FFS", "day": 0,
-        "layout_score": "bad", "utilization": 0.1,
-    }) + "\n")
-    (directory / BAD_DISK_TRACE).write_text(json.dumps({
-        "seq": 1, "kind": "read", "cyl": 3, "seek_ms": "slow",
-    }) + "\n")
-    (directory / BAD_SPAN_TRACE).write_text(json.dumps({
-        "seq": 1, "parent_id": None, "name": "cli.age",
+        write(f"{name}.jsonl", _run(metrics=metrics))
+    write(BAD_DAY_SAMPLE, _run({
+        "row": "event", "seq": 1, "type": "day_sample", "label": "FFS",
+        "day": 0, "layout_score": "bad", "utilization": 0.1,
+    }))
+    write(BAD_DISK_TRACE, _run({
+        "row": "disk", "seq": 1, "kind": "read", "cyl": 3, "seek_ms": "slow",
+    }))
+    write(BAD_SPAN_TRACE, _run({
+        "row": "span", "seq": 1, "parent_id": None, "name": "cli.age",
         "wall_elapsed_s": "slow",
-    }) + "\n")
+    }))
+    for name, rows in BAD_LAYOUTS.items():
+        write(f"{name}.jsonl", _run(*rows))
+    for name, document in OLD_DOCUMENTS.items():
+        write(f"{name}.json", json.dumps(document, indent=2) + "\n")
     (directory / BAD_RUNS_DIR).mkdir(exist_ok=True)
-    dump(f"{BAD_RUNS_DIR}/{BAD_RUN_ID}.json", {
-        "schema": schemas.RUNSTORE, "id": BAD_RUN_ID, "command": "age",
-        "started_at": 1_700_000_000.0, "summary": {},
-        "manifest": _manifest(BAD_METRICS["metric-without-value"]),
-    })
+    write(f"{BAD_RUNS_DIR}/{BAD_RUN_ID}.jsonl", _run(
+        id=BAD_RUN_ID, started_at=1_700_000_000.0, summary={},
+        metrics=BAD_METRICS["metric-without-value"],
+    ))
+    (directory / BAD_HEADER_RUNS_DIR).mkdir(exist_ok=True)
+    write(f"{BAD_HEADER_RUNS_DIR}/{BAD_RUN_ID}.jsonl", _run(
+        id=BAD_RUN_ID, started_at=1_700_000_000.0, summary="nope",
+    ))
     for name, document in {**BAD_IMAGES, **NOT_RUNS}.items():
-        dump(f"{name}.json", document)
+        write(f"{name}.json", json.dumps(document))
     for name, time in BAD_WORKLOAD_TIMES.items():
-        (directory / f"{name}.txt").write_text(
-            "0.0 create 0 4096 5 dir000_0\n"
-            f"{time} delete 0 0 5 dir000_0\n"
-        )
+        write(f"{name}.txt",
+              "0.0 create 0 4096 5 dir000_0\n"
+              f"{time} delete 0 0 5 dir000_0\n")
 
 
 def _cases() -> List[Tuple[str, List[str]]]:
-    cases: List[Tuple[str, List[str]]] = []
-    for name in BAD_METRICS:
-        path = f"{name}.json"
-        cases += [
+    def readers(name: str, path: str) -> List[Tuple[str, List[str]]]:
+        return [
             (f"stats-{name}", ["stats", path]),
             (f"report-{name}", ["report", path, "--output", "r.html"]),
-            (f"diff-{name}", ["diff", path, GOOD_MANIFEST]),
+            (f"diff-{name}", ["diff", path, GOOD_RUN]),
         ]
+
+    cases: List[Tuple[str, List[str]]] = []
+    for name in BAD_METRICS:
+        cases += readers(name, f"{name}.jsonl")
     cases += [
         ("report-bad-day-sample",
-         ["report", GOOD_MANIFEST, "--events", BAD_DAY_SAMPLE,
-          "--output", "r.html"]),
-        ("diff-bad-day-sample",
-         ["diff", GOOD_MANIFEST, GOOD_MANIFEST,
-          "--events-a", BAD_DAY_SAMPLE, "--events-b", BAD_DAY_SAMPLE]),
+         ["report", BAD_DAY_SAMPLE, "--output", "r.html"]),
+        ("diff-bad-day-sample", ["diff", GOOD_RUN, BAD_DAY_SAMPLE]),
         ("report-bad-disk-trace",
-         ["report", GOOD_MANIFEST, "--disk-trace", BAD_DISK_TRACE,
-          "--output", "r.html"]),
-        ("diff-bad-disk-trace",
-         ["diff", GOOD_MANIFEST, GOOD_MANIFEST,
-          "--disk-trace-a", BAD_DISK_TRACE, "--disk-trace-b", BAD_DISK_TRACE]),
+         ["report", BAD_DISK_TRACE, "--output", "r.html"]),
+        ("diff-bad-disk-trace", ["diff", GOOD_RUN, BAD_DISK_TRACE]),
         ("report-bad-span-trace",
-         ["report", GOOD_MANIFEST, "--trace", BAD_SPAN_TRACE,
-          "--output", "r.html"]),
+         ["report", BAD_SPAN_TRACE, "--output", "r.html"]),
         ("diff-bad-registry-document",
-         ["diff", BAD_RUN_ID, GOOD_MANIFEST, "--runs-dir", BAD_RUNS_DIR]),
+         ["diff", BAD_RUN_ID, GOOD_RUN, "--runs-dir", BAD_RUNS_DIR]),
     ]
+    for name in BAD_LAYOUTS:
+        cases += readers(name, f"{name}.jsonl")
+    for name in OLD_DOCUMENTS:
+        cases += readers(name, f"{name}.json")
     cases += [
-        (f"diff-{name}", ["diff", f"{name}.json", GOOD_MANIFEST])
+        (f"diff-{name}", ["diff", f"{name}.json", GOOD_RUN])
         for name in NOT_RUNS
     ]
     for name in BAD_IMAGES:
@@ -176,9 +216,9 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("inspect-top-negative",
          ["inspect", "--preset", "tiny", "--no-cache", "--top", "-1"]),
         ("diff-rel-threshold-nan",
-         ["diff", GOOD_MANIFEST, GOOD_MANIFEST, "--rel-threshold", "nan"]),
+         ["diff", GOOD_RUN, GOOD_RUN, "--rel-threshold", "nan"]),
         ("diff-abs-floor-inf",
-         ["diff", GOOD_MANIFEST, GOOD_MANIFEST, "--abs-floor", "inf"]),
+         ["diff", GOOD_RUN, GOOD_RUN, "--abs-floor", "inf"]),
         ("lint-no-such-path", ["lint", "no-such-dir"]),
     ]
     return cases

@@ -1,8 +1,8 @@
 """The bounded-row-log cases, written once for every RowLog subclass.
 
 ``EventLog``, ``DiskTrace`` and the span ``Tracer`` share their bound,
-``seq`` numbering, adoption, truncation marker and reader through
-``RowLog``.  A test class for any of them inherits :class:`RowLogCases`
+``seq`` numbering, adoption, truncation marker and run-file export
+through ``RowLog``.  A test class for any of them inherits :class:`RowLogCases`
 and supplies ``make(max_rows)`` and ``add(log, n)`` (append one
 distinguishable row; return it, or None when the bound dropped it), so
 each shared rule is tested once and run over every log.
@@ -13,6 +13,8 @@ import io
 import pytest
 
 from repro.obs import events as obs_events
+from repro.obs.manifest import RunManifest
+from repro.obs.runfile import Run, read_run, write_run
 
 
 class RowLogCases:
@@ -31,10 +33,16 @@ class RowLogCases:
         return log
 
     def _jsonl(self, log):
-        buffer = io.StringIO()
-        count = log.write_jsonl(buffer)
-        buffer.seek(0)
-        return count, obs_events.read_jsonl(buffer)
+        """Export ``log`` into a run file; return the count and the rows
+        of its kind that the run-file loader reads back."""
+        shell = io.StringIO()
+        write_run(shell, Run(RunManifest(command="rowlog")))
+        header, metrics = shell.getvalue().splitlines(keepends=True)
+        rows = io.StringIO()
+        count = log.write_jsonl(rows)
+        run = read_run(io.StringIO(header + rows.getvalue() + metrics))
+        kinds = {"span": run.spans, "event": run.events, "disk": run.disk}
+        return count, kinds[log.kind] or []
 
     def test_bound_drops_and_counts(self):
         log = self.make(3)

@@ -11,10 +11,11 @@ import pytest
 from repro.cli import main
 from tests.malformed_cases import (
     BAD_DAY_SAMPLE,
+    BAD_HEADER_RUNS_DIR,
     BAD_RUN_ID,
     BAD_RUNS_DIR,
     CASES,
-    GOOD_MANIFEST,
+    GOOD_RUN,
     write_fixtures,
 )
 
@@ -51,15 +52,9 @@ def test_bad_day_sample_gets_one_message_from_report_and_diff(
     fixtures, capsys
 ):
     from_report = _refused(
-        ["report", GOOD_MANIFEST, "--events", BAD_DAY_SAMPLE,
-         "--output", "r.html"],
-        capsys,
+        ["report", BAD_DAY_SAMPLE, "--output", "r.html"], capsys,
     )
-    from_diff = _refused(
-        ["diff", GOOD_MANIFEST, GOOD_MANIFEST,
-         "--events-a", BAD_DAY_SAMPLE, "--events-b", BAD_DAY_SAMPLE],
-        capsys,
-    )
+    from_diff = _refused(["diff", GOOD_RUN, BAD_DAY_SAMPLE], capsys)
     assert from_report == from_diff
     assert "layout_score 'bad'" in from_report
 
@@ -67,10 +62,21 @@ def test_bad_day_sample_gets_one_message_from_report_and_diff(
 def test_history_skips_a_bad_registry_document_with_a_warning(
     fixtures, capsys
 ):
-    assert main(["history", "--runs-dir", BAD_RUNS_DIR]) == 0
+    assert main(["history", "--runs-dir", BAD_HEADER_RUNS_DIR]) == 0
     captured = capsys.readouterr()
     assert "no recorded runs" in captured.out
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"warning: skipping malformed run document "
-                               f"{BAD_RUN_ID}.json")
+    assert lines[0].startswith(
+        f"warning: skipping corrupt run file {BAD_RUN_ID}.jsonl: line 1: "
+        f"header: bad summary 'nope'"
+    )
+
+
+def test_history_reads_only_the_headers(fixtures, capsys):
+    # The registry run's bad metrics row lies past its header: history
+    # lists the run, and only loading the whole run refuses it.
+    assert main(["history", "--runs-dir", BAD_RUNS_DIR]) == 0
+    captured = capsys.readouterr()
+    assert "run history (1 recorded)" in captured.out
+    assert captured.err == ""

@@ -24,7 +24,7 @@ from repro.obs.diff import (
 )
 from repro.obs.manifest import RunManifest
 from repro.obs.report_html import build_diff_report
-from repro.obs.store import RunRecord
+from repro.obs.runfile import Run, write_run
 
 
 def _manifest(command="age", policy="ffs", metrics=None, wall=30.0,
@@ -286,10 +286,9 @@ class TestDrift:
             summary = {"layout_scores": {"FFS": score}}
             if lost is not None:
                 summary["lost_rotations"] = lost[i]
-            runs.append(RunRecord(
-                id=f"r{i}", started_at=1_700_000_000.0 + i,
-                manifest=RunManifest(command="age"), summary=summary,
-                document={},
+            runs.append(Run(
+                RunManifest(command="age", started_at=1_700_000_000.0 + i),
+                id=f"r{i}", summary=summary,
             ))
         return runs
 
@@ -367,8 +366,18 @@ class TestDiffHtml:
         assert "equivalent" in html
 
 
+def _day_log(scores):
+    log = obs.EventLog()
+    for day, score in enumerate(scores):
+        log.emit("day_sample", label="FFS", day=day,
+                 layout_score=score, utilization=0.2)
+    return log
+
+
 class TestDiffCli:
-    def _write_manifest(self, path, **kwargs):
+    def _write_manifest(self, path, events=None, **kwargs):
+        """A run file of an ``age`` run, with ``events`` as its event
+        log when given."""
         manifest = obs.RunManifest(
             command=kwargs.pop("command", "age"),
             config={"preset": "tiny", "policy": kwargs.pop("policy", "ffs")},
@@ -377,24 +386,24 @@ class TestDiffCli:
         manifest.finish(kwargs.pop("wall", 30.0),
                         kwargs.pop("metrics", _metrics()))
         with open(path, "w") as fp:
-            manifest.dump(fp)
+            write_run(fp, Run(manifest), [events])
         return path
 
     def test_diff_of_manifest_files_end_to_end(self, tmp_path, capsys):
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         b = self._write_manifest(
-            tmp_path / "b.json", policy="realloc",
+            tmp_path / "b.jsonl", policy="realloc",
             metrics=_metrics(0.91, lost=220, label="FFS + Realloc"),
         )
         assert main(["diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
-        assert "run diff: a.json -> b.json" in out
+        assert "run diff: a.jsonl -> b.jsonl" in out
         assert "layout_score[FFS vs FFS + Realloc]" in out
 
     def test_json_output_is_schema_tagged_and_deterministic(
         self, tmp_path, capsys
     ):
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         argv = ["diff", str(a), str(a), "--json"]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -412,9 +421,9 @@ class TestDiffCli:
         manifest = obs.RunManifest(command="age", config={"preset": "tiny"})
         manifest.started_at = 1_700_000_000.0
         manifest.finish(1.0, _metrics())
-        id_a = store.record(manifest)
+        id_a = store.record(manifest).id
         manifest.started_at = 1_700_000_001.0
-        id_b = store.record(manifest)
+        id_b = store.record(manifest).id
         assert main([
             "diff", id_a, id_b, "--runs-dir", str(store.root),
         ]) == 0
@@ -422,7 +431,7 @@ class TestDiffCli:
         assert f"run diff: {id_a} -> {id_b}" in out
 
     def test_html_report_is_written(self, tmp_path, capsys):
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         output = tmp_path / "diff.html"
         assert main(["diff", str(a), str(a), "--html", str(output)]) == 0
         capsys.readouterr()
@@ -431,29 +440,22 @@ class TestDiffCli:
         assert "<script" not in html
 
     def test_events_unlock_the_timeline_section(self, tmp_path, capsys):
-        a = self._write_manifest(tmp_path / "a.json")
-        events = tmp_path / "e.jsonl"
-        log = obs.EventLog()
-        for day, score in enumerate((1.0, 0.5)):
-            log.emit("day_sample", label="FFS", day=day,
-                     layout_score=score, utilization=0.2)
-        with open(events, "w") as fp:
-            log.write_jsonl(fp)
-        b_events = tmp_path / "eb.jsonl"
-        log_b = obs.EventLog()
-        for day, score in enumerate((1.0, 0.9)):
-            log_b.emit("day_sample", label="FFS", day=day,
-                       layout_score=score, utilization=0.2)
-        with open(b_events, "w") as fp:
-            log_b.write_jsonl(fp)
-        assert main([
-            "diff", str(a), str(a),
-            "--events-a", str(events), "--events-b", str(b_events),
-        ]) == 0
+        a = self._write_manifest(tmp_path / "a.jsonl",
+                                 events=_day_log((1.0, 0.5)))
+        b = self._write_manifest(tmp_path / "b.jsonl",
+                                 events=_day_log((1.0, 0.9)))
+        assert main(["diff", str(a), str(b)]) == 0
         assert "first divergence [FFS]: day 1" in capsys.readouterr().out
 
+    def test_runs_without_events_have_no_timeline(self, tmp_path, capsys):
+        a = self._write_manifest(tmp_path / "a.jsonl")
+        b = self._write_manifest(tmp_path / "b.jsonl",
+                                 events=_day_log((1.0, 0.9)))
+        assert main(["diff", str(a), str(b), "--json"]) == 0
+        assert "timeline" not in json.loads(capsys.readouterr().out)
+
     def test_missing_run_exits_two(self, tmp_path, capsys):
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         assert main([
             "diff", "no-such-run", str(a),
             "--runs-dir", str(tmp_path / "runs"),
@@ -463,45 +465,51 @@ class TestDiffCli:
     def test_foreign_schema_file_exits_two(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"schema": "something.else/v1"}')
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         assert main(["diff", str(bogus), str(a)]) == 2
         assert "diff:" in capsys.readouterr().err
 
     def test_corrupt_json_file_exits_two(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         assert main(["diff", str(broken), str(a)]) == 2
         assert "diff:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--events-a", "--disk-trace-a"])
+    @pytest.mark.parametrize("kind", ["event", "disk"])
     @pytest.mark.parametrize("line", ["42", "[1, 2]"])
     def test_non_object_jsonl_line_exits_two(
-        self, tmp_path, capsys, flag, line
+        self, tmp_path, capsys, kind, line
     ):
-        a = self._write_manifest(tmp_path / "a.json")
-        rows = tmp_path / "rows.jsonl"
-        rows.write_text(line + "\n")
-        assert main(["diff", str(a), str(a), flag, str(rows)]) == 2
+        good = self._write_manifest(tmp_path / "good.jsonl")
+        row = (
+            '{"row": "event", "seq": 1, "type": "cache_hit"}'
+            if kind == "event" else
+            '{"row": "disk", "seq": 1, "kind": "read", "cyl": 3}'
+        )
+        header, metrics = good.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + row + "\n" + line + "\n" + metrics)
+        assert main(["diff", str(bad), str(good)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.strip() == (
-            "repro-ffs diff: line 1: expected a JSON object, got "
+            "repro-ffs diff: bad.jsonl: line 3: expected a JSON object, got "
             + ("int" if line == "42" else "list")
         )
 
     def test_negative_thresholds_exit_two(self, tmp_path, capsys):
-        a = self._write_manifest(tmp_path / "a.json")
+        a = self._write_manifest(tmp_path / "a.jsonl")
         assert main(["diff", str(a), str(a),
                      "--rel-threshold", "-0.1"]) == 2
         assert main(["diff", str(a), str(a), "--abs-floor", "-1"]) == 2
         capsys.readouterr()
 
     def test_rel_threshold_override_reclassifies(self, tmp_path, capsys):
-        a = self._write_manifest(tmp_path / "a.json",
+        a = self._write_manifest(tmp_path / "a.jsonl",
                                  metrics=_metrics(lost=100))
-        b = self._write_manifest(tmp_path / "b.json",
+        b = self._write_manifest(tmp_path / "b.jsonl",
                                  metrics=_metrics(lost=103))
         assert main(["diff", str(a), str(b), "--json"]) == 0
         loose = json.loads(capsys.readouterr().out)

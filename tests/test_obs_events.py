@@ -1,9 +1,9 @@
 """Event-log tests: the EventLog itself and every emission site.
 
-The acceptance bar from the issue: with ``--events`` active, a replay
-yields exactly one ``day_sample`` per simulated day whose layout scores
-match ``analysis.timeline.Timeline`` sample-for-sample, and with the
-flag off, ``experiment all`` stdout stays byte-identical.
+With an event log live, a replay yields exactly one ``day_sample`` per
+simulated day whose layout scores match ``analysis.timeline.Timeline``
+sample-for-sample, and a ``--run`` capture (which always carries the
+event rows) leaves ``experiment all`` stdout byte-identical.
 """
 
 import io
@@ -11,13 +11,14 @@ import json
 
 import pytest
 
-from repro import cache as repro_cache, obs
+from repro import cache as repro_cache, obs, schemas
 from repro.aging.replay import age_file_system
 from repro.cache.store import ArtifactCache
 from repro.cli import main
 from repro.errors import OutOfSpaceError
 from repro.ffs.filesystem import FileSystem
 from repro.obs import events as obs_events
+from repro.obs.runfile import load_run, read_run
 from repro.units import KB
 from tests.rowlog_cases import RowLogCases
 
@@ -53,20 +54,33 @@ class TestEventLog(RowLogCases):
 
 
 class TestReadJsonl:
+    """The run-file loader reads event rows line by line."""
+
+    HEADER = json.dumps({"row": "header", "schema": schemas.MANIFEST})
+    METRICS = '{"row": "metrics", "metrics": {}}'
+
+    def _read(self, *lines):
+        text = "\n".join([self.HEADER, *lines, self.METRICS]) + "\n"
+        return read_run(io.StringIO(text))
+
     def test_blank_lines_are_skipped(self):
-        buffer = io.StringIO('{"seq": 1}\n\n  \n{"seq": 2}\n')
-        assert obs_events.read_jsonl(buffer) == [{"seq": 1}, {"seq": 2}]
+        run = self._read(
+            '{"row": "event", "seq": 1, "type": "cache_hit"}', "", "  ",
+            '{"row": "event", "seq": 2, "type": "cache_miss"}',
+        )
+        assert run.events == [
+            {"seq": 1, "type": "cache_hit"}, {"seq": 2, "type": "cache_miss"},
+        ]
 
     @pytest.mark.parametrize("line", ["42", "[1, 2]", '"row"', "null"])
     def test_non_object_line_is_a_value_error_naming_the_line(self, line):
-        buffer = io.StringIO('{"seq": 1}\n' + line + "\n")
         with pytest.raises(ValueError, match="line 2: expected a JSON object"):
-            obs_events.read_jsonl(buffer)
+            self._read(line)
 
     def test_invalid_json_names_the_line(self):
-        buffer = io.StringIO('{"seq": 1}\n\n{"seq": \n')
         with pytest.raises(ValueError, match="line 3: invalid JSON"):
-            obs_events.read_jsonl(buffer)
+            self._read('{"row": "event", "seq": 1, "type": "cache_hit"}',
+                       '{"seq": ')
 
 
 class TestDaySamples:
@@ -189,18 +203,15 @@ class TestCliByteIdentity:
     ):
         assert main(["experiment", "all", "--preset", "tiny"]) == 0
         plain = capsys.readouterr().out
-        events_file = tmp_path / "events.jsonl"
+        run_file = tmp_path / "run.jsonl"
         assert main([
             "experiment", "all", "--preset", "tiny",
-            "--events", str(events_file),
+            "--run", str(run_file),
         ]) == 0
         with_events = capsys.readouterr().out
         assert with_events == plain
-        rows = [
-            json.loads(line)
-            for line in events_file.read_text().splitlines()
-        ]
-        assert rows, "an --events run wrote an empty log"
+        rows = load_run(run_file).events
+        assert rows, "a --run capture wrote no event rows"
         assert {row["type"] for row in rows} <= obs_events.EVENT_TYPES
         starts = [r for r in rows if r["type"] == obs_events.EXPERIMENT_START]
         ends = [r for r in rows if r["type"] == obs_events.EXPERIMENT_END]

@@ -294,28 +294,31 @@ def snapshot_value(snapshot, name):
 
 class TestCliTelemetry:
     def test_metrics_and_trace_files(self, tmp_path, capsys):
-        metrics = tmp_path / "m.json"
-        trace = tmp_path / "t.jsonl"
+        run_file = tmp_path / "run.jsonl"
         assert main(["experiment", "fig1", "--preset", "tiny",
-                     "--metrics", str(metrics), "--trace", str(trace)]) == 0
+                     "--run", str(run_file)]) == 0
         assert not obs.enabled()  # session restored
-        manifest = json.loads(metrics.read_text())
-        assert manifest["schema"].startswith("repro.obs.manifest/")
-        assert manifest["command"] == "experiment"
-        assert manifest["config"]["name"] == "fig1"
-        assert manifest["config"]["preset"] == "tiny"
-        assert manifest["wall_seconds"] > 0
-        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        lines = [json.loads(line) for line in run_file.read_text().splitlines()]
+        header, metrics = lines[0], lines[-1]
+        assert header["row"] == "header"
+        assert header["schema"].startswith("repro.obs.manifest/")
+        assert header["command"] == "experiment"
+        assert header["config"]["name"] == "fig1"
+        assert header["config"]["preset"] == "tiny"
+        assert header["wall_seconds"] > 0
+        assert metrics["row"] == "metrics" and metrics["metrics"]
+        rows = [r for r in lines if r["row"] == "span"]
         assert rows  # at least the root span
         root = [r for r in rows if r["name"] == "cli.experiment"]
         assert len(root) == 1 and root[0]["parent_id"] is None
+        assert "[obs] wrote run file" in capsys.readouterr().err
 
     def test_stats_renders_manifest(self, tmp_path, capsys):
-        metrics = tmp_path / "m.json"
+        run_file = tmp_path / "run.jsonl"
         main(["experiment", "fig1", "--preset", "tiny",
-              "--metrics", str(metrics)])
+              "--run", str(run_file)])
         capsys.readouterr()
-        assert main(["stats", str(metrics)]) == 0
+        assert main(["stats", str(run_file)]) == 0
         out = capsys.readouterr().out
         assert "run: repro-ffs experiment" in out
         assert "preset=tiny" in out
@@ -339,5 +342,5 @@ class TestCliTelemetry:
         bogus.write_text('{"schema": "other/v9"}')
         assert main(["stats", str(bogus)]) == 2
         err = capsys.readouterr().err
-        assert "repro-ffs stats: not a run manifest" in err
+        assert "repro-ffs stats: x.json: line 1: not a run manifest" in err
         assert "Traceback" not in err

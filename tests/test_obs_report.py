@@ -9,13 +9,12 @@ from repro import obs
 from repro.cli import main
 from repro.obs.manifest import RunManifest
 from repro.obs.report_html import build_report
-from repro.obs.store import RunRecord
+from repro.obs.runfile import Run, write_run
 
 
 @pytest.fixture
 def manifest():
-    return RunManifest.from_dict({
-        "schema": "repro.obs.manifest/v2",
+    return RunManifest(**{
         "command": "experiment",
         "config": {"preset": "tiny", "name": "all"},
         "environment": {"python": "3.11.7", "platform": "linux"},
@@ -129,9 +128,7 @@ class TestBuildReport:
         assert html.count("replay.day") == 1
 
     def test_empty_manifest_still_renders(self):
-        html = build_report(RunManifest.from_dict(
-            {"schema": "repro.obs.manifest/v2", "command": "age"}
-        ))
+        html = build_report(RunManifest(command="age"))
         assert html.startswith("<!DOCTYPE html>")
         assert "run report" in html
 
@@ -235,14 +232,14 @@ class TestNewSections:
 
     def test_history_section_draws_trends(self, manifest):
         runs = [
-            RunRecord(
-                id=f"r{i}", started_at=1_700_000_000.0 + i,
-                manifest=RunManifest(command="experiment"),
+            Run(
+                RunManifest(command="experiment",
+                            started_at=1_700_000_000.0 + i),
+                id=f"r{i}",
                 summary={
                     "layout_scores": {"FFS": 0.7 + 0.01 * i},
                     "throughput_mb_s": 2.0 + 0.1 * i,
                 },
-                document={},
             )
             for i in range(3)
         ]
@@ -254,9 +251,8 @@ class TestNewSections:
         html = build_report(
             manifest, events=self._heat_events(),
             disk_trace=self._trace_rows(),
-            runs=[RunRecord(id="r0", started_at=1.0,
-                            manifest=RunManifest(command="age"),
-                            summary={}, document={})],
+            runs=[Run(RunManifest(command="age", started_at=1.0),
+                      id="r0", summary={})],
         )
         for forbidden in ("http://", "https://", "<script", "@import",
                           "url("):
@@ -343,75 +339,72 @@ class TestBoundedLogEdgeCases:
         assert "divergence" in html
 
 
+def _write_run(path, manifest, *logs):
+    with open(path, "w") as fp:
+        write_run(fp, Run(manifest), logs)
+    return path
+
+
 class TestReportCli:
     def test_report_subcommand_end_to_end(self, tmp_path, capsys):
         manifest = obs.RunManifest(command="experiment",
                                    config={"preset": "tiny"})
         manifest.finish(1.0, {})
         manifest.timings = {"fig1": 1.0}
-        manifest_path = tmp_path / "m.json"
-        with open(manifest_path, "w") as fp:
-            manifest.dump(fp)
-        events_path = tmp_path / "e.jsonl"
         log = obs.EventLog()
         for day in range(3):
             log.emit("day_sample", label="FFS", day=day,
                      layout_score=1.0 - day * 0.1, utilization=0.2)
-        with open(events_path, "w") as fp:
-            log.write_jsonl(fp)
+        run_path = _write_run(tmp_path / "run.jsonl", manifest, log)
         output = tmp_path / "r.html"
         assert main([
-            "report", str(manifest_path),
-            "--events", str(events_path),
-            "--output", str(output),
+            "report", str(run_path), "--output", str(output),
         ]) == 0
         capsys.readouterr()
         html = output.read_text()
         assert "<svg" in html and "Layout score" in html
 
-    @pytest.mark.parametrize("flag", ["--events", "--disk-trace"])
+    @pytest.mark.parametrize("kind", ["event", "disk"])
     @pytest.mark.parametrize("line", ["42", "[1, 2]"])
     def test_non_object_jsonl_line_exits_two(
-        self, tmp_path, capsys, flag, line
+        self, tmp_path, capsys, kind, line
     ):
         manifest = obs.RunManifest(command="experiment")
         manifest.finish(0.1, {})
-        manifest_path = tmp_path / "m.json"
-        with open(manifest_path, "w") as fp:
-            manifest.dump(fp)
-        rows_path = tmp_path / "rows.jsonl"
-        rows_path.write_text('{"seq": 1, "type": "cache_hit"}\n' + line + "\n")
+        row = (
+            '{"row": "event", "seq": 1, "type": "cache_hit"}'
+            if kind == "event" else
+            '{"row": "disk", "seq": 1, "kind": "read", "cyl": 3}'
+        )
+        header, metrics = _write_run(
+            tmp_path / "ok.jsonl", manifest
+        ).read_text().splitlines(keepends=True)
+        run_path = tmp_path / "run.jsonl"
+        run_path.write_text(header + row + "\n" + line + "\n" + metrics)
         assert main([
-            "report", str(manifest_path), flag, str(rows_path),
-            "--output", str(tmp_path / "r.html"),
+            "report", str(run_path), "--output", str(tmp_path / "r.html"),
         ]) == 2
         err = capsys.readouterr().err
-        assert "line 2: expected a JSON object" in err
+        assert "run.jsonl: line 3: expected a JSON object" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "r.html").exists()
 
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
-        assert main(["report", str(tmp_path / "nope.json")]) == 2
+        assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "report:" in capsys.readouterr().err
 
     def test_report_does_not_open_a_telemetry_session(
         self, tmp_path, capsys
     ):
-        # `report --events` names an *input*; it must not be mistaken
-        # for the capture flag and spin up a session.
+        # `report` reads a run file; it must not capture one of its own.
         manifest = obs.RunManifest(command="age")
         manifest.finish(0.1, {})
-        manifest_path = tmp_path / "m.json"
-        with open(manifest_path, "w") as fp:
-            manifest.dump(fp)
-        events_path = tmp_path / "e.jsonl"
-        events_path.write_text("")
+        run_path = _write_run(tmp_path / "run.jsonl", manifest)
+        before = run_path.read_text()
         assert main([
-            "report", str(manifest_path), "--events", str(events_path),
-            "--output", str(tmp_path / "r.html"),
+            "report", str(run_path), "--output", str(tmp_path / "r.html"),
         ]) == 0
         err = capsys.readouterr().err
         assert "[obs]" not in err
-        # The input file was read, not overwritten with a capture log.
-        assert events_path.read_text() == ""
+        assert run_path.read_text() == before

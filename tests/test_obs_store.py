@@ -7,10 +7,10 @@ from repro import obs
 from repro.cli import main
 import pytest
 
+from repro import schemas
 from repro.errors import RunStoreError
+from repro.obs.runfile import Run, load_run
 from repro.obs.store import (
-    SCHEMA,
-    RunRecord,
     RunStore,
     filter_runs,
     render_history,
@@ -78,19 +78,33 @@ class TestSummarizeManifest:
 class TestRunStore:
     def test_record_writes_one_schema_tagged_document(self, tmp_path):
         store = RunStore(tmp_path / "runs")
-        run_id = store.record(_manifest(metrics=_full_metrics()))
+        run_id = store.record(_manifest(metrics=_full_metrics())).id
         assert run_id == "1700000000000-experiment"
-        document = json.loads((store.root / f"{run_id}.json").read_text())
-        assert document["schema"] == SCHEMA
-        assert document["preset"] == "tiny"
-        assert document["summary"]["layout_scores"]["FFS"] == 0.7432
-        assert document["manifest"]["command"] == "experiment"
+        path = store.root / f"{run_id}.jsonl"
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["row"] == "header"
+        assert header["schema"] == schemas.MANIFEST
+        assert header["id"] == run_id
+        assert header["config"]["preset"] == "tiny"
+        assert header["summary"]["layout_scores"]["FFS"] == 0.7432
+        run = load_run(path)
+        assert run.manifest.command == "experiment"
+        assert run.manifest.metrics == _full_metrics()
+
+    def test_record_keeps_the_logs(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        log = obs.EventLog()
+        log.emit("cache_hit", key="k")
+        run_id = store.record(_manifest(), [obs.Tracer(), log]).id
+        run = store.load_run(run_id)
+        assert [row["type"] for row in run.events] == ["cache_hit"]
+        assert run.spans == [] and run.disk is None
 
     def test_same_millisecond_collision_gets_a_suffix(self, tmp_path):
         store = RunStore(tmp_path / "runs")
-        assert store.record(_manifest()) == "1700000000000-experiment"
-        assert store.record(_manifest()) == "1700000000000-experiment.2"
-        assert store.record(_manifest()) == "1700000000000-experiment.3"
+        assert store.record(_manifest()).id == "1700000000000-experiment"
+        assert store.record(_manifest()).id == "1700000000000-experiment.2"
+        assert store.record(_manifest()).id == "1700000000000-experiment.3"
         assert len(store.runs()) == 3
 
     def test_runs_ordered_by_id_and_skip_foreign_files(self, tmp_path):
@@ -98,7 +112,7 @@ class TestRunStore:
         store = RunStore(root)
         store.record(_manifest(started_at=1_700_000_002.0))
         store.record(_manifest(started_at=1_700_000_001.0))
-        (root / "notes.json").write_text('{"schema": "something.else/v1"}')
+        (root / "notes.json").write_text('{"schema": "something.else/v1"}\n')
         (root / "broken.json").write_text("{not json")
         runs = store.runs()
         assert [r.started_at for r in runs] == [
@@ -113,7 +127,7 @@ class TestRunStore:
         store = RunStore(root)
         store.record(_manifest())
         (root / "broken.json").write_text("{not json")
-        (root / "notes.json").write_text('{"schema": "something.else/v1"}')
+        (root / "notes.json").write_text('{"schema": "something.else/v1"}\n')
         runs = store.runs(warn=True)
         assert len(runs) == 1
         err = capsys.readouterr().err
@@ -159,7 +173,7 @@ class TestLoadRun:
 
     def test_corrupt_document_raises_loudly(self, tmp_path):
         store = self._store(tmp_path)
-        (store.root / "bad-run.json").write_text("{not json")
+        (store.root / "bad-run.jsonl").write_text("{not json")
         with pytest.raises(RunStoreError, match="corrupt"):
             store.load_run("bad-run")
 
@@ -174,10 +188,10 @@ class TestFilterRuns:
             config = {"preset": "tiny"}
             if policy is not None:
                 config["policy"] = policy
-            out.append(RunRecord(
-                id=f"r{i}", started_at=1_700_000_000.0 + i,
-                manifest=obs.RunManifest(command=command, config=config),
-                summary=None, document={},
+            out.append(Run(
+                obs.RunManifest(command=command, config=config,
+                                started_at=1_700_000_000.0 + i),
+                id=f"r{i}",
             ))
         return out
 
@@ -221,10 +235,8 @@ class TestRenderHistory:
         assert "2.00" in text  # MB/s
 
     def test_summary_free_document_renders_dashes(self):
-        text = render_history([RunRecord(
-            id="x-run", started_at=1.0,
-            manifest=obs.RunManifest(command="age"), summary=None,
-            document={},
+        text = render_history([Run(
+            obs.RunManifest(command="age", started_at=1.0), id="x-run",
         )])
         assert "x-run" in text
         assert "-" in text
@@ -245,7 +257,9 @@ class TestHistoryCli:
             "history", "--runs-dir", str(store.root), "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["schema"] == SCHEMA
+        assert payload[0]["schema"] == schemas.MANIFEST
+        assert payload[0]["id"] == "1700000000000-experiment"
+        assert "metrics" not in payload[0]
 
     def test_record_flag_archives_an_age_run(self, tmp_path, capsys):
         runs_dir = tmp_path / "runs"
@@ -259,7 +273,7 @@ class TestHistoryCli:
         runs = RunStore(runs_dir).runs()
         assert len(runs) == 1
         assert runs[0].manifest.command == "age"
-        assert runs[0].document["preset"] == "tiny"
+        assert runs[0].manifest.config["preset"] == "tiny"
         # Which metrics the summary carries depends on whether this
         # process had already aged the preset (the in-process memo skips
         # the replay, and with it the final-score gauges), so only the

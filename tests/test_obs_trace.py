@@ -8,6 +8,7 @@ import pytest
 from repro.errors import MalformedInputError
 from repro.obs.manifest import RunManifest, environment_info
 from repro.obs.profiling import PhaseProfiler
+from repro.obs.runfile import Run, read_run, write_run
 from repro.obs.trace import Tracer
 from tests.rowlog_cases import RowLogCases
 
@@ -114,6 +115,7 @@ class TestTraceExport:
         buf = io.StringIO()
         assert tr.write_jsonl(buf) == 2
         rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [row["row"] for row in rows] == ["span", "span"]
         assert [row["name"] for row in rows] == ["outer", "inner"]
         assert rows[0]["attrs"] == {"preset": "tiny"}
         assert rows[0]["wall_elapsed_s"] >= 0
@@ -128,24 +130,20 @@ class TestManifest:
         )
         manifest.finish(1.25, {"disk.reads": {"type": "counter", "value": 7}})
         buf = io.StringIO()
-        manifest.dump(buf)
+        write_run(buf, Run(manifest))
         buf.seek(0)
-        loaded = RunManifest.load(buf)
-        assert loaded.command == "experiment"
-        assert loaded.config == manifest.config
-        assert loaded.wall_seconds == 1.25
-        assert loaded.metrics == manifest.metrics
-        assert loaded.environment == manifest.environment
-        assert loaded.schema == manifest.schema
+        loaded = read_run(buf).manifest
+        assert loaded == manifest
 
     def test_environment_fields(self):
         env = environment_info()
         assert set(env) == {"python", "implementation", "platform", "machine"}
 
     def test_non_manifest_rejected(self):
-        with pytest.raises(MalformedInputError):
-            RunManifest.from_dict({"schema": "something/else"})
+        header = '{"row": "header", "schema": "something/else"}\n'
+        with pytest.raises(MalformedInputError, match="header: bad schema"):
+            read_run(io.StringIO(header))
 
     def test_non_json_rejected(self):
         with pytest.raises(MalformedInputError, match="invalid JSON"):
-            RunManifest.load(io.StringIO("not json"))
+            read_run(io.StringIO("not json"))

@@ -13,6 +13,7 @@ import bisect
 import collections
 import dataclasses
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -212,7 +213,8 @@ def test_worker_event_drops_reach_the_parent_marker():
     with obs.session(events=parent):
         parallel._absorb_telemetry(_worker_payload(events=worker), "w0")
     assert parent.dropped == 3
-    rows = obs_events.read_jsonl(io.StringIO(_jsonl(parent)))
+    rows = [json.loads(line) for line in _jsonl(parent).splitlines()]
+    assert {row.pop("row") for row in rows} == {"event"}
     merge, first, second, marker = rows
     assert merge["type"] == obs_events.WORKER_MERGE
     assert (merge["events"], merge["dropped"]) == (2, 3)
@@ -253,7 +255,9 @@ def test_adopted_span_tree_keeps_its_parent_links():
 
 def test_split_truncated_trace_adopts_to_the_serial_trace():
     serial, adopted = _serial_and_adopted(10, [3], bound=4, worker_bound=4)
-    assert serial.endswith('{"dropped":6,"seq":11,"type":"log_truncated"}\n')
+    assert serial.endswith(
+        '{"dropped":6,"row":"disk","seq":11,"type":"log_truncated"}\n'
+    )
     assert adopted == serial
 
 

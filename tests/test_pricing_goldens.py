@@ -10,6 +10,7 @@ values, the per-request disk trace, and the LFS cleaner's victims.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -35,7 +36,9 @@ MEASURE_STREAM_SHA = (
 #: (two phases each).
 MEASURE_STREAM_CALLS = 87 - 8 * 2
 
-#: The file ``experiment fig4 --preset tiny --disk-trace`` writes.
+#: The ``disk`` rows, their tag stripped, of the run file that
+#: ``experiment fig4 --preset tiny --run FILE --disk-rows`` writes: the
+#: bytes the per-request disk trace file held before run files.
 FIG4_DISK_TRACE_SHA = (
     "015f3430bda70bad2f1f7df3737a8289f4870d02ac78ea62b288ef7a65484a5c"
 )
@@ -101,8 +104,15 @@ def test_empty_vs_aged_alone_prints_its_suite_block(tiny_suite):
 
 def test_fig4_disk_trace_is_pinned(tmp_path):
     path = tmp_path / "fig4.jsonl"
-    _cli("experiment", "fig4", "--preset", "tiny", "--disk-trace", str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG4_DISK_TRACE_SHA
+    _cli("experiment", "fig4", "--preset", "tiny", "--run", str(path),
+         "--disk-rows")
+    sha = hashlib.sha256()
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        if row.pop("row") == "disk":
+            sha.update(json.dumps(row, separators=(",", ":"),
+                                  sort_keys=True).encode() + b"\n")
+    assert sha.hexdigest() == FIG4_DISK_TRACE_SHA
 
 
 def test_small_lfs_cleaner_victims_are_pinned(monkeypatch):
