@@ -327,9 +327,10 @@ class AgingReplayer:
         group's free runs, which would be wasted work on the default
         path.
         """
-        from repro.analysis.freespace import free_space_stats
+        from repro.analysis.freespace import free_runs_per_cg, free_space_stats
 
-        stats = free_space_stats(self.fs)
+        runs = free_runs_per_cg(self.fs)
+        stats = free_space_stats(self.fs, runs)
         frags_per_cg = self._frags_per_cg
         per_cg = [
             round(1.0 - cg.free_frags / frags_per_cg, 4)
@@ -349,13 +350,7 @@ class AgingReplayer:
         # Per-CG free-space fragmentation: how little of a group's free
         # space its largest run covers (0 = one contiguous run, →1 =
         # shattered).  A fully occupied group has nothing to fragment.
-        frag = []
-        for cg in self.fs.sb.cgs:
-            free = cg.free_blocks
-            if free == 0:
-                frag.append(0.0)
-                continue
-            frag.append(round(1.0 - cg.max_free_run() / free, 4))
+        frag = [round(1.0 - max(r) / sum(r), 4) if r else 0.0 for r in runs]
         return {
             "free_runs": stats.n_runs,
             "largest_free_run": stats.largest_run,

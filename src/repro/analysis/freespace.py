@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.ffs.filesystem import FileSystem
 
@@ -48,11 +48,22 @@ def free_cluster_histogram(fs: FileSystem) -> Dict[int, int]:
     return dict(sorted(histogram.items()))
 
 
-def free_space_stats(fs: FileSystem) -> FreeSpaceStats:
-    """Compute :class:`FreeSpaceStats` for ``fs``."""
-    lengths: List[int] = []
-    for cg in fs.sb.cgs:
-        lengths.extend(length for _start, length in cg.bitmap.block_runs())
+def free_runs_per_cg(fs: FileSystem) -> List[List[int]]:
+    """Each cylinder group's free-run lengths in blocks, by group index."""
+    return [
+        [length for _start, length in cg.bitmap.block_runs()]
+        for cg in fs.sb.cgs
+    ]
+
+
+def free_space_stats(
+    fs: FileSystem, runs: Optional[List[List[int]]] = None
+) -> FreeSpaceStats:
+    """Compute :class:`FreeSpaceStats` for ``fs``, from ``runs`` (its
+    :func:`free_runs_per_cg`) when the caller already has them."""
+    if runs is None:
+        runs = free_runs_per_cg(fs)
+    lengths = [length for group in runs for length in group]
     free_blocks = sum(lengths)
     maxcontig = fs.params.maxcontig
     clusterable = sum(length for length in lengths if length >= maxcontig)

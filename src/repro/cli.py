@@ -964,10 +964,7 @@ def _load_diff_side(args: argparse.Namespace, side: str):
         load_run(path) if path.is_file()
         else RunStore(args.runs_dir).load_run(ref)
     )
-    artifacts = RunArtifacts(
-        label=run.id or path.name, manifest=run.manifest, summary=run.summary,
-        events=run.events, disk_trace=run.disk,
-    )
+    artifacts = RunArtifacts(label=run.id or path.name, run=run)
     if image_path:
         from repro.analysis.placement import inspect_filesystem
         from repro.ffs.image import load_filesystem

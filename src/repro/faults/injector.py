@@ -325,7 +325,6 @@ class FaultInjector:
                 # (durable) directory entry now points at a dead inode.
                 fs.inodes.pop(op.ino, None)
                 fs._dir_of_file.pop(op.ino, None)
-                fs._realloc_mark.pop(op.ino, None)
             else:
                 # Directory entry never landed: the inode survives but
                 # belongs to no directory (fsck reattaches it).

@@ -71,9 +71,6 @@ class FileSystem:
         self.inodes: Dict[int, Inode] = {}
         self.directories: Dict[str, Directory] = {}
         self._dir_of_file: Dict[int, str] = {}
-        #: Per-inode high-water mark of cluster windows already handed to
-        #: the policy (the "flushed" frontier).
-        self._realloc_mark: Dict[int, int] = {}
 
     def __deepcopy__(self, memo: Dict[int, object]) -> "FileSystem":
         """Deep copy via layer-by-layer ``clone()`` calls.
@@ -103,7 +100,6 @@ class FileSystem:
             name: d.clone() for name, d in self.directories.items()
         }
         twin._dir_of_file = dict(self._dir_of_file)
-        twin._realloc_mark = dict(self._realloc_mark)
         return twin
 
     # ------------------------------------------------------------------
@@ -168,10 +164,9 @@ class FileSystem:
         self.inodes[ino] = inode
         self._dir_of_file[ino] = directory.name
         directory.add(ino)
-        self._realloc_mark[ino] = 0
         if size:
             # A fresh inode is what ``append`` would grow: size 0, flush
-            # mark 0 and ``mtime`` already ``when``.
+            # frontier 0 and ``mtime`` already ``when``.
             try:
                 self._grow(inode, size)
             except OutOfSpaceError:
@@ -219,11 +214,12 @@ class FileSystem:
         if inode.is_dir:
             raise InvalidRequestError(f"inode {ino} is a directory")
         self._free_data(inode)
-        self.sb.cgs[self.params.cg_of_inode(ino)].free_inode(ino)
+        # ``_live`` has proved ``ino`` in range; ``free_inode`` checks it
+        # against the group's own range.
+        self.sb.cgs[ino // self.params.inodes_per_cg].free_inode(ino)
         self.directories[self._dir_of_file[ino]].remove(ino)
         del self._dir_of_file[ino]
         del self.inodes[ino]
-        self._realloc_mark.pop(ino, None)
 
     def truncate(self, ino: int, when: float = 0.0) -> None:
         """Truncate file ``ino`` to zero length, keeping the inode."""
@@ -235,7 +231,7 @@ class FileSystem:
         inode.size = 0
         inode.alloc_cg = inode.dir_cg
         inode.mtime = max(inode.mtime, when)
-        self._realloc_mark[ino] = 0
+        inode.flushed = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -281,10 +277,10 @@ class FileSystem:
         if len(inode.blocks) < final_full:
             mark = self._alloc_full_blocks(inode, final_full, tail_frags)
         else:  # no new full block: nothing to place, no window to flush
-            mark = self._realloc_mark.get(inode.ino, 0)
+            mark = inode.flushed
         policy = self.policy
         policy.finalize(inode, mark, final_full, tail_frags)
-        self._realloc_mark[inode.ino] = final_full
+        inode.flushed = final_full
         if tail_frags and inode.tail is None:
             blocks = inode.blocks
             pref = (blocks[-1] + 1, 0) if blocks else None
@@ -341,7 +337,7 @@ class FileSystem:
     def _alloc_full_blocks(
         self, inode: Inode, final_full: int, tail_frags: int
     ) -> int:
-        """Allocate full blocks up to ``final_full``; return the flush mark.
+        """Allocate full blocks up to ``final_full``; return the flush frontier.
 
         Every logical block belongs to a pointer segment: the direct
         blocks, then each indirect block's range.  A segment's first
@@ -352,15 +348,13 @@ class FileSystem:
         """
         params = self.params
         policy = self.policy
-        marks = self._realloc_mark
-        ino = inode.ino
         blocks = inode.blocks
         ndaddr = params.ndaddr
         nindir = params.block_size // 4
         maxcontig = params.maxcontig
         maxbpg = params.maxbpg_blocks
         rotdelay = params.rotdelay
-        mark = marks.get(ino, 0)
+        mark = inode.flushed
         lbn = len(blocks)
         while lbn < final_full:
             pref: Optional[int]
@@ -383,7 +377,7 @@ class FileSystem:
                         policy.window_complete(
                             inode, mark, lbn, final_full, tail_frags
                         )
-                        mark = marks[ino] = lbn
+                        mark = inode.flushed = lbn
                     indirect = policy.alloc_indirect_block(inode)
                     inode.indirect_blocks.append(indirect)
                     pref = indirect + 1
@@ -396,7 +390,7 @@ class FileSystem:
                         policy.window_complete(
                             inode, mark, lbn, final_full, tail_frags
                         )
-                        mark = marks[ino] = lbn
+                        mark = inode.flushed = lbn
                     if params.indirect_switches_cg:
                         inode.alloc_cg = self.sb.next_cg_for_file(inode.alloc_cg)
                     pref = None
@@ -429,7 +423,7 @@ class FileSystem:
                             policy.window_complete(
                                 inode, mark, lbn, final_full, tail_frags
                             )
-                            mark = marks[ino] = lbn
+                            mark = inode.flushed = lbn
                         continue
             block = policy.alloc_data_block(inode, pref)
             inode.alloc_cg = params.cg_of_block(block)
@@ -437,7 +431,7 @@ class FileSystem:
             lbn += 1
             if (lbn - seg_start) % maxcontig == 0 and mark < lbn:
                 policy.window_complete(inode, mark, lbn, final_full, tail_frags)
-                mark = marks[ino] = lbn
+                mark = inode.flushed = lbn
         return mark
 
     def _check_reserve(self, inode: Inode, final_full: int, tail_frags: int) -> None:

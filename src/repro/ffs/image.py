@@ -269,9 +269,8 @@ def filesystem_from_document(
     if len(fs.inodes) != len(document["inodes"]):
         raise ConsistencyError("image lists an inode number twice")
     mark_inode_space(fs)
-    fs._realloc_mark.update(
-        {inode.ino: len(inode.blocks) for inode in fs.inodes.values()}
-    )
+    for inode in fs.inodes.values():
+        inode.flushed = len(inode.blocks)
     if verify:
         check_filesystem(fs)
     return fs

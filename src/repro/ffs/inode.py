@@ -19,7 +19,7 @@ from repro.ffs.params import FSParams
 FragTail = Tuple[int, int, int]  # (global block, frag offset, nfrags)
 
 
-@dataclass
+@dataclass(slots=True)
 class Inode:
     """Layout record for one file (or directory)."""
 
@@ -40,6 +40,10 @@ class Inode:
     #: Cylinder group new data blocks are currently drawn from; changes
     #: when an indirect block is allocated (paper footnote 1).
     alloc_cg: int = 0
+    #: Cluster-flush frontier: the logical blocks below it have already
+    #: been handed to the policy's window hooks.  Images do not store
+    #: it; a restored file starts at ``len(blocks)``.
+    flushed: int = field(default=0, compare=False, repr=False)
 
     def clone(self) -> "Inode":
         """An independent copy (block lists copied, scalars shared)."""
@@ -54,6 +58,7 @@ class Inode:
         twin.tail = self.tail
         twin.indirect_blocks = list(self.indirect_blocks)
         twin.alloc_cg = self.alloc_cg
+        twin.flushed = self.flushed
         return twin
 
     # ------------------------------------------------------------------

@@ -389,13 +389,12 @@ def _repair_directories(fs: FileSystem, report: FsckReport) -> None:
 
 
 def _reconcile_bookkeeping(fs: FileSystem) -> None:
-    """Rebuild ``_dir_of_file`` and ``_realloc_mark`` from repaired state."""
+    """Rebuild ``_dir_of_file`` and each inode's flush frontier from
+    repaired state."""
     fs._dir_of_file.clear()
     for directory in fs.directories.values():
         for child in directory.list_children():
             if not fs.inodes[child].is_dir:
                 fs._dir_of_file[child] = directory.name
-    fs._realloc_mark.clear()
-    for ino, inode in fs.inodes.items():
-        if not inode.is_dir:
-            fs._realloc_mark[ino] = len(inode.blocks)
+    for inode in fs.inodes.values():
+        inode.flushed = 0 if inode.is_dir else len(inode.blocks)

@@ -231,32 +231,30 @@ class Classifier:
 
 @dataclass
 class RunArtifacts:
-    """Everything one side of a diff may bring to the table.
+    """One side of a diff: a loaded run, its label, and optionally the
+    placement document of the run's saved image.
 
-    Only the manifest is required; the optional artifacts each unlock
-    one more diff section when both sides carry them (events → timeline,
-    disk rows → locality shifts, placement document → spatial
-    comparison).  ``summary`` is the run store's distilled headline
-    block; when absent it is recomputed from the manifest, so an
-    unrecorded run file diffs identically to a registry entry.  Every
+    Only the run's manifest is required; the optional artifacts each
+    unlock one more diff section when both sides carry them (events →
+    timeline, disk rows → locality shifts, placement document → spatial
+    comparison).  The run's ``summary`` is the run store's distilled
+    headline block; when absent it is recomputed from the manifest, so
+    an unrecorded run file diffs identically to a registry entry.  Every
     field arrives through its loader (the run-file loader of
     :mod:`repro.obs.runfile`, the image loader), so the differ trusts
     its shape.
     """
 
     label: str
-    manifest: RunManifest
-    summary: Optional[Dict[str, Any]] = None
-    events: Optional[List[Dict[str, object]]] = None
-    disk_trace: Optional[List[Dict[str, object]]] = None
+    run: Run
     placement: Optional[Dict[str, Any]] = None
 
     def headline(self) -> Dict[str, Any]:
-        if self.summary is not None:
-            return dict(self.summary)
+        if self.run.summary is not None:
+            return dict(self.run.summary)
         from repro.obs.store import summarize_manifest
 
-        return summarize_manifest(self.manifest)
+        return summarize_manifest(self.run.manifest)
 
 
 class _DeltaSink:
@@ -293,7 +291,7 @@ class _DeltaSink:
 
 
 def _side_info(side: RunArtifacts) -> Dict[str, object]:
-    manifest = side.manifest
+    manifest = side.run.manifest
     return {
         "label": side.label,
         "command": manifest.command,
@@ -332,18 +330,18 @@ def _scalar_config(manifest: RunManifest) -> Dict[str, object]:
 def _diff_meta(
     a: RunArtifacts, b: RunArtifacts, sink: _DeltaSink
 ) -> Dict[str, object]:
-    wall_a = a.manifest.wall_seconds
-    wall_b = b.manifest.wall_seconds
+    wall_a = a.run.manifest.wall_seconds
+    wall_b = b.run.manifest.wall_seconds
     if wall_a is not None and wall_b is not None:
         sink.add(
             "meta", "wall_seconds", wall_a, wall_b,
             direction=True, abs_floor=WALL_CLOCK_ABS_FLOOR_S,
         )
     return {
-        "config": _diff_mappings(_scalar_config(a.manifest),
-                                 _scalar_config(b.manifest)),
-        "environment": _diff_mappings(a.manifest.environment,
-                                      b.manifest.environment),
+        "config": _diff_mappings(_scalar_config(a.run.manifest),
+                                 _scalar_config(b.run.manifest)),
+        "environment": _diff_mappings(a.run.manifest.environment,
+                                      b.run.manifest.environment),
     }
 
 
@@ -404,8 +402,8 @@ def _diff_histogram(
 def _diff_metrics(
     a: RunArtifacts, b: RunArtifacts, sink: _DeltaSink
 ) -> Dict[str, object]:
-    metrics_a = a.manifest.metrics
-    metrics_b = b.manifest.metrics
+    metrics_a = a.run.manifest.metrics
+    metrics_b = b.run.manifest.metrics
     histograms: List[Dict[str, object]] = []
     compared = 0
     for name in sorted(set(metrics_a) & set(metrics_b)):
@@ -510,17 +508,17 @@ def _diff_timeline(
     a: RunArtifacts, b: RunArtifacts, sink: _DeltaSink,
     classifier: Classifier,
 ) -> Optional[Dict[str, object]]:
-    if a.events is None or b.events is None:
+    if a.run.events is None or b.run.events is None:
         return None
     from repro.obs.heatmap import day_samples
 
     samples_a = {
         label: {s.day: s for s in rows}
-        for label, rows in day_samples(a.events).items()
+        for label, rows in day_samples(a.run.events).items()
     }
     samples_b = {
         label: {s.day: s for s in rows}
-        for label, rows in day_samples(b.events).items()
+        for label, rows in day_samples(b.run.events).items()
     }
     pairs = [(label, label) for label in samples_a if label in samples_b]
     if not pairs and len(samples_a) == 1 and len(samples_b) == 1:
@@ -563,8 +561,8 @@ def _diff_timeline(
             "first_divergence_day": first_divergence,
             "occupancy_delta": _occupancy_delta(sa, sb, days),
         })
-    counts_a = _event_counts(a.events)
-    counts_b = _event_counts(b.events)
+    counts_a = _event_counts(a.run.events)
+    counts_b = _event_counts(b.run.events)
     for kind in sorted(set(counts_a) & set(counts_b)):
         sink.add(
             "events", kind, counts_a[kind], counts_b[kind],
@@ -586,7 +584,7 @@ def _event_counts(events: Sequence[Dict[str, object]]) -> Dict[str, int]:
 def _diff_disktrace(
     a: RunArtifacts, b: RunArtifacts, sink: _DeltaSink
 ) -> Optional[Dict[str, object]]:
-    if a.disk_trace is None or b.disk_trace is None:
+    if a.run.disk is None or b.run.disk is None:
         return None
     from repro.obs.heatmap import (
         seek_distance_histogram,
@@ -594,8 +592,8 @@ def _diff_disktrace(
         trace_summary,
     )
 
-    summary_a = trace_summary(a.disk_trace)
-    summary_b = trace_summary(b.disk_trace)
+    summary_a = trace_summary(a.run.disk)
+    summary_b = trace_summary(b.run.disk)
     for key in sorted(summary_a):
         sink.add("trace", key, summary_a[key], summary_b[key],
                  direction=lower_is_better(key))
@@ -604,8 +602,8 @@ def _diff_disktrace(
         ("seek_distance_cyl", seek_distance_histogram),
         ("service_time_ms", service_time_histogram),
     ):
-        ha = build(a.disk_trace)
-        hb = build(b.disk_trace)
+        ha = build(a.run.disk)
+        hb = build(b.run.disk)
         if ha is None or hb is None:
             continue
         histograms.append(_diff_histogram("trace", name, ha, hb, sink))

@@ -1,5 +1,10 @@
 """Unit tests for the Inode layout record."""
 
+import dataclasses
+import io
+
+from repro.faults.injector import _InodeSnapshot
+from repro.ffs.image import dump_filesystem, inode_to_json, load_filesystem
 from repro.ffs.inode import Inode
 from repro.ffs.params import FSParams
 from repro.units import KB
@@ -58,3 +63,62 @@ class TestIndirectBoundaries:
         nindir = P.block_size // 4
         inode = Inode(ino=1, blocks=[0] * (P.ndaddr + nindir + 5))
         assert inode.indirect_boundaries(P) == [P.ndaddr, P.ndaddr + nindir]
+
+
+class TestRecord:
+    """The inode is one slotted record that carries its own flush
+    frontier (``flushed``) through every copy, restore and rollback."""
+
+    def _inode(self):
+        return Inode(
+            ino=7, is_dir=False, size=100 * KB, ctime=1.5, mtime=2.5,
+            dir_cg=3, blocks=[40, 41, 42], tail=(90, 2, 3),
+            indirect_blocks=[55], alloc_cg=4, flushed=2,
+        )
+
+    def test_slotted(self):
+        assert not hasattr(Inode(ino=1), "__dict__")
+
+    def test_clone_copies_every_field_and_shares_no_list(self):
+        inode = self._inode()
+        twin = inode.clone()
+        for f in dataclasses.fields(Inode):
+            assert getattr(twin, f.name) == getattr(inode, f.name), f.name
+        assert twin.flushed == 2
+        assert twin.blocks is not inode.blocks
+        assert twin.indirect_blocks is not inode.indirect_blocks
+
+    def test_frontier_is_not_compared_or_stored(self):
+        inode = self._inode()
+        twin = inode.clone()
+        twin.flushed = 0
+        assert twin == inode
+        assert "flushed" not in inode_to_json(inode)
+
+    def test_image_round_trip_restores_frontier_at_len_blocks(
+        self, fresh_fs, tiny_params
+    ):
+        d = fresh_fs.make_directory("d")
+        for size in (3 * KB, 20 * KB, 130 * KB, 12 * tiny_params.block_size + 5):
+            fresh_fs.create_file(d, size)
+        grown = fresh_fs.create_file(d, 9 * KB)
+        fresh_fs.append(grown, 70 * KB)
+        fresh_fs.truncate(fresh_fs.create_file(d, 50 * KB))
+        image = io.StringIO()
+        dump_filesystem(fresh_fs, image)
+        image.seek(0)
+        restored = load_filesystem(image)
+        assert restored.inodes.keys() == fresh_fs.inodes.keys()
+        for ino, inode in restored.inodes.items():
+            assert inode == fresh_fs.inodes[ino]
+            assert inode.flushed == len(inode.blocks)
+
+    def test_snapshot_rebuild_starts_at_zero_and_restore_keeps_frontier(self):
+        inode = self._inode()
+        snapshot = _InodeSnapshot.of(inode)
+        assert snapshot.rebuild().flushed == 0
+        inode.blocks.extend([43, 44, 45, 46])
+        inode.flushed = 7
+        snapshot.restore_onto(inode)
+        assert inode.blocks == [40, 41, 42]
+        assert inode.flushed == 7

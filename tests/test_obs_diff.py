@@ -133,7 +133,7 @@ class TestDiffRuns:
     def _side(self, label="a", **kwargs):
         events = kwargs.pop("events", None)
         return RunArtifacts(
-            label=label, manifest=_manifest(**kwargs), events=events,
+            label=label, run=Run(_manifest(**kwargs), events=events),
         )
 
     def test_self_diff_has_zero_significant_deltas(self):
@@ -245,9 +245,9 @@ class TestDiffRuns:
 
 class TestRenderDiff:
     def test_text_names_sides_and_significant_deltas(self):
-        a = RunArtifacts("base", _manifest(metrics=_metrics(lost=100)))
-        b = RunArtifacts("cand", _manifest(metrics=_metrics(lost=200),
-                                                policy="realloc"))
+        a = RunArtifacts("base", Run(_manifest(metrics=_metrics(lost=100))))
+        b = RunArtifacts("cand", Run(_manifest(metrics=_metrics(lost=200),
+                                               policy="realloc")))
         text = render_diff(diff_runs(a, b))
         assert "run diff: base -> cand" in text
         assert "REGRESSION" in text
@@ -255,16 +255,16 @@ class TestRenderDiff:
         assert "config changes: policy: ffs -> realloc" in text
 
     def test_equivalent_runs_say_so(self):
-        side = RunArtifacts("x", _manifest(metrics=_metrics()))
+        side = RunArtifacts("x", Run(_manifest(metrics=_metrics())))
         text = render_diff(diff_runs(side, side))
         assert "significant deltas: 0" in text
         assert "equivalent under the classifier" in text
 
     def test_first_divergence_line(self):
-        a = RunArtifacts("a", _manifest(),
-                         events=_day_events(scores=(1.0, 0.5)))
-        b = RunArtifacts("b", _manifest(),
-                         events=_day_events(scores=(1.0, 0.9)))
+        a = RunArtifacts("a", Run(_manifest(),
+                                  events=_day_events(scores=(1.0, 0.5))))
+        b = RunArtifacts("b", Run(_manifest(),
+                                  events=_day_events(scores=(1.0, 0.9))))
         text = render_diff(diff_runs(a, b))
         assert "first divergence [FFS]: day 1" in text
 
@@ -330,12 +330,12 @@ class TestDrift:
 
 class TestDiffHtml:
     def _document(self):
-        a = RunArtifacts("base", _manifest(metrics=_metrics(lost=100)),
-                         events=_day_events(scores=(1.0, 0.9, 0.8)))
+        a = RunArtifacts("base", Run(_manifest(metrics=_metrics(lost=100)),
+                                     events=_day_events(scores=(1.0, 0.9, 0.8))))
         b = RunArtifacts("cand",
-                         _manifest(metrics=_metrics(0.9, lost=220),
-                                        policy="realloc"),
-                         events=_day_events(scores=(1.0, 0.8, 0.6)))
+                         Run(_manifest(metrics=_metrics(0.9, lost=220),
+                                       policy="realloc"),
+                             events=_day_events(scores=(1.0, 0.8, 0.6))))
         return diff_runs(a, b)
 
     def test_report_is_self_contained(self):
@@ -355,13 +355,13 @@ class TestDiffHtml:
     def test_untrusted_labels_are_escaped(self):
         side = RunArtifacts(
             '<script>alert("x")</script>',
-            _manifest(metrics=_metrics()),
+            Run(_manifest(metrics=_metrics())),
         )
         html = build_diff_report(diff_runs(side, side))
         assert "<script" not in html
 
     def test_equivalent_runs_render_an_empty_delta_section(self):
-        side = RunArtifacts("x", _manifest(metrics=_metrics()))
+        side = RunArtifacts("x", Run(_manifest(metrics=_metrics())))
         html = build_diff_report(diff_runs(side, side))
         assert "equivalent" in html
 

@@ -298,10 +298,11 @@ class TestBoundedLogEdgeCases:
 
     def test_diff_occupancy_delta_skips_vectorless_days(self):
         from repro.obs.diff import RunArtifacts, diff_runs
+        from repro.obs.runfile import Run
 
         base = RunManifest(command="age")
-        a = RunArtifacts("a", base, events=self._truncated_events())
-        b = RunArtifacts("b", base, events=self._truncated_events())
+        a = RunArtifacts("a", Run(base, events=self._truncated_events()))
+        b = RunArtifacts("b", Run(base, events=self._truncated_events()))
         pair = diff_runs(a, b)["timeline"]["pairs"][0]
         # Three shared days, but the delta matrix only keeps the two
         # that carried vectors on both sides.
@@ -310,11 +311,12 @@ class TestBoundedLogEdgeCases:
 
     def test_diff_timeline_without_any_cg_vectors(self, day_events):
         from repro.obs.diff import RunArtifacts, diff_runs
+        from repro.obs.runfile import Run
         from repro.obs.report_html import build_diff_report
 
         base = RunManifest(command="age")
-        a = RunArtifacts("a", base, events=list(day_events))
-        b = RunArtifacts("b", base, events=list(day_events))
+        a = RunArtifacts("a", Run(base, events=list(day_events)))
+        b = RunArtifacts("b", Run(base, events=list(day_events)))
         document = diff_runs(a, b)
         for pair in document["timeline"]["pairs"]:
             assert pair["occupancy_delta"] is None
@@ -323,15 +325,16 @@ class TestBoundedLogEdgeCases:
 
     def test_diff_report_of_truncated_logs_is_self_contained(self):
         from repro.obs.diff import RunArtifacts, diff_runs
+        from repro.obs.runfile import Run
         from repro.obs.report_html import build_diff_report
 
         base = RunManifest(command="age")
-        a = RunArtifacts("a", base, events=self._truncated_events())
+        a = RunArtifacts("a", Run(base, events=self._truncated_events()))
         b_rows = self._truncated_events()
         for row in b_rows:
             if row.get("type") == "day_sample":
                 row["layout_score"] = 0.5
-        b = RunArtifacts("b", base, events=b_rows)
+        b = RunArtifacts("b", Run(base, events=b_rows))
         html = build_diff_report(diff_runs(a, b))
         for forbidden in ("http://", "https://", "<script", "@import",
                           "url("):

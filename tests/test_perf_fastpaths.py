@@ -1702,7 +1702,6 @@ class RefFileSystem(FileSystem):
         self.inodes[ino] = inode
         self._dir_of_file[ino] = directory.name
         directory.add(ino)
-        self._realloc_mark[ino] = 0
         if size:
             try:
                 self.append(ino, size, when=when)
@@ -1735,7 +1734,6 @@ class RefFileSystem(FileSystem):
         directory.remove(ino)
         del self._dir_of_file[ino]
         del self.inodes[ino]
-        self._realloc_mark.pop(ino, None)
 
     def _grow(self, inode, new_size):
         final_full, tail_frags = self.params.layout_for_size(new_size)
@@ -1745,9 +1743,9 @@ class RefFileSystem(FileSystem):
         self._adjust_tail(inode, final_full, use_tail, tail_frags)
         inode.size = new_size
         self._alloc_full_blocks(inode, final_full)
-        mark = self._realloc_mark.get(inode.ino, 0)
+        mark = inode.flushed
         self.policy.finalize(inode, mark, final_full)
-        self._realloc_mark[inode.ino] = final_full
+        inode.flushed = final_full
         if use_tail and inode.tail is None:
             pref = (inode.blocks[-1] + 1, 0) if inode.blocks else None
             block, offset = self.policy.alloc_tail_frags(inode, tail_frags, pref)
@@ -1794,18 +1792,18 @@ class RefFileSystem(FileSystem):
         lbn = len(inode.blocks)
         while lbn < final_full:
             if inode.needs_indirect_at(lbn, params):
-                mark = self._realloc_mark.get(inode.ino, 0)
+                mark = inode.flushed
                 if mark < lbn:
                     self.policy.window_complete(inode, mark, lbn)
-                    self._realloc_mark[inode.ino] = lbn
+                    inode.flushed = lbn
                 indirect = self.policy.alloc_indirect_block(inode)
                 inode.indirect_blocks.append(indirect)
                 pref = indirect + 1
             elif lbn >= params.ndaddr and lbn % maxbpg == 0:
-                mark = self._realloc_mark.get(inode.ino, 0)
+                mark = inode.flushed
                 if mark < lbn:
                     self.policy.window_complete(inode, mark, lbn)
-                    self._realloc_mark[inode.ino] = lbn
+                    inode.flushed = lbn
                 if params.indirect_switches_cg:
                     inode.alloc_cg = self.sb.next_cg_for_file(inode.alloc_cg)
                 pref = None
@@ -1839,20 +1837,20 @@ class RefFileSystem(FileSystem):
                         inode.blocks.extend(range(pref, pref + got))
                         lbn += got
                         if self._window_boundary(lbn):
-                            mark = self._realloc_mark.get(inode.ino, 0)
+                            mark = inode.flushed
                             if mark < lbn:
                                 self.policy.window_complete(inode, mark, lbn)
-                                self._realloc_mark[inode.ino] = lbn
+                                inode.flushed = lbn
                         continue
             block = self.policy.alloc_data_block(inode, pref)
             inode.alloc_cg = params.cg_of_block(block)
             inode.blocks.append(block)
             lbn += 1
             if self._window_boundary(lbn):
-                mark = self._realloc_mark.get(inode.ino, 0)
+                mark = inode.flushed
                 if mark < lbn:
                     self.policy.window_complete(inode, mark, lbn)
-                    self._realloc_mark[inode.ino] = lbn
+                    inode.flushed = lbn
 
     def _window_boundary(self, lbn):
         params = self.params
@@ -1993,7 +1991,7 @@ def _ffs_state(fs):
             for cg in fs.sb.cgs
         ],
         sorted(fs._dir_of_file.items()),
-        sorted(fs._realloc_mark.items()),
+        sorted((n.ino, n.flushed) for n in fs.files()),
         sorted((d.name, list(d.children)) for d in fs.directories.values()),
         (getattr(policy, "relocation_attempts", None),
          getattr(policy, "relocations", None),

@@ -25,6 +25,7 @@ from repro.experiments.runner import (
     run_one,
 )
 from repro.obs.diff import RunArtifacts, diff_runs, render_diff
+from repro.obs.runfile import Run
 from repro.obs.disktrace import DiskTrace
 from repro.obs.report_html import build_diff_report
 from repro.obs.store import summarize_manifest
@@ -396,8 +397,8 @@ class TestBackendInRegistryAndDiff:
         assert "ssd_throughput_mb_s" not in summary
 
     def test_diff_sides_and_render_carry_backend(self):
-        a = RunArtifacts("base", _manifest(backend="disk", metrics={}))
-        b = RunArtifacts("cand", _manifest(backend="ssd"))
+        a = RunArtifacts("base", Run(_manifest(backend="disk", metrics={})))
+        b = RunArtifacts("cand", Run(_manifest(backend="ssd")))
         document = diff_runs(a, b)
         assert document["a"]["backend"] == "disk"
         assert document["b"]["backend"] == "ssd"
@@ -405,26 +406,26 @@ class TestBackendInRegistryAndDiff:
         assert "backend disk" in text and "backend ssd" in text
 
     def test_diff_summary_surfaces_ssd_block(self):
-        a = RunArtifacts("base", _manifest())
-        b = RunArtifacts("cand", _manifest())
+        a = RunArtifacts("base", Run(_manifest()))
+        b = RunArtifacts("cand", Run(_manifest()))
         document = diff_runs(a, b)
         ssd = document["summary"]["ssd"]
         assert ssd["a"]["write_amplification"] == 1.25
         assert ssd["b"]["flash_erases"] == 17
 
     def test_disk_only_diff_has_no_ssd_block(self):
-        side = RunArtifacts("x", _manifest(backend="disk", metrics={}))
+        side = RunArtifacts("x", Run(_manifest(backend="disk", metrics={})))
         assert "ssd" not in diff_runs(side, side)["summary"]
 
     def test_html_report_renders_the_flash_panel(self):
-        a = RunArtifacts("base", _manifest())
-        b = RunArtifacts("cand", _manifest())
+        a = RunArtifacts("base", Run(_manifest()))
+        b = RunArtifacts("cand", Run(_manifest()))
         html = build_diff_report(diff_runs(a, b))
         assert "write amplification" in html
         assert "<th>backend</th>" in html
 
     def test_html_report_omits_panel_for_disk_runs(self):
-        side = RunArtifacts("x", _manifest(backend="disk", metrics={}))
+        side = RunArtifacts("x", Run(_manifest(backend="disk", metrics={})))
         html = build_diff_report(diff_runs(side, side))
         assert "write amplification" not in html
 
