@@ -14,14 +14,18 @@ approximate workload using exactly the paper's heuristics:
 
 The reconstruction runs a day at a time (:class:`SnapshotDiffer`), so
 the short-lived NFS churn can be folded into each day as it is made.
+It reads only the entries that differ between two snapshots, as
+(old record, new record) pairs: the source model hands those out each
+night, and :func:`diff_snapshots` finds them by scanning two full
+snapshots.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.aging.snapshot import FileRecord, Snapshot
+from repro.aging.snapshot import Change, FileRecord, Snapshot
 from repro.aging.workload import (
     CREATE_CODE,
     DELETE_CODE,
@@ -33,10 +37,9 @@ from repro.rng import SeededStreams
 
 
 class SnapshotDiffer:
-    """The reconstruction, one snapshot at a time.
+    """The reconstruction, one night's changes at a time.
 
-    Holds only the previous snapshot's file map and the reconstructed
-    file id of each live source inode.
+    Holds only the reconstructed file id of each live source inode.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -44,24 +47,32 @@ class SnapshotDiffer:
         self._rng = SeededStreams(seed).get("delete-times")
         self._ids = count()
         self._live_fid: Dict[int, int] = {}  # source ino -> file id
-        self._old: Dict[int, FileRecord] = {}
 
-    def next_day(self, snapshot: Snapshot) -> List[Row]:
-        """Day ``snapshot.day``'s operations: those inferred between the
-        previous snapshot (none before the first, matching the paper's
-        choice of a 9%-full starting point) and ``snapshot``."""
-        old, new, day = self._old, snapshot.files, snapshot.day
+    def next_day(self, day: int, changes: Iterable[Change]) -> List[Row]:
+        """Day ``day``'s operations, inferred from the snapshot entries
+        that changed since the night before (every entry of the first
+        snapshot, matching the paper's choice of a 9%-full starting
+        point).
+
+        ``changes`` lists tonight's entries in tonight's snapshot order,
+        and the deleted ones in last night's; pairs whose inode change
+        time did not move yield nothing.
+        """
         rng, ids, live_fid = self._rng, self._ids, self._live_fid
         rng.seed(f"{self._seed}:delete-times:{day}")
         ops: List[Row] = []
         modified: List[Tuple[FileRecord, FileRecord]] = []
+        deleted: List[FileRecord] = []
         times: List[float] = []
-        # Creates, in one pass with the modified files: timestamped by
-        # the inode change time (clamped into the day in case the
-        # snapshot carried a stale value).
-        for ino, record in new.items():
-            before = old.get(ino)
-            if before is None:
+        # Creates, in one pass with the modified and deleted files:
+        # timestamped by the inode change time (clamped into the day in
+        # case the snapshot carried a stale value).
+        for before, record in changes:
+            if record is None:
+                if before is not None:
+                    deleted.append(before)
+            elif before is None:
+                ino = record.ino
                 fid = live_fid[ino] = next(ids)
                 ops.append((
                     _clamp_into_day(record.ctime, day), fid, CREATE_CODE,
@@ -74,12 +85,12 @@ class SnapshotDiffer:
 
         # Deletes: random times within today's activity span.
         span = _activity_span(times, day)
-        for ino, record in old.items():
-            if ino not in new:
-                ops.append((
-                    rng.uniform(*span), live_fid.pop(ino), DELETE_CODE, 0,
-                    ino, record.directory,
-                ))
+        for record in deleted:
+            ino = record.ino
+            ops.append((
+                rng.uniform(*span), live_fid.pop(ino), DELETE_CODE, 0,
+                ino, record.directory,
+            ))
 
         # Modifies: delete immediately before the rewrite.
         for before, record in modified:
@@ -91,7 +102,6 @@ class SnapshotDiffer:
             ))
             fid = live_fid[ino] = next(ids)
             ops.append((when, fid, CREATE_CODE, record.size, ino, record.directory))
-        self._old = new
         return ops
 
 
@@ -99,12 +109,19 @@ def diff_snapshots(
     snapshots: Sequence[Snapshot], seed: int = 0
 ) -> List[List[WorkloadRow]]:
     """Reconstruct per-day operations from a snapshot series: one list
-    of rows per snapshot (see :class:`SnapshotDiffer`)."""
+    of rows per snapshot (see :class:`SnapshotDiffer`), each from a scan
+    of the snapshot and the one before it."""
     differ = SnapshotDiffer(seed)
-    return [
-        list(map(WorkloadRow._make, differ.next_day(snapshot)))
-        for snapshot in snapshots
-    ]
+    days: List[List[WorkloadRow]] = []
+    old: Dict[int, FileRecord] = {}
+    for snapshot in snapshots:
+        new = snapshot.files
+        changes: List[Change] = [(old.get(ino), rec) for ino, rec in new.items()]
+        changes += [(rec, None) for ino, rec in old.items() if ino not in new]
+        rows = differ.next_day(snapshot.day, changes)
+        days.append(list(map(WorkloadRow._make, rows)))
+        old = new
+    return days
 
 
 def merge_days(days: Sequence[Sequence[Row]]) -> Workload:

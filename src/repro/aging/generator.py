@@ -1,12 +1,14 @@
 """End-to-end aging-workload construction.
 
 ``build_workloads`` runs the whole Section 3 pipeline a day at a time,
-holding only the previous snapshot and one day of rows:
+holding one day of rows and no nightly snapshot:
 
 1. simulate the source file system (:class:`SourceActivityModel`) to get
-   the day's ground-truth operations and that night's snapshot;
-2. reconstruct the day's operations from that snapshot and the previous
-   one alone with the paper's heuristics (:mod:`repro.aging.diff`);
+   the day's ground-truth operations and the entries that night's
+   snapshot changed against the previous one;
+2. reconstruct the day's operations from those changes alone with the
+   paper's heuristics (:mod:`repro.aging.diff`), in work proportional
+   to the changes rather than to the live files;
 3. fold synthetic NFS-trace churn into the reconstructed day
    (:mod:`repro.aging.nfstrace`);
 4. append both days to their workloads' growing columns.
@@ -80,15 +82,15 @@ def build_workloads(config: AgingConfig) -> AgingArtifacts:
         differ = SnapshotDiffer(seed=config.seed + 1)
         folder = ShortLivedFolder(trace, seed=config.seed + 3)
         truth, recon = WorkloadBuilder(), WorkloadBuilder()
-        for day, rows, snapshot in model.run():
+        for day, rows, changes in model.run():
             truth.add(rows, day + 1)
-            recon.add(folder.fold(differ.next_day(snapshot)), day + 1)
+            recon.add(folder.fold(differ.next_day(day, changes)), day + 1)
         ground_truth, reconstructed = truth.finish(), recon.finish()
         ground_truth.validate()
         reconstructed.validate()
     return AgingArtifacts(
         config=config,
         ground_truth=ground_truth,
-        final_snapshot=snapshot,
+        final_snapshot=model.snapshot(config.days - 1),
         reconstructed=reconstructed,
     )

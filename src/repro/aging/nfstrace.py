@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aging.diff import directory_activity
 from repro.aging.workload import CREATE_CODE, DELETE_CODE, Row, WorkloadRow
@@ -34,6 +34,7 @@ from repro.units import KB
 class TraceFile:
     """One short-lived file from a (synthetic) NFS trace day."""
 
+    __slots__ = ("trace_dir", "create_frac", "delete_frac", "size")
     #: Directory identifier within the trace (not a source-FS directory).
     trace_dir: int
     #: Create time as a fraction of the trace day.
@@ -109,6 +110,10 @@ class SyntheticNFSTrace:
         return k
 
 
+#: One trace directory's files and their mean create time.
+TraceGroup = Tuple[float, List[TraceFile]]
+
+
 class ShortLivedFolder:
     """The paper's placement and time-shifting step, one day at a time.
 
@@ -117,7 +122,8 @@ class ShortLivedFolder:
     directories with the most changes that day, and shift each group's
     times so its mean create time lands on the target directory's mean
     activity time.  Short-lived file ids start at ``first_file_id`` so
-    they can never collide with reconstructed ids.
+    they can never collide with reconstructed ids.  A trace day is
+    grouped and ranked the first time it is sampled, and kept.
     """
 
     def __init__(
@@ -129,31 +135,45 @@ class ShortLivedFolder:
         self._trace = trace
         self._rng = SeededStreams(seed).get("trace-sampling")
         self._next_fid = first_file_id
+        self._grouped: List[Optional[List[TraceGroup]]] = [None] * trace.n_days
+
+    def _groups(self, index: int) -> List[TraceGroup]:
+        """Trace day ``index``'s groups, busiest trace directory first."""
+        ordered = self._grouped[index]
+        if ordered is None:
+            groups: Dict[int, List[TraceFile]] = {}
+            for tf in self._trace.days[index]:
+                groups.setdefault(tf.trace_dir, []).append(tf)
+            ordered = self._grouped[index] = [
+                (sum(tf.create_frac for tf in group) / len(group), group)
+                for group in sorted(groups.values(), key=lambda g: -len(g))
+            ]
+        return ordered
 
     def fold(self, day_ops: List[Row]) -> List[Row]:
         """Append one day's short-lived pairs to ``day_ops`` and return it."""
         ranked = directory_activity(day_ops)
         if not ranked:
             return day_ops
-        trace_day = self._trace.days[self._rng.randrange(self._trace.n_days)]
-        groups: Dict[int, List[TraceFile]] = {}
-        for tf in trace_day:
-            groups.setdefault(tf.trace_dir, []).append(tf)
         # Busiest trace directories map onto busiest source dirs.
-        ordered_groups = sorted(groups.values(), key=lambda g: -len(g))
+        groups = self._groups(self._rng.randrange(self._trace.n_days))
         # Anchor to the day the reconstructed ops carry (derived from the
         # data, so partial day lists behave sensibly too), and clamp
         # times into [base_day + 1e-6, base_day + 0.9999].
         base_day = float(int(day_ops[0][0]))
         first, last = base_day + 1e-6, base_day + 0.9999
         next_fid = self._next_fid
-        for rank, group in enumerate(ordered_groups):
+        for rank, (group_mean, group) in enumerate(groups):
             target_dir, _count, peak_time, target_ino = ranked[rank % len(ranked)]
-            group_mean = sum(tf.create_frac for tf in group) / len(group)
             shift = (peak_time - base_day) - group_mean
             for fid, tf in enumerate(group, next_fid):
-                t_create = min(last, max(first, base_day + tf.create_frac + shift))
-                t_delete = min(last, max(first, base_day + tf.delete_frac + shift))
+                # min(last, max(first, t)), without the two calls.
+                t_create = base_day + tf.create_frac + shift
+                t_create = t_create if t_create > first else first
+                t_create = t_create if t_create < last else last
+                t_delete = base_day + tf.delete_frac + shift
+                t_delete = t_delete if t_delete > first else first
+                t_delete = t_delete if t_delete < last else last
                 if t_delete <= t_create:
                     t_delete = min(last, t_create + 1e-4)
                 day_ops += (

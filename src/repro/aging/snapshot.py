@@ -21,6 +21,14 @@ Two artefacts come out of the model:
   :mod:`repro.aging.diff` reconstructs the approximate workload the way
   the paper did.
 
+Only the entries that differ between two snapshots can yield an
+operation, so :meth:`SourceActivityModel.run` hands out each night's
+*changes* — (last night's record, tonight's record) pairs, listed in the
+order the two full snapshots list them — and builds no snapshot;
+:meth:`SourceActivityModel.generate` and
+:meth:`SourceActivityModel.snapshot` make full ones where they are
+asked for.
+
 All randomness is drawn from named substreams of one master seed, so the
 same seed always produces the identical ground truth.
 """
@@ -31,6 +39,8 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import takewhile
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.aging.workload import (
@@ -70,6 +80,11 @@ class Snapshot:
 
     day: int
     files: Dict[int, FileRecord]  # keyed by inode number
+
+
+#: One inode's entry in two consecutive snapshots: (last night's record,
+#: tonight's record), ``None`` where the inode was not live.
+Change = Tuple[Optional[FileRecord], Optional[FileRecord]]
 
 
 @dataclass(frozen=True)
@@ -194,6 +209,10 @@ class SourceActivityModel:
         # first eligible day.
         self._dir_eligible: Dict[str, List[int]] = {d: [] for d in self._dirs}
         self._pending: Dict[int, List[Tuple[str, int]]] = {}
+        # Since last night: the first file id created after it, and the
+        # (file id, record) of each file live then and deleted since.
+        self._night_fid = 0
+        self._gone: List[Tuple[int, FileRecord]] = []
         self._frags_used = 0
         self._frags_used_cg: List[int] = [0] * params.ncg
         self._next_file_id = 0
@@ -203,23 +222,29 @@ class SourceActivityModel:
     # Public entry point
     # ------------------------------------------------------------------
 
-    def run(self) -> Iterator[Tuple[int, List[Row], Snapshot]]:
+    def run(self) -> Iterator[Tuple[int, List[Row], List[Change]]]:
         """Yield each day, its ground-truth rows as drawn (some may fall
         at or after the next midnight, see :meth:`_eligible_on`), and
-        that night's snapshot."""
+        that night's changes (see :meth:`_changes`)."""
         for day in range(self.days):
-            yield day, self._one_day(day), self._snapshot(day)
+            rows = self._one_day(day)
+            yield day, rows, self._changes()
 
     def generate(self) -> Tuple[Workload, List[Snapshot]]:
         """Run the model; returns (ground-truth workload, nightly snapshots)."""
         builder = WorkloadBuilder()
         snapshots: List[Snapshot] = []
-        for day, rows, snapshot in self.run():
-            builder.add(rows, day + 1)
-            snapshots.append(snapshot)
+        for day in range(self.days):
+            builder.add(self._one_day(day), day + 1)
+            snapshots.append(self.snapshot(day))
         workload = builder.finish()
         workload.validate()
         return workload, snapshots
+
+    def snapshot(self, day: int) -> Snapshot:
+        """The live files now, as the snapshot taken the night of ``day``."""
+        files = {rec.ino: rec for rec in self._live.values()}
+        return Snapshot(day=day, files=files)
 
     # ------------------------------------------------------------------
     # Daily dynamics
@@ -227,6 +252,8 @@ class SourceActivityModel:
 
     def _one_day(self, day: int) -> List[Row]:
         rng = self.streams.get("daily")
+        self._night_fid = self._next_file_id
+        self._gone = []
         ops: List[Row] = []
         target_frags = int(self._target_utilization(day) * self._data_frags())
         n_eligible = self._eligible_on(day)
@@ -346,9 +373,27 @@ class SourceActivityModel:
                 insort(self._dir_eligible[directory], fid)
         return self._n_eligible
 
-    def _snapshot(self, day: int) -> Snapshot:
-        files = {rec.ino: rec for rec in self._live.values()}
-        return Snapshot(day=day, files=files)
+    def _changes(self) -> List[Change]:
+        """Tonight's snapshot entries that may differ from last night's.
+
+        A snapshot lists live files in file id order, so the files
+        created today are its tail.  Each one still live pairs with the
+        record its inode had last night, if any (an inode deleted and
+        re-created today is a modify).  Last night's files deleted today
+        whose inode stayed free follow, in file id order.
+        """
+        self._gone.sort(key=itemgetter(0))
+        before = {record.ino: record for _fid, record in self._gone}
+        night = self._night_fid
+        born = list(takewhile(
+            lambda item: item[0] >= night, reversed(self._live.items())
+        ))
+        changes: List[Change] = [
+            (before.pop(record.ino, None), record)
+            for _fid, record in reversed(born)
+        ]
+        changes += [(record, None) for record in before.values()]
+        return changes
 
     def _pick_victim_run(self, rng: rng_module.Random, day: int, length: int) -> List[int]:
         """A run of up to ``length`` consecutively created eligible files
@@ -446,6 +491,8 @@ class SourceActivityModel:
         self, fid: int, when: float, keep_ino: Optional[int] = None
     ) -> Row:
         record = self._live.pop(fid)
+        if fid < self._night_fid:
+            self._gone.append((fid, record))
         eligible_from = int(record.ctime) + 1
         if eligible_from <= self._day:
             self._n_eligible -= 1

@@ -5,6 +5,9 @@ files under the given paths, parse each, run the selected module rules,
 build the whole-program call graph and run the project rules
 (R101–R104), then drop what an inline pragma waives (a deliberate,
 commented waiver at the site).  What survives is the lint failure.
+It is two steps, :func:`parse_tree` and :func:`lint_tree`, so a caller
+that lints one tree with several rule sets parses it and builds its
+call graph once.
 
 Files that do not parse produce a non-suppressible ``E000`` finding:
 an unreadable file can hide anything, so no pragma may wave it
@@ -21,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Type
 
 from repro import schemas
 from repro.lint.findings import PARSE_ERROR, Finding
-from repro.lint.graph import build_graph
+from repro.lint.graph import CallGraph, build_graph
 from repro.lint.pragmas import PragmaMap, parse_pragmas
 from repro.lint.project import ProjectContext, ProjectRule
 from repro.lint.registry import ModuleContext, Rule, all_rules, build_context
@@ -96,44 +99,48 @@ def _rel_path(path: Path, root: Optional[Path]) -> str:
         return path.as_posix()
 
 
-def lint_paths(
-    paths: Sequence[Path],
-    rules: Optional[Iterable[Type[Rule]]] = None,
-    root: Optional[Path] = None,
-    export_graph: bool = False,
-) -> LintResult:
-    """Lint every ``*.py`` file under ``paths`` with ``rules``.
+@dataclass
+class ParsedTree:
+    """The ``*.py`` files under some paths, parsed: what every rule
+    reads, independent of which rules run."""
 
-    ``rules`` defaults to the full registry.  ``root`` anchors the
-    repo-relative paths in findings (defaults to the current
-    directory).  ``export_graph`` forces the call graph to be built
-    and attached to the result even when no project rule is selected.
-    """
-    rule_classes = list(rules) if rules is not None else all_rules()
-    module_rules = [
-        cls() for cls in rule_classes if not issubclass(cls, ProjectRule)
-    ]
-    project_rules = [
-        cls() for cls in rule_classes if issubclass(cls, ProjectRule)
-    ]
+    #: every module that parsed, in collection (path-sorted) order
+    modules: List[ModuleContext] = field(default_factory=list)
+    #: per-file pragma maps, keyed by repo-relative path
+    pragmas: Dict[str, PragmaMap] = field(default_factory=dict)
+    #: one non-suppressible ``E000`` finding per file that could not
+    #: be read or parsed
+    errors: List[Finding] = field(default_factory=list)
+    files_checked: int = 0
+    _graph: Optional[CallGraph] = None
 
-    result = LintResult()
-    raw: List[Finding] = []
-    modules: List[ModuleContext] = []
-    pragmas_by_rel: Dict[str, PragmaMap] = {}
+    @property
+    def graph(self) -> CallGraph:
+        """The whole-program call graph, built on first use."""
+        if self._graph is None:
+            self._graph = build_graph(self.modules)
+        return self._graph
 
+
+def parse_tree(paths: Sequence[Path], root: Optional[Path] = None) -> ParsedTree:
+    """Collect and parse every ``*.py`` file under ``paths``; ``root``
+    anchors the repo-relative paths (defaults to the current
+    directory)."""
+    tree = ParsedTree()
     for path in collect_files(paths):
         rel = _rel_path(path, root)
         try:
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raw.append(Finding(rel, 1, 1, PARSE_ERROR, f"cannot read file: {exc}"))
+            tree.errors.append(
+                Finding(rel, 1, 1, PARSE_ERROR, f"cannot read file: {exc}")
+            )
             continue
-        result.files_checked += 1
+        tree.files_checked += 1
         try:
             module = build_context(path, rel, source)
         except SyntaxError as exc:
-            raw.append(
+            tree.errors.append(
                 Finding(
                     rel,
                     exc.lineno or 1,
@@ -143,10 +150,35 @@ def lint_paths(
                 )
             )
             continue
+        tree.modules.append(module)
+        tree.pragmas[rel] = parse_pragmas(source)
+    return tree
 
-        modules.append(module)
-        pragmas = parse_pragmas(source)
-        pragmas_by_rel[rel] = pragmas
+
+def lint_tree(
+    tree: ParsedTree,
+    rules: Optional[Iterable[Type[Rule]]] = None,
+    export_graph: bool = False,
+) -> LintResult:
+    """Run ``rules`` (default: the full registry) over a parsed tree.
+
+    ``export_graph`` attaches the call graph to the result even when no
+    project rule is selected.
+    """
+    rule_classes = list(rules) if rules is not None else all_rules()
+    module_rules = [
+        cls() for cls in rule_classes if not issubclass(cls, ProjectRule)
+    ]
+    project_rules = [
+        cls() for cls in rule_classes if issubclass(cls, ProjectRule)
+    ]
+
+    result = LintResult(files_checked=tree.files_checked)
+    raw: List[Finding] = list(tree.errors)
+    pragmas_by_rel = tree.pragmas
+
+    for module in tree.modules:
+        pragmas = pragmas_by_rel[module.rel_path]
         for rule in module_rules:
             for finding in rule.check(module):
                 if pragmas.suppresses(finding):
@@ -154,12 +186,12 @@ def lint_paths(
                 else:
                     raw.append(finding)
 
-    if (project_rules or export_graph) and modules:
-        graph = build_graph(modules)
+    if (project_rules or export_graph) and tree.modules:
+        graph = tree.graph
         if export_graph:
             result.graph_document = graph.to_document()
         project = ProjectContext(
-            modules=modules, graph=graph, pragmas=pragmas_by_rel
+            modules=tree.modules, graph=graph, pragmas=pragmas_by_rel
         )
         for rule in project_rules:
             for finding in rule.check_project(project):
@@ -171,3 +203,15 @@ def lint_paths(
 
     result.findings = sorted(raw, key=lambda f: f.sort_key)
     return result
+
+
+def lint_paths(
+    paths: Sequence[Path],
+    rules: Optional[Iterable[Type[Rule]]] = None,
+    root: Optional[Path] = None,
+    export_graph: bool = False,
+) -> LintResult:
+    """Lint every ``*.py`` file under ``paths`` with ``rules``: the
+    whole analyzer as one call (see :func:`parse_tree` and
+    :func:`lint_tree`)."""
+    return lint_tree(parse_tree(paths, root), rules, export_graph)

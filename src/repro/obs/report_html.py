@@ -1253,12 +1253,8 @@ def build_diff_report(document: Dict[str, Any]) -> str:
 
 
 def build_report(
-    manifest: RunManifest,
-    events: Optional[Sequence[Dict[str, object]]] = None,
-    spans: Optional[Sequence[Dict[str, object]]] = None,
-    compare_manifest: Optional[RunManifest] = None,
-    compare_events: Optional[Sequence[Dict[str, object]]] = None,
-    disk_trace: Optional[Sequence[Dict[str, object]]] = None,
+    run: Run,
+    compare: Optional[Run] = None,
     runs: Optional[List[Run]] = None,
 ) -> str:
     """Render one run (optionally versus a second) as a single HTML page.
@@ -1266,17 +1262,19 @@ def build_report(
     Every input arrives through the run-file loader
     (:mod:`repro.obs.runfile`) or the run store, so the sections trust
     its shape."""
-    events, events_dropped = obs_events.split_truncation(events or [])
-    spans, _ = obs_events.split_truncation(spans or [])
-    compare_events, _ = obs_events.split_truncation(compare_events or [])
+    manifest = run.manifest
+    events, events_dropped = obs_events.split_truncation(run.events or [])
+    spans, _ = obs_events.split_truncation(run.spans)
+    compare_rows = compare.events if compare is not None else None
+    compare_events, _ = obs_events.split_truncation(compare_rows or [])
     sections = [
-        _header_section(manifest, compare=compare_manifest is not None),
+        _header_section(manifest, compare=compare is not None),
     ]
-    if compare_manifest is not None:
-        sections.append(_compare_section(manifest, compare_manifest))
+    if compare is not None:
+        sections.append(_compare_section(manifest, compare.manifest))
     sections.append(_timeline_section(events, compare_events))
     sections.append(_heatmap_section(events))
-    sections.append(_disktrace_section(list(disk_trace or [])))
+    sections.append(_disktrace_section(list(run.disk or [])))
     sections.append(_histograms_section(manifest))
     sections.append(_timings_section(manifest))
     sections.append(_span_tree_section(spans))
@@ -1298,14 +1296,8 @@ def report_from_files(
     from repro.obs.runfile import load_run
     from repro.obs.store import RunStore
 
-    run = load_run(run_path)
-    compare = load_run(compare_path) if compare_path else None
     return build_report(
-        run.manifest,
-        events=run.events,
-        spans=run.spans,
-        compare_manifest=compare.manifest if compare else None,
-        compare_events=compare.events if compare else None,
-        disk_trace=run.disk,
+        load_run(run_path),
+        load_run(compare_path) if compare_path else None,
         runs=[] if runs_dir is None else RunStore(runs_dir).runs(warn=True),
     )

@@ -10,9 +10,9 @@ rule in isolation.
 import textwrap
 from pathlib import Path
 
-from repro.lint.engine import lint_paths
-from repro.lint.graph import build_graph
-from repro.lint.registry import build_context
+import pytest
+
+from repro.lint.engine import lint_paths, lint_tree, parse_tree
 from repro.lint.rules.graph_determinism import (
     PROTECTED_ROOTS,
     TransitiveDeterminismRule,
@@ -31,6 +31,12 @@ def run(tmp_path, files, rules):
     for rel, source in files.items():
         write(tmp_path, rel, textwrap.dedent(source))
     return lint_paths([tmp_path], rules=rules, root=tmp_path)
+
+
+@pytest.fixture(scope="session")
+def shipped_tree():
+    """``src/`` parsed and graphed once for every shipped-tree test."""
+    return parse_tree([REPO_ROOT / "src"], REPO_ROOT)
 
 
 class TestR101TransitiveDeterminism:
@@ -144,18 +150,8 @@ class TestR101TransitiveDeterminism:
 class TestR101ShippedTree:
     """The acceptance pin: the real tree's protected paths are clean."""
 
-    def _graph(self):
-        from repro.lint.engine import _rel_path, collect_files
-
-        modules = []
-        for path in collect_files([REPO_ROOT / "src"]):
-            rel = _rel_path(path, REPO_ROOT)
-            modules.append(build_context(path, rel, path.read_text()))
-        return build_graph(modules)
-
-    def test_protected_roots_are_populated(self):
-        graph = self._graph()
-        parents, order = protected_reachable(graph)
+    def test_protected_roots_are_populated(self, shipped_tree):
+        parents, order = protected_reachable(shipped_tree.graph)
         for expected in (
             "repro.cache.keys.make_key",
             "repro.aging.replay.age_file_system",
@@ -166,9 +162,8 @@ class TestR101ShippedTree:
         # reachable from replay without any direct import link.
         assert "repro.ffs.superblock.Superblock.hashalloc" in parents
 
-    def test_traces_lead_back_to_a_root(self):
-        graph = self._graph()
-        parents, order = protected_reachable(graph)
+    def test_traces_lead_back_to_a_root(self, shipped_tree):
+        parents, order = protected_reachable(shipped_tree.graph)
         for qualname in order:
             chain = trace_to_root(parents, qualname)
             assert chain[-1] == qualname
@@ -177,15 +172,11 @@ class TestR101ShippedTree:
                 root.startswith(p + ".") for p in PROTECTED_ROOTS
             ), f"{qualname} traces to non-root {root}"
 
-    def test_every_reachable_function_is_proven_clean(self):
+    def test_every_reachable_function_is_proven_clean(self, shipped_tree):
         """Every function reachable from cache-key construction, aging
         replay, and fault-plan sampling is free of clock/random/env/
         set-order nondeterminism — or carries a reviewed pragma."""
-        result = lint_paths(
-            [REPO_ROOT / "src"],
-            rules=[TransitiveDeterminismRule],
-            root=REPO_ROOT,
-        )
+        result = lint_tree(shipped_tree, rules=[TransitiveDeterminismRule])
         assert result.findings == [], [f.format() for f in result.findings]
         # The pragma waivers are the three reviewed dynamic sites.
         assert result.pragma_suppressed == 3
@@ -249,10 +240,8 @@ class TestR102SchemaRegistry:
         }, rules=[SchemaRegistryRule])
         assert result.findings == []
 
-    def test_shipped_tree_is_registry_clean(self):
-        result = lint_paths(
-            [REPO_ROOT / "src"], rules=[SchemaRegistryRule], root=REPO_ROOT
-        )
+    def test_shipped_tree_is_registry_clean(self, shipped_tree):
+        result = lint_tree(shipped_tree, rules=[SchemaRegistryRule])
         assert result.findings == [], [f.format() for f in result.findings]
 
 
@@ -318,10 +307,8 @@ class TestR103UnitFlow:
         assert len(result.findings) == 1
         assert "keyword argument 'len_frags'" in result.findings[0].message
 
-    def test_shipped_tree_is_unit_clean(self):
-        result = lint_paths(
-            [REPO_ROOT / "src"], rules=[UnitFlowRule], root=REPO_ROOT
-        )
+    def test_shipped_tree_is_unit_clean(self, shipped_tree):
+        result = lint_tree(shipped_tree, rules=[UnitFlowRule])
         assert result.findings == [], [f.format() for f in result.findings]
 
 

@@ -64,7 +64,7 @@ def spans():
 
 class TestBuildReport:
     def test_contains_every_section(self, manifest, day_events, spans):
-        html = build_report(manifest, events=day_events, spans=spans)
+        html = build_report(Run(manifest, events=day_events, spans=spans))
         for needle in (
             "<svg", "Layout score", "Utilization", "Distributions",
             "disk.io_ms", "Span tree", "experiment.fig1",
@@ -73,7 +73,7 @@ class TestBuildReport:
             assert needle in html, f"missing section marker {needle!r}"
 
     def test_is_self_contained(self, manifest, day_events, spans):
-        html = build_report(manifest, events=day_events, spans=spans)
+        html = build_report(Run(manifest, events=day_events, spans=spans))
         assert html.startswith("<!DOCTYPE html>")
         for forbidden in ("http://", "https://", "<script", "@import",
                           "url("):
@@ -82,7 +82,7 @@ class TestBuildReport:
     def test_two_series_get_a_legend_with_both_labels(
         self, manifest, day_events
     ):
-        html = build_report(manifest, events=day_events)
+        html = build_report(Run(manifest, events=day_events))
         assert 'class="legend"' in html
         assert "FFS" in html and "Realloc" in html
         # Series colors come from the fixed categorical order.
@@ -93,9 +93,8 @@ class TestBuildReport:
     ):
         compare_rows = [dict(row) for row in day_events]
         html = build_report(
-            manifest, events=day_events[:10],
-            compare_manifest=manifest,
-            compare_events=compare_rows[:10],
+            Run(manifest, events=day_events[:10]),
+            Run(manifest, events=compare_rows[:10]),
         )
         assert "Compared runs" in html
         assert "(compare)" in html
@@ -108,7 +107,7 @@ class TestBuildReport:
             "seq": 1, "type": "day_sample", "label": "<b>bold</b>",
             "day": 0, "layout_score": 1.0, "utilization": 0.1,
         }]
-        html = build_report(evil, events=rows)
+        html = build_report(Run(evil, events=rows))
         assert "<script" not in html
         assert "<b>bold</b>" not in html
         assert "&lt;b&gt;" in html
@@ -122,18 +121,18 @@ class TestBuildReport:
              "wall_elapsed_s": 0.05, "sim_elapsed": 1.0, "attrs": {}}
             for i in range(2, 52)
         ]
-        html = build_report(manifest, spans=spans)
+        html = build_report(Run(manifest, spans=spans))
         assert "50 × <strong>replay.day</strong>" in html
         # Folded: one summary line, not fifty items.
         assert html.count("replay.day") == 1
 
     def test_empty_manifest_still_renders(self):
-        html = build_report(RunManifest(command="age"))
+        html = build_report(Run(RunManifest(command="age")))
         assert html.startswith("<!DOCTYPE html>")
         assert "run report" in html
 
     def test_empty_event_log_renders_without_curves(self, manifest):
-        html = build_report(manifest, events=[])
+        html = build_report(Run(manifest, events=[]))
         assert html.startswith("<!DOCTYPE html>")
         assert "Layout score" not in html
         assert "Layout heatmaps" not in html
@@ -143,7 +142,7 @@ class TestBuildReport:
             {"seq": 1, "type": "cache_hit", "hint": "tiny"},
             {"seq": 2, "type": "experiment_start", "name": "fig1"},
         ]
-        html = build_report(manifest, events=rows)
+        html = build_report(Run(manifest, events=rows))
         assert "Event log" in html
         assert "Layout score" not in html
 
@@ -154,7 +153,7 @@ class TestBuildReport:
             {"seq": 2, "parent_id": 1, "name": "replay.day",
              "wall_elapsed_s": 0.0, "sim_elapsed": 0.0, "attrs": {}},
         ]
-        html = build_report(manifest, spans=spans)
+        html = build_report(Run(manifest, spans=spans))
         assert "Span tree" in html
         assert "cli.age" in html
 
@@ -164,7 +163,7 @@ class TestBuildReport:
              "wall_elapsed_s": 1.0, "attrs": {}},
             {"seq": 2, "type": "log_truncated", "dropped": 4},
         ]
-        html = build_report(manifest, spans=spans)
+        html = build_report(Run(manifest, spans=spans))
         assert "cli.age" in html
         assert "<strong>?</strong>" not in html
 
@@ -173,7 +172,7 @@ class TestBuildReport:
             {"seq": 1, "type": "cache_hit", "hint": "tiny"},
             {"seq": 9, "type": "log_truncated", "dropped": 42},
         ]
-        html = build_report(manifest, events=rows)
+        html = build_report(Run(manifest, events=rows))
         assert "42 events dropped" in html
         # The marker itself is bookkeeping, not an event row.
         assert "log_truncated" not in html
@@ -202,7 +201,7 @@ class TestNewSections:
         ]
 
     def test_heatmap_section_from_day_samples(self, manifest):
-        html = build_report(manifest, events=self._heat_events())
+        html = build_report(Run(manifest, events=self._heat_events()))
         assert "Layout heatmaps" in html
         assert "occupancy" in html
         assert "fill-opacity" in html
@@ -212,12 +211,12 @@ class TestNewSections:
     ):
         # Older event logs carry no cg_occupancy; the report must not
         # invent an empty panel for them.
-        html = build_report(manifest, events=day_events)
+        html = build_report(Run(manifest, events=day_events))
         assert "Layout score" in html
         assert "Layout heatmaps" not in html
 
     def test_disktrace_section_with_histograms(self, manifest):
-        html = build_report(manifest, disk_trace=self._trace_rows())
+        html = build_report(Run(manifest, disk=self._trace_rows()))
         assert "Disk I/O trace" in html
         assert "Seek distance" in html
         assert "Inter-request" in html
@@ -226,7 +225,7 @@ class TestNewSections:
         rows = self._trace_rows() + [
             {"seq": 5, "type": "log_truncated", "dropped": 5},
         ]
-        html = build_report(manifest, disk_trace=rows)
+        html = build_report(Run(manifest, disk=rows))
         assert "Disk I/O trace" in html
         assert "5" in html and "dropped" in html
 
@@ -243,14 +242,13 @@ class TestNewSections:
             )
             for i in range(3)
         ]
-        html = build_report(manifest, runs=runs)
+        html = build_report(Run(manifest), runs=runs)
         assert "Run history" in html
         assert "recorded run" in html
 
     def test_all_new_sections_stay_self_contained(self, manifest):
         html = build_report(
-            manifest, events=self._heat_events(),
-            disk_trace=self._trace_rows(),
+            Run(manifest, events=self._heat_events(), disk=self._trace_rows()),
             runs=[Run(RunManifest(command="age", started_at=1.0),
                       id="r0", summary={})],
         )
@@ -291,7 +289,7 @@ class TestBoundedLogEdgeCases:
         assert len(series[0].occupancy) == 2
 
     def test_build_report_renders_a_truncated_mixed_log(self, manifest):
-        html = build_report(manifest, events=self._truncated_events())
+        html = build_report(Run(manifest, events=self._truncated_events()))
         assert "Layout score" in html
         assert "Layout heatmaps" in html
         assert "7 events dropped" in html
