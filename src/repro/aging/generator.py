@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.aging.diff import SnapshotDiffer
 from repro.aging.nfstrace import ShortLivedFolder, SyntheticNFSTrace
-from repro.aging.snapshot import ActivityLevels, Snapshot, SourceActivityModel
+from repro.aging.snapshot import ActivityLevels, SourceActivityModel
 from repro.aging.workload import Workload, WorkloadBuilder
 from repro.ffs.params import FSParams
 from repro.gcpause import gc_paused
@@ -53,8 +53,6 @@ class AgingArtifacts:
 
     config: AgingConfig
     ground_truth: Workload
-    #: The source file system after the last day.
-    final_snapshot: Snapshot
     reconstructed: Workload
 
 
@@ -91,6 +89,5 @@ def build_workloads(config: AgingConfig) -> AgingArtifacts:
     return AgingArtifacts(
         config=config,
         ground_truth=ground_truth,
-        final_snapshot=model.snapshot(config.days - 1),
         reconstructed=reconstructed,
     )

@@ -130,9 +130,7 @@ class AgingReplayer:
         src_cg = src_ino // self.fs.params.inodes_per_cg
         return self._dir_for_cg[src_cg % self.fs.params.ncg]
 
-    def replay(
-        self, workload: Workload, sample_days: bool = True
-    ) -> ReplayResult:
+    def replay(self, workload: Workload) -> ReplayResult:
         """Apply every operation; returns the result with daily samples.
 
         The loop iterates the workload's columns in precomputed day
@@ -176,7 +174,7 @@ class AgingReplayer:
                 if faults is not None and day != fault_day:
                     fault_day = day
                     faults.begin_day(day)
-                while sample_days and day > current_day:
+                while day > current_day:
                     self._sample(result, current_day)
                     if tr is not None:
                         tr.end(
@@ -269,7 +267,7 @@ class AgingReplayer:
             # (the machine went down before the end-of-day snapshot).
             result.crashed = True
             result.crash = getattr(exc, "summary", None)
-        if sample_days and not result.crashed:
+        if not result.crashed:
             self._sample(result, current_day)
         if tr is not None and day_span is not None:
             attrs: Dict[str, object] = {

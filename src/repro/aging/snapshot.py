@@ -86,6 +86,9 @@ class Snapshot:
 #: tonight's record), ``None`` where the inode was not live.
 Change = Tuple[Optional[FileRecord], Optional[FileRecord]]
 
+#: Directories per cylinder group in the source file system.
+DIRS_PER_CG = 3
+
 
 @dataclass(frozen=True)
 class ActivityLevels:
@@ -155,7 +158,6 @@ class SourceActivityModel:
         days: int,
         seed: int = 0,
         levels: Optional[ActivityLevels] = None,
-        dirs_per_cg: int = 3,
     ) -> None:
         if days < 1:
             raise SimulationError("need at least one day of activity")
@@ -163,7 +165,6 @@ class SourceActivityModel:
         self.days = days
         self.levels = levels if levels is not None else ActivityLevels()
         self.streams = SeededStreams(seed)
-        self.dirs_per_cg = max(1, dirs_per_cg)
         # Directory universe: each directory belongs to a cylinder group
         # and has a characteristic daily peak-activity time and a
         # popularity weight (Zipf-like: a few hot directories).
@@ -173,7 +174,7 @@ class SourceActivityModel:
         self._dir_weight: Dict[str, float] = {}
         rng = self.streams.get("directories")
         for cg in range(params.ncg):
-            for i in range(self.dirs_per_cg):
+            for i in range(DIRS_PER_CG):
                 name = f"dir{cg:03d}_{i}"
                 self._dirs.append(name)
                 self._dir_cg[name] = cg

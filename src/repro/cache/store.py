@@ -86,8 +86,9 @@ class ArtifactCache:
             "key": key.payload,
             # Manifest metadata only: created_at is excluded from the
             # content-address key, so the wall-clock stamp cannot perturb
-            # cache hits or any simulated state.
-            "created_at": time.time(),  # replint: disable=R001  (manifest metadata, outside the content-address key)
+            # cache hits or any simulated state.  Whole seconds keep the
+            # entry's size independent of the clock's fraction.
+            "created_at": int(time.time()),  # replint: disable=R001  (manifest metadata, outside the content-address key)
             "payload": payload,
         }
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

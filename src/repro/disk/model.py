@@ -33,13 +33,12 @@ clocks it on a fresh model per angle.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.disk.geometry import DiskGeometry
 from repro.disk.request import Extent, byte_requests
 from repro.disk.trackbuffer import TrackBuffer
-from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.units import MB
 
@@ -96,16 +95,6 @@ class DiskModel:
         Platter angle at time zero, as a fraction of a rotation.  The
         benchmark runner varies this across repetitions to obtain the
         small run-to-run variation the paper reports (std dev < 1.5%).
-    read_fault_hook:
-        Optional fault-injection check called with ``(start_byte,
-        nbytes)`` as each read is planned (see
-        :func:`repro.faults.disk.read_fault_hook`).  It raises a typed
-        error on a faulted read; the faulted request leaves the model's
-        clock, head and buffer untouched, and the requests before it in
-        the same call stay served.  It must not read the model's state,
-        which catches up only when the call's clock pass returns.
-        ``None`` (the default) keeps the model byte-identical to a build
-        without fault injection.
     """
 
     def __init__(
@@ -114,13 +103,11 @@ class DiskModel:
         fs_offset_bytes: int = 0,
         bus_rate_bytes_per_ms: float = 10 * MB / 1000.0,
         initial_angle: float = 0.0,
-        read_fault_hook: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.geometry = geometry if geometry is not None else DiskGeometry()
         self.fs_offset = fs_offset_bytes
         self.bus_rate = bus_rate_bytes_per_ms
         self._initial_angle = initial_angle % 1.0
-        self.read_fault_hook = read_fault_hook
         self._trace = obs.disktrace_or_none()
         geo = self.geometry
         # Geometry constants of the pricing loop, unpacked once per call.
@@ -190,9 +177,9 @@ class DiskModel:
         Returns the elapsed milliseconds and advances the clock: the
         :meth:`plan` of ``requests`` against this device, then its
         :meth:`clock` on it.  A zero-byte request anywhere in
-        ``requests`` raises before the first request is served; a request
-        that raises later (an oversized transfer, an injected read fault)
-        leaves the model as the requests before it left it.
+        ``requests`` raises before the first request is served; an
+        oversized request raises later and leaves the model as the
+        requests before it left it.
         """
         return self.clock(self.plan(kind, requests))
 
@@ -223,10 +210,8 @@ class DiskModel:
           read-ahead stream.
 
         A zero-byte request anywhere in ``requests`` raises here.  An
-        oversized request (``ValueError``), or a read the
-        ``read_fault_hook`` refuses with a typed
-        :class:`~repro.errors.SimulationError`, ends the plan: it keeps
-        the requests before it and the error, which :meth:`clock` raises
+        oversized request (``ValueError``) ends the plan: it keeps the
+        requests before it and the error, which :meth:`clock` raises
         once it has served them.
         """
         for _start_byte, nbytes in requests:
@@ -237,7 +222,6 @@ class DiskModel:
          t2t, max_bytes, third, seek_sqrt, seek_avg, seek_linear,
          linear_span) = self._consts
         bus_rate = self.bus_rate
-        hook = self.read_fault_hook if is_read else None
         capacity = self.buffer.capacity
         prefetched = int(overhead * self.buffer.media_rate)
         start = self._head_state()
@@ -253,8 +237,6 @@ class DiskModel:
                         f"request of {nbytes} bytes exceeds hardware maximum "
                         f"{max_bytes}"
                     )
-                if hook is not None:
-                    hook(start_byte, nbytes)
                 if valid and overhead > 0:
                     frontier += prefetched
                     b_end = frontier
@@ -323,7 +305,7 @@ class DiskModel:
                         b_start = b_end - capacity
                 io_bytes += nbytes
                 step((hit_ms, seek, angle, transfer, distance))
-        except (ValueError, SimulationError) as exc:
+        except ValueError as exc:
             error = exc
         return DiskPlan(
             kind, requests, steps, start, (cyl, valid, b_start, b_end, frontier),
@@ -529,10 +511,3 @@ class DiskStats:
     def to_dict(self) -> "dict[str, float]":
         """All counters as a flat, stably ordered plain dict."""
         return {name: self._counters[name].value for name in self.FIELDS}
-
-    def throughput_bytes_per_sec(self) -> float:
-        """Aggregate throughput over busy time (both directions)."""
-        busy_ms = self.busy_ms
-        if busy_ms == 0:
-            return 0.0
-        return (self.bytes_read + self.bytes_written) / (busy_ms / 1000.0)

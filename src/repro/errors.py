@@ -9,7 +9,7 @@ Errors are split into four families:
   :class:`MalformedInputError` — a manifest or image file that is not
   what its reader expects,
 * :class:`FaultInjectionError` — an *injected* failure from
-  :mod:`repro.faults` (crash points, latent sector errors); these model
+  :mod:`repro.faults` (crash points); these model
   hardware misbehaviour, not simulator bugs.
 
 The CLI maps every family onto a stable exit code via
@@ -115,23 +115,6 @@ class FaultInjectionError(SimulationError):
     injection catches these; code that never enables a fault plan never
     sees one.
     """
-
-
-class LatentSectorReadError(FaultInjectionError):
-    """A read touched a sector marked bad by the active fault plan.
-
-    Models a latent sector error: the medium degraded silently and the
-    failure only surfaces when the sector is next read.  Carries the
-    linear byte address of the failed read and the file-system block it
-    maps to (or ``None`` when the read was not block-aligned).
-    """
-
-    def __init__(
-        self, message: str, byte: int, fs_block: "int | None" = None
-    ) -> None:
-        super().__init__(message)
-        self.byte = byte
-        self.fs_block = fs_block
 
 
 def exit_code_for(exc: BaseException) -> int:

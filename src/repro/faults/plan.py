@@ -5,15 +5,15 @@ consults randomness again at decision *sites* — the injector derives its
 own fate stream from the plan's seed, so two runs under equal plans
 inject byte-identical faults no matter how the consuming code
 interleaves other work.  Plans are frozen dataclasses with a canonical
-JSON payload (:meth:`FaultPlan.to_payload`), which is exactly what
-enters the artifact-cache key: a cached no-fault aged image can never be
-served for a faulted run because the key payloads differ.
+JSON payload (:meth:`FaultPlan.to_payload`) that chaos reports carry.
+A plan is no part of any artifact-cache key: faulted replays bypass the
+cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 from repro import rng
 from repro.errors import InvalidRequestError
@@ -66,9 +66,6 @@ class FaultPlan:
     flush_interval_ops:
         Operations between metadata flushes.  Writes older than the last
         flush are durable; only the ops since it are at risk at a crash.
-    bad_blocks:
-        File-system block addresses with latent sector errors: reading
-        any of them raises :class:`~repro.errors.LatentSectorReadError`.
     """
 
     seed: int
@@ -76,7 +73,6 @@ class FaultPlan:
     drop_prob: float = 0.5
     tear_prob: float = 0.25
     flush_interval_ops: int = 16
-    bad_blocks: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0:
@@ -94,7 +90,7 @@ class FaultPlan:
             )
 
     def to_payload(self) -> Dict[str, object]:
-        """Canonical JSON-serializable form (cache keys, chaos reports)."""
+        """Canonical JSON-serializable form (chaos reports)."""
         return {
             "seed": self.seed,
             "crash": (
@@ -108,33 +104,7 @@ class FaultPlan:
             "drop_prob": self.drop_prob,
             "tear_prob": self.tear_prob,
             "flush_interval_ops": self.flush_interval_ops,
-            "bad_blocks": list(self.bad_blocks),
         }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_payload` output."""
-        crash_blob = payload.get("crash")
-        crash = (
-            None
-            if crash_blob is None
-            else CrashSpec(
-                day=int(crash_blob["day"]),  # type: ignore[index,call-overload]
-                after_block_writes=int(
-                    crash_blob["after_block_writes"]  # type: ignore[index,call-overload]
-                ),
-            )
-        )
-        return cls(
-            seed=int(payload["seed"]),  # type: ignore[call-overload]
-            crash=crash,
-            drop_prob=float(payload["drop_prob"]),  # type: ignore[arg-type]
-            tear_prob=float(payload["tear_prob"]),  # type: ignore[arg-type]
-            flush_interval_ops=int(
-                payload["flush_interval_ops"]  # type: ignore[call-overload]
-            ),
-            bad_blocks=tuple(payload["bad_blocks"]),  # type: ignore[arg-type]
-        )
 
     def inert(self) -> "FaultPlan":
         """The damage-free twin of this plan.
@@ -144,14 +114,7 @@ class FaultPlan:
         exactly what a clean shutdown at that instant would leave.  The
         chaos harness uses this as the never-crashed comparator.
         """
-        return FaultPlan(
-            seed=self.seed,
-            crash=self.crash,
-            drop_prob=0.0,
-            tear_prob=0.0,
-            flush_interval_ops=self.flush_interval_ops,
-            bad_blocks=(),
-        )
+        return replace(self, drop_prob=0.0, tear_prob=0.0)
 
 
 def sample_plans(

@@ -49,9 +49,7 @@ class LfsReplayer:
         self.label = label
         self.idle_clean_gap_days = idle_clean_gap_days
 
-    def replay(
-        self, workload: Workload, sample_days: bool = True
-    ) -> ReplayResult:
+    def replay(self, workload: Workload) -> ReplayResult:
         """Apply every operation; returns a ReplayResult-like record.
 
         Iterates the workload's columns, as the FFS replayer does.
@@ -74,7 +72,7 @@ class LfsReplayer:
             if gap is not None and when - last_time >= gap:
                 fs.idle_clean()
             last_time = when
-            while sample_days and int(when) > current_day:
+            while int(when) > current_day:
                 self._sample(result, current_day)
                 current_day += 1
             if code == 0:  # create
@@ -103,8 +101,7 @@ class LfsReplayer:
                 fs.delete_file(ino, when=when)
                 result.deletes += 1
             result.ops_applied += 1
-        if sample_days:
-            self._sample(result, current_day)
+        self._sample(result, current_day)
         return result
 
     def _sample(self, result: ReplayResult, day: int) -> None:

@@ -34,12 +34,12 @@ Compliant randomness::
 Genuinely wall-clock sites (a report date stamp, a manifest
 ``created_at``) are waived at the line::
 
-    "created_at": time.time(),  # replint: disable=R001  (manifest metadata, ...)
+    "created_at": int(time.time()),  # replint: disable=R001  (manifest metadata, ...)
 
 :mod:`repro.faults` is deliberately **not** exempt.  Fault injection is
 the code most tempted to reach for ``random`` ("it's chaos testing,
 who cares") and the code where it would hurt the most: a fault plan is
-cached, replayed, and compared across processes, so its crash points
+replayed and compared across processes, so its crash points
 and fate draws must come from :func:`repro.rng.substream` like every
 other sampled quantity.
 """

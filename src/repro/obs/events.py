@@ -52,7 +52,7 @@ EXPERIMENT_END = "experiment_end"
 #: A parallel worker's event batch was grafted into this log.
 WORKER_MERGE = "worker_merge"
 #: :mod:`repro.faults` injected one fault (``kind`` distinguishes a
-#: ``crash``, ``dropped_write``, ``torn_write``, or ``latent_read_error``).
+#: ``crash``, ``dropped_write``, or ``torn_write``).
 FAULT_INJECTED = "fault_injected"
 #: The key that tags every run-file row with its kind
 #: (:mod:`repro.obs.runfile`); no row field uses it (``kind`` and

@@ -1,4 +1,4 @@
-"""Serialisation of telemetry artifacts: JSON, JSONL, CSV, and tables.
+"""Serialisation of telemetry artifacts: JSON, JSONL, and tables.
 
 One captured run produces one JSONL run file (see
 :mod:`repro.obs.runfile`); the JSON documents (``diff --json``, chaos
@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, TextIO
 __all__ = [
     "write_json",
     "write_jsonl",
-    "metrics_to_csv",
     "render_metrics",
     "bucket_quantile",
     "bucket_quantiles",
@@ -38,44 +37,6 @@ def write_jsonl(fp: TextIO, rows: Iterable[Dict[str, object]]) -> int:
         fp.write("\n")
         count += 1
     return count
-
-
-def _csv_field(value: object) -> str:
-    """One CSV field, quoted per RFC 4180 when the text needs it."""
-    text = str(value)
-    if any(ch in text for ch in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def metrics_to_csv(snapshot: Dict[str, Dict[str, object]]) -> str:
-    """Flatten a registry snapshot to ``name,type,field,value`` CSV.
-
-    Scalars (counters/gauges) produce one row; histograms produce one
-    row per summary field (including the approximate ``p50``/``p90``/
-    ``p99`` from :func:`bucket_quantile`, matching what
-    :func:`render_metrics` prints) and one per non-empty bucket.
-    Fields containing commas, quotes, or newlines are quoted per RFC
-    4180, so any registry name round-trips through a CSV reader.
-    """
-    lines = ["name,type,field,value"]
-    for name, data in snapshot.items():
-        kind = data["type"]
-        cells = [_csv_field(name), _csv_field(kind)]
-        if kind in ("counter", "gauge"):
-            lines.append(",".join(cells + ["value", _csv_field(data["value"])]))
-            continue
-        for field in ("count", "sum", "min", "max", "mean"):
-            lines.append(",".join(cells + [field, _csv_field(data[field])]))
-        for label, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
-            lines.append(
-                ",".join(cells + [label, _csv_field(bucket_quantile(data, q))])
-            )
-        for bound, count in data["buckets"]:  # type: ignore[union-attr]
-            lines.append(
-                ",".join(cells + [_csv_field(f"le_{bound}"), _csv_field(count)])
-            )
-    return "\n".join(lines) + "\n"
 
 
 def render_metrics(snapshot: Dict[str, Dict[str, object]]) -> str:

@@ -56,7 +56,8 @@ INSPECT = "repro.inspect/v1"
 #: Persistent aged-filesystem artifact-cache entries.
 CACHE = "repro.cache/v1"
 #: ``repro-ffs chaos`` crash-grid report.
-CHAOS = "repro.chaos/v1"
+#: v2 dropped each plan's always-empty bad-block list with latent read errors.
+CHAOS = "repro.chaos/v2"
 
 # --- flash storage substrate ---------------------------------------------
 

@@ -1,10 +1,9 @@
 """SSD timing model: the flash twin of :class:`~repro.disk.model.DiskModel`.
 
 Presents the identical ``serve(kind, requests) -> elapsed_ms`` contract
-(plus ``access`` for one request, the extent-level helpers and the
-``read_fault_hook`` seam), so every benchmark, experiment, and chaos
-case that drives a ``DiskModel`` can drive this instead via
-:func:`repro.storage.make_storage`.
+(plus ``access`` for one request and the extent-level helpers), so
+every benchmark, experiment, and chaos case that drives a ``DiskModel``
+can drive this instead via :func:`repro.storage.make_storage`.
 
 The structural differences all fall out of the FTL underneath:
 
@@ -25,7 +24,7 @@ same request can cost more on a device whose free pool is fragmented.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro import obs, schemas
 from repro.disk.model import IOKind
@@ -50,23 +49,15 @@ class SSDModel:
     fs_offset_bytes:
         Byte offset of the file-system partition; file-system block
         addresses are linearised relative to this.
-    read_fault_hook:
-        Optional fault-injection check called with ``(start_byte,
-        nbytes)`` before each read is serviced — the same seam
-        :class:`~repro.disk.model.DiskModel` exposes, so latent-error
-        plans and chaos cases work unchanged on flash.  It runs before
-        any clock or FTL mutation.
     """
 
     def __init__(
         self,
         geometry: "SSDGeometry | None" = None,
         fs_offset_bytes: int = 0,
-        read_fault_hook: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.geometry = geometry if geometry is not None else SSDGeometry()
         self.fs_offset = fs_offset_bytes
-        self.read_fault_hook = read_fault_hook
         self._trace = obs.disktrace_or_none()
         self.reset()
 
@@ -118,9 +109,9 @@ class SSDModel:
         """Price ``(start_byte, nbytes)`` requests back to back.
 
         Returns the elapsed milliseconds.  A zero-byte request anywhere in
-        ``requests`` raises before the first request is served; a request
-        that raises later (oversized, an injected read fault) leaves the
-        device as the requests before it left it.
+        ``requests`` raises before the first request is served; an
+        oversized request raises later and leaves the device as the
+        requests before it left it.
         """
         return self.clock(self.plan(kind, requests))
 
@@ -150,10 +141,6 @@ class SSDModel:
                 f"request of {nbytes} bytes exceeds hardware maximum "
                 f"{geo.max_transfer_bytes}"
             )
-        if kind is IOKind.READ and self.read_fault_hook is not None:
-            # Fault check runs before any clock/FTL mutation so a caught
-            # injected error leaves the model consistent.
-            self.read_fault_hook(start_byte, nbytes)
         start_time = self.now_ms
         ftl = self.ftl
         cache = ftl.map_cache
@@ -376,10 +363,3 @@ class SSDStats:
         document.update(self.to_dict())
         document["write_amplification"] = round(self.write_amplification(), 4)
         return document
-
-    def throughput_bytes_per_sec(self) -> float:
-        """Aggregate throughput over busy time (both directions)."""
-        busy_ms = self.busy_ms
-        if busy_ms == 0:
-            return 0.0
-        return (self.bytes_read + self.bytes_written) / (busy_ms / 1000.0)

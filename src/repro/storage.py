@@ -18,7 +18,7 @@ arguments — so default behaviour is byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, Sequence, Tuple
+from typing import Any, Protocol, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.model import DiskModel, IOKind
@@ -45,8 +45,6 @@ class StorageStats(Protocol):
 
     def to_dict(self) -> "dict[str, float]": ...
 
-    def throughput_bytes_per_sec(self) -> float: ...
-
 
 class StorageGeometry(Protocol):
     """What backend-generic code may ask of a model's ``geometry``."""
@@ -63,18 +61,16 @@ class StorageModel(Protocol):
 
     The timing substrate behind every throughput number: a simulated
     clock (``now_ms``), request-stream pricing (:meth:`serve`, with
-    :meth:`access` for one request), the extent-level helpers, and the
-    ``read_fault_hook`` seam fault injection uses.  ``fs_offset`` and
-    the geometry's transfer limit let callers build request lists once
-    (:func:`~repro.disk.request.byte_requests`) and serve them many
-    times.  ``serve`` is :meth:`plan` then :meth:`clock`: a list served
+    :meth:`access` for one request) and the extent-level helpers.
+    ``fs_offset`` and the geometry's transfer limit let callers build
+    request lists once (:func:`~repro.disk.request.byte_requests`) and
+    serve them many times.  ``serve`` is :meth:`plan` then :meth:`clock`: a list served
     at several initial angles is planned once, on a fresh model, and
     clocked on a fresh model per angle.
     """
 
     now_ms: float
     fs_offset: int
-    read_fault_hook: Optional[Callable[[int, int], None]]
 
     @property
     def geometry(self) -> StorageGeometry: ...  # noqa: E704  (protocol member)

@@ -63,7 +63,7 @@ def tiny_params() -> FSParams:
 
 @pytest.fixture(scope="session")
 def aging_artifacts(tiny_params):
-    """Ground truth + snapshots + reconstruction at test scale."""
+    """Ground truth + reconstruction at test scale."""
     config = AgingConfig(params=tiny_params, days=25, seed=TEST_SEED)
     return build_workloads(config)
 

@@ -254,4 +254,3 @@ def test_nightly_changes_rebuild_the_full_snapshot_rows(preset, seed):
     assert model.snapshot(config.days - 1) == snapshots[-1]
     built = build_workloads(config)
     assert list(built.reconstructed) == list(merge_days(expected))
-    assert built.final_snapshot == snapshots[-1]

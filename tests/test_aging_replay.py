@@ -77,11 +77,6 @@ class TestReplaySemantics:
         result = age_file_system(wl, params=tiny_params)
         assert result.timeline.days() == [0, 1, 2, 3, 4]
 
-    def test_sampling_can_be_disabled(self, tiny_params):
-        wl = Workload([rec(0.1, CREATE, 1, 16 * KB)])
-        fs = FileSystem(tiny_params)
-        result = AgingReplayer(fs).replay(wl, sample_days=False)
-        assert result.timeline.samples == []
 
 
 class TestEndToEnd:
@@ -128,7 +123,7 @@ class TestIncrementalScoring:
 
         fs = FileSystem(tiny_params, policy="realloc")
         replayer = AgingReplayer(fs)
-        replayer.replay(aging_artifacts.reconstructed, sample_days=False)
+        replayer.replay(aging_artifacts.reconstructed)
         assert replayer.current_layout_score() == pytest.approx(
             aggregate_layout_score(fs), abs=1e-12
         )

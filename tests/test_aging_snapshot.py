@@ -223,4 +223,3 @@ def test_build_workloads_golden(preset):
         _workload_digest(built.reconstructed),
         _snapshots_digest(snapshots),
     ) == BUILD_GOLDEN[preset]
-    assert built.final_snapshot == snapshots[-1]

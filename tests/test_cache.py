@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import types
 
 import pytest
 
@@ -56,6 +58,17 @@ class TestRoundTrip:
         # parses to gives back the file's exact text.
         text = store.save_replay(key, aged_ffs).read_text()
         assert text == json.dumps(json.loads(text))
+
+    def test_entry_bytes_do_not_depend_on_the_clock_fraction(
+        self, store, key, aged_ffs, monkeypatch
+    ):
+        saved = []
+        for now in (1_700_000_000.25, 1_700_000_000.875):
+            clock = types.SimpleNamespace(time=lambda: now)
+            monkeypatch.setattr(sys.modules["repro.cache.store"], "time", clock)
+            saved.append(store.save_replay(key, aged_ffs).read_bytes())
+        assert saved[0] == saved[1]
+        assert json.loads(saved[0])["created_at"] == 1_700_000_000
 
     def test_loaded_fs_allocates_identically(self, store, key, aged_ffs):
         import copy

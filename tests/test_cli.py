@@ -301,7 +301,7 @@ class TestChaosCommand:
         out_file = tmp_path / "chaos.json"
         assert main(self.ARGS + ["--json", "--output", str(out_file)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.chaos/v1"
+        assert report["schema"] == "repro.chaos/v2"
         assert report["all_repairs_clean"] is True
         assert report["cases"]
         assert json.loads(out_file.read_text()) == report

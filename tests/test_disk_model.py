@@ -166,18 +166,3 @@ class TestInitialAngle:
         a = DiskModel(initial_angle=0.25)
         b = DiskModel(initial_angle=1.25)
         assert a.angle_at(3.0) == pytest.approx(b.angle_at(3.0))
-
-
-class TestDiskStats:
-    def test_throughput_accounting(self):
-        model = DiskModel()
-        model.access(IOKind.READ, 0, 64 * KB)
-        model.access(IOKind.WRITE, 10 * MB, 64 * KB)
-        stats = model.stats
-        expected = (stats.bytes_read + stats.bytes_written) / (
-            stats.busy_ms / 1000.0
-        )
-        assert stats.throughput_bytes_per_sec() == pytest.approx(expected)
-
-    def test_zero_activity_zero_throughput(self):
-        assert DiskModel().stats.throughput_bytes_per_sec() == 0.0

@@ -1,4 +1,4 @@
-"""Tests for repro.faults: plans, the crash injector, latent read errors.
+"""Tests for repro.faults: plans, the crash injector and chaos reports.
 
 The contract under test is determinism end to end: a fault plan is a
 pure value, two replays under equal plans produce byte-identical damage,
@@ -13,9 +13,8 @@ import pytest
 
 from repro import obs
 from repro.aging.replay import age_file_system
-from repro.disk.model import DiskModel, IOKind
-from repro.errors import InvalidRequestError, LatentSectorReadError
-from repro.faults.disk import read_fault_hook
+from repro.errors import InvalidRequestError
+from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashSpec, FaultPlan, sample_plans
 from repro.ffs.check import check_filesystem
@@ -50,23 +49,11 @@ class TestPlans:
             assert plan.crash is not None
             assert 1 <= plan.crash.day <= 9
 
-    def test_payload_round_trip(self):
-        plan = FaultPlan(
-            seed=11,
-            crash=CrashSpec(day=4, after_block_writes=17),
-            drop_prob=0.3,
-            tear_prob=0.2,
-            flush_interval_ops=8,
-            bad_blocks=(40, 7, 40),
-        )
-        assert FaultPlan.from_payload(plan.to_payload()) == plan
-
     def test_inert_keeps_the_crash_point_but_no_damage(self):
         plan = FIRING_PLAN
         twin = plan.inert()
         assert twin.crash == plan.crash
         assert twin.drop_prob == 0.0 and twin.tear_prob == 0.0
-        assert twin.bad_blocks == ()
 
     def test_fates_must_be_a_probability_split(self):
         with pytest.raises(InvalidRequestError):
@@ -167,48 +154,10 @@ class TestCrashInjection:
         assert set(kinds) <= {"crash", "dropped_write", "torn_write"}
 
 
-BLOCK = 8192
-
-
-class TestLatentReadErrors:
-    def test_no_bad_blocks_means_no_hook(self):
-        assert read_fault_hook(FaultPlan(seed=1), block_size=BLOCK) is None
-
-    def test_read_of_bad_block_raises_typed_error(self):
-        plan = FaultPlan(seed=1, bad_blocks=(12,))
-        disk = DiskModel(read_fault_hook=read_fault_hook(plan, BLOCK))
-        with pytest.raises(LatentSectorReadError) as err:
-            disk.access(IOKind.READ, 12 * BLOCK, BLOCK)
-        assert err.value.fs_block == 12
-
-    def test_overlapping_read_faults_too(self):
-        plan = FaultPlan(seed=1, bad_blocks=(12,))
-        disk = DiskModel(read_fault_hook=read_fault_hook(plan, BLOCK))
-        with pytest.raises(LatentSectorReadError):
-            disk.access(IOKind.READ, 10 * BLOCK, 4 * BLOCK)
-
-    def test_failed_read_leaves_the_model_unmoved(self):
-        """The hook fires before service: clock and head cannot drift."""
-        plan = FaultPlan(seed=1, bad_blocks=(12,))
-        disk = DiskModel(read_fault_hook=read_fault_hook(plan, BLOCK))
-        disk.access(IOKind.READ, 0, BLOCK)
-        before = disk.now_ms
-        with pytest.raises(LatentSectorReadError):
-            disk.access(IOKind.READ, 12 * BLOCK, BLOCK)
-        assert disk.now_ms == before
-
-    def test_clean_blocks_and_writes_never_fault(self):
-        plan = FaultPlan(seed=1, bad_blocks=(12,))
-        disk = DiskModel(read_fault_hook=read_fault_hook(plan, BLOCK))
-        disk.access(IOKind.READ, 13 * BLOCK, BLOCK)
-        disk.access(IOKind.WRITE, 12 * BLOCK, BLOCK)  # writes remap
-
-    def test_latent_error_emits_event(self):
-        plan = FaultPlan(seed=1, bad_blocks=(12,))
-        log = obs.EventLog()
-        with obs.session(events=log):
-            disk = DiskModel(read_fault_hook=read_fault_hook(plan, BLOCK))
-            with pytest.raises(LatentSectorReadError):
-                disk.access(IOKind.READ, 12 * BLOCK, BLOCK)
-        rows = [r for r in log.rows() if r["type"] == "fault_injected"]
-        assert rows and rows[0]["kind"] == "latent_read_error"
+def test_chaos_report_plans_carry_exactly_the_plan_fields():
+    report = run_chaos("tiny", crashes=1, seed=11).to_dict()
+    assert report["cases"]
+    for case in report["cases"]:
+        assert set(case["plan"]) == {
+            "seed", "crash", "drop_prob", "tear_prob", "flush_interval_ops",
+        }

@@ -1,16 +1,9 @@
-"""Export-layer tests: bucket quantiles and CSV edge cases."""
-
-import csv
-import io
+"""Export-layer tests: bucket quantiles and metric rendering."""
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.export import (
-    bucket_quantile,
-    metrics_to_csv,
-    render_metrics,
-)
+from repro.obs.export import bucket_quantile, render_metrics
 
 
 def _histogram_data(values, buckets):
@@ -55,38 +48,9 @@ class TestBucketQuantile:
         text = render_metrics(registry.snapshot())
         assert "~p50" in text and "~p90" in text and "~p99" in text
 
-
-class TestCsvEdgeCases:
-    def test_empty_registry_is_header_only(self):
-        assert metrics_to_csv({}) == "name,type,field,value\n"
-
-    def test_zero_observation_histogram_renders_and_exports(self):
+    def test_zero_observation_histogram_renders(self):
         registry = MetricsRegistry()
         registry.histogram("quiet", buckets=[1, 2])
-        snapshot = registry.snapshot()
-        text = render_metrics(snapshot)
+        text = render_metrics(registry.snapshot())
         assert "quiet" in text
         assert "-" in text  # the quantile columns show the null marker
-        out = metrics_to_csv(snapshot)
-        assert "quiet,histogram,count,0" in out
-
-    def test_histogram_rows_include_quantiles(self):
-        data = _histogram_data(range(100), buckets=[25, 50, 75])
-        out = metrics_to_csv({"h": data})
-        assert "h,histogram,p50,50" in out
-        assert "h,histogram,p90,99" in out
-        assert "h,histogram,p99,99" in out
-        # Quantile rows come before the bucket rows, with the other
-        # summary fields.
-        assert out.index("p99") < out.index("le_")
-
-    def test_awkward_names_round_trip_through_a_csv_reader(self):
-        snapshot = {
-            'alloc,"weird"\nname': {"type": "counter", "value": 3},
-            "plain": {"type": "gauge", "value": 1.5},
-        }
-        out = metrics_to_csv(snapshot)
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["name", "type", "field", "value"]
-        assert rows[1] == ['alloc,"weird"\nname', "counter", "value", "3"]
-        assert rows[2] == ["plain", "gauge", "value", "1.5"]

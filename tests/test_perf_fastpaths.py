@@ -35,7 +35,6 @@ from repro.disk.trackbuffer import TrackBuffer
 from repro.errors import (
     FileNotFoundSimError,
     InvalidRequestError,
-    LatentSectorReadError,
     OutOfSpaceError,
 )
 from repro.experiments import lfs_compare, rotdelay
@@ -438,13 +437,11 @@ class RefDiskModel:
     and ``split_for_transfer`` for extent lists."""
 
     def __init__(self, geometry=None, fs_offset_bytes=0,
-                 bus_rate_bytes_per_ms=10 * MB / 1000.0, initial_angle=0.0,
-                 read_fault_hook=None):
+                 bus_rate_bytes_per_ms=10 * MB / 1000.0, initial_angle=0.0):
         self.geometry = geometry if geometry is not None else DiskGeometry()
         self.fs_offset = fs_offset_bytes
         self.bus_rate = bus_rate_bytes_per_ms
         self._initial_angle = initial_angle % 1.0
-        self.read_fault_hook = read_fault_hook
         self._trace = obs.disktrace_or_none()
         self.reset()
 
@@ -476,8 +473,6 @@ class RefDiskModel:
             raise ValueError("access of zero bytes")
         if nbytes > self.geometry.max_transfer_bytes:
             raise ValueError("request exceeds hardware maximum")
-        if kind is IOKind.READ and self.read_fault_hook is not None:
-            self.read_fault_hook(start_byte, nbytes)
         start_time = self.now_ms
         if self._trace is not None:
             pre_cyl = self.current_cylinder
@@ -606,15 +601,6 @@ def _model_state(model):
     )
 
 
-def _bad_sector_hook(bad_sectors, sector_size):
-    def check(start_byte, nbytes):
-        first = start_byte // sector_size
-        last = (start_byte + nbytes - 1) // sector_size
-        if any(first <= s <= last for s in bad_sectors):
-            raise LatentSectorReadError("bad sector", byte=start_byte)
-    return check
-
-
 def _random_ops(rng, geo, steps):
     """A seeded sequence of ``(method, args)`` calls on a disk model."""
     bs = 4 * KB if geo.cylinders < 100 else 8 * KB
@@ -665,15 +651,14 @@ def _random_ops(rng, geo, steps):
     return ops
 
 
-def _drive(model_cls, geo, angle, ops, hook):
+def _drive(model_cls, geo, angle, ops):
     """Per-step (result or exception type, model state) of ``ops``."""
-    model = model_cls(geo, fs_offset_bytes=3 * KB, initial_angle=angle,
-                      read_fault_hook=hook)
+    model = model_cls(geo, fs_offset_bytes=3 * KB, initial_angle=angle)
     out = []
     for method, args in ops:
         try:
             result = getattr(model, method)(*args)
-        except (ValueError, LatentSectorReadError) as exc:
+        except ValueError as exc:
             result = type(exc)
         out.append((method, result, _model_state(model)))
     return out
@@ -691,13 +676,10 @@ def _assert_steps_equal(fast, ref):
 def test_disk_model_differential(seed, geo):
     rng = random.Random(seed)
     ops = _random_ops(rng, geo, 400)
-    bad = {rng.randrange(geo.capacity_bytes // geo.sector_size)
-           for _ in range(2)}
-    hook = _bad_sector_hook(bad, geo.sector_size)
     for angle in (0.0, 0.37, 0.999):
         _assert_steps_equal(
-            _drive(DiskModel, geo, angle, ops, hook),
-            _drive(RefDiskModel, geo, angle, ops, hook),
+            _drive(DiskModel, geo, angle, ops),
+            _drive(RefDiskModel, geo, angle, ops),
         )
 
 
@@ -706,13 +688,11 @@ def test_disk_model_differential(seed, geo):
 def test_disk_model_differential_with_telemetry(geo):
     rng = random.Random(7)
     ops = _random_ops(rng, geo, 300)
-    hook = _bad_sector_hook({rng.randrange(2048) for _ in range(3)},
-                            geo.sector_size)
     captured = []
     for model_cls in (DiskModel, RefDiskModel):
         trace = DiskTrace()
         with obs.session(disktrace=trace) as (registry, _tracer):
-            steps = _drive(model_cls, geo, 0.25, ops, hook)
+            steps = _drive(model_cls, geo, 0.25, ops)
         captured.append((steps, registry.snapshot(), trace.rows()))
     (fast_steps, fast_snap, fast_rows), (ref_steps, ref_snap, ref_rows) = captured
     _assert_steps_equal(fast_steps, ref_steps)
@@ -736,16 +716,15 @@ def _device_state(model):
     return _ssd_state(model) if isinstance(model, SSDModel) else _model_state(model)
 
 
-def _faultable(backend, geo, hook=None):
-    """A device of ``backend`` sized like ``geo``, with ``hook`` armed."""
+def _device(backend, geo):
+    """A device of ``backend`` sized like ``geo``."""
     if backend == "disk":
-        return DiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3,
-                         read_fault_hook=hook)
+        return DiskModel(geo, fs_offset_bytes=3 * KB, initial_angle=0.3)
     return SSDModel(SSDGeometry.for_bytes(geo.capacity_bytes),
-                    fs_offset_bytes=3 * KB, read_fault_hook=hook)
+                    fs_offset_bytes=3 * KB)
 
 
-def test_read_fault_midway_keeps_state_of_served_requests():
+def test_oversized_request_midway_keeps_state_of_served_requests():
     bs = 8 * KB
     geo = DiskGeometry()
     extents = [Extent(100, 20, 20 * bs), Extent(900, 3, 3 * bs - 100)]
@@ -753,27 +732,25 @@ def test_read_fault_midway_keeps_state_of_served_requests():
         (3 * KB + r.start * bs, r.nbytes)
         for r in split_for_transfer(extents, bs, geo.max_transfer_bytes)
     ]
-    for backend in ("disk", "ssd"):
-        for via in ("transfer_extents", "serve"):
-            for k in range(len(requests)):
-                bad_sector = requests[k][0] // geo.sector_size
-                hook = _bad_sector_hook({bad_sector}, 512)
-                fast = _faultable(backend, geo, hook)
+    for backend, error in (("disk", ValueError), ("ssd", InvalidRequestError)):
+        for kind in (IOKind.READ, IOKind.WRITE):
+            for k in range(len(requests) + 1):
+                fast = _device(backend, geo)
                 fast.access(IOKind.READ, 0, 4 * KB)  # a live read-ahead window
-                with pytest.raises(LatentSectorReadError):
-                    if via == "serve":
-                        fast.serve(IOKind.READ, requests)
-                    else:
-                        fast.transfer_extents(IOKind.READ, extents, bs)
+                oversized = (3 * KB + 500 * bs,
+                             fast.geometry.max_transfer_bytes + 1)
+                with pytest.raises(error):
+                    fast.serve(kind, requests[:k] + [oversized] + requests[k:])
                 if backend == "disk":
                     ref = RefDiskModel(geo, fs_offset_bytes=3 * KB,
                                        initial_angle=0.3)
                 else:
-                    ref = _faultable(backend, geo)
+                    ref = _device(backend, geo)
                 ref.access(IOKind.READ, 0, 4 * KB)
                 for start_byte, nbytes in requests[:k]:
-                    ref.access(IOKind.READ, start_byte, nbytes)
-                assert _device_state(fast) == _device_state(ref), (backend, via, k)
+                    ref.access(kind, start_byte, nbytes)
+                assert _device_state(fast) == _device_state(ref), (
+                    backend, kind, k)
 
 
 def test_invalid_later_split_raises_before_any_request():
@@ -794,7 +771,7 @@ def test_zero_byte_request_anywhere_in_serve_raises_before_any_request(backend):
     error = ValueError if backend == "disk" else InvalidRequestError
     requests = [(8 * KB, 4 * KB), (200 * KB, 8 * KB), (1 * MB, 512)]
     for at in range(len(requests) + 1):
-        model = _faultable(backend, DiskGeometry())
+        model = _device(backend, DiskGeometry())
         model.access(IOKind.READ, 0, 4 * KB)
         before = _device_state(model)
         with pytest.raises(error):
@@ -1376,9 +1353,7 @@ class RefLfsReplayer:
         self.label = label
         self.idle_clean_gap_days = idle_clean_gap_days
 
-    def replay(
-        self, workload: Workload, sample_days: bool = True
-    ) -> ReplayResult:
+    def replay(self, workload: Workload) -> ReplayResult:
         """Apply every operation; returns a ReplayResult-like record.
 
         Iterates the workload's columns, as the FFS replayer does.
@@ -1401,7 +1376,7 @@ class RefLfsReplayer:
             if gap is not None and when - last_time >= gap:
                 fs.idle_clean()
             last_time = when
-            while sample_days and int(when) > current_day:
+            while int(when) > current_day:
                 self._sample(result, current_day)
                 current_day += 1
             if code == 0:  # create
@@ -1430,8 +1405,7 @@ class RefLfsReplayer:
                 fs.delete_file(ino, when=when)
                 result.deletes += 1
             result.ops_applied += 1
-        if sample_days:
-            self._sample(result, current_day)
+        self._sample(result, current_day)
         return result
 
     def _sample(self, result: ReplayResult, day: int) -> None:
@@ -1905,7 +1879,7 @@ class RefAgingReplayer(AgingReplayer):
     every create resolves its directory by name and re-tracks the new
     file through ``_untrack_pairs`` and ``data_block_list``."""
 
-    def replay(self, workload, sample_days=True):
+    def replay(self, workload):
         result = ReplayResult(fs=self.fs, timeline=Timeline(label=self.label))
         self._initial_files = len(self.fs.files())
         current_day = 0
@@ -1914,7 +1888,7 @@ class RefAgingReplayer(AgingReplayer):
         for day, (lo, hi) in enumerate(workload.day_slices):
             if lo == hi:
                 continue
-            while sample_days and day > current_day:
+            while day > current_day:
                 self._sample(result, current_day)
                 current_day += 1
             for i in range(lo, hi):
@@ -1950,8 +1924,7 @@ class RefAgingReplayer(AgingReplayer):
                     self._untrack_pairs(ino)
                     result.deletes += 1
                 result.ops_applied += 1
-        if sample_days:
-            self._sample(result, current_day)
+        self._sample(result, current_day)
         return result
 
     def _track_pairs(self, ino):

@@ -65,7 +65,10 @@ class TestModelProperties:
                 live[r.file_id] += r.size
             elif r.op == DELETE:
                 live.pop(r.file_id)
-        final = artifacts.final_snapshot
+        _, snapshots = SourceActivityModel(
+            config.params, config.days, config.seed, config.levels
+        ).generate()
+        final = snapshots[-1]
         assert final.day == config.days - 1
         assert len(live) == len(final.files)
         assert sum(live.values()) == sum(f.size for f in final.files.values())

@@ -222,20 +222,6 @@ class TestSSDModel:
         assert model.stats.host_pages_written == 1
         assert model.stats.bytes_written == 512
 
-    def test_fault_hook_fires_before_any_mutation(self):
-        class Injected(Exception):
-            pass
-
-        def hook(start_byte, nbytes):
-            raise Injected()
-
-        model = SSDModel(_tiny_geo(), read_fault_hook=hook)
-        with pytest.raises(Injected):
-            model.access(IOKind.READ, 0, 4 * KB)
-        assert model.now_ms == 0.0
-        assert model.stats.reads == 0
-        assert model.ftl.flash_reads == 0
-
     def test_gc_pause_is_charged_to_the_triggering_write(self):
         model = SSDModel(_tiny_geo())
         for i in range(100):
