@@ -27,7 +27,7 @@ from repro.aging.workload import Workload
 from repro.analysis.layout import optimal_pairs
 from repro.analysis.timeline import DailySample, Timeline
 from repro.obs import events as obs_events
-from repro.errors import FaultInjectionError, OutOfSpaceError, SimulationError
+from repro.errors import CrashPointReached, OutOfSpaceError, SimulationError
 from repro.ffs.filesystem import FileSystem
 from repro.ffs.params import FSParams
 
@@ -261,12 +261,12 @@ class AgingReplayer:
                         # ENOSPC-skipped ops never reach here: they are
                         # not buffered and cannot be crash candidates.
                         faults.after_op(fs, op_kind, ino)
-        except FaultInjectionError as exc:
+        except CrashPointReached as exc:
             # The plan's crash point fired: return the partial result.
             # The timeline deliberately gets no sample for the crash day
             # (the machine went down before the end-of-day snapshot).
             result.crashed = True
-            result.crash = getattr(exc, "summary", None)
+            result.crash = exc.summary
         if not result.crashed:
             self._sample(result, current_day)
         if tr is not None and day_span is not None:

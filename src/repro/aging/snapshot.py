@@ -30,18 +30,21 @@ order the two full snapshots list them — and builds no snapshot;
 asked for.
 
 All randomness is drawn from named substreams of one master seed, so the
-same seed always produces the identical ground truth.
+same seed always produces the identical ground truth.  Directory picks
+do ``Random.choices``' own arithmetic (one ``random()`` draw and a
+bisection of cumulative weights fixed at construction) without the
+call's per-pick checks, so they draw exactly what ``choices`` draws.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.aging.workload import (
     APPEND_CODE,
@@ -88,6 +91,19 @@ Change = Tuple[Optional[FileRecord], Optional[FileRecord]]
 
 #: Directories per cylinder group in the source file system.
 DIRS_PER_CG = 3
+
+
+def cumulative_weights(weights: Iterable[float]) -> Tuple[List[float], float]:
+    """Running sums of ``weights`` and their float total, refused as
+    ``Random.choices`` refuses ``cum_weights``: a total that is not
+    positive and finite raises :class:`ValueError`."""
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ValueError(
+            f"total of weights must be positive and finite, not {total}"
+        )
+    return cum, total
 
 
 @dataclass(frozen=True)
@@ -171,7 +187,7 @@ class SourceActivityModel:
         self._dirs: List[str] = []
         self._dir_cg: Dict[str, int] = {}
         self._dir_peak: Dict[str, float] = {}
-        self._dir_weight: Dict[str, float] = {}
+        weights: List[float] = []
         rng = self.streams.get("directories")
         for cg in range(params.ncg):
             for i in range(DIRS_PER_CG):
@@ -186,7 +202,10 @@ class SourceActivityModel:
                 # runs [Smith94] observed on real aged file systems.
                 # Overflow from full groups is redirected at create time
                 # (users move data when a disk area fills).
-                self._dir_weight[name] = 1.0 / (i * params.ncg + cg + 1)
+                weights.append(1.0 / (i * params.ncg + cg + 1))
+        # Fixed from here on, so the checks ``Random.choices`` makes on
+        # every call run once (see :meth:`_pick_directory`).
+        self._dir_cum_weights, self._dir_total = cumulative_weights(weights)
         # Inode free lists per cylinder group (min-heap: FFS reuses the
         # lowest free inode, which recycles inode numbers realistically).
         self._free_inodes: List[List[int]] = []
@@ -217,7 +236,6 @@ class SourceActivityModel:
         self._frags_used = 0
         self._frags_used_cg: List[int] = [0] * params.ncg
         self._next_file_id = 0
-        self._dir_cum_weights: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -580,13 +598,14 @@ class SourceActivityModel:
         return f"dir{coolest:03d}_0"
 
     def _pick_directory(self, rng: rng_module.Random) -> str:
-        if self._dir_cum_weights is None:
-            from itertools import accumulate
-
-            self._dir_cum_weights = list(
-                accumulate(self._dir_weight[d] for d in self._dirs)
-            )
-        return rng.choices(self._dirs, cum_weights=self._dir_cum_weights, k=1)[0]
+        """A popularity-weighted directory: exactly the pick, and the
+        one ``random()`` draw, of ``rng.choices(self._dirs,
+        cum_weights=self._dir_cum_weights, k=1)[0]``."""
+        dirs = self._dirs
+        return dirs[bisect_right(
+            self._dir_cum_weights, rng.random() * self._dir_total,
+            0, len(dirs) - 1,
+        )]
 
     def _longlived_size(self, rng: rng_module.Random) -> int:
         return self._lognormal(

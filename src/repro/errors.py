@@ -9,7 +9,7 @@ Errors are split into four families:
   :class:`MalformedInputError` — a manifest or image file that is not
   what its reader expects,
 * :class:`FaultInjectionError` — an *injected* failure from
-  :mod:`repro.faults` (crash points); these model
+  :mod:`repro.faults` (:class:`CrashPointReached`); these model
   hardware misbehaviour, not simulator bugs.
 
 The CLI maps every family onto a stable exit code via
@@ -18,6 +18,11 @@ bad" from "the simulation failed" without parsing stderr.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.faults.injector import CrashSummary
 
 #: CLI exit codes, shared by every ``repro-ffs`` subcommand:
 #: 0 — success; 1 — the operation ran and failed (corruption found, a
@@ -115,6 +120,21 @@ class FaultInjectionError(SimulationError):
     injection catches these; code that never enables a fault plan never
     sees one.
     """
+
+
+class CrashPointReached(FaultInjectionError):
+    """The plan's crash point fired; the replay must halt.
+
+    Carries the :class:`~repro.faults.injector.CrashSummary` of the
+    damage just applied.  The aging replayer catches this and returns
+    its partial result with ``crashed=True``; nothing else should
+    swallow it.  It lives here, not in :mod:`repro.faults`, so the
+    replayer can name it without importing the fault package.
+    """
+
+    def __init__(self, message: str, summary: "CrashSummary") -> None:
+        super().__init__(message)
+        self.summary = summary
 
 
 def exit_code_for(exc: BaseException) -> int:

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro import rng
-from repro.errors import FaultInjectionError
+from repro.errors import CrashPointReached
 from repro.faults.plan import FaultPlan
 from repro.ffs.filesystem import FileSystem
 from repro.ffs.inode import FragTail, Inode
@@ -66,19 +66,6 @@ class CrashSummary:
             "dropped": self.dropped,
             "torn": self.torn,
         }
-
-
-class CrashPointReached(FaultInjectionError):
-    """The plan's crash point fired; the replay must halt.
-
-    Carries the :class:`CrashSummary` of the damage just applied.  The
-    aging replayer catches this and returns its partial result with
-    ``crashed=True``; nothing else should swallow it.
-    """
-
-    def __init__(self, message: str, summary: CrashSummary) -> None:
-        super().__init__(message)
-        self.summary = summary
 
 
 @dataclass

@@ -14,7 +14,6 @@ these cleaners; here cleaning is on-demand at the low-water mark.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
@@ -71,16 +70,3 @@ def rank_candidates(
         for u in (seg.live / capacity,)
     ], newest
 
-
-def choose_victims(
-    segments: Sequence["SegmentInfo"],
-    capacity: int,
-    policy: str = "cost-benefit",
-    exclude: int = -1,
-    count: int = 1,
-) -> List["SegmentInfo"]:
-    """Pick up to ``count`` victim segments for cleaning, best first
-    (ranked by :func:`rank_candidates`).  Returns fewer than ``count``
-    — maybe none — when there are no candidates."""
-    ranked, _newest = rank_candidates(segments, capacity, policy, exclude)
-    return [seg for _key, _index, seg in heapq.nsmallest(count, ranked)]

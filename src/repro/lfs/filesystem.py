@@ -12,6 +12,11 @@ log, but *cleaning mixes the surviving blocks of many files together*,
 so an aged LFS's read layout degrades in a qualitatively different way
 from FFS's — the trade [Seltzer95] measured and the realloc algorithm
 was BSD's answer to.
+
+Inodes and usage-table entries are slotted records, since the cleaner
+reads four fields of every segment each time it ranks them.  A create
+writes its first blocks through the same step as an append, and a
+delete frees its blocks in one pass.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.lfs.cleaner import Ranked, rank_candidates
 from repro.lfs.params import LFSParams
 
 
-@dataclass
+@dataclass(slots=True)
 class LfsInode:
     """A file in the LFS: logical-block -> log-address map."""
 
@@ -49,7 +54,7 @@ class LfsInode:
         return len(self.blocks)
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentInfo:
     """Usage-table entry for one segment."""
 
@@ -120,7 +125,7 @@ class LogStructuredFS:
         self.inodes[ino] = inode
         if size:
             try:
-                self.append(ino, size, when=when)
+                self._grow(inode, size, when)
             except OutOfSpaceError:
                 del self.inodes[ino]
                 raise
@@ -131,6 +136,12 @@ class LogStructuredFS:
         inode = self._live(ino)
         if nbytes <= 0:
             raise InvalidRequestError(f"append of {nbytes} bytes")
+        self._grow(inode, nbytes, when)
+
+    def _grow(self, inode: LfsInode, nbytes: int, when: float) -> None:
+        """Grow a live ``inode`` by ``nbytes > 0``: the write step of
+        :meth:`append` and of :meth:`create_file`."""
+        ino = inode.ino
         new_size = inode.size + nbytes
         bs = self._block_size
         blocks = inode.blocks
@@ -382,13 +393,28 @@ class LogStructuredFS:
         self.optimal_pairs += delta
 
     def _unlink(self, blocks: List[int]) -> None:
-        """Kill every block of a file and drop its pairs from the counts."""
+        """Kill every block of a file and drop its pairs from the counts.
+
+        :meth:`_kill` inlined: a block with no live owner raises, with
+        the blocks before it killed and their pairs dropped.
+        """
+        owner = self.owner
+        segments = self.segments
+        bps = self._blocks_per_segment
+        dropped = 0
         prev = -2
-        for address in blocks:
-            self._kill(address)
-            if address == prev + 1:
-                self.optimal_pairs -= 1
-            prev = address
+        try:
+            for address in blocks:
+                if owner.pop(address, None) is None:
+                    raise FileNotFoundSimError(
+                        f"block {address} has no live owner"
+                    )
+                segments[address // bps].live -= 1
+                if address == prev + 1:
+                    dropped += 1
+                prev = address
+        finally:
+            self.optimal_pairs -= dropped
         if blocks:
             self.countable_pairs -= len(blocks) - 1
 

@@ -1,16 +1,25 @@
 """Unit tests for the synthetic source-activity model."""
 
 import hashlib
+import math
 from array import array
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aging.generator import build_workloads
-from repro.aging.snapshot import ActivityLevels, SourceActivityModel
+from repro.aging.snapshot import (
+    ActivityLevels,
+    SourceActivityModel,
+    cumulative_weights,
+)
 from repro.aging.workload import APPEND, CREATE, DELETE
 from repro.errors import SimulationError
 from repro.experiments.config import aging_config
 from repro.ffs.params import scaled_params
+from repro.rng import Random
 from repro.units import KB, MB
 
 
@@ -167,6 +176,37 @@ class TestEligibility:
         assert model._eligible_on(1) == 1
         model._delete(old, 1.5)
         assert model._eligible_on(2) == 1
+
+
+class TestDirectoryPick:
+    """A directory pick is ``Random.choices``' own arithmetic: the same
+    pick from the same generator state, leaving the same state."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(1e-9, 1e9), min_size=1, max_size=40),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_what_choices_draws(self, params, seed, weights, picks):
+        model = SourceActivityModel(params, days=1, seed=seed)
+        model._dirs = dirs = [f"d{i}" for i in range(len(weights))]
+        model._dir_cum_weights, model._dir_total = cumulative_weights(weights)
+        cum = list(accumulate(weights))
+        ours, theirs = Random(seed), Random(seed)
+        for _ in range(picks):
+            expected = theirs.choices(dirs, cum_weights=cum, k=1)[0]
+            assert model._pick_directory(ours) == expected
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "weights", [[0.0], [1.0, -1.0], [1.0, math.inf], [math.nan]]
+    )
+    def test_refuses_what_choices_refuses(self, weights):
+        with pytest.raises(ValueError):
+            Random(0).choices(range(len(weights)), cum_weights=weights)
+        with pytest.raises(ValueError):
+            cumulative_weights(weights)
 
 
 def _workload_digest(workload):

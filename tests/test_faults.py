@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.aging.replay import age_file_system
-from repro.errors import InvalidRequestError
+from repro.errors import FaultInjectionError, InvalidRequestError
 from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashSpec, FaultPlan, sample_plans
@@ -132,6 +132,25 @@ class TestCrashInjection:
         assert baseline.ops_applied == crashed.ops_applied
         assert baseline.crash.dropped == 0 and baseline.crash.torn == 0
         check_filesystem(baseline.fs)  # clean halt leaves zero damage
+
+    def test_other_injected_failures_are_not_crashes(
+        self, tiny_params, aging_artifacts
+    ):
+        """Only a crash point halts the replay with a partial result;
+        any other injected failure leaves it."""
+
+        class Failing(FaultInjector):
+            def before_op(self, fs, kind, ino):
+                raise FaultInjectionError("not a crash point")
+
+        inert = FaultPlan(seed=5, crash=None, drop_prob=0.0, tear_prob=0.0)
+        with pytest.raises(FaultInjectionError, match="not a crash point"):
+            age_file_system(
+                aging_artifacts.reconstructed,
+                params=tiny_params,
+                policy="ffs",
+                faults=Failing(inert),
+            )
 
     def test_crash_emits_fault_injected_events(
         self, tiny_params, aging_artifacts

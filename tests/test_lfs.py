@@ -9,8 +9,8 @@ from repro.errors import (
     OutOfSpaceError,
 )
 from repro.lfs.check import check_lfs
-from repro.lfs.cleaner import choose_victims
-from repro.lfs.filesystem import LogStructuredFS, SegmentInfo
+from repro.lfs.cleaner import rank_candidates
+from repro.lfs.filesystem import LfsInode, LogStructuredFS, SegmentInfo
 from repro.lfs.params import LFSParams
 from repro.units import KB, MB
 
@@ -109,6 +109,24 @@ class TestLogWrites:
         assert fs.live_blocks() == live_before - 4
         with pytest.raises(FileNotFoundSimError):
             fs.delete_file(ino)
+
+    def test_delete_stops_at_a_block_with_no_owner(self, fs):
+        """The blocks before it are freed and their pairs dropped; the
+        rest, and the pair count, are left as they were."""
+        ino = fs.create_file(None, 40 * KB)
+        blocks = list(fs.inodes[ino].blocks)
+        del fs.owner[blocks[2]]
+        segment = fs.segments[0]
+        live, optimal, countable = (
+            segment.live, fs.optimal_pairs, fs.countable_pairs
+        )
+        with pytest.raises(FileNotFoundSimError, match="no live owner"):
+            fs.delete_file(ino)
+        assert [b in fs.owner for b in blocks] == [False] * 3 + [True] * 2
+        assert segment.live == live - 2
+        assert (fs.optimal_pairs, fs.countable_pairs) == (
+            optimal - 1, countable
+        )
 
     def test_truncate(self, fs):
         ino = fs.create_file(None, 32 * KB)
@@ -213,6 +231,12 @@ class TestCleaner:
         check_lfs(greedy)
 
 
+class TestRecords:
+    def test_slotted(self):
+        assert not hasattr(LfsInode(ino=1), "__dict__")
+        assert not hasattr(SegmentInfo(index=0), "__dict__")
+
+
 class TestVictimSelection:
     def make_segments(self, lives, capacity=32):
         segments = []
@@ -221,45 +245,53 @@ class TestVictimSelection:
             segments.append(seg)
         return segments
 
+    def best_first(self, segments, policy="cost-benefit", exclude=-1):
+        """The candidates in the order the cleaner takes them while the
+        ranking holds: the smallest rank each time."""
+        ranked, _newest = rank_candidates(
+            segments, 32, policy=policy, exclude=exclude
+        )
+        return [seg for _key, _index, seg in sorted(ranked)]
+
     def test_greedy_picks_emptiest(self):
         segments = self.make_segments([10, 2, 30])
-        (victim,) = choose_victims(segments, 32, policy="greedy")
+        victim = self.best_first(segments, "greedy")[0]
         assert victim.index == 1
 
     def test_excluded_head_not_chosen(self):
         segments = self.make_segments([1, 5])
-        (victim,) = choose_victims(segments, 32, policy="greedy", exclude=0)
+        victim = self.best_first(segments, "greedy", exclude=0)[0]
         assert victim.index == 1
 
     def test_clean_segments_not_candidates(self):
         segments = self.make_segments([5, 6])
         segments[0].clean = True
-        (victim,) = choose_victims(segments, 32, policy="greedy")
+        victim = self.best_first(segments, "greedy")[0]
         assert victim.index == 1
 
     def test_cost_benefit_prefers_old_segments_at_equal_utilization(self):
         segments = self.make_segments([16, 16])
         # index 0 has sequence 1 (older) — higher benefit.
-        (victim,) = choose_victims(segments, 32, policy="cost-benefit")
+        victim = self.best_first(segments, "cost-benefit")[0]
         assert victim.index == 0
 
     def test_fully_live_segment_never_wins_cost_benefit(self):
         segments = self.make_segments([32, 16])
-        (victim,) = choose_victims(segments, 32, policy="cost-benefit")
+        victim = self.best_first(segments, "cost-benefit")[0]
         assert victim.index == 1
 
     def test_ties_break_toward_lower_index(self):
         segments = self.make_segments([4, 2, 2, 9])
-        (victim,) = choose_victims(segments, 32, policy="greedy")
+        victim = self.best_first(segments, "greedy")[0]
         assert victim.index == 1
 
     def test_count_returns_best_first(self):
         segments = self.make_segments([4, 2, 2, 9])
         for policy in ("greedy", "cost-benefit"):
-            ranked = choose_victims(segments, 32, policy=policy, count=4)
-            (best,) = choose_victims(segments, 32, policy=policy)
+            ranked = self.best_first(segments, policy)
+            best = min(rank_candidates(segments, 32, policy=policy)[0])[2]
             assert ranked[0] is best
-        ranked = choose_victims(segments, 32, policy="greedy", count=3)
+        ranked = self.best_first(segments, "greedy")[:3]
         assert [seg.index for seg in ranked] == [1, 2, 0]
 
     def test_empty_segments_do_not_always_rank_first(self):
@@ -272,7 +304,7 @@ class TestVictimSelection:
         ranked = {
             policy: [
                 seg.index
-                for seg in choose_victims(segments, 32, policy=policy, count=3)
+                for seg in self.best_first(segments, policy)[:3]
             ]
             for policy in ("greedy", "cost-benefit")
         }
@@ -281,15 +313,15 @@ class TestVictimSelection:
     def test_empty_candidate_list(self):
         segments = self.make_segments([5])
         segments[0].clean = True
-        assert choose_victims(segments, 32) == []
+        assert rank_candidates(segments, 32) == ([], 0)
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
-            choose_victims([], 32, policy="magic")
+            rank_candidates([], 32, policy="magic")
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
-            choose_victims([], 0)
+            rank_candidates([], 0)
 
 
 class TestLfsAging:
