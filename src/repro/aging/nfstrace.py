@@ -21,13 +21,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.aging.diff import directory_activity
 from repro.aging.workload import CREATE_CODE, DELETE_CODE, Row, WorkloadRow
 from repro import rng as rng_module
 from repro.rng import SeededStreams
 from repro.units import KB
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    Python 3.12's built-in ``sum`` compensates float rounding, so with
+    it the generated workload would depend on the interpreter version.
+    """
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ class SyntheticNFSTrace:
         rng = streams.get("nfs-trace")
         dir_peaks = [0.3 + 0.5 * rng.random() for _ in range(n_trace_dirs)]
         dir_weights = [1.0 / (rank + 1) for rank in range(n_trace_dirs)]
-        total_weight = sum(dir_weights)
+        total_weight = sum_in_order(dir_weights)
         self.days: List[List[TraceFile]] = []
         for _day in range(n_days):
             n = self._poisson(rng, pairs_per_day)
@@ -145,7 +156,10 @@ class ShortLivedFolder:
             for tf in self._trace.days[index]:
                 groups.setdefault(tf.trace_dir, []).append(tf)
             ordered = self._grouped[index] = [
-                (sum(tf.create_frac for tf in group) / len(group), group)
+                (
+                    sum_in_order(tf.create_frac for tf in group) / len(group),
+                    group,
+                )
                 for group in sorted(groups.values(), key=lambda g: -len(g))
             ]
         return ordered

@@ -14,17 +14,25 @@ source file system without knowing any pathnames:
 
 The replayer samples the aggregate layout score (and utilization) at the
 end of every simulated day, producing the curves of Figures 1 and 2.
+
+Section 6 argues that the same workload format can age any file system,
+so the loop itself lives in :class:`Replayer` and serves the LFS too
+(:mod:`repro.lfs.replay`): a file system supplies only its placement
+and, for the LFS, the cleaning it does in idle gaps.  Both file systems
+keep the layout score's two integers (``optimal_pairs`` and
+``countable_pairs``) current themselves, so a day's sample is O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import (
+    TYPE_CHECKING, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro import obs
 from repro.aging.workload import Workload
-from repro.analysis.layout import optimal_pairs
+from repro.analysis.freespace import cg_health
 from repro.analysis.timeline import DailySample, Timeline
 from repro.obs import events as obs_events
 from repro.errors import CrashPointReached, OutOfSpaceError, SimulationError
@@ -33,13 +41,22 @@ from repro.ffs.params import FSParams
 
 if TYPE_CHECKING:  # imported lazily to keep repro.faults optional at runtime
     from repro.faults.injector import CrashSummary, FaultInjector
+    from repro.ffs.directory import Directory
+    from repro.lfs.filesystem import LogStructuredFS
+
+#: The file systems a workload replays against.
+F = TypeVar("F", "FileSystem", "LogStructuredFS")
+
+#: Where creates go: op ``i`` creates its file in
+#: ``table[keys[i] // div % mod]``.
+Placement = Tuple[Sequence["Directory | str"], Sequence[int], int, int]
 
 
 @dataclass
-class ReplayResult:
+class ReplayResult(Generic[F]):
     """Outcome of one aging replay."""
 
-    fs: FileSystem
+    fs: F
     timeline: Timeline
     ops_applied: int = 0
     creates: int = 0
@@ -57,80 +74,45 @@ class ReplayResult:
     crash: Optional["CrashSummary"] = None
 
 
-class AgingReplayer:
-    """Replays a workload against one file system.
+class Replayer(Generic[F]):
+    """The replay loop, for any file system that keeps its pair counts.
 
-    The aggregate layout score is maintained *incrementally*: each
-    create/append/delete updates per-inode (optimal, countable) pair
-    counts, so the end-of-day sample is O(1) instead of a full-system
-    rescan — the difference between minutes and seconds at the paper's
-    scale.  ``tests/test_aging_replay.py`` checks the incremental score
-    against a recomputation.
+    A subclass supplies :meth:`_placement`; one that sets ``idle_gap``
+    (fractional days) gets :meth:`_idle` called before every op that
+    follows a quiet stretch at least that long; one that takes a fault
+    injector forwards :meth:`_before_op` and :meth:`_after_op` to it.
     """
+
+    #: Workload gap that counts as idle time; ``None`` never idles.
+    idle_gap: Optional[float] = None
 
     def __init__(
         self,
-        fs: FileSystem,
-        label: str = "aged",
+        fs: F,
+        label: str,
         faults: "Optional[FaultInjector]" = None,
     ) -> None:
         self.fs = fs
         self.label = label
-        #: Optional fault injector (:mod:`repro.faults`).  Every call
-        #: into it is guarded by an ``is not None`` check so that the
-        #: default path executes exactly the same statements as before
-        #: fault injection existed.
+        #: Optional fault injector (:mod:`repro.faults`).
         self._faults = faults
-        # Event-log handle, captured once; None is the disabled path.
-        self._e = obs.events_or_none()
-        self._dir_for_cg: List[str] = []
-        self._pairs: Dict[int, "tuple[int, int]"] = {}  # ino -> (opt, countable)
-        self._optimal_total = 0
-        self._countable_total = 0
-        #: Inodes whose last growth hit ENOSPC part-way: their flushed
-        #: frontier sits below the block list, so the realloc policy may
-        #: relocate blocks the incremental append delta assumes frozen —
-        #: the next update on such an inode rescans it in full.
-        self._dirty_inos: Set[int] = set()
-        #: Blocks walked by pair accounting, for regression budgets: the
-        #: incremental path keeps this linear in blocks *written* where a
-        #: full per-append rescan would be quadratic in file size.
-        self.pair_scan_blocks = 0
         #: Regular files live when replay() started, so day samples can
         #: report the live-file count without walking the inode table.
         self._initial_files = 0
-        self._frags_per_cg = fs.params.blocks_per_cg * fs.params.frags_per_block
-        self._occupancy_buf: List[float] = []
-        self._seed_directories()
 
-    def _seed_directories(self) -> None:
-        """Create one directory per cylinder group (Section 3.2)."""
-        ncg = self.fs.params.ncg
-        for i in range(ncg):
-            name = f"cg{i:03d}"
-            directory = self.fs.make_directory(name)
-            self._dir_for_cg.append(directory.name)
-        groups = {self.fs.directories[n].cg for n in self._dir_for_cg}
-        if len(groups) != ncg:
-            raise SimulationError(
-                "dirpref failed to spread the seed directories across "
-                f"all {ncg} cylinder groups (got {len(groups)})"
-            )
-        # Index directories by the group they actually landed in.
-        by_cg = {self.fs.directories[n].cg: n for n in self._dir_for_cg}
-        self._dir_for_cg = [by_cg[i] for i in range(ncg)]
+    def _placement(self, workload: Workload) -> Placement:
+        raise NotImplementedError
 
-    def target_directory(self, src_ino: int) -> str:
-        """Seed directory for a file with source inode ``src_ino``.
+    def _idle(self) -> None:
+        raise NotImplementedError
 
-        The source and replay file systems have the same geometry in the
-        paper; if a workload from a different-sized source is replayed,
-        groups are folded modulo the replay group count.
-        """
-        src_cg = src_ino // self.fs.params.inodes_per_cg
-        return self._dir_for_cg[src_cg % self.fs.params.ncg]
+    def _before_op(self, kind: str, ino: Optional[int]) -> None:
+        raise NotImplementedError
 
-    def replay(self, workload: Workload) -> ReplayResult:
+    def _after_op(self, kind: str, ino: int) -> None:
+        raise NotImplementedError
+
+    def replay(self, workload: Workload) -> ReplayResult[F]:
         """Apply every operation; returns the result with daily samples.
 
         The loop iterates the workload's columns in precomputed day
@@ -155,22 +137,24 @@ class AgingReplayer:
         # Hot-loop locals: every attribute below is read once per op.
         fs = self.fs
         faults = self._faults
+        gap = self.idle_gap
         ops = workload.op
         times = workload.time
         file_ids = workload.file_id
         sizes = workload.size
-        src_inos = workload.src_ino
         live = result.live_files
-        inodes = fs.inodes
-        pairs = self._pairs
-        # ``target_directory`` as one index into prebuilt directories.
-        dirs = [fs.directories[name] for name in self._dir_for_cg]
-        ipg = fs.params.inodes_per_cg
-        ncg = fs.params.ncg
+        table, keys, div, mod = self._placement(workload)
+        ino: Optional[int]
         try:
             for day, (lo, hi) in enumerate(workload.day_slices):
                 if lo == hi:
                     continue  # empty day: sampled by a later catch-up
+                # An idle gap before the day's first op is cleaned in
+                # before the days it ends are sampled.
+                if gap is not None and (
+                    times[lo] - (times[lo - 1] if lo else 0.0) >= gap
+                ):
+                    self._idle()
                 if faults is not None and day != fault_day:
                     fault_day = day
                     faults.begin_day(day)
@@ -194,38 +178,21 @@ class AgingReplayer:
                         )
                     current_day += 1
                 for i in range(lo, hi):
+                    if gap is not None and i > lo and (
+                        times[i] - times[i - 1] >= gap
+                    ):
+                        self._idle()
                     code = ops[i]
                     if code == 0:  # create
-                        directory = dirs[src_inos[i] // ipg % ncg]
+                        directory = table[keys[i] // div % mod]
                         if faults is not None:
-                            faults.before_op(fs, "create", None)
+                            self._before_op("create", None)
                         size = sizes[i]
                         try:
                             ino = fs.create_file(directory, size, when=times[i])
                         except OutOfSpaceError:
                             result.skipped_no_space += 1
                             continue
-                        # A fresh file's pair counts, read straight off its
-                        # blocks and tail (``optimal_pairs`` of its
-                        # ``data_block_list``); a new inode has none to drop.
-                        inode = inodes[ino]
-                        blocks = inode.blocks
-                        nb = len(blocks)
-                        optimal = (
-                            list(map(sub, blocks[1:], blocks)).count(1)
-                            if nb > 1
-                            else 0
-                        )
-                        tail = inode.tail
-                        if tail is not None:
-                            if nb and tail[0] == blocks[-1] + 1:
-                                optimal += 1
-                            nb += 1
-                        countable = nb - 1 if nb else 0
-                        self.pair_scan_blocks += nb
-                        pairs[ino] = (optimal, countable)
-                        self._optimal_total += optimal
-                        self._countable_total += countable
                         live[file_ids[i]] = ino
                         result.creates += 1
                         result.bytes_written += size
@@ -235,10 +202,10 @@ class AgingReplayer:
                         if ino is None:
                             continue  # its create was skipped for space
                         if faults is not None:
-                            faults.before_op(fs, "append", ino)
+                            self._before_op("append", ino)
                         size = sizes[i]
                         try:
-                            self._append_tracked(ino, size, times[i])
+                            fs.append(ino, size, when=times[i])
                         except OutOfSpaceError:
                             result.skipped_no_space += 1
                             continue
@@ -249,18 +216,15 @@ class AgingReplayer:
                         if ino is None:
                             continue  # its create was skipped for space
                         if faults is not None:
-                            faults.before_op(fs, "delete", ino)
+                            self._before_op("delete", ino)
                         fs.delete_file(ino, when=times[i])
-                        optimal, countable = pairs.pop(ino, (0, 0))
-                        self._optimal_total -= optimal
-                        self._countable_total -= countable
                         result.deletes += 1
                         op_kind = "delete"
                     result.ops_applied += 1
                     if faults is not None:
                         # ENOSPC-skipped ops never reach here: they are
                         # not buffered and cannot be crash candidates.
-                        faults.after_op(fs, op_kind, ino)
+                        self._after_op(op_kind, ino)
         except CrashPointReached as exc:
             # The plan's crash point fired: return the partial result.
             # The timeline deliberately gets no sample for the crash day
@@ -290,7 +254,7 @@ class AgingReplayer:
             )
         return result
 
-    def _sample(self, result: ReplayResult, day: int) -> None:
+    def _sample(self, result: ReplayResult[F], day: int) -> DailySample:
         # The replayer's own live map tracks every create/delete it
         # applies, so the live-file count is bookkeeping — not a walk
         # over the whole inode table every sampled day.
@@ -302,6 +266,72 @@ class AgingReplayer:
             ops_applied=result.ops_applied,
         )
         result.timeline.add(sample)
+        return sample
+
+    def current_layout_score(self) -> float:
+        """Aggregate layout score from the file system's pair counts."""
+        countable = self.fs.countable_pairs
+        if countable == 0:
+            return 1.0
+        return self.fs.optimal_pairs / countable
+
+
+class AgingReplayer(Replayer[FileSystem]):
+    """Replays a workload against one FFS, steering each create into
+    its source cylinder group's seed directory."""
+
+    def __init__(
+        self,
+        fs: FileSystem,
+        label: str = "aged",
+        faults: "Optional[FaultInjector]" = None,
+    ) -> None:
+        super().__init__(fs, label, faults)
+        # Event-log handle, captured once; None is the disabled path.
+        self._e = obs.events_or_none()
+        self._dir_for_cg = self._seed_directories()
+
+    def _seed_directories(self) -> List[str]:
+        """Create one directory per cylinder group (Section 3.2); returns
+        their names indexed by the group each actually landed in."""
+        ncg = self.fs.params.ncg
+        by_cg: Dict[int, str] = {}
+        for i in range(ncg):
+            directory = self.fs.make_directory(f"cg{i:03d}")
+            by_cg[directory.cg] = directory.name
+        if len(by_cg) != ncg:
+            raise SimulationError(
+                "dirpref failed to spread the seed directories across "
+                f"all {ncg} cylinder groups (got {len(by_cg)})"
+            )
+        return [by_cg[i] for i in range(ncg)]
+
+    def target_directory(self, src_ino: int) -> str:
+        """Seed directory for a file with source inode ``src_ino``.
+
+        The source and replay file systems have the same geometry in the
+        paper; if a workload from a different-sized source is replayed,
+        groups are folded modulo the replay group count.
+        """
+        src_cg = src_ino // self.fs.params.inodes_per_cg
+        return self._dir_for_cg[src_cg % self.fs.params.ncg]
+
+    def _placement(self, workload: Workload) -> Placement:
+        # ``target_directory`` as one index into prebuilt directories.
+        fs = self.fs
+        dirs = [fs.directories[name] for name in self._dir_for_cg]
+        return dirs, workload.src_ino, fs.params.inodes_per_cg, fs.params.ncg
+
+    def _before_op(self, kind: str, ino: Optional[int]) -> None:
+        if self._faults is not None:
+            self._faults.before_op(self.fs, kind, ino)
+
+    def _after_op(self, kind: str, ino: int) -> None:
+        if self._faults is not None:
+            self._faults.after_op(self.fs, kind, ino)
+
+    def _sample(self, result: ReplayResult[FileSystem], day: int) -> DailySample:
+        sample = super()._sample(result, day)
         if self._e is not None:
             # One typed event per simulated day: exactly the timeline's
             # sample (same objects, so the scores match to the bit) plus
@@ -315,125 +345,9 @@ class AgingReplayer:
                 utilization=sample.utilization,
                 live_files=sample.live_files,
                 ops_applied=sample.ops_applied,
-                **self._fs_health(),
+                **cg_health(self.fs),
             )
-
-    def _fs_health(self) -> Dict[str, object]:
-        """Free-space fragmentation + per-CG occupancy for day samples.
-
-        Only computed when the event log is active: it walks every
-        group's free runs, which would be wasted work on the default
-        path.
-        """
-        from repro.analysis.freespace import free_runs_per_cg, free_space_stats
-
-        runs = free_runs_per_cg(self.fs)
-        stats = free_space_stats(self.fs, runs)
-        frags_per_cg = self._frags_per_cg
-        per_cg = [
-            round(1.0 - cg.free_frags / frags_per_cg, 4)
-            for cg in self.fs.sb.cgs
-        ]
-        # Sort into one reusable buffer: the per-day vectors above must
-        # be fresh lists (they are stored in the emitted event), but the
-        # decile scratch space does not escape this method.
-        occupancy = self._occupancy_buf
-        occupancy[:] = per_cg
-        occupancy.sort()
-        n = len(occupancy)
-        deciles = [
-            round(occupancy[min(n - 1, round(i * (n - 1) / 10))], 4)
-            for i in range(11)
-        ]
-        # Per-CG free-space fragmentation: how little of a group's free
-        # space its largest run covers (0 = one contiguous run, →1 =
-        # shattered).  A fully occupied group has nothing to fragment.
-        frag = [round(1.0 - max(r) / sum(r), 4) if r else 0.0 for r in runs]
-        return {
-            "free_runs": stats.n_runs,
-            "largest_free_run": stats.largest_run,
-            "clusterable_fraction": round(stats.clusterable_fraction, 4),
-            "cg_occupancy_deciles": deciles,
-            # Unsorted per-group vectors, in CG order: the columns of
-            # the report's occupancy/fragmentation heatmaps.
-            "cg_occupancy": per_cg,
-            "cg_frag": frag,
-        }
-
-    # ------------------------------------------------------------------
-    # Incremental layout accounting
-    # ------------------------------------------------------------------
-
-    def current_layout_score(self) -> float:
-        """Aggregate layout score from the incremental counters."""
-        if self._countable_total == 0:
-            return 1.0
-        return self._optimal_total / self._countable_total
-
-    def _track_pairs(self, ino: int) -> None:
-        self._untrack_pairs(ino)
-        inode = self.fs.inode(ino)
-        block_list = inode.data_block_list()
-        optimal, countable = optimal_pairs(block_list)
-        self.pair_scan_blocks += len(block_list)
-        self._pairs[ino] = (optimal, countable)
-        self._optimal_total += optimal
-        self._countable_total += countable
-
-    def _untrack_pairs(self, ino: int) -> None:
-        optimal, countable = self._pairs.pop(ino, (0, 0))
-        self._optimal_total -= optimal
-        self._countable_total -= countable
-
-    def _append_tracked(self, ino: int, nbytes: int, when: float) -> None:
-        """Append to ``ino`` and delta-update its pair counts.
-
-        On a clean inode the flushed frontier equals the block-list
-        length, so the realloc policy can only relocate blocks at or
-        beyond the pre-append last full block — every pair below that
-        position is frozen and the delta is computed from the short
-        changed suffix alone, keeping pair accounting linear in blocks
-        *written* instead of quadratic in file growth.  An ENOSPC
-        partial growth leaves the frontier behind the block list (a
-        later window may relocate earlier blocks), so the inode goes in
-        the dirty set and its next update rescans in full.
-        """
-        inode = self.fs.inode(ino)
-        dirty = ino in self._dirty_inos
-        old_blocks = inode.blocks
-        old_nb = len(old_blocks)
-        old_last = old_blocks[-1] if old_nb else -1
-        old_tail = inode.tail
-        try:
-            self.fs.append(ino, nbytes, when=when)
-        except OutOfSpaceError:
-            self._dirty_inos.add(ino)
-            self._track_pairs(ino)  # partial growth still counts
-            raise
-        if dirty:
-            self._dirty_inos.discard(ino)
-            self._track_pairs(ino)
-            return
-        # Old pairs at or beyond the cut position: at most the one pair
-        # between the last full block and the fragment tail.
-        cut = old_nb - 1 if old_nb else 0
-        old_opt = old_cnt = 0
-        if old_nb and old_tail is not None:
-            old_cnt = 1
-            if old_tail[0] == old_last + 1:
-                old_opt = 1
-        suffix = inode.blocks[cut:]
-        if inode.tail is not None:
-            suffix.append(inode.tail[0])
-        new_opt, new_cnt = optimal_pairs(suffix)
-        self.pair_scan_blocks += len(suffix)
-        prev_opt, prev_cnt = self._pairs.get(ino, (0, 0))
-        self._pairs[ino] = (
-            prev_opt - old_opt + new_opt,
-            prev_cnt - old_cnt + new_cnt,
-        )
-        self._optimal_total += new_opt - old_opt
-        self._countable_total += new_cnt - old_cnt
+        return sample
 
 
 def age_file_system(
@@ -442,7 +356,7 @@ def age_file_system(
     policy: str = "ffs",
     label: Optional[str] = None,
     faults: "Optional[FaultInjector]" = None,
-) -> ReplayResult:
+) -> ReplayResult[FileSystem]:
     """Convenience: build a fresh file system and age it with ``workload``."""
     fs = FileSystem(params=params, policy=policy)
     replayer = AgingReplayer(

@@ -80,3 +80,39 @@ def free_space_stats(
 def largest_run_per_cg(fs: FileSystem) -> List[int]:
     """The longest free run in each cylinder group, by group index."""
     return [cg.max_free_run() for cg in fs.sb.cgs]
+
+
+def cg_health(fs: FileSystem) -> Dict[str, object]:
+    """Free-space fragmentation and per-group occupancy: what a replay's
+    ``day_sample`` event adds to the timeline's sample.
+
+    It walks every group's free runs, so the replay computes it only
+    when an event log is active.
+    """
+    params = fs.params
+    runs = free_runs_per_cg(fs)
+    stats = free_space_stats(fs, runs)
+    frags_per_cg = params.blocks_per_cg * params.frags_per_block
+    per_cg = [
+        round(1.0 - cg.free_frags / frags_per_cg, 4) for cg in fs.sb.cgs
+    ]
+    occupancy = sorted(per_cg)
+    n = len(occupancy)
+    deciles = [
+        round(occupancy[min(n - 1, round(i * (n - 1) / 10))], 4)
+        for i in range(11)
+    ]
+    # Per-CG free-space fragmentation: how little of a group's free
+    # space its largest run covers (0 = one contiguous run, →1 =
+    # shattered).  A fully occupied group has nothing to fragment.
+    frag = [round(1.0 - max(r) / sum(r), 4) if r else 0.0 for r in runs]
+    return {
+        "free_runs": stats.n_runs,
+        "largest_free_run": stats.largest_run,
+        "clusterable_fraction": round(stats.clusterable_fraction, 4),
+        "cg_occupancy_deciles": deciles,
+        # Unsorted per-group vectors, in CG order: the columns of
+        # the report's occupancy/fragmentation heatmaps.
+        "cg_occupancy": per_cg,
+        "cg_frag": frag,
+    }

@@ -286,6 +286,9 @@ class FaultInjector:
         )
         self._emit("crash", **summary.to_dict())
         self._buffer.clear()
+        # The rollbacks above rewrite block lists behind the write
+        # pipeline's back.
+        fs.recount_pairs()
         return summary
 
     def _sample_fate(self, op: _BufferedOp) -> str:

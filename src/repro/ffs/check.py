@@ -2,8 +2,9 @@
 
 The simulator keeps several views of the same allocation state (fragment
 bitmap, per-block free counts, per-group free-fragment and free-block
-totals, inode block lists).  ``check_filesystem`` rebuilds the ground
-truth from the live inodes and verifies every view against it, raising
+totals, inode block lists, the layout-score pair counts).
+``check_filesystem`` rebuilds the ground truth from the live inodes and
+verifies every view against it, raising
 :class:`~repro.errors.ConsistencyError` on the first mismatch.
 
 Tests call this after every mutation sequence; it is the simulator's
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.analysis.layout import optimal_pairs
 from repro.errors import ConsistencyError
 from repro.ffs.cg import CylinderGroup
 from repro.ffs.filesystem import FileSystem
@@ -97,6 +99,18 @@ def check_filesystem(fs: FileSystem) -> None:
             raise ConsistencyError(
                 f"file inode {ino} appears in {member_count.get(ino, 0)} directories"
             )
+
+    # The layout-score pair counts must match a recount.
+    optimal = countable = 0
+    for inode in fs.inodes.values():
+        o, c = optimal_pairs(inode.data_block_list())
+        optimal += o
+        countable += c
+    if (fs.optimal_pairs, fs.countable_pairs) != (optimal, countable):
+        raise ConsistencyError(
+            f"pair counts {fs.optimal_pairs}/{fs.countable_pairs} != "
+            f"recount {optimal}/{countable}"
+        )
 
 
 def _compare_group(

@@ -19,11 +19,17 @@ into:
 
 The simulator stores layout only, not contents; sizes and timestamps are
 carried for the aging analysis.
+
+The file system also keeps the aggregate layout score's two integers,
+:attr:`FileSystem.optimal_pairs` and ``countable_pairs``, current on
+every change to a block list, so a replay's daily sample reads them in
+O(1); :func:`repro.ffs.check.check_filesystem` recounts them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from operator import sub
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     FileExistsSimError,
@@ -37,6 +43,25 @@ from repro.ffs.inode import FragTail, Inode
 from repro.ffs.params import FSParams
 from repro.ffs.superblock import Superblock
 from repro.units import bytes_to_frags
+
+
+def layout_pairs(
+    blocks: List[int], tail: Optional[FragTail], start: int = 0
+) -> Tuple[int, int]:
+    """:func:`repro.analysis.layout.optimal_pairs` of the data block
+    list's suffix from ``start`` on (``blocks[start:]``, then the tail's
+    block), without building it."""
+    n = len(blocks) - start
+    if n <= 0:
+        return 0, 0
+    if n > 1:
+        rest = blocks[start:] if start else blocks
+        optimal = list(map(sub, rest[1:], rest)).count(1)
+    else:
+        optimal = 0
+    if tail is None:
+        return optimal, n - 1
+    return optimal + (tail[0] == blocks[-1] + 1), n
 
 
 class FileSystem:
@@ -71,6 +96,10 @@ class FileSystem:
         self.inodes: Dict[int, Inode] = {}
         self.directories: Dict[str, Directory] = {}
         self._dir_of_file: Dict[int, str] = {}
+        #: Aggregate layout-score numerator and denominator over every
+        #: inode's block list (see :func:`layout_pairs`).
+        self.optimal_pairs = 0
+        self.countable_pairs = 0
 
     def __deepcopy__(self, memo: Dict[int, object]) -> "FileSystem":
         """Deep copy via layer-by-layer ``clone()`` calls.
@@ -100,6 +129,8 @@ class FileSystem:
             name: d.clone() for name, d in self.directories.items()
         }
         twin._dir_of_file = dict(self._dir_of_file)
+        twin.optimal_pairs = self.optimal_pairs
+        twin.countable_pairs = self.countable_pairs
         return twin
 
     # ------------------------------------------------------------------
@@ -214,6 +245,9 @@ class FileSystem:
         if inode.is_dir:
             raise InvalidRequestError(f"inode {ino} is a directory")
         self._free_data(inode)
+        optimal, countable = layout_pairs(inode.blocks, inode.tail)
+        self.optimal_pairs -= optimal
+        self.countable_pairs -= countable
         # ``_live`` has proved ``ino`` in range; ``free_inode`` checks it
         # against the group's own range.
         self.sb.cgs[ino // self.params.inodes_per_cg].free_inode(ino)
@@ -225,6 +259,9 @@ class FileSystem:
         """Truncate file ``ino`` to zero length, keeping the inode."""
         inode = self._live(ino)
         self._free_data(inode)
+        optimal, countable = layout_pairs(inode.blocks, inode.tail)
+        self.optimal_pairs -= optimal
+        self.countable_pairs -= countable
         inode.blocks = []
         inode.tail = None
         inode.indirect_blocks = []
@@ -253,39 +290,67 @@ class FileSystem:
         """Data-space utilization, treating the reserve as free space."""
         return self.sb.utilization()
 
+    def recount_pairs(self) -> None:
+        """Set the pair counts from every inode's block list, after an
+        image load, an fsck rebuild or an injected crash's rollbacks."""
+        optimal = countable = 0
+        for inode in self.inodes.values():
+            o, c = layout_pairs(inode.blocks, inode.tail)
+            optimal += o
+            countable += c
+        self.optimal_pairs = optimal
+        self.countable_pairs = countable
+
     # ------------------------------------------------------------------
     # The write pipeline
     # ------------------------------------------------------------------
 
     def _grow(self, inode: Inode, new_size: int) -> None:
-        # The layout is worked out once, here, and handed to every stage
-        # that needs it: the reserve test, tail reshaping, the block loop
-        # and the policy's cluster hooks.
-        final_full, tail_frags = self.params.layout_for_size(new_size)
-        if self.enforce_reserve:
-            self._check_reserve(inode, final_full, tail_frags)
-        tail = inode.tail
-        if tail is not None:
-            self._adjust_tail(inode, tail, final_full, tail_frags)
-        # The size goes on the inode before allocation so the policy can
-        # see how much data the file will hold — the kernel's
-        # cluster_write has the same visibility, since the file's dirty
-        # buffers are all queued before the flush.  The realloc trigger
-        # condition ("second block filled") and the ``ffs-smart``
-        # fallback's remaining-blocks estimate read it.
-        inode.size = new_size
-        if len(inode.blocks) < final_full:
-            mark = self._alloc_full_blocks(inode, final_full, tail_frags)
-        else:  # no new full block: nothing to place, no window to flush
-            mark = inode.flushed
-        policy = self.policy
-        policy.finalize(inode, mark, final_full, tail_frags)
-        inode.flushed = final_full
-        if tail_frags and inode.tail is None:
-            blocks = inode.blocks
-            pref = (blocks[-1] + 1, 0) if blocks else None
-            block, offset = policy.alloc_tail_frags(inode, tail_frags, pref)
-            inode.tail = (block, offset, tail_frags)
+        # Only pairs from the flush frontier on can change: the policy's
+        # hooks never move a block below it.  So the pair counts move by
+        # that suffix's change, linear in blocks written; a growth cut
+        # short by ENOSPC leaves the frontier behind the block list.
+        blocks = inode.blocks
+        start = inode.flushed
+        if start > len(blocks):
+            start = len(blocks)
+        if start:
+            start -= 1
+        old_optimal, old_countable = layout_pairs(blocks, inode.tail, start)
+        try:
+            # The layout is worked out once, here, and handed to every
+            # stage that needs it: the reserve test, tail reshaping, the
+            # block loop and the policy's cluster hooks.
+            final_full, tail_frags = self.params.layout_for_size(new_size)
+            if self.enforce_reserve:
+                self._check_reserve(inode, final_full, tail_frags)
+            tail = inode.tail
+            if tail is not None:
+                self._adjust_tail(inode, tail, final_full, tail_frags)
+            # The size goes on the inode before allocation so the policy
+            # can see how much data the file will hold — the kernel's
+            # cluster_write has the same visibility, since the file's
+            # dirty buffers are all queued before the flush.  The realloc
+            # trigger condition ("second block filled") and the
+            # ``ffs-smart`` fallback's remaining-blocks estimate read it.
+            inode.size = new_size
+            if len(blocks) < final_full:
+                mark = self._alloc_full_blocks(inode, final_full, tail_frags)
+            else:  # no new full block: nothing to place, no window to flush
+                mark = inode.flushed
+            policy = self.policy
+            policy.finalize(inode, mark, final_full, tail_frags)
+            inode.flushed = final_full
+            if tail_frags and inode.tail is None:
+                pref = (blocks[-1] + 1, 0) if blocks else None
+                block, offset = policy.alloc_tail_frags(
+                    inode, tail_frags, pref
+                )
+                inode.tail = (block, offset, tail_frags)
+        finally:
+            optimal, countable = layout_pairs(blocks, inode.tail, start)
+            self.optimal_pairs += optimal - old_optimal
+            self.countable_pairs += countable - old_countable
 
     def _adjust_tail(
         self, inode: Inode, tail: FragTail, final_full: int, tail_frags: int

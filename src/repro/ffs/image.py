@@ -232,6 +232,7 @@ def skeleton_from_document(document: Dict[str, Any]) -> FileSystem:
     problem = _range_problem(fs)
     if problem is not None:
         raise MalformedInputError(f"malformed repro-ffs image: {problem}")
+    fs.recount_pairs()
     fs._dir_of_file.update(
         {int(ino): name for ino, name in document["file_directory"].items()}
     )

@@ -389,8 +389,8 @@ def _repair_directories(fs: FileSystem, report: FsckReport) -> None:
 
 
 def _reconcile_bookkeeping(fs: FileSystem) -> None:
-    """Rebuild ``_dir_of_file`` and each inode's flush frontier from
-    repaired state."""
+    """Rebuild ``_dir_of_file``, each inode's flush frontier and the
+    layout-score pair counts from repaired state."""
     fs._dir_of_file.clear()
     for directory in fs.directories.values():
         for child in directory.list_children():
@@ -398,3 +398,4 @@ def _reconcile_bookkeeping(fs: FileSystem) -> None:
                 fs._dir_of_file[child] = directory.name
     for inode in fs.inodes.values():
         inode.flushed = 0 if inode.is_dir else len(inode.blocks)
+    fs.recount_pairs()

@@ -21,10 +21,12 @@ from repro import obs
 from repro.aging.generator import AgingConfig, build_workloads
 from repro.aging.replay import AgingReplayer, age_file_system
 from repro.aging.workload import APPEND, CREATE, Workload, WorkloadRecord
-from repro.analysis.freespace import free_space_stats
+from repro.analysis.freespace import cg_health, free_space_stats
+from repro.analysis.layout import optimal_pairs
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashSpec, FaultPlan
-from repro.ffs.filesystem import FileSystem
+from repro.ffs import filesystem
+from repro.ffs.filesystem import FileSystem, layout_pairs
 from repro.ffs.image import filesystem_to_document
 from repro.ffs.params import scaled_params
 from repro.obs import events as obs_events
@@ -177,11 +179,18 @@ class TestPickledWorkload:
 
 
 class TestPairScanBudget:
-    def test_single_file_append_run_is_linear(self):
-        # A 10k-block file grown one block at a time: the incremental
-        # delta path must walk only the short changed suffix per append,
+    def test_single_file_append_run_is_linear(self, monkeypatch):
+        # A 10k-block file grown one block at a time: the file system's
+        # pair upkeep must walk only the short changed suffix per append,
         # not rescan the file.  A full rescan per append would walk
         # ~50M blocks here; hold the budget to a small linear factor.
+        walked = []
+
+        def counting(blocks, tail, start=0):
+            walked.append(len(blocks) - start)
+            return layout_pairs(blocks, tail, start)
+
+        monkeypatch.setattr(filesystem, "layout_pairs", counting)
         params = scaled_params(128 * MB)
         n_blocks = 10_000
         block = params.block_size
@@ -199,12 +208,14 @@ class TestPairScanBudget:
                 )
             )
         fs = FileSystem(params=params, policy="ffs")
-        replayer = AgingReplayer(fs)
-        result = replayer.replay(Workload(records))
+        result = AgingReplayer(fs).replay(Workload(records))
         (inode,) = result.fs.files()
         assert inode.n_chunks() == n_blocks
-        assert replayer.pair_scan_blocks < 12 * n_blocks, (
-            f"pair accounting walked {replayer.pair_scan_blocks} blocks "
+        assert (fs.optimal_pairs, fs.countable_pairs) == optimal_pairs(
+            inode.data_block_list()
+        )
+        assert n_blocks <= sum(walked) < 12 * n_blocks, (
+            f"pair accounting walked {sum(walked)} blocks "
             f"for {n_blocks} appended blocks; the delta path regressed "
             "toward a per-append rescan"
         )
@@ -255,8 +266,7 @@ class TestFsHealthUnchanged:
                 "cg_frag": frag,
             }
 
-        first = replayer._fs_health()
+        first = cg_health(fs)
         assert first == reference()
-        # The decile scratch buffer is reused across calls; a second
-        # call must not be polluted by the first.
-        assert replayer._fs_health() == first
+        # A second call must not be polluted by the first.
+        assert cg_health(fs) == first

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.aging.nfstrace import SyntheticNFSTrace, integrate_short_lived
+from repro.aging.nfstrace import (
+    SyntheticNFSTrace,
+    integrate_short_lived,
+    sum_in_order,
+)
 from repro.aging.workload import CREATE_CODE, Workload, WorkloadRow
 
 
@@ -15,6 +19,14 @@ def base_day(day, n=4, directory="hot"):
         )
         for i in range(n)
     ]
+
+
+def test_sum_in_order_does_not_compensate():
+    # Python 3.12's built-in ``sum`` gives 1.0 here; the workload's
+    # float sums must round the same way on every interpreter.
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert sum_in_order(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert sum_in_order([]) == 0.0
 
 
 class TestSyntheticTrace:

@@ -93,6 +93,12 @@ class TestDetection:
         with pytest.raises(ConsistencyError, match="free_frags"):
             check_filesystem(fs)
 
+    @pytest.mark.parametrize("counter", ["optimal_pairs", "countable_pairs"])
+    def test_drifted_pair_count(self, fs, counter):
+        setattr(fs, counter, getattr(fs, counter) + 1)
+        with pytest.raises(ConsistencyError, match="pair counts"):
+            check_filesystem(fs)
+
     def test_tail_double_claim(self, fs):
         """A tail overlapping another file's block is caught."""
         a, b = fs.files()

@@ -12,16 +12,26 @@ The property test at the bottom closes the other direction: on an
 *undamaged* file system the repair pass is a byte-identical no-op.
 """
 
+import copy
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aging.replay import age_file_system
+from repro.analysis.layout import optimal_pairs
 from repro.errors import ConsistencyError, OutOfSpaceError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import sample_plans
 from repro.ffs.check import check_filesystem
 from repro.ffs.filesystem import FileSystem
-from repro.ffs.image import filesystem_to_document
+from repro.ffs.image import (
+    dump_filesystem,
+    filesystem_to_document,
+    load_filesystem,
+    skeleton_from_document,
+)
 from repro.ffs.params import scaled_params
 from repro.fsck import LOST_FOUND, FsckReport, repair_filesystem
 from repro.units import KB, MB
@@ -256,3 +266,68 @@ class TestCrashRepairEndToEnd:
                 assert not report.clean()
                 check_filesystem(result.fs)
         assert fired > 0  # the grid must actually exercise the repair
+
+
+def recount(fs):
+    """The layout-score pair counts of ``fs``, from scratch."""
+    pairs = [optimal_pairs(i.data_block_list()) for i in fs.inodes.values()]
+    return sum(o for o, _ in pairs), sum(c for _, c in pairs)
+
+
+def pair_counts(fs):
+    return fs.optimal_pairs, fs.countable_pairs
+
+
+class TestPairCountsOffThePipeline:
+    """Image loads, copies, fsck rebuilds and injected crashes make file
+    systems outside the write pipeline; each leaves the pair counts
+    equal to a recount (checked here without the checker, which
+    recounts them too)."""
+
+    def test_image_load_and_copy(
+        self, tmp_path, tiny_params, aging_artifacts
+    ):
+        aged = age_file_system(
+            aging_artifacts.reconstructed, params=tiny_params,
+            policy="realloc",
+        ).fs
+        path = tmp_path / "aged.json"
+        with open(path, "w") as fp:
+            dump_filesystem(aged, fp)
+        with open(path) as fp:
+            loaded = load_filesystem(fp, verify=False)
+        assert pair_counts(loaded) == recount(loaded) == pair_counts(aged)
+        assert recount(aged) == pair_counts(aged)
+        twin = copy.deepcopy(aged)
+        assert pair_counts(twin) == pair_counts(aged)
+
+    def test_repair(self, fs):
+        a, b = fs.files()
+        b.blocks[1] = a.blocks[0]  # the later claimant loses the block
+        repair_filesystem(fs, verify=False)
+        assert pair_counts(fs) == recount(fs)
+
+    def test_skeleton_repair(self, fs):
+        document = json.loads(json.dumps(filesystem_to_document(fs)))
+        document["inodes"][-1]["blocks"].reverse()
+        skeleton = skeleton_from_document(document)
+        assert pair_counts(skeleton) == recount(skeleton) != recount(fs)
+        repair_filesystem(skeleton, trust_maps=False, verify=False)
+        assert pair_counts(skeleton) == recount(skeleton)
+
+    def test_crashed_replay_and_its_repair(
+        self, tiny_params, aging_artifacts
+    ):
+        damaged = 0
+        for plan in sample_plans(1177, days=25, count=3, max_write=300):
+            result = age_file_system(
+                aging_artifacts.reconstructed, params=tiny_params,
+                policy="realloc", faults=FaultInjector(plan),
+            )
+            if not result.crashed:
+                continue
+            damaged += result.crash.dropped + result.crash.torn
+            assert pair_counts(result.fs) == recount(result.fs)
+            repair_filesystem(result.fs, verify=False)
+            assert pair_counts(result.fs) == recount(result.fs)
+        assert damaged > 0  # the plans rolled block lists back

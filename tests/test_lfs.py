@@ -350,6 +350,37 @@ class TestLfsAging:
             >= aged_ffs.timeline.final_score() - 0.05
         )
 
+    def test_telemetry_from_the_replay_loop(
+        self, aging_artifacts, tiny_params
+    ):
+        from repro import obs
+        from repro.lfs.replay import age_lfs
+        from repro.obs import events as obs_events
+
+        workload = aging_artifacts.reconstructed
+        lfs_params = LFSParams(
+            size_bytes=tiny_params.actual_size_bytes, segment_bytes=256 * KB
+        )
+        log = obs.EventLog()
+        with obs.session(events=log) as (registry, tracer):
+            result = age_lfs(workload, params=lfs_params)
+        snapshot = registry.snapshot()
+        days = [r for r in tracer.rows() if r["name"] == "replay.day"]
+        assert [d["attrs"]["day"] for d in days] == list(
+            range(workload.days())
+        )
+        assert {d["attrs"]["label"] for d in days} == {"LFS"}
+        assert sum(d["attrs"]["ops"] for d in days) == result.ops_applied
+        assert snapshot["replay.ops"]["value"] == result.ops_applied
+        assert snapshot["replay.creates"]["value"] == result.creates
+        assert snapshot["replay.LFS.final_score"]["value"] == (
+            result.timeline.final_score()
+        )
+        # Day-sample events carry cylinder-group fields: FFS only.
+        assert not any(
+            r["type"] == obs_events.DAY_SAMPLE for r in log.rows()
+        )
+
     def test_comparison_experiment(self):
         from repro.experiments import lfs_compare
 

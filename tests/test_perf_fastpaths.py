@@ -1873,11 +1873,47 @@ class RefFileSystem(FileSystem):
             block, offset, nfrags = inode.tail
             self.sb.cg_of_block(block).free_frag_run(block, offset, nfrags)
 
+    # The reference keeps the layout-score pair counts the obvious way:
+    # a full recount after every call that can change a block list.
+    def _recounting(method):
+        def call(self, *args, **kwargs):
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                pairs = [
+                    optimal_pairs(n.data_block_list())
+                    for n in self.inodes.values()
+                ]
+                self.optimal_pairs = sum(o for o, _ in pairs)
+                self.countable_pairs = sum(c for _, c in pairs)
+        return call
+
+    create_file = _recounting(create_file)
+    append = _recounting(append)
+    delete_file = _recounting(delete_file)
+    truncate = _recounting(FileSystem.truncate)
+    del _recounting
+
 
 class RefAgingReplayer(AgingReplayer):
-    """The replay loop and pair accounting before the create fast path:
-    every create resolves its directory by name and re-tracks the new
-    file through ``_untrack_pairs`` and ``data_block_list``."""
+    """The replay loop before the create fast path, with the layout
+    pair accounting the replayer kept before the file system did: every
+    create resolves its directory by name and tracks the new file
+    through ``_untrack_pairs`` and ``data_block_list``; appends
+    delta-update the counts from the changed suffix, rescanning an
+    inode whose last growth hit ENOSPC part-way."""
+
+    def __init__(self, fs, label="aged"):
+        super().__init__(fs, label)
+        self._pairs = {}  # ino -> (opt, countable)
+        self._optimal_total = 0
+        self._countable_total = 0
+        self._dirty_inos = set()
+
+    def current_layout_score(self):
+        if self._countable_total == 0:
+            return 1.0
+        return self._optimal_total / self._countable_total
 
     def replay(self, workload):
         result = ReplayResult(fs=self.fs, timeline=Timeline(label=self.label))
@@ -1929,10 +1965,7 @@ class RefAgingReplayer(AgingReplayer):
 
     def _track_pairs(self, ino):
         self._untrack_pairs(ino)
-        inode = self.fs.inode(ino)
-        block_list = inode.data_block_list()
-        optimal, countable = optimal_pairs(block_list)
-        self.pair_scan_blocks += len(block_list)
+        optimal, countable = optimal_pairs(self.fs.inode(ino).data_block_list())
         self._pairs[ino] = (optimal, countable)
         self._optimal_total += optimal
         self._countable_total += countable
@@ -1941,6 +1974,41 @@ class RefAgingReplayer(AgingReplayer):
         optimal, countable = self._pairs.pop(ino, (0, 0))
         self._optimal_total -= optimal
         self._countable_total -= countable
+
+    def _append_tracked(self, ino, nbytes, when):
+        inode = self.fs.inode(ino)
+        dirty = ino in self._dirty_inos
+        old_blocks = inode.blocks
+        old_nb = len(old_blocks)
+        old_last = old_blocks[-1] if old_nb else -1
+        old_tail = inode.tail
+        try:
+            self.fs.append(ino, nbytes, when=when)
+        except OutOfSpaceError:
+            self._dirty_inos.add(ino)
+            self._track_pairs(ino)  # partial growth still counts
+            raise
+        if dirty:
+            self._dirty_inos.discard(ino)
+            self._track_pairs(ino)
+            return
+        cut = old_nb - 1 if old_nb else 0
+        old_opt = old_cnt = 0
+        if old_nb and old_tail is not None:
+            old_cnt = 1
+            if old_tail[0] == old_last + 1:
+                old_opt = 1
+        suffix = inode.blocks[cut:]
+        if inode.tail is not None:
+            suffix.append(inode.tail[0])
+        new_opt, new_cnt = optimal_pairs(suffix)
+        prev_opt, prev_cnt = self._pairs.get(ino, (0, 0))
+        self._pairs[ino] = (
+            prev_opt - old_opt + new_opt,
+            prev_cnt - old_cnt + new_cnt,
+        )
+        self._optimal_total += new_opt - old_opt
+        self._countable_total += new_cnt - old_cnt
 
 
 def _ffs_state(fs):
@@ -1970,6 +2038,7 @@ def _ffs_state(fs):
          getattr(policy, "relocations", None),
          getattr(policy, "relocation_failures", None)),
         (optimal, countable),
+        (fs.optimal_pairs, fs.countable_pairs),
     )
 
 
@@ -2091,10 +2160,12 @@ def test_replay_pair_accounting_differential(
             got.bytes_written, got.live_files) == (
         want.creates, want.deletes, want.ops_applied, want.skipped_no_space,
         want.bytes_written, want.live_files)
-    assert (fast._optimal_total, fast._countable_total, fast._pairs,
-            fast.pair_scan_blocks) == (
-        ref._optimal_total, ref._countable_total, ref._pairs,
-        ref.pair_scan_blocks)
+    assert (fast.fs.optimal_pairs, fast.fs.countable_pairs) == (
+        ref._optimal_total, ref._countable_total)
+    assert {
+        inode.ino: optimal_pairs(inode.data_block_list())
+        for inode in fast.fs.files()
+    } == ref._pairs
     assert _ffs_state(fast.fs) == _ffs_state(ref.fs)
 
 
