@@ -46,8 +46,8 @@ RENDERED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(RENDERED))
-def test_report_and_diff_render_the_four_file_bytes(case, tmp_path):
+def render_case(case, tmp_path):
+    """The bytes ``case`` (a :data:`RENDERED` key) renders."""
     command, *words = case.split()
     argv = [command]
     for word in words:
@@ -62,10 +62,15 @@ def test_report_and_diff_render_the_four_file_bytes(case, tmp_path):
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
-    rendered = (
+    return (
         output.read_bytes() if output.exists()
         else stdout.getvalue().encode()
     )
+
+
+@pytest.mark.parametrize("case", sorted(RENDERED))
+def test_report_and_diff_render_the_four_file_bytes(case, tmp_path):
+    rendered = render_case(case, tmp_path)
     assert hashlib.sha256(rendered).hexdigest() == RENDERED[case]
 
 
