@@ -490,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_diff.add_argument(
             f"--image-{side}", metavar="FILE", default=None,
             help=f"run {side.upper()}'s saved image (age --save-image), "
-            "for placement",
+            "for placement; --image-a and --image-b go together",
         )
     p_diff.add_argument(
         "--rel-threshold", type=float, default=None, metavar="FRAC",
@@ -983,6 +983,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     are informational here and never change the exit code."""
     from repro.obs.diff import Classifier, diff_runs, render_diff
 
+    if (args.image_a is None) != (args.image_b is None):
+        raise InvalidRequestError("--image-a and --image-b go together")
     rel, floor = args.rel_threshold, args.abs_floor
     if any(v is not None and not 0 <= v < math.inf for v in (rel, floor)):
         raise InvalidRequestError(

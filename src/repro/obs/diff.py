@@ -43,6 +43,7 @@ from typing import (
     TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from repro.obs.events import DAY_SAMPLE, LOG_TRUNCATED, count_types
 from repro.obs.export import bucket_quantiles
 from repro.obs.manifest import RunManifest
 
@@ -561,24 +562,16 @@ def _diff_timeline(
             "first_divergence_day": first_divergence,
             "occupancy_delta": _occupancy_delta(sa, sb, days),
         })
-    counts_a = _event_counts(a.run.events)
-    counts_b = _event_counts(b.run.events)
+    # Day samples are compared above; the truncation marker is no event.
+    skip = (DAY_SAMPLE, LOG_TRUNCATED)
+    counts_a = count_types(a.run.events, skip)
+    counts_b = count_types(b.run.events, skip)
     for kind in sorted(set(counts_a) & set(counts_b)):
         sink.add(
             "events", kind, counts_a[kind], counts_b[kind],
             direction=lower_is_better(kind),
         )
     return {"pairs": out_pairs}
-
-
-def _event_counts(events: Sequence[Dict[str, object]]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for row in events:
-        kind = str(row.get("type", "?"))
-        if kind in ("day_sample", "log_truncated"):
-            continue
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts
 
 
 def _diff_disktrace(

@@ -29,7 +29,10 @@ one :class:`RowLog`, which owns every rule the streams share:
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, TextIO, Tuple
+from collections import Counter
+from typing import (
+    Collection, Dict, Iterable, List, Mapping, Optional, TextIO, Tuple,
+)
 
 from repro import schemas
 
@@ -81,6 +84,7 @@ __all__ = [
     "RowLog",
     "EventLog",
     "split_truncation",
+    "count_types",
     "TAG",
     "EVENT_TYPES",
     "SCHEMA",
@@ -220,3 +224,12 @@ def split_truncation(rows: Iterable[Row]) -> Tuple[List[Row], int]:
         else:
             real.append(row)
     return real, dropped
+
+
+def count_types(
+    rows: Iterable[Row], skip: Collection[str] = ()
+) -> Dict[str, int]:
+    """Rows per event ``type`` (``"?"`` for an untyped row), leaving out
+    the types in ``skip``."""
+    kinds = (str(row.get("type", "?")) for row in rows)
+    return dict(Counter(kind for kind in kinds if kind not in skip))

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import html
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+    Tuple,
 )
 
 from repro.obs import events as obs_events
@@ -113,8 +114,15 @@ def _esc(value: object) -> str:
     return html.escape(str(value), quote=True)
 
 
-def _page(title: str, body: str) -> str:
-    """The one self-contained page shell every report renders into."""
+# ----------------------------------------------------------------------
+# Page vocabulary: every view is a page of sections built from these
+# ----------------------------------------------------------------------
+
+
+def _page(title: str, *sections: str) -> str:
+    """The one self-contained page shell every view renders into; empty
+    sections are skipped."""
+    body = "".join(s for s in sections if s)
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8">\n'
@@ -123,6 +131,65 @@ def _page(title: str, body: str) -> str:
         f"<style>{_CSS}</style></head>\n"
         f"<body>{body}</body></html>\n"
     )
+
+
+def _header(title: str, *parts: str) -> str:
+    return f"<header><h1>{title}</h1>{''.join(parts)}</header>"
+
+
+def _section(title: str, *parts: str) -> str:
+    """One ``<section>``, under an ``<h2>`` when ``title`` is given.
+
+    Titles, meta and note text are raw HTML (some carry ``<code>`` or
+    entities), so callers escape what is dynamic in them."""
+    head = f"<h2>{title}</h2>" if title else ""
+    return f"<section>{head}{''.join(parts)}</section>"
+
+
+def _meta(text: str) -> str:
+    return f'<p class="meta">{text}</p>'
+
+
+def _note(text: str) -> str:
+    return f'<p class="note">{text}</p>'
+
+
+def _folded(extra: int, what: str) -> str:
+    """The note under a capped list: ``(+N more <what>)``, or nothing."""
+    return _note(f"(+{extra} more {what})") if extra > 0 else ""
+
+
+#: Cell markup per column style: ``""`` plain, ``num`` right-aligned,
+#: ``code`` monospace, ``lab`` a noise/notable/regression badge (empty
+#: for an empty value), ``bar`` a timings bar the value's pixels wide.
+_CELLS = {
+    "": "<td>{}</td>",
+    "num": '<td class="num">{}</td>',
+    "code": "<td><code>{}</code></td>",
+    "lab": '<td><span class="lab lab-{0}">{0}</span></td>',
+    "bar": '<td><span class="bar" style="width:{}px"></span></td>',
+}
+
+
+def _table(
+    columns: Sequence[Tuple[str, str]], rows: Iterable[Sequence[object]]
+) -> str:
+    """``(header, style)`` columns over rows of one value per column,
+    every value escaped: the shape
+    :func:`repro.analysis.report.render_table` prints as text."""
+    head = "".join(
+        ('<th class="num">' if style == "num" else "<th>") + f"{_esc(h)}</th>"
+        for h, style in columns
+    )
+    body = "".join(
+        "<tr>" + "".join(
+            _CELLS[style].format(_esc(value)) if value or style != "lab"
+            else "<td></td>"
+            for (_, style), value in zip(columns, row)
+        ) + "</tr>"
+        for row in rows
+    )
+    return f"<table><tr>{head}</tr>{body}</table>"
 
 
 def _nice(value: object) -> str:
@@ -185,7 +252,7 @@ def _line_chart(
     xs = [x for _, pts in shown for x, _ in pts]
     ys = [y for _, pts in shown for _, y in pts]
     if not xs:
-        return '<p class="note">(no samples)</p>'
+        return _note("(no samples)")
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
     if x_max == x_min:
@@ -306,7 +373,7 @@ def _histogram_chart(
         (bound, int(count)) for bound, count in data["buckets"]
     ]
     if not buckets:
-        return '<p class="note">(no observations)</p>'
+        return _note("(no observations)")
     pad_t, plot_h = _BAR_PAD[2], height - _BAR_PAD[2] - _BAR_PAD[3]
     base = pad_t + plot_h
     peak = max(count for _, count in buckets)
@@ -350,7 +417,7 @@ def _signed_bar_chart(
     """
     values = [float(v) for _, v in pairs]
     if not values:
-        return '<p class="note">(no buckets)</p>'
+        return _note("(no buckets)")
     peak = max(abs(v) for v in values) or 1.0
     pad_t, plot_h = _BAR_PAD[2], height - _BAR_PAD[2] - _BAR_PAD[3]
     zero_y = pad_t + plot_h / 2.0
@@ -392,13 +459,13 @@ def _header_section(manifest: RunManifest, compare: bool) -> str:
     )
     env = manifest.environment
     title = f"repro run report — {command}{' (comparison)' if compare else ''}"
-    return (
-        f"<header><h1>{_esc(title)}</h1>"
-        f'<p class="meta">repro-ffs {_esc(command)} {_esc(config_text)}</p>'
-        f'<p class="meta">wall {_esc(_fmt_wall(manifest.wall_seconds))} · '
-        f"python {_esc(env.get('python', '?'))} on "
-        f"{_esc(env.get('platform', '?'))} · schema "
-        f"{_esc(manifest.schema)}</p></header>"
+    return _header(
+        _esc(title),
+        _meta(f"repro-ffs {_esc(command)} {_esc(config_text)}"),
+        _meta(f"wall {_esc(_fmt_wall(manifest.wall_seconds))} · python "
+              f"{_esc(env.get('python', '?'))} on "
+              f"{_esc(env.get('platform', '?'))} · schema "
+              f"{_esc(manifest.schema)}"),
     )
 
 
@@ -430,12 +497,11 @@ def _timeline_section(
         series += _day_series(compare, field, suffix=" (compare)")
         return _line_chart(series, y_label=y_label, height=height)
 
-    return (
-        "<section><h2>Layout score by simulated day</h2>"
-        + chart("layout_score", "layout score", 170)
-        + "<h2>Utilization by simulated day</h2>"
-        + chart("utilization", "utilization", 120)
-        + "</section>"
+    return _section(
+        "Layout score by simulated day",
+        chart("layout_score", "layout score", 170),
+        "<h2>Utilization by simulated day</h2>",
+        chart("utilization", "utilization", 120),
     )
 
 
@@ -506,7 +572,7 @@ def _heatmap_chart(
     every other chart.
     """
     if not matrix or not matrix[0]:
-        return '<p class="note">(no per-group samples)</p>'
+        return _note("(no per-group samples)")
 
     def shade(value: float) -> Optional[Tuple[str, float, str]]:
         value = max(0.0, min(1.0, value))
@@ -524,7 +590,7 @@ def _signed_heatmap_chart(
     series color, run-a-fuller cells in the secondary, intensity in
     ``fill-opacity`` scaled to the matrix's own peak |delta|."""
     if not matrix or not matrix[0]:
-        return '<p class="note">(no per-group samples on both sides)</p>'
+        return _note("(no per-group samples on both sides)")
     peak = max((abs(v) for row in matrix for v in row), default=0.0) or 1.0
 
     def shade(value: float) -> Optional[Tuple[str, float, str]]:
@@ -545,35 +611,23 @@ def _heatmap_section(events: Sequence[Dict[str, object]]) -> str:
     all_series = heatmap_series(events)
     if not all_series:
         return ""
-    out = ["<section><h2>Layout heatmaps (cylinder group × day)</h2>"]
+    out: List[str] = []
     for series in all_series[:_MAX_SERIES]:
-        out.append(
-            f'<p class="meta">{_esc(series.label)} — occupancy '
-            f"(darker = fuller group)</p>"
-        )
-        out.append(
-            _heatmap_chart(
-                series.days, series.occupancy,
-                caption=f"{series.label} occupancy heatmap",
-            )
-        )
-        out.append(
-            f'<p class="meta">{_esc(series.label)} — free-space '
-            f"fragmentation (darker = more shattered free space)</p>"
-        )
-        out.append(
-            _heatmap_chart(
-                series.days, series.frag,
-                caption=f"{series.label} fragmentation heatmap",
-            )
-        )
-    if len(all_series) > _MAX_SERIES:
-        out.append(
-            f'<p class="note">(+{len(all_series) - _MAX_SERIES} more '
-            f"series folded)</p>"
-        )
-    out.append("</section>")
-    return "".join(out)
+        for what, matrix, legend in (
+            ("occupancy", series.occupancy,
+             "occupancy (darker = fuller group)"),
+            ("fragmentation", series.frag, "free-space fragmentation "
+             "(darker = more shattered free space)"),
+        ):
+            out += [
+                _meta(f"{_esc(series.label)} — {legend}"),
+                _heatmap_chart(series.days, matrix,
+                               caption=f"{series.label} {what} heatmap"),
+            ]
+    return _section(
+        "Layout heatmaps (cylinder group × day)", *out,
+        _folded(len(all_series) - _MAX_SERIES, "series folded"),
+    )
 
 
 def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
@@ -588,28 +642,18 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
     if not trace_rows:
         return ""
     summary = trace_summary(trace_rows)
-    cells = "".join(
-        f"<tr><td>{_esc(label)}</td>"
-        f'<td class="num">{_nice(summary[key])}</td></tr>'
-        for label, key in (
-            ("requests", "requests"),
-            ("reads", "reads"),
-            ("writes", "writes"),
-            ("lost rotations", "lost_rotations"),
-            ("track-buffer hits", "buffer_hits"),
-            ("total service (ms)", "service_ms"),
-        )
-    )
     dropped = summary["dropped"]
-    note = (
-        f'<p class="note">{dropped:,} requests dropped at the trace '
-        f"bound.</p>"
-        if dropped else ""
-    )
     out = [
-        "<section><h2>Disk I/O trace</h2><table>"
-        '<tr><th>requests</th><th class="num">count</th></tr>'
-        f"{cells}</table>{note}"
+        _table([("requests", ""), ("count", "num")], [
+            (label, _nice(summary[key])) for label, key in (
+                ("requests", "requests"), ("reads", "reads"),
+                ("writes", "writes"), ("lost rotations", "lost_rotations"),
+                ("track-buffer hits", "buffer_hits"),
+                ("total service (ms)", "service_ms"),
+            )
+        ]),
+        _note(f"{dropped:,} requests dropped at the trace bound.")
+        if dropped else "",
     ]
     for title, data in (
         ("Seek distance (cylinders per paid seek)",
@@ -623,13 +667,11 @@ def _disktrace_section(trace_rows: Sequence[Dict[str, object]]) -> str:
             f"p{int(q * 100)} ≤ {_nice(bucket_quantile(data, q))}"
             for q in (0.5, 0.9, 0.99)
         )
-        out.append(
-            f'<p class="meta">{_esc(title)} — count {data["count"]:,}, '
-            f"{quantiles}</p>"
-        )
-        out.append(_histogram_chart(title, data))
-    out.append("</section>")
-    return "".join(out)
+        out += [
+            _meta(f"{_esc(title)} — count {data['count']:,}, {quantiles}"),
+            _histogram_chart(title, data),
+        ]
+    return _section("Disk I/O trace", *out)
 
 
 def _history_section(runs: List[Run]) -> str:
@@ -645,25 +687,23 @@ def _history_section(runs: List[Run]) -> str:
         if name.startswith("layout_score[")
     ]
     throughput = series.get("throughput_mb_s", [])
-    out = [f"<section><h2>Run history ({len(runs)} recorded)</h2>"]
+    out: List[str] = []
     if scores:
-        out.append('<p class="meta">final layout score per recorded run</p>')
-        out.append(_line_chart(
-            scores, y_label="final layout score", x_label="recorded run #",
-        ))
+        out += [
+            _meta("final layout score per recorded run"),
+            _line_chart(scores, y_label="final layout score",
+                        x_label="recorded run #"),
+        ]
     if len(throughput) > 1:
-        out.append('<p class="meta">aggregate disk throughput (MB/s)</p>')
-        out.append(_line_chart(
-            [("throughput", throughput)], y_label="MB/s",
-            x_label="recorded run #", height=120,
-        ))
-    if not scores and len(throughput) <= 1:
-        out.append(
-            '<p class="note">(recorded runs carry no layout or '
-            "throughput summaries)</p>"
-        )
-    out.append("</section>")
-    return "".join(out)
+        out += [
+            _meta("aggregate disk throughput (MB/s)"),
+            _line_chart([("throughput", throughput)], y_label="MB/s",
+                        x_label="recorded run #", height=120),
+        ]
+    if not out:
+        out = [_note("(recorded runs carry no layout or throughput "
+                     "summaries)")]
+    return _section(f"Run history ({len(runs)} recorded)", *out)
 
 
 def _event_summary_section(
@@ -671,23 +711,13 @@ def _event_summary_section(
 ) -> str:
     if not events:
         return ""
-    counts: Dict[str, int] = {}
-    for row in events:
-        kind = str(row.get("type", "?"))
-        counts[kind] = counts.get(kind, 0) + 1
-    rows = "".join(
-        f"<tr><td><code>{_esc(kind)}</code></td>"
-        f'<td class="num">{count:,}</td></tr>'
-        for kind, count in sorted(counts.items())
-    )
-    note = (
-        f'<p class="note">{dropped:,} events dropped at the log bound.</p>'
-        if dropped else ""
-    )
-    return (
-        "<section><h2>Event log</h2><table>"
-        '<tr><th>event type</th><th class="num">count</th></tr>'
-        f"{rows}</table>{note}</section>"
+    counts = sorted(obs_events.count_types(events).items())
+    return _section(
+        "Event log",
+        _table([("event type", "code"), ("count", "num")],
+               [(kind, f"{count:,}") for kind, count in counts]),
+        _note(f"{dropped:,} events dropped at the log bound.")
+        if dropped else "",
     )
 
 
@@ -699,21 +729,20 @@ def _histograms_section(manifest: RunManifest, cap: int = 8) -> str:
     ]
     if not histograms:
         return ""
-    out = ["<section><h2>Distributions</h2>"]
+    out: List[str] = []
     for name, data in histograms[:cap]:
-        out.append(
-            f'<p class="meta"><code>{_esc(name)}</code> — '
-            f"count {data['count']:,}, mean {_nice(data['mean'])}, "
-            f"min {_nice(data['min'])}, max {_nice(data['max'])}</p>"
-        )
-        out.append(_histogram_chart(name, data))
-    if len(histograms) > cap:
-        out.append(
-            f'<p class="note">(+{len(histograms) - cap} more histograms '
-            f"in the manifest)</p>"
-        )
-    out.append("</section>")
-    return "".join(out)
+        out += [
+            _meta(
+                f"<code>{_esc(name)}</code> — count {data['count']:,}, "
+                f"mean {_nice(data['mean'])}, min {_nice(data['min'])}, "
+                f"max {_nice(data['max'])}"
+            ),
+            _histogram_chart(name, data),
+        ]
+    return _section(
+        "Distributions", *out,
+        _folded(len(histograms) - cap, "histograms in the manifest"),
+    )
 
 
 def _span_tree_section(
@@ -786,11 +815,7 @@ def _span_tree_section(
             index += 1
         return f'<ul class="tree">{"".join(items)}</ul>'
 
-    return (
-        "<section><h2>Span tree</h2>"
-        + render(roots)
-        + "</section>"
-    )
+    return _section("Span tree", render(roots))
 
 
 def _timings_section(manifest: RunManifest) -> str:
@@ -798,60 +823,44 @@ def _timings_section(manifest: RunManifest) -> str:
     if not timings:
         return ""
     peak = max(float(v) for v in timings.values()) or 1.0
-    rows = "".join(
-        f"<tr><td><code>{_esc(name)}</code></td>"
-        f'<td class="num">{_esc(_fmt_wall(float(wall)))}</td>'
-        f'<td><span class="bar" style="width:'
-        f'{max(2, round(180 * float(wall) / peak))}px"></span></td></tr>'
-        for name, wall in sorted(
-            timings.items(), key=lambda kv: (-float(kv[1]), kv[0])
-        )
-    )
-    return (
-        "<section><h2>Experiment wall times</h2><table>"
-        '<tr><th>experiment</th><th class="num">wall</th><th></th></tr>'
-        f"{rows}</table></section>"
-    )
+    slowest = sorted(timings.items(), key=lambda kv: (-float(kv[1]), kv[0]))
+    return _section("Experiment wall times", _table(
+        [("experiment", "code"), ("wall", "num"), ("", "bar")],
+        [
+            (name, _fmt_wall(float(wall)),
+             max(2, round(180 * float(wall) / peak)))
+            for name, wall in slowest
+        ],
+    ))
 
 
 def _profile_section(manifest: RunManifest) -> str:
     if not manifest.profile:
         return ""
-    out = ["<section><h2>Profile (top offenders per phase)</h2>"]
+    columns = [("function", "code"), ("ncalls", "num"),
+               ("tottime (s)", "num"), ("cumtime (s)", "num")]
+    out: List[str] = []
     for phase, rows in manifest.profile.items():
-        body = "".join(
-            f"<tr><td><code>{_esc(row.get('function'))}</code></td>"
-            f'<td class="num">{_esc(row.get("ncalls"))}</td>'
-            f'<td class="num">{_nice(row.get("tottime_s"))}</td>'
-            f'<td class="num">{_nice(row.get("cumtime_s"))}</td></tr>'
-            for row in rows
-        )
-        out.append(
-            f'<p class="meta"><code>{_esc(phase)}</code></p><table>'
-            '<tr><th>function</th><th class="num">ncalls</th>'
-            '<th class="num">tottime (s)</th><th class="num">cumtime (s)</th>'
-            f"</tr>{body}</table>"
-        )
-    out.append("</section>")
-    return "".join(out)
+        out += [
+            _meta(f"<code>{_esc(phase)}</code>"),
+            _table(columns, [
+                (row.get("function"), row.get("ncalls"),
+                 _nice(row.get("tottime_s")), _nice(row.get("cumtime_s")))
+                for row in rows
+            ]),
+        ]
+    return _section("Profile (top offenders per phase)", *out)
 
 
 def _compare_section(manifest: RunManifest, compare: RunManifest) -> str:
-    def line(m: RunManifest) -> str:
-        return (
-            f"<td>repro-ffs {_esc(m.command)}</td>"
-            f"<td>{_esc(m.config.get('preset', '?'))}</td>"
-            f'<td class="num">{_esc(_fmt_wall(m.wall_seconds))}</td>'
-        )
-
-    return (
-        "<section><h2>Compared runs</h2><table>"
-        '<tr><th></th><th>command</th><th>preset</th>'
-        '<th class="num">wall</th></tr>'
-        f"<tr><td>primary</td>{line(manifest)}</tr>"
-        f"<tr><td>compare</td>{line(compare)}</tr>"
-        "</table></section>"
-    )
+    return _section("Compared runs", _table(
+        [("", ""), ("command", ""), ("preset", ""), ("wall", "num")],
+        [
+            (tag, f"repro-ffs {m.command}", m.config.get("preset", "?"),
+             _fmt_wall(m.wall_seconds))
+            for tag, m in (("primary", manifest), ("compare", compare))
+        ],
+    ))
 
 
 def _cg_bar_chart(
@@ -865,7 +874,7 @@ def _cg_bar_chart(
     """Per-cylinder-group bar strip for inspect documents."""
     values = [float(g[field]) for g in groups]
     if not values:
-        return '<p class="note">(no groups)</p>'
+        return _note("(no groups)")
     top = peak if peak is not None else (max(values) or 1.0)
     top = top or 1.0
     pad_t, plot_h = _BAR_PAD[2], height - _BAR_PAD[2] - _BAR_PAD[3]
@@ -888,105 +897,80 @@ def _cg_bar_chart(
     )
 
 
-def build_inspect_report(documents: Sequence[Dict[str, Any]]) -> str:
-    """``repro-ffs inspect --html``: placement documents as one page."""
-    sections: List[str] = []
-    labels = " vs ".join(_esc(d["label"]) for d in documents)
-    sections.append(
-        f"<header><h1>placement inspection — {labels}</h1>"
-        f'<p class="meta">schema {_esc(documents[0]["schema"])}'
-        f"</p></header>"
-    )
-    for document in documents:
-        groups = document["groups"]
-        free = document["freespace"]
-        sections.append(
-            f"<section><h2>{_esc(document['label'])}</h2>"
-            f'<p class="meta">policy {_esc(document["policy"])} · '
+def _inspect_section(document: Dict[str, Any]) -> str:
+    """One placement document: its headline, three per-group strips and
+    its largest files."""
+    groups = document["groups"]
+    free = document["freespace"]
+    files = document["files"]
+    largest = [
+        _meta(f"largest files (top {len(files)} of "
+              f"{_nice(document['files_total'])})"),
+        _table(
+            [(header, "num") for header in (
+                "ino", "size (bytes)", "blocks", "home cg", "cg span",
+                "cyl span", "score",
+            )],
+            [
+                (f["ino"], _nice(f["size"]), _nice(f["blocks"]), f["home_cg"],
+                 _nice(f["cg_span"]), _nice(f["cyl_span"]),
+                 _nice(f["layout_score"]))
+                for f in files
+            ],
+        ),
+    ] if files else []
+    return _section(
+        _esc(document["label"]),
+        _meta(
+            f"policy {_esc(document['policy'])} · "
             f"utilization {_nice(document['utilization'])} · "
             f"aggregate layout score "
             f"{_nice(document['aggregate_layout_score'])} · "
             f"{_nice(free['n_runs'])} free runs, largest "
-            f"{_nice(free['largest_run'])}</p>"
-        )
-        sections.append('<p class="meta">occupancy by cylinder group</p>')
-        sections.append(
-            _cg_bar_chart(groups, "occupancy", "occupancy by group", peak=1.0)
-        )
-        sections.append(
-            '<p class="meta">spill blocks by group (data homed '
-            "elsewhere)</p>"
-        )
-        sections.append(
-            _cg_bar_chart(groups, "spill_blocks", "spill blocks by group")
-        )
-        sections.append(
-            '<p class="meta">largest free run by group (blocks)</p>'
-        )
-        sections.append(
-            _cg_bar_chart(
-                groups, "largest_free_run", "largest free run by group"
-            )
-        )
-        files = document["files"]
-        if files:
-            sections.append(
-                f'<p class="meta">largest files (top {len(files)} of '
-                f"{_nice(document['files_total'])})</p>"
-            )
-            rows = "".join(
-                f'<tr><td class="num">{_esc(f["ino"])}</td>'
-                f'<td class="num">{_nice(f["size"])}</td>'
-                f'<td class="num">{_nice(f["blocks"])}</td>'
-                f'<td class="num">{_esc(f["home_cg"])}</td>'
-                f'<td class="num">{_nice(f["cg_span"])}</td>'
-                f'<td class="num">{_nice(f["cyl_span"])}</td>'
-                f'<td class="num">{_nice(f["layout_score"])}</td></tr>'
-                for f in files
-            )
-            sections.append(
-                "<table><tr>"
-                '<th class="num">ino</th><th class="num">size (bytes)</th>'
-                '<th class="num">blocks</th><th class="num">home cg</th>'
-                '<th class="num">cg span</th><th class="num">cyl span</th>'
-                '<th class="num">score</th></tr>'
-                f"{rows}</table>"
-            )
-        sections.append("</section>")
-    return _page("placement inspection", "".join(sections))
+            f"{_nice(free['largest_run'])}"
+        ),
+        _meta("occupancy by cylinder group"),
+        _cg_bar_chart(groups, "occupancy", "occupancy by group", peak=1.0),
+        _meta("spill blocks by group (data homed elsewhere)"),
+        _cg_bar_chart(groups, "spill_blocks", "spill blocks by group"),
+        _meta("largest free run by group (blocks)"),
+        _cg_bar_chart(groups, "largest_free_run", "largest free run by group"),
+        *largest,
+    )
+
+
+def build_inspect_report(documents: Sequence[Dict[str, Any]]) -> str:
+    """``repro-ffs inspect --html``: placement documents as one page."""
+    labels = " vs ".join(_esc(d["label"]) for d in documents)
+    return _page(
+        "placement inspection",
+        _header(
+            f"placement inspection — {labels}",
+            _meta(f"schema {_esc(documents[0]['schema'])}"),
+        ),
+        *[_inspect_section(document) for document in documents],
+    )
 
 
 def _diff_header_section(document: Dict[str, Any]) -> str:
     a, b, counts = document["a"], document["b"], document["counts"]
-
-    def side_row(tag: str, side: Dict[str, Any]) -> str:
-        return (
-            f"<tr><td>{_esc(tag)}</td>"
-            f"<td><code>{_esc(side['label'])}</code></td>"
-            f"<td>repro-ffs {_esc(side['command'])}</td>"
-            f"<td>{_esc(side['preset'] or '-')}</td>"
-            f"<td>{_esc(side['policy'] or '-')}</td>"
-            f"<td>{_esc(side['backend'] or '-')}</td>"
-            f'<td class="num">'
-            f"{_esc(_fmt_wall(side['wall_seconds']))}</td></tr>"
-        )
-
-    title = f"run diff — {a['label']} vs {b['label']}"
-    badge = (
-        f'<span class="lab lab-regression">{counts["regression"]} '
-        f'regression</span> <span class="lab lab-notable">'
-        f'{counts["notable"]} notable</span> '
-        f'<span class="lab lab-noise">{counts["noise"]} noise</span>'
+    badge = " ".join(
+        f'<span class="lab lab-{kind}">{counts[kind]} {kind}</span>'
+        for kind in ("regression", "notable", "noise")
     )
-    return (
-        f"<header><h1>{_esc(title)}</h1>"
-        f'<p class="meta">schema {_esc(document["schema"])} · '
-        f"{badge}</p></header>"
-        "<section><table>"
-        "<tr><th></th><th>run</th><th>command</th><th>preset</th>"
-        '<th>policy</th><th>backend</th><th class="num">wall</th></tr>'
-        f"{side_row('a', a)}{side_row('b', b)}</table></section>"
-    )
+    return _header(
+        _esc(f"run diff — {a['label']} vs {b['label']}"),
+        _meta(f"schema {_esc(document['schema'])} · {badge}"),
+    ) + _section("", _table(
+        [("", ""), ("run", "code"), ("command", ""), ("preset", ""),
+         ("policy", ""), ("backend", ""), ("wall", "num")],
+        [
+            (tag, side["label"], f"repro-ffs {side['command']}",
+             side["preset"] or "-", side["policy"] or "-",
+             side["backend"] or "-", _fmt_wall(side["wall_seconds"]))
+            for tag, side in (("a", a), ("b", b))
+        ],
+    ))
 
 
 def _signed(value: float) -> str:
@@ -997,35 +981,32 @@ def _diff_deltas_section(document: Dict[str, Any]) -> str:
     deltas = document["deltas"]
     significant = [r for r in deltas if r["label"] != "noise"]
     if not significant:
-        return (
-            "<section><h2>Significant deltas</h2>"
-            '<p class="note">none — the runs are equivalent under the '
-            f"classifier ({len(deltas)} comparisons, all noise).</p>"
-            "</section>"
-        )
-    rows = []
-    for r in significant:
+        return _section("Significant deltas", _note(
+            "none — the runs are equivalent under the classifier "
+            f"({len(deltas)} comparisons, all noise)."
+        ))
+
+    def delta(r: Dict[str, Any]) -> str:
         rel = r["rel"]
-        rel_text = (
+        return _signed(r["delta"]) + (
             f" ({'+' if rel >= 0 else ''}{rel:.1%})" if rel is not None else ""
         )
-        rows.append(
-            f'<tr><td><span class="lab lab-{_esc(r["label"])}">'
-            f"{_esc(r['label'])}</span></td>"
-            f"<td>{_esc(r['section'])}</td>"
-            f"<td><code>{_esc(r['name'])}</code></td>"
-            f'<td class="num">{_nice(r["baseline"])}</td>'
-            f'<td class="num">{_nice(r["current"])}</td>'
-            f'<td class="num">{_signed(r["delta"])}{_esc(rel_text)}</td></tr>'
-        )
-    return (
-        "<section><h2>Significant deltas</h2><table>"
-        "<tr><th></th><th>section</th><th>metric</th>"
-        '<th class="num">a</th><th class="num">b</th>'
-        '<th class="num">delta</th></tr>'
-        f"{''.join(rows)}</table>"
-        f'<p class="note">{len(deltas) - len(significant)} further '
-        "comparisons classified as noise.</p></section>"
+
+    return _section(
+        "Significant deltas",
+        _table(
+            [("", "lab"), ("section", ""), ("metric", "code"), ("a", "num"),
+             ("b", "num"), ("delta", "num")],
+            [
+                (r["label"], r["section"], r["name"], _nice(r["baseline"]),
+                 _nice(r["current"]), delta(r))
+                for r in significant
+            ],
+        ),
+        _note(
+            f"{len(deltas) - len(significant)} further comparisons "
+            "classified as noise."
+        ),
     )
 
 
@@ -1036,7 +1017,7 @@ def _diff_timeline_section(document: Dict[str, Any]) -> str:
     if not pairs:
         return ""
     label_a, label_b = document["a"]["label"], document["b"]["label"]
-    out = ["<section><h2>Timeline divergence</h2>"]
+    out: List[str] = []
     for pair in pairs[:_MAX_SERIES]:
         name = pair_name(pair)
         day = pair["first_divergence_day"]
@@ -1044,50 +1025,36 @@ def _diff_timeline_section(document: Dict[str, Any]) -> str:
             f"first significant divergence at day {day}"
             if day is not None else "no significant divergence"
         )
-        out.append(
-            f'<p class="meta">{_esc(name)} — layout score, both runs '
-            f"({_esc(day_text)})</p>"
-        )
-        out.append(
-            _line_chart(
-                [
-                    (f"{label_a}: {pair['label_a']}", pair["score_a"]),
-                    (f"{label_b}: {pair['label_b']}", pair["score_b"]),
-                ],
-                y_label="layout score",
-            )
-        )
+        out += [
+            _meta(f"{_esc(name)} — layout score, both runs "
+                  f"({_esc(day_text)})"),
+            _line_chart([
+                (f"{label_a}: {pair['label_a']}", pair["score_a"]),
+                (f"{label_b}: {pair['label_b']}", pair["score_b"]),
+            ], y_label="layout score"),
+        ]
         if pair["score_divergence"]:
-            out.append(
-                f'<p class="meta">{_esc(name)} — score divergence '
-                f"(b &#8722; a)</p>"
-            )
-            out.append(
-                _line_chart(
-                    [("b - a", pair["score_divergence"])],
-                    y_label="score delta", height=120,
-                )
-            )
+            out += [
+                _meta(f"{_esc(name)} — score divergence (b &#8722; a)"),
+                _line_chart([("b - a", pair["score_divergence"])],
+                            y_label="score delta", height=120),
+            ]
         occupancy = pair["occupancy_delta"]
         if occupancy is not None:
-            out.append(
-                f'<p class="meta">{_esc(name)} — per-CG occupancy delta '
-                f"(blue = b fuller, orange = a fuller)</p>"
-            )
-            out.append(
+            out += [
+                _meta(
+                    f"{_esc(name)} — per-CG occupancy delta "
+                    "(blue = b fuller, orange = a fuller)"
+                ),
                 _signed_heatmap_chart(
-                    occupancy["days"],
-                    occupancy["matrix"],
+                    occupancy["days"], occupancy["matrix"],
                     caption=f"{name} occupancy delta heatmap",
-                )
-            )
-    if len(pairs) > _MAX_SERIES:
-        out.append(
-            f'<p class="note">(+{len(pairs) - _MAX_SERIES} more label '
-            f"pairs folded)</p>"
-        )
-    out.append("</section>")
-    return "".join(out)
+                ),
+            ]
+    return _section(
+        "Timeline divergence", *out,
+        _folded(len(pairs) - _MAX_SERIES, "label pairs folded"),
+    )
 
 
 def _diff_histograms_section(
@@ -1101,7 +1068,7 @@ def _diff_histograms_section(
     ]
     if not panels:
         return ""
-    out = ["<section><h2>Distribution shifts (b &#8722; a)</h2>"]
+    out: List[str] = []
     for h in panels[:cap]:
         name = h["name"]
         base_q, cur_q = h["baseline_quantiles"], h["current_quantiles"]
@@ -1110,37 +1077,32 @@ def _diff_histograms_section(
             for key in ("p50", "p90", "p99")
             if base_q[key] is not None or cur_q[key] is not None
         )
-        out.append(
-            f'<p class="meta"><code>{_esc(name)}</code>'
-            f"{' — ' + quantiles if quantiles else ''}</p>"
-        )
-        out.append(
+        out += [
+            _meta(
+                f"<code>{_esc(name)}</code>"
+                f"{' — ' + quantiles if quantiles else ''}"
+            ),
             _signed_bar_chart(
                 [(bound, float(v)) for bound, v in h["bucket_deltas"]],
                 caption=f"{name} bucket deltas",
-            )
-        )
-    if len(panels) > cap:
-        out.append(
-            f'<p class="note">(+{len(panels) - cap} more shifted '
-            f"distributions)</p>"
-        )
-    out.append("</section>")
-    return "".join(out)
+            ),
+        ]
+    return _section(
+        "Distribution shifts (b &#8722; a)", *out,
+        _folded(len(panels) - cap, "shifted distributions"),
+    )
 
 
 def _diff_placement_section(document: Dict[str, Any]) -> str:
     occupancy = document.get("placement", {}).get("occupancy_delta")
     if not occupancy:
         return ""
-    return (
-        "<section><h2>Placement occupancy delta "
-        "(b &#8722; a, final images)</h2>"
-        + _signed_bar_chart(
+    return _section(
+        "Placement occupancy delta (b &#8722; a, final images)",
+        _signed_bar_chart(
             [(i, float(v)) for i, v in enumerate(occupancy)],
             caption="per-CG occupancy delta",
-        )
-        + "</section>"
+        ),
     )
 
 
@@ -1166,35 +1128,26 @@ def _diff_ssd_section(document: Dict[str, Any]) -> str:
     }
     rows = []
     for key, title in _SSD_SUMMARY_KEYS:
-        va = ssd["a"].get(key)
-        vb = ssd["b"].get(key)
+        va, vb = ssd["a"].get(key), ssd["b"].get(key)
         if va is None and vb is None:
             continue
         r = by_name.get(key)
-        if r is not None:
-            delta_cell = _signed(r["delta"])
-            label_cell = (
-                f'<span class="lab lab-{_esc(r["label"])}">'
-                f"{_esc(r['label'])}</span>"
-            )
-        else:
-            delta_cell = "-"
-            label_cell = ""
-        rows.append(
-            f"<tr><td>{_esc(title)}</td>"
-            f'<td class="num">{_nice(va)}</td>'
-            f'<td class="num">{_nice(vb)}</td>'
-            f'<td class="num">{delta_cell}</td>'
-            f"<td>{label_cell}</td></tr>"
-        )
-    return (
-        "<section><h2>Flash substrate (FTL)</h2><table>"
-        '<tr><th>metric</th><th class="num">a</th><th class="num">b</th>'
-        '<th class="num">delta</th><th></th></tr>'
-        f"{''.join(rows)}</table>"
-        '<p class="note">write amplification = flash page programs / '
-        "host pages written; erases and migrations are the GC traffic "
-        "behind it.</p></section>"
+        rows.append((
+            title, _nice(va), _nice(vb),
+            "-" if r is None else _signed(r["delta"]),
+            "" if r is None else r["label"],
+        ))
+    return _section(
+        "Flash substrate (FTL)",
+        _table(
+            [("metric", ""), ("a", "num"), ("b", "num"), ("delta", "num"),
+             ("", "lab")],
+            rows,
+        ),
+        _note(
+            "write amplification = flash page programs / host pages "
+            "written; erases and migrations are the GC traffic behind it."
+        ),
     )
 
 
@@ -1205,37 +1158,32 @@ def _diff_config_section(document: Dict[str, Any]) -> str:
         ("environment", "Environment changes"),
     ):
         block = document["meta"][key]
-        changed, only_a, only_b = (
-            block["changed"], block["only_a"], block["only_b"]
+        changed = block["changed"]
+        notes = "; ".join(
+            f"only in {tag}: " + ", ".join(map(str, block[f"only_{tag}"]))
+            for tag in "ab" if block[f"only_{tag}"]
         )
-        if not changed and not only_a and not only_b:
+        if not changed and not notes:
             continue
-        rows = "".join(
-            f"<tr><td><code>{_esc(name)}</code></td>"
-            f"<td>{_esc(_nice(vals[0]))}</td><td>{_esc(_nice(vals[1]))}</td>"
-            f"</tr>"
-            for name, vals in sorted(changed.items())
-        )
-        notes = []
-        if only_a:
-            notes.append("only in a: " + ", ".join(map(str, only_a)))
-        if only_b:
-            notes.append("only in b: " + ", ".join(map(str, only_b)))
-        note = (
-            f'<p class="note">{_esc("; ".join(notes))}</p>' if notes else ""
-        )
-        table = (
-            f"<table><tr><th>key</th><th>a</th><th>b</th></tr>{rows}</table>"
-            if rows else ""
-        )
-        out.append(f"<section><h2>{title}</h2>{table}{note}</section>")
+        out.append(_section(
+            title,
+            _table(
+                [("key", "code"), ("a", ""), ("b", "")],
+                [
+                    (name, _nice(vals[0]), _nice(vals[1]))
+                    for name, vals in sorted(changed.items())
+                ],
+            ) if changed else "",
+            _note(_esc(notes)) if notes else "",
+        ))
     return "".join(out)
 
 
 def build_diff_report(document: Dict[str, Any]) -> str:
     """``repro-ffs diff --html``: one ``repro.diff/v1`` document as a
     self-contained side-by-side page."""
-    sections = [
+    return _page(
+        "repro run diff",
         _diff_header_section(document),
         _diff_deltas_section(document),
         _diff_ssd_section(document),
@@ -1243,8 +1191,7 @@ def build_diff_report(document: Dict[str, Any]) -> str:
         _diff_histograms_section(document),
         _diff_placement_section(document),
         _diff_config_section(document),
-    ]
-    return _page("repro run diff", "".join(s for s in sections if s))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1267,23 +1214,20 @@ def build_report(
     spans, _ = obs_events.split_truncation(run.spans)
     compare_rows = compare.events if compare is not None else None
     compare_events, _ = obs_events.split_truncation(compare_rows or [])
-    sections = [
-        _header_section(manifest, compare=compare is not None),
-    ]
-    if compare is not None:
-        sections.append(_compare_section(manifest, compare.manifest))
-    sections.append(_timeline_section(events, compare_events))
-    sections.append(_heatmap_section(events))
-    sections.append(_disktrace_section(list(run.disk or [])))
-    sections.append(_histograms_section(manifest))
-    sections.append(_timings_section(manifest))
-    sections.append(_span_tree_section(spans))
-    sections.append(_profile_section(manifest))
-    sections.append(_event_summary_section(events, dropped=events_dropped))
-    sections.append(_history_section(runs or []))
     return _page(
         f"repro run report — {manifest.command}",
-        "".join(s for s in sections if s),
+        _header_section(manifest, compare=compare is not None),
+        _compare_section(manifest, compare.manifest)
+        if compare is not None else "",
+        _timeline_section(events, compare_events),
+        _heatmap_section(events),
+        _disktrace_section(list(run.disk or [])),
+        _histograms_section(manifest),
+        _timings_section(manifest),
+        _span_tree_section(spans),
+        _profile_section(manifest),
+        _event_summary_section(events, dropped=events_dropped),
+        _history_section(runs or []),
     )
 
 

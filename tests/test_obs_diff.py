@@ -462,6 +462,21 @@ class TestDiffCli:
         ]) == 2
         assert "diff:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_one_image_without_the_other_exits_two(
+        self, side, tmp_path, capsys
+    ):
+        # Placement needs both images; one alone used to be dropped
+        # silently.  The image is never opened, so a missing one gives
+        # the pairing error too.
+        a = self._write_manifest(tmp_path / "a.jsonl")
+        argv = ["diff", str(a), str(a),
+                f"--image-{side}", str(tmp_path / "missing.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "repro-ffs diff: --image-a and --image-b go together\n"
+        )
+
     def test_foreign_schema_file_exits_two(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"schema": "something.else/v1"}')

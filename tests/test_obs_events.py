@@ -83,6 +83,25 @@ class TestReadJsonl:
                        '{"seq": ')
 
 
+class TestCountTypes:
+    ROWS = [
+        {"seq": 1, "type": "cache_hit"}, {"seq": 2, "type": "day_sample"},
+        {"seq": 3, "type": "cache_hit"}, {"seq": 4},
+        {"seq": 5, "type": "log_truncated", "dropped": 2},
+    ]
+
+    def test_counts_every_type_and_untyped_rows_as_question_mark(self):
+        assert obs_events.count_types(self.ROWS) == {
+            "cache_hit": 2, "day_sample": 1, "?": 1, "log_truncated": 1,
+        }
+
+    def test_skipped_types_are_left_out(self):
+        skip = (obs_events.DAY_SAMPLE, obs_events.LOG_TRUNCATED)
+        assert obs_events.count_types(self.ROWS, skip) == {
+            "cache_hit": 2, "?": 1,
+        }
+
+
 class TestDaySamples:
     """day_sample events mirror the Timeline exactly, day for day."""
 
